@@ -33,7 +33,7 @@
 //!                                (JSON jobs, fair-share queues, dedup)
 //!   [--wal-dir <dir>]            crash-safe write-ahead job log
 //!   [--recover <dir>]            replay the WAL on startup (warm restart)
-//! risc1 exp <id|all>             print an experiment report (e1…e16)
+//! risc1 exp <id|all>             print an experiment report (e1…e15)
 //! risc1 list                     list suite workloads and experiments
 //! ```
 //!
@@ -44,13 +44,13 @@
 
 use risc1_asm::{assemble, disassemble};
 use risc1_core::deadline::DEADLINE_POLL_STEPS;
-use risc1_core::inject::{install_recovery_handlers, InjectModes, RECOVERY_STUB_BASE};
+use risc1_core::inject::{install_recovery_handlers, RECOVERY_STUB_BASE};
 use risc1_core::{
     Cpu, Deadline, ExecEngine, FaultInjector, Halt, InjectConfig, Journal, SimConfig, TrapKind,
 };
 use risc1_ir::{
     minimize_journal, record_risc_injected, recorded_outcome, replay_journal, run_risc_supervised,
-    run_sharded_injected, run_sharded_with, InjectOutcome, SupervisorConfig, SupervisorOutcome,
+    SupervisorConfig, SupervisorOutcome,
 };
 use risc1_stats::measure_with;
 use std::fmt::Write as _;
@@ -119,13 +119,6 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
                                 rollback-and-retry on structured faults
        [--ckpt-every N]         checkpoint interval in instructions
        [--max-retries K]        rollback attempts before the fault surfaces
-       [--shard-cycles N]       checkpoint-parallel run: snapshot every N
-                                retired instructions, re-execute the
-                                shards on worker threads, and prove the
-                                stitched result bit-identical to a
-                                sequential run before printing it
-       [--threads T]            shard worker threads (with --shard-cycles;
-                                default: available parallelism)
   risc1 replay <trace.json>     re-execute a recorded campaign bit for bit
        [--minimize]             delta-debug to a minimal failing event set
        [--out <path>]           write the minimized journal here
@@ -162,11 +155,11 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
                                 completed results re-seed the cache,
                                 incomplete jobs re-enqueue (implies
                                 --wal-dir <dir>)
-  risc1 exp <e1…e16|all>        print an experiment report
+  risc1 exp <e1…e15|all>        print an experiment report
   risc1 list                    available workloads and experiments
 
   RISC1_THREADS=<n> pins the worker count for parallel experiment
-  campaigns (e13–e15) and shard workers (default: available parallelism)";
+  campaigns (e13–e15) and serve workers (default: available parallelism)";
 
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
@@ -255,8 +248,6 @@ struct RunOpts {
     fuel: Option<u64>,
     timeout_ms: Option<u64>,
     engine: Option<ExecEngine>,
-    shard_cycles: Option<u64>,
-    threads: Option<usize>,
 }
 
 fn parse_run_opts(rest: &[String]) -> Result<RunOpts, String> {
@@ -271,8 +262,6 @@ fn parse_run_opts(rest: &[String]) -> Result<RunOpts, String> {
     let mut fuel = None;
     let mut timeout_ms = None;
     let mut engine = None;
-    let mut shard_cycles = None;
-    let mut threads = None;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -328,20 +317,6 @@ fn parse_run_opts(rest: &[String]) -> Result<RunOpts, String> {
                 let v = it.next().ok_or("--engine needs a tier name")?;
                 engine = Some(parse_engine(v)?);
             }
-            "--shard-cycles" => {
-                let v = it.next().ok_or("--shard-cycles needs a value")?;
-                shard_cycles = Some(
-                    v.parse::<u64>()
-                        .map_err(|e| format!("bad --shard-cycles value `{v}`: {e}"))?,
-                );
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a value")?;
-                threads = Some(
-                    v.parse::<usize>()
-                        .map_err(|e| format!("bad --threads value `{v}`: {e}"))?,
-                );
-            }
             other if other.starts_with("--") => {
                 return Err(format!("unknown run flag `{other}`\n{USAGE}"))
             }
@@ -363,21 +338,8 @@ fn parse_run_opts(rest: &[String]) -> Result<RunOpts, String> {
         return Err("--ckpt-every/--max-retries only make sense with --supervise".to_string());
     }
     if timeout_ms.is_some() && record.is_some() {
-        return Err("--timeout-ms and --record are mutually exclusive                     (journals record a complete campaign)"
-            .to_string());
-    }
-    if threads.is_some() && shard_cycles.is_none() {
-        return Err("--threads only makes sense with --shard-cycles".to_string());
-    }
-    if shard_cycles.is_some() && supervise {
-        return Err("--shard-cycles and --supervise are mutually exclusive".to_string());
-    }
-    if shard_cycles.is_some() && record.is_some() {
-        return Err("--shard-cycles and --record are mutually exclusive".to_string());
-    }
-    if shard_cycles.is_some() && timeout_ms.is_some() {
-        return Err("--shard-cycles and --timeout-ms are mutually exclusive \
-             (shard boundaries are instruction counts, not wall-clock)"
+        return Err("--timeout-ms and --record are mutually exclusive \
+                    (journals record a complete campaign)"
             .to_string());
     }
     Ok(RunOpts {
@@ -392,8 +354,6 @@ fn parse_run_opts(rest: &[String]) -> Result<RunOpts, String> {
         fuel,
         timeout_ms,
         engine,
-        shard_cycles,
-        threads,
     })
 }
 
@@ -417,14 +377,6 @@ fn cmd_run(path: &str, rest: &[String], trace: bool) -> CliResult {
         cfg.engine = engine;
     }
     let recovery = opts.trap_handlers || opts.inject_seed.is_some();
-    if opts.shard_cycles.is_some() {
-        if trace {
-            return Err("--shard-cycles is not available under `trace` \
-                        (pipeline diagrams need one continuous run)"
-                .to_string());
-        }
-        return cmd_run_sharded(&prog, &opts, cfg, recovery);
-    }
     if opts.supervise {
         return cmd_run_supervised(&prog, &opts, cfg, recovery);
     }
@@ -516,80 +468,6 @@ fn cmd_run(path: &str, rest: &[String], trace: bool) -> CliResult {
         );
     }
     Ok(out)
-}
-
-/// `run --shard-cycles N`: checkpoint-parallel execution. A fast planning
-/// pass cuts the run at every N retired instructions, worker threads
-/// re-execute the shards from their snapshots, and the stitcher proves
-/// the folded result bit-identical to sequential execution before
-/// anything is printed.
-fn cmd_run_sharded(
-    prog: &risc1_core::Program,
-    opts: &RunOpts,
-    cfg: SimConfig,
-    recovery: bool,
-) -> CliResult {
-    let shard_cycles = opts.shard_cycles.expect("caller checked");
-    let threads = opts.threads.unwrap_or(0);
-    let injected = opts.inject_seed.is_some();
-    let report = if injected || recovery {
-        // `--trap-handlers` without `--inject` still needs the recovery
-        // stubs, which the injected planner installs; a zero-rate, no-mode
-        // injector makes that path architecturally identical to a plain
-        // run with handlers.
-        let mut icfg = InjectConfig::with_seed(opts.inject_seed.unwrap_or(0));
-        if let Some(r) = opts.rate {
-            icfg.rate = r;
-        }
-        if !injected {
-            icfg.rate = 0;
-            icfg.modes = InjectModes::none();
-        }
-        run_sharded_injected(prog, &opts.args, cfg, icfg, recovery, shard_cycles, threads)
-            .map(|rep| (rep, Some(icfg)))
-    } else {
-        run_sharded_with(prog, &opts.args, cfg, shard_cycles, threads).map(|rep| (rep, None))
-    };
-    let (rep, icfg) = report.map_err(|e| e.to_string())?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "sharded run: {} shard(s) of {} instruction(s) on {} thread(s)",
-        rep.shards(),
-        shard_cycles,
-        rep.threads
-    );
-    let _ = writeln!(
-        out,
-        "plan {:.1} ms + shards {:.1} ms; stitch proved: arch {:#018x}, mem {:#018x}",
-        rep.plan_wall.as_secs_f64() * 1e3,
-        rep.exec_wall.as_secs_f64() * 1e3,
-        rep.arch_digest,
-        rep.mem_digest,
-    );
-    if let Some(icfg) = icfg.filter(|_| injected) {
-        let _ = writeln!(
-            out,
-            "injected {} faults (seed {}, rate {}/10000)",
-            rep.report.events.len(),
-            icfg.seed,
-            icfg.rate
-        );
-        for ev in &rep.report.events {
-            let _ = writeln!(out, "  {ev}");
-        }
-    }
-    match rep.report.outcome {
-        InjectOutcome::Halted { result } => {
-            let _ = writeln!(out, "result: {result}");
-            let _ = writeln!(out, "{}", rep.report.stats);
-            Ok(out)
-        }
-        InjectOutcome::Faulted { ref error } => {
-            let _ = writeln!(out, "{}", rep.report.stats);
-            Err(format!("{out}fault: {error}"))
-        }
-    }
 }
 
 /// `run --supervise`: execute under the checkpoint + rollback-and-retry
@@ -900,17 +778,6 @@ fn cmd_bench_suite(args: &[String]) -> CliResult {
             "{out}\nperf gate failed: trace geomean speedup {trace:.2}x over cached is not > 1.0"
         ));
     }
-    // The sharded gate is conditional on actual parallelism: with one
-    // worker the planning pass is pure overhead and only the (always
-    // enforced) bit-identity stitch proof is meaningful.
-    let shard = report.geomean_shard_speedup();
-    if report.shard_workers() >= 2 && shard <= 1.0 {
-        return Err(format!(
-            "{out}\nperf gate failed: sharded geomean speedup {shard:.2}x over sequential is \
-             not > 1.0 despite {} workers",
-            report.shard_workers()
-        ));
-    }
     if let Some(path) = baseline {
         let doc = read(&path)?;
         let line = risc1_experiments::bench::check_against_baseline(&report, &doc)
@@ -989,12 +856,11 @@ fn cmd_exp(id: &str) -> CliResult {
         "e13" => e::e13_fault_recovery::run(),
         "e14" => e::e14_checkpoint_overhead::run(),
         "e15" => e::e15_fusion_ablation::run(),
-        "e16" => e::e16_shard_scaling::run(),
         "ablations" => e::ablations::run(),
         "all" => e::run_all(),
         other => {
             return Err(format!(
-                "unknown experiment `{other}` (e1…e16, ablations, all)"
+                "unknown experiment `{other}` (e1…e15, ablations, all)"
             ))
         }
     })
@@ -1005,7 +871,7 @@ fn listing() -> String {
     for w in risc1_workloads::all() {
         let _ = writeln!(out, "  {:16} {}", w.id, w.description);
     }
-    out.push_str("\nexperiments: e1…e16, ablations, all (see DESIGN.md §3)\n");
+    out.push_str("\nexperiments: e1…e15, ablations, all (see DESIGN.md §3)\n");
     out
 }
 
@@ -1074,7 +940,7 @@ mod tests {
         assert!(out.contains("geomean"), "{out}");
         let json = std::fs::read_to_string(p).unwrap();
         assert!(
-            json.contains("\"schema\": \"risc1-bench-interp/v4\""),
+            json.contains("\"schema\": \"risc1-bench-interp/v5\""),
             "{json}"
         );
         assert!(json.contains("\"id\": \"fib\""));
@@ -1083,9 +949,6 @@ mod tests {
         assert!(json.contains("\"trace_coverage\""), "{json}");
         assert!(json.contains("\"geomean_superblock_speedup\""), "{json}");
         assert!(json.contains("\"geomean_trace_speedup\""), "{json}");
-        assert!(json.contains("\"sharded\""), "{json}");
-        assert!(json.contains("\"shard_speedup\""), "{json}");
-        assert!(json.contains("\"shard_workers\""), "{json}");
         // A self-baseline never regresses by >10%, so the comparison
         // passes whenever the primary >1.0 gate does; a baseline with
         // absurdly high stored aggregates must fail the run outright.
@@ -1205,6 +1068,23 @@ mod tests {
         // Flag validation.
         assert!(dispatch(&s(&["replay", &trace, "--out", "x"])).is_err());
         assert!(dispatch(&s(&["run", &p, "40", "--record", &trace])).is_err());
+        assert_eq!(
+            dispatch(&s(&[
+                "run",
+                &p,
+                "40",
+                "--inject",
+                "9",
+                "--record",
+                &trace,
+                "--timeout-ms",
+                "5",
+            ])),
+            Err(
+                "--timeout-ms and --record are mutually exclusive (journals record a complete campaign)"
+                    .to_string()
+            )
+        );
         assert!(dispatch(&s(&["replay", "/nonexistent.json"])).is_err());
     }
 
@@ -1237,120 +1117,6 @@ mod tests {
             "--supervise",
         ]))
         .is_err());
-    }
-
-    /// The doc-comment triangular-number loop: long enough to cut into
-    /// many shards at a small `--shard-cycles`.
-    const TRI_LOOP: &str = "        add   r16, r0, #0
-        add   r17, r26, #0
-loop:   sub   r0, r17, #0 {scc}
-        jmpr  eq, done
-        nop
-        add   r16, r16, r17
-        jmpr  alw, loop
-        sub   r17, r17, #1
-done:   add   r26, r16, #0
-        ret   r25, #8
-        nop
-";
-
-    #[test]
-    fn sharded_run_reports_and_validates() {
-        let p = write_temp("shard.s", TRI_LOOP);
-        let out = dispatch(&s(&[
-            "run",
-            &p,
-            "500",
-            "--shard-cycles",
-            "300",
-            "--threads",
-            "2",
-        ]))
-        .unwrap();
-        assert!(out.contains("sharded run:"), "{out}");
-        assert!(out.contains("result: 125250"), "{out}");
-        assert!(out.contains("stitch proved"), "{out}");
-        // Engine choice is a pure speed knob under sharding too.
-        let uncached = dispatch(&s(&[
-            "run",
-            &p,
-            "500",
-            "--shard-cycles",
-            "300",
-            "--engine",
-            "uncached",
-        ]))
-        .unwrap();
-        assert!(uncached.contains("result: 125250"), "{uncached}");
-        // Flag validation.
-        assert!(dispatch(&s(&["run", &p, "500", "--threads", "2"])).is_err());
-        assert!(dispatch(&s(&["run", &p, "500", "--shard-cycles", "0"])).is_err());
-        assert!(dispatch(&s(&[
-            "run",
-            &p,
-            "500",
-            "--shard-cycles",
-            "300",
-            "--supervise"
-        ]))
-        .is_err());
-        assert!(dispatch(&s(&[
-            "run",
-            &p,
-            "500",
-            "--shard-cycles",
-            "300",
-            "--timeout-ms",
-            "99",
-        ]))
-        .is_err());
-        assert!(dispatch(&s(&["trace", &p, "500", "--shard-cycles", "300"])).is_err());
-    }
-
-    #[test]
-    fn sharded_injection_replays_the_sequential_schedule() {
-        let p = write_temp("shard_inj.s", TRI_LOOP);
-        let events = |text: &str| {
-            text.lines()
-                .filter(|l| l.starts_with("  "))
-                .map(str::to_string)
-                .collect::<Vec<_>>()
-        };
-        let plain = match dispatch(&s(&["run", &p, "400", "--inject", "7", "--rate", "90"])) {
-            Ok(t) | Err(t) => t,
-        };
-        let sharded = match dispatch(&s(&[
-            "run",
-            &p,
-            "400",
-            "--inject",
-            "7",
-            "--rate",
-            "90",
-            "--shard-cycles",
-            "250",
-        ])) {
-            Ok(t) | Err(t) => t,
-        };
-        assert!(plain.contains("injected"), "{plain}");
-        assert!(sharded.contains("injected"), "{sharded}");
-        assert_eq!(
-            events(&plain),
-            events(&sharded),
-            "sharded injection must replay the sequential schedule\n{plain}\n{sharded}"
-        );
-        // --trap-handlers without --inject shards too (zero-rate path).
-        let handled = dispatch(&s(&[
-            "run",
-            &p,
-            "400",
-            "--trap-handlers",
-            "--shard-cycles",
-            "250",
-        ]))
-        .unwrap();
-        assert!(handled.contains("result:"), "{handled}");
-        assert!(!handled.contains("injected"), "{handled}");
     }
 
     #[test]

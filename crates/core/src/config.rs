@@ -64,11 +64,11 @@ pub struct SimConfig {
     /// Which execution engine drives the interpreter loop. Purely a speed
     /// knob: architectural state, statistics and trap behaviour are
     /// bit-identical across all four tiers, which the `interp_equivalence`
-    /// suite asserts four ways.
+    /// suite asserts four ways. Host-only (see [`SimConfig::architectural`]).
     pub engine: ExecEngine,
     /// Per-kind macro-op fusion toggles, consulted only by the superblock
     /// engine (see `crate::superblock`). All on by default; experiment e15
-    /// sweeps them off one at a time.
+    /// sweeps them off one at a time. Host-only, like `engine`.
     pub fusion: FusionConfig,
 }
 
@@ -199,6 +199,25 @@ impl SimConfig {
     /// 10 globals + 16 per window (the paper's `10 + 16·w`; 138 for w = 8).
     pub fn physical_registers(&self) -> usize {
         crate::windows::GLOBALS + crate::windows::WINDOW_STRIDE * self.windows
+    }
+
+    /// This configuration with its host-only fields reset to their
+    /// defaults — the simulated machine alone.
+    ///
+    /// `engine` and `fusion` are the host-only fields: they choose how the
+    /// host executes the machine, never what it computes (the four-engine
+    /// equivalence law in `interp_equivalence`). So a machine's identity
+    /// is this view: [`crate::Cpu::restore`] accepts a snapshot whose
+    /// configuration differs from the CPU's only in those two fields, and
+    /// [`crate::snapshot::config_hash`] — the config part of the serve
+    /// dedup key — hashes this view. Every other field is architectural,
+    /// `record_trace` included, because it changes the captured state.
+    pub fn architectural(&self) -> SimConfig {
+        SimConfig {
+            engine: ExecEngine::default(),
+            fusion: FusionConfig::default(),
+            ..self.clone()
+        }
     }
 }
 

@@ -522,21 +522,13 @@ impl Cpu {
         Snapshot::capture(self, 0)
     }
 
-    /// Digest of the simulated machine alone — registers, PSW, trap unit,
-    /// pending delayed transfer, architectural statistics and memory —
-    /// excluding host bookkeeping (checkpoint ids, journal cursors) and
-    /// the engine configuration. Equal digests mean "same machine at the
-    /// same point of the same run" regardless of which engine tier or
-    /// burst chopping got it there; see [`Snapshot::arch_digest`].
-    pub fn arch_digest(&self) -> u64 {
-        crate::snapshot::arch_digest_of(self)
-    }
-
-    /// Restores this CPU to a snapshot's exact state.
+    /// Restores this CPU to a snapshot's exact state. The snapshot may
+    /// come from any engine tier or fusion setting; this CPU keeps its own.
     ///
     /// # Errors
-    /// [`RestoreError`] when the snapshot's version or configuration does
-    /// not match, or its checksum no longer verifies.
+    /// [`RestoreError`] when the snapshot's version or machine
+    /// configuration ([`SimConfig::architectural`]) does not match, or its
+    /// checksum no longer verifies.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), RestoreError> {
         snap.restore_into(self)
     }
@@ -611,13 +603,6 @@ impl Cpu {
         self.journal_pos = s.journal_pos;
     }
 
-    /// Instructions retired so far — the cheap accessor for per-step
-    /// boundary checks (shard boundaries, watchdogs) that must not clone
-    /// the full statistics block every step the way [`Cpu::stats`] does.
-    pub fn instructions_retired(&self) -> u64 {
-        self.stats.instructions
-    }
-
     /// Statistics accumulated so far (window counters synced).
     pub fn stats(&self) -> ExecStats {
         let mut s = self.stats.clone();
@@ -671,42 +656,6 @@ impl Cpu {
         // a supervisor that interleaves other work between calls.
         while self.step_n(1 << 20)? == Halt::Running {}
         Ok(())
-    }
-
-    /// Runs until exactly `target` instructions have retired (or the
-    /// program halts or faults first), and stops on that boundary.
-    ///
-    /// The stopping point is *boundary-exact*: [`Cpu::step_n`] never
-    /// executes more step units than asked, and trap deliveries retire no
-    /// instruction, so the loop can only land on `stats.instructions ==
-    /// target`, never past it. Because the condition is purely
-    /// architectural, every engine tier stops in the identical machine
-    /// state — including mid-delay-slot points where a delayed transfer
-    /// is still pending — which is what makes instruction counts usable
-    /// as shard boundaries (see `risc1-ir`'s `shard` module).
-    ///
-    /// Returns [`Halt::Returned`] if the program halted at or before the
-    /// boundary, otherwise [`Halt::Running`] with the boundary reached.
-    ///
-    /// # Errors
-    /// As [`Cpu::step`]; the CPU stops at the faulting instruction.
-    pub fn run_until_instructions(&mut self, target: u64) -> Result<Halt, ExecError> {
-        while self.stats.instructions < target {
-            if self.halted {
-                return Ok(Halt::Returned);
-            }
-            // Budget only the instructions still missing: trap deliveries
-            // consume step units without retiring, so each call retires at
-            // most the remaining count and the boundary cannot overshoot.
-            if self.step_n(target - self.stats.instructions)? == Halt::Returned {
-                return Ok(Halt::Returned);
-            }
-        }
-        Ok(if self.halted {
-            Halt::Returned
-        } else {
-            Halt::Running
-        })
     }
 
     /// Executes up to `n` steps (instruction executions or trap/interrupt

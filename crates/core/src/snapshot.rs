@@ -93,8 +93,7 @@ impl Default for Fnv64 {
 }
 
 /// FNV-1a digest of one memory page — the per-page unit the snapshot
-/// checksum, the incremental checkpointer and the shard stitcher's
-/// dirty-page overlay law all agree on.
+/// checksum and the incremental checkpointer agree on.
 pub fn page_sum(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
     h.write_bytes(bytes);
@@ -175,24 +174,11 @@ fn hash_stats(h: &mut Fnv64, s: &ExecStats) {
 }
 
 impl CpuState {
+    /// Hashes every captured field: registers, pc/lastpc, PSW, window
+    /// stack, pending delayed transfer, trap unit, fuel, architectural
+    /// statistics, the retirement trace, and the last noted checkpoint id
+    /// and journal position (a restore brings those back bit-for-bit).
     fn hash_into(&self, h: &mut Fnv64) {
-        self.hash_arch_into(h);
-        // Host-side bookkeeping: which checkpoint/journal position was
-        // last noted. Part of the full snapshot checksum (a restore brings
-        // them back bit-for-bit) but deliberately *not* part of
-        // `hash_arch_into` — see `Snapshot::arch_digest`.
-        hash_opt_u64(h, self.last_snapshot);
-        hash_opt_u64(h, self.journal_pos);
-    }
-
-    /// Hashes every field that belongs to the simulated machine itself:
-    /// registers, pc/lastpc, PSW, window stack, pending delayed transfer,
-    /// trap unit, fuel, architectural statistics and the retirement trace.
-    /// Excludes `last_snapshot`/`journal_pos`, which describe what the
-    /// *host* did around the run (checkpoint ids, journal cursors) and
-    /// legitimately differ between a checkpointed first pass and a shard
-    /// re-executing the same instructions.
-    pub(crate) fn hash_arch_into(&self, h: &mut Fnv64) {
         self.regs.for_each_word(|w| h.write_u64(w));
         h.write_u64(u64::from(self.pc));
         h.write_u64(u64::from(self.last_pc));
@@ -232,33 +218,25 @@ impl CpuState {
         hash_opt_u64(h, self.active_trap.map(|k| u64::from(k.code())));
         hash_opt_u64(h, self.pending_probe.map(|k| u64::from(k.code())));
         h.write_u64(self.fuel_limit);
+        hash_opt_u64(h, self.last_snapshot);
+        hash_opt_u64(h, self.journal_pos);
     }
 }
 
-/// [`Snapshot::arch_digest`] computed straight off a live CPU, without
-/// cloning its memory into a full snapshot first (the implementation
-/// behind [`Cpu::arch_digest`]).
-pub(crate) fn arch_digest_of(cpu: &Cpu) -> u64 {
-    let mut h = Fnv64::new();
-    cpu.capture_state().hash_arch_into(&mut h);
-    h.write_u64(cpu.mem.page_count() as u64);
-    for i in 0..cpu.mem.page_count() {
-        h.write_u64(page_sum(cpu.mem.page(i)));
-    }
-    h.finish()
-}
-
-/// Stable FNV-1a digest of a complete [`SimConfig`] — every field that
-/// affects simulated behaviour, including the engine tier and fusion
-/// toggles. Used three ways: inside snapshot checksums, in
-/// [`RestoreError::ConfigMismatch`] diagnostics (expected-vs-found), and
-/// as the `config_hash` component of the serve layer's job-dedup key.
+/// Stable FNV-1a digest of a configuration's machine identity — its
+/// [`SimConfig::architectural`] view, so the host-only engine tier and
+/// fusion toggles never move it. Used in [`RestoreError::ConfigMismatch`]
+/// diagnostics (expected-vs-found) and as the `config_hash` component of
+/// the serve layer's job-dedup key.
 pub fn config_hash(cfg: &SimConfig) -> u64 {
     let mut h = Fnv64::new();
-    hash_config(&mut h, cfg);
+    hash_config(&mut h, &cfg.architectural());
     h.finish()
 }
 
+/// Hashes every field of `cfg`, host-only ones included: the snapshot
+/// checksum covers the whole stored configuration, so editing any of it
+/// is detected as corruption.
 fn hash_config(h: &mut Fnv64, cfg: &SimConfig) {
     h.write_u64(cfg.windows as u64);
     h.write_u64(cfg.mem_bytes as u64);
@@ -299,22 +277,17 @@ pub enum RestoreError {
         /// Version this build restores.
         expected: u32,
     },
-    /// The snapshot was captured under a different [`SimConfig`] than the
-    /// CPU being restored (window count, memory size, timing model…). The
-    /// digests are [`config_hash`] values; the engine names are carried
-    /// separately because an engine-tier mismatch is by far the most
-    /// common way to hit this in practice, and the hash alone cannot say
-    /// which field diverged.
+    /// The snapshot was captured under a different machine than the CPU
+    /// being restored (window count, memory size, timing model…): their
+    /// [`SimConfig::architectural`] views differ. The host-only engine
+    /// tier and fusion toggles never cause this. The digests are
+    /// [`config_hash`] values.
     ConfigMismatch {
         /// [`config_hash`] of the configuration the snapshot was captured
         /// under (what the restore expected to find on the CPU).
         expected: u64,
         /// [`config_hash`] of the CPU the restore was attempted on.
         found: u64,
-        /// Engine tier recorded in the snapshot.
-        expected_engine: &'static str,
-        /// Engine tier of the CPU being restored.
-        found_engine: &'static str,
     },
     /// The snapshot's contents no longer match its checksum.
     Corrupt {
@@ -334,19 +307,11 @@ impl fmt::Display for RestoreError {
                     "snapshot version {found} (this build restores {expected})"
                 )
             }
-            RestoreError::ConfigMismatch {
-                expected,
-                found,
-                expected_engine,
-                found_engine,
-            } => {
-                write!(
-                    f,
-                    "snapshot was captured under a different configuration: \
-                     config hash {expected:#018x} (engine {expected_engine}) \
-                     vs this CPU's {found:#018x} (engine {found_engine})"
-                )
-            }
+            RestoreError::ConfigMismatch { expected, found } => write!(
+                f,
+                "snapshot was captured under a different configuration: \
+                 config hash {expected:#018x} vs this CPU's {found:#018x}"
+            ),
             RestoreError::Corrupt { expected, found } => write!(
                 f,
                 "snapshot checksum mismatch: stored {expected:#018x}, recomputed {found:#018x}"
@@ -418,14 +383,6 @@ impl Snapshot {
         &self.cfg
     }
 
-    /// Per-page [`page_sum`] digests of the captured memory, in page
-    /// order. The shard stitcher's overlay law folds per-shard dirty-page
-    /// digests over a baseline's sums and compares against the final
-    /// capture's sums.
-    pub fn page_sums(&self) -> &[u64] {
-        &self.page_sums
-    }
-
     /// Digest of version, id, configuration, register/trap state, and the
     /// per-page memory digests.
     fn compute_checksum(&self) -> u64 {
@@ -440,42 +397,6 @@ impl Snapshot {
             h.write_u64(s);
         }
         h.finish()
-    }
-
-    /// Digest of the *simulated machine* alone: architectural register and
-    /// trap state, architectural statistics, and the per-page memory
-    /// digests. Excludes the snapshot id, the capture configuration and
-    /// the host bookkeeping fields (`last_snapshot`/`journal_pos`).
-    ///
-    /// Two snapshots with equal `arch_digest` describe the same machine at
-    /// the same point of the same run, no matter which engine tier got it
-    /// there, whether checkpoints were taken along the way, or what id the
-    /// capture carries. This is the equality the shard stitcher checks at
-    /// every shard boundary (see `risc1-ir`'s `shard` module).
-    pub fn arch_digest(&self) -> u64 {
-        let mut h = Fnv64::new();
-        self.state.hash_arch_into(&mut h);
-        h.write_u64(self.page_sums.len() as u64);
-        for &s in &self.page_sums {
-            h.write_u64(s);
-        }
-        h.finish()
-    }
-
-    /// Rewrites the engine tier the snapshot restores into, recomputing
-    /// the checksum so the result still verifies.
-    ///
-    /// This is sound because the engine tiers are architecturally
-    /// bit-identical (the repository's four-engine equivalence law): no
-    /// captured field depends on the tier, and the predecode/superblock/
-    /// trace caches a tier maintains are derived state rebuilt after any
-    /// restore. Rebinding only changes which `SimConfig` the snapshot
-    /// expects at [`Cpu::restore`] time — it is how a trace-engine
-    /// planning pass hands snapshots to shards running a different tier,
-    /// and how the cross-engine resume law is stated.
-    pub fn rebind_engine(&mut self, engine: ExecEngine) {
-        self.cfg.engine = engine;
-        self.checksum = self.compute_checksum();
     }
 
     /// Verifies the snapshot against its stored checksum.
@@ -495,7 +416,10 @@ impl Snapshot {
     }
 
     /// Restores `cpu` to this snapshot's exact state (the implementation
-    /// behind [`Cpu::restore`]).
+    /// behind [`Cpu::restore`]). The CPU keeps its own host-only fields
+    /// (engine tier, fusion toggles), which may differ from the capture's;
+    /// the caches a tier keeps are derived state, invalidated here through
+    /// the dirty-page funnel.
     pub(crate) fn restore_into(&self, cpu: &mut Cpu) -> Result<(), RestoreError> {
         if self.version != SNAPSHOT_VERSION {
             return Err(RestoreError::Version {
@@ -503,12 +427,10 @@ impl Snapshot {
                 expected: SNAPSHOT_VERSION,
             });
         }
-        if *cpu.config() != self.cfg {
+        if cpu.config().architectural() != self.cfg.architectural() {
             return Err(RestoreError::ConfigMismatch {
                 expected: config_hash(&self.cfg),
                 found: config_hash(cpu.config()),
-                expected_engine: self.cfg.engine.name(),
-                found_engine: cpu.config().engine.name(),
             });
         }
         self.verify()?;
@@ -1191,30 +1113,53 @@ mod tests {
 
         let mut other = Cpu::new(SimConfig::with_windows(4));
         match other.restore(&snap) {
-            Err(RestoreError::ConfigMismatch {
-                expected,
-                found,
-                expected_engine,
-                found_engine,
-            }) => {
+            Err(RestoreError::ConfigMismatch { expected, found }) => {
                 assert_eq!(expected, config_hash(&SimConfig::default()));
                 assert_eq!(found, config_hash(&SimConfig::with_windows(4)));
-                assert_eq!(expected_engine, "superblock");
-                assert_eq!(found_engine, "superblock");
                 assert_ne!(expected, found, "differing configs must hash apart");
             }
             other => panic!("expected a config mismatch, got {other:?}"),
         }
-        // An engine-tier mismatch names both tiers in the diagnostic.
+        for arch in [
+            SimConfig {
+                mem_bytes: 1 << 21,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                forwarding: false,
+                ..SimConfig::default()
+            },
+            SimConfig {
+                record_trace: true,
+                ..SimConfig::default()
+            },
+        ] {
+            assert!(
+                matches!(
+                    Cpu::new(arch.clone()).restore(&snap),
+                    Err(RestoreError::ConfigMismatch { .. })
+                ),
+                "{arch:?}"
+            );
+        }
+        // Engine tier and fusion are host-only: a CPU that differs from the
+        // capture only there restores it.
         let mut cached = Cpu::new(SimConfig {
             engine: ExecEngine::Cached,
+            fusion: crate::config::FusionConfig::none(),
             ..SimConfig::default()
         });
-        let msg = cached.restore(&snap).unwrap_err().to_string();
-        assert!(
-            msg.contains("engine superblock") && msg.contains("engine cached"),
-            "{msg}"
-        );
+        cached.restore(&snap).unwrap();
+        assert_eq!(cached.stats(), cpu.stats());
+
+        // The checksum still covers the whole stored configuration: an
+        // edited engine field is corruption, not a host-only difference.
+        let mut edited = snap.clone();
+        edited.cfg.engine = ExecEngine::Trace;
+        assert!(matches!(
+            Cpu::new(SimConfig::default()).restore(&edited),
+            Err(RestoreError::Corrupt { .. })
+        ));
 
         // Tamper with the captured state: verification must fail.
         snap.state.pc ^= 4;

@@ -23,16 +23,12 @@
 //! No external benchmarking crate is involved — plain
 //! `std::time::Instant`, best-of-N — so the numbers regenerate in the
 //! offline CI image. The machine-readable output, `BENCH_interp.json`
-//! (schema `risc1-bench-interp/v4`), is the repo's canonical perf gate:
+//! (schema `risc1-bench-interp/v5`), is the repo's canonical perf gate:
 //! CI runs `risc1 bench --quick` and fails unless *every* tier's ratio
 //! beats 1.0 in aggregate — cached over uncached, superblock over
-//! cached, and trace over cached. Since PR 10 the report also carries
-//! checkpoint-parallel (sharded) rows on scaled workloads; their
-//! sharded-over-sequential speedup is gated above 1.0 only when the host
-//! has ≥ 2 effective workers (on one core the planning pass is pure
-//! overhead). An optional `--baseline <file>` comparison additionally
-//! fails the gate if any aggregate regressed more than 10% against a
-//! stored report.
+//! cached, and trace over cached. An optional `--baseline <file>`
+//! comparison additionally fails the gate if any aggregate regressed
+//! more than 10% against a stored report.
 //!
 //! The four engines are *bit-identical* in simulated behaviour (same
 //! result, stats, memory image — `tests/interp_equivalence.rs` is the
@@ -41,9 +37,9 @@
 
 use risc1_core::{Cpu, ExecEngine, ExecStats, FuseKind, Halt, Program, SimConfig};
 use risc1_ir::layout::ARGV_BASE;
-use risc1_ir::{compile_risc, default_threads, run_sharded_with, RiscOpts};
+use risc1_ir::{compile_risc, RiscOpts};
 use risc1_stats::Table;
-use risc1_workloads::{all, by_id_scaled};
+use risc1_workloads::all;
 use std::time::{Duration, Instant};
 
 /// One workload's four-engine timing.
@@ -98,34 +94,6 @@ impl BenchRow {
     }
 }
 
-/// One scaled workload timed sequentially and checkpoint-parallel
-/// (sharded) under the uncached engine — the schema-v4 receipt for
-/// PR 10's shard runner. The sharded run is stitch-proven bit-identical
-/// to the sequential one by construction; only host time may differ.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedRow {
-    /// Workload id with its scale, e.g. `sieve@x25`.
-    pub id: String,
-    /// Simulated instructions one run retires (identical in both modes).
-    pub instructions: u64,
-    /// Simulated instructions per host second, plain sequential run.
-    pub seq_ips: f64,
-    /// Simulated instructions per host second, sharded run (planning
-    /// pass + parallel shard phase + stitch).
-    pub sharded_ips: f64,
-    /// Worker threads the shard phase used.
-    pub threads: usize,
-}
-
-impl ShardedRow {
-    /// Host-time speedup of the sharded run over the sequential one.
-    /// Below 1.0 on a single-worker host (the planning pass is pure
-    /// overhead there); the CI gate only checks it with ≥ 2 workers.
-    pub fn shard_speedup(&self) -> f64 {
-        self.sharded_ips / self.seq_ips.max(1e-9)
-    }
-}
-
 /// The whole suite's timings plus the run mode that produced them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
@@ -133,8 +101,6 @@ pub struct BenchReport {
     pub quick: bool,
     /// One row per suite workload, in suite order.
     pub rows: Vec<BenchRow>,
-    /// Scaled checkpoint-parallel rows (see [`ShardedRow`]).
-    pub sharded: Vec<ShardedRow>,
 }
 
 fn geomean(vals: impl Iterator<Item = f64>) -> f64 {
@@ -166,26 +132,12 @@ impl BenchReport {
         geomean(self.rows.iter().map(BenchRow::trace_speedup))
     }
 
-    /// Geometric mean of the sharded-over-sequential speedups across the
-    /// scaled rows (1.0 when none were measured).
-    pub fn geomean_shard_speedup(&self) -> f64 {
-        geomean(self.sharded.iter().map(ShardedRow::shard_speedup))
-    }
-
-    /// Worker threads the sharded rows ran on (0 when none were
-    /// measured). The CLI perf gate only enforces `shard_speedup > 1.0`
-    /// when this is ≥ 2 — on a single-worker host the planning pass is
-    /// pure overhead and the law under test is transparency, not speed.
-    pub fn shard_workers(&self) -> usize {
-        self.sharded.iter().map(|r| r.threads).max().unwrap_or(0)
-    }
-
     /// Renders the report as the `BENCH_interp.json` document. The
     /// writer is hand-rolled (no serde in the offline image); the schema
     /// is documented in README.md §Benchmarks.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"risc1-bench-interp/v4\",\n");
+        s.push_str("  \"schema\": \"risc1-bench-interp/v5\",\n");
         s.push_str(&format!("  \"quick\": {},\n", self.quick));
         s.push_str("  \"unit\": \"simulated instructions per host second\",\n");
         s.push_str("  \"workloads\": [\n");
@@ -217,27 +169,6 @@ impl BenchReport {
             ));
         }
         s.push_str("  ],\n");
-        s.push_str("  \"sharded\": [\n");
-        for (i, r) in self.sharded.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"id\": \"{}\", \"instructions\": {}, \
-                 \"seq_ips\": {:.1}, \"sharded_ips\": {:.1}, \
-                 \"shard_speedup\": {:.3}, \"threads\": {}}}{}\n",
-                r.id,
-                r.instructions,
-                r.seq_ips,
-                r.sharded_ips,
-                r.shard_speedup(),
-                r.threads,
-                if i + 1 == self.sharded.len() { "" } else { "," }
-            ));
-        }
-        s.push_str("  ],\n");
-        s.push_str(&format!("  \"shard_workers\": {},\n", self.shard_workers()));
-        s.push_str(&format!(
-            "  \"geomean_shard_speedup\": {:.3},\n",
-            self.geomean_shard_speedup()
-        ));
         s.push_str(&format!(
             "  \"geomean_cached_speedup\": {:.3},\n",
             self.geomean_cached_speedup()
@@ -284,7 +215,7 @@ impl BenchReport {
                 format!("{:.0}%", 100.0 * r.fused_fraction()),
             ]);
         }
-        let mut out = format!(
+        format!(
             "Interpreter benchmark — trace vs. superblock vs. cached vs. uncached\n\
              ({} arguments; best-of-N host timing, simulated behaviour is\n\
              bit-identical across all engines)\n\n{t}\n\
@@ -294,32 +225,7 @@ impl BenchReport {
             self.geomean_trace_speedup(),
             self.geomean_superblock_speedup(),
             self.geomean_cached_speedup()
-        );
-        if !self.sharded.is_empty() {
-            let mut st = Table::new(&[
-                "scaled benchmark",
-                "instructions",
-                "seq (insns/s)",
-                "sharded (insns/s)",
-                "speedup",
-                "threads",
-            ]);
-            for r in &self.sharded {
-                st.row(vec![
-                    r.id.clone(),
-                    r.instructions.to_string(),
-                    format!("{:.2e}", r.seq_ips),
-                    format!("{:.2e}", r.sharded_ips),
-                    format!("{:.2}x", r.shard_speedup()),
-                    r.threads.to_string(),
-                ]);
-            }
-            out.push_str(&format!(
-                "\nCheckpoint-parallel (sharded) rows — uncached engine, stitch-proven\n\
-                 bit-identical to sequential execution:\n\n{st}\n"
-            ));
-        }
-        out
+        )
     }
 }
 
@@ -351,21 +257,6 @@ pub fn check_against_baseline(report: &BenchReport, baseline_json: &str) -> Resu
     ];
     let mut parts = Vec::new();
     for (key, now) in checks {
-        let base = json_number(baseline_json, key)
-            .ok_or_else(|| format!("baseline file has no numeric \"{key}\""))?;
-        if now < base * 0.9 {
-            return Err(format!(
-                "perf regression: {key} {now:.3} is more than 10% below baseline {base:.3}"
-            ));
-        }
-        parts.push(format!("{key} {now:.3} vs baseline {base:.3}"));
-    }
-    // Shard speedup is only comparable when both runs actually had
-    // parallel workers; v3 baselines have no shard fields at all.
-    let base_workers = json_number(baseline_json, "shard_workers").unwrap_or(0.0);
-    if report.shard_workers() >= 2 && base_workers >= 2.0 {
-        let key = "geomean_shard_speedup";
-        let now = report.geomean_shard_speedup();
         let base = json_number(baseline_json, key)
             .ok_or_else(|| format!("baseline file has no numeric \"{key}\""))?;
         if now < base * 0.9 {
@@ -490,69 +381,12 @@ pub fn run_suite(quick: bool) -> BenchReport {
             best_quad(w.id, &prog, args, budget)
         })
         .collect();
-    let scale = if quick { 5 } else { 25 };
-    let sharded = ["sieve", "qsort"]
-        .iter()
-        .map(|id| sharded_row(id, scale))
-        .collect();
-    BenchReport {
-        quick,
-        rows,
-        sharded,
-    }
-}
-
-/// Times one scaled workload sequentially and sharded (uncached engine,
-/// ~8 shards, host-default workers). The shard runner's stitch proof
-/// already guarantees bit-identity; this only prices the host time.
-fn sharded_row(id: &str, scale: u32) -> ShardedRow {
-    let w = by_id_scaled(id, scale).expect("sharded bench workloads exist");
-    let prog = compile_risc(&w.module, RiscOpts::default()).expect("suite compiles");
-    let cfg = SimConfig {
-        engine: ExecEngine::Uncached,
-        fuel: 2_000_000_000,
-        ..SimConfig::default()
-    };
-    let mut cpu = Cpu::new(cfg.clone());
-    cpu.load_program(&prog).expect("program fits memory");
-    cpu.set_args(&w.args);
-    for (i, &a) in w.args.iter().enumerate() {
-        let _ = cpu
-            .mem
-            .load_image(ARGV_BASE + 4 * i as u32, &(a as u32).to_le_bytes());
-    }
-    let t = Instant::now();
-    while cpu.step().expect("suite runs clean") == Halt::Running {}
-    let seq_wall = t.elapsed();
-    let instructions = cpu.stats().instructions;
-
-    let threads = default_threads();
-    let rep = run_sharded_with(&prog, &w.args, cfg, (instructions / 8).max(1_000), threads)
-        .expect("sharded run arranges and stitches");
-    let wall = rep.plan_wall + rep.exec_wall;
-    let ips = |d: Duration| instructions as f64 / d.as_secs_f64().max(1e-9);
-    ShardedRow {
-        id: format!("{id}@x{scale}"),
-        instructions,
-        seq_ips: ips(seq_wall),
-        sharded_ips: ips(wall),
-        threads: rep.threads,
-    }
+    BenchReport { quick, rows }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn srow(id: &str, seq: f64, shd: f64, threads: usize) -> ShardedRow {
-        ShardedRow {
-            id: id.to_string(),
-            instructions: 1_000_000,
-            seq_ips: seq,
-            sharded_ips: shd,
-            threads,
-        }
-    }
 
     fn row(id: &'static str, t: f64, sb: f64, c: f64, u: f64) -> BenchRow {
         BenchRow {
@@ -599,15 +433,6 @@ mod tests {
             rep.rows.iter().any(|r| r.trace_coverage > 0.0),
             "no workload ever ran from trace IR"
         );
-        // The v4 sharded rows: both scaled workloads measured, on real
-        // instruction counts well past their paper-scale runs.
-        assert_eq!(rep.sharded.len(), 2);
-        for r in &rep.sharded {
-            assert!(r.id.ends_with("@x5"), "{}", r.id);
-            assert!(r.instructions > 100_000, "{}", r.id);
-            assert!(r.seq_ips > 0.0 && r.sharded_ips > 0.0, "{}", r.id);
-            assert!(r.threads >= 1, "{}", r.id);
-        }
     }
 
     #[test]
@@ -618,14 +443,9 @@ mod tests {
                 row("fib", 1.6e8, 8.0e7, 4.0e7, 1.0e7),
                 row("qsort", 9.0e7, 4.5e7, 3.0e7, 1.5e7),
             ],
-            sharded: vec![srow("sieve@x25", 1.0e7, 2.0e7, 4)],
         };
         let json = rep.to_json();
-        assert!(json.contains("\"schema\": \"risc1-bench-interp/v4\""));
-        assert!(json.contains("\"id\": \"sieve@x25\""));
-        assert!(json.contains("\"shard_speedup\": 2.000"));
-        assert!(json.contains("\"shard_workers\": 4"));
-        assert!(json.contains("\"geomean_shard_speedup\": 2.000"));
+        assert!(json.contains("\"schema\": \"risc1-bench-interp/v5\""));
         assert!(json.contains("\"id\": \"fib\""));
         assert!(json.contains("\"cached_speedup\": 4.000"));
         assert!(json.contains("\"superblock_speedup\": 2.000"));
@@ -649,13 +469,10 @@ mod tests {
         let rep = BenchReport {
             quick: true,
             rows: vec![],
-            sharded: vec![],
         };
         assert_eq!(rep.geomean_cached_speedup(), 1.0);
         assert_eq!(rep.geomean_superblock_speedup(), 1.0);
         assert_eq!(rep.geomean_trace_speedup(), 1.0);
-        assert_eq!(rep.geomean_shard_speedup(), 1.0);
-        assert_eq!(rep.shard_workers(), 0);
     }
 
     #[test]
@@ -663,7 +480,6 @@ mod tests {
         let now = BenchReport {
             quick: true,
             rows: vec![row("fib", 1.6e8, 8.0e7, 4.0e7, 1.0e7)],
-            sharded: vec![srow("sieve@x25", 1.0e7, 2.0e7, 4)],
         };
         // cached 4.0x, superblock 2.0x, trace 4.0x.
         let same = now.to_json();
@@ -688,24 +504,5 @@ mod tests {
         assert!(err.contains("regression"), "{err}");
         // A file without the keys is an error, not a silent pass.
         assert!(check_against_baseline(&now, "{}").is_err());
-
-        // Shard regression: both runs parallel, current 10%+ below.
-        let shard_base = same.replace(
-            "\"geomean_shard_speedup\": 2.000",
-            "\"geomean_shard_speedup\": 3.0",
-        );
-        let err = check_against_baseline(&now, &shard_base).unwrap_err();
-        assert!(err.contains("geomean_shard_speedup"), "{err}");
-        // A v3 baseline (no shard fields) still passes the other gates.
-        let v3 = same
-            .replace("\"shard_workers\": 4,\n", "")
-            .replace("risc1-bench-interp/v4", "risc1-bench-interp/v3");
-        assert!(check_against_baseline(&now, &v3).is_ok());
-        // A single-worker run never gates on shard speed.
-        let solo = BenchReport {
-            sharded: vec![srow("sieve@x25", 1.0e7, 0.8e7, 1)],
-            ..now.clone()
-        };
-        assert!(check_against_baseline(&solo, &shard_base).is_ok());
     }
 }

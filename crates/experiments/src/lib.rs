@@ -21,7 +21,6 @@ pub mod e12_instruction_mix;
 pub mod e13_fault_recovery;
 pub mod e14_checkpoint_overhead;
 pub mod e15_fusion_ablation;
-pub mod e16_shard_scaling;
 pub mod e1_complexity;
 pub mod e2_instruction_set;
 pub mod e3_formats;
@@ -51,7 +50,6 @@ pub fn run_all() -> String {
         e13_fault_recovery::run(),
         e14_checkpoint_overhead::run(),
         e15_fusion_ablation::run(),
-        e16_shard_scaling::run(),
         ablations::run(),
     ]
     .join("\n\n")

@@ -50,7 +50,6 @@ pub mod rasm;
 pub mod replay;
 pub mod risc;
 pub mod runner;
-pub mod shard;
 pub mod supervise;
 
 pub use ast::{BinOp, CmpOp, Expr, Function, Global, Module, Stmt, ValidateError};
@@ -66,10 +65,6 @@ pub use runner::{
     run_cx, run_cx_with, run_mc, run_mc_with, run_risc, run_risc_deadline, run_risc_injected,
     run_risc_resumed, run_risc_with, snapshot_risc_prefix, CodegenError, InjectOutcome,
     InjectReport, InjectSetupError, TimedOutcome,
-};
-pub use shard::{
-    run_sharded, run_sharded_injected, run_sharded_with, ShardError, ShardPlan, ShardedReport,
-    StitchError, MAX_SHARDS,
 };
 pub use supervise::{
     run_risc_supervised, SupervisorConfig, SupervisorOutcome, SupervisorReport, DEFAULT_CKPT_EVERY,

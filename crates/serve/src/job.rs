@@ -23,18 +23,6 @@ pub enum JobMode {
         /// Rollback attempts before the fault surfaces.
         max_retries: u32,
     },
-    /// Checkpoint-parallel execution
-    /// ([`run_sharded_with`](risc1_ir::run_sharded_with)): plan, shard,
-    /// re-execute on worker threads, stitch, and prove bit-identity with
-    /// the sequential run. The output is a [`JobOutput::Finished`] whose
-    /// report — and therefore wire digest — equals the same job run
-    /// [`Direct`](JobMode::Direct), so clients can mix modes freely.
-    Sharded {
-        /// Shard length in retired instructions.
-        shard_cycles: u64,
-        /// Worker threads for the shard phase (0 = available parallelism).
-        threads: u32,
-    },
 }
 
 /// One unit of work: a program plus everything that determines its result.
@@ -70,9 +58,11 @@ pub struct JobSpec {
 
 /// The idempotency key of a job: `(program hash, config hash, seed)`.
 /// The config hash folds in everything else that determines the result —
-/// args, recovery, injection rate and modes, execution mode, timeout — so
-/// equal keys imply bit-identical outputs and the service may serve a
-/// duplicate submission from its result cache.
+/// the machine configuration, args, recovery, injection rate and modes,
+/// execution mode, timeout — so equal keys imply bit-identical outputs and
+/// the service may serve a duplicate submission from its result cache.
+/// The host-only engine tier and fusion toggles are left out
+/// ([`config_hash`]): the same job under another tier is a dedup hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobKey {
     /// FNV-1a over the program image (words, entry offset, data).
@@ -125,14 +115,6 @@ impl JobSpec {
                 c.write_u8(1);
                 c.write_u64(ckpt_every);
                 c.write_u64(u64::from(max_retries));
-            }
-            JobMode::Sharded {
-                shard_cycles,
-                threads,
-            } => {
-                c.write_u8(2);
-                c.write_u64(shard_cycles);
-                c.write_u64(u64::from(threads));
             }
         }
         match self.timeout_ms {
@@ -289,7 +271,7 @@ fn fold_report(h: &mut Fnv64, signature: &str, stats: &ExecStats, events: &[Inje
 #[cfg(test)]
 mod tests {
     use super::*;
-    use risc1_core::InjectConfig;
+    use risc1_core::{ExecEngine, FusionConfig, InjectConfig};
 
     fn spec(seed: u64) -> JobSpec {
         JobSpec {
@@ -332,19 +314,6 @@ mod tests {
         assert_ne!(base, other.key(), "mode");
 
         let mut other = spec(7);
-        other.mode = JobMode::Sharded {
-            shard_cycles: 1000,
-            threads: 3,
-        };
-        assert_ne!(base, other.key(), "sharded mode");
-        let mut again = spec(7);
-        again.mode = JobMode::Sharded {
-            shard_cycles: 1000,
-            threads: 4,
-        };
-        assert_ne!(other.key(), again.key(), "sharded thread count");
-
-        let mut other = spec(7);
         other.timeout_ms = Some(50);
         assert_ne!(base, other.key(), "timeout");
 
@@ -357,8 +326,23 @@ mod tests {
         assert_ne!(base, other.key(), "config");
 
         let mut other = spec(7);
+        other.cfg.windows = 4;
+        assert_ne!(base, other.key(), "windows");
+
+        let mut other = spec(7);
         other.journal = true;
         assert_ne!(base, other.key(), "journal");
+
+        // The host-only engine tier and fusion toggles are not identity
+        // dimensions: the same job under another tier dedups.
+        for engine in [ExecEngine::Uncached, ExecEngine::Cached, ExecEngine::Trace] {
+            let mut other = spec(7);
+            other.cfg.engine = engine;
+            assert_eq!(base, other.key(), "{engine:?}");
+        }
+        let mut other = spec(7);
+        other.cfg.fusion = FusionConfig::none();
+        assert_eq!(base, other.key(), "fusion");
     }
 
     #[test]

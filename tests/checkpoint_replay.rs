@@ -3,10 +3,13 @@
 //!
 //! Three laws:
 //!
-//! 1. **Snapshot round-trip** (property test): snapshot at an arbitrary
-//!    instruction boundary, restore into a fresh machine, continue — the
+//! 1. **Snapshot round-trip** (two property tests): snapshot at an
+//!    arbitrary instruction boundary under one engine tier, restore into a
+//!    fresh machine under the same tier or another, continue — the
 //!    result, `ExecStats`, and full machine digest must be bit-identical
-//!    to uninterrupted execution.
+//!    to uninterrupted execution under the destination tier. Random
+//!    boundaries land mid-delay-slot and mid-window-overflow, which is the
+//!    point.
 //! 2. **Replay determinism**: for 16 seeds per workload, a recorded
 //!    faulting campaign replays to the identical outcome signature,
 //!    instruction count, per-cause trap counts, and full `ExecStats` —
@@ -18,7 +21,7 @@
 
 use proptest::prelude::*;
 use risc1::core::inject::{InjectConfig, InjectModes};
-use risc1::core::{Cpu, Halt, Program, SimConfig};
+use risc1::core::{Cpu, ExecEngine, Halt, Program, SimConfig};
 use risc1::ir::layout::ARGV_BASE;
 use risc1::ir::{
     compile_risc, minimize_journal, record_risc_injected, recorded_outcome, replay_journal,
@@ -68,10 +71,26 @@ fn suite() -> &'static Vec<Compiled> {
     })
 }
 
+/// Every engine tier, each a possible origin and destination of a restore.
+const ENGINES: [ExecEngine; 4] = [
+    ExecEngine::Uncached,
+    ExecEngine::Cached,
+    ExecEngine::Superblock,
+    ExecEngine::Trace,
+];
+
+/// `w`'s configuration under the given engine tier.
+fn cfg_on(w: &Compiled, engine: ExecEngine) -> SimConfig {
+    SimConfig {
+        engine,
+        ..w.cfg.clone()
+    }
+}
+
 /// Sets a CPU up exactly like `run_risc_with` does (register args + ARGV
 /// mirror), so snapshot comparisons run the real execution path.
-fn fresh_cpu(w: &Compiled) -> Cpu {
-    let mut cpu = Cpu::new(w.cfg.clone());
+fn fresh_cpu(w: &Compiled, engine: ExecEngine) -> Cpu {
+    let mut cpu = Cpu::new(cfg_on(w, engine));
     cpu.load_program(&w.prog).expect("fits");
     cpu.set_args(&w.args);
     for (i, &a) in w.args.iter().enumerate() {
@@ -93,46 +112,86 @@ fn run_to_boundary(cpu: &mut Cpu, boundary: u64) {
     }
 }
 
+/// Law 1's check. Runs `w` to `frac_permille` of its length under `from`,
+/// snapshots, and continues; restores the snapshot into a brand-new
+/// machine under `to` and continues that too. Both timelines must match a
+/// reference run wholly under `to` in result and `ExecStats`, and the
+/// restored one also in full machine digest.
+fn check_resume(
+    w: &Compiled,
+    frac_permille: u64,
+    from: ExecEngine,
+    to: ExecEngine,
+) -> Result<(), TestCaseError> {
+    let boundary = w.instructions * frac_permille / 1000;
+    let ctx = format!("{} {from:?}->{to:?}", w.id);
+
+    // Reference: the whole run, untouched, under the destination tier.
+    let mut reference = fresh_cpu(w, to);
+    reference.run().expect("clean run");
+    prop_assert_eq!(reference.result(), w.expect);
+
+    // Interrupted: run to the boundary under the origin tier, snapshot,
+    // keep going.
+    let mut original = fresh_cpu(w, from);
+    run_to_boundary(&mut original, boundary);
+    let snap = original.snapshot();
+    snap.verify().expect("fresh snapshots verify");
+    original.run().expect("clean continuation");
+
+    // Restored twin: a brand-new machine under the destination tier
+    // continued from the snapshot.
+    let mut twin = Cpu::new(cfg_on(w, to));
+    twin.restore(&snap).expect("restore succeeds across tiers");
+    prop_assert_eq!(twin.stats().instructions, snap.at_instruction());
+    twin.run().expect("restored continuation");
+
+    for cpu in [&original, &twin] {
+        prop_assert_eq!(cpu.result(), w.expect, "{}", ctx);
+        prop_assert_eq!(&cpu.stats(), &reference.stats(), "{}", ctx);
+    }
+    // Full machine digest (registers, window file, memory, trap state,
+    // configuration): the resumed timeline ends in the same bits as the
+    // reference under its tier.
+    prop_assert_eq!(
+        twin.snapshot().checksum(),
+        reference.snapshot().checksum(),
+        "{}",
+        ctx
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Law 1: snapshot / restore / continue is bit-identical to
-    /// uninterrupted execution — registers, memory, statistics, result —
-    /// at an arbitrary instruction boundary of an arbitrary workload.
+    /// Law 1, within a tier: snapshot / restore / continue is
+    /// bit-identical to uninterrupted execution — registers, memory,
+    /// statistics, result — at an arbitrary instruction boundary of an
+    /// arbitrary workload.
     #[test]
-    fn snapshot_round_trip_is_bit_identical(widx in 0usize..11, frac_permille in 0u64..1000) {
-        let w = &suite()[widx];
-        let boundary = w.instructions * frac_permille / 1000;
+    fn snapshot_round_trip_is_bit_identical(
+        widx in 0usize..11,
+        frac_permille in 0u64..1000,
+        tier in 0usize..4,
+    ) {
+        check_resume(&suite()[widx], frac_permille, ENGINES[tier], ENGINES[tier])?;
+    }
 
-        // Reference: run to completion untouched.
-        let mut reference = fresh_cpu(w);
-        reference.run().expect("clean run");
-        prop_assert_eq!(reference.result(), w.expect);
-
-        // Interrupted: run to the boundary, snapshot, keep going.
-        let mut original = fresh_cpu(w);
-        run_to_boundary(&mut original, boundary);
-        let snap = original.snapshot();
-        snap.verify().expect("fresh snapshots verify");
-        original.run().expect("clean continuation");
-
-        // Restored twin: a brand-new machine continued from the snapshot.
-        let mut twin = Cpu::new(w.cfg.clone());
-        twin.restore(&snap).expect("restore succeeds");
-        prop_assert_eq!(twin.stats().instructions, snap.at_instruction());
-        twin.run().expect("restored continuation");
-
-        for cpu in [&original, &twin] {
-            prop_assert_eq!(cpu.result(), w.expect, "{}", w.id);
-            prop_assert_eq!(&cpu.stats(), &reference.stats(), "{}", w.id);
+    /// Law 1, across tiers: the same holds when the snapshot is captured
+    /// under one tier and resumed under another. Each case pairs every
+    /// tier with the one `shift` places after it, so every case has all
+    /// four tiers as origin and as destination.
+    #[test]
+    fn snapshots_resume_bit_identically_under_a_different_engine(
+        widx in 0usize..11,
+        frac_permille in 0u64..1000,
+        shift in 1usize..4,
+    ) {
+        for (i, &from) in ENGINES.iter().enumerate() {
+            let to = ENGINES[(i + shift) % ENGINES.len()];
+            check_resume(&suite()[widx], frac_permille, from, to)?;
         }
-        // Full machine digest (registers, window file, memory, trap
-        // state): both timelines end in the same bits.
-        prop_assert_eq!(
-            original.snapshot().checksum(),
-            twin.snapshot().checksum(),
-            "{}", w.id
-        );
     }
 }
 

@@ -5,17 +5,20 @@
 //! runs, fault-injected runs with and without recovery handlers,
 //! supervised runs, and wall-clock-doomed runs — and every accepted job
 //! must come back **bit-identical** to executing the same spec directly,
-//! with zero panics and zero silent drops. Overload is exercised
-//! separately: a submission that would overflow its client's queue must
-//! be rejected with a structured [`Overloaded`], counted as shed, and the
-//! service must keep serving afterwards.
+//! with zero panics and zero silent drops. Resubmitting the direct jobs
+//! under other engine tiers and fusion settings must dedup, and the
+//! replayed wire bytes must equal a direct run under the new tier.
+//! Overload is exercised separately: a submission that would overflow its
+//! client's queue must be rejected with a structured [`Overloaded`],
+//! counted as shed, and the service must keep serving afterwards.
 
 use risc1::core::inject::{InjectConfig, InjectModes};
-use risc1::core::{Program, SimConfig};
+use risc1::core::{ExecEngine, FusionConfig, Program, SimConfig};
 use risc1::ir::{
-    compile_risc, run_risc, run_risc_deadline, run_risc_injected, run_risc_supervised, RiscOpts,
-    SupervisorConfig, TimedOutcome,
+    compile_risc, run_risc, run_risc_deadline, run_risc_injected, run_risc_supervised,
+    InjectReport, RiscOpts, SupervisorConfig, TimedOutcome,
 };
+use risc1::serve::wire;
 use risc1::workloads::by_id;
 use risc1::{ExecService, JobMode, JobOutput, JobSpec, PollState, ServiceConfig, SubmitError};
 use std::collections::HashMap;
@@ -51,8 +54,8 @@ fn compiled(id: &str) -> Compiled {
 
 /// The campaign one client runs against one pair of workloads: per
 /// workload, four injected direct runs (recovery alternating), one clean
-/// run, one supervised run and two checkpoint-parallel (sharded) runs —
-/// plus one run doomed by a zero-budget watchdog.
+/// run and one supervised run — plus one run doomed by a zero-budget
+/// watchdog.
 fn campaign(workloads: &[&Compiled]) -> Vec<JobSpec> {
     let mut specs = Vec::new();
     for w in workloads {
@@ -102,39 +105,6 @@ fn campaign(workloads: &[&Compiled]) -> Vec<JobSpec> {
             snapshot: None,
             journal: false,
         });
-        // Checkpoint-parallel: one clean, one injected with recovery.
-        // Both must come back bit-identical to the *direct* run of the
-        // same spec — sharding is a pure host-speed knob.
-        let sharded = JobMode::Sharded {
-            shard_cycles: (w.instructions / 6).max(200),
-            threads: 2,
-        };
-        specs.push(JobSpec {
-            program: w.prog.clone(),
-            args: w.args.clone(),
-            cfg: w.cfg.clone(),
-            inject: None,
-            recovery: false,
-            mode: sharded,
-            timeout_ms: None,
-            snapshot: None,
-            journal: false,
-        });
-        specs.push(JobSpec {
-            program: w.prog.clone(),
-            args: w.args.clone(),
-            cfg: w.cfg.clone(),
-            inject: Some(InjectConfig {
-                seed: 6,
-                rate: w.rate,
-                modes: InjectModes::all(),
-            }),
-            recovery: true,
-            mode: sharded,
-            timeout_ms: None,
-            snapshot: None,
-            journal: false,
-        });
     }
     // Doomed: a zero-millisecond watchdog expires before the first step,
     // so the timeout path is deterministic.
@@ -157,6 +127,36 @@ fn campaign(workloads: &[&Compiled]) -> Vec<JobSpec> {
     specs
 }
 
+/// The report of running a direct-mode `spec` with no service in between.
+fn direct_report(spec: &JobSpec) -> InjectReport {
+    match spec.inject {
+        Some(icfg) => run_risc_injected(
+            &spec.program,
+            &spec.args,
+            spec.cfg.clone(),
+            icfg,
+            spec.recovery,
+        )
+        .expect("setup is valid"),
+        None => {
+            match run_risc_deadline(
+                &spec.program,
+                &spec.args,
+                spec.cfg.clone(),
+                None,
+                spec.recovery,
+                None,
+                None,
+            )
+            .expect("setup is valid")
+            {
+                TimedOutcome::Finished(r) => r,
+                TimedOutcome::TimedOut { .. } => unreachable!("no deadline configured"),
+            }
+        }
+    }
+}
+
 /// Runs `spec` directly (no service) and asserts the served output is
 /// bit-identical — the transparency law, spec shape by spec shape.
 fn assert_transparent(spec: &JobSpec, out: &JobOutput) {
@@ -168,73 +168,13 @@ fn assert_transparent(spec: &JobSpec, out: &JobOutput) {
             assert_eq!(stats.instructions, 0, "the watchdog fires before step 0");
         }
         (JobMode::Direct, _) => {
-            let direct = match spec.inject {
-                Some(icfg) => run_risc_injected(
-                    &spec.program,
-                    &spec.args,
-                    spec.cfg.clone(),
-                    icfg,
-                    spec.recovery,
-                )
-                .expect("setup is valid"),
-                None => {
-                    match run_risc_deadline(
-                        &spec.program,
-                        &spec.args,
-                        spec.cfg.clone(),
-                        None,
-                        spec.recovery,
-                        None,
-                        None,
-                    )
-                    .expect("setup is valid")
-                    {
-                        TimedOutcome::Finished(r) => r,
-                        TimedOutcome::TimedOut { .. } => unreachable!("no deadline configured"),
-                    }
-                }
-            };
             let JobOutput::Finished(served) = out else {
                 panic!("direct job must finish, got {}", out.kind());
             };
-            assert_eq!(served, &direct, "served report diverged from direct run");
-        }
-        (JobMode::Sharded { .. }, _) => {
-            // Sharding is a host-speed knob: the served report's wire
-            // digest must equal the plain direct run of the same spec.
-            let direct = match spec.inject {
-                Some(icfg) => run_risc_injected(
-                    &spec.program,
-                    &spec.args,
-                    spec.cfg.clone(),
-                    icfg,
-                    spec.recovery,
-                )
-                .expect("setup is valid"),
-                None => {
-                    match run_risc_deadline(
-                        &spec.program,
-                        &spec.args,
-                        spec.cfg.clone(),
-                        None,
-                        spec.recovery,
-                        None,
-                        None,
-                    )
-                    .expect("setup is valid")
-                    {
-                        TimedOutcome::Finished(r) => r,
-                        TimedOutcome::TimedOut { .. } => unreachable!("no deadline configured"),
-                    }
-                }
-            };
-            let JobOutput::Finished(_) = out else {
-                panic!("sharded job must finish, got {}", out.kind());
-            };
             assert_eq!(
-                out.digest(),
-                JobOutput::Finished(direct).digest(),
-                "served sharded report diverged from direct run"
+                served,
+                &direct_report(spec),
+                "served report diverged from direct run"
             );
         }
         (
@@ -344,6 +284,42 @@ fn concurrent_mixed_campaigns_are_bit_identical_to_direct_execution() {
         );
     }
 
+    // Cross-engine resubmit: engine tier and fusion are host-only, so
+    // every direct job resubmitted under another tier (fusion off) is a
+    // dedup hit, and its replayed wire bytes equal a direct run under that
+    // tier.
+    let tiers = [ExecEngine::Uncached, ExecEngine::Cached, ExecEngine::Trace];
+    let cross: Vec<JobSpec> = alpha_specs
+        .iter()
+        .chain(&beta_specs)
+        .filter(|spec| spec.mode == JobMode::Direct && spec.timeout_ms.is_none())
+        .enumerate()
+        .map(|(i, spec)| {
+            let mut spec = spec.clone();
+            spec.cfg.engine = tiers[i % tiers.len()];
+            spec.cfg.fusion = FusionConfig::none();
+            spec
+        })
+        .collect();
+    let tickets = service
+        .submit("delta", 1, cross.clone())
+        .expect("dedup consumes no queue space");
+    assert!(
+        tickets.iter().all(|t| t.dedup),
+        "a tier change must not miss the dedup cache"
+    );
+    for (t, spec) in tickets.iter().zip(&cross) {
+        let Some(PollState::Done(out)) = service.poll(t.id) else {
+            panic!("deduped job {} must already be done", t.id);
+        };
+        assert_eq!(
+            wire::output_json(&out),
+            wire::output_json(&JobOutput::Finished(direct_report(spec))),
+            "{:?}: replayed wire bytes diverged from a direct run",
+            spec.cfg.engine
+        );
+    }
+
     let status = service.status();
     let total = (alpha_specs.len() + beta_specs.len()) as u64;
     assert_eq!(
@@ -353,7 +329,10 @@ fn concurrent_mixed_campaigns_are_bit_identical_to_direct_execution() {
     assert_eq!(status.counters.panics, 0);
     assert_eq!(status.counters.shed, 0);
     assert_eq!(status.counters.timeouts, 2, "one doomed job per client");
-    assert_eq!(status.counters.dedup_hits, alpha_specs.len() as u64);
+    assert_eq!(
+        status.counters.dedup_hits,
+        (alpha_specs.len() + cross.len()) as u64
+    );
     assert_eq!(status.queued, 0, "nothing may linger in the queues");
     service.shutdown();
 }
@@ -418,7 +397,6 @@ fn overload_is_a_structured_rejection_not_a_silent_drop() {
 
 #[test]
 fn the_wire_protocol_round_trips_over_real_sockets() {
-    use risc1::serve::wire;
     use std::io::{BufRead, BufReader, Write};
     use std::net::{TcpListener, TcpStream};
 
