@@ -23,11 +23,9 @@
 //!   [--fetch <addr> --job <id>]  pull the journal in chunks from a running
 //!                                serve instance instead of a local file
 //! risc1 trace <file.s> [args…]   execute with the pipeline timing diagram
-//! risc1 bench [<workload>]       one workload: RISC I vs CX; no id: time
-//!   [--quick] [--out <path>]     the suite trace vs. superblock vs. cached
-//!   [--baseline <file>]          vs. uncached and write BENCH_interp.json
-//!                                (CI perf gate; --baseline also fails on
-//!                                >10% regression vs. a stored report)
+//! risc1 bench <workload>         one suite workload: RISC I vs CX cycles,
+//!   [--engine <tier>]            CPI and code size (host-time benchmarking
+//!                                lives in perfbench/)
 //! risc1 serve <--tcp addr|--stdin|--smoke>
 //!                                fault-tolerant batch execution service
 //!                                (JSON jobs, fair-share queues, dedup)
@@ -127,16 +125,10 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
                                 chunks) instead of reading a local file
        [--job <id>]             the service job id to fetch (with --fetch)
   risc1 trace <file.s> [args…]  execute with a pipeline diagram
-  risc1 bench [<workload-id>]   with an id: run one suite workload on
-                                RISC I and CX; without: time the whole
-                                suite trace vs. superblock vs. cached
-                                vs. uncached and write BENCH_interp.json
-                                (CI perf gate: all ratios must beat 1.0)
-       [--quick]                small arguments + short timing budget
-       [--out <path>]           where to write the JSON (suite mode;
-                                default BENCH_interp.json)
-       [--baseline <file>]      also fail if either geomean regressed
-                                more than 10% vs. a stored report
+  risc1 bench <workload-id>     run one suite workload on RISC I and CX:
+                                instructions, cycles, CPI, speedup and
+                                code size (simulated; reads no clock)
+       [--engine <tier>]        interpreter tier (same output on all)
   risc1 serve --tcp <addr>      batch execution service: newline-delimited
                                 JSON jobs over TCP (fair-share queuing,
                                 dedup, watchdogs, crash-only workers)
@@ -720,74 +712,14 @@ fn fetch_journal(addr: &str, id: u64) -> Result<String, String> {
 }
 
 fn cmd_bench(args: &[String]) -> CliResult {
-    // A single positional id keeps the original RISC-vs-CX comparison;
-    // no positional (optionally `--quick` / `--out`) runs the host-side
-    // interpreter benchmark across the suite and writes BENCH_interp.json.
-    match args.first().map(String::as_str) {
-        Some(id) if !id.starts_with("--") => cmd_bench_one(id, &args[1..]),
-        _ => cmd_bench_suite(args),
-    }
-}
-
-fn cmd_bench_suite(args: &[String]) -> CliResult {
-    let mut quick = false;
-    let mut out_path = "BENCH_interp.json".to_string();
-    let mut baseline = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                out_path = it
-                    .next()
-                    .ok_or_else(|| format!("--out needs a path\n{USAGE}"))?
-                    .clone();
-            }
-            "--baseline" => {
-                baseline = Some(
-                    it.next()
-                        .ok_or_else(|| format!("--baseline needs a path\n{USAGE}"))?
-                        .clone(),
-                );
-            }
-            other => return Err(format!("unknown bench flag `{other}`\n{USAGE}")),
+    let (id, rest) = match args {
+        [id, rest @ ..] if !id.starts_with("--") => (id, rest),
+        _ => {
+            return Err(format!(
+                "bench needs a workload id: risc1 bench <workload-id>\n{USAGE}"
+            ))
         }
-    }
-    let report = risc1_experiments::bench::run_suite(quick);
-    std::fs::write(&out_path, report.to_json()).map_err(|e| format!("{out_path}: {e}"))?;
-    let sb = report.geomean_superblock_speedup();
-    let cached = report.geomean_cached_speedup();
-    let trace = report.geomean_trace_speedup();
-    let mut out = report.render();
-    let _ = writeln!(out, "\nwrote {out_path}");
-    // The CI perf gate: each tier must pay for itself in aggregate — the
-    // decode cache over raw stepping, and superblocks and traces over the
-    // cache.
-    if cached <= 1.0 {
-        return Err(format!(
-            "{out}\nperf gate failed: cached geomean speedup {cached:.2}x is not > 1.0"
-        ));
-    }
-    if sb <= 1.0 {
-        return Err(format!(
-            "{out}\nperf gate failed: superblock geomean speedup {sb:.2}x over cached is not > 1.0"
-        ));
-    }
-    if trace <= 1.0 {
-        return Err(format!(
-            "{out}\nperf gate failed: trace geomean speedup {trace:.2}x over cached is not > 1.0"
-        ));
-    }
-    if let Some(path) = baseline {
-        let doc = read(&path)?;
-        let line = risc1_experiments::bench::check_against_baseline(&report, &doc)
-            .map_err(|e| format!("{out}\n{e}"))?;
-        let _ = writeln!(out, "{line}");
-    }
-    Ok(out)
-}
-
-fn cmd_bench_one(id: &str, rest: &[String]) -> CliResult {
+    };
     let mut engine = None;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
@@ -924,59 +856,12 @@ mod tests {
         assert!(dispatch(&s(&["bench", "zzz"])).is_err());
         assert!(dispatch(&s(&["bench", "fib", "--quick"])).is_err());
         assert!(dispatch(&s(&["bench", "fib", "--engine", "warp"])).is_err());
-    }
-
-    #[test]
-    fn bench_suite_writes_the_json_gate_artifact() {
-        let dir = std::env::temp_dir().join("risc1_cli_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_interp.json");
-        let p = path.to_str().unwrap();
-        // Debug-build timing is too noisy for the >1.0 gate, so accept
-        // either verdict — both paths render the table and write the file.
-        let out = match dispatch(&s(&["bench", "--quick", "--out", p])) {
-            Ok(t) | Err(t) => t,
-        };
-        assert!(out.contains("geomean"), "{out}");
-        let json = std::fs::read_to_string(p).unwrap();
-        assert!(
-            json.contains("\"schema\": \"risc1-bench-interp/v5\""),
-            "{json}"
-        );
-        assert!(json.contains("\"id\": \"fib\""));
-        assert!(json.contains("\"superblock_ips\""), "{json}");
-        assert!(json.contains("\"trace_ips\""), "{json}");
-        assert!(json.contains("\"trace_coverage\""), "{json}");
-        assert!(json.contains("\"geomean_superblock_speedup\""), "{json}");
-        assert!(json.contains("\"geomean_trace_speedup\""), "{json}");
-        // A self-baseline never regresses by >10%, so the comparison
-        // passes whenever the primary >1.0 gate does; a baseline with
-        // absurdly high stored aggregates must fail the run outright.
-        let absurd = dir.join("absurd_baseline.json");
-        std::fs::write(
-            &absurd,
-            "{\"geomean_cached_speedup\": 1000.0,\n \"geomean_superblock_speedup\": 1000.0,\n \"geomean_trace_speedup\": 1000.0}\n",
-        )
-        .unwrap();
-        let vs_absurd = dispatch(&s(&[
-            "bench",
-            "--quick",
-            "--out",
-            p,
-            "--baseline",
-            absurd.to_str().unwrap(),
-        ]));
-        let text = match vs_absurd {
-            Ok(t) | Err(t) => t,
-        };
-        assert!(
-            text.contains("regression") || text.contains("not > 1.0"),
-            "{text}"
-        );
-        assert!(dispatch(&s(&["bench", "--bogus"])).is_err());
-        assert!(dispatch(&s(&["bench", "--out"])).is_err());
-        assert!(dispatch(&s(&["bench", "--baseline"])).is_err());
-        assert!(dispatch(&s(&["bench", "--quick", "--baseline", "/nonexistent.json"])).is_err());
+        // Without an id there is nothing to run: host-time benchmarking
+        // lives in perfbench, not here.
+        for argv in [&["bench"][..], &["bench", "--quick"]] {
+            let err = dispatch(&s(argv)).unwrap_err();
+            assert!(err.contains("bench <workload-id>"), "{err}");
+        }
     }
 
     #[test]

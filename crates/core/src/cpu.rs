@@ -80,16 +80,11 @@ pub enum ExecError {
         /// recorder was attached to this CPU.
         ctx: ReplayContext,
     },
-    /// Historical: `step` after halt now idempotently returns
-    /// [`Halt::Returned`] instead of this error. The variant is retained
-    /// for API stability and is no longer produced by the simulator.
-    AlreadyHalted,
 }
 
 impl ExecError {
     /// The architectural trap this error corresponds to, if it is a
-    /// vectorable fault (fuel exhaustion, double faults and the historical
-    /// `AlreadyHalted` are not traps).
+    /// vectorable fault (fuel exhaustion and double faults are not traps).
     ///
     /// For memory faults, an out-of-range access at the faulting PC itself
     /// is classified as an instruction-access fault, anything else as a
@@ -127,7 +122,7 @@ impl ExecError {
                 pc: 0,
                 info: ptr,
             }),
-            ExecError::OutOfFuel | ExecError::DoubleFault { .. } | ExecError::AlreadyHalted => None,
+            ExecError::OutOfFuel | ExecError::DoubleFault { .. } => None,
         }
     }
 }
@@ -153,7 +148,6 @@ impl fmt::Display for ExecError {
                 f,
                 "double fault at pc {pc:#010x}: {second} trap while servicing {first}"
             ),
-            ExecError::AlreadyHalted => write!(f, "cpu is halted"),
         }
     }
 }
@@ -629,7 +623,10 @@ impl Cpu {
         self.halted
     }
 
-    /// Runs until the program returns from its entry frame.
+    /// Runs until the program returns from its entry frame, using the
+    /// batched fast path of [`Cpu::step_n`]. Identical architectural
+    /// behaviour to calling [`Cpu::step`] in a loop — this is merely the
+    /// cheap way to do it.
     ///
     /// ## Halt convention
     /// A `RET` (or `RETI`) executed at call depth 0 halts the machine; the
@@ -641,17 +638,6 @@ impl Cpu {
     /// Any [`ExecError`]; on error the CPU state is left at the faulting
     /// instruction for inspection.
     pub fn run(&mut self) -> Result<(), ExecError> {
-        self.run_to_halt()
-    }
-
-    /// Runs until the program returns from its entry frame, using the
-    /// batched fast path of [`Cpu::step_n`]. Identical architectural
-    /// behaviour to calling [`Cpu::step`] in a loop — this is merely the
-    /// cheap way to do it.
-    ///
-    /// # Errors
-    /// As [`Cpu::run`].
-    pub fn run_to_halt(&mut self) -> Result<(), ExecError> {
         // Any large chunk works; bounded so a single call cannot monopolise
         // a supervisor that interleaves other work between calls.
         while self.step_n(1 << 20)? == Halt::Running {}

@@ -14,7 +14,6 @@
 //! ```
 
 pub mod ablations;
-pub mod bench;
 pub mod e10_area;
 pub mod e11_pipeline_trace;
 pub mod e12_instruction_mix;

@@ -15,10 +15,11 @@
 //! failing journal to a (1-minimal) subset of events that still reproduces
 //! the same outcome signature.
 
-use crate::runner::{setup_injected_cpu, InjectOutcome, InjectReport, InjectSetupError};
+use crate::runner::{
+    run_risc_deadline, setup_injected_cpu, InjectOutcome, InjectReport, InjectSetupError,
+};
 use risc1_core::{
-    FaultInjector, Halt, InjectConfig, Journal, JournalEvent, Program, RecordedOutcome, SimConfig,
-    JOURNAL_VERSION,
+    Halt, InjectConfig, Journal, JournalEvent, Program, RecordedOutcome, SimConfig, JOURNAL_VERSION,
 };
 
 /// The stable textual identity of an outcome: `halt <result>` for a clean
@@ -55,40 +56,18 @@ pub fn record_risc_injected(
     inject: InjectConfig,
     recovery: bool,
 ) -> Result<(Journal, InjectReport), InjectSetupError> {
-    let mut injector = FaultInjector::new(inject);
-    let mut cpu = setup_injected_cpu(prog, args, cfg.clone(), recovery)?;
     let mut events = Vec::new();
-    let mut step: u64 = 0;
-    let outcome = loop {
-        let before = injector.events().len();
-        injector.pre_step(&mut cpu);
-        // At most one event per pre_step; detect it by length (some modes
-        // bail without applying anything, e.g. an empty wstack region).
-        if injector.events().len() > before {
-            let ev = injector.events()[before];
-            events.push(JournalEvent {
-                step,
-                at_instruction: ev.at_instruction,
-                kind: ev.kind,
-            });
-        }
-        let halt = cpu.step();
-        step += 1;
-        match halt {
-            Ok(Halt::Running) => {}
-            Ok(Halt::Returned) => {
-                break InjectOutcome::Halted {
-                    result: cpu.result(),
-                }
-            }
-            Err(error) => break InjectOutcome::Faulted { error },
-        }
-    };
-    let report = InjectReport {
-        outcome,
-        stats: cpu.stats(),
-        events: injector.events().to_vec(),
-    };
+    let report = run_risc_deadline(
+        prog,
+        args,
+        cfg.clone(),
+        Some(inject),
+        recovery,
+        None,
+        Some(&mut events),
+    )?
+    .finished()
+    .expect("a run without a deadline cannot time out");
     let journal = Journal {
         version: JOURNAL_VERSION,
         seed: inject.seed,

@@ -188,25 +188,11 @@ pub fn run_risc_injected(
     inject: InjectConfig,
     recovery: bool,
 ) -> Result<InjectReport, InjectSetupError> {
-    let mut injector = FaultInjector::new(inject);
-    let mut cpu = setup_injected_cpu(prog, args, cfg, recovery)?;
-    let outcome = loop {
-        injector.pre_step(&mut cpu);
-        match cpu.step() {
-            Ok(Halt::Running) => {}
-            Ok(Halt::Returned) => {
-                break InjectOutcome::Halted {
-                    result: cpu.result(),
-                }
-            }
-            Err(error) => break InjectOutcome::Faulted { error },
-        }
-    };
-    Ok(InjectReport {
-        outcome,
-        stats: cpu.stats(),
-        events: injector.events().to_vec(),
-    })
+    Ok(
+        run_risc_deadline(prog, args, cfg, Some(inject), recovery, None, None)?
+            .finished()
+            .expect("a run without a deadline cannot time out"),
+    )
 }
 
 /// How a deadline-watched run ended: either the full [`InjectReport`] of a
@@ -240,14 +226,15 @@ impl TimedOutcome {
     }
 }
 
-/// [`run_risc_injected`] generalised for the serve layer: optional
-/// injection (`None` runs the pristine program), an optional wall-clock
-/// [`Deadline`] polled between steps (every
+/// The one injector step loop behind [`run_risc_injected`],
+/// [`record_risc_injected`](crate::record_risc_injected) and the serve
+/// layer: optional injection (`None` runs the pristine program), an
+/// optional wall-clock [`Deadline`] polled between steps (every
 /// [`risc1_core::deadline::DEADLINE_POLL_STEPS`] steps, so the check never
-/// perturbs the machine), and an optional journal-event sink filled the
-/// way [`record_risc_injected`](crate::record_risc_injected) fills a
-/// [`Journal`] — the sink is caller-owned so events survive even if the
-/// caller later has to abandon the run.
+/// perturbs the machine), and an optional sink for a
+/// [`Journal`](risc1_core::Journal)'s step-keyed events — the sink is
+/// caller-owned so events survive even if the caller later has to abandon
+/// the run.
 ///
 /// When the deadline does not fire, the returned report is bit-identical
 /// to [`run_risc_injected`] of the same `(prog, args, cfg, inject,
@@ -281,6 +268,9 @@ pub fn run_risc_deadline(
         if let Some(injector) = injector.as_mut() {
             let before = injector.events().len();
             injector.pre_step(&mut cpu);
+            // At most one event per pre_step; detect it by length (some
+            // modes bail without applying anything, e.g. an empty wstack
+            // region).
             if injector.events().len() > before {
                 if let Some(sink) = journal_events.as_deref_mut() {
                     let ev = injector.events()[before];

@@ -52,9 +52,9 @@ echo "    rejection, and the kill -9 / --recover restart bit-identity gate;"
 echo "    a failed recovery leaves its WAL under target/wal-artifacts/)"
 cargo run -q --release -p risc1-cli --bin risc1 -- serve --smoke
 
-echo "==> risc1 bench --quick (perf gate: each tier must beat the one below,"
-echo "    and geomeans must stay within 10% of the checked-in baseline)"
-cargo run -q --release -p risc1-cli --bin risc1 -- bench --quick \
-  --out target/BENCH_interp.json --baseline BENCH_interp.json
+echo "==> perfbench self-tests (builds the end-to-end benchmark against this"
+echo "    tree; same-seed determinism, metric names vs BENCHMARK.json, and a"
+echo "    short untraced and traced run of every workload with zero failures)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "All checks passed."

@@ -85,10 +85,9 @@ fn capture(cpu: &Cpu) -> FinalState {
 }
 
 /// Runs `prog` to halt under the given engine and captures the final
-/// state. The cached and superblock engines go through the batched
-/// `run_to_halt` fast path, the uncached engine through the
-/// one-at-a-time `step()` loop — the same paths the benchmark harness
-/// compares.
+/// state. The cached, superblock and trace engines go through the
+/// batched `Cpu::run` fast path, the uncached engine through the
+/// one-at-a-time `step()` loop.
 fn run_mode(prog: &Program, args: &[i32], engine: ExecEngine) -> FinalState {
     let cfg = SimConfig {
         engine,
