@@ -9,8 +9,8 @@
 //!                                executable ISA spec table
 //! risc1 run <file.s> [args…]     assemble and execute; prints result + stats
 //!   --fuel N                     instruction budget (default 200M)
-//!   --engine <tier>              uncached | cached | superblock (default) |
-//!                                trace
+//!   --engine <tier>              uncached | cached | superblock |
+//!                                trace (default)
 //!   --trap-handlers              install recovery stubs for vectorable faults
 //!   --inject <seed> [--rate N]   deterministic fault injection (N per 10000
 //!                                steps; default 20)
@@ -104,7 +104,7 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
        [--timeout-ms N]         wall-clock budget; polled between steps,
                                 so it never perturbs the machine
        [--engine <tier>]        interpreter tier: uncached | cached |
-                                superblock (default) | trace (fastest —
+                                superblock | trace (default, fastest —
                                 all tiers are architecturally
                                 bit-identical)
        [--trap-handlers]        install recovery stubs: vectorable faults

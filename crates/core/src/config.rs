@@ -89,13 +89,14 @@ pub enum ExecEngine {
     /// Superblocks formed over the predecoded lines: straight-line runs
     /// execute as chained blocks with one PC lookup per block and macro-op
     /// fusion of common adjacent pairs (see `crate::superblock`).
-    #[default]
     Superblock,
     /// Hot chained superblock sequences compiled to register-allocated
     /// trace IR: window-relative registers resolved to flat physical
     /// indices at build time, stats sunk to trace exit, guarded side exits
     /// falling back to the superblock engine bit-exactly (see
-    /// `crate::trace`).
+    /// `crate::trace`). The default: level with superblock on call-heavy
+    /// code, well ahead of it on loops.
+    #[default]
     Trace,
 }
 
@@ -179,7 +180,7 @@ impl Default for SimConfig {
             fuel: 200_000_000,
             trap_base: None,
             record_trace: false,
-            engine: ExecEngine::Superblock,
+            engine: ExecEngine::Trace,
             fusion: FusionConfig::default(),
         }
     }
@@ -232,7 +233,7 @@ mod tests {
         assert_eq!(c.physical_registers(), 138, "the paper's register count");
         assert_eq!(c.branch_model, BranchModel::Delayed);
         assert!(c.forwarding);
-        assert_eq!(c.engine, ExecEngine::Superblock);
+        assert_eq!(c.engine, ExecEngine::Trace);
         assert_eq!(c.fusion, FusionConfig::default());
     }
 

@@ -315,7 +315,7 @@ impl Cpu {
             }
         }
         let fuel_limit = cfg.fuel;
-        let icache = ICache::new(mem.page_count());
+        let icache = ICache::default();
         let blocks = BlockCache::new(mem.page_count());
         let traces = TraceCache::new(mem.page_count());
         Cpu {
@@ -1924,6 +1924,7 @@ fn spill_event(pc: u32, f: SpillFail) -> StepEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::PAGE_BYTES;
     use risc1_isa::{Cond, Short2};
 
     fn imm(v: i32) -> Short2 {
@@ -2747,6 +2748,51 @@ mod tests {
             }
             assert_eq!(a.stats(), b.stats(), "{engine:?}");
             assert_eq!(a.pc(), b.pc(), "{engine:?}");
+        }
+    }
+
+    /// The icache, block and trace page tables start empty and grow only
+    /// to the highest page the run executed from — not to memory's size.
+    #[test]
+    fn cache_page_tables_grow_only_to_the_highest_page_executed() {
+        let table_lens = |cpu: &Cpu| {
+            (
+                cpu.icache.page_table_len(),
+                cpu.blocks.page_table_len(),
+                cpu.traces.page_table_len(),
+            )
+        };
+        // Forty nops fill the code base's page and spill into the next, so
+        // the hot loop and the halt sit wholly in the second page.
+        let mut p = vec![Instruction::nop(); 40];
+        p.extend(fusion_workout());
+        let cfg = SimConfig::default();
+        let first = cfg.code_base as usize / PAGE_BYTES;
+        let last = (cfg.code_base as usize + 4 * (p.len() - 1)) / PAGE_BYTES;
+        assert_eq!(last, first + 1, "the program spans two pages");
+        for engine in [ExecEngine::Uncached, ExecEngine::Cached, ExecEngine::Trace] {
+            let cfg = SimConfig {
+                engine,
+                ..cfg.clone()
+            };
+            assert_eq!(
+                table_lens(&Cpu::new(cfg.clone())),
+                (0, 0, 0),
+                "{engine:?}: fresh"
+            );
+            let cpu = run_with(cfg, p.clone(), &[]);
+            assert_eq!(cpu.result(), 7 * 100);
+            let (icache, blocks, traces) = table_lens(&cpu);
+            match engine {
+                ExecEngine::Uncached => assert_eq!((icache, blocks, traces), (0, 0, 0)),
+                ExecEngine::Cached => assert_eq!((icache, blocks, traces), (last + 1, 0, 0)),
+                _ => {
+                    assert!(icache <= last + 1, "icache: {icache}");
+                    assert_eq!(blocks, last + 1, "blocks span both pages");
+                    assert!(cpu.stats().traces_built >= 1, "loop promoted");
+                    assert_eq!(traces, last + 1, "the loop's page");
+                }
+            }
         }
     }
 }

@@ -24,7 +24,9 @@
 //! segment — recovery stubs (e.g. at `RECOVERY_STUB_BASE`, below
 //! `code_base`) and trap handlers execute from arbitrary addresses and
 //! deserve caching too. Pages are allocated on first execution from them,
-//! so data-only pages cost one `Option` pointer each.
+//! and the page table itself grows only to the highest page executed, so
+//! a program that runs from a few dozen pages never pays for the rest of
+//! memory.
 
 use crate::mem::{CodeDirty, Memory, PAGE_BYTES};
 use risc1_isa::insn::Operands;
@@ -111,19 +113,15 @@ pub fn prepared_base_cycles(insn: &Instruction) -> u8 {
 /// successfully decoded. Undecodable or out-of-range words are never
 /// cached — those fetches fall back to the slow path, which produces the
 /// architecturally-correct trap.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ICache {
+    /// Indexed by page; grown on first fetch to the highest page fetched
+    /// from (pages past its end hold nothing, so invalidating one is a
+    /// no-op).
     pages: Vec<Option<Box<[Option<Line>; LINES_PER_PAGE]>>>,
 }
 
 impl ICache {
-    /// An empty cache shadowing `page_count` memory pages.
-    pub(crate) fn new(page_count: usize) -> ICache {
-        ICache {
-            pages: vec![None; page_count],
-        }
-    }
-
     /// Fetches the prepared line at `pc`, filling it on first use. Returns
     /// `None` for anything the cache does not handle — misaligned or
     /// out-of-range addresses and undecodable words — which the caller
@@ -141,7 +139,13 @@ impl ICache {
         }
         let page = pc as usize / PAGE_BYTES;
         let slot = (pc as usize % PAGE_BYTES) / 4;
-        let entry = self.pages.get_mut(page)?;
+        if page >= self.pages.len() {
+            if page >= mem.page_count() {
+                return None;
+            }
+            self.pages.resize(page + 1, None);
+        }
+        let entry = &mut self.pages[page];
         if entry.is_none() {
             // First line in this page: allocate the array and register the
             // page with memory, which arms the invalidation channel for
@@ -175,6 +179,12 @@ impl ICache {
         }
     }
 
+    /// Length of the page table (the highest page fetched from, plus one).
+    #[cfg(test)]
+    pub(crate) fn page_table_len(&self) -> usize {
+        self.pages.len()
+    }
+
     /// Test helper: drain the channel into this cache alone.
     #[cfg(test)]
     fn sync(&mut self, mem: &mut Memory) {
@@ -196,7 +206,7 @@ mod tests {
     fn first_fetch_decodes_then_hits() {
         let mut mem = Memory::new(4 * PAGE_BYTES);
         mem.write_u32(8, add_word()).unwrap();
-        let mut ic = ICache::new(mem.page_count());
+        let mut ic = ICache::default();
         ic.sync(&mut mem);
         let a = ic.fetch(&mut mem, 8).expect("decodes");
         assert_eq!(a.op, Opcode::Add);
@@ -231,7 +241,7 @@ mod tests {
         let mut mem = Memory::new(4 * PAGE_BYTES);
         let sub = Instruction::reg(Opcode::Sub, Reg::R16, Reg::R17, Short2::Reg(Reg::R18)).encode();
         mem.write_u32(0, add_word()).unwrap();
-        let mut ic = ICache::new(mem.page_count());
+        let mut ic = ICache::default();
         assert_eq!(ic.fetch(&mut mem, 0).unwrap().op, Opcode::Add);
         // Overwrite the cached word: after a drain the next fetch must
         // re-decode.
@@ -245,10 +255,11 @@ mod tests {
     fn junk_misalignment_and_out_of_range_are_never_cached() {
         let mut mem = Memory::new(PAGE_BYTES);
         mem.write_u32(4, 0xffff_ffff).unwrap();
-        let mut ic = ICache::new(mem.page_count());
+        let mut ic = ICache::default();
         assert!(ic.fetch(&mut mem, 4).is_none(), "undecodable");
         assert!(ic.fetch(&mut mem, 2).is_none(), "misaligned");
         assert!(ic.fetch(&mut mem, 4 * PAGE_BYTES as u32).is_none(), "oob");
+        assert_eq!(ic.page_table_len(), 1, "no page past memory's end");
     }
 
     #[test]
@@ -256,7 +267,7 @@ mod tests {
         let mut mem = Memory::new(2 * PAGE_BYTES);
         mem.write_u32(0, add_word()).unwrap();
         mem.write_u32(PAGE_BYTES as u32, add_word()).unwrap();
-        let mut ic = ICache::new(mem.page_count());
+        let mut ic = ICache::default();
         ic.fetch(&mut mem, 0).unwrap();
         ic.fetch(&mut mem, PAGE_BYTES as u32).unwrap();
         mem.mark_all_dirty();

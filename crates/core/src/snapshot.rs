@@ -1155,7 +1155,8 @@ mod tests {
         // The checksum still covers the whole stored configuration: an
         // edited engine field is corruption, not a host-only difference.
         let mut edited = snap.clone();
-        edited.cfg.engine = ExecEngine::Trace;
+        edited.cfg.engine = ExecEngine::Uncached;
+        assert_ne!(edited.cfg, snap.cfg, "the edit changes the stored tier");
         assert!(matches!(
             Cpu::new(SimConfig::default()).restore(&edited),
             Err(RestoreError::Corrupt { .. })

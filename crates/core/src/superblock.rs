@@ -156,7 +156,9 @@ pub(crate) struct BlockCache {
     blocks: Vec<Block>,
     /// For each memory page, the indices of blocks decoded from it. May
     /// retain indices of dead blocks (filtered on use); fully rebuilt on
-    /// compaction.
+    /// compaction. Grown on build to the highest page a block spans, like
+    /// `map`: no block is registered past its end, so invalidating such a
+    /// page is a no-op.
     by_page: Vec<Vec<u32>>,
     /// Dead blocks awaiting compaction.
     dead: usize,
@@ -173,7 +175,7 @@ impl BlockCache {
             map: Vec::new(),
             map_words: page_count * (PAGE_BYTES / 4),
             blocks: Vec::new(),
-            by_page: vec![Vec::new(); page_count],
+            by_page: Vec::new(),
             dead: 0,
             last: None,
         }
@@ -196,6 +198,13 @@ impl BlockCache {
         *d = d.saturating_add(1);
         b.heat = b.heat.saturating_add(1);
         b.heat
+    }
+
+    /// Length of the page registration table (the highest page a block
+    /// spans, plus one).
+    #[cfg(test)]
+    pub(crate) fn page_table_len(&self) -> usize {
+        self.by_page.len()
     }
 
     /// Finds a live block starting at `pc` without touching chaining state —
@@ -348,11 +357,12 @@ impl BlockCache {
         }
         let first = start as usize / PAGE_BYTES;
         let last = (end as usize - 4) / PAGE_BYTES;
+        if self.by_page.len() <= last {
+            self.by_page.resize_with(last + 1, Vec::new);
+        }
         for page in first..=last {
             mem.note_code_page(page);
-            if let Some(list) = self.by_page.get_mut(page) {
-                list.push(idx);
-            }
+            self.by_page[page].push(idx);
         }
         self.chain_to(idx);
         Some(idx)

@@ -379,7 +379,8 @@ pub(crate) struct TraceCache {
     map_words: usize,
     traces: Vec<Trace>,
     /// Trace indices registered per memory page (dead entries filtered on
-    /// use; rebuilt wholesale on compaction).
+    /// use; rebuilt wholesale on compaction). Grown on build to the
+    /// highest page a trace was lowered from.
     by_page: Vec<Vec<u32>>,
     /// Dead traces awaiting compaction.
     dead: usize,
@@ -395,9 +396,16 @@ impl TraceCache {
             map: Vec::new(),
             map_words: page_count * (PAGE_BYTES / 4),
             traces: Vec::new(),
-            by_page: vec![Vec::new(); page_count],
+            by_page: Vec::new(),
             dead: 0,
         }
+    }
+
+    /// Length of the page registration table (the highest page a trace was
+    /// lowered from, plus one).
+    #[cfg(test)]
+    pub(crate) fn page_table_len(&self) -> usize {
+        self.by_page.len()
     }
 
     /// The trace at `idx`.
@@ -595,11 +603,14 @@ impl TraceCache {
         let mut pages: Vec<usize> = t.meta.iter().map(|m| m.pc as usize / PAGE_BYTES).collect();
         pages.sort_unstable();
         pages.dedup();
+        if let Some(&last) = pages.last() {
+            if self.by_page.len() <= last {
+                self.by_page.resize_with(last + 1, Vec::new);
+            }
+        }
         for page in pages {
             mem.note_code_page(page);
-            if let Some(list) = self.by_page.get_mut(page) {
-                list.push(idx);
-            }
+            self.by_page[page].push(idx);
         }
         self.traces.push(t);
         if let Some(slot) = self.map.get_mut(word) {

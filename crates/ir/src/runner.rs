@@ -4,6 +4,7 @@ use crate::ast::ValidateError;
 use crate::layout::ARGV_BASE;
 use crate::rasm::RasmError;
 use risc1_cisc::{BuildError, CxConfig, CxCpu, CxProgram, CxStats};
+use risc1_core::deadline::DEADLINE_POLL_STEPS;
 use risc1_core::inject::RECOVERY_STUB_BASE;
 use risc1_core::snapshot::RestoreError;
 use risc1_core::{
@@ -230,11 +231,10 @@ impl TimedOutcome {
 /// [`record_risc_injected`](crate::record_risc_injected) and the serve
 /// layer: optional injection (`None` runs the pristine program), an
 /// optional wall-clock [`Deadline`] polled between steps (every
-/// [`risc1_core::deadline::DEADLINE_POLL_STEPS`] steps, so the check never
-/// perturbs the machine), and an optional sink for a
-/// [`Journal`](risc1_core::Journal)'s step-keyed events — the sink is
-/// caller-owned so events survive even if the caller later has to abandon
-/// the run.
+/// [`DEADLINE_POLL_STEPS`] steps, so the check never perturbs the
+/// machine), and an optional sink for a [`Journal`](risc1_core::Journal)'s
+/// step-keyed events — the sink is caller-owned so events survive even if
+/// the caller later has to abandon the run.
 ///
 /// When the deadline does not fire, the returned report is bit-identical
 /// to [`run_risc_injected`] of the same `(prog, args, cfg, inject,
@@ -252,34 +252,35 @@ pub fn run_risc_deadline(
     deadline: Option<Deadline>,
     mut journal_events: Option<&mut Vec<JournalEvent>>,
 ) -> Result<TimedOutcome, InjectSetupError> {
-    let mut injector = inject.map(FaultInjector::new);
     let mut cpu = setup_injected_cpu(prog, args, cfg, recovery)?;
+    let Some(inject) = inject else {
+        return Ok(run_polled(&mut cpu, deadline));
+    };
+    // The injector acts before every step, so an injected run takes them
+    // one at a time.
+    let mut injector = FaultInjector::new(inject);
     let mut step: u64 = 0;
     let outcome = loop {
         if let Some(d) = deadline {
             if Deadline::should_poll(step) && d.expired() {
-                let events = injector.map_or_else(Vec::new, |i| i.events().to_vec());
                 return Ok(TimedOutcome::TimedOut {
                     stats: cpu.stats(),
-                    events,
+                    events: injector.events().to_vec(),
                 });
             }
         }
-        if let Some(injector) = injector.as_mut() {
-            let before = injector.events().len();
-            injector.pre_step(&mut cpu);
-            // At most one event per pre_step; detect it by length (some
-            // modes bail without applying anything, e.g. an empty wstack
-            // region).
-            if injector.events().len() > before {
-                if let Some(sink) = journal_events.as_deref_mut() {
-                    let ev = injector.events()[before];
-                    sink.push(JournalEvent {
-                        step,
-                        at_instruction: ev.at_instruction,
-                        kind: ev.kind,
-                    });
-                }
+        let before = injector.events().len();
+        injector.pre_step(&mut cpu);
+        // At most one event per pre_step; detect it by length (some modes
+        // bail without applying anything, e.g. an empty wstack region).
+        if injector.events().len() > before {
+            if let Some(sink) = journal_events.as_deref_mut() {
+                let ev = injector.events()[before];
+                sink.push(JournalEvent {
+                    step,
+                    at_instruction: ev.at_instruction,
+                    kind: ev.kind,
+                });
             }
         }
         let halt = cpu.step();
@@ -297,8 +298,40 @@ pub fn run_risc_deadline(
     Ok(TimedOutcome::Finished(InjectReport {
         outcome,
         stats: cpu.stats(),
-        events: injector.map_or_else(Vec::new, |i| i.events().to_vec()),
+        events: injector.events().to_vec(),
     }))
+}
+
+/// Runs an uninjected machine to its end, consulting `deadline` at the
+/// same poll points as the one-step loop: before step 0 and after every
+/// [`DEADLINE_POLL_STEPS`] steps. Batching with [`Cpu::step_n`] between
+/// polls is exact — it executes the same step units as that many
+/// [`Cpu::step`] calls, and nothing outside an uninjected run arms a probe
+/// or raises an interrupt — so halts, faults, fuel-vs-deadline tie-breaks
+/// and timed-out statistics are those of the one-step loop.
+fn run_polled(cpu: &mut Cpu, deadline: Option<Deadline>) -> TimedOutcome {
+    let outcome = loop {
+        if deadline.is_some_and(|d| d.expired()) {
+            return TimedOutcome::TimedOut {
+                stats: cpu.stats(),
+                events: Vec::new(),
+            };
+        }
+        match cpu.step_n(DEADLINE_POLL_STEPS) {
+            Ok(Halt::Running) => {}
+            Ok(Halt::Returned) => {
+                break InjectOutcome::Halted {
+                    result: cpu.result(),
+                }
+            }
+            Err(error) => break InjectOutcome::Faulted { error },
+        }
+    };
+    TimedOutcome::Finished(InjectReport {
+        outcome,
+        stats: cpu.stats(),
+        events: Vec::new(),
+    })
 }
 
 /// Warm start: restores `snap` into a fresh CPU and runs the remaining
@@ -321,33 +354,7 @@ pub fn run_risc_resumed(
 ) -> Result<TimedOutcome, RestoreError> {
     let mut cpu = Cpu::new(snap.config().clone());
     cpu.restore(snap)?;
-    let mut step: u64 = 0;
-    let outcome = loop {
-        if let Some(d) = deadline {
-            if Deadline::should_poll(step) && d.expired() {
-                return Ok(TimedOutcome::TimedOut {
-                    stats: cpu.stats(),
-                    events: Vec::new(),
-                });
-            }
-        }
-        let halt = cpu.step();
-        step += 1;
-        match halt {
-            Ok(Halt::Running) => {}
-            Ok(Halt::Returned) => {
-                break InjectOutcome::Halted {
-                    result: cpu.result(),
-                }
-            }
-            Err(error) => break InjectOutcome::Faulted { error },
-        }
-    };
-    Ok(TimedOutcome::Finished(InjectReport {
-        outcome,
-        stats: cpu.stats(),
-        events: Vec::new(),
-    }))
+    Ok(run_polled(&mut cpu, deadline))
 }
 
 /// Captures a checksummed snapshot of a pristine (no-injection) run after
@@ -368,12 +375,9 @@ pub fn snapshot_risc_prefix(
     steps: u64,
 ) -> Result<Snapshot, InjectSetupError> {
     let mut cpu = setup_injected_cpu(prog, args, cfg, recovery)?;
-    for _ in 0..steps {
-        match cpu.step() {
-            Ok(Halt::Running) => {}
-            Ok(Halt::Returned) | Err(_) => break,
-        }
-    }
+    // `step_n` stops where `steps` calls to `step` would: after the last
+    // of them, or earlier at a halt or fault.
+    let _ = cpu.step_n(steps);
     Ok(cpu.snapshot())
 }
 

@@ -29,7 +29,7 @@ use crate::job::{JobOutput, JobSpec};
 use crate::wire::{output_json, parse_spec, write_spec};
 use risc1_core::json::{get, Json, Parser, Writer};
 use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write as _};
+use std::io::{BufRead, BufReader, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 /// File name of the log inside the WAL directory.
@@ -42,16 +42,29 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Opens (creating if needed) the log in `dir` for appending.
+    /// Opens (creating if needed) the log in `dir` for appending. A log
+    /// whose last record was torn by a kill mid-append gets its line
+    /// terminated first, so the next record starts a line of its own
+    /// instead of being glued onto the torn one and lost with it.
     ///
     /// # Errors
-    /// Propagates filesystem errors creating the directory or the file.
+    /// Propagates filesystem errors creating, reading or writing the file.
     pub fn open(dir: &Path) -> std::io::Result<WalWriter> {
         std::fs::create_dir_all(dir)?;
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .create(true)
+            .read(true)
             .append(true)
             .open(dir.join(WAL_FILE))?;
+        let len = file.metadata()?.len();
+        if len > 0 {
+            let mut last = [0u8];
+            file.seek(SeekFrom::Start(len - 1))?;
+            file.read_exact(&mut last)?;
+            if last != *b"\n" {
+                file.write_all(b"\n")?;
+            }
+        }
         Ok(WalWriter { file })
     }
 
@@ -80,7 +93,7 @@ impl WalWriter {
         w.key("spec");
         write_spec(&mut w, spec);
         w.obj_close();
-        self.append_line(&w.finish())
+        self.append_line(w.finish())
     }
 
     /// Logs one completed job's digest and wire rendering.
@@ -99,12 +112,15 @@ impl WalWriter {
         w.key("result");
         w.str(&output_json(out));
         w.obj_close();
-        self.append_line(&w.finish())
+        self.append_line(w.finish())
     }
 
-    fn append_line(&mut self, line: &str) -> std::io::Result<()> {
+    /// Appends `line` and its newline in one `write_all`, so the newline
+    /// is never a write of its own that a kill could separate from its
+    /// record.
+    fn append_line(&mut self, mut line: String) -> std::io::Result<()> {
+        line.push('\n');
         self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
         self.file.flush()
     }
 }
@@ -292,6 +308,46 @@ mod tests {
             }
             other => panic!("wrong record: {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A restart over a torn log must not glue its first new record onto
+    /// the torn line: that record's ticket is issued, so losing it at the
+    /// next recovery would drop an admitted job.
+    #[test]
+    fn a_record_appended_after_a_torn_tail_survives_the_next_replay() {
+        let dir = temp_dir("reopen_torn");
+        {
+            let mut w = WalWriter::open(&dir).unwrap();
+            w.append_admit(1, "alice", 1, &spec()).unwrap();
+        }
+        let path = dir.join(WAL_FILE);
+        let mut text = std::fs::read_to_string(&path).unwrap();
+        text.push_str("{\"wal\":\"admit\",\"id\":2,\"client\":\"bo");
+        std::fs::write(&path, text).unwrap();
+        {
+            let mut w = WalWriter::open(&dir).unwrap();
+            w.append_admit(3, "carol", 1, &spec()).unwrap();
+        }
+        let (records, scan) = replay_wal(&dir).unwrap();
+        assert_eq!(
+            scan,
+            WalScan {
+                records: 2,
+                torn: 1
+            }
+        );
+        let ids: Vec<u64> = records
+            .iter()
+            .map(|r| match r {
+                WalRecord::Admit { id, .. } | WalRecord::Done { id, .. } => *id,
+            })
+            .collect();
+        assert_eq!(ids, [1, 3], "the record after the torn line replays");
+        // Reopening a cleanly terminated log adds no blank line.
+        let before = std::fs::read(&path).unwrap();
+        drop(WalWriter::open(&dir).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), before);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -29,6 +29,10 @@ cargo test -q --test interp_equivalence
 echo "==> risc1 lint --spec-audit (ISA spec table vs metadata/codec/assembler/icache)"
 cargo run -q --release -p risc1-cli --bin risc1 -- lint --spec-audit
 
+echo "==> risc1 exp all vs EXPERIMENT_RESULTS.txt (the simulated tables must"
+echo "    not move)"
+diff <(cargo run -q --release -p risc1-cli --bin risc1 -- exp all) EXPERIMENT_RESULTS.txt
+
 echo "==> cargo test --test spec_differential (spec-vs-four-engines differential"
 echo "    fuzz, fixed-seed quick profile: 200 generated + 48 injected cases)"
 cargo test -q --release --test spec_differential

@@ -1,8 +1,10 @@
 //! Edge cases of the wall-clock watchdog: a zero budget fires before the
 //! first step, expiry while the machine sits in a delayed-branch slot
 //! stops cleanly (and the stopped prefix is resumable bit-identically),
-//! and the deterministic fuel bound takes precedence inside a poll
-//! window while the wall clock wins exactly at poll steps.
+//! the deterministic fuel bound takes precedence inside a poll window
+//! while the wall clock wins exactly at poll steps, and a mid-run expiry
+//! stops on a poll boundary even though uninjected runs batch their
+//! steps between polls.
 
 use risc1::core::deadline::DEADLINE_POLL_STEPS;
 use risc1::core::{Deadline, ExecError, Program, SimConfig};
@@ -200,4 +202,50 @@ fn timed_out_prefix_is_deterministic() {
         .expect("setup succeeds")
     };
     assert_eq!(run(), run(), "expired-deadline stops are reproducible");
+}
+
+/// Between polls an uninjected run batches its steps with `Cpu::step_n`;
+/// the poll points must stay those of a one-step loop. So a run that its
+/// deadline stops mid-way holds exactly the state of a prefix of a whole
+/// number of poll intervals. (A clean `fib` run retires one instruction
+/// per step: no trap is ever delivered.)
+#[test]
+fn a_mid_run_timeout_stops_on_a_poll_boundary() {
+    let w = by_id("fib").expect("suite workload");
+    let prog = compile_risc(&w.module, RiscOpts::default()).expect("suite compiles");
+    let args = [27];
+    let cfg = SimConfig::default();
+    let stopped = [1, 2, 4, 8, 16, 32, 64]
+        .into_iter()
+        .find_map(|ms| {
+            match run_risc_deadline(
+                &prog,
+                &args,
+                cfg.clone(),
+                None,
+                false,
+                Some(Deadline::after_ms(ms)),
+                None,
+            )
+            .expect("setup succeeds")
+            {
+                TimedOutcome::TimedOut { stats, .. } if stats.instructions > 0 => Some(stats),
+                TimedOutcome::TimedOut { .. } => None,
+                TimedOutcome::Finished(_) => panic!("fib(27) finished within {ms} ms"),
+            }
+        })
+        .expect("some budget expires after the first poll");
+    assert_eq!(
+        stopped.instructions % DEADLINE_POLL_STEPS,
+        0,
+        "stopped off a poll boundary"
+    );
+    let prefix = snapshot_risc_prefix(&prog, &args, cfg, false, stopped.instructions)
+        .expect("prefix snapshot");
+    match run_risc_resumed(&prefix, Some(Deadline::after_ms(0))).expect("snapshot verifies") {
+        TimedOutcome::TimedOut { stats, .. } => {
+            assert_eq!(stats, stopped, "the stop is that prefix's state")
+        }
+        TimedOutcome::Finished(_) => panic!("expired deadline must not finish"),
+    }
 }

@@ -11,7 +11,7 @@
 //! `trace`), every simulated observable must be bit-identical: final
 //! result, `ExecStats` (instruction mix, cycles, traps, spills), the
 //! entire memory image, the visible register window, and the window-file
-//! position. This suite holds all engines to that bar six ways:
+//! position. This suite holds all engines to that bar seven ways:
 //!
 //! 1. deterministically across all eleven suite workloads (four-way),
 //! 2. property-style under seed-driven fault injection (where traps,
@@ -23,9 +23,12 @@
 //!    loop while it runs — the store must kill the formed blocks,
 //! 5. with a long-running hot loop that patches its own text only *after*
 //!    the trace tier has compiled and entered a trace for it — the store
-//!    side-exits the trace and kills it, and
+//!    side-exits the trace and kills it,
 //! 6. by dirtying more registered code pages than the pending channel
-//!    can hold, forcing the overflow → flush-everything fallback.
+//!    can hold, forcing the overflow → flush-everything fallback, and
+//! 7. with a hot loop in the last page of memory — the far end of the
+//!    caches' lazily grown page tables — that patches itself and then
+//!    jumps past the end of memory.
 //!
 //! Snapshot checksums deliberately cover `SimConfig` (so a restore
 //! cannot silently cross configurations), which makes them useless for
@@ -35,7 +38,8 @@
 use proptest::prelude::*;
 use risc1::core::inject::{InjectConfig, InjectModes};
 use risc1::core::{
-    Cpu, ExecEngine, ExecStats, Halt, Program, SimConfig, CODE_DIRTY_PENDING_CAP, PAGE_BYTES,
+    Cpu, ExecEngine, ExecError, ExecStats, Halt, Program, SimConfig, TrapKind,
+    CODE_DIRTY_PENDING_CAP, PAGE_BYTES,
 };
 use risc1::ir::{compile_risc, run_risc, run_risc_injected, RiscOpts};
 use risc1::isa::{Cond, Instruction, Opcode, Reg, Short2};
@@ -466,4 +470,102 @@ fn dirty_channel_overflow_falls_back_to_flushing_everything() {
     assert_eq!(cached, uncached, "cache must be invisible");
     assert_eq!(superblock, uncached, "superblocks must be invisible");
     assert_eq!(trace, uncached, "traces must be invisible");
+}
+
+#[test]
+fn a_patched_hot_loop_in_the_last_page_of_memory_traps_identically_past_its_end() {
+    let imm = |v: i32| Short2::imm(v).expect("fits imm13");
+    let patch_word = Instruction::reg(Opcode::Add, Reg::R26, Reg::R26, imm(1)).encode();
+    let insns_per_page = PAGE_BYTES / 4;
+
+    // Two pages of text ending exactly at the end of memory: a prologue
+    // padded to fill the first, then the trace-promoting hot loop of
+    // `patching_a_running_trace_mid_flight_is_observed` in the last page.
+    // After the loop, a jump to the first address past memory must raise
+    // the instruction-access trap under every tier.
+    let cfg = SimConfig::default();
+    let mem_end = cfg.mem_bytes as u32;
+    let code_base = mem_end - 2 * PAGE_BYTES as u32;
+    let l = insns_per_page; // loop head / patch target: the last page
+    let target = code_base + 4 * l as u32;
+    let mut insns = vec![Instruction::ldhi(Reg::R20, target >> 13)];
+    insns.extend(
+        imm_chunks(target & 0x1fff)
+            .into_iter()
+            .map(|c| Instruction::reg(Opcode::Add, Reg::R20, Reg::R20, c)),
+    );
+    insns.push(Instruction::ldhi(Reg::R21, patch_word >> 13));
+    insns.extend(
+        imm_chunks(patch_word & 0x1fff)
+            .into_iter()
+            .map(|c| Instruction::reg(Opcode::Add, Reg::R21, Reg::R21, c)),
+    );
+    insns.resize(l, Instruction::nop());
+    insns.extend([
+        Instruction::reg(Opcode::Add, Reg::R26, Reg::R26, imm(11)), // PATCHED at i == 100
+        Instruction::reg(Opcode::Add, Reg::R17, Reg::R17, imm(1)),  // i += 1
+        Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R17, imm(100)),
+        Instruction::jmpr(Cond::Ne, 3 * 4), // i != 100: skip the patch store
+        Instruction::nop(),                 // delay slot
+        Instruction::reg(Opcode::Stl, Reg::R21, Reg::R20, imm(0)), // text[L] = add #1
+        Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R17, imm(200)),
+    ]);
+    let j = insns.len();
+    insns.extend([
+        Instruction::jmpr(Cond::Lt, 4 * (l as i32 - j as i32)),
+        Instruction::nop(), // delay slot
+    ]);
+    let exit = code_base + 4 * insns.len() as u32;
+    insns.extend([
+        Instruction::jmpr(Cond::Alw, (mem_end - exit) as i32), // off the end
+        Instruction::nop(),                                    // delay slot
+    ]);
+    assert!(insns.len() <= 2 * insns_per_page, "two pages of text");
+    let prog = Program::from_instructions(insns);
+
+    let run = |engine| {
+        let mut cpu = Cpu::new(SimConfig {
+            engine,
+            code_base,
+            ..cfg.clone()
+        });
+        cpu.load_program(&prog).expect("program fits memory");
+        let err = if engine == ExecEngine::Uncached {
+            loop {
+                match cpu.step() {
+                    Ok(Halt::Running) => {}
+                    Ok(Halt::Returned) => panic!("{engine:?}: halted instead of trapping"),
+                    Err(e) => break e,
+                }
+            }
+        } else {
+            cpu.run().expect_err("the jump past memory traps")
+        };
+        (err, capture(&cpu))
+    };
+    let uncached = run(ExecEngine::Uncached);
+    let (err, state) = &uncached;
+    assert_eq!(state.result, 1200, "the patch was observed");
+    assert!(
+        matches!(err, ExecError::Mem { pc, .. } if *pc == mem_end),
+        "{err:?}"
+    );
+    assert_eq!(
+        err.trap_cause().map(|c| c.kind),
+        Some(TrapKind::InstructionAccess)
+    );
+    assert_eq!(run(ExecEngine::Cached), uncached, "cache must be invisible");
+    assert_eq!(
+        run(ExecEngine::Superblock),
+        uncached,
+        "superblocks must be invisible"
+    );
+    let trace = run(ExecEngine::Trace);
+    assert_eq!(trace, uncached, "traces must be invisible");
+    assert!(
+        trace.1.stats.traces_built >= 2,
+        "the loop must promote before the patch and re-promote after \
+         (built {} traces)",
+        trace.1.stats.traces_built
+    );
 }
