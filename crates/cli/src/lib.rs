@@ -41,14 +41,10 @@
 //! never panics.
 
 use risc1_asm::{assemble, disassemble};
-use risc1_core::deadline::DEADLINE_POLL_STEPS;
-use risc1_core::inject::{install_recovery_handlers, RECOVERY_STUB_BASE};
-use risc1_core::{
-    Cpu, Deadline, ExecEngine, FaultInjector, Halt, InjectConfig, Journal, SimConfig, TrapKind,
-};
+use risc1_core::{Deadline, ExecEngine, InjectConfig, Journal, SimConfig, TrapKind};
 use risc1_ir::{
-    minimize_journal, record_risc_injected, recorded_outcome, replay_journal, run_risc_supervised,
-    SupervisorConfig, SupervisorOutcome,
+    minimize_journal, recorded_outcome, replay_journal, run_risc_on, run_risc_supervised,
+    setup_risc, InjectOutcome, SupervisorConfig, SupervisorOutcome, TimedOutcome,
 };
 use risc1_stats::measure_with;
 use std::fmt::Write as _;
@@ -369,89 +365,65 @@ fn cmd_run(path: &str, rest: &[String], trace: bool) -> CliResult {
         cfg.engine = engine;
     }
     let recovery = opts.trap_handlers || opts.inject_seed.is_some();
+    let inject = opts.inject_seed.map(|seed| {
+        let mut icfg = InjectConfig::with_seed(seed);
+        icfg.rate = opts.rate.unwrap_or(icfg.rate);
+        icfg
+    });
     if opts.supervise {
-        return cmd_run_supervised(&prog, &opts, cfg, recovery);
+        return cmd_run_supervised(&prog, &opts, cfg, inject, recovery);
     }
-    if let (Some(seed), Some(record)) = (opts.inject_seed, &opts.record) {
-        let mut icfg = InjectConfig::with_seed(seed);
-        if let Some(r) = opts.rate {
-            icfg.rate = r;
-        }
-        return cmd_run_recorded(&prog, &opts, cfg, icfg, recovery, record);
-    }
-    let mut cpu = Cpu::new(cfg);
-    cpu.load_program(&prog).map_err(|e| e.to_string())?;
-    cpu.try_set_args(&opts.args).map_err(|e| e.to_string())?;
-    if recovery {
-        install_recovery_handlers(&mut cpu, RECOVERY_STUB_BASE).map_err(|e| e.to_string())?;
-    }
+    let mut cpu =
+        setup_risc(&prog, &opts.args, cfg.clone(), recovery).map_err(|e| e.to_string())?;
     let deadline = opts.timeout_ms.map(Deadline::after_ms);
-    let mut out = String::new();
-    if let Some(seed) = opts.inject_seed {
-        let mut icfg = InjectConfig::with_seed(seed);
-        if let Some(r) = opts.rate {
-            icfg.rate = r;
+    let mut recorded = Vec::new();
+    let sink = opts.record.is_some().then_some(&mut recorded);
+    let (stats, events, outcome) = match run_risc_on(&mut cpu, inject, deadline, sink) {
+        TimedOutcome::Finished(report) => {
+            if let Some(record) = &opts.record {
+                let journal = Journal {
+                    events: recorded,
+                    outcome: Some(recorded_outcome(&report)),
+                    ..Journal::new(&prog, &opts.args, cfg, inject, recovery)
+                };
+                std::fs::write(record, journal.to_json()).map_err(|e| format!("{record}: {e}"))?;
+            }
+            (report.stats, report.events, Some(report.outcome))
         }
-        let rate = icfg.rate;
-        let mut injector = FaultInjector::new(icfg);
-        let mut step: u64 = 0;
-        let mut timed_out = false;
-        let fault = loop {
-            if let Some(d) = deadline {
-                if Deadline::should_poll(step) && d.expired() {
-                    timed_out = true;
-                    break None;
-                }
-            }
-            injector.pre_step(&mut cpu);
-            let halt = cpu.step();
-            step += 1;
-            match halt {
-                Ok(Halt::Running) => {}
-                Ok(Halt::Returned) => break None,
-                Err(e) => break Some(e),
-            }
+        TimedOutcome::TimedOut { stats, events } => (stats, events, None),
+    };
+    let mut out = String::new();
+    if let Some(icfg) = inject {
+        let (seed, rate, n) = (icfg.seed, icfg.rate, events.len());
+        let _ = match &opts.record {
+            Some(record) => writeln!(
+                out,
+                "recorded {n} event(s) (seed {seed}, rate {rate}/10000) to {record}"
+            ),
+            None => writeln!(out, "injected {n} faults (seed {seed}, rate {rate}/10000)"),
         };
-        let _ = writeln!(
-            out,
-            "injected {} faults (seed {seed}, rate {rate}/10000)",
-            injector.events().len()
-        );
-        for ev in injector.events() {
+        for ev in &events {
             let _ = writeln!(out, "  {ev}");
         }
-        if timed_out {
-            let _ = writeln!(out, "{}", cpu.stats());
+    }
+    match outcome {
+        None => {
+            let _ = writeln!(out, "{stats}");
             return Err(format!(
                 "{out}timeout: wall-clock budget ({} ms) expired",
                 opts.timeout_ms.unwrap_or(0)
             ));
         }
-        if let Some(e) = fault {
-            let _ = writeln!(out, "{}", cpu.stats());
-            return Err(format!("{out}fault: {e}"));
+        Some(InjectOutcome::Faulted { error }) if inject.is_some() => {
+            let _ = writeln!(out, "{stats}");
+            return Err(format!("{out}fault: {error}"));
         }
-    } else if let Some(d) = deadline {
-        // Batch `step_n` between wall-clock polls: same architectural
-        // behaviour as `run()`, one syscall per poll interval.
-        loop {
-            if d.expired() {
-                let _ = writeln!(out, "{}", cpu.stats());
-                return Err(format!(
-                    "{out}timeout: wall-clock budget ({} ms) expired",
-                    opts.timeout_ms.unwrap_or(0)
-                ));
-            }
-            match cpu.step_n(DEADLINE_POLL_STEPS).map_err(|e| e.to_string())? {
-                Halt::Running => {}
-                Halt::Returned => break,
-            }
+        Some(InjectOutcome::Faulted { error }) => return Err(error.to_string()),
+        Some(InjectOutcome::Halted { result }) => {
+            let _ = writeln!(out, "result: {result}");
+            let _ = writeln!(out, "{stats}");
         }
-    } else {
-        cpu.run().map_err(|e| e.to_string())?;
     }
-    let _ = writeln!(out, "result: {}", cpu.result());
-    let _ = writeln!(out, "{}", cpu.stats());
     if trace {
         let _ = writeln!(
             out,
@@ -468,15 +440,9 @@ fn cmd_run_supervised(
     prog: &risc1_core::Program,
     opts: &RunOpts,
     cfg: SimConfig,
+    inject: Option<InjectConfig>,
     recovery: bool,
 ) -> CliResult {
-    let inject = opts.inject_seed.map(|seed| {
-        let mut icfg = InjectConfig::with_seed(seed);
-        if let Some(r) = opts.rate {
-            icfg.rate = r;
-        }
-        icfg
-    });
     let mut sup = SupervisorConfig::default();
     if let Some(n) = opts.ckpt_every {
         sup.ckpt_every = n;
@@ -535,43 +501,6 @@ fn cmd_run_supervised(
     }
 }
 
-/// `run --inject --record`: run the campaign while writing a replayable
-/// journal.
-fn cmd_run_recorded(
-    prog: &risc1_core::Program,
-    opts: &RunOpts,
-    cfg: SimConfig,
-    icfg: InjectConfig,
-    recovery: bool,
-    record: &str,
-) -> CliResult {
-    let (journal, report) =
-        record_risc_injected(prog, &opts.args, cfg, icfg, recovery).map_err(|e| e.to_string())?;
-    std::fs::write(record, journal.to_json()).map_err(|e| format!("{record}: {e}"))?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "recorded {} event(s) (seed {}, rate {}/10000) to {record}",
-        journal.events.len(),
-        icfg.seed,
-        icfg.rate
-    );
-    for ev in &report.events {
-        let _ = writeln!(out, "  {ev}");
-    }
-    match report.outcome {
-        risc1_ir::InjectOutcome::Halted { result } => {
-            let _ = writeln!(out, "result: {result}");
-            let _ = writeln!(out, "{}", report.stats);
-            Ok(out)
-        }
-        risc1_ir::InjectOutcome::Faulted { error } => {
-            let _ = writeln!(out, "{}", report.stats);
-            Err(format!("{out}fault: {error}"))
-        }
-    }
-}
-
 /// `replay <trace.json>` / `replay --fetch <addr> --job <id>`: re-execute
 /// a recorded campaign bit for bit — from a local journal file or from a
 /// running serve instance's chunked journal stream — optionally
@@ -620,7 +549,7 @@ fn cmd_replay(rest: &[String]) -> CliResult {
     let (text, origin) = match (fetch, path) {
         (Some(addr), None) => {
             let id = job.ok_or("--fetch needs --job <id>")?;
-            (fetch_journal(&addr, id)?, format!("{addr} job {id}"))
+            (fetch_journal(&addr, id)?.0, format!("{addr} job {id}"))
         }
         (None, Some(p)) => (read(&p)?, p),
         (Some(_), Some(_)) => {
@@ -676,7 +605,8 @@ fn cmd_replay(rest: &[String]) -> CliResult {
 
 /// Pulls job `id`'s replay journal from a serve instance at `addr`, one
 /// bounded sequence-numbered chunk per request, and reassembles the text.
-fn fetch_journal(addr: &str, id: u64) -> Result<String, String> {
+/// Returns the text and the number of chunks it came in.
+fn fetch_journal(addr: &str, id: u64) -> Result<(String, u64), String> {
     use risc1_core::json::{get, Parser};
     use std::io::{BufRead, BufReader, Write};
     let mut tx = std::net::TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
@@ -705,7 +635,7 @@ fn fetch_journal(addr: &str, id: u64) -> Result<String, String> {
                 .map_err(|e| e.to_string())?,
         );
         if get(obj, "last").and_then(|l| l.as_bool("last")) == Ok(true) {
-            return Ok(text);
+            return Ok((text, seq + 1));
         }
         seq += 1;
     }
@@ -1002,6 +932,29 @@ mod tests {
             "--supervise",
         ]))
         .is_err());
+    }
+
+    #[test]
+    fn every_run_mode_builds_the_same_machine() {
+        // Reads the argument mirror at ARGV_BASE (0x7000 = 4 << 13, less
+        // 4096), which every entry point must write.
+        let p = write_temp("argv.s", "ldhi r16, #4\nldl r26, r16, #-4096\nhalt\nnop\n");
+        let journal = write_temp("argv.json", "");
+        let modes: [&[&str]; 5] = [
+            &[],
+            &["--inject", "1", "--rate", "0"],
+            &["--timeout-ms", "60000"],
+            &["--supervise"],
+            &["--inject", "1", "--rate", "0", "--record", &journal],
+        ];
+        for extra in modes {
+            let mut argv = vec!["run", &p, "5"];
+            argv.extend(extra);
+            let out = dispatch(&s(&argv)).unwrap();
+            assert!(out.contains("result: 5"), "{argv:?}: {out}");
+        }
+        let replayed = dispatch(&s(&["replay", &journal])).unwrap();
+        assert!(replayed.contains("replayed outcome: halt 5"), "{replayed}");
     }
 
     #[test]

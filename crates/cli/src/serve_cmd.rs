@@ -369,25 +369,10 @@ fn smoke(mut cfg: ServiceConfig) -> CliResult {
                     "journal job digest {jdigest} != direct digest of seed 3\n{out}"
                 ));
             }
-            let mut text = String::new();
-            let mut seq = 0u64;
-            loop {
-                let req = format!("{{\"op\":\"journal\",\"id\":{jid},\"seq\":{seq}}}");
-                let chunk = exchange(&mut out, &mut tx, &mut rx, &req)?;
-                let cobj = chunk.as_obj("journal chunk").map_err(|e| e.to_string())?;
-                if get(cobj, "ok").and_then(|v| v.as_bool("ok")) != Ok(true) {
-                    return Err(format!("journal chunk {seq} refused\n{out}"));
-                }
-                text.push_str(
-                    get(cobj, "data")
-                        .and_then(|d| d.as_str("data"))
-                        .map_err(|e| e.to_string())?,
-                );
-                if get(cobj, "last").and_then(|l| l.as_bool("last")) == Ok(true) {
-                    break;
-                }
-                seq += 1;
-            }
+            // The client behind `risc1 replay --fetch`, on a connection of
+            // its own.
+            let (text, chunks) = crate::fetch_journal(&addr.to_string(), jid)
+                .map_err(|e| format!("fetching the journal: {e}\n{out}"))?;
             let journal =
                 Journal::from_json(&text).map_err(|e| format!("streamed journal: {e}"))?;
             let replayed = replay_journal(&journal).map_err(|e| format!("replay: {e}"))?;
@@ -398,8 +383,7 @@ fn smoke(mut cfg: ServiceConfig) -> CliResult {
             }
             let _ = writeln!(
                 out,
-                "smoke: journal streamed in {} chunk(s), replayed bit for bit",
-                seq + 1
+                "smoke: journal streamed in {chunks} chunk(s), replayed bit for bit"
             );
 
             // Warm start: snapshot the clean run's prefix, submit it, and the

@@ -8,10 +8,13 @@
 //! injection schedule** (and, the CPU being deterministic, the same trap
 //! counts and final state).
 //!
-//! Call [`FaultInjector::pre_step`] before every [`Cpu::step`]; the
-//! injector rolls one die per step and, at the configured rate, applies
-//! one perturbation chosen among the enabled modes. Every applied event is
-//! recorded in [`FaultInjector::events`].
+//! The injector rolls one die per step and, at the configured rate,
+//! perturbs the machine before that step with one event chosen among the
+//! enabled modes. Its two halves let a run loop batch the steps in
+//! between: [`FaultInjector::quiet_steps`] rolls the dice ahead (a roll
+//! reads no machine state), and [`FaultInjector::draw`] picks the event of
+//! the step whose die came up. [`InjectKind::apply`] is the one place an
+//! event — drawn here or read back from a journal — touches the machine.
 //!
 //! [`install_recovery_handlers`] sets up the software half of the story: a
 //! block of `reti`-stub trap handlers that turn each vectorable fault into
@@ -227,6 +230,23 @@ impl fmt::Display for InjectKind {
     }
 }
 
+impl InjectKind {
+    /// Perturbs `cpu` with this event, exactly as the injector first did:
+    /// the one function through which drawn and replayed events reach the
+    /// machine.
+    pub fn apply(self, cpu: &mut Cpu) {
+        match self {
+            InjectKind::BitFlip { addr, bit } | InjectKind::WstackCorruption { addr, bit } => {
+                let _ = cpu.mem.flip_bit(addr, bit);
+            }
+            InjectKind::SpuriousInterrupt => cpu.raise_interrupt(),
+            InjectKind::DecodeProbe => cpu.inject_probe(TrapKind::Decode),
+            InjectKind::MisalignProbe => cpu.inject_probe(TrapKind::Misaligned),
+            InjectKind::FuelJitter { new_limit } => cpu.set_fuel_limit(new_limit),
+        }
+    }
+}
+
 /// One entry of the deterministic injection schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectEvent {
@@ -242,13 +262,15 @@ impl fmt::Display for InjectEvent {
     }
 }
 
-/// The seed-driven fault injector. Drive it with
-/// [`FaultInjector::pre_step`] before every [`Cpu::step`].
+/// The seed-driven fault injector: one die per step, rolled ahead with
+/// [`FaultInjector::quiet_steps`]; the event of a step whose die came up
+/// comes from [`FaultInjector::draw`] and goes in with
+/// [`InjectKind::apply`] before that step runs.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     cfg: InjectConfig,
     rng: XorShift64,
-    events: Vec<InjectEvent>,
+    held: u64,
 }
 
 impl FaultInjector {
@@ -257,7 +279,7 @@ impl FaultInjector {
         FaultInjector {
             rng: XorShift64::new(cfg.seed),
             cfg,
-            events: Vec::new(),
+            held: 0,
         }
     }
 
@@ -266,69 +288,66 @@ impl FaultInjector {
         &self.cfg
     }
 
-    /// The perturbations applied so far, in order.
-    pub fn events(&self) -> &[InjectEvent] {
-        &self.events
+    /// Rolls no die for the next `steps` steps: they are quiet (a
+    /// supervisor's backoff after a rollback).
+    pub fn hold(&mut self, steps: u64) {
+        self.held = steps;
     }
 
-    /// Rolls the per-step die and, when it comes up, applies one
-    /// perturbation chosen uniformly among the enabled modes.
-    pub fn pre_step(&mut self, cpu: &mut Cpu) {
-        if !self.rng.chance(self.cfg.rate, RATE_DENOM) {
-            return;
+    /// Rolls the dice of up to `max` upcoming steps, stopping at the first
+    /// that comes up, and returns how many steps came up quiet before it —
+    /// `max` when none did. The rolls read no machine state, so the quiet
+    /// steps can run as one batch; when fewer than `max` come back, the
+    /// step right after them is due its [`FaultInjector::draw`].
+    pub fn quiet_steps(&mut self, max: u64) -> u64 {
+        let held = self.held.min(max);
+        self.held -= held;
+        let mut quiet = held;
+        while quiet < max && !self.rng.chance(self.cfg.rate, RATE_DENOM) {
+            quiet += 1;
         }
+        quiet
+    }
+
+    /// Draws the event of a step whose die came up: one perturbation
+    /// chosen uniformly among the enabled modes, sized against `cpu` as it
+    /// stands before that step. `None` when no mode is enabled or the
+    /// chosen one has nothing to act on (an empty window-save region).
+    pub fn draw(&mut self, cpu: &Cpu) -> Option<InjectKind> {
         let enabled = self.cfg.modes.enabled();
         if enabled.is_empty() {
-            return;
+            return None;
         }
         let tag = enabled[self.rng.below(enabled.len() as u64) as usize];
-        let kind = match tag {
+        Some(match tag {
             ModeTag::BitFlip => {
                 let addr = self.rng.below(cpu.mem.size() as u64) as u32;
                 let bit = (self.rng.next_u64() & 7) as u8;
-                let _ = cpu.mem.flip_bit(addr, bit);
                 InjectKind::BitFlip { addr, bit }
             }
-            ModeTag::SpuriousInterrupt => {
-                cpu.raise_interrupt();
-                InjectKind::SpuriousInterrupt
-            }
-            ModeTag::DecodeProbe => {
-                cpu.inject_probe(TrapKind::Decode);
-                InjectKind::DecodeProbe
-            }
-            ModeTag::MisalignProbe => {
-                cpu.inject_probe(TrapKind::Misaligned);
-                InjectKind::MisalignProbe
-            }
+            ModeTag::SpuriousInterrupt => InjectKind::SpuriousInterrupt,
+            ModeTag::DecodeProbe => InjectKind::DecodeProbe,
+            ModeTag::MisalignProbe => InjectKind::MisalignProbe,
             ModeTag::FuelJitter => {
                 let spent = cpu.stats().instructions;
                 let remaining = cpu.fuel_limit().saturating_sub(spent);
                 let cut = self.rng.below(remaining / 2 + 1);
-                let new_limit = cpu.fuel_limit() - cut;
-                cpu.set_fuel_limit(new_limit);
-                InjectKind::FuelJitter { new_limit }
+                InjectKind::FuelJitter {
+                    new_limit: cpu.fuel_limit() - cut,
+                }
             }
             ModeTag::WstackCorruption => {
                 let cfg = cpu.config();
                 let (lo, hi) = (cfg.stack_top, cfg.window_stack_top);
                 let len = u64::from(hi.saturating_sub(lo));
                 if len == 0 {
-                    return;
+                    return None;
                 }
                 let addr = lo + self.rng.below(len) as u32;
                 let bit = (self.rng.next_u64() & 7) as u8;
-                let _ = cpu.mem.flip_bit(addr, bit);
                 InjectKind::WstackCorruption { addr, bit }
             }
-        };
-        self.events.push(InjectEvent {
-            at_instruction: cpu.stats().instructions,
-            kind,
-        });
-        // Keep the CPU's replay context current: a terminal fault reports
-        // how many journal events had been applied when it struck.
-        cpu.note_journal_position(self.events.len() as u64);
+        })
     }
 }
 
@@ -413,17 +432,32 @@ mod tests {
     }
 
     #[test]
-    fn injector_logs_every_applied_event() {
-        let mut cpu = Cpu::new(SimConfig::default());
-        let mut inj = FaultInjector::new(InjectConfig {
+    fn dice_come_up_at_the_rate_and_hold_keeps_them_quiet() {
+        let cpu = Cpu::new(SimConfig::default());
+        let mut every = FaultInjector::new(InjectConfig {
             seed: 1,
-            rate: RATE_DENOM, // fire every step
+            rate: RATE_DENOM, // every die comes up
             modes: InjectModes::all(),
         });
         for _ in 0..50 {
-            inj.pre_step(&mut cpu);
+            assert_eq!(every.quiet_steps(10), 0);
+            assert!(every.draw(&cpu).is_some());
         }
-        assert_eq!(inj.events().len(), 50);
+        every.hold(3);
+        assert_eq!(every.quiet_steps(2), 2, "held steps roll no die");
+        assert_eq!(every.quiet_steps(10), 1, "the hold runs out mid-batch");
+        let mut never = FaultInjector::new(InjectConfig {
+            rate: 0,
+            ..InjectConfig::with_seed(1)
+        });
+        assert_eq!(never.quiet_steps(1_000), 1_000);
+        let mut none = FaultInjector::new(InjectConfig {
+            rate: RATE_DENOM,
+            modes: InjectModes::none(),
+            ..InjectConfig::with_seed(1)
+        });
+        assert_eq!(none.quiet_steps(10), 0);
+        assert_eq!(none.draw(&cpu), None, "no mode enabled, nothing to apply");
     }
 
     #[test]

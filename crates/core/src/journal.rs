@@ -6,19 +6,18 @@
 //! spurious interrupts, probes, fuel jitter). A [`Journal`] captures a
 //! complete campaign: the program image, its arguments, the configuration,
 //! and every applied perturbation keyed by **step index** (the count of
-//! `pre_step` calls, *not* the retired-instruction count — trap and
-//! interrupt delivery steps do not retire an instruction, so several
-//! events can share one instruction index but never one step index).
-//! Re-applying the events at the recorded steps reproduces the run bit
-//! for bit.
+//! machine steps since reset — one per die the injector rolls — *not* the
+//! retired-instruction count: trap and interrupt delivery steps do not
+//! retire an instruction, so several events can share one instruction
+//! index but never one step index). Re-applying the events at the
+//! recorded steps reproduces the run bit for bit.
 //!
 //! Journals serialize to plain JSON ([`Journal::to_json`] /
 //! [`Journal::from_json`]) with a hand-rolled writer and parser — the
 //! workspace deliberately has no external dependencies.
 
 use crate::config::{BranchModel, ExecEngine, FusionConfig, SimConfig};
-use crate::cpu::Cpu;
-use crate::inject::InjectKind;
+use crate::inject::{InjectConfig, InjectKind};
 use crate::json::{get, Json, JsonError, Parser, Writer};
 use crate::program::Program;
 use crate::trap::TrapKind;
@@ -31,7 +30,7 @@ pub const JOURNAL_VERSION: u32 = 1;
 /// One recorded perturbation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalEvent {
-    /// Step index (count of pre-step points since reset) at which the
+    /// Step index (count of machine steps since reset) before which the
     /// event was applied. This is the replay key.
     pub step: u64,
     /// Instructions retired at that point — diagnostic only; several
@@ -85,13 +84,39 @@ pub struct Journal {
     pub data: Vec<(u32, Vec<u8>)>,
     /// Arguments passed to the program.
     pub args: Vec<i32>,
-    /// The perturbations, ordered by step index.
+    /// The perturbations, in step order ([`Journal::from_json`] rejects a
+    /// step that goes backwards).
     pub events: Vec<JournalEvent>,
     /// The outcome the recording ended with, if the recorder stored one.
     pub outcome: Option<RecordedOutcome>,
 }
 
 impl Journal {
+    /// The journal of a run of `prog` on `args` under `cfg`, injected from
+    /// `inject` (`None`: a clean run) with recovery stubs when `recovery`
+    /// is set — as yet without events or outcome.
+    pub fn new(
+        prog: &Program,
+        args: &[i32],
+        cfg: SimConfig,
+        inject: Option<InjectConfig>,
+        recovery: bool,
+    ) -> Journal {
+        Journal {
+            version: JOURNAL_VERSION,
+            seed: inject.map_or(0, |i| i.seed),
+            rate: inject.map_or(0, |i| i.rate),
+            recovery,
+            cfg,
+            words: prog.words.clone(),
+            entry_offset: prog.entry_offset,
+            data: prog.data.clone(),
+            args: args.to_vec(),
+            events: Vec::new(),
+            outcome: None,
+        }
+    }
+
     /// Reconstructs the recorded program image.
     pub fn program(&self) -> Program {
         Program {
@@ -99,20 +124,6 @@ impl Journal {
             entry_offset: self.entry_offset,
             data: self.data.clone(),
             symbols: HashMap::new(),
-        }
-    }
-
-    /// Re-applies one recorded perturbation to `cpu`, exactly as the
-    /// injector originally did.
-    pub fn apply_event(cpu: &mut Cpu, kind: InjectKind) {
-        match kind {
-            InjectKind::BitFlip { addr, bit } | InjectKind::WstackCorruption { addr, bit } => {
-                let _ = cpu.mem.flip_bit(addr, bit);
-            }
-            InjectKind::SpuriousInterrupt => cpu.raise_interrupt(),
-            InjectKind::DecodeProbe => cpu.inject_probe(TrapKind::Decode),
-            InjectKind::MisalignProbe => cpu.inject_probe(TrapKind::Misaligned),
-            InjectKind::FuelJitter { new_limit } => cpu.set_fuel_limit(new_limit),
         }
     }
 
@@ -193,8 +204,9 @@ impl Journal {
     /// Parses a journal from JSON.
     ///
     /// # Errors
-    /// [`JournalError`] on malformed JSON, a schema mismatch, or an
-    /// unsupported format version.
+    /// [`JournalError`] on malformed JSON, a schema mismatch (an event
+    /// whose step goes backwards included), or an unsupported format
+    /// version.
     pub fn from_json(text: &str) -> Result<Journal, JournalError> {
         let root = Parser::new(text).parse_document()?;
         let obj = root.as_obj("journal")?;
@@ -215,9 +227,16 @@ impl Journal {
                 .map_err(|e| e.in_context(&format!("data[{i}]")))?;
             data.push((addr, bytes));
         }
-        let mut events = Vec::new();
-        for item in get(obj, "events")?.as_arr("events")? {
-            events.push(read_event(item.as_obj("event")?)?);
+        let mut events: Vec<JournalEvent> = Vec::new();
+        for (i, item) in get(obj, "events")?.as_arr("events")?.iter().enumerate() {
+            let ev = read_event(item.as_obj("event")?)?;
+            if let Some(prev) = events.last().filter(|prev| ev.step < prev.step) {
+                return Err(JournalError::Schema(format!(
+                    "events[{i}]: step {} goes back before step {} of the event ahead of it",
+                    ev.step, prev.step
+                )));
+            }
+            events.push(ev);
         }
         let outcome = match get(obj, "outcome")? {
             Json::Null => None,

@@ -63,8 +63,8 @@ pub use replay::{
 pub use risc::{compile_risc, RiscOpts};
 pub use runner::{
     run_cx, run_cx_with, run_mc, run_mc_with, run_risc, run_risc_deadline, run_risc_injected,
-    run_risc_resumed, run_risc_with, snapshot_risc_prefix, CodegenError, InjectOutcome,
-    InjectReport, InjectSetupError, TimedOutcome,
+    run_risc_on, run_risc_resumed, run_risc_with, setup_risc, snapshot_risc_prefix, CodegenError,
+    InjectOutcome, InjectReport, InjectSetupError, TimedOutcome,
 };
 pub use supervise::{
     run_risc_supervised, SupervisorConfig, SupervisorOutcome, SupervisorReport, DEFAULT_CKPT_EVERY,

@@ -3,10 +3,11 @@
 //! [`record_risc_injected`] runs a campaign exactly like
 //! [`run_risc_injected`](crate::run_risc_injected) while writing a
 //! [`Journal`] of every applied perturbation, keyed by **step index** (the
-//! count of pre-step points — trap and interrupt delivery steps retire no
-//! instruction, so instruction indices are not unique keys).
+//! count of machine steps before it — trap and interrupt delivery steps
+//! retire no instruction, so instruction indices are not unique keys).
 //! [`replay_journal`] re-executes a journal bit for bit without any PRNG:
-//! it applies the recorded events at the recorded steps. The two must
+//! the journal is the event source of the same step loop, applying the
+//! recorded events before the recorded steps. The two must
 //! agree on outcome signature, instruction count, and per-cause trap
 //! counts — `tests/checkpoint_replay.rs` enforces this across every
 //! workload and many seeds.
@@ -16,11 +17,10 @@
 //! the same outcome signature.
 
 use crate::runner::{
-    run_risc_deadline, setup_injected_cpu, InjectOutcome, InjectReport, InjectSetupError,
+    run_risc_deadline, run_steps, setup_risc, InjectOutcome, InjectReport, InjectSetupError,
+    Source, Stepper,
 };
-use risc1_core::{
-    Halt, InjectConfig, Journal, JournalEvent, Program, RecordedOutcome, SimConfig, JOURNAL_VERSION,
-};
+use risc1_core::{InjectConfig, Journal, JournalEvent, Program, RecordedOutcome, SimConfig};
 
 /// The stable textual identity of an outcome: `halt <result>` for a clean
 /// halt, or the fault's Display string. Fault Display deliberately omits
@@ -69,17 +69,9 @@ pub fn record_risc_injected(
     .finished()
     .expect("a run without a deadline cannot time out");
     let journal = Journal {
-        version: JOURNAL_VERSION,
-        seed: inject.seed,
-        rate: inject.rate,
-        recovery,
-        cfg,
-        words: prog.words.clone(),
-        entry_offset: prog.entry_offset,
-        data: prog.data.clone(),
-        args: args.to_vec(),
         events,
         outcome: Some(recorded_outcome(&report)),
+        ..Journal::new(prog, args, cfg, Some(inject), recovery)
     };
     Ok((journal, report))
 }
@@ -92,40 +84,11 @@ pub fn record_risc_injected(
 /// under its configuration.
 pub fn replay_journal(journal: &Journal) -> Result<InjectReport, InjectSetupError> {
     let prog = journal.program();
-    let mut cpu = setup_injected_cpu(&prog, &journal.args, journal.cfg.clone(), journal.recovery)?;
-    let mut next = 0usize; // index of the next journal event to apply
-    let mut applied = Vec::new();
-    let mut step: u64 = 0;
-    let outcome = loop {
-        while let Some(ev) = journal.events.get(next) {
-            if ev.step != step {
-                break;
-            }
-            Journal::apply_event(&mut cpu, ev.kind);
-            applied.push(risc1_core::InjectEvent {
-                at_instruction: cpu.stats().instructions,
-                kind: ev.kind,
-            });
-            next += 1;
-            cpu.note_journal_position(next as u64);
-        }
-        let halt = cpu.step();
-        step += 1;
-        match halt {
-            Ok(Halt::Running) => {}
-            Ok(Halt::Returned) => {
-                break InjectOutcome::Halted {
-                    result: cpu.result(),
-                }
-            }
-            Err(error) => break InjectOutcome::Faulted { error },
-        }
-    };
-    Ok(InjectReport {
-        outcome,
-        stats: cpu.stats(),
-        events: applied,
-    })
+    let mut cpu = setup_risc(&prog, &journal.args, journal.cfg.clone(), journal.recovery)?;
+    let stepper = Stepper::new(Source::Journal(&journal.events), None);
+    Ok(run_steps(&mut cpu, stepper, None)
+        .finished()
+        .expect("a run without a deadline cannot time out"))
 }
 
 /// Shrinks a journal to a 1-minimal subset of its events that still
@@ -269,19 +232,7 @@ mod tests {
     fn replay_without_events_equals_clean_run() {
         let prog = sum_program();
         let (clean, stats) = crate::run_risc(&prog, &[25]).unwrap();
-        let journal = Journal {
-            version: JOURNAL_VERSION,
-            seed: 0,
-            rate: 0,
-            recovery: false,
-            cfg: SimConfig::default(),
-            words: prog.words.clone(),
-            entry_offset: prog.entry_offset,
-            data: prog.data.clone(),
-            args: vec![25],
-            events: vec![],
-            outcome: None,
-        };
+        let journal = Journal::new(&prog, &[25], SimConfig::default(), None, false);
         let report = replay_journal(&journal).unwrap();
         assert_eq!(report.outcome, InjectOutcome::Halted { result: clean });
         assert_eq!(report.stats, stats);

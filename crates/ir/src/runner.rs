@@ -9,7 +9,7 @@ use risc1_core::inject::RECOVERY_STUB_BASE;
 use risc1_core::snapshot::RestoreError;
 use risc1_core::{
     Cpu, Deadline, ExecError, ExecStats, FaultInjector, Halt, InjectConfig, InjectEvent,
-    JournalEvent, Program, SimConfig, Snapshot,
+    InjectKind, JournalEvent, Program, SimConfig, Snapshot,
 };
 use risc1_m68::{McBuildError, McConfig, McCpu, McProgram, McStats};
 use std::fmt;
@@ -85,15 +85,8 @@ pub fn run_risc_with(
             risc1_lint::render_text(&diags)
         );
     }
-    let mut cpu = Cpu::new(cfg);
-    cpu.load_program(prog).expect("program fits memory");
-    cpu.set_args(args);
-    // Mirror the arguments into the ARGV area for uniformity with CX.
-    for (i, &a) in args.iter().enumerate() {
-        let _ = cpu
-            .mem
-            .load_image(ARGV_BASE + 4 * i as u32, &(a as u32).to_le_bytes());
-    }
+    let mut cpu =
+        setup_risc(prog, args, cfg, false).expect("program fits memory, at most 6 arguments");
     cpu.run()?;
     Ok((cpu.result(), cpu.stats()))
 }
@@ -227,14 +220,11 @@ impl TimedOutcome {
     }
 }
 
-/// The one injector step loop behind [`run_risc_injected`],
-/// [`record_risc_injected`](crate::record_risc_injected) and the serve
-/// layer: optional injection (`None` runs the pristine program), an
-/// optional wall-clock [`Deadline`] polled between steps (every
-/// [`DEADLINE_POLL_STEPS`] steps, so the check never perturbs the
-/// machine), and an optional sink for a [`Journal`](risc1_core::Journal)'s
-/// step-keyed events — the sink is caller-owned so events survive even if
-/// the caller later has to abandon the run.
+/// [`run_risc_injected`] under an optional wall-clock [`Deadline`] and an
+/// optional sink for a [`Journal`](risc1_core::Journal)'s step-keyed
+/// events — `inject: None` runs the pristine program. The sink is
+/// caller-owned so events survive even if the caller later has to abandon
+/// the run. This is [`setup_risc`] followed by [`run_risc_on`].
 ///
 /// When the deadline does not fire, the returned report is bit-identical
 /// to [`run_risc_injected`] of the same `(prog, args, cfg, inject,
@@ -250,74 +240,44 @@ pub fn run_risc_deadline(
     inject: Option<InjectConfig>,
     recovery: bool,
     deadline: Option<Deadline>,
-    mut journal_events: Option<&mut Vec<JournalEvent>>,
+    journal_events: Option<&mut Vec<JournalEvent>>,
 ) -> Result<TimedOutcome, InjectSetupError> {
-    let mut cpu = setup_injected_cpu(prog, args, cfg, recovery)?;
-    let Some(inject) = inject else {
-        return Ok(run_polled(&mut cpu, deadline));
-    };
-    // The injector acts before every step, so an injected run takes them
-    // one at a time.
-    let mut injector = FaultInjector::new(inject);
-    let mut step: u64 = 0;
-    let outcome = loop {
-        if let Some(d) = deadline {
-            if Deadline::should_poll(step) && d.expired() {
-                return Ok(TimedOutcome::TimedOut {
-                    stats: cpu.stats(),
-                    events: injector.events().to_vec(),
-                });
-            }
-        }
-        let before = injector.events().len();
-        injector.pre_step(&mut cpu);
-        // At most one event per pre_step; detect it by length (some modes
-        // bail without applying anything, e.g. an empty wstack region).
-        if injector.events().len() > before {
-            if let Some(sink) = journal_events.as_deref_mut() {
-                let ev = injector.events()[before];
-                sink.push(JournalEvent {
-                    step,
-                    at_instruction: ev.at_instruction,
-                    kind: ev.kind,
-                });
-            }
-        }
-        let halt = cpu.step();
-        step += 1;
-        match halt {
-            Ok(Halt::Running) => {}
-            Ok(Halt::Returned) => {
-                break InjectOutcome::Halted {
-                    result: cpu.result(),
-                }
-            }
-            Err(error) => break InjectOutcome::Faulted { error },
-        }
-    };
-    Ok(TimedOutcome::Finished(InjectReport {
-        outcome,
-        stats: cpu.stats(),
-        events: injector.events().to_vec(),
-    }))
+    let mut cpu = setup_risc(prog, args, cfg, recovery)?;
+    Ok(run_risc_on(&mut cpu, inject, deadline, journal_events))
 }
 
-/// Runs an uninjected machine to its end, consulting `deadline` at the
-/// same poll points as the one-step loop: before step 0 and after every
-/// [`DEADLINE_POLL_STEPS`] steps. Batching with [`Cpu::step_n`] between
-/// polls is exact — it executes the same step units as that many
-/// [`Cpu::step`] calls, and nothing outside an uninjected run arms a probe
-/// or raises an interrupt — so halts, faults, fuel-vs-deadline tie-breaks
-/// and timed-out statistics are those of the one-step loop.
-fn run_polled(cpu: &mut Cpu, deadline: Option<Deadline>) -> TimedOutcome {
+/// Runs a machine arranged by [`setup_risc`] to its end through the one
+/// step loop every RISC I run takes: injected from `inject` when set, polling
+/// `deadline` before step 0 and after every [`DEADLINE_POLL_STEPS`] steps
+/// (so the check never perturbs the machine), and pushing each applied
+/// event into `journal_events` as it happens. The machine is left as the
+/// run ended, for callers that inspect more than its statistics.
+pub fn run_risc_on(
+    cpu: &mut Cpu,
+    inject: Option<InjectConfig>,
+    deadline: Option<Deadline>,
+    journal_events: Option<&mut Vec<JournalEvent>>,
+) -> TimedOutcome {
+    let source = inject.map_or(Source::Clean, |c| Source::Dice(FaultInjector::new(c)));
+    run_steps(cpu, Stepper::new(source, journal_events), deadline)
+}
+
+/// Runs `cpu` to its end under `stepper`, consulting `deadline` at the
+/// poll points of a one-step loop: before step 0 and after every
+/// [`DEADLINE_POLL_STEPS`] steps.
+pub(crate) fn run_steps(
+    cpu: &mut Cpu,
+    mut stepper: Stepper<'_>,
+    deadline: Option<Deadline>,
+) -> TimedOutcome {
     let outcome = loop {
         if deadline.is_some_and(|d| d.expired()) {
             return TimedOutcome::TimedOut {
                 stats: cpu.stats(),
-                events: Vec::new(),
+                events: stepper.applied,
             };
         }
-        match cpu.step_n(DEADLINE_POLL_STEPS) {
+        match stepper.run(cpu, DEADLINE_POLL_STEPS) {
             Ok(Halt::Running) => {}
             Ok(Halt::Returned) => {
                 break InjectOutcome::Halted {
@@ -330,8 +290,118 @@ fn run_polled(cpu: &mut Cpu, deadline: Option<Deadline>) -> TimedOutcome {
     TimedOutcome::Finished(InjectReport {
         outcome,
         stats: cpu.stats(),
-        events: Vec::new(),
+        events: stepper.applied,
     })
+}
+
+/// Where a run's perturbations come from.
+pub(crate) enum Source<'a> {
+    /// Nowhere: a clean run.
+    Clean,
+    /// The dice of a seeded injector.
+    Dice(FaultInjector),
+    /// A recorded journal's step-keyed events.
+    Journal(&'a [JournalEvent]),
+}
+
+/// The one RISC I step loop, behind every run, replay and supervised
+/// segment. Its definition is a loop that, before each step, applies the
+/// event due at that step (if any) and then calls [`Cpu::step`] once. It
+/// runs as [`Cpu::step_n`] batches instead, cut only before a step that is
+/// due an event. That is exact: a batch of `n` executes the same step
+/// units as `n` calls to `step`, nothing inside a batch arms a probe or
+/// raises an interrupt, and an injector's die rolls read no machine state,
+/// so they can be rolled ahead of the steps they belong to.
+pub(crate) struct Stepper<'a> {
+    source: Source<'a>,
+    /// Index of the next step: steps taken since reset.
+    step: u64,
+    /// Journal events applied so far (the cursor into `Source::Journal`).
+    next: usize,
+    /// The perturbations applied so far, in order.
+    pub(crate) applied: Vec<InjectEvent>,
+    sink: Option<&'a mut Vec<JournalEvent>>,
+}
+
+impl<'a> Stepper<'a> {
+    pub(crate) fn new(source: Source<'a>, sink: Option<&'a mut Vec<JournalEvent>>) -> Self {
+        Stepper {
+            source,
+            step: 0,
+            next: 0,
+            applied: Vec::new(),
+            sink,
+        }
+    }
+
+    /// Takes up to `n` steps, each preceded by its event if one is due;
+    /// ends early at a halt or fault, exactly as [`Cpu::step_n`] does.
+    pub(crate) fn run(&mut self, cpu: &mut Cpu, n: u64) -> Result<Halt, ExecError> {
+        let end = self.step + n;
+        while self.step < end {
+            let quiet = self.quiet_steps(end - self.step);
+            let halt = cpu.step_n(quiet)?;
+            self.step += quiet;
+            if halt == Halt::Returned {
+                return Ok(halt);
+            }
+            if self.step < end {
+                self.fire(cpu);
+                self.step += 1;
+                if cpu.step_n(1)? == Halt::Returned {
+                    return Ok(Halt::Returned);
+                }
+            }
+        }
+        Ok(Halt::Running)
+    }
+
+    /// How many of the next `max` steps are due no event.
+    fn quiet_steps(&mut self, max: u64) -> u64 {
+        match &mut self.source {
+            Source::Clean => max,
+            Source::Dice(injector) => injector.quiet_steps(max),
+            Source::Journal(events) => events
+                .get(self.next)
+                .map_or(max, |ev| ev.step.saturating_sub(self.step).min(max)),
+        }
+    }
+
+    /// Applies the events due before step `self.step`. A journal event
+    /// whose step has already passed — only a journal built in memory can
+    /// hold one, [`Journal::from_json`](risc1_core::Journal::from_json)
+    /// rejects it — goes in here too, rather than never.
+    fn fire(&mut self, cpu: &mut Cpu) {
+        if let Source::Dice(injector) = &mut self.source {
+            if let Some(kind) = injector.draw(cpu) {
+                self.apply(cpu, kind);
+            }
+        } else if let Source::Journal(events) = self.source {
+            while let Some(ev) = events.get(self.next).filter(|ev| ev.step <= self.step) {
+                self.next += 1;
+                self.apply(cpu, ev.kind);
+            }
+        }
+    }
+
+    fn apply(&mut self, cpu: &mut Cpu, kind: InjectKind) {
+        kind.apply(cpu);
+        let at_instruction = cpu.stats().instructions;
+        self.applied.push(InjectEvent {
+            at_instruction,
+            kind,
+        });
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink.push(JournalEvent {
+                step: self.step,
+                at_instruction,
+                kind,
+            });
+        }
+        // Keep the CPU's replay context current: a terminal fault reports
+        // how many events had been applied when it struck.
+        cpu.note_journal_position(self.applied.len() as u64);
+    }
 }
 
 /// Warm start: restores `snap` into a fresh CPU and runs the remaining
@@ -354,7 +424,7 @@ pub fn run_risc_resumed(
 ) -> Result<TimedOutcome, RestoreError> {
     let mut cpu = Cpu::new(snap.config().clone());
     cpu.restore(snap)?;
-    Ok(run_polled(&mut cpu, deadline))
+    Ok(run_risc_on(&mut cpu, None, deadline, None))
 }
 
 /// Captures a checksummed snapshot of a pristine (no-injection) run after
@@ -374,19 +444,23 @@ pub fn snapshot_risc_prefix(
     recovery: bool,
     steps: u64,
 ) -> Result<Snapshot, InjectSetupError> {
-    let mut cpu = setup_injected_cpu(prog, args, cfg, recovery)?;
+    let mut cpu = setup_risc(prog, args, cfg, recovery)?;
     // `step_n` stops where `steps` calls to `step` would: after the last
     // of them, or earlier at a halt or fault.
     let _ = cpu.step_n(steps);
     Ok(cpu.snapshot())
 }
 
-/// Arranges a CPU for an injected / recorded / replayed / supervised run:
-/// loads the program, sets register + ARGV-mirror arguments, and (when
-/// `recovery` is set) installs the per-cause recovery stubs at
-/// [`RECOVERY_STUB_BASE`]. Shared by every injection-flavoured entry point
-/// so they all start from bit-identical machines.
-pub(crate) fn setup_injected_cpu(
+/// Arranges a CPU for a RISC I run: loads the program, sets register +
+/// ARGV-mirror arguments, and (when `recovery` is set) installs the
+/// per-cause recovery stubs at [`RECOVERY_STUB_BASE`]. Every entry point —
+/// plain, injected, recorded, replayed, supervised, and `risc1 run` —
+/// starts from the machine this builds.
+///
+/// # Errors
+/// [`InjectSetupError`] when the image does not fit memory or more than
+/// six arguments are given.
+pub fn setup_risc(
     prog: &Program,
     args: &[i32],
     cfg: SimConfig,

@@ -1,8 +1,10 @@
 //! Supervised execution: periodic checkpoints, a watchdog budget, and
 //! rollback-to-last-checkpoint with bounded exponential-backoff retry.
 //!
-//! The supervisor wraps the injected run loop of
-//! [`run_risc_injected`](crate::run_risc_injected) with three mechanisms:
+//! The supervisor is policy around instruction-bounded segments of the
+//! step loop of [`run_risc_injected`](crate::run_risc_injected): it stops
+//! the loop at every point where a one-step-at-a-time supervisor would act,
+//! and adds three mechanisms there:
 //!
 //! 1. **Checkpoint every N instructions** via an incremental
 //!    [`Checkpointer`] (dirty pages only; cost modeled deterministically
@@ -10,7 +12,7 @@
 //! 2. **Rollback and retry**: a structured fault rolls the machine back to
 //!    the last checkpoint and retries with a *fresh injector stream*
 //!    (derived from the campaign seed and the attempt number) and an
-//!    exponential **backoff** — injection is suppressed for
+//!    exponential **backoff** — the injector rolls no die for
 //!    `backoff_base << (attempt-1)` steps after each rollback, modelling a
 //!    supervisor that eases off a struggling machine. Retries are bounded
 //!    by `max_retries`; past that the fault surfaces.
@@ -31,7 +33,8 @@
 //! Everything is deterministic: same program, arguments, configuration
 //! and campaign — same attempts, same rollbacks, same outcome.
 
-use crate::runner::{setup_injected_cpu, InjectSetupError};
+use crate::runner::{setup_risc, InjectSetupError, Source, Stepper};
+use risc1_core::deadline::DEADLINE_POLL_STEPS;
 use risc1_core::{
     CheckpointStats, Checkpointer, Deadline, ExecError, ExecStats, FaultInjector, Halt,
     InjectConfig, InjectEvent, Program, SimConfig,
@@ -47,15 +50,15 @@ pub struct SupervisorConfig {
     pub ckpt_every: u64,
     /// Maximum rollback-and-retry attempts after the first run.
     pub max_retries: u32,
-    /// Backoff unit: after the k-th rollback, injection is suppressed for
-    /// `backoff_base << (k-1)` steps (shift saturating at 16).
+    /// Backoff unit: after the k-th rollback, the injector rolls no die
+    /// for `backoff_base << (k-1)` steps (shift saturating at 16).
     pub backoff_base: u64,
     /// Total instruction budget across all attempts (discarded work
     /// included). `None` leaves only the per-run fuel limit.
     pub watchdog_fuel: Option<u64>,
     /// Wall-clock deadline across all attempts, polled between steps
-    /// (every [`risc1_core::deadline::DEADLINE_POLL_STEPS`] steps, so it
-    /// never perturbs the simulated machine). `None` leaves the run
+    /// (at least every [`DEADLINE_POLL_STEPS`] steps, so it never perturbs
+    /// the simulated machine). `None` leaves the run
     /// unbounded in host time. Setting it trades determinism of the
     /// *outcome kind* for liveness — the serve layer's per-job watchdog.
     pub deadline: Option<Deadline>,
@@ -134,16 +137,22 @@ impl SupervisorReport {
     }
 }
 
-/// The injector stream for attempt `k` (1-based) of a campaign: attempt 1
-/// uses the campaign seed verbatim; each retry re-derives a fresh,
-/// deterministic stream so a retry never replays the exact perturbation
-/// sequence that just killed the machine.
-fn attempt_injector(base: InjectConfig, attempt: u32) -> FaultInjector {
-    let mut cfg = base;
-    cfg.seed = base
-        .seed
-        .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(attempt - 1)));
-    FaultInjector::new(cfg)
+/// The step loop of attempt `k` (1-based) of a campaign: attempt 1 uses
+/// the campaign seed verbatim; each retry re-derives a fresh,
+/// deterministic injector stream, so a retry never replays the exact
+/// perturbation sequence that just killed the machine, and holds its dice
+/// for the `backoff` steps after the rollback.
+fn attempt_stepper(base: Option<InjectConfig>, attempt: u32, backoff: u64) -> Stepper<'static> {
+    let source = base.map_or(Source::Clean, |base| {
+        let mut cfg = base;
+        cfg.seed = base
+            .seed
+            .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(attempt - 1)));
+        let mut injector = FaultInjector::new(cfg);
+        injector.hold(backoff);
+        Source::Dice(injector)
+    });
+    Stepper::new(source, None)
 }
 
 /// Runs a compiled RISC I program under supervision: periodic incremental
@@ -162,41 +171,48 @@ pub fn run_risc_supervised(
     recovery: bool,
     sup: SupervisorConfig,
 ) -> Result<SupervisorReport, InjectSetupError> {
-    let mut cpu = setup_injected_cpu(prog, args, cfg, recovery)?;
+    let mut cpu = setup_risc(prog, args, cfg, recovery)?;
     let mut ckpt = Checkpointer::new(&mut cpu);
     let baseline = ckpt.latest().clone();
-    let mut injector = inject.map(|c| attempt_injector(c, 1));
     let mut attempts: u32 = 1;
+    let mut stepper = attempt_stepper(inject, attempts, 0);
     let mut rollbacks: u32 = 0;
     let mut escalations: u32 = 0;
     let mut lost: u64 = 0;
-    let mut suppress: u64 = 0;
     let mut prev_fault_at: Option<u64> = None;
     let mut events: Vec<InjectEvent> = Vec::new();
 
-    let mut polls: u64 = 0;
+    // Steps taken across all attempts; the deadline is polled whenever
+    // this crosses a multiple of DEADLINE_POLL_STEPS.
+    let mut steps: u64 = 0;
     let outcome = loop {
+        // Every step retires at most one instruction, so a segment no
+        // longer than the instructions left to the watchdog budget and to
+        // the next checkpoint ends at or before either: both act at a
+        // segment boundary, where a one-step supervisor would act.
         let retired = cpu.stats().instructions;
+        let mut segment = DEADLINE_POLL_STEPS - steps % DEADLINE_POLL_STEPS;
         if let Some(budget) = sup.watchdog_fuel {
-            if retired + lost >= budget {
-                break SupervisorOutcome::WatchdogExpired;
+            match budget.checked_sub(retired + lost) {
+                Some(0) | None => break SupervisorOutcome::WatchdogExpired,
+                Some(left) => segment = segment.min(left),
             }
         }
         if let Some(d) = sup.deadline {
-            if Deadline::should_poll(polls) && d.expired() {
+            if Deadline::should_poll(steps) && d.expired() {
                 break SupervisorOutcome::DeadlineExceeded;
             }
         }
-        polls += 1;
-        if retired >= ckpt.latest().at_instruction() + sup.ckpt_every {
+        let mut next_ckpt = ckpt.latest().at_instruction() + sup.ckpt_every;
+        if retired >= next_ckpt {
             ckpt.checkpoint(&mut cpu);
+            next_ckpt = retired + sup.ckpt_every;
         }
-        if suppress > 0 {
-            suppress -= 1;
-        } else if let Some(inj) = injector.as_mut() {
-            inj.pre_step(&mut cpu);
-        }
-        match cpu.step() {
+        segment = segment.min((next_ckpt - retired).max(1));
+        // A fault ends a segment early; counting the whole segment keeps
+        // the deadline polled at least every DEADLINE_POLL_STEPS steps.
+        steps += segment;
+        match stepper.run(&mut cpu, segment) {
             Ok(Halt::Running) => {}
             Ok(Halt::Returned) => {
                 break SupervisorOutcome::Halted {
@@ -204,9 +220,7 @@ pub fn run_risc_supervised(
                 }
             }
             Err(error) => {
-                if let Some(inj) = &injector {
-                    events.extend_from_slice(inj.events());
-                }
+                events.append(&mut stepper.applied);
                 if attempts > sup.max_retries {
                     break SupervisorOutcome::Faulted { error };
                 }
@@ -231,17 +245,13 @@ pub fn run_risc_supervised(
                 }
                 rollbacks += 1;
                 attempts += 1;
-                injector = inject.map(|c| attempt_injector(c, attempts));
-                suppress = sup.backoff_base << u64::from((attempts - 2).min(16));
+                let backoff = sup.backoff_base << u64::from((attempts - 2).min(16));
+                stepper = attempt_stepper(inject, attempts, backoff);
             }
         }
     };
-    if let Some(inj) = &injector {
-        // Events of the final (non-faulting) attempt.
-        if !matches!(outcome, SupervisorOutcome::Faulted { .. }) {
-            events.extend_from_slice(inj.events());
-        }
-    }
+    // Events of the final attempt (empty if it faulted: taken above).
+    events.append(&mut stepper.applied);
     Ok(SupervisorReport {
         outcome,
         stats: cpu.stats(),

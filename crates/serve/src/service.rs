@@ -38,7 +38,7 @@ use crate::job::{JobKey, JobMode, JobOutput, JobSpec};
 use crate::queue::{Overloaded, QueueDepth, QueueSet};
 use crate::wal::{replay_wal, WalRecord, WalWriter};
 use risc1_core::json::{get, Parser};
-use risc1_core::{Deadline, Journal, JournalEvent, TrapKind, JOURNAL_VERSION};
+use risc1_core::{Deadline, Journal, JournalEvent, TrapKind};
 use risc1_ir::{
     default_threads, parallel_map, recorded_outcome, run_risc_deadline, run_risc_resumed,
     run_risc_supervised, SupervisorConfig, TimedOutcome,
@@ -781,17 +781,15 @@ fn build_journal(
     report: &risc1_ir::InjectReport,
 ) -> Journal {
     Journal {
-        version: JOURNAL_VERSION,
-        seed: spec.inject.map_or(0, |i| i.seed),
-        rate: spec.inject.map_or(0, |i| i.rate),
-        recovery: spec.recovery,
-        cfg: spec.cfg.clone(),
-        words: spec.program.words.clone(),
-        entry_offset: spec.program.entry_offset,
-        data: spec.program.data.clone(),
-        args: spec.args.clone(),
         events,
         outcome: Some(recorded_outcome(report)),
+        ..Journal::new(
+            &spec.program,
+            &spec.args,
+            spec.cfg.clone(),
+            spec.inject,
+            spec.recovery,
+        )
     }
 }
 
@@ -815,17 +813,14 @@ fn journal_panic(
     key: JobKey,
 ) -> Option<String> {
     let journal = Journal {
-        version: JOURNAL_VERSION,
-        seed: spec.inject.map_or(0, |i| i.seed),
-        rate: spec.inject.map_or(0, |i| i.rate),
-        recovery: spec.recovery,
-        cfg: spec.cfg.clone(),
-        words: spec.program.words.clone(),
-        entry_offset: spec.program.entry_offset,
-        data: spec.program.data.clone(),
-        args: spec.args.clone(),
         events,
-        outcome: None,
+        ..Journal::new(
+            &spec.program,
+            &spec.args,
+            spec.cfg.clone(),
+            spec.inject,
+            spec.recovery,
+        )
     };
     std::fs::create_dir_all(dir).ok()?;
     let path = format!(

@@ -18,18 +18,22 @@
 //! 3. **Supervision rescues**: at least one workload that terminates with
 //!    a structured fault under plain injection completes cleanly under
 //!    the supervisor's rollback-and-retry.
+//!
+//! Beside the laws, the batched supervisor is held to its definition: a
+//! supervisor that checks its policy before every step and takes one
+//! `Cpu::step` at a time.
 
 use proptest::prelude::*;
 use risc1::core::inject::{InjectConfig, InjectModes};
-use risc1::core::{Cpu, ExecEngine, Halt, Program, SimConfig};
+use risc1::core::{Cpu, ExecEngine, FaultInjector, Halt, InjectEvent, Program, SimConfig};
 use risc1::ir::layout::ARGV_BASE;
 use risc1::ir::{
-    compile_risc, minimize_journal, record_risc_injected, recorded_outcome, replay_journal,
-    run_risc, run_risc_injected, run_risc_supervised, RiscOpts, SupervisorConfig,
-    SupervisorOutcome,
+    compile_risc, default_threads, minimize_journal, parallel_map, record_risc_injected,
+    recorded_outcome, replay_journal, run_risc, run_risc_injected, run_risc_supervised, seed_jobs,
+    setup_risc, RiscOpts, SupervisorConfig, SupervisorOutcome, SupervisorReport,
 };
 use risc1::workloads::all;
-use risc1::Journal;
+use risc1::{Checkpointer, Journal, JournalError};
 use std::sync::OnceLock;
 
 /// One compiled workload: id, program, args, clean result, fuel-bounded
@@ -368,4 +372,183 @@ fn supervision_rescues_a_faulting_workload() {
     let (id, seed, attempts) = rescued
         .expect("no faulting campaign was rescued by rollback-and-retry across the whole sweep");
     assert!(attempts >= 2, "{id} seed {seed}: rescue implies a retry");
+}
+
+/// A recorded journal whose steps go backwards is rejected when parsed,
+/// naming the offending event — replaying it could never apply the events
+/// after the swap.
+#[test]
+fn a_journal_with_swapped_steps_is_rejected() {
+    let w = suite()
+        .iter()
+        .find(|w| w.id == "qsort")
+        .expect("suite workload");
+    let icfg = InjectConfig {
+        seed: 1,
+        rate: 400,
+        modes: InjectModes::transparent(),
+    };
+    let (mut journal, _) =
+        record_risc_injected(&w.prog, &w.args, w.cfg.clone(), icfg, true).expect("setup");
+    assert!(journal.events.len() >= 3, "enough events to swap a pair");
+    journal.events.swap(1, 2);
+    match Journal::from_json(&journal.to_json()) {
+        Err(JournalError::Schema(msg)) => assert!(msg.contains("events[2]"), "{msg}"),
+        other => panic!("a backwards step must be a schema error, got {other:?}"),
+    }
+}
+
+/// The definition the batched supervisor is held to: before every step,
+/// the watchdog and checkpoint policy, then (outside the backoff) one die
+/// roll and its event, then one `Cpu::step`.
+fn one_step_supervisor(
+    w: &Compiled,
+    cfg: SimConfig,
+    inject: Option<InjectConfig>,
+    sup: SupervisorConfig,
+) -> SupervisorReport {
+    let injector_for = |attempt: u32| {
+        inject.map(|base| {
+            FaultInjector::new(InjectConfig {
+                seed: base
+                    .seed
+                    .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(u64::from(attempt - 1))),
+                ..base
+            })
+        })
+    };
+    let mut cpu = setup_risc(&w.prog, &w.args, cfg, true).expect("setup is valid");
+    let mut ckpt = Checkpointer::new(&mut cpu);
+    let baseline = ckpt.latest().clone();
+    let mut injector = injector_for(1);
+    let (mut attempts, mut rollbacks, mut escalations) = (1u32, 0u32, 0u32);
+    let (mut lost, mut suppress) = (0u64, 0u64);
+    let mut prev_fault_at: Option<u64> = None;
+    let (mut events, mut attempt_events) = (Vec::new(), Vec::new());
+    let outcome = loop {
+        let retired = cpu.stats().instructions;
+        if sup
+            .watchdog_fuel
+            .is_some_and(|budget| retired + lost >= budget)
+        {
+            break SupervisorOutcome::WatchdogExpired;
+        }
+        if retired >= ckpt.latest().at_instruction() + sup.ckpt_every {
+            ckpt.checkpoint(&mut cpu);
+        }
+        if suppress > 0 {
+            suppress -= 1;
+        } else if let Some(inj) = injector.as_mut() {
+            if inj.quiet_steps(1) == 0 {
+                if let Some(kind) = inj.draw(&cpu) {
+                    kind.apply(&mut cpu);
+                    attempt_events.push(InjectEvent {
+                        at_instruction: cpu.stats().instructions,
+                        kind,
+                    });
+                    cpu.note_journal_position(attempt_events.len() as u64);
+                }
+            }
+        }
+        match cpu.step() {
+            Ok(Halt::Running) => {}
+            Ok(Halt::Returned) => {
+                break SupervisorOutcome::Halted {
+                    result: cpu.result(),
+                }
+            }
+            Err(error) => {
+                events.append(&mut attempt_events);
+                if attempts > sup.max_retries {
+                    break SupervisorOutcome::Faulted { error };
+                }
+                let fault_at = cpu.stats().instructions;
+                let stuck = prev_fault_at.is_some_and(|prev| fault_at <= prev);
+                prev_fault_at = if stuck { None } else { Some(fault_at) };
+                let restored = if stuck {
+                    escalations += 1;
+                    lost += fault_at - baseline.at_instruction();
+                    ckpt.revert_to(&mut cpu, &baseline)
+                } else {
+                    lost += fault_at.saturating_sub(ckpt.latest().at_instruction());
+                    ckpt.rollback(&mut cpu)
+                };
+                if restored.is_err() {
+                    break SupervisorOutcome::Faulted { error };
+                }
+                rollbacks += 1;
+                attempts += 1;
+                injector = injector_for(attempts);
+                suppress = sup.backoff_base << (attempts - 2).min(16);
+            }
+        }
+    };
+    events.append(&mut attempt_events);
+    SupervisorReport {
+        outcome,
+        stats: cpu.stats(),
+        attempts,
+        rollbacks,
+        escalations,
+        lost_instructions: lost,
+        checkpoints: ckpt.stats(),
+        events,
+    }
+}
+
+/// The batched supervisor — policy applied between instruction-bounded
+/// segments of the one step loop — equals the one-step supervisor on every
+/// workload, engine tier and seed, with the sweep covering rollbacks,
+/// escalations and watchdog expiries.
+#[test]
+fn batched_supervisor_equals_the_one_step_supervisor() {
+    let jobs: Vec<(usize, usize, u64)> = seed_jobs(suite().len(), 8)
+        .into_iter()
+        .flat_map(|(wi, seed)| (0..ENGINES.len()).map(move |e| (wi, e, seed)))
+        .collect();
+    let tallies = parallel_map(&jobs, default_threads(), |_, &(wi, e, seed)| {
+        let w = &suite()[wi];
+        // Seed classes: a drizzle, a storm (rollbacks and escalations), a
+        // storm against a watchdog budget, and no injection at all.
+        let rate = if seed % 4 == 0 { w.rate } else { 2000 };
+        let inject = (seed % 4 != 3).then_some(InjectConfig {
+            seed,
+            rate,
+            modes: InjectModes::all(),
+        });
+        let sup = SupervisorConfig {
+            ckpt_every: (w.instructions / 8).max(200),
+            max_retries: if seed % 4 == 2 { u32::MAX } else { 12 },
+            backoff_base: if seed % 4 == 2 { 1 } else { 64 },
+            watchdog_fuel: (seed % 4 == 2).then_some(w.instructions * 2),
+            deadline: None,
+        };
+        let cfg = cfg_on(w, ENGINES[e]);
+        let want = one_step_supervisor(w, cfg.clone(), inject, sup);
+        let got = run_risc_supervised(&w.prog, &w.args, cfg, inject, true, sup).expect("setup");
+        let ctx = format!("{} {:?} seed {seed}", w.id, ENGINES[e]);
+        assert_eq!(got.outcome, want.outcome, "{ctx}: outcome");
+        assert_eq!(got.stats, want.stats, "{ctx}: stats");
+        assert_eq!(
+            (got.attempts, got.rollbacks, got.escalations),
+            (want.attempts, want.rollbacks, want.escalations),
+            "{ctx}: attempts, rollbacks, escalations"
+        );
+        assert_eq!(got.lost_instructions, want.lost_instructions, "{ctx}: lost");
+        assert_eq!(got.checkpoints, want.checkpoints, "{ctx}: checkpoints");
+        assert_eq!(got.events, want.events, "{ctx}: events");
+        (
+            want.rollbacks,
+            want.escalations,
+            want.outcome == SupervisorOutcome::WatchdogExpired,
+        )
+    });
+    let rollbacks: u32 = tallies.iter().map(|t| t.0).sum();
+    let escalations: u32 = tallies.iter().map(|t| t.1).sum();
+    let expiries = tallies.iter().filter(|t| t.2).count();
+    assert!(
+        rollbacks > 0 && escalations > 0 && expiries > 0,
+        "the sweep must roll back ({rollbacks}), escalate ({escalations}) and \
+         expire a watchdog ({expiries})"
+    );
 }

@@ -9,10 +9,10 @@
 //! disassemblers to the same no-panic bar on arbitrary input.
 
 use risc1::core::inject::{InjectConfig, InjectModes};
-use risc1::core::{ExecError, SimConfig, TrapKind};
+use risc1::core::{ExecEngine, ExecError, FaultInjector, Halt, InjectEvent, SimConfig, TrapKind};
 use risc1::ir::{
-    compile_risc, default_threads, parallel_map, record_risc_injected, run_risc, run_risc_injected,
-    seed_jobs, InjectOutcome, RiscOpts,
+    compile_risc, default_threads, parallel_map, record_risc_injected, replay_journal, run_risc,
+    run_risc_injected, seed_jobs, setup_risc, InjectOutcome, InjectReport, RiscOpts,
 };
 use risc1::workloads::all;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -107,6 +107,98 @@ fn trichotomy_holds_for_all_workloads_across_32_seeds() {
     assert!(
         faulted > 0,
         "some campaigns must fault (else nothing was injected)"
+    );
+}
+
+/// The definition the batched step loop is held to: before every step,
+/// one die roll and, when it comes up, the drawn event; then one
+/// `Cpu::step`. Returns the report and each event's step index.
+fn one_step_at_a_time(
+    w: &Compiled,
+    cfg: SimConfig,
+    icfg: InjectConfig,
+    recovery: bool,
+) -> (InjectReport, Vec<u64>) {
+    let mut cpu = setup_risc(&w.prog, &w.args, cfg, recovery).expect("setup is valid");
+    let mut injector = FaultInjector::new(icfg);
+    let mut events = Vec::new();
+    let mut steps = Vec::new();
+    for step in 0u64.. {
+        if injector.quiet_steps(1) == 0 {
+            if let Some(kind) = injector.draw(&cpu) {
+                kind.apply(&mut cpu);
+                events.push(InjectEvent {
+                    at_instruction: cpu.stats().instructions,
+                    kind,
+                });
+                steps.push(step);
+                cpu.note_journal_position(events.len() as u64);
+            }
+        }
+        let outcome = match cpu.step() {
+            Ok(Halt::Running) => continue,
+            Ok(Halt::Returned) => InjectOutcome::Halted {
+                result: cpu.result(),
+            },
+            Err(error) => InjectOutcome::Faulted { error },
+        };
+        let report = InjectReport {
+            outcome,
+            stats: cpu.stats(),
+            events,
+        };
+        return (report, steps);
+    }
+    unreachable!("the fuel limit ends every run")
+}
+
+/// The batched injector — dice rolled ahead, quiet steps run as one
+/// `Cpu::step_n` — equals the one-step loop on every workload, engine
+/// tier, seed and rate: the full report (outcome, statistics, applied
+/// events) and the journal's step keys. Replaying that journal, the same
+/// loop's other event source, gives the same report again.
+#[test]
+fn batched_injection_equals_the_one_step_loop() {
+    const ENGINES: [ExecEngine; 4] = [
+        ExecEngine::Uncached,
+        ExecEngine::Cached,
+        ExecEngine::Superblock,
+        ExecEngine::Trace,
+    ];
+    let suite = compiled_suite();
+    // Every workload on every tier under sixteen seeds: eight at the
+    // sweep's rate, eight at a ten-times storm, recovery alternating.
+    let jobs: Vec<(usize, usize, u64)> = seed_jobs(suite.len(), 16)
+        .into_iter()
+        .flat_map(|(wi, seed)| (0..ENGINES.len()).map(move |e| (wi, e, seed)))
+        .collect();
+    let events = parallel_map(&jobs, default_threads(), |_, &(wi, e, seed)| {
+        let w = &suite[wi];
+        let cfg = SimConfig {
+            engine: ENGINES[e],
+            ..w.cfg.clone()
+        };
+        let icfg = InjectConfig {
+            seed,
+            rate: if seed < 8 { w.rate } else { w.rate * 10 },
+            modes: InjectModes::all(),
+        };
+        let recovery = seed % 2 == 0;
+        let (want, want_steps) = one_step_at_a_time(w, cfg.clone(), icfg, recovery);
+        let (journal, got) =
+            record_risc_injected(&w.prog, &w.args, cfg, icfg, recovery).expect("setup is valid");
+        let ctx = format!("{} {:?} seed {seed}", w.id, ENGINES[e]);
+        assert_eq!(got, want, "{ctx}: report");
+        let got_steps: Vec<u64> = journal.events.iter().map(|ev| ev.step).collect();
+        assert_eq!(got_steps, want_steps, "{ctx}: journal step keys");
+        let replayed = replay_journal(&journal).expect("replay sets up");
+        assert_eq!(replayed, want, "{ctx}: the journal as event source");
+        want.events.len()
+    });
+    assert!(
+        events.iter().sum::<usize>() > jobs.len(),
+        "the campaigns must actually inject: {} events",
+        events.iter().sum::<usize>()
     );
 }
 
