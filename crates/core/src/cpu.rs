@@ -1799,8 +1799,8 @@ impl Cpu {
         }
     }
 
-    /// Services a window overflow: 16 stores to the save stack. Returns the
-    /// cycles consumed.
+    /// Services a window overflow: 16 stores to the save stack, pushed as
+    /// one frame. Returns the cycles consumed.
     ///
     /// Program-initiated spills (`emergency == false`) keep one frame of
     /// head-room free below themselves — the emergency reserve that lets
@@ -1814,31 +1814,32 @@ impl Cpu {
             });
         }
         let saved = self.regs.spill_oldest();
-        for v in saved {
-            self.wstack_ptr -= 4;
-            let ptr = self.wstack_ptr;
-            self.mem
-                .write_u32(ptr, v)
-                .map_err(|err| SpillFail::Mem(ExecError::Mem { pc: self.pc, err }))?;
+        if let Err(err) = self.mem.push_frame(self.wstack_ptr, &saved) {
+            // The pointer stops at the faulting word, as a push made word
+            // by word would leave it.
+            self.wstack_ptr = err.addr();
+            return Err(SpillFail::Mem(ExecError::Mem { pc: self.pc, err }));
         }
+        self.wstack_ptr -= frame;
         self.stats.data_writes += SPILL_REGS as u64;
         let cost = self.cfg.trap_overhead_cycles + SPILL_REGS as u64 * 2;
         self.stats.trap_cycles += cost;
         Ok(cost)
     }
 
-    /// Services a window underflow: 16 loads from the save stack. Returns
-    /// the cycles consumed.
+    /// Services a window underflow: 16 loads from the save stack, popped
+    /// as one frame. Returns the cycles consumed.
     fn fill_window(&mut self, pc: u32) -> Result<u64, ExecError> {
-        let mut regs = [0u32; SPILL_REGS];
-        for slot in regs.iter_mut().rev() {
-            let ptr = self.wstack_ptr;
-            *slot = self
-                .mem
-                .read_u32(ptr)
-                .map_err(|err| ExecError::Mem { pc, err })?;
-            self.wstack_ptr += 4;
-        }
+        let regs = match self.mem.pop_frame(self.wstack_ptr) {
+            Ok(regs) => regs,
+            Err(err) => {
+                // The pointer stops at the faulting word, as a pop made word
+                // by word would leave it.
+                self.wstack_ptr = err.addr();
+                return Err(ExecError::Mem { pc, err });
+            }
+        };
+        self.wstack_ptr += SPILL_REGS as u32 * 4;
         self.regs.fill_previous(regs);
         self.stats.data_reads += SPILL_REGS as u64;
         let cost = self.cfg.trap_overhead_cycles + SPILL_REGS as u64 * 2;
@@ -1924,7 +1925,7 @@ fn spill_event(pc: u32, f: SpillFail) -> StepEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::PAGE_BYTES;
+    use crate::mem::{MemTraffic, HOST_PAGE_BYTES, PAGE_BYTES};
     use risc1_isa::{Cond, Short2};
 
     fn imm(v: i32) -> Short2 {
@@ -2792,6 +2793,140 @@ mod tests {
                     assert!(cpu.stats().traces_built >= 1, "loop promoted");
                     assert_eq!(traces, last + 1, "the loop's page");
                 }
+            }
+        }
+    }
+
+    /// `sum(n) = n + sum(n - 1)`, entered with `n = depth`: `depth + 1`
+    /// nested calls, then as many returns, leaving `sum(depth)`.
+    fn recursion(depth: i32) -> Vec<Instruction> {
+        vec![
+            /* 0 */ Instruction::reg(Opcode::Add, Reg::R10, Reg::R0, imm(depth)),
+            /* 1 */ Instruction::callr(Reg::R25, 4 * (6 - 1)),
+            /* 2 */ Instruction::nop(),
+            /* 3 */ Instruction::reg(Opcode::Add, Reg::R26, Reg::R0, Reg::R10.into()),
+            /* 4 */ Instruction::ret(Reg::R0, imm(0)),
+            /* 5 */ Instruction::nop(),
+            /* 6 sum */ Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R26, imm(0)),
+            /* 7 */ Instruction::jmpr(Cond::Eq, 4 * (13 - 7)),
+            /* 8 */ Instruction::nop(),
+            /* 9 */ Instruction::reg(Opcode::Sub, Reg::R10, Reg::R26, imm(1)),
+            /* 10 */ Instruction::callr(Reg::R25, 4 * (6 - 10)),
+            /* 11 */ Instruction::nop(),
+            /* 12 */ Instruction::reg(Opcode::Add, Reg::R26, Reg::R26, Reg::R10.into()),
+            /* 13 */ Instruction::ret(Reg::R25, imm(8)),
+            /* 14 */ Instruction::nop(),
+        ]
+    }
+
+    /// A default machine running `recursion(depth)`, its window save
+    /// stack starting at `window_stack_top`.
+    fn recursing(window_stack_top: u32, depth: i32) -> Cpu {
+        let mut cpu = Cpu::new(SimConfig {
+            window_stack_top,
+            ..SimConfig::default()
+        });
+        cpu.load_program(&Program::from_instructions(recursion(depth)))
+            .unwrap();
+        cpu
+    }
+
+    // The faults, addresses, traffic and snapshot checksums pinned below
+    // were recorded with spills and fills that moved one word at a time;
+    // the frame transfers must reproduce every one of them.
+
+    #[test]
+    fn a_spill_onto_a_misaligned_or_out_of_range_save_stack_faults_at_its_first_word() {
+        for (top, err, checksum) in [
+            (
+                0xf_0002,
+                MemError::Misaligned {
+                    addr: 0xe_fffe,
+                    width: 4,
+                },
+                0x7d57_f564_bdc3_f89b,
+            ),
+            (
+                0x10_0002,
+                MemError::Misaligned {
+                    addr: 0xf_fffe,
+                    width: 4,
+                },
+                0x79f3_df8a_9f2a_380b,
+            ),
+            (
+                0x10_0040,
+                MemError::OutOfRange {
+                    addr: 0x10_003c,
+                    width: 4,
+                },
+                0x50df_3aa2_b59a_6fe1,
+            ),
+        ] {
+            let mut cpu = recursing(top, 12);
+            assert_eq!(
+                cpu.run(),
+                Err(ExecError::Mem { pc: 0x1028, err }),
+                "top {top:#x}"
+            );
+            assert_eq!(cpu.mem.traffic(), MemTraffic::default(), "stores nothing");
+            assert_eq!(cpu.wstack_ptr, err.addr(), "stops at the faulting word");
+            assert_eq!(cpu.snapshot().checksum(), checksum, "top {top:#x}");
+        }
+    }
+
+    #[test]
+    fn a_fill_that_runs_off_the_end_of_memory_reads_the_words_below_it() {
+        let mut cpu = recursing(0xf_0000, 12);
+        while cpu.stats().rets == 0 {
+            cpu.step().unwrap();
+        }
+        assert_eq!(cpu.stats().window_overflows, 7, "spilled frames to refill");
+        // A warm-start snapshot can carry any save-stack pointer: restore
+        // does not check it against memory.
+        cpu.wstack_ptr = cpu.cfg.mem_bytes as u32 - 32;
+        let err = MemError::OutOfRange {
+            addr: 0x10_0000,
+            width: 4,
+        };
+        assert_eq!(cpu.run(), Err(ExecError::Mem { pc: 0x1034, err }));
+        assert_eq!(
+            cpu.mem.traffic(),
+            MemTraffic {
+                reads: 8,
+                writes: 112
+            }
+        );
+        assert_eq!(cpu.wstack_ptr, 0x10_0000);
+        assert_eq!(cpu.snapshot().checksum(), 0xa187_b6bf_740c_b81b);
+    }
+
+    #[test]
+    fn frames_straddling_a_host_page_or_ending_memory_round_trip() {
+        // (save-stack top, depth, result, frames spilled, checksum)
+        for (top, depth, sum, frames, checksum) in [
+            (0xf_0010, 20, 210, 15, 0x0466_9cab_b0fd_0b87),
+            (0xf_0020, 20, 210, 15, 0x28fa_a730_963c_e5d4),
+            (0xf_0030, 20, 210, 15, 0x7686_6cce_642e_23b2),
+            (0x10_0000, 12, 78, 7, 0xc310_3e07_9630_710f),
+        ] {
+            let mut cpu = recursing(top, depth);
+            cpu.run().unwrap();
+            assert_eq!(cpu.result(), sum);
+            assert_eq!(cpu.stats().window_overflows, frames);
+            let words = 16 * frames;
+            assert_eq!(
+                cpu.mem.traffic(),
+                MemTraffic {
+                    reads: words,
+                    writes: words
+                }
+            );
+            assert_eq!(cpu.wstack_ptr, top, "every frame popped");
+            assert_eq!(cpu.snapshot().checksum(), checksum, "top {top:#x}");
+            if top % 64 != 0 {
+                let first = (top as usize - 64) / HOST_PAGE_BYTES;
+                assert_eq!(first + 1, top as usize / HOST_PAGE_BYTES, "straddles");
             }
         }
     }

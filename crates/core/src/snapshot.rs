@@ -100,6 +100,29 @@ pub fn page_sum(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+/// [`page_sum`] of a full page of zeros (absorbing a zero byte is one
+/// multiply): the digest of every page in a host page nothing has written.
+const ZERO_PAGE_SUM: u64 = {
+    let mut h = Fnv64::OFFSET;
+    let mut i = 0;
+    while i < PAGE_BYTES {
+        h = h.wrapping_mul(Fnv64::PRIME);
+        i += 1;
+    }
+    h
+};
+
+/// [`page_sum`] of page `idx` of `mem`, without hashing a full page that
+/// lies in an unwritten host page.
+fn mem_page_sum(mem: &Memory, idx: usize) -> u64 {
+    let page = mem.page(idx);
+    if page.len() == PAGE_BYTES && !mem.page_is_resident(idx) {
+        ZERO_PAGE_SUM
+    } else {
+        page_sum(page)
+    }
+}
+
 /// The register/state half of a snapshot: every field of the processor
 /// except memory. Captured and applied by `Cpu::capture_state` /
 /// `Cpu::apply_state` (the fields are module-private to `cpu`).
@@ -341,7 +364,7 @@ impl Snapshot {
         let state = cpu.capture_state();
         let mem = cpu.mem.clone();
         let page_sums = (0..mem.page_count())
-            .map(|i| page_sum(mem.page(i)))
+            .map(|i| mem_page_sum(&mem, i))
             .collect();
         let mut snap = Snapshot {
             version: SNAPSHOT_VERSION,
@@ -445,7 +468,8 @@ impl Snapshot {
 
     /// Serializes the snapshot into the current position of `w` as one
     /// JSON object. Memory is sparse — only pages with a nonzero byte are
-    /// emitted — so snapshots of mostly-empty address spaces stay small.
+    /// emitted, and pages in unwritten host pages are skipped unscanned —
+    /// so snapshots of mostly-empty address spaces stay small and cheap.
     pub fn write_json(&self, w: &mut Writer) {
         w.obj_open();
         w.key("version");
@@ -470,6 +494,9 @@ impl Snapshot {
         w.key("pages");
         w.arr_open();
         for idx in 0..self.mem.page_count() {
+            if !self.mem.page_is_resident(idx) {
+                continue;
+            }
             let page = self.mem.page(idx);
             if page.iter().all(|&b| b == 0) {
                 continue;
@@ -662,7 +689,7 @@ impl Snapshot {
         // derivable); byte corruption then lands in `verify()` as a
         // checksum mismatch rather than a trusted-but-wrong digest.
         let page_sums = (0..mem.page_count())
-            .map(|i| page_sum(mem.page(i)))
+            .map(|i| mem_page_sum(&mem, i))
             .collect();
         Ok(Snapshot {
             version,
@@ -970,9 +997,8 @@ impl Checkpointer {
         let mut pages_copied = 0u64;
         for idx in cpu.mem.dirty_pages() {
             self.snap.mem.sync_page_from(&cpu.mem, idx);
-            let page = self.snap.mem.page(idx);
-            bytes += page.len() as u64;
-            self.snap.page_sums[idx] = page_sum(page);
+            bytes += self.snap.mem.page(idx).len() as u64;
+            self.snap.page_sums[idx] = mem_page_sum(&self.snap.mem, idx);
             pages_copied += 1;
         }
         self.snap.mem.set_traffic(cpu.mem.traffic());
@@ -1065,6 +1091,15 @@ mod tests {
         let mut cpu = Cpu::new(SimConfig::default());
         cpu.load_program(&loop_program()).unwrap();
         cpu
+    }
+
+    #[test]
+    fn the_zero_page_sum_is_the_digest_of_a_zero_page() {
+        assert_eq!(ZERO_PAGE_SUM, page_sum(&[0; PAGE_BYTES]));
+        // A short last page inside an unwritten host page is hashed.
+        let mem = Memory::new(PAGE_BYTES + 8);
+        assert_eq!(mem_page_sum(&mem, 0), ZERO_PAGE_SUM);
+        assert_eq!(mem_page_sum(&mem, 1), page_sum(&[0; 8]));
     }
 
     #[test]
