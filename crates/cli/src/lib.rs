@@ -23,6 +23,8 @@
 //!   [--fetch <addr> --job <id>]  pull the journal in chunks from a running
 //!                                serve instance instead of a local file
 //! risc1 trace <file.s> [args…]   execute with the pipeline timing diagram
+//!                                of the first 64 retirements (run's flags,
+//!                                but not --supervise)
 //! risc1 bench <workload>         one suite workload: RISC I vs CX cycles,
 //!   [--engine <tier>]            CPI and code size (host-time benchmarking
 //!                                lives in perfbench/)
@@ -41,6 +43,7 @@
 //! never panics.
 
 use risc1_asm::{assemble, disassemble};
+use risc1_core::cpu::RECORDER_ROWS;
 use risc1_core::{Deadline, ExecEngine, InjectConfig, Journal, SimConfig, TrapKind};
 use risc1_ir::{
     minimize_journal, recorded_outcome, replay_journal, run_risc_on, run_risc_supervised,
@@ -120,7 +123,9 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
                                 instance over TCP (sequence-numbered
                                 chunks) instead of reading a local file
        [--job <id>]             the service job id to fetch (with --fetch)
-  risc1 trace <file.s> [args…]  execute with a pipeline diagram
+  risc1 trace <file.s> [args…]  execute with a pipeline diagram of the
+                                first 64 retirements (takes run's flags
+                                except --supervise)
   risc1 bench <workload-id>     run one suite workload on RISC I and CX:
                                 instructions, cycles, CPI, speedup and
                                 code size (simulated; reads no clock)
@@ -354,10 +359,12 @@ fn cmd_run(path: &str, rest: &[String], trace: bool) -> CliResult {
     let src = read(path)?;
     let prog = assemble(&src).map_err(|e| e.to_string())?;
     let opts = parse_run_opts(rest)?;
-    let mut cfg = SimConfig {
-        record_trace: trace,
-        ..SimConfig::default()
-    };
+    if trace && opts.supervise {
+        return Err("trace does not take --supervise (the diagram follows one \
+                    unsupervised run)"
+            .to_string());
+    }
+    let mut cfg = SimConfig::default();
     if let Some(fuel) = opts.fuel {
         cfg.fuel = fuel;
     }
@@ -375,6 +382,9 @@ fn cmd_run(path: &str, rest: &[String], trace: bool) -> CliResult {
     }
     let mut cpu =
         setup_risc(&prog, &opts.args, cfg.clone(), recovery).map_err(|e| e.to_string())?;
+    if trace {
+        cpu.record_retired();
+    }
     let deadline = opts.timeout_ms.map(Deadline::after_ms);
     let mut recorded = Vec::new();
     let sink = opts.record.is_some().then_some(&mut recorded);
@@ -428,7 +438,7 @@ fn cmd_run(path: &str, rest: &[String], trace: bool) -> CliResult {
         let _ = writeln!(
             out,
             "\n{}",
-            risc1_core::pipeline::render_timing(cpu.trace(), 64)
+            risc1_core::pipeline::render_timing(cpu.retired(), RECORDER_ROWS)
         );
     }
     Ok(out)
@@ -821,6 +831,9 @@ mod tests {
         assert!(dispatch(&s(&["run", p, "40", "--engine"])).is_err());
         let trace = dispatch(&s(&["trace", p, "40", "--engine", "cached"])).unwrap();
         assert!(trace.contains('E'));
+        // A supervised run draws no diagram, so `trace` refuses the flag.
+        let err = dispatch(&s(&["trace", p, "40", "--supervise"])).unwrap_err();
+        assert!(err.contains("--supervise"), "{err}");
         let bad = dispatch(&s(&["run", p, "x"]));
         assert!(bad.is_err());
     }

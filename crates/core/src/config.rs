@@ -58,9 +58,6 @@ pub struct SimConfig {
     /// [`crate::ExecError`]s unless handlers are installed one by one via
     /// [`crate::Cpu::set_trap_handler`].
     pub trap_base: Option<u32>,
-    /// Record a full retired-instruction trace (needed only by the pipeline
-    /// diagram experiment; costs memory).
-    pub record_trace: bool,
     /// Which execution engine drives the interpreter loop. Purely a speed
     /// knob: architectural state, statistics and trap behaviour are
     /// bit-identical across all four tiers, which the `interp_equivalence`
@@ -179,7 +176,6 @@ impl Default for SimConfig {
             forwarding: true,
             fuel: 200_000_000,
             trap_base: None,
-            record_trace: false,
             engine: ExecEngine::Trace,
             fusion: FusionConfig::default(),
         }
@@ -211,8 +207,9 @@ impl SimConfig {
     /// is this view: [`crate::Cpu::restore`] accepts a snapshot whose
     /// configuration differs from the CPU's only in those two fields, and
     /// [`crate::snapshot::config_hash`] — the config part of the serve
-    /// dedup key — hashes this view. Every other field is architectural,
-    /// `record_trace` included, because it changes the captured state.
+    /// dedup key — hashes this view. A [`crate::Snapshot`] stores only this
+    /// view, so its checksum and JSON never depend on the tier that ran
+    /// the machine. Every other field is architectural.
     pub fn architectural(&self) -> SimConfig {
         SimConfig {
             engine: ExecEngine::default(),

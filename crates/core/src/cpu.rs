@@ -75,10 +75,6 @@ pub enum ExecError {
         first: TrapKind,
         /// The fault that arrived inside the handler.
         second: TrapKind,
-        /// Where to pick the failure up again: the last checkpoint taken
-        /// and the journal position reached, when a checkpointer and/or
-        /// recorder was attached to this CPU.
-        ctx: ReplayContext,
     },
 }
 
@@ -139,12 +135,7 @@ impl fmt::Display for ExecError {
             ExecError::WindowStackOverflow { ptr } => {
                 write!(f, "window-save stack overflow at {ptr:#010x}")
             }
-            // `ctx` is deliberately not rendered: the Display string is the
-            // stable outcome signature that record–replay and journal
-            // minimization compare across runs.
-            ExecError::DoubleFault {
-                pc, first, second, ..
-            } => write!(
+            ExecError::DoubleFault { pc, first, second } => write!(
                 f,
                 "double fault at pc {pc:#010x}: {second} trap while servicing {first}"
             ),
@@ -153,19 +144,6 @@ impl fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
-
-/// Replay coordinates attached to a terminal fault: which snapshot the
-/// execution could be resumed from and how far into the recorded journal it
-/// had progressed. Both are `None` when no checkpointer or journal was
-/// attached — a bare `Cpu::run` loses nothing it ever had.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReplayContext {
-    /// Id of the last snapshot taken (see [`crate::snapshot::Checkpointer`]).
-    pub snapshot: Option<u64>,
-    /// Number of journal events applied when the fault hit (an index into
-    /// the recorded event list).
-    pub journal_pos: Option<u64>,
-}
 
 /// Byte stride between trap vectors when a vectored table is configured
 /// via [`SimConfig::trap_base`]: four instruction words per vector, enough
@@ -236,7 +214,12 @@ enum SpillFail {
     Mem(ExecError),
 }
 
-/// One retired instruction in the optional execution trace.
+/// Rows the retirement recorder keeps: the first this many instructions a
+/// machine retires once [`Cpu::record_retired`] arms it — the prefix the
+/// pipeline diagrams of `risc1 trace` and E11 draw.
+pub const RECORDER_ROWS: usize = 64;
+
+/// One retired instruction, as the retirement recorder saw it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Retired {
     /// Address the instruction was fetched from.
@@ -267,7 +250,6 @@ pub struct Cpu {
     last_write: Option<(PhysId, bool)>,
     halted: bool,
     stats: ExecStats,
-    trace: Vec<Retired>,
     interrupt_handler: Option<u32>,
     interrupt_pending: bool,
     trap_handlers: [Option<u32>; TrapKind::COUNT],
@@ -280,13 +262,11 @@ pub struct Cpu {
     /// Runtime fuel limit; starts at [`SimConfig::fuel`] and can be
     /// tightened (fault-injection "fuel jitter").
     fuel_limit: u64,
-    /// Id of the last snapshot taken of this CPU (set by the checkpoint
-    /// machinery via [`Cpu::note_checkpoint`]); attached to terminal
-    /// double faults.
-    last_snapshot: Option<u64>,
-    /// Journal position (events applied so far) noted by the fault
-    /// injector or replayer via [`Cpu::note_journal_position`].
-    journal_pos: Option<u64>,
+    /// The retirement recorder ([`Cpu::record_retired`]): `None` until
+    /// armed, then at most [`RECORDER_ROWS`] rows. A host-side observer, so
+    /// like the caches below it is absent from [`CpuState`], snapshots and
+    /// every checksum.
+    retired: Option<Vec<Retired>>,
     /// Predecoded instruction cache — *derived* state only (rebuilt from
     /// memory on demand), so it is deliberately absent from
     /// [`CpuState`]/snapshots/journals and from every checksum.
@@ -331,15 +311,13 @@ impl Cpu {
             last_write: None,
             halted: false,
             stats: ExecStats::new(),
-            trace: Vec::new(),
             interrupt_handler: None,
             interrupt_pending: false,
             trap_handlers,
             active_trap: None,
             pending_probe: None,
             fuel_limit,
-            last_snapshot: None,
-            journal_pos: None,
+            retired: None,
             icache,
             blocks,
             traces,
@@ -517,7 +495,8 @@ impl Cpu {
     }
 
     /// Restores this CPU to a snapshot's exact state. The snapshot may
-    /// come from any engine tier or fusion setting; this CPU keeps its own.
+    /// come from any engine tier or fusion setting; this CPU keeps its own,
+    /// and its retirement recorder too.
     ///
     /// # Errors
     /// [`RestoreError`] when the snapshot's version or machine
@@ -525,27 +504,6 @@ impl Cpu {
     /// checksum no longer verifies.
     pub fn restore(&mut self, snap: &Snapshot) -> Result<(), RestoreError> {
         snap.restore_into(self)
-    }
-
-    /// Records that a snapshot with the given id was just taken — called
-    /// by the checkpoint machinery so terminal faults can carry their
-    /// resume point (see [`ReplayContext`]).
-    pub fn note_checkpoint(&mut self, id: u64) {
-        self.last_snapshot = Some(id);
-    }
-
-    /// Records the journal position (events applied so far) — called by
-    /// the fault injector and the replayer after each applied event.
-    pub fn note_journal_position(&mut self, pos: u64) {
-        self.journal_pos = Some(pos);
-    }
-
-    /// The replay coordinates attached to terminal faults.
-    pub fn replay_context(&self) -> ReplayContext {
-        ReplayContext {
-            snapshot: self.last_snapshot,
-            journal_pos: self.journal_pos,
-        }
     }
 
     /// Clones every field of the processor into a [`CpuState`] (the
@@ -562,15 +520,12 @@ impl Cpu {
             last_write: self.last_write,
             halted: self.halted,
             stats: self.stats.clone(),
-            trace: self.trace.clone(),
             interrupt_handler: self.interrupt_handler,
             interrupt_pending: self.interrupt_pending,
             trap_handlers: self.trap_handlers,
             active_trap: self.active_trap,
             pending_probe: self.pending_probe,
             fuel_limit: self.fuel_limit,
-            last_snapshot: self.last_snapshot,
-            journal_pos: self.journal_pos,
         }
     }
 
@@ -586,15 +541,12 @@ impl Cpu {
         self.last_write = s.last_write;
         self.halted = s.halted;
         self.stats = s.stats.clone();
-        self.trace = s.trace.clone();
         self.interrupt_handler = s.interrupt_handler;
         self.interrupt_pending = s.interrupt_pending;
         self.trap_handlers = s.trap_handlers;
         self.active_trap = s.active_trap;
         self.pending_probe = s.pending_probe;
         self.fuel_limit = s.fuel_limit;
-        self.last_snapshot = s.last_snapshot;
-        self.journal_pos = s.journal_pos;
     }
 
     /// Statistics accumulated so far (window counters synced).
@@ -612,10 +564,28 @@ impl Cpu {
         &self.regs
     }
 
-    /// The retired-instruction trace (empty unless
-    /// [`SimConfig::record_trace`] is set).
-    pub fn trace(&self) -> &[Retired] {
-        &self.trace
+    /// Arms the retirement recorder, emptying it: the machine notes the
+    /// next [`RECORDER_ROWS`] instructions it retires, which
+    /// [`Cpu::retired`] reads back. Until the recorder is full,
+    /// [`Cpu::step_n`] takes the one-step path, so every row is one
+    /// instruction seen alone; after that, execution is back at full speed.
+    /// The recorder observes the machine without being part of it:
+    /// snapshots, restores and checksums neither see nor touch it.
+    pub fn record_retired(&mut self) {
+        self.retired = Some(Vec::with_capacity(RECORDER_ROWS));
+    }
+
+    /// The rows the retirement recorder holds, oldest first (empty unless
+    /// [`Cpu::record_retired`] armed it).
+    pub fn retired(&self) -> &[Retired] {
+        self.retired.as_deref().unwrap_or_default()
+    }
+
+    /// Whether the retirement recorder is armed and not yet full.
+    fn recorder_wants_rows(&self) -> bool {
+        self.retired
+            .as_ref()
+            .is_some_and(|rows| rows.len() < RECORDER_ROWS)
     }
 
     /// Whether the program has halted.
@@ -664,14 +634,16 @@ impl Cpu {
     pub fn step_n(&mut self, n: u64) -> Result<Halt, ExecError> {
         let mut left = n;
         while left > 0 {
-            // Slow boundary: halt, armed events and fuel exhaustion take
-            // the canonical one-step path.
+            // Slow boundary: halt, armed events, fuel exhaustion and a
+            // retirement recorder that still wants rows take the canonical
+            // one-step path.
             if self.halted {
                 return Ok(Halt::Returned);
             }
             if self.pending_probe.is_some()
                 || self.interrupt_pending
                 || self.stats.instructions >= self.fuel_limit
+                || self.recorder_wants_rows()
             {
                 if self.step()? == Halt::Returned {
                     return Ok(Halt::Returned);
@@ -719,11 +691,9 @@ impl Cpu {
     fn exec_block_burst(&mut self, burst: u64, done: &mut u64) -> Result<Halt, ExecError> {
         // The trace engine rides the superblock burst: blocks accumulate
         // heat here, and hot entries promote to compiled traces. Tracing
-        // needs the same preconditions as fusion (no hazard bookkeeping,
-        // no retirement trace), so it degrades to plain superblock
-        // execution under `--no-forwarding` or recording.
-        let tracing =
-            self.cfg.engine == ExecEngine::Trace && self.cfg.forwarding && !self.cfg.record_trace;
+        // needs the same precondition as fusion (no hazard bookkeeping),
+        // so it degrades to plain superblock execution without forwarding.
+        let tracing = self.cfg.engine == ExecEngine::Trace && self.cfg.forwarding;
         while *done < burst {
             // A delayed jump in flight means the next instruction is a
             // delay slot whose successor depends on the pending target:
@@ -891,8 +861,8 @@ impl Cpu {
     /// all).
     ///
     /// Caller guarantees: no delayed jump in flight, the whole trace fits
-    /// in `burst - *done`, and `forwarding && !record_trace` (so
-    /// `last_write` is constantly `None` and no retirement trace is due).
+    /// in `burst - *done`, and `forwarding` (so `last_write` is constantly
+    /// `None`).
     fn exec_trace_burst(&mut self, tidx: u32, burst: u64, done: &mut u64) -> Result<(), StepEvent> {
         // Borrowing the trace directly (no `Arc` clone per entry) is the
         // point of this routine's shape: all the state it touches lives in
@@ -1185,7 +1155,8 @@ impl Cpu {
         });
     }
 
-    /// Fetches, decodes and executes exactly one instruction.
+    /// Fetches, decodes and executes exactly one instruction, and hands
+    /// it to the retirement recorder if one is armed and wants rows.
     fn exec_one(&mut self) -> Result<Halt, StepEvent> {
         let pc = self.pc;
         // Fast fetch: the prepared line, when the cache can serve one
@@ -1206,7 +1177,30 @@ impl Cpu {
                 }
             }
         };
+        if self.recorder_wants_rows() {
+            return self.exec_recorded(pc, &line);
+        }
         self.exec_prepared(pc, &line)
+    }
+
+    /// [`Cpu::exec_prepared`], noting the instruction in the retirement
+    /// recorder if it retires. Out of line, so that the hot callers of
+    /// [`Cpu::exec_one`] carry no recorder state across the executor.
+    #[cold]
+    #[inline(never)]
+    fn exec_recorded(&mut self, pc: u32, line: &Line) -> Result<Halt, StepEvent> {
+        let (start_cycle, in_delay_slot) = (self.stats.cycles, self.pending_target.is_some());
+        let r = self.exec_prepared(pc, line);
+        if let (Ok(_), Some(rows)) = (&r, self.retired.as_mut()) {
+            rows.push(Retired {
+                pc,
+                insn: line.insn,
+                start_cycle,
+                cycles: self.stats.cycles - start_cycle,
+                in_delay_slot,
+            });
+        }
+        r
     }
 
     /// Executes one prepared instruction. This is the single executor body
@@ -1232,7 +1226,6 @@ impl Cpu {
             }
         }
 
-        let start_cycle = self.stats.cycles;
         let mut cycles = u64::from(line.base_cycles);
         if !self.cfg.forwarding {
             cycles += self.hazard_bubbles(&line.insn);
@@ -1378,16 +1371,6 @@ impl Cpu {
         self.last_write = new_write;
         self.last_pc = pc;
 
-        if self.cfg.record_trace {
-            self.trace.push(Retired {
-                pc,
-                insn: line.insn,
-                start_cycle,
-                cycles,
-                in_delay_slot,
-            });
-        }
-
         if halted {
             self.halted = true;
             return Ok(Halt::Returned);
@@ -1426,11 +1409,10 @@ impl Cpu {
     //
     // Each handler is the two-instruction `exec_prepared` sequence with
     // the per-instruction scaffolding collapsed. Fusion is gated (at block
-    // build time) on `forwarding && !record_trace`, so the hazard
-    // bookkeeping is a constant `last_write = None` and there is no trace
-    // push; and blocks are entered only with no delayed jump in flight, so
-    // the pair's first instruction is never in a delay slot. `pa` is the
-    // first instruction's address; `pb = pa + 4` the second's.
+    // build time) on `forwarding`, so the hazard bookkeeping is a constant
+    // `last_write = None`; and blocks are entered only with no delayed jump
+    // in flight, so the pair's first instruction is never in a delay slot.
+    // `pa` is the first instruction's address; `pb = pa + 4` the second's.
 
     /// SCC-setting ALU op + conditional JMP/JMPR reading its flags.
     /// Neither half can fault or halt.
@@ -1700,7 +1682,6 @@ impl Cpu {
                 pc: restart,
                 first,
                 second: kind,
-                ctx: self.replay_context(),
             });
         }
         let mut cycles = self.cfg.trap_overhead_cycles;
@@ -2512,7 +2493,6 @@ mod tests {
                 pc: 0x204,
                 first: TrapKind::Misaligned,
                 second: TrapKind::Misaligned,
-                ctx: ReplayContext::default(),
             }
         );
     }
@@ -2596,23 +2576,42 @@ mod tests {
         }
     }
 
+    /// The retirement recorder holds the first [`RECORDER_ROWS`]
+    /// retirements once armed. Only while it wants rows does the machine
+    /// take the one-step path, and it is no part of the machine state.
     #[test]
-    fn trace_records_when_enabled() {
-        let cfg = SimConfig {
-            record_trace: true,
-            ..SimConfig::default()
-        };
+    fn the_recorder_holds_the_first_rows_then_steps_aside() {
         let mut prog = vec![Instruction::nop()];
         prog.extend(halt_seq());
-        let cpu = run_with(cfg, prog, &[]);
+        let mut cpu = Cpu::new(SimConfig::default());
+        cpu.load_program(&Program::from_instructions(prog)).unwrap();
+        cpu.record_retired();
+        cpu.run().unwrap();
         // nop + halting ret retire; the ret's delay slot never runs because
         // the machine stops at depth 0.
-        assert_eq!(cpu.trace().len(), 2);
-        assert_eq!(cpu.trace()[0].pc, 0x1000);
-        assert!(!cpu.trace()[1].in_delay_slot);
-        // Disabled by default:
-        let cpu2 = run_program(halt_seq());
-        assert!(cpu2.trace().is_empty());
+        assert_eq!(cpu.retired().len(), 2);
+        assert_eq!(cpu.retired()[0].pc, 0x1000);
+        assert!(!cpu.retired()[1].in_delay_slot);
+        // Unarmed by default:
+        assert!(run_program(halt_seq()).retired().is_empty());
+
+        // A hot loop of 700 retirements: the first 64 are recorded one
+        // step at a time, then fusion and the trace tier take over.
+        let plain = run_program(fusion_workout());
+        let mut cpu = Cpu::new(SimConfig::default());
+        cpu.load_program(&Program::from_instructions(fusion_workout()))
+            .unwrap();
+        cpu.record_retired();
+        cpu.run().unwrap();
+        assert_eq!(cpu.retired().len(), RECORDER_ROWS);
+        assert_eq!(cpu.retired()[0].pc, 0x1000);
+        assert!(cpu.stats().fused_total() > 0, "fusion resumed");
+        assert!(cpu.stats().trace_entries > 0, "the trace tier resumed");
+        assert_eq!(cpu.stats(), plain.stats());
+        assert_eq!(cpu.snapshot().to_json(), plain.snapshot().to_json());
+        // Arming again empties the recorder.
+        cpu.record_retired();
+        assert!(cpu.retired().is_empty());
     }
 
     /// A loop dense in fusable idioms: LDHI+imm constant, ALU→load address
@@ -2831,9 +2830,12 @@ mod tests {
         cpu
     }
 
-    // The faults, addresses, traffic and snapshot checksums pinned below
-    // were recorded with spills and fills that moved one word at a time;
-    // the frame transfers must reproduce every one of them.
+    // The faults, addresses and traffic pinned below were recorded with
+    // spills and fills that moved one word at a time; the frame transfers
+    // must reproduce every one of them. So were the snapshots, whose
+    // checksums were re-recorded once snapshots stopped storing the
+    // host-only config fields and runner bookkeeping: with those fields
+    // dropped, each snapshot's JSON is the one recorded before.
 
     #[test]
     fn a_spill_onto_a_misaligned_or_out_of_range_save_stack_faults_at_its_first_word() {
@@ -2844,7 +2846,7 @@ mod tests {
                     addr: 0xe_fffe,
                     width: 4,
                 },
-                0x7d57_f564_bdc3_f89b,
+                0x7cff_a380_8cb6_4fc6,
             ),
             (
                 0x10_0002,
@@ -2852,7 +2854,7 @@ mod tests {
                     addr: 0xf_fffe,
                     width: 4,
                 },
-                0x79f3_df8a_9f2a_380b,
+                0x5fa1_31a5_51a4_5f78,
             ),
             (
                 0x10_0040,
@@ -2860,7 +2862,7 @@ mod tests {
                     addr: 0x10_003c,
                     width: 4,
                 },
-                0x50df_3aa2_b59a_6fe1,
+                0xfbbf_b538_2d9c_c4aa,
             ),
         ] {
             let mut cpu = recursing(top, 12);
@@ -2898,17 +2900,17 @@ mod tests {
             }
         );
         assert_eq!(cpu.wstack_ptr, 0x10_0000);
-        assert_eq!(cpu.snapshot().checksum(), 0xa187_b6bf_740c_b81b);
+        assert_eq!(cpu.snapshot().checksum(), 0x9914_aeb9_7861_4f4c);
     }
 
     #[test]
     fn frames_straddling_a_host_page_or_ending_memory_round_trip() {
         // (save-stack top, depth, result, frames spilled, checksum)
         for (top, depth, sum, frames, checksum) in [
-            (0xf_0010, 20, 210, 15, 0x0466_9cab_b0fd_0b87),
-            (0xf_0020, 20, 210, 15, 0x28fa_a730_963c_e5d4),
-            (0xf_0030, 20, 210, 15, 0x7686_6cce_642e_23b2),
-            (0x10_0000, 12, 78, 7, 0xc310_3e07_9630_710f),
+            (0xf_0010, 20, 210, 15, 0xc137_4b33_0f4f_c65a),
+            (0xf_0020, 20, 210, 15, 0xe4b5_14b1_4bfd_56ed),
+            (0xf_0030, 20, 210, 15, 0xf6ef_459d_b5e4_c00f),
+            (0x10_0000, 12, 78, 7, 0xd8eb_96ae_d61c_c828),
         ] {
             let mut cpu = recursing(top, depth);
             cpu.run().unwrap();

@@ -20,6 +20,7 @@ use crate::config::{BranchModel, ExecEngine, FusionConfig, SimConfig};
 use crate::inject::{InjectConfig, InjectKind};
 use crate::json::{get, Json, JsonError, Parser, Writer};
 use crate::program::Program;
+use crate::snapshot::{MAX_SNAPSHOT_MEM_BYTES, MAX_SNAPSHOT_WINDOWS};
 use crate::trap::TrapKind;
 use std::collections::HashMap;
 use std::fmt;
@@ -54,7 +55,7 @@ impl fmt::Display for JournalEvent {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordedOutcome {
     /// Stable textual signature: `halt <result>` or the fault's Display
-    /// string (which deliberately omits replay context).
+    /// string.
     pub signature: String,
     /// Instructions retired in total.
     pub instructions: u64,
@@ -311,8 +312,6 @@ pub fn write_config(w: &mut Writer, cfg: &SimConfig) {
         None => w.null(),
         Some(b) => w.num(i128::from(b)),
     }
-    w.key("record_trace");
-    w.bool(cfg.record_trace);
     w.key("engine");
     w.str(cfg.engine.name());
     w.key("fusion");
@@ -332,14 +331,34 @@ pub fn write_config(w: &mut Writer, cfg: &SimConfig) {
 }
 
 /// Reads a [`SimConfig`] written by [`write_config`] (tolerating the
-/// documented legacy field spellings).
+/// documented legacy field spellings, and ignoring the `record_trace` flag
+/// older builds wrote).
+///
+/// Every configuration that enters from outside — a wire submit, a WAL
+/// record, a journal, a snapshot — comes through here, so this is where
+/// the sizes a machine is built from are held to their admission limits:
+/// 2 to [`MAX_SNAPSHOT_WINDOWS`] windows and at most
+/// [`MAX_SNAPSHOT_MEM_BYTES`] of memory.
 ///
 /// # Errors
-/// [`JsonError`] on a malformed or unknown field.
+/// [`JsonError`] on a malformed or unknown field, or a size outside its
+/// admission limit.
 pub fn read_config(obj: &[(String, Json)]) -> Result<SimConfig, JsonError> {
+    let windows = get(obj, "windows")?.as_usize("windows")?;
+    if !(2..=MAX_SNAPSHOT_WINDOWS).contains(&windows) {
+        return Err(JsonError::schema(&format!(
+            "windows {windows} outside 2..={MAX_SNAPSHOT_WINDOWS}"
+        )));
+    }
+    let mem_bytes = get(obj, "mem_bytes")?.as_usize("mem_bytes")?;
+    if mem_bytes > MAX_SNAPSHOT_MEM_BYTES {
+        return Err(JsonError::schema(&format!(
+            "mem_bytes {mem_bytes} exceeds the {MAX_SNAPSHOT_MEM_BYTES}-byte admission limit"
+        )));
+    }
     Ok(SimConfig {
-        windows: get(obj, "windows")?.as_u64("windows")? as usize,
-        mem_bytes: get(obj, "mem_bytes")?.as_u64("mem_bytes")? as usize,
+        windows,
+        mem_bytes,
         code_base: get(obj, "code_base")?.as_u32("code_base")?,
         stack_top: get(obj, "stack_top")?.as_u32("stack_top")?,
         window_stack_top: get(obj, "window_stack_top")?.as_u32("window_stack_top")?,
@@ -359,7 +378,6 @@ pub fn read_config(obj: &[(String, Json)]) -> Result<SimConfig, JsonError> {
             Json::Null => None,
             v => Some(v.as_u32("trap_base")?),
         },
-        record_trace: get(obj, "record_trace")?.as_bool("record_trace")?,
         engine: read_engine(obj)?,
         fusion: match get(obj, "fusion") {
             Ok(v) => {
@@ -633,6 +651,78 @@ mod tests {
             Journal::from_json("[1,2,3]"),
             Err(JournalError::Schema(_))
         ));
+        // A configuration outside the admission limits is a schema error,
+        // before anything is sized by it; the limits themselves are in.
+        let text = sample_journal().to_json();
+        let windows = "\"windows\":8";
+        let mem = "\"mem_bytes\":1048576";
+        for (from, to, ok) in [
+            (windows, "\"windows\":1", false),
+            (windows, "\"windows\":2", true),
+            (windows, "\"windows\":1024", true),
+            (windows, "\"windows\":1025", false),
+            (windows, "\"windows\":1099511627776", false),
+            (mem, "\"mem_bytes\":67108864", true),
+            (mem, "\"mem_bytes\":67108865", false),
+            (mem, "\"mem_bytes\":1152921504606846976", false),
+        ] {
+            let edited = text.replace(from, to);
+            assert_ne!(edited, text, "{from} is in the sample");
+            match Journal::from_json(&edited) {
+                Ok(_) => assert!(ok, "{to} must be refused"),
+                Err(JournalError::Schema(msg)) => assert!(!ok, "{to}: {msg}"),
+                Err(e) => panic!("{to}: expected a schema error, got {e:?}"),
+            }
+        }
+    }
+
+    /// Configurations in the spellings older builds wrote still read: the
+    /// `predecode` flag that named the engine before the superblock tier,
+    /// no `fusion` block, a `fusion` block without `alu_pair`, and the
+    /// `record_trace` flag, which is ignored (the retirement recorder is
+    /// armed on a `Cpu`, not configured).
+    #[test]
+    fn legacy_config_spellings_still_read() {
+        let j = sample_journal();
+        let text = j.to_json();
+        let fusion = ",\"fusion\":{\"cmp_branch\":true,\"ldhi_imm\":true,\
+                      \"transfer_slot\":true,\"addr_feed\":true,\"alu_pair\":true}";
+        for (from, to, engine) in [
+            (
+                "\"engine\":\"trace\"",
+                "\"predecode\":true",
+                ExecEngine::Cached,
+            ),
+            (
+                "\"engine\":\"trace\"",
+                "\"predecode\":false",
+                ExecEngine::Uncached,
+            ),
+            (fusion, "", ExecEngine::Trace),
+            (",\"alu_pair\":true", "", ExecEngine::Trace),
+            (
+                "\"engine\"",
+                "\"record_trace\":true,\"engine\"",
+                ExecEngine::Trace,
+            ),
+            (
+                "\"engine\"",
+                "\"record_trace\":false,\"engine\"",
+                ExecEngine::Trace,
+            ),
+        ] {
+            let legacy = text.replace(from, to);
+            assert_ne!(legacy, text, "{from} is in the sample");
+            let back = Journal::from_json(&legacy).unwrap_or_else(|e| panic!("{to}: {e}"));
+            let want = Journal {
+                cfg: SimConfig {
+                    engine,
+                    ..j.cfg.clone()
+                },
+                ..j.clone()
+            };
+            assert_eq!(back, want, "{to}");
+        }
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub mod trap;
 pub mod windows;
 
 pub use config::{BranchModel, ExecEngine, FusionConfig, SimConfig};
-pub use cpu::{Cpu, ExecError, Halt, ReplayContext, TooManyArgs, TRAP_VECTOR_STRIDE};
+pub use cpu::{Cpu, ExecError, Halt, TooManyArgs, TRAP_VECTOR_STRIDE};
 pub use deadline::Deadline;
 pub use icache::prepared_base_cycles;
 pub use inject::{FaultInjector, InjectConfig, InjectEvent, InjectKind, XorShift64};
@@ -63,7 +63,7 @@ pub use mem::{MemError, Memory, CODE_DIRTY_PENDING_CAP, PAGE_BYTES};
 pub use program::Program;
 pub use snapshot::{
     config_hash, page_sum, CheckpointStats, Checkpointer, RestoreError, Snapshot, CKPT_BASE_CYCLES,
-    MAX_SNAPSHOT_MEM_BYTES, MAX_SNAPSHOT_TRACE, MAX_SNAPSHOT_WINDOWS, SNAPSHOT_VERSION,
+    MAX_SNAPSHOT_MEM_BYTES, MAX_SNAPSHOT_WINDOWS, SNAPSHOT_VERSION,
 };
 pub use stats::{ExecStats, FuseKind, OpcodeCounts};
 pub use trap::{TrapCause, TrapKind};

@@ -6,9 +6,10 @@
 //! instruction is already in flight) and why loads/stores cost a second
 //! cycle (the single memory port is busy with data).
 //!
-//! This module renders the retired-instruction trace recorded by
-//! [`crate::Cpu`] as the classic timing diagram the paper uses to explain
-//! delayed jumps (experiment E11), and provides summary figures.
+//! This module renders the rows of a [`crate::Cpu`]'s retirement recorder
+//! ([`crate::Cpu::record_retired`], read back with
+//! [`crate::Cpu::retired`]) as the classic timing diagram the paper uses to
+//! explain delayed jumps (experiment E11), and provides summary figures.
 
 use crate::cpu::Retired;
 use std::fmt::Write as _;
@@ -27,7 +28,7 @@ pub struct PipelineSummary {
     pub bubble_cycles: u64,
 }
 
-/// Computes summary figures from a trace.
+/// Computes summary figures from recorded rows.
 pub fn summarize(trace: &[Retired]) -> PipelineSummary {
     let instructions = trace.len() as u64;
     let cycles: u64 = trace.iter().map(|r| r.cycles).sum();
@@ -47,7 +48,7 @@ pub fn summarize(trace: &[Retired]) -> PipelineSummary {
     }
 }
 
-/// Renders a cycle-by-cycle timing diagram of (a prefix of) the trace.
+/// Renders a cycle-by-cycle timing diagram of (a prefix of) recorded rows.
 ///
 /// Columns are cycles; each row is one retired instruction showing its
 /// overlapped fetch (`F`, one cycle before execute), any interlock bubbles
@@ -57,15 +58,15 @@ pub fn summarize(trace: &[Retired]) -> PipelineSummary {
 /// use risc1_core::{pipeline, Cpu, Program, SimConfig};
 /// use risc1_isa::{Instruction, Reg, Short2};
 ///
-/// let cfg = SimConfig { record_trace: true, ..SimConfig::default() };
-/// let mut cpu = Cpu::new(cfg);
+/// let mut cpu = Cpu::new(SimConfig::default());
 /// cpu.load_program(&Program::from_instructions(vec![
 ///     Instruction::nop(),
 ///     Instruction::ret(Reg::R25, Short2::ZERO),
 ///     Instruction::nop(),
 /// ])).unwrap();
+/// cpu.record_retired();
 /// cpu.run().unwrap();
-/// let diagram = pipeline::render_timing(cpu.trace(), 10);
+/// let diagram = pipeline::render_timing(cpu.retired(), 10);
 /// assert!(diagram.contains('E'));
 /// ```
 pub fn render_timing(trace: &[Retired], max_rows: usize) -> String {
@@ -140,15 +141,15 @@ mod tests {
 
     fn traced_run(insns: Vec<Instruction>, forwarding: bool) -> Vec<Retired> {
         let cfg = SimConfig {
-            record_trace: true,
             forwarding,
             ..SimConfig::default()
         };
         let mut cpu = Cpu::new(cfg);
         cpu.load_program(&Program::from_instructions(insns))
             .unwrap();
+        cpu.record_retired();
         cpu.run().unwrap();
-        cpu.trace().to_vec()
+        cpu.retired().to_vec()
     }
 
     fn halt_seq() -> Vec<Instruction> {

@@ -6,6 +6,12 @@
 //! was never interrupted. Every snapshot carries a format version and an
 //! FNV-1a checksum over its entire contents, verified on restore.
 //!
+//! A snapshot holds what the machine computes and nothing else: the
+//! configuration it stores is the [`SimConfig::architectural`] view, and
+//! host-side state — the engine tier and its caches, the retirement
+//! recorder — is left out. So one machine state has one checksum and one
+//! JSON rendering, whichever tier ran it.
+//!
 //! A [`Checkpointer`] makes periodic snapshots cheap: it holds one snapshot
 //! image and, at each checkpoint, copies only the memory pages written
 //! since the previous one (the [`Memory`] dirty-page map), re-hashing just
@@ -14,8 +20,8 @@
 //! reproducible in CI): a fixed [`CKPT_BASE_CYCLES`] for the register/state
 //! copy plus one cycle per memory word copied.
 
-use crate::config::{BranchModel, ExecEngine, SimConfig};
-use crate::cpu::{Cpu, PhysId, Retired};
+use crate::config::{BranchModel, SimConfig};
+use crate::cpu::{Cpu, PhysId};
 use crate::journal::{read_config, write_config};
 use crate::json::{get, Json, JsonError, Parser, Writer};
 use crate::mem::{MemTraffic, Memory, PAGE_BYTES};
@@ -23,26 +29,24 @@ use crate::stats::ExecStats;
 use crate::trap::TrapKind;
 use crate::windows::WindowFile;
 use risc1_isa::psw::Flags;
-use risc1_isa::{Instruction, Opcode};
+use risc1_isa::Opcode;
 use std::fmt;
 
 /// Snapshot format version; bumped whenever the captured state changes
 /// shape. Restore refuses snapshots from a different version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Admission limit on the simulated-memory size a *deserialized* snapshot
-/// may declare. Wire snapshots are untrusted; without this bound a
-/// one-line frame could make the server allocate arbitrary memory.
+/// Admission limit on the simulated-memory size a *deserialized*
+/// configuration may declare — in a snapshot, a journal, a wire submit or
+/// a WAL record alike ([`crate::journal::read_config`] enforces it). That
+/// input is untrusted; without this bound a one-line frame could make the
+/// server allocate arbitrary memory.
 pub const MAX_SNAPSHOT_MEM_BYTES: usize = 64 << 20;
 
-/// Admission limit on the register-window count a deserialized snapshot's
+/// Admission limit on the register-window count a deserialized
 /// configuration may declare (the paper built 8; experiments sweep a few
-/// dozen).
+/// dozen). The floor is the hardware's: a window file needs at least 2.
 pub const MAX_SNAPSHOT_WINDOWS: usize = 1024;
-
-/// Admission limit on the retired-instruction trace a deserialized
-/// snapshot may carry.
-pub const MAX_SNAPSHOT_TRACE: usize = 1 << 20;
 
 /// Modeled fixed cost of one incremental checkpoint, in cycles: the
 /// register file (138 words), the processor state words, and bookkeeping.
@@ -138,15 +142,12 @@ pub(crate) struct CpuState {
     pub(crate) last_write: Option<(PhysId, bool)>,
     pub(crate) halted: bool,
     pub(crate) stats: ExecStats,
-    pub(crate) trace: Vec<Retired>,
     pub(crate) interrupt_handler: Option<u32>,
     pub(crate) interrupt_pending: bool,
     pub(crate) trap_handlers: [Option<u32>; TrapKind::COUNT],
     pub(crate) active_trap: Option<TrapKind>,
     pub(crate) pending_probe: Option<TrapKind>,
     pub(crate) fuel_limit: u64,
-    pub(crate) last_snapshot: Option<u64>,
-    pub(crate) journal_pos: Option<u64>,
 }
 
 fn hash_opt_u64(h: &mut Fnv64, v: Option<u64>) {
@@ -198,9 +199,8 @@ fn hash_stats(h: &mut Fnv64, s: &ExecStats) {
 
 impl CpuState {
     /// Hashes every captured field: registers, pc/lastpc, PSW, window
-    /// stack, pending delayed transfer, trap unit, fuel, architectural
-    /// statistics, the retirement trace, and the last noted checkpoint id
-    /// and journal position (a restore brings those back bit-for-bit).
+    /// stack, pending delayed transfer, trap unit, fuel and architectural
+    /// statistics.
     fn hash_into(&self, h: &mut Fnv64) {
         self.regs.for_each_word(|w| h.write_u64(w));
         h.write_u64(u64::from(self.pc));
@@ -225,14 +225,6 @@ impl CpuState {
         }
         h.write_u8(u8::from(self.halted));
         hash_stats(h, &self.stats);
-        h.write_u64(self.trace.len() as u64);
-        for r in &self.trace {
-            h.write_u64(u64::from(r.pc));
-            h.write_u64(u64::from(r.insn.encode()));
-            h.write_u64(r.start_cycle);
-            h.write_u64(r.cycles);
-            h.write_u8(u8::from(r.in_delay_slot));
-        }
         hash_opt_u64(h, self.interrupt_handler.map(u64::from));
         h.write_u8(u8::from(self.interrupt_pending));
         for t in self.trap_handlers {
@@ -241,8 +233,6 @@ impl CpuState {
         hash_opt_u64(h, self.active_trap.map(|k| u64::from(k.code())));
         hash_opt_u64(h, self.pending_probe.map(|k| u64::from(k.code())));
         h.write_u64(self.fuel_limit);
-        hash_opt_u64(h, self.last_snapshot);
-        hash_opt_u64(h, self.journal_pos);
     }
 }
 
@@ -253,13 +243,12 @@ impl CpuState {
 /// the serve layer's job-dedup key.
 pub fn config_hash(cfg: &SimConfig) -> u64 {
     let mut h = Fnv64::new();
-    hash_config(&mut h, &cfg.architectural());
+    hash_config(&mut h, cfg);
     h.finish()
 }
 
-/// Hashes every field of `cfg`, host-only ones included: the snapshot
-/// checksum covers the whole stored configuration, so editing any of it
-/// is detected as corruption.
+/// Hashes the architectural fields of `cfg` — all of them but the
+/// host-only `engine` and `fusion` (see [`SimConfig::architectural`]).
 fn hash_config(h: &mut Fnv64, cfg: &SimConfig) {
     h.write_u64(cfg.windows as u64);
     h.write_u64(cfg.mem_bytes as u64);
@@ -274,20 +263,6 @@ fn hash_config(h: &mut Fnv64, cfg: &SimConfig) {
     h.write_u8(u8::from(cfg.forwarding));
     h.write_u64(cfg.fuel);
     hash_opt_u64(h, cfg.trap_base.map(u64::from));
-    h.write_u8(u8::from(cfg.record_trace));
-    h.write_u8(match cfg.engine {
-        ExecEngine::Uncached => 0,
-        ExecEngine::Cached => 1,
-        ExecEngine::Superblock => 2,
-        ExecEngine::Trace => 3,
-    });
-    h.write_u8(
-        u8::from(cfg.fusion.cmp_branch)
-            | u8::from(cfg.fusion.ldhi_imm) << 1
-            | u8::from(cfg.fusion.transfer_slot) << 2
-            | u8::from(cfg.fusion.addr_feed) << 3
-            | u8::from(cfg.fusion.alu_pair) << 4,
-    );
 }
 
 /// Why a snapshot could not be restored.
@@ -351,6 +326,7 @@ pub struct Snapshot {
     version: u32,
     id: u64,
     at_instruction: u64,
+    /// Always an [`SimConfig::architectural`] view.
     cfg: SimConfig,
     state: CpuState,
     mem: Memory,
@@ -370,7 +346,7 @@ impl Snapshot {
             version: SNAPSHOT_VERSION,
             id,
             at_instruction: state.stats.instructions,
-            cfg: cpu.config().clone(),
+            cfg: cpu.config().architectural(),
             state,
             mem,
             page_sums,
@@ -401,7 +377,9 @@ impl Snapshot {
         self.checksum
     }
 
-    /// The configuration the snapshot was captured under.
+    /// The machine the snapshot was captured on: the capturing CPU's
+    /// [`SimConfig::architectural`] view, so its host-only fields are at
+    /// their defaults.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
     }
@@ -450,7 +428,7 @@ impl Snapshot {
                 expected: SNAPSHOT_VERSION,
             });
         }
-        if cpu.config().architectural() != self.cfg.architectural() {
+        if cpu.config().architectural() != self.cfg {
             return Err(RestoreError::ConfigMismatch {
                 expected: config_hash(&self.cfg),
                 found: config_hash(cpu.config()),
@@ -578,18 +556,6 @@ impl Snapshot {
         w.bool(s.halted);
         w.key("stats");
         write_stats(w, &s.stats);
-        w.key("trace");
-        w.arr_open();
-        for r in &s.trace {
-            w.arr_open();
-            w.num(i128::from(r.pc));
-            w.num(i128::from(r.insn.encode()));
-            w.num(i128::from(r.start_cycle));
-            w.num(i128::from(r.cycles));
-            w.bool(r.in_delay_slot);
-            w.arr_close();
-        }
-        w.arr_close();
         w.key("interrupt_handler");
         write_opt_num(w, s.interrupt_handler.map(u64::from));
         w.key("interrupt_pending");
@@ -606,10 +572,6 @@ impl Snapshot {
         write_opt_num(w, s.pending_probe.map(|k| u64::from(k.code())));
         w.key("fuel_limit");
         w.num(i128::from(s.fuel_limit));
-        w.key("last_snapshot");
-        write_opt_num(w, s.last_snapshot);
-        w.key("journal_pos");
-        write_opt_num(w, s.journal_pos);
         w.obj_close();
     }
 
@@ -622,11 +584,12 @@ impl Snapshot {
 
     /// Deserializes a snapshot from a parsed JSON value. The input is
     /// untrusted: structural problems and admission-limit violations
-    /// ([`MAX_SNAPSHOT_MEM_BYTES`], [`MAX_SNAPSHOT_WINDOWS`],
-    /// [`MAX_SNAPSHOT_TRACE`]) surface as [`JsonError`] before anything
-    /// large is allocated. The stored checksum is carried as-is — call
-    /// [`Snapshot::verify`] (or restore, which verifies) to detect
-    /// byte-level corruption.
+    /// ([`MAX_SNAPSHOT_MEM_BYTES`], [`MAX_SNAPSHOT_WINDOWS`]) surface as
+    /// [`JsonError`] before anything large is allocated. The configuration
+    /// keeps its [`SimConfig::architectural`] view, so the host-only
+    /// fields of the stored one are not read into the snapshot. The stored
+    /// checksum is carried as-is — call [`Snapshot::verify`] (or restore,
+    /// which verifies) to detect byte-level corruption.
     ///
     /// # Errors
     /// [`JsonError`] on any shape or limit violation.
@@ -635,18 +598,13 @@ impl Snapshot {
         let version = get(obj, "version")?.as_u32("version")?;
         let id = get(obj, "id")?.as_u64("id")?;
         let at_instruction = get(obj, "at_instruction")?.as_u64("at_instruction")?;
-        let cfg = read_config(get(obj, "cfg")?.as_obj("cfg")?)?;
-        if cfg.windows < 2 || cfg.windows > MAX_SNAPSHOT_WINDOWS {
-            return Err(JsonError::schema(&format!(
-                "cfg.windows {} outside 2..={MAX_SNAPSHOT_WINDOWS}",
-                cfg.windows
-            )));
-        }
+        // `read_config` holds the window count and memory size to their
+        // admission limits.
+        let cfg = read_config(get(obj, "cfg")?.as_obj("cfg")?)?.architectural();
         let declared = get(obj, "mem_bytes")?.as_usize("mem_bytes")?;
-        if cfg.mem_bytes > MAX_SNAPSHOT_MEM_BYTES || declared != cfg.mem_bytes {
+        if declared != cfg.mem_bytes {
             return Err(JsonError::schema(&format!(
-                "mem_bytes {declared} (cfg {}) exceeds the {MAX_SNAPSHOT_MEM_BYTES}-byte \
-                 admission limit or disagrees with the configuration",
+                "mem_bytes {declared} disagrees with the configuration's {}",
                 cfg.mem_bytes
             )));
         }
@@ -872,32 +830,6 @@ fn read_state(v: &Json, cfg: &SimConfig) -> Result<CpuState, JsonError> {
             Some((id, get(lw, "load")?.as_bool("last_write.load")?))
         }
     };
-    let trace_raw = get(obj, "trace")?.as_arr("trace")?;
-    if trace_raw.len() > MAX_SNAPSHOT_TRACE {
-        return Err(JsonError::schema(&format!(
-            "trace holds {} entries, admission limit is {MAX_SNAPSHOT_TRACE}",
-            trace_raw.len()
-        )));
-    }
-    let mut trace = Vec::with_capacity(trace_raw.len());
-    for entry in trace_raw {
-        let t = entry.as_arr("trace entry")?;
-        if t.len() != 5 {
-            return Err(JsonError::schema(
-                "trace entry: expected [pc, word, start_cycle, cycles, delay]",
-            ));
-        }
-        let word = t[1].as_u32("trace word")?;
-        let insn = Instruction::decode(word)
-            .map_err(|e| JsonError::schema(&format!("trace word {word:#010x}: {e}")))?;
-        trace.push(Retired {
-            pc: t[0].as_u32("trace pc")?,
-            insn,
-            start_cycle: t[2].as_u64("trace start_cycle")?,
-            cycles: t[3].as_u64("trace cycles")?,
-            in_delay_slot: t[4].as_bool("trace delay")?,
-        });
-    }
     let handlers_raw = get(obj, "trap_handlers")?.as_arr("trap_handlers")?;
     if handlers_raw.len() != TrapKind::COUNT {
         return Err(JsonError::schema(&format!(
@@ -935,7 +867,6 @@ fn read_state(v: &Json, cfg: &SimConfig) -> Result<CpuState, JsonError> {
         last_write,
         halted: get(obj, "halted")?.as_bool("halted")?,
         stats: read_stats(get(obj, "stats")?)?,
-        trace,
         interrupt_handler: read_opt_u64(get(obj, "interrupt_handler")?, "interrupt_handler")?
             .map(|x| {
                 u32::try_from(x).map_err(|_| JsonError::schema("interrupt_handler out of u32"))
@@ -946,8 +877,6 @@ fn read_state(v: &Json, cfg: &SimConfig) -> Result<CpuState, JsonError> {
         active_trap: trap_kind(get(obj, "active_trap")?, "active_trap")?,
         pending_probe: trap_kind(get(obj, "pending_probe")?, "pending_probe")?,
         fuel_limit: u("fuel_limit")?,
-        last_snapshot: read_opt_u64(get(obj, "last_snapshot")?, "last_snapshot")?,
-        journal_pos: read_opt_u64(get(obj, "journal_pos")?, "journal_pos")?,
     })
 }
 
@@ -980,7 +909,6 @@ impl Checkpointer {
     /// Captures the baseline snapshot (id 1) of `cpu` and arms dirty-page
     /// tracking. Call right after program load, before execution.
     pub fn new(cpu: &mut Cpu) -> Checkpointer {
-        cpu.note_checkpoint(1);
         let snap = Snapshot::capture(cpu, 1);
         cpu.mem.clear_dirty();
         Checkpointer {
@@ -1004,7 +932,6 @@ impl Checkpointer {
         self.snap.mem.set_traffic(cpu.mem.traffic());
         self.snap.id += 1;
         cpu.mem.clear_dirty();
-        cpu.note_checkpoint(self.snap.id);
         self.snap.state = cpu.capture_state();
         self.snap.at_instruction = self.snap.state.stats.instructions;
         self.snap.checksum = self.snap.compute_checksum();
@@ -1025,7 +952,6 @@ impl Checkpointer {
     pub fn rollback(&self, cpu: &mut Cpu) -> Result<(), RestoreError> {
         self.snap.restore_into(cpu)?;
         cpu.mem.clear_dirty();
-        cpu.note_checkpoint(self.snap.id);
         Ok(())
     }
 
@@ -1042,7 +968,6 @@ impl Checkpointer {
     pub fn revert_to(&mut self, cpu: &mut Cpu, snap: &Snapshot) -> Result<(), RestoreError> {
         snap.restore_into(cpu)?;
         cpu.mem.clear_dirty();
-        cpu.note_checkpoint(snap.id());
         self.snap = snap.clone();
         Ok(())
     }
@@ -1164,10 +1089,6 @@ mod tests {
                 forwarding: false,
                 ..SimConfig::default()
             },
-            SimConfig {
-                record_trace: true,
-                ..SimConfig::default()
-            },
         ] {
             assert!(
                 matches!(
@@ -1178,24 +1099,27 @@ mod tests {
             );
         }
         // Engine tier and fusion are host-only: a CPU that differs from the
-        // capture only there restores it.
+        // capture only there restores it...
         let mut cached = Cpu::new(SimConfig {
-            engine: ExecEngine::Cached,
+            engine: crate::config::ExecEngine::Cached,
             fusion: crate::config::FusionConfig::none(),
             ..SimConfig::default()
         });
         cached.restore(&snap).unwrap();
         assert_eq!(cached.stats(), cpu.stats());
-
-        // The checksum still covers the whole stored configuration: an
-        // edited engine field is corruption, not a host-only difference.
-        let mut edited = snap.clone();
-        edited.cfg.engine = ExecEngine::Uncached;
-        assert_ne!(edited.cfg, snap.cfg, "the edit changes the stored tier");
-        assert!(matches!(
-            Cpu::new(SimConfig::default()).restore(&edited),
-            Err(RestoreError::Corrupt { .. })
-        ));
+        // ...and captures the same snapshot bit for bit: a snapshot stores
+        // only the architectural configuration, so no tier is in its
+        // checksum or its JSON.
+        assert_eq!(cached.snapshot().checksum(), snap.checksum());
+        assert_eq!(cached.snapshot().to_json(), snap.to_json());
+        // A body that names another tier reads back as the same snapshot.
+        let renamed = snap
+            .to_json()
+            .replace("\"engine\":\"trace\"", "\"engine\":\"uncached\"");
+        assert_ne!(renamed, snap.to_json());
+        let back = Snapshot::from_json(&renamed).unwrap();
+        back.verify().unwrap();
+        assert_eq!(back.to_json(), snap.to_json());
 
         // Tamper with the captured state: verification must fail.
         snap.state.pc ^= 4;

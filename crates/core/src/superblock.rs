@@ -430,11 +430,10 @@ fn reads_carry(op: Opcode) -> bool {
 /// LDHI) that the *next* pair would have fused as `addr_feed`/`cmp_branch`/
 /// `ldhi_imm`, which is why whole workloads reported zero `addr_feed`
 /// pairs. Fusion is attempted only under the default datapath (forwarding
-/// on, no trace recording): the fused handlers elide the hazard bookkeeping
-/// and trace pushes those modes need, and gating here keeps them exact
-/// rather than conditional.
+/// on): the fused handlers elide the hazard bookkeeping the interlock
+/// model needs, and gating here keeps them exact rather than conditional.
 fn fuse(lines: &[Line], cfg: &SimConfig) -> Vec<BOp> {
-    let fusable = cfg.forwarding && !cfg.record_trace;
+    let fusable = cfg.forwarding;
     let mut ops = Vec::with_capacity(lines.len());
     let mut i = 0;
     while i < lines.len() {
@@ -653,6 +652,9 @@ mod tests {
             add(Reg::R18, Reg::R0, 1),
         ]);
         let lines = collect_lines(&mem, 0).unwrap();
+        assert!(fuse(&lines, &SimConfig::default())
+            .iter()
+            .any(|op| !matches!(op, BOp::One(_))));
         let cfg = SimConfig {
             fusion: crate::config::FusionConfig::none(),
             ..SimConfig::default()
@@ -660,15 +662,15 @@ mod tests {
         assert!(fuse(&lines, &cfg)
             .iter()
             .all(|op| matches!(op, BOp::One(_))));
-        let traced = SimConfig {
-            record_trace: true,
+        let interlocked = SimConfig {
+            forwarding: false,
             ..SimConfig::default()
         };
         assert!(
-            fuse(&lines, &traced)
+            fuse(&lines, &interlocked)
                 .iter()
                 .all(|op| matches!(op, BOp::One(_))),
-            "tracing disables fusion entirely"
+            "the interlock model disables fusion entirely"
         );
     }
 

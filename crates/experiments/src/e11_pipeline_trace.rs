@@ -27,17 +27,17 @@ fn kernel() -> Vec<Instruction> {
 /// Runs the kernel and returns `(diagram, summary)` for a configuration.
 pub fn compute(forwarding: bool) -> (String, pipeline::PipelineSummary) {
     let cfg = SimConfig {
-        record_trace: true,
         forwarding,
         ..SimConfig::default()
     };
     let mut cpu = Cpu::new(cfg);
     cpu.load_program(&Program::from_instructions(kernel()))
         .expect("kernel fits");
+    cpu.record_retired();
     cpu.run().expect("kernel halts");
     (
-        pipeline::render_timing(cpu.trace(), 12),
-        pipeline::summarize(cpu.trace()),
+        pipeline::render_timing(cpu.retired(), 12),
+        pipeline::summarize(cpu.retired()),
     )
 }
 
@@ -81,11 +81,7 @@ mod tests {
 
     #[test]
     fn delay_slot_ran_and_skip_did_not() {
-        let cfg = SimConfig {
-            record_trace: true,
-            ..SimConfig::default()
-        };
-        let mut cpu = Cpu::new(cfg);
+        let mut cpu = Cpu::new(SimConfig::default());
         cpu.load_program(&Program::from_instructions(kernel()))
             .unwrap();
         cpu.run().unwrap();

@@ -23,9 +23,8 @@ use crate::runner::{
 use risc1_core::{InjectConfig, Journal, JournalEvent, Program, RecordedOutcome, SimConfig};
 
 /// The stable textual identity of an outcome: `halt <result>` for a clean
-/// halt, or the fault's Display string. Fault Display deliberately omits
-/// replay context (snapshot id / journal position), so the signature is
-/// identical between a recording and its replay.
+/// halt, or the fault's Display string, identical between a recording and
+/// its replay.
 pub fn outcome_signature(outcome: &InjectOutcome) -> String {
     match outcome {
         InjectOutcome::Halted { result } => format!("halt {result}"),
@@ -225,6 +224,18 @@ mod tests {
             let back = Journal::from_json(&journal.to_json()).unwrap();
             let again = replay_journal(&back).unwrap();
             assert_eq!(again.stats, recorded.stats, "seed {seed} via JSON");
+            // So do journals from builds that configured a retirement
+            // trace: the flag is read past.
+            let legacy = journal
+                .to_json()
+                .replace("\"engine\":", "\"record_trace\":true,\"engine\":");
+            let old = replay_journal(&Journal::from_json(&legacy).unwrap()).unwrap();
+            assert_eq!(
+                recorded_outcome(&old),
+                journal.outcome.clone().unwrap(),
+                "seed {seed} with record_trace"
+            );
+            assert_eq!(old.stats, recorded.stats, "seed {seed} with record_trace");
         }
     }
 

@@ -398,9 +398,6 @@ impl<'a> Stepper<'a> {
                 kind,
             });
         }
-        // Keep the CPU's replay context current: a terminal fault reports
-        // how many events had been applied when it struck.
-        cpu.note_journal_position(self.applied.len() as u64);
     }
 }
 
@@ -409,7 +406,9 @@ impl<'a> Stepper<'a> {
 /// same way [`run_risc_deadline`] polls). The snapshot carries the full
 /// architectural statistics of its prefix, so the finished report is
 /// bit-identical to a cold run of the same program and configuration —
-/// while the host only executes `final − at_instruction` instructions.
+/// while the host only executes `final − at_instruction` instructions. The
+/// suffix runs on the default engine tier: a snapshot stores no tier, and
+/// the tier never changes what the machine computes.
 ///
 /// Injection is deliberately unsupported on this path: the injector's PRNG
 /// schedule is keyed by absolute step index from reset, which a warm start

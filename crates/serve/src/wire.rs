@@ -942,6 +942,41 @@ mod tests {
             parse_request(retired).unwrap_err().to_string(),
             "schema error: mode: unknown mode \"s\u{68}arded\" (direct | supervised)"
         );
+        // A configuration no machine can be built from is refused at parse
+        // time, before a worker sizes a window file or a page table by it.
+        let prog = Program {
+            words: vec![1],
+            entry_offset: 0,
+            data: Vec::new(),
+            symbols: Default::default(),
+        };
+        let frame = submit_request(
+            "c",
+            1,
+            &prog,
+            &[],
+            &SimConfig::default(),
+            &[1],
+            false,
+            0,
+            "none",
+            false,
+            "direct",
+            None,
+            false,
+            None,
+        );
+        assert!(parse_request(&frame).is_ok());
+        for (from, to) in [
+            ("\"windows\":8", "\"windows\":1"),
+            ("\"windows\":8", "\"windows\":1099511627776"),
+            ("\"mem_bytes\":1048576", "\"mem_bytes\":1152921504606846976"),
+        ] {
+            let bad = frame.replace(from, to);
+            assert_ne!(bad, frame, "{from} is in the frame");
+            let err = parse_request(&bad).unwrap_err();
+            assert!(matches!(err, JsonError::Schema(_)), "{to}: {err}");
+        }
     }
 
     #[test]

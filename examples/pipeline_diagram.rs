@@ -24,21 +24,21 @@ fn main() {
 
     for forwarding in [true, false] {
         let cfg = SimConfig {
-            record_trace: true,
             forwarding,
             ..SimConfig::default()
         };
         let mut cpu = Cpu::new(cfg);
         cpu.load_program(&prog).unwrap();
+        cpu.record_retired();
         cpu.run().unwrap();
-        let s = pipeline::summarize(cpu.trace());
+        let s = pipeline::summarize(cpu.retired());
         println!(
             "forwarding {}:  ipc {:.2}, bubbles {}\n",
             if forwarding { "on (RISC I)" } else { "off" },
             s.ipc,
             s.bubble_cycles
         );
-        println!("{}", pipeline::render_timing(cpu.trace(), 16));
+        println!("{}", pipeline::render_timing(cpu.retired(), 16));
     }
     println!("F = fetch, E = execute, M = memory cycle, b = interlock bubble");
 }

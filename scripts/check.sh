@@ -56,6 +56,11 @@ echo "    rejection, and the kill -9 / --recover restart bit-identity gate;"
 echo "    a failed recovery leaves its WAL under target/wal-artifacts/)"
 cargo run -q --release -p risc1-cli --bin risc1 -- serve --smoke
 
+echo "==> examples (every program in examples/ runs clean in release)"
+for example in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$example" .rs)" > /dev/null
+done
+
 echo "==> perfbench self-tests (builds the end-to-end benchmark against this"
 echo "    tree; same-seed determinism, metric names vs BENCHMARK.json, and a"
 echo "    short untraced and traced run of every workload with zero failures)"

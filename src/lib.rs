@@ -21,7 +21,7 @@ pub use risc1_workloads as workloads;
 // `risc1-core` or `risc1-ir` directly.
 pub use risc1_core::{
     CheckpointStats, Checkpointer, Journal, JournalError, JournalEvent, RecordedOutcome,
-    ReplayContext, RestoreError, Snapshot,
+    RestoreError, Snapshot,
 };
 pub use risc1_ir::{
     minimize_journal, record_risc_injected, recorded_outcome, replay_journal, run_risc_deadline,

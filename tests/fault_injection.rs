@@ -132,7 +132,6 @@ fn one_step_at_a_time(
                     kind,
                 });
                 steps.push(step);
-                cpu.note_journal_position(events.len() as u64);
             }
         }
         let outcome = match cpu.step() {

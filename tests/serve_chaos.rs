@@ -7,7 +7,8 @@
 //! must come back **bit-identical** to executing the same spec directly,
 //! with zero panics and zero silent drops. Resubmitting the direct jobs
 //! under other engine tiers and fusion settings must dedup, and the
-//! replayed wire bytes must equal a direct run under the new tier.
+//! replayed wire bytes must equal a direct run under the new tier; so must
+//! a frame carrying the `record_trace` flag older builds configured.
 //! Overload is exercised separately: a submission that would overflow its
 //! client's queue must be rejected with a structured [`Overloaded`],
 //! counted as shed, and the service must keep serving afterwards.
@@ -473,4 +474,58 @@ fn the_wire_protocol_round_trips_over_real_sockets() {
             .expect("server thread exits")
             .expect("accept loop exits cleanly");
     });
+}
+
+/// Builds older than the retirement recorder kept a `record_trace` flag in
+/// the configuration, and a client may still send one. It names no machine
+/// state, so it changes nothing: the flagged frame gets the dedup key and
+/// the result bytes of the same frame without it.
+#[test]
+fn a_record_trace_flag_in_a_submit_changes_nothing() {
+    let fib = compiled("fib");
+    let frame = wire::submit_request(
+        "plain",
+        1,
+        &fib.prog,
+        &fib.args,
+        &fib.cfg,
+        &[3, 4],
+        true,
+        fib.rate,
+        "all",
+        true,
+        "direct",
+        None,
+        false,
+        None,
+    );
+    let flagged = frame.replace(
+        "\"trap_base\":null,",
+        "\"trap_base\":null,\"record_trace\":true,",
+    );
+    assert_ne!(flagged, frame, "the frame carries a config");
+    let specs = |line: &str| match wire::parse_request(line).expect("parses") {
+        wire::Request::Submit { specs, .. } => specs,
+        other => panic!("not a submit: {other:?}"),
+    };
+    let (plain, traced) = (specs(&frame), specs(&flagged));
+    let service = ExecService::start(ServiceConfig::default());
+    let done = |id| match service.wait(id, Duration::from_secs(120)) {
+        Some(PollState::Done(out)) => out,
+        other => panic!("job {id} did not finish: {other:?}"),
+    };
+    let first = service.submit("plain", 1, plain.clone()).expect("admitted");
+    let want: Vec<String> = first
+        .iter()
+        .map(|t| wire::output_json(&done(t.id)))
+        .collect();
+    let second = service
+        .submit("flagged", 1, traced.clone())
+        .expect("admitted");
+    for (i, t) in second.iter().enumerate() {
+        assert_eq!(traced[i].key(), plain[i].key(), "seed {}", i + 3);
+        assert!(t.dedup, "seed {}: the flagged frame must dedup", i + 3);
+        assert_eq!(wire::output_json(&done(t.id)), want[i], "seed {}", i + 3);
+    }
+    service.shutdown();
 }

@@ -9,7 +9,7 @@
 //! skipped, never fatal.
 
 use risc1::core::inject::{InjectConfig, InjectModes};
-use risc1::core::snapshot::Snapshot;
+use risc1::core::snapshot::{RestoreError, Snapshot, SNAPSHOT_VERSION};
 use risc1::core::{Program, SimConfig};
 use risc1::ir::{
     compile_risc, run_risc, run_risc_deadline, run_risc_resumed, snapshot_risc_prefix, RiscOpts,
@@ -289,12 +289,19 @@ fn snapshot_rejection_variants_are_structured() {
     let json = snap.to_json();
 
     // Version skew parses (versions are data) but cannot restore.
-    let skewed = json.replace("\"version\":1", "\"version\":999");
-    // Rejecting at parse time would be equally structured; if the body is
-    // admitted, it must die at restore.
-    if let Ok(s) = Snapshot::from_json(&skewed) {
-        assert!(run_risc_resumed(&s, None).is_err(), "version skew resumed");
-    }
+    let skewed = json.replace(
+        &format!("\"version\":{SNAPSHOT_VERSION}"),
+        "\"version\":999",
+    );
+    assert_ne!(skewed, json, "the snapshot carries its version");
+    let s = Snapshot::from_json(&skewed).expect("a version is data");
+    assert!(
+        matches!(
+            run_risc_resumed(&s, None),
+            Err(RestoreError::Version { found: 999, .. })
+        ),
+        "version skew must be refused as such"
+    );
 
     // A body that declares an absurd memory size fails admission at parse
     // time — limits bound allocation before any bytes are trusted.
