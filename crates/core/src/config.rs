@@ -84,10 +84,10 @@ pub enum ExecEngine {
     /// page and invalidated through the code-dirty channel.
     Cached,
     /// Superblocks formed over the predecoded lines: straight-line runs
-    /// execute as chained blocks with one PC lookup per block and macro-op
+    /// execute as blocks with one PC lookup per block and macro-op
     /// fusion of common adjacent pairs (see `crate::superblock`).
     Superblock,
-    /// Hot chained superblock sequences compiled to register-allocated
+    /// Hot superblock sequences compiled to register-allocated
     /// trace IR: window-relative registers resolved to flat physical
     /// indices at build time, stats sunk to trace exit, guarded side exits
     /// falling back to the superblock engine bit-exactly (see

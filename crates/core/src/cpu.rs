@@ -33,7 +33,6 @@ use crate::windows::{WindowFile, SPILL_REGS};
 use risc1_isa::psw::Flags;
 use risc1_isa::{DecodeError, Instruction, Opcode, Psw, Reg, Short2, INSN_BYTES};
 use std::fmt;
-use std::sync::Arc;
 
 /// Why the simulator stopped with an error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -718,10 +717,6 @@ impl Cpu {
                     // Budget-insufficient entries fall through to the block
                     // path, preserving the exact `n`-step contract.
                     if insns <= burst - *done {
-                        // A trace run breaks the block-to-block succession
-                        // the chain hinting assumes; drop the hint rather
-                        // than record a false edge.
-                        self.blocks.forget_last();
                         match self.exec_trace_burst(tidx, burst, done) {
                             Ok(()) => continue,
                             other => return self.finish_exec(other.map(|()| Halt::Running)),
@@ -729,7 +724,7 @@ impl Cpu {
                     }
                 }
             }
-            let idx = match self.blocks.resolve(pc) {
+            let idx = match self.blocks.lookup(pc) {
                 Some(idx) => Some(idx),
                 None => self.blocks.build(&mut self.mem, pc, &self.cfg),
             };
@@ -742,9 +737,9 @@ impl Cpu {
                     other => return self.finish_exec(other),
                 }
             };
-            let (insns, end, ops) = {
+            let (insns, end) = {
                 let b = self.blocks.block(idx);
-                (u64::from(b.insns), b.end, Arc::clone(&b.ops))
+                (u64::from(b.insns), b.end)
             };
             if insns > burst - *done {
                 // The block could overrun the step/fuel budget; preserve
@@ -757,91 +752,94 @@ impl Cpu {
             }
             self.stats.blocks_entered += 1;
             let before = self.stats.instructions;
-            let mut dirtied = false;
-            for op in ops.iter() {
-                let pc = self.pc;
-                let r = match op {
-                    BOp::One(line) => {
-                        let r = self.exec_prepared(pc, line);
-                        // Instructions that write memory (stores; window
-                        // spills on the call/return ops) can overwrite
-                        // text later in this very block. The channel poll
-                        // is O(1); if anything is pending, bail to the
-                        // boundary where the drain and a fresh build see
-                        // the new bytes — exactly what the
-                        // per-instruction engines observe.
-                        if (line.op.is_store() || line.op.moves_window())
-                            && self.mem.code_dirty_pending()
-                        {
-                            dirtied = true;
-                        }
-                        r
-                    }
-                    BOp::CmpBranch { a, b } => {
-                        self.fuse_cmp_branch(pc, a, b);
-                        Ok(Halt::Running)
-                    }
-                    BOp::LdhiImm {
-                        a,
-                        b,
-                        hi,
-                        value,
-                        flags,
-                    } => {
-                        self.fuse_ldhi_imm(pc, a, b, *hi, *value, *flags);
-                        Ok(Halt::Running)
-                    }
-                    BOp::TransferSlot { a, b } => {
-                        self.fuse_transfer_slot(pc, a, b);
-                        Ok(Halt::Running)
-                    }
-                    BOp::AddrFeed { a, b } => self.fuse_addr_feed(pc, a, b).map(|()| Halt::Running),
-                    BOp::AluPair { a, b } => {
-                        self.fuse_alu_pair(pc, a, b);
-                        Ok(Halt::Running)
-                    }
-                };
-                match r {
-                    Ok(Halt::Running) => {}
-                    other => {
-                        let retired = self.stats.instructions - before;
-                        self.stats.block_instructions += retired;
-                        *done += retired;
-                        self.blocks.forget_last();
-                        return self.finish_exec(other);
-                    }
-                }
-                if dirtied {
-                    break;
-                }
-            }
+            let (r, dirtied) = self.exec_block_body(idx);
             let retired = self.stats.instructions - before;
             self.stats.block_instructions += retired;
             *done += retired;
-            if dirtied {
-                self.blocks.forget_last();
-            } else {
+            if !matches!(r, Ok(Halt::Running)) {
+                return self.finish_exec(r);
+            }
+            if tracing && !dirtied {
+                // Exact equality: one promotion attempt per block, so a
+                // declined build (too short, untraceable text) is never
+                // retried on every subsequent pass.
                 let taken = self.pending_target.is_some() || self.pc != end;
-                self.blocks.note_exit(idx, taken);
-                if tracing {
-                    // Exact equality: one promotion attempt per block, so a
-                    // declined build (too short, untraceable text) is never
-                    // retried on every subsequent pass.
-                    let heat = self.blocks.bump_heat(idx, taken);
-                    if heat == trace::HOT_THRESHOLD {
-                        let built = self.traces.build(
-                            &mut self.mem,
-                            &self.blocks,
-                            &self.regs,
-                            &self.cfg,
-                            pc,
-                        );
-                        self.stats.traces_built += u64::from(built.is_some());
-                    }
+                let heat = self.blocks.bump_heat(idx, taken);
+                if heat == trace::HOT_THRESHOLD {
+                    let built =
+                        self.traces
+                            .build(&mut self.mem, &self.blocks, &self.regs, &self.cfg, pc);
+                    self.stats.traces_built += u64::from(built.is_some());
                 }
             }
         }
         Ok(Halt::Running)
+    }
+
+    /// Runs the body of the block at `idx` from its first op until it
+    /// completes or leaves early: a vectorable fault or halt (returned as
+    /// the result), or a code-dirty bail after a memory-writing op
+    /// (returned as `true`).
+    ///
+    /// The body is taken out of its block for the run, so the ops are read
+    /// while `self` is borrowed mutably, and put back before this returns,
+    /// whichever way the run ended. That is sound only because nothing on
+    /// the body path — `exec_prepared` and the five fused handlers — touches
+    /// `self.blocks`: no block can be built, invalidated or compacted while
+    /// a body is out.
+    #[inline]
+    fn exec_block_body(&mut self, idx: u32) -> (Result<Halt, StepEvent>, bool) {
+        let ops = self.blocks.take_ops(idx);
+        // `collect_lines` never forms an empty block, so an empty body here
+        // is one a previous run failed to put back.
+        debug_assert!(!ops.is_empty(), "block {idx} entered with no body");
+        let mut r = Ok(Halt::Running);
+        let mut dirtied = false;
+        for op in ops.iter() {
+            let pc = self.pc;
+            r = match op {
+                BOp::One(line) => {
+                    let r = self.exec_prepared(pc, line);
+                    // Instructions that write memory (stores; window
+                    // spills on the call/return ops) can overwrite text
+                    // later in this very block. The channel poll is O(1);
+                    // if anything is pending, bail to the boundary where
+                    // the drain and a fresh build see the new bytes —
+                    // exactly what the per-instruction engines observe.
+                    dirtied = (line.op.is_store() || line.op.moves_window())
+                        && self.mem.code_dirty_pending();
+                    r
+                }
+                BOp::CmpBranch { a, b } => {
+                    self.fuse_cmp_branch(pc, a, b);
+                    Ok(Halt::Running)
+                }
+                BOp::LdhiImm {
+                    a,
+                    b,
+                    hi,
+                    value,
+                    flags,
+                } => {
+                    self.fuse_ldhi_imm(pc, a, b, *hi, *value, *flags);
+                    Ok(Halt::Running)
+                }
+                BOp::TransferSlot { a, b } => {
+                    self.fuse_transfer_slot(pc, a, b);
+                    Ok(Halt::Running)
+                }
+                BOp::AddrFeed { a, b } => self.fuse_addr_feed(pc, a, b).map(|()| Halt::Running),
+                BOp::AluPair { a, b } => {
+                    self.fuse_alu_pair(pc, a, b);
+                    Ok(Halt::Running)
+                }
+            };
+            if dirtied || !matches!(r, Ok(Halt::Running)) {
+                break;
+            }
+        }
+        self.blocks.put_ops(idx, ops);
+        (r, dirtied)
     }
 
     /// Runs one compiled trace (engine `Trace`): loads the live registers
@@ -864,7 +862,7 @@ impl Cpu {
     /// in `burst - *done`, and `forwarding` (so `last_write` is constantly
     /// `None`).
     fn exec_trace_burst(&mut self, tidx: u32, burst: u64, done: &mut u64) -> Result<(), StepEvent> {
-        // Borrowing the trace directly (no `Arc` clone per entry) is the
+        // Borrowing the trace in place, with no copy per entry, is the
         // point of this routine's shape: all the state it touches lives in
         // *other* fields of `self`, so the borrows stay disjoint as long as
         // no whole-`self` method is called while `t` is alive — which is
@@ -2616,7 +2614,7 @@ mod tests {
 
     /// A loop dense in fusable idioms: LDHI+imm constant, ALU→load address
     /// feed, compare+branch, and a bare transfer+slot, iterated enough to
-    /// exercise block chaining *and* clear the trace tier's promotion
+    /// re-enter its blocks *and* clear the trace tier's promotion
     /// threshold.
     fn fusion_workout() -> Vec<Instruction> {
         let mut p = vec![

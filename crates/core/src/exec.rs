@@ -64,9 +64,14 @@ fn logic(value: u32) -> AluOut {
 /// Evaluates an ALU/shift opcode on operands `a` (rs1) and `b` (s2), with
 /// the current carry flag for the extended-precision variants.
 ///
+/// Always inlined: under a plain `#[inline]` LLVM kept it out of line in
+/// the executors, which then paid a call per ALU op, and a caller that
+/// reads only `value` needs the inlined copy for the flag computation to
+/// fold away.
+///
 /// # Panics
 /// Panics if `op` is not an arithmetic or shift opcode.
-#[inline]
+#[inline(always)]
 pub fn alu(op: Opcode, a: u32, b: u32, carry: bool) -> AluOut {
     match op {
         Opcode::Add => add_with(a, b, false),

@@ -6,7 +6,7 @@
 //! about memory traffic.
 //!
 //! The address space is backed by a direct-indexed table of
-//! [`HOST_PAGE_BYTES`]-sized host pages, each allocated zeroed by the first
+//! `HOST_PAGE_BYTES`-sized host pages, each allocated zeroed by the first
 //! write that reaches it. A page never written reads as zero from one
 //! shared static page, and no read or peek allocates. So creating, cloning
 //! and dropping a memory costs what its program wrote, not what it could

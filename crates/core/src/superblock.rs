@@ -1,5 +1,5 @@
-//! Superblock execution: block formation, chaining, and macro-op fusion
-//! over the predecoded instruction cache.
+//! Superblock execution: block formation and macro-op fusion over the
+//! predecoded instruction cache.
 //!
 //! The cached engine (PR 4) removed decode from the hot loop but still pays
 //! a PC→line lookup, an invalidation-channel poll and a full dispatch per
@@ -8,9 +8,9 @@
 //! **superblocks** that end at a transfer of control (including its delay
 //! slot) or at a page boundary, and a block body executes as a tight loop —
 //! one PC lookup, one channel poll and one boundary check per *block*
-//! instead of per instruction. Hot loops additionally skip the PC lookup
-//! via **chaining**: each block remembers the block index of its last taken
-//! and fall-through successors, validated before reuse.
+//! instead of per instruction. A block owns its body and the engine runs
+//! it by reference: entering a block costs a direct-mapped lookup, with no
+//! copy of the body and no reference count.
 //!
 //! On top of formation, a **macro-op fusion** pass (in the spirit of Celio
 //! et al.'s renewed-RISC fusion study) rewrites common adjacent pairs into
@@ -36,9 +36,9 @@ use crate::icache::Line;
 use crate::mem::{CodeDirty, Memory, PAGE_BYTES};
 use risc1_isa::psw::Flags;
 use risc1_isa::{Instruction, Opcode, Short2};
-use std::sync::Arc;
 
-/// Sentinel for "no successor cached" in [`Block::succ`].
+/// Sentinel for "no live block starts at this word" in
+/// [`BlockCache::map`].
 const NO_BLOCK: u32 = u32::MAX;
 
 /// Dead blocks tolerated before a wholesale rebuild of the cache (see
@@ -109,8 +109,8 @@ impl BOp {
     }
 }
 
-/// A formed superblock: the ops, the worst-case retire count (for fuel
-/// accounting), and the chaining slots.
+/// A formed superblock: the ops and the worst-case retire count (for fuel
+/// accounting).
 #[derive(Debug, Clone)]
 pub(crate) struct Block {
     /// Entry PC.
@@ -118,9 +118,10 @@ pub(crate) struct Block {
     /// Address just past the last included instruction — the fall-through
     /// PC when the block exits without a taken transfer.
     pub end: u32,
-    /// The block body. `Arc` so execution can hold the ops while `Cpu`
-    /// mutates itself (and so `Cpu: Clone + Send` stays cheap).
-    pub ops: Arc<[BOp]>,
+    /// The block body, never empty. The burst loop takes it out for the
+    /// run ([`BlockCache::take_ops`]) and puts it back before it touches
+    /// the cache again, so entering a block copies nothing.
+    pub ops: Box<[BOp]>,
     /// Total instructions if every op completes (= `end − start` in words).
     pub insns: u32,
     /// Completed executions since build — the trace engine's promotion
@@ -131,14 +132,10 @@ pub(crate) struct Block {
     pub hot_exits: [u32; 2],
     /// Cleared when a page the block spans is invalidated.
     pub alive: bool,
-    /// Cached successor block indices: `succ[1]` for a taken exit,
-    /// `succ[0]` for fall-through. Hints only — validated (`alive` and
-    /// matching `start`) before use.
-    pub succ: [u32; 2],
 }
 
 /// The superblock cache: blocks by entry PC, with per-page registration
-/// for block-granular invalidation and chaining state.
+/// for block-granular invalidation.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockCache {
     /// Entry PC → block index, direct-mapped by word address: `map[pc/4]`
@@ -162,10 +159,6 @@ pub(crate) struct BlockCache {
     by_page: Vec<Vec<u32>>,
     /// Dead blocks awaiting compaction.
     dead: usize,
-    /// The block most recently executed to completion, and whether it
-    /// exited via a taken transfer — the chaining source for the next
-    /// resolve.
-    last: Option<(u32, bool)>,
 }
 
 impl BlockCache {
@@ -177,7 +170,6 @@ impl BlockCache {
             blocks: Vec::new(),
             by_page: Vec::new(),
             dead: 0,
-            last: None,
         }
     }
 
@@ -185,6 +177,19 @@ impl BlockCache {
     #[inline]
     pub(crate) fn block(&self, idx: u32) -> &Block {
         &self.blocks[idx as usize]
+    }
+
+    /// Takes the body of the block at `idx` out to run it, leaving it
+    /// empty until [`BlockCache::put_ops`] returns it.
+    #[inline]
+    pub(crate) fn take_ops(&mut self, idx: u32) -> Box<[BOp]> {
+        std::mem::take(&mut self.blocks[idx as usize].ops)
+    }
+
+    /// Returns a body taken by [`BlockCache::take_ops`].
+    #[inline]
+    pub(crate) fn put_ops(&mut self, idx: u32, ops: Box<[BOp]>) {
+        self.blocks[idx as usize].ops = ops;
     }
 
     /// Bumps the promotion heat of the block at `idx` and records the exit
@@ -207,35 +212,10 @@ impl BlockCache {
         self.by_page.len()
     }
 
-    /// Finds a live block starting at `pc` without touching chaining state —
-    /// the trace builder's read-only resolver.
+    /// Finds the live block starting at `pc`: two dependent loads, the
+    /// map slot and then the block.
     #[inline]
     pub(crate) fn lookup(&self, pc: u32) -> Option<u32> {
-        let idx = *self.map.get(pc as usize / 4)?;
-        if idx == NO_BLOCK {
-            return None;
-        }
-        let b = &self.blocks[idx as usize];
-        (b.alive && b.start == pc).then_some(idx)
-    }
-
-    /// Finds a live block starting at `pc`: first via the previous block's
-    /// chain slot (no hashing), then via the map. Chains the previous
-    /// block to the result.
-    #[inline]
-    pub(crate) fn resolve(&mut self, pc: u32) -> Option<u32> {
-        if let Some((p, taken)) = self.last {
-            if let Some(pb) = self.blocks.get(p as usize) {
-                if pb.alive {
-                    let cand = pb.succ[taken as usize];
-                    if let Some(cb) = self.blocks.get(cand as usize) {
-                        if cb.alive && cb.start == pc {
-                            return Some(cand);
-                        }
-                    }
-                }
-            }
-        }
         let idx = *self.map.get(pc as usize / 4)?;
         if idx == NO_BLOCK {
             return None;
@@ -244,36 +224,7 @@ impl BlockCache {
         // A misaligned `pc` lands in some aligned block's map slot; the
         // start check rejects it (alive is implied by map presence, but
         // stays cheap insurance).
-        if !b.alive || b.start != pc {
-            return None;
-        }
-        self.chain_to(idx);
-        Some(idx)
-    }
-
-    /// Records that the block at `idx` just completed, exiting taken or
-    /// fall-through — the source end of the next chain link.
-    #[inline]
-    pub(crate) fn note_exit(&mut self, idx: u32, taken: bool) {
-        self.last = Some((idx, taken));
-    }
-
-    /// Drops the chaining source (the last block aborted mid-body, so its
-    /// successor would be bogus).
-    #[inline]
-    pub(crate) fn forget_last(&mut self) {
-        self.last = None;
-    }
-
-    /// Caches `idx` as the successor of the previously completed block.
-    fn chain_to(&mut self, idx: u32) {
-        if let Some((p, taken)) = self.last {
-            if let Some(pb) = self.blocks.get_mut(p as usize) {
-                if pb.alive {
-                    pb.succ[taken as usize] = idx;
-                }
-            }
-        }
+        (b.alive && b.start == pc).then_some(idx)
     }
 
     /// Applies one invalidation event: kills every block registered on the
@@ -307,12 +258,11 @@ impl BlockCache {
         self.blocks.clear();
         self.by_page.iter_mut().for_each(Vec::clear);
         self.dead = 0;
-        self.last = None;
     }
 
-    /// Rebuilds from scratch once dead blocks dominate — block indices are
-    /// never reused while any stale reference could exist, so a full clear
-    /// is the only compaction that keeps chain validation trivial.
+    /// Rebuilds from scratch once dead blocks dominate. A full clear is the
+    /// simplest compaction: it leaves no block index in `map` or `by_page`
+    /// to renumber.
     fn maybe_compact(&mut self) {
         if self.dead > COMPACT_DEAD_MIN && self.dead * 2 > self.blocks.len() {
             self.clear();
@@ -338,19 +288,18 @@ impl BlockCache {
             self.map.resize(len, NO_BLOCK);
         }
         self.maybe_compact();
-        let ops = fuse(&lines, cfg);
+        let ops = fuse(&lines, cfg).into_boxed_slice();
         let insns = lines.len() as u32;
         let end = start.wrapping_add(4 * insns);
         let idx = self.blocks.len() as u32;
         self.blocks.push(Block {
             start,
             end,
-            ops: ops.into(),
+            ops,
             insns,
             heat: 0,
             hot_exits: [0; 2],
             alive: true,
-            succ: [NO_BLOCK; 2],
         });
         if let Some(slot) = self.map.get_mut(start as usize / 4) {
             *slot = idx;
@@ -364,7 +313,6 @@ impl BlockCache {
             mem.note_code_page(page);
             self.by_page[page].push(idx);
         }
-        self.chain_to(idx);
         Some(idx)
     }
 }
@@ -373,7 +321,7 @@ impl BlockCache {
 /// words from `start`, ending after a transfer (and, when safe, its delay
 /// slot) or at a page boundary. Returns `None` if not even the first word
 /// prepares. Shared with the trace builder, which re-collects the lines of
-/// each chained block.
+/// each block on its path.
 pub(crate) fn collect_lines(mem: &Memory, start: u32) -> Option<Vec<Line>> {
     if start & 3 != 0 {
         return None;
@@ -686,38 +634,16 @@ mod tests {
         let mut cache = BlockCache::new(mem.page_count());
         let b0 = cache.build(&mut mem, 0, &cfg).unwrap();
         let b1 = cache.build(&mut mem, PAGE_BYTES as u32, &cfg).unwrap();
-        assert_eq!(cache.resolve(0), Some(b0));
+        assert_eq!(cache.lookup(0), Some(b0));
         cache.invalidate(CodeDirty::Page(0));
-        assert_eq!(cache.resolve(0), None, "page-0 block died");
+        assert_eq!(cache.lookup(0), None, "page-0 block died");
         assert_eq!(
-            cache.resolve(PAGE_BYTES as u32),
+            cache.lookup(PAGE_BYTES as u32),
             Some(b1),
             "page-1 block survives"
         );
         cache.invalidate(CodeDirty::All);
-        assert_eq!(cache.resolve(PAGE_BYTES as u32), None);
+        assert_eq!(cache.lookup(PAGE_BYTES as u32), None);
         assert!(cache.blocks.is_empty(), "All is a full clear");
-    }
-
-    #[test]
-    fn chaining_links_and_validates_successors() {
-        let cfg = SimConfig::default();
-        let mut mem = Memory::new(4 * PAGE_BYTES);
-        mem.write_u32(0, jmpr(Cond::Alw, (PAGE_BYTES) as i32))
-            .unwrap();
-        mem.write_u32(4, add(Reg::R16, Reg::R0, 1)).unwrap();
-        mem.write_u32(PAGE_BYTES as u32, jmpr(Cond::Alw, 0))
-            .unwrap();
-        let mut cache = BlockCache::new(mem.page_count());
-        let b0 = cache.build(&mut mem, 0, &cfg).unwrap();
-        cache.note_exit(b0, true);
-        let b1 = cache.build(&mut mem, PAGE_BYTES as u32, &cfg).unwrap();
-        assert_eq!(cache.block(b0).succ[1], b1, "build chained the exit");
-        cache.note_exit(b0, true);
-        assert_eq!(cache.resolve(PAGE_BYTES as u32), Some(b1), "chain hit");
-        // Kill the successor: the stale chain slot must not resolve.
-        cache.invalidate(CodeDirty::Page(1));
-        cache.note_exit(b0, true);
-        assert_eq!(cache.resolve(PAGE_BYTES as u32), None);
     }
 }

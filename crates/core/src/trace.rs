@@ -1,4 +1,4 @@
-//! Trace compilation: hot chained superblock sequences lowered to
+//! Trace compilation: hot superblock sequences lowered to
 //! register-allocated trace IR (the `--engine trace` tier).
 //!
 //! The superblock engine still pays, per retired instruction, a window-map
@@ -16,7 +16,7 @@
 //! Superblocks carry a promotion heat counter and an exit-direction profile
 //! (see [`crate::superblock::Block`]), bumped on every completed execution
 //! under the trace engine. When a block's heat reaches [`HOT_THRESHOLD`]
-//! the builder walks the chain from its entry: each block's prepared lines
+//! the builder walks the blocks from its entry: each block's prepared lines
 //! are lowered in order (classification comes from the spec table's
 //! [`Lowering`] column, so the builder holds no opcode list of its own),
 //! conditional transfers take the direction their profile favours, and the
@@ -62,7 +62,6 @@ use crate::superblock::{BOp, BlockCache};
 use crate::windows::WindowFile;
 use risc1_isa::spec::{self, Lowering};
 use risc1_isa::{Cond, Opcode, Short2};
-use std::sync::Arc;
 
 /// Completed block executions before promotion to a trace. Compiling a
 /// trace costs on the order of a thousand retired instructions' worth of
@@ -72,7 +71,7 @@ use std::sync::Arc;
 /// repay the build and are left to the superblock tier.
 pub(crate) const HOT_THRESHOLD: u32 = 64;
 
-/// Longest chain of blocks one trace may span.
+/// Most blocks one trace may span.
 const MAX_TRACE_BLOCKS: usize = 8;
 
 /// Hard cap on instructions per trace.
@@ -326,22 +325,22 @@ pub(crate) struct Trace {
     /// other CWP must miss (flat indices differ per window).
     pub cwp: u8,
     /// The IR body.
-    pub ops: Arc<[TOp]>,
+    pub ops: Box<[TOp]>,
     /// Per-op side-exit metadata, same length as `ops`.
-    pub meta: Arc<[TMeta]>,
+    pub meta: Box<[TMeta]>,
     /// The complete-pass bulk stats update.
-    pub agg: Arc<TAgg>,
+    pub agg: TAgg,
     /// `(vreg, flat store index)` loads performed at trace entry — every
     /// allocated vreg except the sink, so any side exit can write back
     /// architecturally-current values.
-    pub live_in: Arc<[(u8, u16)]>,
+    pub live_in: Box<[(u8, u16)]>,
     /// `(vreg, flat store index)` writebacks at any exit — the written
     /// subset of `live_in`.
-    pub live_out: Arc<[(u8, u16)]>,
+    pub live_out: Box<[(u8, u16)]>,
     /// `(vreg, value)` constants materialised at trace entry: the interned
     /// short-2 immediates, the r0 zero, loaded once — loop-invariant, so
     /// the op stream addresses them like any other vreg.
-    pub consts: Arc<[(u8, u32)]>,
+    pub consts: Box<[(u8, u32)]>,
     /// Instructions retired by one complete pass.
     pub insns: u32,
     /// Whether the trace's fall-out lands exactly on its own entry with no
@@ -847,7 +846,7 @@ impl<'a> Builder<'a> {
             insns: self.meta.len() as u32,
             ops: self.ops.into(),
             meta: self.meta.into(),
-            agg: Arc::new(agg),
+            agg,
             live_in: live_in.into(),
             live_out: live_out.into(),
             consts: consts.into(),

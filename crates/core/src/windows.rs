@@ -156,7 +156,14 @@ impl WindowFile {
     }
 
     fn oldest(&self) -> usize {
-        (self.cwp + self.windows - (self.resident - 1)) % self.windows
+        // `resident - 1 < windows`, so one conditional wrap replaces a
+        // division by the runtime window count.
+        let back = self.resident - 1;
+        if self.cwp >= back {
+            self.cwp - back
+        } else {
+            self.cwp + self.windows - back
+        }
     }
 
     /// Feeds the complete state of the file (globals, ring, pointers,
@@ -360,7 +367,13 @@ impl WindowFile {
     /// Panics if the file is full — the CPU must spill first.
     pub fn advance(&mut self) {
         assert!(!self.call_would_overflow(), "advance on a full window file");
-        self.cwp = (self.cwp + 1) % self.windows;
+        // A compare, not a division by the window count: this runs on
+        // every CALL.
+        self.cwp = if self.cwp + 1 == self.windows {
+            0
+        } else {
+            self.cwp + 1
+        };
         self.cur = self.maps[self.cwp];
         self.resident += 1;
         self.depth += 1;
@@ -406,7 +419,11 @@ impl WindowFile {
             return false;
         }
         assert!(!self.ret_would_underflow(), "retreat into a spilled window");
-        self.cwp = (self.cwp + self.windows - 1) % self.windows;
+        self.cwp = if self.cwp == 0 {
+            self.windows - 1
+        } else {
+            self.cwp - 1
+        };
         self.cur = self.maps[self.cwp];
         self.resident -= 1;
         self.depth -= 1;

@@ -78,6 +78,7 @@ impl Cond {
     ];
 
     /// Evaluates the condition against a set of flags.
+    #[inline]
     pub fn eval(self, f: Flags) -> bool {
         let signed_lt = f.n ^ f.v;
         match self {

@@ -239,6 +239,7 @@ impl Instruction {
     }
 
     /// Whether the instruction is a no-op by the canonical encoding.
+    #[inline]
     pub fn is_nop(&self) -> bool {
         *self == Instruction::nop()
     }

@@ -75,6 +75,11 @@ macro_rules! opcodes {
             }
 
             /// Functional category (Table II grouping).
+            // Always inlined: the 31-way match compiles to a jump table
+            // LLVM keeps out of line under a plain `#[inline]`, while each
+            // caller compares the result with one category, which inlining
+            // folds to a range check on the opcode.
+            #[inline(always)]
             pub fn category(self) -> Category {
                 match self { $(Opcode::$variant => Category::$cat,)* }
             }
@@ -160,12 +165,14 @@ opcodes! {
 impl Opcode {
     /// Whether the instruction is a conditional transfer whose `dest` field
     /// holds a condition code instead of a destination register.
+    #[inline]
     pub fn uses_condition(self) -> bool {
         matches!(self, Opcode::Jmp | Opcode::Jmpr)
     }
 
     /// Whether executing the instruction may change the current window
     /// pointer.
+    #[inline]
     pub fn moves_window(self) -> bool {
         matches!(
             self,
@@ -175,6 +182,7 @@ impl Opcode {
 
     /// Whether the instruction is any transfer of control (and therefore has
     /// a delay slot).
+    #[inline]
     pub fn is_transfer(self) -> bool {
         self.category() == Category::ControlTransfer
     }
@@ -194,16 +202,19 @@ impl Opcode {
     /// Whether the transfer exposes a delay slot. All transfers do except
     /// `CALLI`, which traps in place: it has no target operand and execution
     /// falls through to the next word.
+    #[inline]
     pub fn has_delay_slot(self) -> bool {
         self.is_transfer() && self != Opcode::Calli
     }
 
     /// Whether this is a load.
+    #[inline]
     pub fn is_load(self) -> bool {
         self.category() == Category::Load
     }
 
     /// Whether this is a store.
+    #[inline]
     pub fn is_store(self) -> bool {
         self.category() == Category::Store
     }

@@ -9,7 +9,7 @@
 //!
 //! Consumers of the table:
 //!
-//! * [`Instruction`](crate::Instruction)'s `reads`/`writes`/`sets_cc`/
+//! * [`Instruction`]'s `reads`/`writes`/`sets_cc`/
 //!   `reads_cc`/`safe_in_delay_slot_of` delegate here instead of hand-listing
 //!   opcodes;
 //! * [`crate::encoding::scc_allowed`] and the decoder's legality checks;

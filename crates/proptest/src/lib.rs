@@ -348,7 +348,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         element: S,
         len: Range<usize>,
@@ -375,7 +375,9 @@ pub mod collection {
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(32))]
 ///     #[test]
-///     fn my_prop(x in 0u32..100, y in any::<i32>()) { … }
+///     fn my_prop(x in 0u32..100, y in any::<i32>()) {
+///         prop_assert!(x < 100);
+///     }
 /// }
 /// ```
 #[macro_export]

@@ -24,7 +24,7 @@ pub fn workload() -> Workload {
 /// The workload at `scale`: the call count of `ackermann(3, n)` roughly
 /// quadruples per increment of `n` (it is `Θ(4^n)`), so `⌈log4 scale⌉`
 /// extra levels run at least `scale` times longer. Scales beyond ~25
-/// exceed the default [`risc1_core::SimConfig::fuel`] budget — raise it
+/// exceed the default `risc1_core::SimConfig::fuel` budget — raise it
 /// when running deep Ackermann scales.
 pub fn scaled(scale: u32) -> Workload {
     let scale = scale.max(1);

@@ -10,6 +10,10 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
+echo "==> cargo doc (every rustdoc warning, broken intra-doc links included,"
+echo "    is an error)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --document-private-items
+
 echo "==> cargo build --release --workspace"
 cargo build --release -q --workspace
 

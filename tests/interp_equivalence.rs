@@ -11,7 +11,7 @@
 //! `trace`), every simulated observable must be bit-identical: final
 //! result, `ExecStats` (instruction mix, cycles, traps, spills), the
 //! entire memory image, the visible register window, and the window-file
-//! position. This suite holds all engines to that bar seven ways:
+//! position. This suite holds all engines to that bar eight ways:
 //!
 //! 1. deterministically across all eleven suite workloads (four-way),
 //! 2. property-style under seed-driven fault injection (where traps,
@@ -28,7 +28,10 @@
 //!    can hold, forcing the overflow → flush-everything fallback, and
 //! 7. with a hot loop in the last page of memory — the far end of the
 //!    caches' lazily grown page tables — that patches itself and then
-//!    jumps past the end of memory.
+//!    jumps past the end of memory, and
+//! 8. with a hot loop whose block leaves early on some iterations, through
+//!    a vectored fault and through a code-dirty store, and must run its
+//!    whole body on the next entry.
 //!
 //! Snapshot checksums deliberately cover `SimConfig` (so a restore
 //! cannot silently cross configurations), which makes them useless for
@@ -568,4 +571,110 @@ fn a_patched_hot_loop_in_the_last_page_of_memory_traps_identically_past_its_end(
          (built {} traces)",
         trace.1.stats.traces_built
     );
+}
+
+#[test]
+fn a_block_that_leaves_early_runs_its_whole_body_on_its_next_entry() {
+    let imm = |v: i32| Short2::imm(v).expect("fits imm13");
+    let words_per_page = PAGE_BYTES / 4;
+    let cfg = SimConfig::default();
+    assert_eq!(cfg.code_base % PAGE_BYTES as u32, 0, "page math below");
+
+    // Page 0 is the prologue, page 1 the loop, page 2 the misaligned-load
+    // handler plus a spare word of it the loop stores into. The loop's
+    // one block leaves early twice every 16 iterations, and both times the
+    // next iteration enters the same block again:
+    // - i % 16 == 7: its load reads a misaligned address. The vectored
+    //   fault runs the handler, which skips the load (`reti r25, #4`).
+    // - i % 16 == 15: its store writes the handler's page, which is code
+    //   that has run (and was rebuilt since the last such store), so the
+    //   body ends through the code-dirty bail. The loop's own page is
+    //   untouched, so its block stays alive.
+    let handler = cfg.code_base + 2 * PAGE_BYTES as u32;
+    let code_target = handler + 16;
+    let iterations = 200;
+    let mut insns = vec![
+        Instruction::ldhi(Reg::R16, 1), // r16 = 0x2000: load base and data target
+        Instruction::reg(Opcode::Add, Reg::R22, Reg::R16, imm(0)),
+        Instruction::ldhi(Reg::R20, code_target >> 13),
+    ];
+    insns.extend(
+        imm_chunks(code_target & 0x1fff)
+            .into_iter()
+            .map(|c| Instruction::reg(Opcode::Add, Reg::R20, Reg::R20, c)),
+    );
+    insns.push(Instruction::reg(
+        Opcode::Xor,
+        Reg::R21,
+        Reg::R20,
+        Short2::Reg(Reg::R22),
+    ));
+    insns.resize(words_per_page, Instruction::nop());
+    let l = insns.len(); // loop head
+    insns.extend([
+        Instruction::reg(Opcode::Add, Reg::R17, Reg::R17, imm(1)), // i += 1
+        // r18 = 1 iff i % 16 == 7.
+        Instruction::reg(Opcode::Add, Reg::R18, Reg::R17, imm(8)),
+        Instruction::reg(Opcode::And, Reg::R18, Reg::R18, imm(15)),
+        Instruction::reg(Opcode::Add, Reg::R18, Reg::R18, imm(1)),
+        Instruction::reg(Opcode::Srl, Reg::R18, Reg::R18, imm(4)),
+        // r19 = the handler's page iff i % 16 == 15, else the data target.
+        Instruction::reg(Opcode::And, Reg::R19, Reg::R17, imm(15)),
+        Instruction::reg(Opcode::Add, Reg::R19, Reg::R19, imm(1)),
+        Instruction::reg(Opcode::Srl, Reg::R19, Reg::R19, imm(4)),
+        Instruction::reg(Opcode::Sub, Reg::R19, Reg::R0, Short2::Reg(Reg::R19)),
+        Instruction::reg(Opcode::And, Reg::R19, Reg::R19, Short2::Reg(Reg::R21)),
+        Instruction::reg(Opcode::Xor, Reg::R19, Reg::R19, Short2::Reg(Reg::R22)),
+        Instruction::reg(Opcode::Stl, Reg::R17, Reg::R19, imm(0)), // code-dirty bail
+        Instruction::reg(Opcode::Add, Reg::R23, Reg::R16, Short2::Reg(Reg::R18)),
+        Instruction::reg(Opcode::Ldl, Reg::R24, Reg::R23, imm(0)), // misaligned fault
+        Instruction::reg(Opcode::Add, Reg::R26, Reg::R26, Short2::Reg(Reg::R24)),
+        Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R17, imm(iterations)),
+    ]);
+    let j = insns.len();
+    insns.extend([
+        Instruction::jmpr(Cond::Lt, 4 * (l as i32 - j as i32)),
+        Instruction::nop(), // delay slot
+        Instruction::ret(Reg::R0, imm(0)),
+        Instruction::nop(), // return delay slot
+    ]);
+    assert!(insns.len() <= 2 * words_per_page, "the loop fits page 1");
+    insns.resize(2 * words_per_page, Instruction::nop());
+    insns.extend([Instruction::reti(Reg::R25, imm(4)), Instruction::nop()]);
+    let prog = Program::from_instructions(insns);
+
+    let run = |engine| {
+        let mut cpu = Cpu::new(SimConfig {
+            engine,
+            ..cfg.clone()
+        });
+        cpu.load_program(&prog).expect("program fits memory");
+        cpu.set_trap_handler(TrapKind::Misaligned, handler);
+        if engine == ExecEngine::Uncached {
+            while cpu.step().expect("the loop runs clean") == Halt::Running {}
+        } else {
+            cpu.run().expect("the loop runs clean");
+        }
+        let stored = cpu.mem.peek_u32(code_target).expect("in range");
+        (stored, capture(&cpu))
+    };
+    let uncached = run(ExecEngine::Uncached);
+    let (stored, state) = &uncached;
+    assert_eq!(
+        *stored, 191,
+        "the last i % 16 == 15 store hit the code page"
+    );
+    assert_eq!(
+        state.stats.trap_count(TrapKind::Misaligned),
+        13,
+        "one skipped load for each i % 16 == 7 in 1..=200"
+    );
+    assert_eq!(run(ExecEngine::Cached), uncached, "cache must be invisible");
+    let superblock = run(ExecEngine::Superblock);
+    assert_eq!(superblock, uncached, "superblocks must be invisible");
+    assert!(
+        superblock.1.stats.blocks_entered >= iterations as u64,
+        "the loop must run as a block"
+    );
+    assert_eq!(run(ExecEngine::Trace), uncached, "traces must be invisible");
 }
