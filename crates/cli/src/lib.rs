@@ -280,10 +280,15 @@ fn parse_run_opts(rest: &[String]) -> Result<RunOpts, String> {
             }
             "--ckpt-every" => {
                 let v = it.next().ok_or("--ckpt-every needs a value")?;
-                ckpt_every = Some(
-                    v.parse::<u64>()
-                        .map_err(|e| format!("bad --ckpt-every value `{v}`: {e}"))?,
-                );
+                ckpt_every = Some(match v.parse::<u64>() {
+                    Ok(0) => {
+                        // Every instruction a checkpoint, in one-step
+                        // segments: never what anyone means.
+                        return Err(format!("bad --ckpt-every value `{v}`: must be at least 1"));
+                    }
+                    Ok(n) => n,
+                    Err(e) => return Err(format!("bad --ckpt-every value `{v}`: {e}")),
+                });
             }
             "--max-retries" => {
                 let v = it.next().ok_or("--max-retries needs a value")?;
@@ -932,6 +937,11 @@ mod tests {
         .unwrap();
         assert!(out.contains("supervised run"), "{out}");
         assert!(out.contains("result: 42"), "{out}");
+        // A zero interval would checkpoint after every instruction.
+        assert_eq!(
+            dispatch(&s(&["run", &p, "40", "--supervise", "--ckpt-every", "0"])),
+            Err("bad --ckpt-every value `0`: must be at least 1".to_string())
+        );
         // Supervisor flags require --supervise; --record conflicts.
         assert!(dispatch(&s(&["run", &p, "40", "--ckpt-every", "5"])).is_err());
         assert!(dispatch(&s(&[

@@ -27,7 +27,7 @@ use crate::program::Program;
 use crate::snapshot::{CpuState, RestoreError, Snapshot};
 use crate::stats::{ExecStats, FuseKind};
 use crate::superblock::{BOp, BlockCache};
-use crate::trace::{self, TExit, TMeta, TOp, TraceCache};
+use crate::trace::{self, TExit, TOp, TraceCache};
 use crate::trap::{TrapCause, TrapKind};
 use crate::windows::{WindowFile, SPILL_REGS};
 use risc1_isa::psw::Flags;
@@ -845,22 +845,26 @@ impl Cpu {
     /// Runs one compiled trace (engine `Trace`): loads the live registers
     /// into the virtual register file, executes the IR with *no*
     /// per-instruction statistics or PC maintenance, and settles everything
-    /// at exit — a complete pass applies the precomputed bulk aggregate and
-    /// the final PC/pending/`last_pc` in O(1); self-loop traces iterate in
-    /// place while the step budget allows, paying the register traffic only
-    /// once per entry.
+    /// at exit — completed passes apply their paths' precomputed bulk
+    /// aggregates and the final PC/pending/`last_pc` in O(1); self-loop
+    /// traces iterate in place while the step budget allows, paying the
+    /// register traffic only once per entry.
+    ///
+    /// The ops are walked by index: a pass runs the main path's ops, and a
+    /// branch that disagrees with its profiled direction continues the pass
+    /// on its arm, if it has one. Passes are counted per path.
     ///
     /// Side exits (guard mismatches, faults, code-dirty stores) replay the
-    /// committed prefix's per-op accounting from the trace's static
+    /// committed prefix of the path they left from the trace's static
     /// metadata and restore exactly the architectural state the superblock
     /// engine would hold at that point; faults return the identical
     /// [`StepEvent`] the per-instruction executor would have raised, so the
     /// caller funnels them through the same `finish_exec` (lastpc rule and
     /// all).
     ///
-    /// Caller guarantees: no delayed jump in flight, the whole trace fits
-    /// in `burst - *done`, and `forwarding` (so `last_write` is constantly
-    /// `None`).
+    /// Caller guarantees: no delayed jump in flight, the trace's longest
+    /// path fits in `burst - *done`, and `forwarding` (so `last_write` is
+    /// constantly `None`).
     fn exec_trace_burst(&mut self, tidx: u32, burst: u64, done: &mut u64) -> Result<(), StepEvent> {
         // Borrowing the trace in place, with no copy per entry, is the
         // point of this routine's shape: all the state it touches lives in
@@ -870,7 +874,7 @@ impl Cpu {
         let t = self.traces.trace(tidx);
         let insns = u64::from(t.insns);
         let self_loop = t.self_loop;
-        let finals = (t.final_pc, t.final_pending, t.final_last_pc);
+        let main_end = t.paths[0].end;
         let before = self.stats.instructions;
         let avail = burst - *done;
         // Operand indices are u8 and the array covers the full index space,
@@ -884,9 +888,16 @@ impl Cpu {
             v[vr as usize] = self.regs.load_flat(flat);
         }
         let mut flags = self.flags;
-        let mut passes: u64 = 0;
+        // Completed passes per path, and what they retired; the path the
+        // current pass is on, the path of the last completed pass, and the
+        // ops left to run on the current path.
+        let mut passes = [0u64; trace::MAX_PATHS];
+        let mut retired = 0u64;
+        let (mut path, mut last) = (0, 0);
+        let (mut lo, mut hi) = (0, main_end);
         let exit = 'run: loop {
-            for (k, op) in t.ops.iter().enumerate() {
+            for (i, op) in t.ops[lo..hi].iter().enumerate() {
+                let k = lo + i;
                 match *op {
                     TOp::Alu { op, d, a, b } => {
                         // `.value` alone: the flag computation inside the
@@ -921,30 +932,50 @@ impl Cpu {
                         cond,
                         target,
                         expect,
+                        arm,
                     } => {
                         let taken = cond.eval(flags);
                         if taken != expect {
-                            break 'run TExit::Mismatch { k, taken, target };
+                            if arm == 0 {
+                                break 'run TExit::Mismatch { k, taken, target };
+                            }
+                            path = t.arm_at(usize::from(arm));
+                            (lo, hi) = (usize::from(arm), t.paths[path].end);
+                            continue 'run;
                         }
                     }
                     TOp::Jump => {}
                 }
             }
-            passes += 1;
-            if self_loop && (passes + 1) * insns <= avail {
+            passes[path] += 1;
+            retired += u64::from(t.paths[path].insns);
+            last = path;
+            if self_loop && retired + insns <= avail {
+                path = 0;
+                (lo, hi) = (0, main_end);
                 continue;
             }
             break TExit::Complete;
         };
-        // All completed passes settle as one bulk update; only a partial
-        // final pass (a side exit) needs the per-op metadata replay below.
-        if passes > 0 {
-            t.agg.apply_n(&mut self.stats, passes);
+        // Each path's completed passes settle as one bulk update; only a
+        // partial final pass (a side exit) needs the per-op metadata replay
+        // below.
+        let mut total = 0;
+        for (p, &n) in t.paths.iter().zip(&passes) {
+            if n > 0 {
+                p.agg.apply_n(&mut self.stats, n);
+                total += n;
+            }
         }
-        self.stats.trace_entries += passes + u64::from(!matches!(exit, TExit::Complete));
+        self.stats.trace_entries += total + u64::from(!matches!(exit, TExit::Complete));
+        let guard = match exit {
+            TExit::Mismatch { k, .. } => Some(k),
+            _ => None,
+        };
         let fault = match exit {
             TExit::Complete => {
-                (self.pc, self.pending_target, self.last_pc) = finals;
+                (self.pc, self.pending_target) = (t.final_pc, t.final_pending);
+                self.last_pc = t.paths[last].final_last_pc;
                 self.stats.trace_exits += 1;
                 None
             }
@@ -952,7 +983,7 @@ impl Cpu {
                 // The store committed; account it and everything before it,
                 // then exit where its PC dance lands. Stores produce no
                 // target, so nothing is in flight afterwards.
-                replay_meta(&mut self.stats, &t.meta, k + 1);
+                t.replay(&mut self.stats, path, k + 1);
                 let m = t.meta[k];
                 self.pc = m.pending_before.unwrap_or(m.pc.wrapping_add(INSN_BYTES));
                 self.pending_target = None;
@@ -964,7 +995,7 @@ impl Cpu {
                 // The guard *is* the branch: retire it with its actual
                 // direction (branches never sit in delay slots inside a
                 // trace, so no slot accounting applies).
-                replay_meta(&mut self.stats, &t.meta, k);
+                t.replay(&mut self.stats, path, k);
                 let m = t.meta[k];
                 self.stats.retire(m.op);
                 let mut cycles = u64::from(m.base);
@@ -988,7 +1019,7 @@ impl Cpu {
                 // committed nothing else; PC/pending/`last_pc` still
                 // describe the attempt, so `finish_exec`'s lastpc rule sees
                 // the same state the per-instruction engines would have.
-                replay_meta(&mut self.stats, &t.meta, k);
+                t.replay(&mut self.stats, path, k);
                 let m = t.meta[k];
                 self.stats.retire(m.op);
                 if m.pending_before.is_some() {
@@ -999,8 +1030,14 @@ impl Cpu {
                 }
                 self.pc = m.pc;
                 self.pending_target = m.pending_before;
-                if k > 0 {
-                    self.last_pc = t.meta[k - 1].pc;
+                // The instruction retired last: the path's previous op (an
+                // arm's first op follows its forking branch), else the end
+                // of the last completed pass, else whatever ran before the
+                // trace was entered.
+                if let Some(pc) = t.prev_pc(path, k) {
+                    self.last_pc = pc;
+                } else if total > 0 {
+                    self.last_pc = t.paths[last].final_last_pc;
                 }
                 self.stats.trace_side_exits += 1;
                 Some((m.pc, addr, err))
@@ -1026,11 +1063,23 @@ impl Cpu {
         // they retire at least half their body. Enough strikes demote the
         // trace and the superblock tier takes the entry back.
         let productive = if self_loop {
-            passes >= 2
+            total >= 2
         } else {
             2 * used >= insns
         };
-        self.traces.note_run(tidx, productive);
+        if let Some(fork) = self.traces.note_run(tidx, productive, total, guard) {
+            // The run ended at a guard, so no store dirtied code since the
+            // drain before entry: the blocks the rebuild walks are current.
+            let built = self.traces.rebuild(
+                &mut self.mem,
+                &self.blocks,
+                &self.regs,
+                &self.cfg,
+                tidx,
+                fork,
+            );
+            self.stats.traces_built += u64::from(built);
+        }
         match fault {
             Some((pc, addr, err)) => Err(data_trap(pc, addr, err)),
             None => Ok(()),
@@ -1850,26 +1899,6 @@ fn store_op(mem: &mut Memory, op: Opcode, addr: u32, v: u32) -> Result<(), MemEr
         Opcode::Sts => mem.write_u16(addr, v as u16),
         Opcode::Stb => mem.write_u8(addr, v as u8),
         _ => unreachable!("not a store"),
-    }
-}
-
-/// Replays the per-instruction statistics of `meta[..n]` — the committed
-/// prefix of a side-exiting trace run. Field for field what
-/// `exec_prepared` bumps per op (tracing preconditions pin the rest:
-/// forwarding ⇒ no hazard bubbles, and traced ops are never calls,
-/// returns or window traps).
-fn replay_meta(stats: &mut ExecStats, meta: &[TMeta], n: usize) {
-    for m in &meta[..n] {
-        stats.retire(m.op);
-        if m.pending_before.is_some() {
-            stats.delay_slots += 1;
-            stats.delay_slot_nops += u64::from(m.nop);
-        }
-        stats.cycles += u64::from(m.base) + u64::from(m.bubble);
-        stats.bubble_cycles += u64::from(m.bubble);
-        stats.data_reads += u64::from(m.is_load);
-        stats.data_writes += u64::from(m.is_store);
-        stats.taken_transfers += u64::from(m.taken);
     }
 }
 

@@ -30,6 +30,29 @@
 //! block (the trigger fires on exact heat equality), so cold spots cannot
 //! thrash the builder.
 //!
+//! ## Arms
+//!
+//! A self-loop trace over a loop whose body branches on data both ways
+//! (a sort's swap test) would side-exit on every pass that goes the
+//! minority way, and be demoted for it. So when the main path closes on its
+//! entry, each conditional branch on it whose block profile shows the
+//! minority direction taking at least 1/[`ARM_MIN_SHARE`] of the exits is
+//! also lowered that way, as an **arm**: from the branch's delay slot, with
+//! that direction's pending target, along block profiles back to the entry,
+//! duplicating any tail it shares with the main path (the shape of Gal and
+//! Franz's trace trees). An arm that does not close — it leaves the loop,
+//! reaches an excluded op, or runs past a cap — is rolled back, and its
+//! branch stays a guard. Arms do not nest, and a trace holds at most
+//! [`MAX_ARMS`]. A [`TOp::Branch`] names its arm's first op; the executor
+//! walks the ops by index and enters the arm on a mismatch. Each path — the
+//! main path, or the main prefix up to a forking branch, that branch in the
+//! other direction and then the arm — carries its own bulk aggregate and
+//! final `last_pc` ([`TPath`]), and a side exit replays the committed
+//! prefix of the path it was on. A block profile is taken once, while the
+//! block warms up, so a trace about to be demoted because passes keep
+//! ending at one of its guards is first rebuilt with an arm forced there
+//! ([`TraceCache::note_run`]).
+//!
 //! ## Guards and side exits
 //!
 //! Three ops can leave a trace early, each restoring *exactly* the state
@@ -71,11 +94,25 @@ use risc1_isa::{Cond, Opcode, Short2};
 /// repay the build and are left to the superblock tier.
 pub(crate) const HOT_THRESHOLD: u32 = 64;
 
-/// Most blocks one trace may span.
+/// A conditional branch on a self-loop trace's main path gets an arm when
+/// its minority direction took at least `1 / ARM_MIN_SHARE` of its block's
+/// profiled exits. A loop exit (one exit per trip) stays a guard.
+const ARM_MIN_SHARE: u64 = 8;
+
+/// Most arms per trace.
+const MAX_ARMS: usize = 2;
+
+/// Most paths through one trace: the main path and its arms.
+pub(crate) const MAX_PATHS: usize = 1 + MAX_ARMS;
+
+/// Most blocks one walk (the main path, or one arm) may span.
 const MAX_TRACE_BLOCKS: usize = 8;
 
-/// Hard cap on instructions per trace.
+/// Hard cap on instructions per trace, arms included.
 const MAX_TRACE_INSNS: usize = 256;
+
+// A branch names its arm's first op in a `u8`.
+const _: () = assert!(MAX_TRACE_INSNS <= 1 << 8);
 
 /// Most live trace variants kept per entry PC. A block promotes at most
 /// once per lifetime (the heat trigger is an exact-equality match), so
@@ -174,8 +211,8 @@ pub(crate) enum TOp {
     },
     /// Conditional PC-relative branch with a statically expected direction
     /// — the guard *is* the branch: agreeing with the profile continues the
-    /// trace, disagreeing retires the branch with its actual direction and
-    /// side-exits.
+    /// trace; disagreeing enters the branch's arm, or, without one, retires
+    /// the branch with its actual direction and side-exits.
     Branch {
         /// The condition, evaluated on the live flags.
         cond: Cond,
@@ -183,6 +220,9 @@ pub(crate) enum TOp {
         target: u32,
         /// The profiled direction the trace was built along.
         expect: bool,
+        /// Index of the first op of the arm that runs the other direction,
+        /// or 0 for none (op 0 always starts the main path).
+        arm: u8,
     },
     /// Unconditional (ALW) JMPR: pure static glue — the successor is baked
     /// into the trace, only the accounting remains.
@@ -292,6 +332,7 @@ impl TAgg {
         }
     }
 
+    /// The aggregate of retiring `meta` in order.
     fn from_meta(meta: &[TMeta]) -> TAgg {
         let mut agg = TAgg {
             instructions: meta.len() as u64,
@@ -316,6 +357,46 @@ impl TAgg {
     }
 }
 
+/// Replays the per-instruction statistics of `meta`, in order. Field for
+/// field what `exec_prepared` bumps per op (tracing preconditions pin the
+/// rest: forwarding ⇒ no hazard bubbles, and traced ops are never calls,
+/// returns or window traps).
+fn replay_meta(stats: &mut ExecStats, meta: &[TMeta]) {
+    for m in meta {
+        stats.retire(m.op);
+        if m.pending_before.is_some() {
+            stats.delay_slots += 1;
+            stats.delay_slot_nops += u64::from(m.nop);
+        }
+        stats.cycles += u64::from(m.base) + u64::from(m.bubble);
+        stats.bubble_cycles += u64::from(m.bubble);
+        stats.data_reads += u64::from(m.is_load);
+        stats.data_writes += u64::from(m.is_store);
+        stats.taken_transfers += u64::from(m.taken);
+    }
+}
+
+/// One path through a trace: the main path, or an arm — the main path's
+/// ops before a forking branch, that branch retired in the arm's
+/// direction, then the arm's own ops back to the entry.
+#[derive(Debug, Clone)]
+pub(crate) struct TPath {
+    /// The path's own ops are `start..end` in [`Trace::ops`]; the main
+    /// path's start at 0.
+    pub start: usize,
+    /// One past the path's last op.
+    pub end: usize,
+    /// For an arm: the index of the main-path branch it forks from, and
+    /// that branch's metadata as the arm retires it.
+    pub fork: Option<(usize, TMeta)>,
+    /// Instructions one complete pass retires.
+    pub insns: u32,
+    /// The complete-pass bulk stats update.
+    pub agg: TAgg,
+    /// `last_pc` after a complete pass (the path's last op's address).
+    pub final_last_pc: u32,
+}
+
 /// One compiled trace.
 #[derive(Debug, Clone)]
 pub(crate) struct Trace {
@@ -328,8 +409,8 @@ pub(crate) struct Trace {
     pub ops: Box<[TOp]>,
     /// Per-op side-exit metadata, same length as `ops`.
     pub meta: Box<[TMeta]>,
-    /// The complete-pass bulk stats update.
-    pub agg: TAgg,
+    /// The main path, then one path per arm in op order.
+    pub paths: Box<[TPath]>,
     /// `(vreg, flat store index)` loads performed at trace entry — every
     /// allocated vreg except the sink, so any side exit can write back
     /// architecturally-current values.
@@ -341,7 +422,7 @@ pub(crate) struct Trace {
     /// short-2 immediates, the r0 zero, loaded once — loop-invariant, so
     /// the op stream addresses them like any other vreg.
     pub consts: Box<[(u8, u32)]>,
-    /// Instructions retired by one complete pass.
+    /// Instructions retired by one complete pass along the longest path.
     pub insns: u32,
     /// Whether the trace's fall-out lands exactly on its own entry with no
     /// jump in flight — iterations then re-run the IR without touching the
@@ -351,8 +432,6 @@ pub(crate) struct Trace {
     pub final_pc: u32,
     /// Delayed-jump target in flight after a complete pass.
     pub final_pending: Option<u32>,
-    /// `last_pc` after a complete pass (the last op's address).
-    pub final_last_pc: u32,
     /// Cleared when a page the trace spans is invalidated.
     pub alive: bool,
     /// Cleared after [`STRIKE_LIMIT`] unproductive runs: the trace stops
@@ -361,9 +440,47 @@ pub(crate) struct Trace {
     pub enabled: bool,
     /// Unproductive-run counter; productive runs pay one back.
     pub strikes: u8,
+    /// Complete passes over the trace's life.
+    pub passes: u64,
     /// Next variant (different build CWP) at the same entry, or
     /// [`NO_TRACE`].
     pub alt: u32,
+    /// Addresses of the main-path branches rebuilds of this trace have
+    /// given, or tried to give, an arm (see [`TraceCache::note_run`]).
+    pub forced: Vec<u32>,
+}
+
+impl Trace {
+    /// The path whose own ops begin at op `start`: the arm a branch names.
+    #[inline]
+    pub(crate) fn arm_at(&self, start: usize) -> usize {
+        self.paths
+            .iter()
+            .position(|p| p.start == start)
+            .expect("a branch names the first op of an arm")
+    }
+
+    /// Replays the statistics of `path`'s committed prefix before op `k`,
+    /// one of the path's own ops — what a side exit at `k` owes.
+    pub(crate) fn replay(&self, stats: &mut ExecStats, path: usize, k: usize) {
+        let p = &self.paths[path];
+        if let Some((b, m)) = p.fork {
+            replay_meta(stats, &self.meta[..b]);
+            replay_meta(stats, &[m]);
+        }
+        replay_meta(stats, &self.meta[p.start..k]);
+    }
+
+    /// The address of the instruction `path` retires just before op `k`,
+    /// or `None` at the main path's first op.
+    pub(crate) fn prev_pc(&self, path: usize, k: usize) -> Option<u32> {
+        let p = &self.paths[path];
+        if k > p.start {
+            Some(self.meta[k - 1].pc)
+        } else {
+            p.fork.map(|(b, _)| self.meta[b].pc)
+        }
+    }
 }
 
 /// The trace cache: compiled traces by entry PC with per-page registration
@@ -447,21 +564,48 @@ impl TraceCache {
     }
 
     /// Settles one run's productivity (the executor judges what counts —
-    /// a self-loop trace must complete at least two passes, a straight
-    /// trace must retire at least half its body): a productive run pays a
-    /// strike back; an unproductive one earns one, and at [`STRIKE_LIMIT`]
-    /// the trace is demoted for good — entering it repeatedly costs more
-    /// than the superblock path it displaced.
-    pub(crate) fn note_run(&mut self, idx: u32, productive: bool) {
+    /// a self-loop trace must complete at least two passes on any of its
+    /// paths, a straight trace must retire at least half its body): a
+    /// productive run pays a strike back; an unproductive one earns one,
+    /// and at [`STRIKE_LIMIT`] the trace is demoted for good — entering it
+    /// repeatedly costs more than the superblock path it displaced.
+    ///
+    /// One exception: a block profile is taken once, at promotion, so a
+    /// branch that went one way then and both ways since (a sort's swap
+    /// test, early and late in the sort) gets no arm and its guard starts
+    /// ending passes. So when the run that earns a self-loop trace its last
+    /// strike side-exited at `guard`, a main-path guard that no rebuild has
+    /// tried yet, fewer than [`MAX_ARMS`] have been tried, and the trace
+    /// has earned a rebuild — [`HOT_THRESHOLD`] complete passes over its
+    /// life, counting the run's `passes` — the trace stays enabled and this
+    /// returns the branch's address: the caller rebuilds the trace with an
+    /// arm tried there ([`TraceCache::rebuild`]).
+    pub(crate) fn note_run(
+        &mut self,
+        idx: u32,
+        productive: bool,
+        passes: u64,
+        guard: Option<usize>,
+    ) -> Option<u32> {
         let t = &mut self.traces[idx as usize];
+        t.passes += passes;
         if productive {
             t.strikes = t.strikes.saturating_sub(1);
-        } else {
-            t.strikes += 1;
-            if t.strikes >= STRIKE_LIMIT {
-                t.enabled = false;
-            }
+            return None;
         }
+        t.strikes += 1;
+        if t.strikes < STRIKE_LIMIT {
+            return None;
+        }
+        let earned = t.self_loop && t.passes >= u64::from(HOT_THRESHOLD);
+        let fork = guard
+            .filter(|&k| earned && k < t.paths[0].end && t.forced.len() < MAX_ARMS)
+            .map(|k| t.meta[k].pc)
+            .filter(|pc| !t.forced.contains(pc));
+        if fork.is_none() {
+            t.enabled = false;
+        }
+        fork
     }
 
     /// Live variants at `pc` (any CWP) — bounds the chain against
@@ -482,9 +626,9 @@ impl TraceCache {
     }
 
     /// Applies one invalidation event: kills every trace registered on the
-    /// named page (or everything). All variants at an entry span the same
-    /// pages (the chain walk is CWP-independent), so a page kill never
-    /// orphans part of a variant chain.
+    /// named page (or everything). A kill unlinks its entry's whole variant
+    /// chain, so a variant that spans other pages (an arm, or a walk along
+    /// later profiles) is left unreachable until the next clear.
     #[cold]
     pub(crate) fn invalidate(&mut self, d: CodeDirty) {
         match d {
@@ -541,50 +685,7 @@ impl TraceCache {
         if self.variant_for(start, cwp) || self.variants_at(start) >= MAX_VARIANTS {
             return None;
         }
-        let mut b = Builder::new(cwp, regs, cfg);
-        b.cursor = start;
-        let mut pc = start;
-        let mut self_loop = false;
-        'blocks: for _ in 0..MAX_TRACE_BLOCKS {
-            let Some(bidx) = blocks.lookup(pc) else {
-                break;
-            };
-            let block = blocks.block(bidx);
-            let profile = block.hot_exits;
-            // The block body *is* the decoded line stream (fused pairs
-            // carry their original halves), so the walk re-decodes
-            // nothing from memory and — unlike a fresh decode, which
-            // would run to the block's end — stops at the trace cap.
-            // This keeps declined promotion attempts cheap.
-            for op in block.ops.iter() {
-                let (first, second) = match op {
-                    BOp::One(l) => (l, None),
-                    BOp::CmpBranch { a, b }
-                    | BOp::LdhiImm { a, b, .. }
-                    | BOp::TransferSlot { a, b }
-                    | BOp::AddrFeed { a, b }
-                    | BOp::AluPair { a, b } => (a, Some(b)),
-                };
-                for line in std::iter::once(first).chain(second) {
-                    if b.meta.len() >= MAX_TRACE_INSNS || !b.push(line, profile) {
-                        break 'blocks;
-                    }
-                }
-            }
-            if b.pending.is_some() {
-                // The block ended on a taken transfer whose slot was left
-                // out: the trace exits with the jump still in flight and
-                // the single-step path runs the slot.
-                break;
-            }
-            pc = b.cursor;
-            if pc == start {
-                self_loop = true;
-                break;
-            }
-        }
-        let t = b.finish(start, self_loop)?;
-
+        let mut t = compile(blocks, regs, cfg, cwp, start, Vec::new())?;
         let word = start as usize / 4;
         if self.map.len() <= word {
             let len = (word + 1)
@@ -594,11 +695,54 @@ impl TraceCache {
         }
         self.maybe_compact();
         let idx = self.traces.len() as u32;
-        let mut t = t;
         t.alt = self.map.get(word).copied().unwrap_or(NO_TRACE);
-        // Register every page an instruction was lowered from; taken
-        // branches can hop pages, so the span is the set of op addresses,
-        // not an interval.
+        self.register(mem, idx, &t);
+        self.traces.push(t);
+        if let Some(slot) = self.map.get_mut(word) {
+            *slot = idx;
+        }
+        Some(idx)
+    }
+
+    /// Rebuilds the live trace at `idx` in place, for its own entry and
+    /// window, with an arm tried at the branch at `fork` as well as at
+    /// those earlier rebuilds tried. Returns whether the rebuild gained
+    /// that arm and replaced the trace; if not, the old one is demoted.
+    pub(crate) fn rebuild(
+        &mut self,
+        mem: &mut Memory,
+        blocks: &BlockCache,
+        regs: &WindowFile,
+        cfg: &SimConfig,
+        idx: u32,
+        fork: u32,
+    ) -> bool {
+        let old = &self.traces[idx as usize];
+        let mut forced = old.forced.clone();
+        forced.push(fork);
+        let forks_at = |t: &Trace| {
+            t.paths
+                .iter()
+                .any(|p| p.fork.is_some_and(|(b, _)| t.meta[b].pc == fork))
+        };
+        match compile(blocks, regs, cfg, old.cwp, old.start, forced) {
+            Some(mut t) if forks_at(&t) => {
+                t.alt = old.alt;
+                self.register(mem, idx, &t);
+                self.traces[idx as usize] = t;
+                true
+            }
+            _ => {
+                self.traces[idx as usize].enabled = false;
+                false
+            }
+        }
+    }
+
+    /// Registers trace `idx` on every page an instruction of `t` was
+    /// lowered from; taken branches can hop pages, so the span is the set
+    /// of op addresses, not an interval.
+    fn register(&mut self, mem: &mut Memory, idx: u32, t: &Trace) {
         let mut pages: Vec<usize> = t.meta.iter().map(|m| m.pc as usize / PAGE_BYTES).collect();
         pages.sort_unstable();
         pages.dedup();
@@ -609,14 +753,68 @@ impl TraceCache {
         }
         for page in pages {
             mem.note_code_page(page);
-            self.by_page[page].push(idx);
+            if !self.by_page[page].contains(&idx) {
+                self.by_page[page].push(idx);
+            }
         }
-        self.traces.push(t);
-        if let Some(slot) = self.map.get_mut(word) {
-            *slot = idx;
-        }
-        Some(idx)
     }
+}
+
+/// Compiles the trace entered at `start` for window `cwp`: the main path
+/// along block profiles, then, if it closes on `start`, its arms — at the
+/// branches whose both directions are hot and at the `forced` addresses.
+fn compile(
+    blocks: &BlockCache,
+    regs: &WindowFile,
+    cfg: &SimConfig,
+    cwp: u8,
+    start: u32,
+    forced: Vec<u32>,
+) -> Option<Trace> {
+    let mut b = Builder::new(cwp, regs, cfg, &forced);
+    b.cursor = start;
+    let self_loop = b.walk(blocks, start, start, 0, true);
+    if self_loop {
+        b.lower_arms(blocks, start);
+    }
+    let mut t = b.finish(start, self_loop)?;
+    t.forced = forced;
+    Some(t)
+}
+
+/// The prepared lines of a block body, in order: fused pairs carry their
+/// original halves.
+fn lines(ops: &[BOp]) -> impl Iterator<Item = &Line> {
+    ops.iter().flat_map(|op| {
+        let (first, second) = match op {
+            BOp::One(l) => (l, None),
+            BOp::CmpBranch { a, b }
+            | BOp::LdhiImm { a, b, .. }
+            | BOp::TransferSlot { a, b }
+            | BOp::AddrFeed { a, b }
+            | BOp::AluPair { a, b } => (a, Some(b)),
+        };
+        std::iter::once(first).chain(second)
+    })
+}
+
+/// Whether the exit profile `[fall-through, taken]` of a branch's block
+/// shows both directions hot enough to give the branch an arm.
+fn both_hot(profile: [u32; 2]) -> bool {
+    let [fall, taken] = profile.map(u64::from);
+    let minority = fall.min(taken);
+    minority > 0 && minority * ARM_MIN_SHARE >= fall + taken
+}
+
+/// A main-path branch that may get an arm: where to resume lowering in the
+/// other direction.
+struct Fork {
+    /// The branch's op index.
+    k: usize,
+    /// Entry PC of the branch's block.
+    block: u32,
+    /// Lines of that block up to and including the branch.
+    skip: usize,
 }
 
 /// Build-time state: the virtual register allocator plus the static replica
@@ -635,10 +833,16 @@ struct Builder<'a> {
     next_vreg: u8,
     cursor: u32,
     pending: Option<u32>,
+    /// Addresses of branches to fork whatever their profile says.
+    forced: &'a [u32],
+    /// Main-path branches to try arms at, in op order.
+    forks: Vec<Fork>,
+    /// Lowered arms: each one's first op, and its fork as [`TPath::fork`].
+    arms: Vec<(usize, (usize, TMeta))>,
 }
 
 impl<'a> Builder<'a> {
-    fn new(cwp: u8, regs: &'a WindowFile, cfg: &SimConfig) -> Builder<'a> {
+    fn new(cwp: u8, regs: &'a WindowFile, cfg: &SimConfig, forced: &'a [u32]) -> Builder<'a> {
         Builder {
             cwp,
             regs,
@@ -650,7 +854,119 @@ impl<'a> Builder<'a> {
             next_vreg: SINK + 1,
             cursor: 0,
             pending: None,
+            forced,
+            forks: Vec::new(),
+            arms: Vec::new(),
         }
+    }
+
+    /// Lowers the blocks from the one entered at `pc`, skipping its first
+    /// `skip` lines, along their profiled directions. Returns `true` when
+    /// the walk closes on `start` with no jump in flight; `false` when it
+    /// reaches an op it cannot lower, a block that was never built, a taken
+    /// transfer whose slot was left out, or a cap — what it lowered stays.
+    /// The `main` path records the branches whose both directions are hot,
+    /// or that are forced, for [`Builder::lower_arms`]; an arm gives up as
+    /// soon as it enters a block it has lowered whole, since each block
+    /// leads on the same way every time: it is circling an inner loop and
+    /// would only run into the block cap.
+    fn walk(
+        &mut self,
+        blocks: &BlockCache,
+        start: u32,
+        mut pc: u32,
+        mut skip: usize,
+        main: bool,
+    ) -> bool {
+        let mut whole: Vec<u32> = Vec::new();
+        for _ in 0..MAX_TRACE_BLOCKS {
+            if !main {
+                if whole.contains(&pc) {
+                    return false;
+                }
+                if skip == 0 {
+                    whole.push(pc);
+                }
+            }
+            let Some(bidx) = blocks.lookup(pc) else {
+                return false;
+            };
+            let block = blocks.block(bidx);
+            let profile = block.hot_exits;
+            // The block body *is* the decoded line stream, so the walk
+            // re-decodes nothing from memory and — unlike a fresh decode,
+            // which would run to the block's end — stops at the trace cap.
+            // This keeps declined promotion attempts cheap.
+            for (i, line) in lines(&block.ops).enumerate().skip(skip) {
+                if self.meta.len() >= MAX_TRACE_INSNS || !self.push(line, profile) {
+                    return false;
+                }
+                if main
+                    && matches!(self.ops.last(), Some(TOp::Branch { .. }))
+                    && (both_hot(profile)
+                        || self.forced.contains(&self.meta[self.meta.len() - 1].pc))
+                {
+                    self.forks.push(Fork {
+                        k: self.ops.len() - 1,
+                        block: pc,
+                        skip: i + 1,
+                    });
+                }
+            }
+            skip = 0;
+            if self.pending.is_some() {
+                // The block ended on a taken transfer whose slot was left
+                // out: the trace exits with the jump still in flight and
+                // the single-step path runs the slot.
+                return false;
+            }
+            pc = self.cursor;
+            if pc == start {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Lowers an arm for each recorded fork, in op order, until
+    /// [`MAX_ARMS`] have formed: the fork's delay slot with the other
+    /// direction's pending target, then blocks along their profiles back to
+    /// `start`. An arm that does not close is rolled back, allocations and
+    /// all, and its branch stays a guard. Called once the main path has
+    /// closed on `start`, which is where it leaves the PC dance.
+    fn lower_arms(&mut self, blocks: &BlockCache, start: u32) {
+        for fork in std::mem::take(&mut self.forks) {
+            if self.arms.len() == MAX_ARMS {
+                break;
+            }
+            let TOp::Branch { target, expect, .. } = self.ops[fork.k] else {
+                unreachable!("forks are branches");
+            };
+            let first = self.ops.len();
+            let (alloc, consts, next_vreg) =
+                (self.alloc.clone(), self.consts.len(), self.next_vreg);
+            self.cursor = self.meta[fork.k].pc.wrapping_add(4);
+            self.pending = (!expect).then_some(target);
+            if self.walk(blocks, start, fork.block, fork.skip, false) {
+                if let TOp::Branch { arm, .. } = &mut self.ops[fork.k] {
+                    *arm = first as u8;
+                }
+                let retired = TMeta {
+                    taken: !expect,
+                    bubble: self.suspended && !expect,
+                    ..self.meta[fork.k]
+                };
+                self.arms.push((first, (fork.k, retired)));
+            } else {
+                self.ops.truncate(first);
+                self.meta.truncate(first);
+                self.alloc = alloc;
+                self.consts.truncate(consts);
+                self.next_vreg = next_vreg;
+            }
+        }
+        self.cursor = start;
+        self.pending = None;
     }
 
     /// The vreg backing flat store index `flat`, allocating on first touch.
@@ -801,6 +1117,7 @@ impl<'a> Builder<'a> {
                         cond: line.cond,
                         target,
                         expect,
+                        arm: 0,
                     }
                 }
             }
@@ -825,6 +1142,26 @@ impl<'a> Builder<'a> {
         true
     }
 
+    /// The path whose own ops are `start..end`, forking (for an arm) from
+    /// the main-path branch `fork` names: its length, aggregate and final
+    /// `last_pc` are those of the ops it retires, in order.
+    fn path(&self, start: usize, end: usize, fork: Option<(usize, TMeta)>) -> TPath {
+        let mut retired: Vec<TMeta> = Vec::new();
+        if let Some((b, m)) = fork {
+            retired.extend_from_slice(&self.meta[..b]);
+            retired.push(m);
+        }
+        retired.extend_from_slice(&self.meta[start..end]);
+        TPath {
+            start,
+            end,
+            fork,
+            insns: retired.len() as u32,
+            agg: TAgg::from_meta(&retired),
+            final_last_pc: retired.last().map_or(0, |m| m.pc),
+        }
+    }
+
     fn finish(self, start: u32, self_loop: bool) -> Option<Trace> {
         if self.meta.is_empty() || !(self_loop || self.meta.len() >= MIN_STRAIGHT_INSNS) {
             return None;
@@ -838,26 +1175,34 @@ impl<'a> Builder<'a> {
             .map(|&(f, v, _)| (v, f))
             .collect();
         let consts: Vec<(u8, u32)> = self.consts.iter().map(|&(c, v)| (v, c)).collect();
-        let agg = TAgg::from_meta(&self.meta);
-        let final_last_pc = self.meta.last().map(|m| m.pc).unwrap_or(start);
+        // The main path runs up to the first arm, each arm up to the next.
+        let starts = std::iter::once(0).chain(self.arms.iter().map(|&(first, _)| first));
+        let ends = self.arms.iter().map(|&(first, _)| first);
+        let forks = std::iter::once(None).chain(self.arms.iter().map(|&(_, fork)| Some(fork)));
+        let paths: Vec<TPath> = starts
+            .zip(ends.chain([self.meta.len()]))
+            .zip(forks)
+            .map(|((start, end), fork)| self.path(start, end, fork))
+            .collect();
         Some(Trace {
             start,
             cwp: self.cwp,
-            insns: self.meta.len() as u32,
+            insns: paths.iter().map(|p| p.insns).max().unwrap_or(0),
             ops: self.ops.into(),
             meta: self.meta.into(),
-            agg,
+            paths: paths.into(),
             live_in: live_in.into(),
             live_out: live_out.into(),
             consts: consts.into(),
             self_loop,
             final_pc: self.cursor,
             final_pending: self.pending,
-            final_last_pc,
             alive: true,
             enabled: true,
             strikes: 0,
+            passes: 0,
             alt: NO_TRACE,
+            forced: Vec::new(),
         })
     }
 }
@@ -940,12 +1285,14 @@ mod tests {
         assert_eq!(t.insns, 4);
         assert_eq!(t.final_pc, 0);
         assert_eq!(t.final_pending, None);
-        assert_eq!(t.final_last_pc, 0xc, "the slot is the last op");
+        assert_eq!(t.paths.len(), 1, "one direction: no arm");
+        let main = &t.paths[0];
+        assert_eq!(main.final_last_pc, 0xc, "the slot is the last op");
         // The slot rides in the taken branch's delay slot.
         assert_eq!(t.meta[3].pending_before, Some(0));
-        assert_eq!(t.agg.instructions, 4);
-        assert_eq!(t.agg.taken_transfers, 1);
-        assert_eq!(t.agg.delay_slots, 1);
+        assert_eq!(main.agg.instructions, 4);
+        assert_eq!(main.agg.taken_transfers, 1);
+        assert_eq!(main.agg.delay_slots, 1);
         // r16, r17, r18 live; r16/r17/r18 all written.
         assert_eq!(t.live_in.len(), 3);
         assert_eq!(t.live_out.len(), 3);
@@ -957,22 +1304,214 @@ mod tests {
         );
     }
 
-    #[test]
-    fn aggregate_matches_per_op_metadata() {
+    /// Builds the block at `pc` and records `fall` fall-through and `taken`
+    /// taken completions in its exit profile.
+    fn profile(
+        mem: &mut Memory,
+        blocks: &mut BlockCache,
+        cfg: &SimConfig,
+        pc: u32,
+        [fall, taken]: [u32; 2],
+    ) {
+        let idx = blocks
+            .lookup(pc)
+            .or_else(|| blocks.build(mem, pc, cfg))
+            .expect("block builds");
+        for i in 0..fall + taken {
+            blocks.bump_heat(idx, i >= fall);
+        }
+    }
+
+    /// A counted loop with a data-dependent skip: even iterations branch
+    /// over the odd-only add. Blocks: A at 0x0 ends on the skip, B at
+    /// 0x10 is the odd-only add plus the loop tail, C at 0x14 the tail
+    /// alone.
+    fn alternating_loop() -> Vec<u32> {
+        vec![
+            add(Reg::R17, Reg::R17, 1), // 0x0: i += 1
+            Instruction::reg_scc(Opcode::And, Reg::R18, Reg::R17, Short2::imm(1).unwrap()).encode(),
+            Instruction::jmpr(Cond::Eq, 12).encode(), // 0x8: even → 0x14
+            add(Reg::R0, Reg::R0, 0),                 // 0xc (slot)
+            add(Reg::R19, Reg::R19, 1),               // 0x10: odd only
+            Instruction::reg_scc(Opcode::Sub, Reg::R16, Reg::R16, Short2::imm(1).unwrap()).encode(),
+            Instruction::jmpr(Cond::Ne, -24).encode(), // 0x18 → 0x0
+            add(Reg::R0, Reg::R0, 0),                  // 0x1c (slot)
+        ]
+    }
+
+    /// Compiles [`alternating_loop`] at 0 with the skip's block profile
+    /// `skip` and the loop tail's `tail` (both tail blocks alike).
+    fn alternating_trace(skip: [u32; 2], tail: [u32; 2]) -> Trace {
         let cfg = SimConfig::default();
-        let mut mem = mem_with(&countdown_loop());
+        let mut mem = mem_with(&alternating_loop());
         let mut blocks = BlockCache::new(mem.page_count());
         let regs = WindowFile::new(cfg.windows);
         let mut cache = TraceCache::new(mem.page_count());
-        let idx =
-            build_hot(&mut cache, &mut mem, &mut blocks, &regs, &cfg, 0, true).expect("promotes");
+        profile(&mut mem, &mut blocks, &cfg, 0, skip);
+        profile(&mut mem, &mut blocks, &cfg, 0x10, tail);
+        profile(&mut mem, &mut blocks, &cfg, 0x14, tail);
+        let idx = cache
+            .build(&mut mem, &blocks, &regs, &cfg, 0)
+            .expect("promotes");
+        cache.trace(idx).clone()
+    }
+
+    #[test]
+    fn an_arm_forms_when_both_directions_are_hot() {
+        // The skip went each way half the time; the tie goes to the
+        // fall-through, so the main path runs the odd-only add.
+        let t = alternating_trace([32, 32], [0, 64]);
+        assert!(t.self_loop);
+        assert_eq!(t.paths.len(), 2, "main path and one arm");
+        let (main, arm) = (&t.paths[0], &t.paths[1]);
+        assert_eq!((main.start, main.end), (0, 8), "A then B");
+        assert!(matches!(
+            t.ops[2],
+            TOp::Branch {
+                expect: false,
+                arm: 8,
+                ..
+            }
+        ));
+        // The arm is the skip's slot with the taken target in flight, then
+        // C back to the entry.
+        assert_eq!((arm.start, arm.end), (8, 12));
+        assert_eq!(t.meta[8].pc, 0xc);
+        assert_eq!(t.meta[8].pending_before, Some(0x14));
+        assert_eq!(t.meta[9].pc, 0x14);
+        let (b, fork) = arm.fork.expect("an arm forks");
+        assert_eq!(b, 2);
+        assert!(fork.taken, "the arm retires the skip taken");
+        // Main: 4 + 4. Arm: the two ops before the skip, the skip, its
+        // slot and C's three.
+        assert_eq!((main.insns, arm.insns, t.insns), (8, 7, 8));
+        assert_eq!((main.final_last_pc, arm.final_last_pc), (0x1c, 0x1c));
+        assert_eq!(arm.agg.taken_transfers, 2, "skip and backedge");
+        assert_eq!(main.agg.taken_transfers, 1, "backedge only");
+        assert_eq!(t.arm_at(8), 1);
+        assert_eq!(t.prev_pc(1, 8), Some(0x8), "the slot follows the skip");
+        assert_eq!(t.prev_pc(0, 8 - 1), Some(0x18));
+        assert_eq!(t.prev_pc(0, 0), None);
+    }
+
+    #[test]
+    fn a_rare_direction_stays_a_guard() {
+        // 1/8 of the exits is enough for an arm; less is not.
+        let t = alternating_trace([56, 8], [0, 64]);
+        assert_eq!(t.paths.len(), 2, "exactly 1/8 is hot");
+        let t = alternating_trace([57, 7], [0, 64]);
+        assert_eq!(t.paths.len(), 1, "under 1/8 is not");
+        assert!(matches!(t.ops[2], TOp::Branch { arm: 0, .. }));
+        // A loop exit taken once per 16 trips stays a guard too.
+        let t = alternating_trace([64, 0], [4, 60]);
+        assert_eq!(t.paths.len(), 1);
+        assert!(matches!(
+            t.ops[6],
+            TOp::Branch {
+                expect: true,
+                arm: 0,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn an_arm_that_leaves_the_loop_is_dropped() {
+        let cfg = SimConfig::default();
+        // The skip's taken direction leaves the loop: it bumps r20, which
+        // the loop never touches, then returns.
+        let mut mem = mem_with(&[
+            add(Reg::R17, Reg::R17, 1),
+            Instruction::reg_scc(Opcode::And, Reg::R0, Reg::R17, Short2::imm(1).unwrap()).encode(),
+            Instruction::jmpr(Cond::Eq, 16).encode(), // 0x8: → 0x18, out
+            add(Reg::R0, Reg::R0, 0),
+            Instruction::jmpr(Cond::Alw, -16).encode(), // 0x10: → 0x0
+            add(Reg::R0, Reg::R0, 0),
+            add(Reg::R20, Reg::R20, 1), // 0x18
+            Instruction::ret(Reg::R25, Short2::imm(8).unwrap()).encode(),
+            add(Reg::R0, Reg::R0, 0),
+        ]);
+        let mut blocks = BlockCache::new(mem.page_count());
+        let regs = WindowFile::new(cfg.windows);
+        let mut cache = TraceCache::new(mem.page_count());
+        profile(&mut mem, &mut blocks, &cfg, 0, [32, 32]);
+        profile(&mut mem, &mut blocks, &cfg, 0x10, [0, 64]);
+        profile(&mut mem, &mut blocks, &cfg, 0x18, [0, 32]);
+        let idx = cache
+            .build(&mut mem, &blocks, &regs, &cfg, 0)
+            .expect("promotes");
         let t = cache.trace(idx);
-        // Applying the bulk aggregate must equal replaying the per-op
-        // metadata the side exits use — the exits' exactness rests on it.
-        let mut bulk = ExecStats::new();
-        t.agg.apply_n(&mut bulk, 1);
+        assert!(t.self_loop);
+        assert_eq!(t.paths.len(), 1, "the arm was dropped");
+        assert_eq!(t.ops.len(), 6, "and its ops rolled back");
+        assert!(matches!(t.ops[2], TOp::Branch { arm: 0, .. }));
+        let r20 = regs.flat_index(usize::from(regs.cwp()), Reg::R20);
+        assert!(
+            t.live_in.iter().all(|&(_, flat)| flat != r20),
+            "the dropped arm's registers are not loaded"
+        );
+    }
+
+    #[test]
+    fn a_guard_that_keeps_ending_passes_gets_an_arm_before_demotion() {
+        let cfg = SimConfig::default();
+        let mut mem = mem_with(&alternating_loop());
+        let mut blocks = BlockCache::new(mem.page_count());
+        let regs = WindowFile::new(cfg.windows);
+        let mut cache = TraceCache::new(mem.page_count());
+        // Promoted while the skip went one way: no arm.
+        profile(&mut mem, &mut blocks, &cfg, 0, [64, 0]);
+        profile(&mut mem, &mut blocks, &cfg, 0x10, [0, 64]);
+        profile(&mut mem, &mut blocks, &cfg, 0x14, [0, 64]);
+        let idx = cache
+            .build(&mut mem, &blocks, &regs, &cfg, 0)
+            .expect("promotes");
+        assert_eq!(cache.trace(idx).paths.len(), 1);
+        // A trace that has not run HOT_THRESHOLD passes is demoted when it
+        // strikes out, whatever guard it left at.
+        let mut young = cache.clone();
+        for _ in 0..STRIKE_LIMIT {
+            assert_eq!(young.note_run(idx, false, 1, Some(2)), None);
+        }
+        assert!(!young.trace(idx).enabled, "demoted");
+        // Once it has, runs that end at the skip's guard strike out, and
+        // the last strike asks for a rebuild with an arm there instead.
+        assert_eq!(
+            cache.note_run(idx, true, u64::from(HOT_THRESHOLD), None),
+            None
+        );
+        for _ in 1..STRIKE_LIMIT {
+            assert_eq!(cache.note_run(idx, false, 1, Some(2)), None);
+        }
+        assert_eq!(cache.note_run(idx, false, 1, Some(2)), Some(0x8));
+        assert!(cache.trace(idx).enabled);
+        assert!(cache.rebuild(&mut mem, &blocks, &regs, &cfg, idx, 0x8));
+        let t = cache.trace(idx);
+        assert_eq!(t.paths.len(), 2, "the rebuild forked the skip");
+        assert_eq!(t.forced, vec![0x8]);
+        assert_eq!(cache.resolve(0, regs.cwp()), Some(idx), "in place");
+        // A guard is tried once: striking out on it again demotes.
+        assert_eq!(
+            cache.note_run(idx, true, u64::from(HOT_THRESHOLD), None),
+            None
+        );
+        for _ in 0..STRIKE_LIMIT {
+            assert_eq!(cache.note_run(idx, false, 1, Some(2)), None);
+        }
+        assert!(!cache.trace(idx).enabled, "demoted");
+        // A rebuild that cannot form the arm (the loop's exit leaves it)
+        // demotes rather than replacing the trace with its twin.
+        let mut exit = cache.clone();
+        exit.traces[idx as usize].enabled = true;
+        assert!(!exit.rebuild(&mut mem, &blocks, &regs, &cfg, idx, 0x18));
+        assert!(!exit.trace(idx).enabled);
+    }
+
+    /// The statistics of retiring `meta` in order, summed field by field
+    /// as `exec_prepared` counts them.
+    fn retire_all(meta: &[TMeta]) -> ExecStats {
         let mut sum = ExecStats::new();
-        for m in t.meta.iter() {
+        for m in meta {
             sum.retire(m.op);
             if m.pending_before.is_some() {
                 sum.delay_slots += 1;
@@ -984,10 +1523,57 @@ mod tests {
             sum.data_writes += u64::from(m.is_store);
             sum.taken_transfers += u64::from(m.taken);
         }
-        assert_eq!(bulk, sum);
-        assert_eq!(bulk.ifetches, sum.ifetches);
-        assert_eq!(bulk.cycles, sum.cycles);
-        assert_eq!(bulk.opcode_counts, sum.opcode_counts);
+        sum
+    }
+
+    #[test]
+    fn every_path_aggregate_matches_its_per_op_metadata() {
+        // Applying a path's bulk aggregate must equal replaying the per-op
+        // metadata of the ops it retires, which is what the side exits
+        // replay — the exits' exactness rests on it. Both branch models.
+        for branch_model in [BranchModel::Delayed, BranchModel::Suspended] {
+            let cfg = SimConfig {
+                branch_model,
+                ..SimConfig::default()
+            };
+            let mut mem = mem_with(&alternating_loop());
+            let mut blocks = BlockCache::new(mem.page_count());
+            let regs = WindowFile::new(cfg.windows);
+            let mut cache = TraceCache::new(mem.page_count());
+            profile(&mut mem, &mut blocks, &cfg, 0, [32, 32]);
+            profile(&mut mem, &mut blocks, &cfg, 0x10, [0, 64]);
+            profile(&mut mem, &mut blocks, &cfg, 0x14, [0, 64]);
+            let idx = cache
+                .build(&mut mem, &blocks, &regs, &cfg, 0)
+                .expect("promotes");
+            let t = cache.trace(idx);
+            assert_eq!(t.paths.len(), 2);
+            for (p, path) in t.paths.iter().enumerate() {
+                let mut retired: Vec<TMeta> = Vec::new();
+                if let Some((b, m)) = path.fork {
+                    let TOp::Branch { expect, .. } = t.ops[b] else {
+                        panic!("arm {p} forks from op {b}, no branch");
+                    };
+                    assert_eq!(m.taken, !expect, "the arm retires the other direction");
+                    assert_eq!(m.bubble, branch_model == BranchModel::Suspended && !expect);
+                    retired.extend_from_slice(&t.meta[..b]);
+                    retired.push(m);
+                }
+                retired.extend_from_slice(&t.meta[path.start..path.end]);
+                let sum = retire_all(&retired);
+                let mut bulk = ExecStats::new();
+                path.agg.apply_n(&mut bulk, 1);
+                let mut replayed = ExecStats::new();
+                t.replay(&mut replayed, p, path.end);
+                for got in [&bulk, &replayed] {
+                    assert_eq!(got, &sum, "path {p}");
+                    assert_eq!(got.ifetches, sum.ifetches, "path {p}");
+                    assert_eq!(got.cycles, sum.cycles, "path {p}");
+                    assert_eq!(got.opcode_counts, sum.opcode_counts, "path {p}");
+                }
+                assert_eq!(u64::from(path.insns), sum.instructions);
+            }
+        }
     }
 
     #[test]

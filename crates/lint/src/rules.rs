@@ -13,7 +13,8 @@
 //! The window-depth rule implements the paper's register-window arithmetic:
 //! a file of *w* windows holds *w − 1* activation frames, so a static call
 //! chain of depth ≥ *w − 1* from the entry point is guaranteed to take
-//! overflow traps (eight stores and reloads per spilled window).
+//! overflow traps (16 words stored per spilled window, and 16 loaded back
+//! per fill: `SPILL_REGS` in `risc1-core`).
 
 use crate::cfg::{Cfg, FunctionCfg, InsnIdx};
 use crate::dataflow::{

@@ -190,7 +190,7 @@ fn parse_submit(obj: &[(String, Json)]) -> Result<Request, JsonError> {
                 JobMode::Supervised {
                     ckpt_every: match get_opt(obj, "ckpt_every") {
                         None => dflt.ckpt_every,
-                        Some(v) => v.as_u64("ckpt_every")?,
+                        Some(v) => ckpt_interval(v, "ckpt_every")?,
                     },
                     max_retries: match get_opt(obj, "max_retries") {
                         None => dflt.max_retries,
@@ -256,6 +256,16 @@ fn parse_submit(obj: &[(String, Json)]) -> Result<Request, JsonError> {
         weight,
         specs,
     })
+}
+
+/// A supervised mode's checkpoint interval, in instructions. Zero is
+/// refused: the supervisor would checkpoint after every instruction, in
+/// one-step segments.
+fn ckpt_interval(v: &Json, what: &str) -> Result<u64, JsonError> {
+    match v.as_u64(what)? {
+        0 => Err(JsonError::schema(&format!("{what}: must be at least 1"))),
+        n => Ok(n),
+    }
 }
 
 fn parse_program(v: &Json) -> Result<Program, JsonError> {
@@ -508,7 +518,7 @@ pub fn parse_spec(v: &Json) -> Result<JobSpec, JsonError> {
     let mode = match get(obj, "mode")? {
         Json::Str(s) if s == "direct" => JobMode::Direct,
         Json::Obj(m) => JobMode::Supervised {
-            ckpt_every: get(m, "ckpt_every")?.as_u64("spec.mode.ckpt_every")?,
+            ckpt_every: ckpt_interval(get(m, "ckpt_every")?, "spec.mode.ckpt_every")?,
             max_retries: get(m, "max_retries")?.as_u32("spec.mode.max_retries")?,
         },
         _ => return Err(JsonError::schema("spec.mode: expected \"direct\" or {…}")),
@@ -976,6 +986,50 @@ mod tests {
             assert_ne!(bad, frame, "{from} is in the frame");
             let err = parse_request(&bad).unwrap_err();
             assert!(matches!(err, JsonError::Schema(_)), "{to}: {err}");
+        }
+        // A supervised job must checkpoint at intervals of at least one
+        // instruction, whether it arrives in a submit frame or in a spec
+        // stored in the write-ahead log.
+        let supervised = frame.replace("\"mode\":\"direct\"", "\"mode\":\"supervised\"");
+        assert_ne!(supervised, frame, "the frame names its mode");
+        assert!(parse_request(&supervised).is_ok());
+        for ckpt_every in [0, 1] {
+            let frame = supervised.replace(
+                "\"mode\":\"supervised\"",
+                &format!("\"mode\":\"supervised\",\"ckpt_every\":{ckpt_every}"),
+            );
+            let spec = JobSpec {
+                program: prog.clone(),
+                args: Vec::new(),
+                cfg: SimConfig::default(),
+                inject: None,
+                recovery: false,
+                mode: JobMode::Supervised {
+                    ckpt_every,
+                    max_retries: 2,
+                },
+                timeout_ms: None,
+                snapshot: None,
+                journal: false,
+            };
+            let mut w = Writer::new();
+            write_spec(&mut w, &spec);
+            let stored = parse_spec(&Parser::new(&w.finish()).parse_document().unwrap());
+            if ckpt_every == 0 {
+                let err = parse_request(&frame).unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    "schema error: ckpt_every: must be at least 1"
+                );
+                let err = stored.unwrap_err();
+                assert_eq!(
+                    err.to_string(),
+                    "schema error: spec.mode.ckpt_every: must be at least 1"
+                );
+            } else {
+                assert!(parse_request(&frame).is_ok());
+                assert_eq!(stored.unwrap().mode, spec.mode);
+            }
         }
     }
 

@@ -1,47 +1,52 @@
 //! The execution engines' correctness law: acceleration is invisible.
 //!
-//! PR 4 added a predecoded instruction cache (`crates/core/src/icache.rs`),
-//! PR 5 layered a superblock engine over it
-//! (`crates/core/src/superblock.rs`): straight-line blocks formed over
-//! the cached lines, chained block-to-block, with macro-op fusion inside,
-//! and PR 9 added the trace tier (`crates/core/src/trace.rs`): hot chained
-//! superblocks compiled to register-allocated trace IR with bulk
-//! statistics applied at trace exit. All of that is pure derived state —
-//! under any of the four engines (`uncached`, `cached`, `superblock`,
-//! `trace`), every simulated observable must be bit-identical: final
-//! result, `ExecStats` (instruction mix, cycles, traps, spills), the
-//! entire memory image, the visible register window, and the window-file
-//! position. This suite holds all engines to that bar eight ways:
+//! Three tiers accelerate the reference interpreter: a predecoded
+//! instruction cache (`crates/core/src/icache.rs`); a superblock engine
+//! over it (`crates/core/src/superblock.rs`): straight-line blocks formed
+//! over the cached lines, with macro-op fusion inside; and the trace tier
+//! (`crates/core/src/trace.rs`): hot superblock sequences compiled to
+//! register-allocated trace IR with bulk statistics applied at trace exit,
+//! running both directions of a data-dependent branch as arms. All of that
+//! is pure derived state — under any of the four engines (`uncached`,
+//! `cached`, `superblock`, `trace`), every simulated observable must be
+//! bit-identical: final result, `ExecStats`
+//! (instruction mix, cycles, traps, spills), the entire memory image, the
+//! visible register window, the window-file position, and the whole
+//! machine as its snapshot checksum sees it (PSW, trap state, `last_pc`,
+//! the in-flight target, the save-stack pointer). This suite holds all
+//! engines to that bar ten ways:
 //!
 //! 1. deterministically across all eleven suite workloads (four-way),
+//!    with a floor on the trace tier's coverage of the loop programs,
 //! 2. property-style under seed-driven fault injection (where traps,
 //!    recovery stubs, and snapshot restores stress the invalidation
 //!    paths),
 //! 3. with a hand-assembled self-modifying program that overwrites its
 //!    own already-executed-and-cached text,
-//! 4. with a program that patches the middle of an already-chained hot
+//! 4. with a program that patches the middle of an already-formed hot
 //!    loop while it runs — the store must kill the formed blocks,
 //! 5. with a long-running hot loop that patches its own text only *after*
 //!    the trace tier has compiled and entered a trace for it — the store
 //!    side-exits the trace and kills it,
 //! 6. by dirtying more registered code pages than the pending channel
-//!    can hold, forcing the overflow → flush-everything fallback, and
+//!    can hold, forcing the overflow → flush-everything fallback,
 //! 7. with a hot loop in the last page of memory — the far end of the
 //!    caches' lazily grown page tables — that patches itself and then
-//!    jumps past the end of memory, and
+//!    jumps past the end of memory,
 //! 8. with a hot loop whose block leaves early on some iterations, through
 //!    a vectored fault and through a code-dirty store, and must run its
-//!    whole body on the next entry.
-//!
-//! Snapshot checksums deliberately cover `SimConfig` (so a restore
-//! cannot silently cross configurations), which makes them useless for
-//! cross-engine comparison — the digest here is hand-rolled over the raw
-//! memory pages instead.
+//!    whole body on the next entry,
+//! 9. with a bubble-style hot loop whose swap test goes both ways, so its
+//!    trace holds both directions: plain, with vectored faults and
+//!    code-dirty stores on both paths, under the suspended branch model,
+//!    and chopped by `step_n` at every size up to its longest path, and
+//! 10. with a hot loop entered from outside whose first op faults, with
+//!     no handler, after its trace has completed passes.
 
 use proptest::prelude::*;
 use risc1::core::inject::{InjectConfig, InjectModes};
 use risc1::core::{
-    Cpu, ExecEngine, ExecError, ExecStats, Halt, Program, SimConfig, TrapKind,
+    BranchModel, Cpu, ExecEngine, ExecError, ExecStats, Halt, Program, SimConfig, TrapKind,
     CODE_DIRTY_PENDING_CAP, PAGE_BYTES,
 };
 use risc1::ir::{compile_risc, run_risc, run_risc_injected, RiscOpts};
@@ -64,11 +69,14 @@ struct FinalState {
     cwp: u8,
     depth: u64,
     mem_digest: u64,
+    /// The final snapshot's checksum: the whole machine, including what
+    /// the fields above leave out. Snapshots hold only the architectural
+    /// configuration, so it is engine-independent.
+    checksum: u64,
 }
 
-/// FNV-1a over every memory page. `Snapshot::checksum` is unusable here
-/// because it folds in the `SimConfig` (which differs by construction
-/// across the engines); this digest covers memory content only.
+/// FNV-1a over every memory page. The checksum covers memory too; this
+/// digest says whether a mismatch is in memory or elsewhere.
 fn mem_digest(cpu: &Cpu) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for idx in 0..cpu.mem.page_count() {
@@ -88,6 +96,7 @@ fn capture(cpu: &Cpu) -> FinalState {
         cwp: cpu.windows().cwp(),
         depth: cpu.windows().depth(),
         mem_digest: mem_digest(cpu),
+        checksum: cpu.snapshot().checksum(),
     }
 }
 
@@ -116,10 +125,24 @@ fn run_mode(prog: &Program, args: &[i32], engine: ExecEngine) -> FinalState {
     capture(&cpu)
 }
 
+/// Floors on the trace tier's coverage (`trace_instructions /
+/// instructions`) of the loop programs at `small_args`, each 0.05 below
+/// what the tier read when the floors were set: e_string_search 0.976,
+/// f_bit_test 0.950, h_linked_list 0.717, sieve 0.874, bubble 0.811. Both
+/// counts are exact, so the gate cannot flap on timer noise.
+const TRACE_COVERAGE_FLOORS: [(&str, f64); 5] = [
+    ("e_string_search", 0.92),
+    ("f_bit_test", 0.90),
+    ("h_linked_list", 0.66),
+    ("sieve", 0.82),
+    ("bubble", 0.76),
+];
+
 #[test]
 fn every_workload_is_bit_identical_across_all_four_engines() {
     let mut fused_anywhere = 0u64;
     let mut traced_anywhere = 0u64;
+    let mut floors_checked = 0;
     for w in all() {
         let prog = compile_risc(&w.module, RiscOpts::default()).expect("suite compiles");
         let uncached = run_mode(&prog, &w.small_args, ExecEngine::Uncached);
@@ -149,7 +172,24 @@ fn every_workload_is_bit_identical_across_all_four_engines() {
             "{}: only the trace engine may run traces",
             w.id
         );
+        if let Some(&(_, floor)) = TRACE_COVERAGE_FLOORS.iter().find(|(id, _)| *id == w.id) {
+            let coverage = trace.stats.trace_coverage();
+            assert!(
+                coverage >= floor,
+                "{}: the trace tier covered {coverage:.4} of its instructions \
+                 ({} of {}), under its floor of {floor}",
+                w.id,
+                trace.stats.trace_instructions,
+                trace.stats.instructions
+            );
+            floors_checked += 1;
+        }
     }
+    assert_eq!(
+        floors_checked,
+        TRACE_COVERAGE_FLOORS.len(),
+        "every floored program is in the suite"
+    );
     assert!(
         fused_anywhere > 0,
         "macro-op fusion never fired across the whole suite"
@@ -677,4 +717,305 @@ fn a_block_that_leaves_early_runs_its_whole_body_on_its_next_entry() {
         "the loop must run as a block"
     );
     assert_eq!(run(ExecEngine::Trace), uncached, "traces must be invisible");
+}
+
+/// Iterations of the two-armed loop, one array pair each.
+const SWAP_ITERS: i32 = 200;
+
+/// The two-armed loop's longest path through its trace: the loop head
+/// (16 instructions), the swap (2) and the tail (6). The arm's path is the
+/// head, its slot and the tail (22).
+const SWAP_LONGEST_PATH: u64 = 24;
+
+/// Where the two-armed loop's array and data word live.
+const SWAP_ARRAY: u32 = 0x2000;
+
+/// A bubble-style hot loop whose swap test goes both ways: iteration `i`
+/// compares array pair `i - 1` (odd-even transposition, so the pairs are
+/// independent) and swaps it when out of order. Every third pair is in
+/// order, so the swap is the majority direction and the in-order skip past
+/// it — the branch's taken direction — is hot enough to become the arm of
+/// the loop's trace. The skip's delay slot is a load, so the arm's first
+/// op can fault with the skip's target in flight.
+///
+/// With `traps`, two things happen every 16 iterations, on the main path
+/// and in the arm alike:
+/// - `i % 16 == 7`: the slot load is misaligned. The handler zeroes the
+///   offset (global r7) and returns to the restart address, which the
+///   lastpc rule makes the skip itself when the skip was taken.
+/// - `i % 16 == 15`: the tail's store, which otherwise writes a data word,
+///   writes the handler's page — code that has run since the last such
+///   store — and leaves its block or trace through the code-dirty channel.
+///
+/// Returns the program, the handler's address and the code word stored to.
+fn two_armed_loop(traps: bool) -> (Program, u32, u32) {
+    let imm = |v: i32| Short2::imm(v).expect("fits imm13");
+    let cfg = SimConfig::default();
+    let words_per_page = PAGE_BYTES / 4;
+    let handler = cfg.code_base + 2 * PAGE_BYTES as u32;
+    let code_word = handler + 16;
+    let mask = if traps { 15 } else { 0 };
+    // Page 0: r16 = the array, r23 = the data word, r18 = r23 ^ code word.
+    let mut insns = vec![
+        Instruction::ldhi(Reg::R16, SWAP_ARRAY >> 13),
+        Instruction::reg(Opcode::Add, Reg::R23, Reg::R16, imm(0x800)),
+        Instruction::reg(Opcode::Add, Reg::R24, Reg::R0, imm(0)),
+    ];
+    insns.extend(
+        imm_chunks(code_word)
+            .into_iter()
+            .map(|c| Instruction::reg(Opcode::Add, Reg::R24, Reg::R24, c)),
+    );
+    insns.push(Instruction::reg(
+        Opcode::Xor,
+        Reg::R18,
+        Reg::R24,
+        Short2::Reg(Reg::R23),
+    ));
+    insns.resize(words_per_page, Instruction::nop());
+    // Page 1: the loop.
+    let l = insns.len();
+    insns.extend([
+        Instruction::reg(Opcode::Add, Reg::R17, Reg::R17, imm(1)), // i += 1
+        // r7 = 1 iff traps and i % 16 == 7.
+        Instruction::reg(Opcode::Add, Reg::R7, Reg::R17, imm(8)),
+        Instruction::reg(Opcode::And, Reg::R7, Reg::R7, imm(mask)),
+        Instruction::reg(Opcode::Add, Reg::R7, Reg::R7, imm(1)),
+        Instruction::reg(Opcode::Srl, Reg::R7, Reg::R7, imm(4)),
+        // r19 = the code word iff traps and i % 16 == 15, else the data word.
+        Instruction::reg(Opcode::And, Reg::R19, Reg::R17, imm(mask)),
+        Instruction::reg(Opcode::Add, Reg::R19, Reg::R19, imm(1)),
+        Instruction::reg(Opcode::Srl, Reg::R19, Reg::R19, imm(4)),
+        Instruction::reg(Opcode::Sub, Reg::R19, Reg::R0, Short2::Reg(Reg::R19)),
+        Instruction::reg(Opcode::And, Reg::R19, Reg::R19, Short2::Reg(Reg::R18)),
+        Instruction::reg(Opcode::Xor, Reg::R19, Reg::R19, Short2::Reg(Reg::R23)),
+        Instruction::reg(Opcode::Ldl, Reg::R20, Reg::R16, imm(0)),
+        Instruction::reg(Opcode::Ldl, Reg::R21, Reg::R16, imm(4)),
+        Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R20, Short2::Reg(Reg::R21)),
+        Instruction::jmpr(Cond::Le, 4 * 4), // in order: skip the swap
+        Instruction::reg(Opcode::Ldl, Reg::R22, Reg::R23, Short2::Reg(Reg::R7)), // slot
+        Instruction::reg(Opcode::Stl, Reg::R21, Reg::R16, imm(0)), // swap
+        Instruction::reg(Opcode::Stl, Reg::R20, Reg::R16, imm(4)),
+        Instruction::reg(Opcode::Add, Reg::R26, Reg::R26, Short2::Reg(Reg::R22)),
+        Instruction::reg(Opcode::Stl, Reg::R17, Reg::R19, imm(0)), // code-dirty store
+        Instruction::reg(Opcode::Add, Reg::R16, Reg::R16, imm(8)),
+        Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R17, imm(SWAP_ITERS)),
+    ]);
+    let j = insns.len();
+    insns.extend([
+        Instruction::jmpr(Cond::Lt, 4 * (l as i32 - j as i32)),
+        Instruction::nop(), // delay slot
+        Instruction::ret(Reg::R0, imm(0)),
+        Instruction::nop(), // return delay slot
+    ]);
+    assert!(insns.len() <= 2 * words_per_page, "the loop fits page 1");
+    // Page 2: the handler, then the code word the stores aim at.
+    insns.resize(2 * words_per_page, Instruction::nop());
+    insns.extend([
+        Instruction::reg(Opcode::Add, Reg::R7, Reg::R0, imm(0)),
+        Instruction::reti(Reg::R25, imm(0)),
+        Instruction::nop(),
+        Instruction::nop(),
+        Instruction::nop(), // the code word
+    ]);
+    let mut prog = Program::from_instructions(insns);
+    let mut array = Vec::new();
+    for k in 0..SWAP_ITERS as u32 {
+        let pair = if k % 3 == 0 {
+            [k, k + 1000]
+        } else {
+            [k + 1000, k]
+        };
+        for w in pair {
+            array.extend_from_slice(&w.to_le_bytes());
+        }
+    }
+    prog.add_data(SWAP_ARRAY, array);
+    (prog, handler, code_word)
+}
+
+/// A machine loaded with [`two_armed_loop`] under `engine` and
+/// `branch_model`.
+fn two_armed_cpu(traps: bool, engine: ExecEngine, branch_model: BranchModel) -> (Cpu, u32) {
+    let (prog, handler, code_word) = two_armed_loop(traps);
+    let mut cpu = Cpu::new(SimConfig {
+        engine,
+        branch_model,
+        ..SimConfig::default()
+    });
+    cpu.load_program(&prog).expect("program fits memory");
+    cpu.set_trap_handler(TrapKind::Misaligned, handler);
+    (cpu, code_word)
+}
+
+/// Runs [`two_armed_loop`] to its halt under every engine and
+/// `branch_model`, holds the other three to the uncached engine, and
+/// returns the trace engine's final state and the code word's last value.
+fn two_armed_law(traps: bool, branch_model: BranchModel) -> (FinalState, u32) {
+    let run = |engine| {
+        let (mut cpu, code_word) = two_armed_cpu(traps, engine, branch_model);
+        if engine == ExecEngine::Uncached {
+            while cpu.step().expect("the loop runs clean") == Halt::Running {}
+        } else {
+            cpu.run().expect("the loop runs clean");
+        }
+        let stored = cpu.mem.peek_u32(code_word).expect("in range");
+        (capture(&cpu), stored)
+    };
+    let uncached = run(ExecEngine::Uncached);
+    assert_eq!(run(ExecEngine::Cached), uncached, "cache must be invisible");
+    assert_eq!(
+        run(ExecEngine::Superblock),
+        uncached,
+        "superblocks must be invisible"
+    );
+    let trace = run(ExecEngine::Trace);
+    assert_eq!(trace, uncached, "traces must be invisible");
+    assert!(
+        trace.0.stats.trace_instructions * 2 > trace.0.stats.instructions,
+        "the loop ran from its trace"
+    );
+    trace
+}
+
+#[test]
+fn a_two_armed_hot_loop_runs_both_directions_inside_its_trace() {
+    let (state, _) = two_armed_law(false, BranchModel::Delayed);
+    assert_eq!(state.stats.trace_side_exits, 1, "only the loop exit");
+    assert_eq!(state.stats.traces_built, 1);
+}
+
+#[test]
+fn vectored_faults_and_code_stores_inside_an_arm_are_exact() {
+    let (state, stored) = two_armed_law(true, BranchModel::Delayed);
+    assert_eq!(
+        state.stats.trap_count(TrapKind::Misaligned),
+        13,
+        "one fault for each i % 16 == 7 in 1..=200"
+    );
+    assert_eq!(stored, 191, "the last i % 16 == 15 store hit the code page");
+}
+
+#[test]
+fn a_two_armed_hot_loop_is_exact_under_the_suspended_branch_model() {
+    let (state, _) = two_armed_law(true, BranchModel::Suspended);
+    assert!(
+        state.stats.bubble_cycles > 0,
+        "taken transfers paid bubbles"
+    );
+}
+
+#[test]
+fn a_two_armed_hot_loop_is_exact_under_any_step_n_chopping() {
+    // Every chunk size up to one past the longest path: traces are entered
+    // only when their longest path fits what is left of the chunk, and
+    // each call must retire exactly what the uncached engine does.
+    for n in 1..=SWAP_LONGEST_PATH + 1 {
+        let chop = |engine| {
+            let (mut cpu, _) = two_armed_cpu(true, engine, BranchModel::Delayed);
+            let mut marks = Vec::new();
+            while cpu.step_n(n).expect("the loop runs clean") == Halt::Running {
+                marks.push((cpu.stats().instructions, cpu.pc()));
+            }
+            (marks, capture(&cpu))
+        };
+        let uncached = chop(ExecEngine::Uncached);
+        for engine in [
+            ExecEngine::Cached,
+            ExecEngine::Superblock,
+            ExecEngine::Trace,
+        ] {
+            let got = chop(engine);
+            assert_eq!(
+                got.0, uncached.0,
+                "{engine:?}, step_n({n}): a call went astray"
+            );
+            assert_eq!(got.1, uncached.1, "{engine:?}, step_n({n})");
+        }
+    }
+}
+
+#[test]
+fn an_unhandled_fault_at_a_traces_first_op_keeps_the_last_pass_in_last_pc() {
+    let imm = |v: i32| Short2::imm(v).expect("fits imm13");
+    // An inner loop of 150 trips, run twice, that opens with a load
+    // walking up to the end of memory. Its trace forms on the first run;
+    // the second run enters it from outside, through a jump whose slot is
+    // then the last instruction retired, and its 51st load faults with no
+    // handler installed. The machine stops at the trace's first op, and
+    // its `last_pc` must be the last instruction of the pass before, not
+    // the jump's slot.
+    let mem_end = SimConfig::default().mem_bytes as u32;
+    let first = mem_end - 4 * 200;
+    let mut insns = vec![Instruction::ldhi(Reg::R16, first >> 13)];
+    insns.extend(
+        imm_chunks(first & 0x1fff)
+            .into_iter()
+            .map(|c| Instruction::reg(Opcode::Add, Reg::R16, Reg::R16, c)),
+    );
+    let enter = insns.len();
+    insns.extend([Instruction::nop(), Instruction::nop()]); // patched below
+    let l = insns.len(); // the inner loop
+    insns.extend([
+        Instruction::reg(Opcode::Ldl, Reg::R20, Reg::R16, imm(0)),
+        Instruction::reg(Opcode::Add, Reg::R26, Reg::R26, Short2::Reg(Reg::R20)),
+        Instruction::reg(Opcode::Add, Reg::R16, Reg::R16, imm(4)),
+        Instruction::reg_scc(Opcode::Sub, Reg::R17, Reg::R17, imm(1)),
+    ]);
+    let j = insns.len();
+    insns.extend([
+        Instruction::jmpr(Cond::Gt, 4 * (l as i32 - j as i32)),
+        Instruction::nop(), // delay slot
+        Instruction::reg(Opcode::Add, Reg::R18, Reg::R18, imm(1)),
+        Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R18, imm(2)),
+        Instruction::jmpr(Cond::Lt, 4 * 3), // run it again
+        Instruction::nop(),                 // delay slot
+        Instruction::ret(Reg::R0, imm(0)),
+        Instruction::nop(), // return delay slot
+    ]);
+    let outer = insns.len();
+    insns.extend([
+        Instruction::reg(Opcode::Add, Reg::R17, Reg::R0, imm(150)),
+        Instruction::jmpr(Cond::Alw, 4 * (l as i32 - outer as i32 - 1)),
+        Instruction::reg(Opcode::Add, Reg::R19, Reg::R19, imm(1)), // delay slot
+    ]);
+    insns[enter] = Instruction::jmpr(Cond::Alw, 4 * (outer as i32 - enter as i32));
+    let prog = Program::from_instructions(insns);
+    let run = |engine| {
+        let mut cpu = Cpu::new(SimConfig {
+            engine,
+            ..SimConfig::default()
+        });
+        cpu.load_program(&prog).expect("program fits memory");
+        let err = if engine == ExecEngine::Uncached {
+            loop {
+                if let Err(e) = cpu.step() {
+                    break e;
+                }
+            }
+        } else {
+            cpu.run().expect_err("the load past memory faults")
+        };
+        (err, capture(&cpu))
+    };
+    let uncached = run(ExecEngine::Uncached);
+    assert!(
+        matches!(uncached.0, ExecError::Mem { .. }),
+        "{:?}",
+        uncached.0
+    );
+    assert_eq!(uncached.1.stats.trap_count(TrapKind::DataAccess), 0);
+    assert_eq!(uncached.1.result, 0, "memory past the program reads zero");
+    assert_eq!(run(ExecEngine::Cached), uncached, "cache must be invisible");
+    assert_eq!(
+        run(ExecEngine::Superblock),
+        uncached,
+        "superblocks must be invisible"
+    );
+    let trace = run(ExecEngine::Trace);
+    assert_eq!(trace, uncached, "traces must be invisible");
+    assert!(
+        trace.1.stats.trace_entries > 100,
+        "the loop ran from its trace"
+    );
 }

@@ -13,10 +13,13 @@
 //!
 //! Program shape: a prologue pins `r9` at a scratch data region, then a
 //! random sequence of self-contained gadgets — straight-line ALU/memory
-//! runs, compare-and-skip forward branches, bounded counted loops,
-//! register-indexed jumps, calls (both `callr` and register-indexed `call`)
-//! into generated leaf functions, and a `calli`/`reti` trap-nest — ending in
-//! the halting `ret`. Gadgets keep call depth far below the window count
+//! runs, compare-and-skip forward branches, bounded counted loops, hot
+//! loops that run long enough for the trace tier to compile them and whose
+//! skip goes both ways, register-indexed jumps, calls (both `callr` and
+//! register-indexed `call`) into generated leaf functions, and a
+//! `calli`/`reti` trap-nest — ending in the halting `ret`. Across the cases,
+//! floors on the trace tier's telemetry check that the law reaches traces
+//! and their arms. Gadgets keep call depth far below the window count
 //! (the spec machine has no spill/fill and faults on overflow) and keep all
 //! memory traffic inside an aligned scratch window, so every generated
 //! program halts cleanly on all five machines.
@@ -147,12 +150,7 @@ fn arb_simple(dests: Vec<Reg>) -> BoxedStrategy<Instruction> {
             }
         });
 
-    let mem = (
-        sample::select(MEM_OPS.to_vec()),
-        sample::select(dests.clone()),
-        0i32..DATA_WORDS,
-    )
-        .prop_map(|(op, r, slot)| Instruction::reg(op, r, Reg::R9, imm(4 * slot)));
+    let mem = arb_mem(dests.clone());
 
     let ldhi =
         (sample::select(dests.clone()), 0u32..(1 << 19)).prop_map(|(d, v)| Instruction::ldhi(d, v));
@@ -169,7 +167,29 @@ fn arb_simple(dests: Vec<Reg>) -> BoxedStrategy<Instruction> {
             _ => Instruction::reg(Opcode::Putpsw, Reg::R0, rs1, imm(v)),
         });
 
-    prop_oneof![alu.boxed(), mem.boxed(), ldhi.boxed(), psw.boxed()].boxed()
+    prop_oneof![alu.boxed(), mem, ldhi.boxed(), psw.boxed()].boxed()
+}
+
+/// An aligned load or store through r9 into or from one of `regs`.
+fn arb_mem(regs: Vec<Reg>) -> BoxedStrategy<Instruction> {
+    (
+        sample::select(MEM_OPS.to_vec()),
+        sample::select(regs),
+        0i32..DATA_WORDS,
+    )
+        .prop_map(|(op, r, slot)| Instruction::reg(op, r, Reg::R9, imm(4 * slot)))
+        .boxed()
+}
+
+/// A simple instruction the trace tier can lower: [`arb_simple`] with the
+/// PSW trio, which ends trace formation, turned into nops.
+fn arb_traceable(dests: Vec<Reg>) -> BoxedStrategy<Instruction> {
+    arb_simple(dests)
+        .prop_map(|i| match i.opcode {
+            Opcode::Getpsw | Opcode::Gtlpc | Opcode::Putpsw => Instruction::nop(),
+            _ => i,
+        })
+        .boxed()
 }
 
 /// One self-contained gadget. Every variant executes to its own end and
@@ -193,6 +213,21 @@ enum Piece {
         iters: i32,
         body: Vec<Instruction>,
         delay: Instruction,
+    },
+    /// A hot counted loop on r8, `add r8, r0, #iters; <body>;
+    /// and{scc} r0, r8, #mask; jmpr cond, +…; <delay>; <skipped…>;
+    /// sub{scc} r8, r8, #1; jmpr gt, -…; <tail_delay>`, with `iters` past
+    /// twice the trace tier's promotion heat. The skip tests bits that
+    /// cycle with the counter, so it goes both ways, and the skipped part
+    /// is loads and stores through r9.
+    HotLoop {
+        iters: i32,
+        body: Vec<Instruction>,
+        mask: i32,
+        cond: Cond,
+        delay: Instruction,
+        skipped: Vec<Instruction>,
+        tail_delay: Instruction,
     },
     /// `nop; calli r25; <body>; reti r25, #…; nop` — a trap-style nest that
     /// pushes a window in place and returns through `reti`.
@@ -243,6 +278,30 @@ fn arb_main_piece() -> BoxedStrategy<Piece> {
         simple.clone(),
     )
         .prop_map(|(iters, body, delay)| Piece::Loop { iters, body, delay });
+    let traceable = arb_traceable(main_pool());
+    let hot = (
+        (128i32..=160, collection::vec(traceable.clone(), 0..3)),
+        (
+            sample::select(vec![1, 3]),
+            sample::select(vec![Cond::Eq, Cond::Ne]),
+        ),
+        (
+            traceable.clone(),
+            collection::vec(arb_mem(main_pool()), 1..4),
+            traceable,
+        ),
+    )
+        .prop_map(
+            |((iters, body), (mask, cond), (delay, skipped, tail_delay))| Piece::HotLoop {
+                iters,
+                body,
+                mask,
+                cond,
+                delay,
+                skipped,
+                tail_delay,
+            },
+        );
     let calli = collection::vec(linkless.clone(), 0..3).prop_map(|body| Piece::Calli { body });
     let callfn =
         (0usize..64, any::<bool>(), linkless).prop_map(|(sel, indexed, delay)| Piece::CallFn {
@@ -256,6 +315,7 @@ fn arb_main_piece() -> BoxedStrategy<Piece> {
         straight.boxed(),
         branch.boxed(),
         looped.boxed(),
+        hot.boxed(),
         calli.boxed(),
         callfn.boxed(),
         jmpabs.boxed(),
@@ -330,6 +390,32 @@ fn emit(
             out.push(Instruction::reg_scc(Opcode::Sub, Reg::R8, Reg::R8, imm(1)));
             out.push(Instruction::jmpr(Cond::Gt, -4 * (body.len() as i32 + 1)));
             out.push(*delay);
+        }
+        Piece::HotLoop {
+            iters,
+            body,
+            mask,
+            cond,
+            delay,
+            skipped,
+            tail_delay,
+        } => {
+            out.push(Instruction::reg(Opcode::Add, Reg::R8, Reg::R0, imm(*iters)));
+            let head = out.len();
+            out.extend(body.iter().copied());
+            out.push(Instruction::reg_scc(
+                Opcode::And,
+                Reg::R0,
+                Reg::R8,
+                imm(*mask),
+            ));
+            out.push(Instruction::jmpr(*cond, 4 * (2 + skipped.len() as i32)));
+            out.push(*delay);
+            out.extend(skipped.iter().copied());
+            out.push(Instruction::reg_scc(Opcode::Sub, Reg::R8, Reg::R8, imm(1)));
+            let back = out.len();
+            out.push(Instruction::jmpr(Cond::Gt, 4 * (head as i32 - back as i32)));
+            out.push(*tail_delay);
         }
         Piece::Calli { body } => {
             // The anchor nop pins last_pc, so the calli's link (and the
@@ -440,6 +526,16 @@ fn guaranteed_opcodes(gp: &GenProgram, cov: &mut HashSet<Opcode>) {
                     cov.extend(body.iter().map(|i| i.opcode));
                     cov.extend([Opcode::Add, Opcode::Sub, Opcode::Jmpr, delay.opcode]);
                 }
+                Piece::HotLoop {
+                    body,
+                    delay,
+                    tail_delay,
+                    ..
+                } => {
+                    cov.extend(body.iter().map(|i| i.opcode));
+                    cov.extend([Opcode::Add, Opcode::And, Opcode::Jmpr, Opcode::Sub]);
+                    cov.extend([delay.opcode, tail_delay.opcode]);
+                }
                 Piece::Calli { body } => {
                     cov.extend(body.iter().map(|i| i.opcode));
                     cov.extend([Opcode::Calli, Opcode::Reti]);
@@ -509,7 +605,9 @@ fn spec_view(s: &ExecStats) -> SpecStats {
     }
 }
 
-fn run_engine(prog: &Program, engine: ExecEngine) -> Final {
+/// Runs `prog` to halt under `engine`: the spec-visible projection, and
+/// the full stats for the trace tier's telemetry.
+fn run_engine(prog: &Program, engine: ExecEngine) -> (Final, ExecStats) {
     let cfg = SimConfig {
         engine,
         ..SimConfig::default()
@@ -523,7 +621,7 @@ fn run_engine(prog: &Program, engine: ExecEngine) -> Final {
         cpu.run().expect("generated programs run clean");
     }
     let stats = cpu.stats();
-    Final {
+    let fin = Final {
         result: cpu.result(),
         pc: cpu.pc(),
         visible: cpu.windows().visible(),
@@ -531,7 +629,8 @@ fn run_engine(prog: &Program, engine: ExecEngine) -> Final {
         depth: cpu.windows().depth(),
         mem_digest: fnv1a((0..cpu.mem.page_count()).flat_map(|i| cpu.mem.page(i).iter().copied())),
         stats: spec_view(&stats),
-    }
+    };
+    (fin, stats)
 }
 
 fn run_spec(prog: &Program) -> Final {
@@ -563,31 +662,71 @@ fn run_spec(prog: &Program) -> Final {
 // The properties
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
+/// Generated programs the differential law runs.
+const LAW_CASES: u32 = 200;
 
-    /// The differential law: every production engine retires generated
-    /// programs into exactly the state the spec interpreter defines.
-    #[test]
-    fn generated_programs_agree_with_the_spec_on_every_engine(gp in arb_gen_program()) {
+/// Floors, in cases of [`LAW_CASES`], on the law's reach into the trace
+/// tier: cases that retire instructions inside traces, and cases whose hot
+/// loops' two-way skips stayed inside their traces. Each sits about a
+/// fifth below its reading when it was set: 89 and 89 (the tier without
+/// arms read 89 and 0).
+const TRACED_FLOOR: u32 = 70;
+const STAYED_FLOOR: u32 = 70;
+
+/// The differential law: every production engine retires generated
+/// programs into exactly the state the spec interpreter defines.
+///
+/// The law only reaches the trace tier's traces in programs with a hot
+/// loop, so it also holds floors over the cases, on telemetry that enters
+/// no comparison: a share of the cases must retire instructions inside
+/// traces, and a share must keep their hot loops' two-way skip inside the
+/// trace — side exits at most an eighth of the trace entries, where a
+/// trace that side-exits at the skip would take one every second or fourth
+/// pass.
+#[test]
+fn generated_programs_agree_with_the_spec_on_every_engine() {
+    let mut rng = TestRng::deterministic(
+        "spec_differential::generated_programs_agree_with_the_spec_on_every_engine",
+    );
+    let strat = arb_gen_program();
+    let engines = [
+        ExecEngine::Uncached,
+        ExecEngine::Cached,
+        ExecEngine::Superblock,
+        ExecEngine::Trace,
+    ];
+    let (mut traced, mut stayed) = (0, 0);
+    for case in 1..=LAW_CASES {
+        let gp = strat.generate(&mut rng);
         let prog = build(&gp);
         let spec = run_spec(&prog);
-        let engines = [
-            ExecEngine::Uncached,
-            ExecEngine::Cached,
-            ExecEngine::Superblock,
-            ExecEngine::Trace,
-        ];
         // The engines are independent jobs — run them through the
         // campaign runner's parallel map, honouring `RISC1_THREADS` via the
         // shared parsed accessor.
-        let finals = parallel_map(&engines, default_threads().min(engines.len()), |_, &engine| {
-            run_engine(&prog, engine)
-        });
-        for (engine, got) in engines.iter().zip(&finals) {
-            prop_assert_eq!(got, &spec, "{:?} diverged from the spec interpreter", engine);
+        let finals = parallel_map(
+            &engines,
+            default_threads().min(engines.len()),
+            |_, &engine| run_engine(&prog, engine),
+        );
+        for (engine, (got, _)) in engines.iter().zip(&finals) {
+            assert_eq!(
+                got, &spec,
+                "case #{case}: {engine:?} diverged from the spec interpreter on {gp:?}"
+            );
         }
+        let t = &finals[3].1;
+        traced += u32::from(t.trace_instructions > 0);
+        stayed += u32::from(t.trace_entries > 0 && t.trace_side_exits * 8 <= t.trace_entries);
     }
+    assert!(
+        traced >= TRACED_FLOOR,
+        "only {traced} of {LAW_CASES} cases ran traces (floor {TRACED_FLOOR})"
+    );
+    assert!(
+        stayed >= STAYED_FLOOR,
+        "only {stayed} of {LAW_CASES} cases kept their hot loops' skips inside \
+         their traces (floor {STAYED_FLOOR})"
+    );
 }
 
 proptest! {
