@@ -26,7 +26,7 @@
 //!                                of the first 64 retirements (run's flags,
 //!                                but not --supervise)
 //! risc1 bench <workload>         one suite workload: RISC I vs CX cycles,
-//!   [--engine <tier>]            CPI and code size (host-time benchmarking
+//!                                CPI and code size (host-time benchmarking
 //!                                lives in perfbench/)
 //! risc1 serve <--tcp addr|--stdin|--smoke>
 //!                                fault-tolerant batch execution service
@@ -129,7 +129,6 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
   risc1 bench <workload-id>     run one suite workload on RISC I and CX:
                                 instructions, cycles, CPI, speedup and
                                 code size (simulated; reads no clock)
-       [--engine <tier>]        interpreter tier (same output on all)
   risc1 serve --tcp <addr>      batch execution service: newline-delimited
                                 JSON jobs over TCP (fair-share queuing,
                                 dedup, watchdogs, crash-only workers)
@@ -139,13 +138,14 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
                                 assert bit-identity with direct execution
        [--threads N]            worker threads (default: parallelism)
        [--queue-cap N]          per-client queue bound (default 64)
-       [--cache-cap N]          dedup result-cache entries (default 256)
+       [--cache-cap N]          finished jobs retained for poll and dedup
+                                (default 256)
        [--artifact-dir <dir>]   panic-journal funnel (default
                                 target/replay-artifacts)
        [--wal-dir <dir>]        append every admission and completion to a
                                 crash-safe write-ahead log in <dir>
        [--recover <dir>]        replay the WAL in <dir> on startup:
-                                completed results re-seed the cache,
+                                completed results re-seed the job table,
                                 incomplete jobs re-enqueue (implies
                                 --wal-dir <dir>)
   risc1 exp <e1…e15|all>        print an experiment report
@@ -665,24 +665,12 @@ fn cmd_bench(args: &[String]) -> CliResult {
             ))
         }
     };
-    let mut engine = None;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--engine" => {
-                let v = it.next().ok_or("--engine needs a tier name")?;
-                engine = Some(parse_engine(v)?);
-            }
-            other => return Err(format!("unknown bench flag `{other}`\n{USAGE}")),
-        }
+    if let Some(flag) = rest.first() {
+        return Err(format!("unknown bench flag `{flag}`\n{USAGE}"));
     }
     let w = risc1_workloads::by_id(id)
         .ok_or_else(|| format!("unknown workload `{id}` (try `risc1 list`)"))?;
-    let mut cfg = SimConfig::default();
-    if let Some(engine) = engine {
-        cfg.engine = engine;
-    }
-    let m = measure_with(&w, &w.args.clone(), cfg);
+    let m = measure_with(&w, &w.args.clone(), SimConfig::default());
     let mut out = String::new();
     let _ = writeln!(out, "{}: {}", w.id, w.description);
     let _ = writeln!(out, "result        {}", m.result);
@@ -794,13 +782,8 @@ mod tests {
     fn bench_runs_a_small_workload() {
         let out = dispatch(&s(&["bench", "fib"])).unwrap();
         assert!(out.contains("speedup"));
-        // Any engine tier produces the same measurement (simulated
-        // behaviour is engine-independent).
-        let cached = dispatch(&s(&["bench", "fib", "--engine", "cached"])).unwrap();
-        assert_eq!(out, cached);
         assert!(dispatch(&s(&["bench", "zzz"])).is_err());
         assert!(dispatch(&s(&["bench", "fib", "--quick"])).is_err());
-        assert!(dispatch(&s(&["bench", "fib", "--engine", "warp"])).is_err());
         // Without an id there is nothing to run: host-time benchmarking
         // lives in perfbench, not here.
         for argv in [&["bench"][..], &["bench", "--quick"]] {

@@ -525,8 +525,8 @@ fn tampered_snapshot_request(
     w.key("cfg");
     risc1_core::journal::write_config(&mut w, sim);
     // Same seed as the completed warm-start job: the dedup key folds the
-    // snapshot's full content, so the tampered body must miss the cache
-    // and reach restore-time verification.
+    // snapshot's full content, so the tampered body must miss dedup and
+    // reach restore-time verification.
     w.key("seeds");
     w.arr_open();
     w.num(0);

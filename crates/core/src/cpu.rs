@@ -27,7 +27,7 @@ use crate::program::Program;
 use crate::snapshot::{CpuState, RestoreError, Snapshot};
 use crate::stats::{ExecStats, FuseKind};
 use crate::superblock::{BOp, BlockCache};
-use crate::trace::{self, TExit, TOp, TraceCache};
+use crate::trace::{self, TExit, TOp};
 use crate::trap::{TrapCause, TrapKind};
 use crate::windows::{WindowFile, SPILL_REGS};
 use risc1_isa::psw::Flags;
@@ -270,14 +270,11 @@ pub struct Cpu {
     /// memory on demand), so it is deliberately absent from
     /// [`CpuState`]/snapshots/journals and from every checksum.
     icache: ICache,
-    /// Superblock cache (engine `Superblock` only) — derived state, same
+    /// Superblock cache (engines `Superblock` and `Trace`), holding each
+    /// compiled trace in the block it is entered at — derived state, same
     /// snapshot/checksum exemption as the icache. Invalidated in lockstep
     /// with it by [`Cpu::drain_code_invalidations`].
     blocks: BlockCache,
-    /// Compiled trace cache (engine `Trace` only) — derived state like the
-    /// icache and block cache, and the third consumer of the code-dirty
-    /// channel.
-    traces: TraceCache,
 }
 
 impl Cpu {
@@ -296,7 +293,6 @@ impl Cpu {
         let fuel_limit = cfg.fuel;
         let icache = ICache::default();
         let blocks = BlockCache::new(mem.page_count());
-        let traces = TraceCache::new(mem.page_count());
         Cpu {
             cfg,
             mem,
@@ -319,7 +315,6 @@ impl Cpu {
             retired: None,
             icache,
             blocks,
-            traces,
         }
     }
 
@@ -706,24 +701,6 @@ impl Cpu {
             }
             self.drain_code_invalidations();
             let pc = self.pc;
-            if tracing {
-                // A miss — wrong window, demoted trace, or never promoted —
-                // falls straight through to the superblock path: building
-                // aggressively on misses (e.g. per-window variants for
-                // recursive code) costs more in build walks than the short
-                // per-window loops ever repay.
-                if let Some(tidx) = self.traces.resolve(pc, self.regs.cwp()) {
-                    let insns = u64::from(self.traces.trace(tidx).insns);
-                    // Budget-insufficient entries fall through to the block
-                    // path, preserving the exact `n`-step contract.
-                    if insns <= burst - *done {
-                        match self.exec_trace_burst(tidx, burst, done) {
-                            Ok(()) => continue,
-                            other => return self.finish_exec(other.map(|()| Halt::Running)),
-                        }
-                    }
-                }
-            }
             let idx = match self.blocks.lookup(pc) {
                 Some(idx) => Some(idx),
                 None => self.blocks.build(&mut self.mem, pc, &self.cfg),
@@ -737,9 +714,27 @@ impl Cpu {
                     other => return self.finish_exec(other),
                 }
             };
+            if tracing {
+                // The block's trace runs only when it is enabled, built for
+                // the current window, and no longer than the step budget
+                // left; otherwise the body runs. Building per-window traces
+                // on a window miss (e.g. for recursive code) costs more in
+                // build walks than the short per-window loops ever repay,
+                // and a trace that could overrun the budget would break the
+                // exact `n`-step contract.
+                if let Some(t) = self.blocks.trace(idx) {
+                    if t.enabled && t.cwp == self.regs.cwp() && u64::from(t.insns) <= burst - *done
+                    {
+                        match self.exec_trace_burst(idx, burst, done) {
+                            Ok(()) => continue,
+                            other => return self.finish_exec(other.map(|()| Halt::Running)),
+                        }
+                    }
+                }
+            }
             let (insns, end) = {
                 let b = self.blocks.block(idx);
-                (u64::from(b.insns), b.end)
+                (u64::from(b.insns()), b.end)
             };
             if insns > burst - *done {
                 // The block could overrun the step/fuel budget; preserve
@@ -767,9 +762,8 @@ impl Cpu {
                 let heat = self.blocks.bump_heat(idx, taken);
                 if heat == trace::HOT_THRESHOLD {
                     let built =
-                        self.traces
-                            .build(&mut self.mem, &self.blocks, &self.regs, &self.cfg, pc);
-                    self.stats.traces_built += u64::from(built.is_some());
+                        trace::promote(&mut self.mem, &mut self.blocks, &self.regs, &self.cfg, idx);
+                    self.stats.traces_built += u64::from(built);
                 }
             }
         }
@@ -842,13 +836,13 @@ impl Cpu {
         (r, dirtied)
     }
 
-    /// Runs one compiled trace (engine `Trace`): loads the live registers
-    /// into the virtual register file, executes the IR with *no*
-    /// per-instruction statistics or PC maintenance, and settles everything
-    /// at exit — completed passes apply their paths' precomputed bulk
-    /// aggregates and the final PC/pending/`last_pc` in O(1); self-loop
-    /// traces iterate in place while the step budget allows, paying the
-    /// register traffic only once per entry.
+    /// Runs the trace of the block at `idx` (engine `Trace`): loads the
+    /// live registers into the virtual register file, executes the IR with
+    /// *no* per-instruction statistics or PC maintenance, and settles
+    /// everything at exit — completed passes apply their paths'
+    /// precomputed bulk aggregates and the final PC/pending/`last_pc` in
+    /// O(1); self-loop traces iterate in place while the step budget
+    /// allows, paying the register traffic only once per entry.
     ///
     /// The ops are walked by index: a pass runs the main path's ops, and a
     /// branch that disagrees with its profiled direction continues the pass
@@ -865,13 +859,13 @@ impl Cpu {
     /// Caller guarantees: no delayed jump in flight, the trace's longest
     /// path fits in `burst - *done`, and `forwarding` (so `last_write` is
     /// constantly `None`).
-    fn exec_trace_burst(&mut self, tidx: u32, burst: u64, done: &mut u64) -> Result<(), StepEvent> {
+    fn exec_trace_burst(&mut self, idx: u32, burst: u64, done: &mut u64) -> Result<(), StepEvent> {
         // Borrowing the trace in place, with no copy per entry, is the
         // point of this routine's shape: all the state it touches lives in
         // *other* fields of `self`, so the borrows stay disjoint as long as
         // no whole-`self` method is called while `t` is alive — which is
         // why the load/store and replay helpers are free functions.
-        let t = self.traces.trace(tidx);
+        let t = self.blocks.trace(idx).expect("the caller found a trace");
         let insns = u64::from(t.insns);
         let self_loop = t.self_loop;
         let main_end = t.paths[0].end;
@@ -1067,15 +1061,19 @@ impl Cpu {
         } else {
             2 * used >= insns
         };
-        if let Some(fork) = self.traces.note_run(tidx, productive, total, guard) {
+        let fork = self
+            .blocks
+            .trace_mut(idx)
+            .and_then(|t| t.note_run(productive, total, guard));
+        if let Some(fork) = fork {
             // The run ended at a guard, so no store dirtied code since the
             // drain before entry: the blocks the rebuild walks are current.
-            let built = self.traces.rebuild(
+            let built = trace::rebuild(
                 &mut self.mem,
-                &self.blocks,
+                &mut self.blocks,
                 &self.regs,
                 &self.cfg,
-                tidx,
+                idx,
                 fork,
             );
             self.stats.traces_built += u64::from(built);
@@ -1181,24 +1179,19 @@ impl Cpu {
     }
 
     /// Drains the code-dirty channel, fanning every invalidation event out
-    /// to the predecode cache, the superblock cache *and* the trace cache.
-    /// Always combined: the drain clears page registrations as it goes, so
-    /// a one-sided drain would silently starve the other consumers.
+    /// to the predecode cache *and* the superblock cache, which drops each
+    /// killed block's trace with it. Always combined: the drain clears page
+    /// registrations as it goes, so a one-sided drain would silently starve
+    /// the other consumer.
     #[inline]
     fn drain_code_invalidations(&mut self) {
         if !self.mem.code_dirty_pending() {
             return;
         }
-        let (mem, icache, blocks, traces) = (
-            &mut self.mem,
-            &mut self.icache,
-            &mut self.blocks,
-            &mut self.traces,
-        );
+        let (mem, icache, blocks) = (&mut self.mem, &mut self.icache, &mut self.blocks);
         mem.drain_code_dirty(|d| {
             icache.invalidate(d);
             blocks.invalidate(d);
-            traces.invalidate(d);
         });
     }
 
@@ -1878,7 +1871,7 @@ impl Cpu {
 
 /// The memory access for a load opcode, with its width and sign extension.
 /// Free-standing (not a `Cpu` method) so the trace executor can call it
-/// while holding a borrow of the trace cache.
+/// while holding a borrow of the block cache that holds the trace.
 #[inline]
 fn load_op(mem: &mut Memory, op: Opcode, addr: u32) -> Result<u32, MemError> {
     Ok(match op {
@@ -2778,17 +2771,11 @@ mod tests {
         }
     }
 
-    /// The icache, block and trace page tables start empty and grow only
-    /// to the highest page the run executed from — not to memory's size.
+    /// The icache and block page tables start empty and grow only to the
+    /// highest page the run executed from — not to memory's size.
     #[test]
     fn cache_page_tables_grow_only_to_the_highest_page_executed() {
-        let table_lens = |cpu: &Cpu| {
-            (
-                cpu.icache.page_table_len(),
-                cpu.blocks.page_table_len(),
-                cpu.traces.page_table_len(),
-            )
-        };
+        let table_lens = |cpu: &Cpu| (cpu.icache.page_table_len(), cpu.blocks.page_table_len());
         // Forty nops fill the code base's page and spill into the next, so
         // the hot loop and the halt sit wholly in the second page.
         let mut p = vec![Instruction::nop(); 40];
@@ -2804,20 +2791,19 @@ mod tests {
             };
             assert_eq!(
                 table_lens(&Cpu::new(cfg.clone())),
-                (0, 0, 0),
+                (0, 0),
                 "{engine:?}: fresh"
             );
             let cpu = run_with(cfg, p.clone(), &[]);
             assert_eq!(cpu.result(), 7 * 100);
-            let (icache, blocks, traces) = table_lens(&cpu);
+            let (icache, blocks) = table_lens(&cpu);
             match engine {
-                ExecEngine::Uncached => assert_eq!((icache, blocks, traces), (0, 0, 0)),
-                ExecEngine::Cached => assert_eq!((icache, blocks, traces), (last + 1, 0, 0)),
+                ExecEngine::Uncached => assert_eq!((icache, blocks), (0, 0)),
+                ExecEngine::Cached => assert_eq!((icache, blocks), (last + 1, 0)),
                 _ => {
                     assert!(icache <= last + 1, "icache: {icache}");
-                    assert_eq!(blocks, last + 1, "blocks span both pages");
+                    assert_eq!(blocks, last + 1, "blocks and the trace span both pages");
                     assert!(cpu.stats().traces_built >= 1, "loop promoted");
-                    assert_eq!(traces, last + 1, "the loop's page");
                 }
             }
         }

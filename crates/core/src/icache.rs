@@ -15,7 +15,10 @@
 //! that channel (an O(1) flag check, `Cpu::drain_code_invalidations`) and
 //! fans each event out to this cache *and* the superblock cache, dropping
 //! exactly the pages that were written — so self-modifying code, snapshot
-//! `restore()`, and `revert_to()` all see freshly decoded text. The cache
+//! `restore()`, and `revert_to()` all see freshly decoded text. Those two
+//! are the only consumers: a compiled trace lives in the block it is
+//! entered at, registered on every page it read, so the block cache drops
+//! it with its block. The cache
 //! holds *derived* state only: it never appears in snapshots, journals, or
 //! checksums, and the `interp_equivalence` suite asserts runs with and
 //! without it are bit-identical.

@@ -22,18 +22,24 @@
 //! proved bit-identical to running the two instructions through
 //! `exec_prepared` (the three-way `interp_equivalence` law).
 //!
+//! A block is also where a compiled trace lives: the trace tier
+//! ([`crate::trace`]) attaches each trace to the block it is entered at,
+//! so one lookup finds both.
+//!
 //! Correctness of invalidation rides the same code-dirty channel as the
-//! icache: every page a block's instructions were decoded from is
-//! registered with [`Memory`], and `Cpu::drain_code_invalidations` fans
-//! each channel event out to both caches. Invalidation is
-//! block-granular: a dirtied page kills exactly the blocks that read it.
-//! Like the icache, the whole structure is *derived* state — absent from
-//! snapshots, journals, and checksums.
+//! icache: every page a block's instructions were decoded from — and every
+//! page its trace's ops were lowered from — is registered with [`Memory`],
+//! and `Cpu::drain_code_invalidations` fans each channel event out to both
+//! caches. Invalidation is block-granular: a dirtied page kills exactly the
+//! blocks that read it, each with its trace. Like the icache, the whole
+//! structure is *derived* state — absent from snapshots, journals, and
+//! checksums.
 
 use crate::config::SimConfig;
 use crate::exec::alu;
 use crate::icache::Line;
 use crate::mem::{CodeDirty, Memory, PAGE_BYTES};
+use crate::trace::Trace;
 use risc1_isa::psw::Flags;
 use risc1_isa::{Instruction, Opcode, Short2};
 
@@ -109,8 +115,12 @@ impl BOp {
     }
 }
 
-/// A formed superblock: the ops and the worst-case retire count (for fuel
-/// accounting).
+/// A formed superblock: its ops, its span, and the trace entered at it.
+///
+/// Call-heavy code enters a block every four or so instructions, and each
+/// entry reads this record. At 56 bytes rather than 48 it ran `run_calls`'
+/// five programs 1–5% slower in an in-process A/B, so what can be derived
+/// (the retire count, [`Block::insns`]) is not stored.
 #[derive(Debug, Clone)]
 pub(crate) struct Block {
     /// Entry PC.
@@ -122,20 +132,33 @@ pub(crate) struct Block {
     /// run ([`BlockCache::take_ops`]) and puts it back before it touches
     /// the cache again, so entering a block copies nothing.
     pub ops: Box<[BOp]>,
-    /// Total instructions if every op completes (= `end − start` in words).
-    pub insns: u32,
     /// Completed executions since build — the trace engine's promotion
     /// heat. Bumped only under `--engine trace`; dies with the block.
     pub heat: u32,
     /// Completed executions by exit direction (`[fall-through, taken]`) —
     /// the trace builder's branch-direction profile. Bumped with `heat`.
     pub hot_exits: [u32; 2],
-    /// Cleared when a page the block spans is invalidated.
+    /// The compiled trace entered here, once the block has promoted
+    /// ([`BlockCache::attach`]). It dies with the block; a demoted trace
+    /// stays, and the block's saturated heat keeps it from promoting again.
+    pub trace: Option<Box<Trace>>,
+    /// Cleared when a page the block or its trace read is invalidated.
     pub alive: bool,
 }
 
-/// The superblock cache: blocks by entry PC, with per-page registration
-/// for block-granular invalidation.
+const _: () = assert!(std::mem::size_of::<Block>() <= 48);
+
+impl Block {
+    /// Instructions retired if every op completes — the worst case fuel
+    /// accounting must allow for.
+    #[inline]
+    pub(crate) fn insns(&self) -> u32 {
+        self.end.wrapping_sub(self.start) / 4
+    }
+}
+
+/// The superblock cache: blocks (and the traces entered at them) by entry
+/// PC, with per-page registration for block-granular invalidation.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockCache {
     /// Entry PC → block index, direct-mapped by word address: `map[pc/4]`
@@ -151,11 +174,11 @@ pub(crate) struct BlockCache {
     /// `map`'s target length in words (memory size / 4).
     map_words: usize,
     blocks: Vec<Block>,
-    /// For each memory page, the indices of blocks decoded from it. May
-    /// retain indices of dead blocks (filtered on use); fully rebuilt on
-    /// compaction. Grown on build to the highest page a block spans, like
-    /// `map`: no block is registered past its end, so invalidating such a
-    /// page is a no-op.
+    /// For each memory page, the indices of blocks decoded from it or whose
+    /// trace was lowered from it. May retain indices of dead blocks
+    /// (filtered on use); fully rebuilt on compaction. Grown to the highest
+    /// page a block or trace spans, like `map`: nothing is registered past
+    /// it, so invalidating such a page is a no-op.
     by_page: Vec<Vec<u32>>,
     /// Dead blocks awaiting compaction.
     dead: usize,
@@ -192,10 +215,51 @@ impl BlockCache {
         self.blocks[idx as usize].ops = ops;
     }
 
+    /// The trace of the block at `idx`, if it has promoted.
+    #[inline]
+    pub(crate) fn trace(&self, idx: u32) -> Option<&Trace> {
+        self.blocks[idx as usize].trace.as_deref()
+    }
+
+    /// [`BlockCache::trace`], mutably.
+    pub(crate) fn trace_mut(&mut self, idx: u32) -> Option<&mut Trace> {
+        self.blocks[idx as usize].trace.as_deref_mut()
+    }
+
+    /// Gives the block at `idx` the trace entered at it, replacing any it
+    /// had, and registers the block on every page an op of the trace was
+    /// lowered from: a write to any of them kills block and trace together.
+    /// Taken branches can hop pages, so the span is the set of op
+    /// addresses, not an interval.
+    pub(crate) fn attach(&mut self, mem: &mut Memory, idx: u32, trace: Trace) {
+        let mut pages: Vec<usize> = trace
+            .meta
+            .iter()
+            .map(|m| m.pc as usize / PAGE_BYTES)
+            .collect();
+        pages.sort_unstable();
+        pages.dedup();
+        for page in pages {
+            self.register(mem, page, idx);
+        }
+        self.blocks[idx as usize].trace = Some(Box::new(trace));
+    }
+
+    /// Registers the block at `idx` on `page`, once.
+    fn register(&mut self, mem: &mut Memory, page: usize, idx: u32) {
+        if self.by_page.len() <= page {
+            self.by_page.resize_with(page + 1, Vec::new);
+        }
+        mem.note_code_page(page);
+        if !self.by_page[page].contains(&idx) {
+            self.by_page[page].push(idx);
+        }
+    }
+
     /// Bumps the promotion heat of the block at `idx` and records the exit
-    /// direction it just took, returning the new heat (saturating; a
-    /// promoted block's heat is left saturated so it is never re-promoted
-    /// while the trace lives).
+    /// direction it just took, returning the new heat (saturating; heat
+    /// counts on past the promotion threshold, so a block promotes at most
+    /// once in its life).
     #[inline]
     pub(crate) fn bump_heat(&mut self, idx: u32, taken: bool) -> u32 {
         let b = &mut self.blocks[idx as usize];
@@ -228,7 +292,7 @@ impl BlockCache {
     }
 
     /// Applies one invalidation event: kills every block registered on the
-    /// named page (or everything).
+    /// named page (or everything), and with it the block's trace.
     #[cold]
     pub(crate) fn invalidate(&mut self, d: CodeDirty) {
         match d {
@@ -289,29 +353,22 @@ impl BlockCache {
         }
         self.maybe_compact();
         let ops = fuse(&lines, cfg).into_boxed_slice();
-        let insns = lines.len() as u32;
-        let end = start.wrapping_add(4 * insns);
+        let end = start.wrapping_add(4 * lines.len() as u32);
         let idx = self.blocks.len() as u32;
         self.blocks.push(Block {
             start,
             end,
             ops,
-            insns,
             heat: 0,
             hot_exits: [0; 2],
+            trace: None,
             alive: true,
         });
         if let Some(slot) = self.map.get_mut(start as usize / 4) {
             *slot = idx;
         }
-        let first = start as usize / PAGE_BYTES;
-        let last = (end as usize - 4) / PAGE_BYTES;
-        if self.by_page.len() <= last {
-            self.by_page.resize_with(last + 1, Vec::new);
-        }
-        for page in first..=last {
-            mem.note_code_page(page);
-            self.by_page[page].push(idx);
+        for page in start as usize / PAGE_BYTES..=(end as usize - 4) / PAGE_BYTES {
+            self.register(mem, page, idx);
         }
         Some(idx)
     }

@@ -51,7 +51,7 @@
 //! prefix of the path it was on. A block profile is taken once, while the
 //! block warms up, so a trace about to be demoted because passes keep
 //! ending at one of its guards is first rebuilt with an arm forced there
-//! ([`TraceCache::note_run`]).
+//! ([`Trace::note_run`]).
 //!
 //! ## Guards and side exits
 //!
@@ -67,19 +67,24 @@
 //! the actual pending target). Per-op static metadata ([`TMeta`]) carries
 //! everything those exits need; nothing is recomputed from memory.
 //!
-//! ## Invalidation
+//! ## Where traces live
 //!
-//! Traces register every page their instructions came from with
-//! [`Memory::note_code_page`], exactly like the icache and block cache, and
-//! [`Cpu::drain_code_invalidations`](crate::Cpu) fans each code-dirty event
-//! out to all three. Like them, the whole structure is *derived* state —
-//! absent from snapshots, journals, and checksums — and the four-engine
-//! equivalence law in `interp_equivalence` holds with no new escape
-//! hatches.
+//! A trace lives in the block it is entered at
+//! ([`Block::trace`](crate::superblock::Block)), so there is no trace
+//! cache: entering a block finds its trace with the same lookup. Attaching
+//! a trace registers its block on every page the trace's ops were lowered
+//! from ([`BlockCache::attach`]), which makes invalidation the block cache's
+//! job — a write to any page the trace read kills the block and its trace
+//! together, and a clear or compaction drops both. A demoted trace stays on
+//! its block, whose heat has already passed the promotion threshold, so
+//! nothing rebuilds in its place until the block dies. Like the blocks,
+//! traces are *derived* state — absent from snapshots, journals, and
+//! checksums — and the four-engine equivalence law in `interp_equivalence`
+//! holds with no new escape hatches.
 
 use crate::config::{BranchModel, SimConfig};
 use crate::icache::Line;
-use crate::mem::{CodeDirty, MemError, Memory, PAGE_BYTES};
+use crate::mem::{MemError, Memory};
 use crate::stats::ExecStats;
 use crate::superblock::{BOp, BlockCache};
 use crate::windows::WindowFile;
@@ -114,12 +119,6 @@ const MAX_TRACE_INSNS: usize = 256;
 // A branch names its arm's first op in a `u8`.
 const _: () = assert!(MAX_TRACE_INSNS <= 1 << 8);
 
-/// Most live trace variants kept per entry PC. A block promotes at most
-/// once per lifetime (the heat trigger is an exact-equality match), so
-/// chains longer than one live variant only arise across invalidation
-/// epochs; this bounds them until compaction clears the dead.
-const MAX_VARIANTS: usize = 4;
-
 /// Non-looping traces shorter than this are declined: the virtual register
 /// load/writeback at entry/exit would outweigh the dispatch saved.
 const MIN_STRAIGHT_INSNS: usize = 32;
@@ -147,9 +146,6 @@ const SINK: u8 = 0;
 /// stopped following. Left enabled, such a trace pays entry/replay cost on
 /// every visit and *loses* to the superblock engine.
 const STRIKE_LIMIT: u8 = 4;
-
-/// Sentinel for "no trace" in the entry map and variant chain.
-const NO_TRACE: u32 = u32::MAX;
 
 /// One trace-IR operation. All register operands are virtual indices into
 /// the run's value array; immediates were interned into entry-loaded
@@ -397,11 +393,9 @@ pub(crate) struct TPath {
     pub final_last_pc: u32,
 }
 
-/// One compiled trace.
+/// One compiled trace, held by the block it is entered at.
 #[derive(Debug, Clone)]
 pub(crate) struct Trace {
-    /// Entry PC.
-    pub start: u32,
     /// The CWP the register flattening was computed for; entering at any
     /// other CWP must miss (flat indices differ per window).
     pub cwp: u8,
@@ -432,21 +426,15 @@ pub(crate) struct Trace {
     pub final_pc: u32,
     /// Delayed-jump target in flight after a complete pass.
     pub final_pending: Option<u32>,
-    /// Cleared when a page the trace spans is invalidated.
-    pub alive: bool,
-    /// Cleared after [`STRIKE_LIMIT`] unproductive runs: the trace stops
-    /// resolving (the superblock engine takes over) but keeps its variant
-    /// slot, so nothing rebuilds or thrashes in its place.
+    /// Cleared after [`STRIKE_LIMIT`] unproductive runs: the block's body
+    /// runs in its place from then on, and nothing rebuilds or thrashes.
     pub enabled: bool,
     /// Unproductive-run counter; productive runs pay one back.
     pub strikes: u8,
     /// Complete passes over the trace's life.
     pub passes: u64,
-    /// Next variant (different build CWP) at the same entry, or
-    /// [`NO_TRACE`].
-    pub alt: u32,
     /// Addresses of the main-path branches rebuilds of this trace have
-    /// given, or tried to give, an arm (see [`TraceCache::note_run`]).
+    /// given, or tried to give, an arm (see [`Trace::note_run`]).
     pub forced: Vec<u32>,
 }
 
@@ -481,87 +469,6 @@ impl Trace {
             p.fork.map(|(b, _)| self.meta[b].pc)
         }
     }
-}
-
-/// The trace cache: compiled traces by entry PC with per-page registration
-/// for invalidation, mirroring [`BlockCache`]'s layout decisions (the
-/// direct map over word addresses, clear-the-world compaction).
-#[derive(Debug, Clone)]
-pub(crate) struct TraceCache {
-    /// Entry PC → head of the variant chain (`map[pc/4]`), or
-    /// [`NO_TRACE`]. Grown lazily like the block map.
-    map: Vec<u32>,
-    /// `map`'s target length in words.
-    map_words: usize,
-    traces: Vec<Trace>,
-    /// Trace indices registered per memory page (dead entries filtered on
-    /// use; rebuilt wholesale on compaction). Grown on build to the
-    /// highest page a trace was lowered from.
-    by_page: Vec<Vec<u32>>,
-    /// Dead traces awaiting compaction.
-    dead: usize,
-}
-
-/// Dead traces tolerated before a wholesale clear.
-const COMPACT_DEAD_MIN: usize = 64;
-
-impl TraceCache {
-    /// An empty cache over `page_count` memory pages.
-    pub(crate) fn new(page_count: usize) -> TraceCache {
-        TraceCache {
-            map: Vec::new(),
-            map_words: page_count * (PAGE_BYTES / 4),
-            traces: Vec::new(),
-            by_page: Vec::new(),
-            dead: 0,
-        }
-    }
-
-    /// Length of the page registration table (the highest page a trace was
-    /// lowered from, plus one).
-    #[cfg(test)]
-    pub(crate) fn page_table_len(&self) -> usize {
-        self.by_page.len()
-    }
-
-    /// The trace at `idx`.
-    #[inline]
-    pub(crate) fn trace(&self, idx: u32) -> &Trace {
-        &self.traces[idx as usize]
-    }
-
-    /// Finds a live, still-enabled trace entered at `pc` that was built
-    /// for `cwp`.
-    #[inline]
-    pub(crate) fn resolve(&self, pc: u32, cwp: u8) -> Option<u32> {
-        let mut idx = *self.map.get(pc as usize / 4)?;
-        while idx != NO_TRACE {
-            let t = &self.traces[idx as usize];
-            if t.alive && t.enabled && t.start == pc && t.cwp == cwp {
-                return Some(idx);
-            }
-            idx = t.alt;
-        }
-        None
-    }
-
-    /// Whether any variant — enabled or demoted — exists at `pc` for
-    /// `cwp`. The build guard uses this (not [`TraceCache::resolve`]) so a
-    /// demoted trace blocks rebuilding in its place.
-    fn variant_for(&self, pc: u32, cwp: u8) -> bool {
-        let Some(&head) = self.map.get(pc as usize / 4) else {
-            return false;
-        };
-        let mut idx = head;
-        while idx != NO_TRACE {
-            let t = &self.traces[idx as usize];
-            if t.alive && t.start == pc && t.cwp == cwp {
-                return true;
-            }
-            idx = t.alt;
-        }
-        false
-    }
 
     /// Settles one run's productivity (the executor judges what counts —
     /// a self-loop trace must complete at least two passes on any of its
@@ -579,183 +486,83 @@ impl TraceCache {
     /// has earned a rebuild — [`HOT_THRESHOLD`] complete passes over its
     /// life, counting the run's `passes` — the trace stays enabled and this
     /// returns the branch's address: the caller rebuilds the trace with an
-    /// arm tried there ([`TraceCache::rebuild`]).
+    /// arm tried there ([`rebuild`]).
     pub(crate) fn note_run(
         &mut self,
-        idx: u32,
         productive: bool,
         passes: u64,
         guard: Option<usize>,
     ) -> Option<u32> {
-        let t = &mut self.traces[idx as usize];
-        t.passes += passes;
+        self.passes += passes;
         if productive {
-            t.strikes = t.strikes.saturating_sub(1);
+            self.strikes = self.strikes.saturating_sub(1);
             return None;
         }
-        t.strikes += 1;
-        if t.strikes < STRIKE_LIMIT {
+        self.strikes += 1;
+        if self.strikes < STRIKE_LIMIT {
             return None;
         }
-        let earned = t.self_loop && t.passes >= u64::from(HOT_THRESHOLD);
+        let earned = self.self_loop && self.passes >= u64::from(HOT_THRESHOLD);
         let fork = guard
-            .filter(|&k| earned && k < t.paths[0].end && t.forced.len() < MAX_ARMS)
-            .map(|k| t.meta[k].pc)
-            .filter(|pc| !t.forced.contains(pc));
+            .filter(|&k| earned && k < self.paths[0].end && self.forced.len() < MAX_ARMS)
+            .map(|k| self.meta[k].pc)
+            .filter(|pc| !self.forced.contains(pc));
         if fork.is_none() {
-            t.enabled = false;
+            self.enabled = false;
         }
         fork
     }
+}
 
-    /// Live variants at `pc` (any CWP) — bounds the chain against
-    /// [`MAX_VARIANTS`] when invalidation epochs rebuild an entry.
-    #[inline]
-    pub(crate) fn variants_at(&self, pc: u32) -> usize {
-        let Some(&head) = self.map.get(pc as usize / 4) else {
-            return 0;
-        };
-        let mut n = 0;
-        let mut idx = head;
-        while idx != NO_TRACE {
-            let t = &self.traces[idx as usize];
-            n += usize::from(t.alive);
-            idx = t.alt;
-        }
-        n
-    }
+/// Attempts to compile a trace entered at the block at `idx` for the
+/// register file's current window, and gives it to that block. Returns
+/// whether it did: callers never retry for the same heat trigger, so a
+/// decline (the entry is not worth, or not possible, to trace) is cheap
+/// and final.
+pub(crate) fn promote(
+    mem: &mut Memory,
+    blocks: &mut BlockCache,
+    regs: &WindowFile,
+    cfg: &SimConfig,
+    idx: u32,
+) -> bool {
+    let start = blocks.block(idx).start;
+    let Some(t) = compile(blocks, regs, cfg, regs.cwp(), start, Vec::new()) else {
+        return false;
+    };
+    blocks.attach(mem, idx, t);
+    true
+}
 
-    /// Applies one invalidation event: kills every trace registered on the
-    /// named page (or everything). A kill unlinks its entry's whole variant
-    /// chain, so a variant that spans other pages (an arm, or a walk along
-    /// later profiles) is left unreachable until the next clear.
-    #[cold]
-    pub(crate) fn invalidate(&mut self, d: CodeDirty) {
-        match d {
-            CodeDirty::Page(idx) => {
-                let Some(list) = self.by_page.get_mut(idx) else {
-                    return;
-                };
-                for ti in list.drain(..) {
-                    if let Some(t) = self.traces.get_mut(ti as usize) {
-                        if t.alive {
-                            t.alive = false;
-                            self.dead += 1;
-                            if let Some(slot) = self.map.get_mut(t.start as usize / 4) {
-                                *slot = NO_TRACE;
-                            }
-                        }
-                    }
-                }
-            }
-            CodeDirty::All => self.clear(),
+/// Rebuilds the trace of the block at `idx`, for its own entry and window,
+/// with an arm tried at the branch at `fork` as well as at those earlier
+/// rebuilds tried. Returns whether the rebuild gained that arm and replaced
+/// the trace; if not, the old one is demoted.
+pub(crate) fn rebuild(
+    mem: &mut Memory,
+    blocks: &mut BlockCache,
+    regs: &WindowFile,
+    cfg: &SimConfig,
+    idx: u32,
+    fork: u32,
+) -> bool {
+    let start = blocks.block(idx).start;
+    let old = blocks.trace(idx).expect("a rebuild replaces a trace");
+    let mut forced = old.forced.clone();
+    forced.push(fork);
+    let forks_at = |t: &Trace| {
+        t.paths
+            .iter()
+            .any(|p| p.fork.is_some_and(|(b, _)| t.meta[b].pc == fork))
+    };
+    match compile(blocks, regs, cfg, old.cwp, start, forced) {
+        Some(t) if forks_at(&t) => {
+            blocks.attach(mem, idx, t);
+            true
         }
-    }
-
-    /// Drops everything.
-    fn clear(&mut self) {
-        self.map.fill(NO_TRACE);
-        self.traces.clear();
-        self.by_page.iter_mut().for_each(Vec::clear);
-        self.dead = 0;
-    }
-
-    /// Clear-the-world compaction once dead traces dominate, mirroring the
-    /// block cache's reasoning: indices are never reused while stale
-    /// references could exist.
-    fn maybe_compact(&mut self) {
-        if self.dead > COMPACT_DEAD_MIN && self.dead * 2 > self.traces.len() {
-            self.clear();
-        }
-    }
-
-    /// Attempts to compile a trace entered at `start` for the register
-    /// file's current window. Returns `None` when the entry is not worth
-    /// (or not possible to) trace — callers never retry for the same heat
-    /// trigger, so a decline is cheap and final.
-    pub(crate) fn build(
-        &mut self,
-        mem: &mut Memory,
-        blocks: &BlockCache,
-        regs: &WindowFile,
-        cfg: &SimConfig,
-        start: u32,
-    ) -> Option<u32> {
-        let cwp = regs.cwp();
-        if self.variant_for(start, cwp) || self.variants_at(start) >= MAX_VARIANTS {
-            return None;
-        }
-        let mut t = compile(blocks, regs, cfg, cwp, start, Vec::new())?;
-        let word = start as usize / 4;
-        if self.map.len() <= word {
-            let len = (word + 1)
-                .next_power_of_two()
-                .clamp(word + 1, self.map_words);
-            self.map.resize(len, NO_TRACE);
-        }
-        self.maybe_compact();
-        let idx = self.traces.len() as u32;
-        t.alt = self.map.get(word).copied().unwrap_or(NO_TRACE);
-        self.register(mem, idx, &t);
-        self.traces.push(t);
-        if let Some(slot) = self.map.get_mut(word) {
-            *slot = idx;
-        }
-        Some(idx)
-    }
-
-    /// Rebuilds the live trace at `idx` in place, for its own entry and
-    /// window, with an arm tried at the branch at `fork` as well as at
-    /// those earlier rebuilds tried. Returns whether the rebuild gained
-    /// that arm and replaced the trace; if not, the old one is demoted.
-    pub(crate) fn rebuild(
-        &mut self,
-        mem: &mut Memory,
-        blocks: &BlockCache,
-        regs: &WindowFile,
-        cfg: &SimConfig,
-        idx: u32,
-        fork: u32,
-    ) -> bool {
-        let old = &self.traces[idx as usize];
-        let mut forced = old.forced.clone();
-        forced.push(fork);
-        let forks_at = |t: &Trace| {
-            t.paths
-                .iter()
-                .any(|p| p.fork.is_some_and(|(b, _)| t.meta[b].pc == fork))
-        };
-        match compile(blocks, regs, cfg, old.cwp, old.start, forced) {
-            Some(mut t) if forks_at(&t) => {
-                t.alt = old.alt;
-                self.register(mem, idx, &t);
-                self.traces[idx as usize] = t;
-                true
-            }
-            _ => {
-                self.traces[idx as usize].enabled = false;
-                false
-            }
-        }
-    }
-
-    /// Registers trace `idx` on every page an instruction of `t` was
-    /// lowered from; taken branches can hop pages, so the span is the set
-    /// of op addresses, not an interval.
-    fn register(&mut self, mem: &mut Memory, idx: u32, t: &Trace) {
-        let mut pages: Vec<usize> = t.meta.iter().map(|m| m.pc as usize / PAGE_BYTES).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        if let Some(&last) = pages.last() {
-            if self.by_page.len() <= last {
-                self.by_page.resize_with(last + 1, Vec::new);
-            }
-        }
-        for page in pages {
-            mem.note_code_page(page);
-            if !self.by_page[page].contains(&idx) {
-                self.by_page[page].push(idx);
-            }
+        _ => {
+            blocks.trace_mut(idx).expect("checked above").enabled = false;
+            false
         }
     }
 }
@@ -777,7 +584,7 @@ fn compile(
     if self_loop {
         b.lower_arms(blocks, start);
     }
-    let mut t = b.finish(start, self_loop)?;
+    let mut t = b.finish(self_loop)?;
     t.forced = forced;
     Some(t)
 }
@@ -1162,7 +969,7 @@ impl<'a> Builder<'a> {
         }
     }
 
-    fn finish(self, start: u32, self_loop: bool) -> Option<Trace> {
+    fn finish(self, self_loop: bool) -> Option<Trace> {
         if self.meta.is_empty() || !(self_loop || self.meta.len() >= MIN_STRAIGHT_INSNS) {
             return None;
         }
@@ -1185,7 +992,6 @@ impl<'a> Builder<'a> {
             .map(|((start, end), fork)| self.path(start, end, fork))
             .collect();
         Some(Trace {
-            start,
             cwp: self.cwp,
             insns: paths.iter().map(|p| p.insns).max().unwrap_or(0),
             ops: self.ops.into(),
@@ -1197,21 +1003,19 @@ impl<'a> Builder<'a> {
             self_loop,
             final_pc: self.cursor,
             final_pending: self.pending,
-            alive: true,
             enabled: true,
             strikes: 0,
             passes: 0,
-            alt: NO_TRACE,
             forced: Vec::new(),
         })
     }
 }
 
-/// Builds a trace with its entry marked hot enough, for tests: constructs
-/// the block, saturates its heat profile along `taken_exit`, then compiles.
+/// Builds the blocks from `start` along `taken_exit`, saturates their heat
+/// profiles that way, then promotes `start`'s block, for tests. Returns
+/// that block when it took a trace.
 #[cfg(test)]
 fn build_hot(
-    cache: &mut TraceCache,
     mem: &mut Memory,
     blocks: &mut BlockCache,
     regs: &WindowFile,
@@ -1229,7 +1033,7 @@ fn build_hot(
         }
         let b = blocks.block(idx);
         pc = if taken_exit {
-            let transfer = b.end.wrapping_sub(if b.insns >= 2 { 8 } else { 4 });
+            let transfer = b.end.wrapping_sub(if b.insns() >= 2 { 8 } else { 4 });
             let line =
                 crate::superblock::collect_lines(mem, transfer).and_then(|l| l.first().copied())?;
             transfer.wrapping_add(line.imm19 as u32)
@@ -1240,16 +1044,22 @@ fn build_hot(
             break;
         }
     }
-    cache.build(mem, blocks, regs, cfg, start)
+    let idx = blocks.lookup(start)?;
+    promote(mem, blocks, regs, cfg, idx).then_some(idx)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::{CodeDirty, PAGE_BYTES};
     use risc1_isa::{Instruction, Reg};
 
     fn add(dest: Reg, rs1: Reg, imm: i32) -> u32 {
         Instruction::reg(Opcode::Add, dest, rs1, Short2::imm(imm).unwrap()).encode()
+    }
+
+    fn sub_scc(dest: Reg, rs1: Reg, imm: i32) -> u32 {
+        Instruction::reg_scc(Opcode::Sub, dest, rs1, Short2::imm(imm).unwrap()).encode()
     }
 
     fn mem_with(words: &[u32]) -> Memory {
@@ -1264,8 +1074,8 @@ mod tests {
     /// while not equal.
     fn countdown_loop() -> Vec<u32> {
         vec![
-            add(Reg::R17, Reg::R17, 3), // 0x0
-            Instruction::reg_scc(Opcode::Sub, Reg::R16, Reg::R16, Short2::imm(1).unwrap()).encode(), // 0x4
+            add(Reg::R17, Reg::R17, 3),               // 0x0
+            sub_scc(Reg::R16, Reg::R16, 1),           // 0x4
             Instruction::jmpr(Cond::Ne, -8).encode(), // 0x8 → 0x0
             add(Reg::R18, Reg::R18, 1),               // 0xc (slot)
         ]
@@ -1277,11 +1087,10 @@ mod tests {
         let mut mem = mem_with(&countdown_loop());
         let mut blocks = BlockCache::new(mem.page_count());
         let regs = WindowFile::new(cfg.windows);
-        let mut cache = TraceCache::new(mem.page_count());
-        let idx =
-            build_hot(&mut cache, &mut mem, &mut blocks, &regs, &cfg, 0, true).expect("promotes");
-        let t = cache.trace(idx);
+        let idx = build_hot(&mut mem, &mut blocks, &regs, &cfg, 0, true).expect("promotes");
+        let t = blocks.trace(idx).expect("the entry block holds its trace");
         assert!(t.self_loop, "loops back to its entry");
+        assert_eq!(t.cwp, regs.cwp(), "flattened for the current window");
         assert_eq!(t.insns, 4);
         assert_eq!(t.final_pc, 0);
         assert_eq!(t.final_pending, None);
@@ -1296,12 +1105,6 @@ mod tests {
         // r16, r17, r18 live; r16/r17/r18 all written.
         assert_eq!(t.live_in.len(), 3);
         assert_eq!(t.live_out.len(), 3);
-        assert_eq!(cache.resolve(0, regs.cwp()), Some(idx));
-        assert_eq!(
-            cache.resolve(0, regs.cwp() + 1),
-            None,
-            "other window misses"
-        );
     }
 
     /// Builds the block at `pc` and records `fall` fall-through and `taken`
@@ -1322,6 +1125,19 @@ mod tests {
         }
     }
 
+    /// Promotes the block at `pc`, returning it.
+    fn promoted(
+        mem: &mut Memory,
+        blocks: &mut BlockCache,
+        regs: &WindowFile,
+        cfg: &SimConfig,
+        pc: u32,
+    ) -> u32 {
+        let idx = blocks.lookup(pc).expect("block built");
+        assert!(promote(mem, blocks, regs, cfg, idx), "promotes");
+        idx
+    }
+
     /// A counted loop with a data-dependent skip: even iterations branch
     /// over the odd-only add. Blocks: A at 0x0 ends on the skip, B at
     /// 0x10 is the odd-only add plus the loop tail, C at 0x14 the tail
@@ -1333,7 +1149,7 @@ mod tests {
             Instruction::jmpr(Cond::Eq, 12).encode(), // 0x8: even → 0x14
             add(Reg::R0, Reg::R0, 0),                 // 0xc (slot)
             add(Reg::R19, Reg::R19, 1),               // 0x10: odd only
-            Instruction::reg_scc(Opcode::Sub, Reg::R16, Reg::R16, Short2::imm(1).unwrap()).encode(),
+            sub_scc(Reg::R16, Reg::R16, 1),
             Instruction::jmpr(Cond::Ne, -24).encode(), // 0x18 → 0x0
             add(Reg::R0, Reg::R0, 0),                  // 0x1c (slot)
         ]
@@ -1346,16 +1162,12 @@ mod tests {
         let mut mem = mem_with(&alternating_loop());
         let mut blocks = BlockCache::new(mem.page_count());
         let regs = WindowFile::new(cfg.windows);
-        let mut cache = TraceCache::new(mem.page_count());
         profile(&mut mem, &mut blocks, &cfg, 0, skip);
         profile(&mut mem, &mut blocks, &cfg, 0x10, tail);
         profile(&mut mem, &mut blocks, &cfg, 0x14, tail);
-        let idx = cache
-            .build(&mut mem, &blocks, &regs, &cfg, 0)
-            .expect("promotes");
-        cache.trace(idx).clone()
+        let idx = promoted(&mut mem, &mut blocks, &regs, &cfg, 0);
+        blocks.trace(idx).expect("attached").clone()
     }
-
     #[test]
     fn an_arm_forms_when_both_directions_are_hot() {
         // The skip went each way half the time; the tie goes to the
@@ -1433,14 +1245,11 @@ mod tests {
         ]);
         let mut blocks = BlockCache::new(mem.page_count());
         let regs = WindowFile::new(cfg.windows);
-        let mut cache = TraceCache::new(mem.page_count());
         profile(&mut mem, &mut blocks, &cfg, 0, [32, 32]);
         profile(&mut mem, &mut blocks, &cfg, 0x10, [0, 64]);
         profile(&mut mem, &mut blocks, &cfg, 0x18, [0, 32]);
-        let idx = cache
-            .build(&mut mem, &blocks, &regs, &cfg, 0)
-            .expect("promotes");
-        let t = cache.trace(idx);
+        let idx = promoted(&mut mem, &mut blocks, &regs, &cfg, 0);
+        let t = blocks.trace(idx).expect("attached");
         assert!(t.self_loop);
         assert_eq!(t.paths.len(), 1, "the arm was dropped");
         assert_eq!(t.ops.len(), 6, "and its ops rolled back");
@@ -1458,53 +1267,48 @@ mod tests {
         let mut mem = mem_with(&alternating_loop());
         let mut blocks = BlockCache::new(mem.page_count());
         let regs = WindowFile::new(cfg.windows);
-        let mut cache = TraceCache::new(mem.page_count());
         // Promoted while the skip went one way: no arm.
         profile(&mut mem, &mut blocks, &cfg, 0, [64, 0]);
         profile(&mut mem, &mut blocks, &cfg, 0x10, [0, 64]);
         profile(&mut mem, &mut blocks, &cfg, 0x14, [0, 64]);
-        let idx = cache
-            .build(&mut mem, &blocks, &regs, &cfg, 0)
-            .expect("promotes");
-        assert_eq!(cache.trace(idx).paths.len(), 1);
+        let idx = promoted(&mut mem, &mut blocks, &regs, &cfg, 0);
+        let t = blocks.trace_mut(idx).expect("attached");
+        assert_eq!(t.paths.len(), 1);
         // A trace that has not run HOT_THRESHOLD passes is demoted when it
         // strikes out, whatever guard it left at.
-        let mut young = cache.clone();
+        let mut young = t.clone();
         for _ in 0..STRIKE_LIMIT {
-            assert_eq!(young.note_run(idx, false, 1, Some(2)), None);
+            assert_eq!(young.note_run(false, 1, Some(2)), None);
         }
-        assert!(!young.trace(idx).enabled, "demoted");
+        assert!(!young.enabled, "demoted");
         // Once it has, runs that end at the skip's guard strike out, and
         // the last strike asks for a rebuild with an arm there instead.
-        assert_eq!(
-            cache.note_run(idx, true, u64::from(HOT_THRESHOLD), None),
-            None
-        );
+        assert_eq!(t.note_run(true, u64::from(HOT_THRESHOLD), None), None);
         for _ in 1..STRIKE_LIMIT {
-            assert_eq!(cache.note_run(idx, false, 1, Some(2)), None);
+            assert_eq!(t.note_run(false, 1, Some(2)), None);
         }
-        assert_eq!(cache.note_run(idx, false, 1, Some(2)), Some(0x8));
-        assert!(cache.trace(idx).enabled);
-        assert!(cache.rebuild(&mut mem, &blocks, &regs, &cfg, idx, 0x8));
-        let t = cache.trace(idx);
+        assert_eq!(t.note_run(false, 1, Some(2)), Some(0x8));
+        assert!(t.enabled);
+        assert!(rebuild(&mut mem, &mut blocks, &regs, &cfg, idx, 0x8));
+        assert_eq!(blocks.lookup(0), Some(idx), "in place, on the same block");
+        let t = blocks.trace_mut(idx).expect("attached");
         assert_eq!(t.paths.len(), 2, "the rebuild forked the skip");
         assert_eq!(t.forced, vec![0x8]);
-        assert_eq!(cache.resolve(0, regs.cwp()), Some(idx), "in place");
         // A guard is tried once: striking out on it again demotes.
-        assert_eq!(
-            cache.note_run(idx, true, u64::from(HOT_THRESHOLD), None),
-            None
-        );
+        assert_eq!(t.note_run(true, u64::from(HOT_THRESHOLD), None), None);
         for _ in 0..STRIKE_LIMIT {
-            assert_eq!(cache.note_run(idx, false, 1, Some(2)), None);
+            assert_eq!(t.note_run(false, 1, Some(2)), None);
         }
-        assert!(!cache.trace(idx).enabled, "demoted");
+        assert!(!t.enabled, "demoted");
         // A rebuild that cannot form the arm (the loop's exit leaves it)
         // demotes rather than replacing the trace with its twin.
-        let mut exit = cache.clone();
-        exit.traces[idx as usize].enabled = true;
-        assert!(!exit.rebuild(&mut mem, &blocks, &regs, &cfg, idx, 0x18));
-        assert!(!exit.trace(idx).enabled);
+        t.enabled = true;
+        assert!(!rebuild(&mut mem, &mut blocks, &regs, &cfg, idx, 0x18));
+        let t = blocks
+            .trace(idx)
+            .expect("a demoted trace stays on its block");
+        assert!(!t.enabled);
+        assert_eq!(t.forced, vec![0x8], "not replaced");
     }
 
     /// The statistics of retiring `meta` in order, summed field by field
@@ -1539,14 +1343,11 @@ mod tests {
             let mut mem = mem_with(&alternating_loop());
             let mut blocks = BlockCache::new(mem.page_count());
             let regs = WindowFile::new(cfg.windows);
-            let mut cache = TraceCache::new(mem.page_count());
             profile(&mut mem, &mut blocks, &cfg, 0, [32, 32]);
             profile(&mut mem, &mut blocks, &cfg, 0x10, [0, 64]);
             profile(&mut mem, &mut blocks, &cfg, 0x14, [0, 64]);
-            let idx = cache
-                .build(&mut mem, &blocks, &regs, &cfg, 0)
-                .expect("promotes");
-            let t = cache.trace(idx);
+            let idx = promoted(&mut mem, &mut blocks, &regs, &cfg, 0);
+            let t = blocks.trace(idx).expect("attached");
             assert_eq!(t.paths.len(), 2);
             for (p, path) in t.paths.iter().enumerate() {
                 let mut retired: Vec<TMeta> = Vec::new();
@@ -1589,54 +1390,57 @@ mod tests {
         ]);
         let mut blocks = BlockCache::new(mem.page_count());
         let regs = WindowFile::new(cfg.windows);
-        let mut cache = TraceCache::new(mem.page_count());
-        assert!(build_hot(&mut cache, &mut mem, &mut blocks, &regs, &cfg, 0, false).is_none());
+        assert!(build_hot(&mut mem, &mut blocks, &regs, &cfg, 0, false).is_none());
+        let entry = blocks.lookup(0).expect("the block itself stays");
+        assert!(blocks.trace(entry).is_none());
     }
 
     #[test]
-    fn invalidation_kills_traces_and_resolve_misses() {
+    fn a_write_to_any_page_of_a_trace_drops_its_block_and_a_clear_drops_both() {
         let cfg = SimConfig::default();
-        let mut mem = mem_with(&countdown_loop());
+        // A self loop whose entry block fills the end of page 0; its
+        // count, back-edge and slot sit on page 1.
+        let head = PAGE_BYTES as u32 - 8;
+        let mut words = vec![add(Reg::R0, Reg::R0, 0); head as usize / 4];
+        words.extend([
+            add(Reg::R17, Reg::R17, 3),                // head
+            add(Reg::R18, Reg::R18, 1),                // head + 4
+            sub_scc(Reg::R16, Reg::R16, 1),            // page 1
+            Instruction::jmpr(Cond::Ne, -12).encode(), // → head
+            add(Reg::R19, Reg::R19, 1),                // slot
+        ]);
+        let tail = PAGE_BYTES as u32;
+        let mut mem = mem_with(&words);
         let mut blocks = BlockCache::new(mem.page_count());
         let regs = WindowFile::new(cfg.windows);
-        let mut cache = TraceCache::new(mem.page_count());
-        let idx =
-            build_hot(&mut cache, &mut mem, &mut blocks, &regs, &cfg, 0, true).expect("promotes");
-        assert_eq!(cache.resolve(0, regs.cwp()), Some(idx));
-        cache.invalidate(CodeDirty::Page(0));
-        assert_eq!(cache.resolve(0, regs.cwp()), None, "page kill");
-        assert_eq!(cache.variants_at(0), 0);
-        let idx2 =
-            build_hot(&mut cache, &mut mem, &mut blocks, &regs, &cfg, 0, true).expect("rebuilds");
-        cache.invalidate(CodeDirty::All);
-        assert!(cache.traces.is_empty(), "All is a full clear");
-        let _ = idx2;
-    }
-
-    #[test]
-    fn variant_chain_is_per_cwp_and_capped() {
-        let cfg = SimConfig::default();
-        let mut mem = mem_with(&countdown_loop());
-        let mut blocks = BlockCache::new(mem.page_count());
-        let mut regs = WindowFile::new(cfg.windows);
-        let mut cache = TraceCache::new(mem.page_count());
-        let first =
-            build_hot(&mut cache, &mut mem, &mut blocks, &regs, &cfg, 0, true).expect("cwp 0");
-        // Duplicate build for the same cwp is refused.
-        assert!(cache.build(&mut mem, &blocks, &regs, &cfg, 0).is_none());
-        // New windows get their own variants up to the cap.
-        let mut built = vec![first];
-        for _ in 0..MAX_VARIANTS + 1 {
-            regs.advance();
-            if let Some(i) = cache.build(&mut mem, &blocks, &regs, &cfg, 0) {
-                built.push(i);
-            }
-        }
-        assert_eq!(built.len(), MAX_VARIANTS, "cap holds");
-        // Every built variant resolves under its own cwp.
-        for &i in &built {
-            let t = cache.trace(i).clone();
-            assert_eq!(cache.resolve(0, t.cwp), Some(i));
-        }
+        let promote_loop = |mem: &mut Memory, blocks: &mut BlockCache| {
+            profile(mem, blocks, &cfg, head, [64, 0]);
+            profile(mem, blocks, &cfg, tail, [0, 64]);
+            let idx = promoted(mem, blocks, &regs, &cfg, head);
+            let t = blocks.trace(idx).expect("attached");
+            assert!(t.self_loop && t.meta.iter().any(|m| m.pc >= tail));
+            assert_eq!(
+                blocks.block(idx).end,
+                tail,
+                "the entry block ends on page 0"
+            );
+        };
+        // A write to the page the entry block does not span still drops
+        // the block, and its trace with it.
+        promote_loop(&mut mem, &mut blocks);
+        blocks.invalidate(CodeDirty::Page(1));
+        assert_eq!(blocks.lookup(head), None, "the trace's second page");
+        assert_eq!(blocks.lookup(tail), None);
+        // So does a write to its own page; the tail block read none of it.
+        promote_loop(&mut mem, &mut blocks);
+        blocks.invalidate(CodeDirty::Page(0));
+        assert_eq!(blocks.lookup(head), None, "the entry block's page");
+        let survivor = blocks.lookup(tail).expect("the tail block survives");
+        assert!(blocks.trace(survivor).is_none());
+        // A wholesale clear drops every block and every trace.
+        promote_loop(&mut mem, &mut blocks);
+        blocks.invalidate(CodeDirty::All);
+        assert_eq!(blocks.lookup(head), None);
+        assert_eq!(blocks.lookup(tail), None);
     }
 }

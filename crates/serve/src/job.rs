@@ -60,7 +60,8 @@ pub struct JobSpec {
 /// The config hash folds in everything else that determines the result —
 /// the machine configuration, args, recovery, injection rate and modes,
 /// execution mode, timeout — so equal keys imply bit-identical outputs and
-/// the service may serve a duplicate submission from its result cache.
+/// the service may serve a duplicate submission the result of the job it
+/// already holds.
 /// The host-only engine tier and fusion toggles are left out
 /// ([`config_hash`]): the same job under another tier is a dedup hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,7 +133,7 @@ impl JobSpec {
                 // checksum. Wire snapshots are untrusted — a tampered body
                 // that keeps the original's stored checksum must not share
                 // a key with the original, or dedup would serve it the
-                // cached result instead of a restore-time rejection.
+                // original's result instead of a restore-time rejection.
                 c.write_u8(1);
                 c.write_bytes(s.to_json().as_bytes());
             }

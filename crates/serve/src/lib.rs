@@ -19,8 +19,9 @@
 //!   structured [`Overloaded`], and the shed count is visible in
 //!   [`status`](ExecService::status).
 //! * **Idempotent dedup** — jobs are keyed by `(program hash, config
-//!   hash, seed)`; duplicate submissions are served from the in-flight
-//!   map or a bounded LRU [result cache](cache::ResultCache).
+//!   hash, seed)`; a duplicate submission is served by the in-flight or
+//!   retained job with its key. The last
+//!   [`cache_cap`](ServiceConfig::cache_cap) finished jobs stay retained.
 //! * **Crash-only workers** — a panicking job is caught, journaled to
 //!   the replay-artifacts funnel for offline `risc1 replay`, and reported
 //!   as a structured [`JobOutput::Panicked`].
@@ -43,7 +44,6 @@
 //! Transports: in-process (library calls), TCP, or stdin/stdout — all
 //! speaking the newline-delimited JSON protocol in [`wire`].
 
-pub mod cache;
 pub mod job;
 pub mod queue;
 pub mod server;

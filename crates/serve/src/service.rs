@@ -13,9 +13,11 @@
 //! The robustness state machine, end to end:
 //!
 //! ```text
-//! submit ──▶ dedup hit? ──────────────▶ ticket (cached / in-flight id)
+//! submit ──▶ dedup hit? ──────────────▶ ticket (in-flight / retained id)
 //!    │
 //!    ├──▶ queue full? ──▶ Overloaded (whole submission shed, counted)
+//!    │
+//!    ├──▶ admit not logged? ──▶ Unavailable (whole submission, counted)
 //!    │
 //!    └──▶ Queued ──▶ Running ──▶ Done(JobOutput)
 //!                      │  supervised jobs retry with backoff inside the
@@ -25,15 +27,15 @@
 //!
 //! With a [`wal_dir`](ServiceConfig::wal_dir) configured, every admission
 //! and completion is appended to a [write-ahead log](crate::wal) before
-//! the client hears about it, and [`recover`](ServiceConfig::recover)
-//! replays that log on startup: completed results re-seed the cache and
-//! job table (byte-identical to the pre-crash responses), incomplete jobs
-//! re-enqueue under their original ids, and the idempotent job keys make
+//! the client hears about it — a submission whose admission cannot be
+//! logged is rejected — and [`recover`](ServiceConfig::recover) replays
+//! that log on startup: completed results re-seed the job table
+//! (byte-identical to the pre-crash responses), incomplete jobs re-enqueue
+//! under their original ids, and the idempotent job keys make
 //! re-execution safe — a `kill -9` mid-campaign loses nothing.
 //!
 //! [`submit`]: ExecService::submit
 
-use crate::cache::ResultCache;
 use crate::job::{JobKey, JobMode, JobOutput, JobSpec};
 use crate::queue::{Overloaded, QueueDepth, QueueSet};
 use crate::wal::{replay_wal, WalRecord, WalWriter};
@@ -43,7 +45,7 @@ use risc1_ir::{
     default_threads, parallel_map, recorded_outcome, run_risc_deadline, run_risc_resumed,
     run_risc_supervised, SupervisorConfig, TimedOutcome,
 };
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -60,10 +62,10 @@ pub struct ServiceConfig {
     /// Per-client queue capacity; submissions that would overflow it are
     /// rejected with a structured [`Overloaded`].
     pub queue_cap: usize,
-    /// Bound on the LRU result cache *and* on retained finished jobs.
+    /// How many finished jobs stay retained, oldest out first: pollable by
+    /// id, and served to an identical resubmission by dedup. A resubmission
+    /// of a job that has left retention runs again under a fresh id.
     pub cache_cap: usize,
-    /// Most jobs the scheduler drains into one parallel batch.
-    pub batch_max: usize,
     /// Where panicking jobs journal their campaigns for offline replay.
     pub artifact_dir: String,
     /// Directory of the crash-safe write-ahead job log; `None` runs the
@@ -77,12 +79,10 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
-        let threads = default_threads();
         ServiceConfig {
-            threads,
+            threads: default_threads(),
             queue_cap: 64,
             cache_cap: 256,
-            batch_max: threads.max(1) * 4,
             artifact_dir: "target/replay-artifacts".to_owned(),
             wal_dir: None,
             recover: false,
@@ -97,6 +97,9 @@ pub enum SubmitError {
     Overloaded(Overloaded),
     /// The service is shutting down and admits nothing new.
     ShuttingDown,
+    /// The write-ahead log could not record the admission (the message is
+    /// the I/O error), so nothing of the submission was admitted.
+    Unavailable(String),
 }
 
 impl fmt::Display for SubmitError {
@@ -104,6 +107,7 @@ impl fmt::Display for SubmitError {
         match self {
             SubmitError::Overloaded(o) => write!(f, "{o}"),
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
+            SubmitError::Unavailable(e) => write!(f, "cannot log the admission: {e}"),
         }
     }
 }
@@ -118,7 +122,7 @@ pub struct SubmitTicket {
     /// The job id to poll.
     pub id: u64,
     /// True when the job was served by dedup — the id refers to an
-    /// in-flight or cached execution of an identical spec.
+    /// in-flight or retained execution of an identical spec.
     pub dedup: bool,
 }
 
@@ -142,10 +146,14 @@ pub enum PollState {
 pub struct Counters {
     /// Jobs accepted for execution (dedup hits not included).
     pub submitted: u64,
-    /// Submitted jobs served from the dedup map or result cache.
+    /// Submitted jobs served by dedup: an in-flight or retained job with
+    /// the same key.
     pub dedup_hits: u64,
     /// Jobs rejected by load shedding.
     pub shed: u64,
+    /// Submissions rejected because the write-ahead log could not record
+    /// their admission.
+    pub wal_admit_failures: u64,
     /// Jobs that finished executing.
     pub completed: u64,
     /// Jobs that ended in a caught panic.
@@ -176,6 +184,7 @@ impl Default for Counters {
             submitted: 0,
             dedup_hits: 0,
             shed: 0,
+            wal_admit_failures: 0,
             completed: 0,
             panics: 0,
             timeouts: 0,
@@ -199,31 +208,50 @@ pub struct StatusReport {
     pub queued: usize,
     /// Jobs in the currently running batch.
     pub running: usize,
-    /// Entries in the result cache.
+    /// Finished jobs retained (at most [`ServiceConfig::cache_cap`]).
     pub cached: usize,
     /// The monotonic counters.
     pub counters: Counters,
 }
 
-// Resident in the job table, but the table is bounded by `cache_cap`
-// retention — a few hundred entries — so the variant size gap is cheaper
-// than indirecting every poll.
+// Resident in the job table, but the table is bounded by the queues and
+// `cache_cap` retention — a few hundred entries — so the variant size gaps
+// are cheaper than indirecting every poll.
 #[allow(clippy::large_enum_variant)]
 enum JobState {
-    Queued,
+    /// Waiting in its client's queue, with the spec the scheduler takes
+    /// when it claims the job.
+    Queued(JobSpec),
     Running,
-    Done(JobOutput),
+    /// Finished, with the recorded replay journal of a `journal:true` job,
+    /// retained for streamed download.
+    Done(JobOutput, Option<Arc<String>>),
+}
+
+/// One entry of the job table.
+struct Job {
+    /// The job's dedup key.
+    key: JobKey,
+    state: JobState,
+}
+
+impl Job {
+    fn poll(&self) -> PollState {
+        match &self.state {
+            JobState::Queued(_) => PollState::Queued,
+            JobState::Running => PollState::Running,
+            JobState::Done(out, _) => PollState::Done(out.clone()),
+        }
+    }
 }
 
 struct State {
     queues: QueueSet,
-    /// Specs of queued jobs (removed when the scheduler claims them).
-    specs: HashMap<u64, JobSpec>,
-    jobs: HashMap<u64, JobState>,
-    keys: HashMap<u64, JobKey>,
-    /// Canonical job id per key, for in-flight dedup.
+    /// Every queued, running or retained job by id.
+    jobs: HashMap<u64, Job>,
+    /// Canonical job id per key: the in-flight or retained job an identical
+    /// submission dedups to.
     dedup: HashMap<JobKey, u64>,
-    cache: ResultCache,
     counters: Counters,
     next_id: u64,
     shutdown: bool,
@@ -232,9 +260,6 @@ struct State {
     /// The write-ahead log's append half, when durability is on. Written
     /// under this state lock so log order matches admission order.
     wal: Option<WalWriter>,
-    /// Recorded replay journals of finished `journal:true` jobs, retained
-    /// (and evicted) alongside the job table for streamed download.
-    journals: HashMap<u64, Arc<String>>,
 }
 
 struct Inner {
@@ -267,17 +292,13 @@ impl ExecService {
     pub fn start(cfg: ServiceConfig) -> ExecService {
         let mut state = State {
             queues: QueueSet::new(cfg.queue_cap),
-            specs: HashMap::new(),
             jobs: HashMap::new(),
-            keys: HashMap::new(),
             dedup: HashMap::new(),
-            cache: ResultCache::new(cfg.cache_cap),
             counters: Counters::default(),
             next_id: 1,
             shutdown: false,
             completed_order: VecDeque::new(),
             wal: None,
-            journals: HashMap::new(),
         };
         if let Some(dir) = cfg.wal_dir.as_deref() {
             let dir = Path::new(dir);
@@ -311,13 +332,16 @@ impl ExecService {
     /// Submits a campaign for `client` (registering it with `weight` on
     /// first contact). Admission is atomic: either every spec gets a
     /// ticket, or the whole submission is rejected. Specs whose key
-    /// matches an in-flight or cached job are served by dedup and do not
-    /// consume queue space.
+    /// matches an in-flight or retained job — or an earlier spec of the
+    /// same submission — are served by dedup and do not consume queue
+    /// space.
     ///
     /// # Errors
     /// [`SubmitError::Overloaded`] when the fresh jobs would overflow the
     /// client's queue (they are counted as shed);
-    /// [`SubmitError::ShuttingDown`] after [`shutdown`](Self::shutdown).
+    /// [`SubmitError::ShuttingDown`] after [`shutdown`](Self::shutdown);
+    /// [`SubmitError::Unavailable`] when the write-ahead log cannot record
+    /// an admission (counted in [`Counters::wal_admit_failures`]).
     pub fn submit(
         &self,
         client: &str,
@@ -328,16 +352,24 @@ impl ExecService {
         if st.shutdown {
             return Err(SubmitError::ShuttingDown);
         }
-        let keys: Vec<JobKey> = specs.iter().map(JobSpec::key).collect();
-
-        // Count the genuinely new jobs first so admission is atomic.
-        let mut batch_seen = HashSet::new();
-        let mut fresh = 0usize;
-        for key in &keys {
-            if !st.dedup.contains_key(key) && st.cache.get(key).is_none() && batch_seen.insert(*key)
-            {
-                fresh += 1;
-            }
+        // Sort the specs into dedup hits and fresh jobs, numbered from
+        // `next_id` in order, before anything changes.
+        let mut tickets = Vec::with_capacity(specs.len());
+        let mut fresh: Vec<(u64, JobKey, JobSpec)> = Vec::new();
+        let mut batch: HashMap<JobKey, u64> = HashMap::new();
+        for spec in specs {
+            let key = spec.key();
+            let seed = spec.inject.map_or(0, |i| i.seed);
+            let (id, dedup) = match st.dedup.get(&key).or_else(|| batch.get(&key)) {
+                Some(&id) => (id, true),
+                None => {
+                    let id = st.next_id + fresh.len() as u64;
+                    batch.insert(key, id);
+                    fresh.push((id, key, spec));
+                    (id, false)
+                }
+            };
+            tickets.push(SubmitTicket { seed, id, dedup });
         }
         let depth = st
             .queues
@@ -345,70 +377,49 @@ impl ExecService {
             .iter()
             .find(|q| q.client == client)
             .map_or(0, |q| q.depth);
-        if depth + fresh > self.inner.cfg.queue_cap {
-            st.counters.shed += specs.len() as u64;
+        if depth + fresh.len() > self.inner.cfg.queue_cap {
+            st.counters.shed += tickets.len() as u64;
             return Err(SubmitError::Overloaded(Overloaded {
                 client: client.to_owned(),
                 depth,
                 capacity: self.inner.cfg.queue_cap,
-                rejected: specs.len(),
+                rejected: tickets.len(),
             }));
         }
 
-        let mut tickets = Vec::with_capacity(specs.len());
-        let mut enqueue = Vec::new();
-        for (spec, key) in specs.into_iter().zip(keys) {
-            let seed = spec.inject.map_or(0, |i| i.seed);
-            if let Some(&id) = st.dedup.get(&key) {
-                st.counters.dedup_hits += 1;
-                tickets.push(SubmitTicket {
-                    seed,
-                    id,
-                    dedup: true,
-                });
-            } else if let Some(out) = st.cache.get(&key).cloned() {
-                // Completed long ago and since evicted from the job table:
-                // materialise a fresh Done job straight from the cache.
-                let id = st.next_id;
-                st.next_id += 1;
-                st.jobs.insert(id, JobState::Done(out));
-                st.keys.insert(id, key);
-                st.dedup.insert(key, id);
-                st.completed_order.push_back(id);
-                st.counters.dedup_hits += 1;
-                tickets.push(SubmitTicket {
-                    seed,
-                    id,
-                    dedup: true,
-                });
-            } else {
-                let id = st.next_id;
-                st.next_id += 1;
-                // Log the admission before the ticket exists: a crash after
-                // this line re-runs the job, a crash before it means the
-                // client never got a ticket to lose.
-                if let Some(wal) = st.wal.as_mut() {
-                    if let Err(e) = wal.append_admit(id, client, weight, &spec) {
-                        eprintln!("risc1-serve: WAL admit append failed: {e}");
-                    }
-                }
-                st.specs.insert(id, spec);
-                st.jobs.insert(id, JobState::Queued);
-                st.keys.insert(id, key);
-                st.dedup.insert(key, id);
-                st.counters.submitted += 1;
-                enqueue.push(id);
-                tickets.push(SubmitTicket {
-                    seed,
-                    id,
-                    dedup: false,
-                });
-            }
+        // Log every admission before its ticket exists: a crash after this
+        // re-runs the jobs, a crash before it means the client never got a
+        // ticket to lose. A failed append rejects the whole submission. Its
+        // ids stay drawn, so a record it did log can never share an id
+        // with a later job; recovery would run such a job unclaimed.
+        st.next_id += fresh.len() as u64;
+        let logged = match st.wal.as_mut() {
+            Some(wal) => fresh
+                .iter()
+                .try_for_each(|(id, _, spec)| wal.append_admit(*id, client, weight, spec)),
+            None => Ok(()),
+        };
+        if let Err(e) = logged {
+            st.counters.wal_admit_failures += 1;
+            return Err(SubmitError::Unavailable(e.to_string()));
+        }
+
+        st.counters.dedup_hits += (tickets.len() - fresh.len()) as u64;
+        st.counters.submitted += fresh.len() as u64;
+        let ids: Vec<u64> = fresh.iter().map(|&(id, _, _)| id).collect();
+        for (id, key, spec) in fresh {
+            st.jobs.insert(
+                id,
+                Job {
+                    key,
+                    state: JobState::Queued(spec),
+                },
+            );
+            st.dedup.insert(key, id);
         }
         st.queues
-            .try_push(client, weight, &enqueue)
+            .try_push(client, weight, &ids)
             .expect("admission was checked before ids were allocated");
-        evict_retained(&mut st, self.inner.cfg.cache_cap);
         drop(st);
         self.inner.work.notify_all();
         Ok(tickets)
@@ -418,11 +429,7 @@ impl ExecService {
     /// know — never issued, or finished and since evicted by retention).
     pub fn poll(&self, id: u64) -> Option<PollState> {
         let st = self.inner.state.lock().expect("service state");
-        st.jobs.get(&id).map(|j| match j {
-            JobState::Queued => PollState::Queued,
-            JobState::Running => PollState::Running,
-            JobState::Done(out) => PollState::Done(out.clone()),
-        })
+        st.jobs.get(&id).map(Job::poll)
     }
 
     /// [`poll`](Self::poll), but blocks until the job is done, the
@@ -431,14 +438,13 @@ impl ExecService {
         let deadline = Instant::now() + timeout;
         let mut st = self.inner.state.lock().expect("service state");
         loop {
-            match st.jobs.get(&id) {
-                None => return None,
-                Some(JobState::Done(out)) => return Some(PollState::Done(out.clone())),
-                Some(JobState::Queued) | Some(JobState::Running) => {}
-            }
+            let state = st.jobs.get(&id).map(Job::poll);
             let remaining = deadline.saturating_duration_since(Instant::now());
-            if st.shutdown || remaining.is_zero() {
-                return self_poll(&st, id);
+            if matches!(state, None | Some(PollState::Done(_)))
+                || st.shutdown
+                || remaining.is_zero()
+            {
+                return state;
             }
             let (guard, _) = self
                 .inner
@@ -455,7 +461,10 @@ impl ExecService {
     /// `risc1 replay`.
     pub fn journal(&self, id: u64) -> Option<Arc<String>> {
         let st = self.inner.state.lock().expect("service state");
-        st.journals.get(&id).cloned()
+        match &st.jobs.get(&id)?.state {
+            JobState::Done(_, journal) => journal.clone(),
+            _ => None,
+        }
     }
 
     /// A point-in-time status snapshot: queue depths, retry/dedup/shed
@@ -468,9 +477,9 @@ impl ExecService {
             running: st
                 .jobs
                 .values()
-                .filter(|j| matches!(j, JobState::Running))
+                .filter(|j| matches!(j.state, JobState::Running))
                 .count(),
-            cached: st.cache.len(),
+            cached: st.completed_order.len(),
             counters: st.counters.clone(),
         }
     }
@@ -498,14 +507,6 @@ impl Drop for ExecService {
     }
 }
 
-fn self_poll(st: &State, id: u64) -> Option<PollState> {
-    st.jobs.get(&id).map(|j| match j {
-        JobState::Queued => PollState::Queued,
-        JobState::Running => PollState::Running,
-        JobState::Done(out) => PollState::Done(out.clone()),
-    })
-}
-
 fn scheduler_loop(inner: &Inner) {
     loop {
         // Claim a batch (or exit on shutdown).
@@ -515,15 +516,21 @@ fn scheduler_loop(inner: &Inner) {
                 if st.shutdown {
                     return;
                 }
-                let ids = st.queues.drain(inner.cfg.batch_max);
+                // Four jobs per worker: enough to keep every worker busy
+                // across uneven job lengths, few enough that a batch's
+                // results are not held back long.
+                let ids = st.queues.drain(inner.cfg.threads.max(1) * 4);
                 if !ids.is_empty() {
                     break ids
                         .into_iter()
                         .map(|id| {
-                            let spec = st.specs.remove(&id).expect("queued job has a spec");
-                            let key = st.keys[&id];
-                            st.jobs.insert(id, JobState::Running);
-                            (id, spec, key)
+                            let job = st.jobs.get_mut(&id).expect("a queued job is in the table");
+                            let JobState::Queued(spec) =
+                                std::mem::replace(&mut job.state, JobState::Running)
+                            else {
+                                unreachable!("the queues hold only queued jobs");
+                            };
+                            (id, spec, job.key)
                         })
                         .collect();
                 }
@@ -534,14 +541,11 @@ fn scheduler_loop(inner: &Inner) {
         // independent of the worker count.
         let outs = parallel_map(&batch, inner.cfg.threads, |_, (id, spec, key)| {
             let (out, journal) = execute(spec, *key, &inner.cfg.artifact_dir);
-            (*id, *key, out, journal)
+            (*id, out, journal)
         });
         let mut st = inner.state.lock().expect("service state");
-        for (id, key, out, journal) in outs {
-            record_completion(&mut st, id, key, out);
-            if let Some(text) = journal {
-                st.journals.insert(id, Arc::new(text));
-            }
+        for (id, out, journal) in outs {
+            record_completion(&mut st, id, out, journal.map(Arc::new));
         }
         evict_retained(&mut st, inner.cfg.cache_cap);
         drop(st);
@@ -549,7 +553,7 @@ fn scheduler_loop(inner: &Inner) {
     }
 }
 
-fn record_completion(st: &mut State, id: u64, key: JobKey, out: JobOutput) {
+fn record_completion(st: &mut State, id: u64, out: JobOutput, journal: Option<Arc<String>>) {
     match &out {
         JobOutput::Finished(r) => add_traps(&mut st.counters, &r.stats.trap_counts),
         JobOutput::Supervised(r) => {
@@ -573,14 +577,16 @@ fn record_completion(st: &mut State, id: u64, key: JobKey, out: JobOutput) {
             eprintln!("risc1-serve: WAL done append failed: {e}");
         }
     }
-    st.cache.insert(key, out.clone());
-    st.jobs.insert(id, JobState::Done(out));
+    st.jobs
+        .get_mut(&id)
+        .expect("a running job is in the table")
+        .state = JobState::Done(out, journal);
     st.completed_order.push_back(id);
 }
 
 /// Rebuilds service state from a replayed write-ahead log: admits with a
-/// matching done record become [`JobOutput::Recovered`] results (cache,
-/// dedup and job table re-seeded, responses byte-identical); admits
+/// matching done record become [`JobOutput::Recovered`] results (dedup
+/// and job table re-seeded, responses byte-identical); admits
 /// without one re-enqueue under their original ids for idempotent
 /// re-execution.
 fn seed_from_wal(st: &mut State, records: Vec<WalRecord>) {
@@ -611,16 +617,14 @@ fn seed_from_wal(st: &mut State, records: Vec<WalRecord>) {
                 digest,
                 summary,
             };
-            st.cache.insert(key, out.clone());
-            st.jobs.insert(id, JobState::Done(out));
-            st.keys.insert(id, key);
+            let state = JobState::Done(out, None);
+            st.jobs.insert(id, Job { key, state });
             st.dedup.insert(key, id);
             st.completed_order.push_back(id);
             st.counters.wal_reseeded += 1;
         } else {
-            st.specs.insert(id, *spec);
-            st.jobs.insert(id, JobState::Queued);
-            st.keys.insert(id, key);
+            let state = JobState::Queued(*spec);
+            st.jobs.insert(id, Job { key, state });
             st.dedup.insert(key, id);
             st.queues.force_push(&client, weight, id);
             st.counters.wal_replayed += 1;
@@ -644,18 +648,15 @@ fn result_kind(summary: &str) -> String {
 }
 
 /// Keeps the finished-job table bounded: only the most recent `retain`
-/// completions stay pollable by id (their outputs remain in the LRU cache
-/// a while longer, so dedup still works after eviction).
+/// completions stay pollable by id and serve dedup.
 fn evict_retained(st: &mut State, retain: usize) {
     while st.completed_order.len() > retain {
         let Some(old) = st.completed_order.pop_front() else {
             break;
         };
-        st.jobs.remove(&old);
-        st.journals.remove(&old);
-        if let Some(key) = st.keys.remove(&old) {
-            if st.dedup.get(&key) == Some(&old) {
-                st.dedup.remove(&key);
+        if let Some(job) = st.jobs.remove(&old) {
+            if st.dedup.get(&job.key) == Some(&old) {
+                st.dedup.remove(&job.key);
             }
         }
     }

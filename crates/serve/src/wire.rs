@@ -29,7 +29,9 @@
 //! Every response carries `"ok"`; failures are structured, e.g. an
 //! overloaded queue answers
 //! `{"ok":false,"error":"overloaded","depth":64,"capacity":64,…}` — load
-//! shedding is a first-class reply, never a dropped connection. Finished
+//! shedding is a first-class reply, never a dropped connection, and so is
+//! a submission whose admission the write-ahead log could not record
+//! (`{"ok":false,"error":"unavailable","message":…}`). Finished
 //! jobs report a 64-bit FNV `digest` of (outcome signature, instructions,
 //! trap counts, event log) so clients can verify bit-identity against a
 //! local run without shipping the full report.
@@ -596,6 +598,12 @@ pub fn submit_error_response(err: &SubmitError) -> String {
             w.key("error");
             w.str("shutting-down");
         }
+        SubmitError::Unavailable(message) => {
+            w.key("error");
+            w.str("unavailable");
+            w.key("message");
+            w.str(message);
+        }
     }
     w.obj_close();
     w.finish()
@@ -822,6 +830,7 @@ pub fn status_response(status: &StatusReport) -> String {
         ("submitted", c.submitted),
         ("dedup_hits", c.dedup_hits),
         ("shed", c.shed),
+        ("wal_admit_failures", c.wal_admit_failures),
         ("completed", c.completed),
         ("panics", c.panics),
         ("timeouts", c.timeouts),

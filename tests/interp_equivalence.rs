@@ -27,7 +27,9 @@
 //!    loop while it runs — the store must kill the formed blocks,
 //! 5. with a long-running hot loop that patches its own text only *after*
 //!    the trace tier has compiled and entered a trace for it — the store
-//!    side-exits the trace and kills it,
+//!    side-exits the trace and kills it — once on the loop's only page,
+//!    and once on the second page of a loop that crosses a page boundary,
+//!    which its entry block does not reach,
 //! 6. by dirtying more registered code pages than the pending channel
 //!    can hold, forcing the overflow → flush-everything fallback,
 //! 7. with a hot loop in the last page of memory — the far end of the
@@ -341,11 +343,11 @@ fn patching_the_middle_of_a_chained_hot_loop_is_observed() {
 
     // A ten-iteration loop whose body opens with `add r26, r26, #11`.
     // The first five iterations run that original text — under the
-    // superblock engine the loop is block-formed, chained, and hot by
+    // superblock engine each of the loop's blocks is formed and cached by
     // then. On iteration five the loop stores `add r26, r26, #1` over
     // its own first instruction; iterations six through ten must execute
     // the patched text. acc = 5*11 + 5*1 = 60 only if the store kills
-    // the already-chained blocks mid-flight; a stale block replays the
+    // the already-formed blocks mid-flight; a stale block replays the
     // old body for 110.
     let mut insns = patch_prologue(patch_word);
     let l = insns.len(); // loop head / patch target
@@ -438,6 +440,76 @@ fn patching_a_running_trace_mid_flight_is_observed() {
     assert!(
         trace.stats.trace_side_exits >= 1,
         "the patch must leave the trace through a side exit"
+    );
+}
+
+#[test]
+fn patching_the_second_page_of_a_traced_loop_kills_the_trace_at_its_entry() {
+    let imm = |v: i32| Short2::imm(v).expect("fits imm13");
+    let patch_word = Instruction::reg(Opcode::Add, Reg::R26, Reg::R26, imm(1)).encode();
+
+    // A 300-iteration loop whose entry block is the last two words of one
+    // 128-byte page; the rest of its body, the patch target included,
+    // sits on the next page. The trace formed over it reads both pages,
+    // while its entry block spans only the first. At i == 100 the loop
+    // stores `add r26, r26, #1` over its `add r26, r26, #11` on the
+    // second page, so acc = 100*11 + 200*1 = 1300 only if that store
+    // kills the entry block's trace too; a stale trace keeps adding 11.
+    let mut insns = patch_prologue(patch_word);
+    let code_base = SimConfig::default().code_base;
+    let page = PAGE_BYTES as u32;
+    while !(code_base + 4 * insns.len() as u32 + 8).is_multiple_of(page) {
+        insns.push(Instruction::nop());
+    }
+    let l = insns.len(); // loop head: two words before a page boundary
+    let target = l + 2; // first word of the next page
+    insns.extend([
+        Instruction::reg(Opcode::Add, Reg::R17, Reg::R17, imm(1)), // i += 1
+        Instruction::reg(Opcode::Add, Reg::R19, Reg::R19, imm(2)),
+        Instruction::reg(Opcode::Add, Reg::R26, Reg::R26, imm(11)), // PATCHED at i == 100
+        Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R17, imm(100)),
+        Instruction::jmpr(Cond::Ne, 3 * 4), // i != 100: skip the patch store
+        Instruction::nop(),                 // delay slot
+        Instruction::reg(Opcode::Stl, Reg::R21, Reg::R20, imm(0)), // text[target] = add #1
+        Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R17, imm(300)),
+    ]);
+    let j = insns.len();
+    insns.extend([
+        Instruction::jmpr(Cond::Lt, 4 * (l as i32 - j as i32)),
+        Instruction::nop(), // delay slot
+        Instruction::ret(Reg::R0, imm(0)),
+        Instruction::nop(), // return delay slot
+    ]);
+    insns[2] = Instruction::reg(Opcode::Add, Reg::R20, Reg::R20, imm(4 * target as i32));
+    assert_eq!(code_base, 0x1000, "address math above");
+    let page_of = |i: usize| (code_base as usize + 4 * i) / PAGE_BYTES;
+    assert_eq!(page_of(l + 1), page_of(l), "the entry block's page");
+    assert_eq!(
+        page_of(target),
+        page_of(l) + 1,
+        "the patch lands on the next"
+    );
+
+    let prog = Program::from_instructions(insns);
+    let uncached = run_mode(&prog, &[], ExecEngine::Uncached);
+    assert_eq!(uncached.result, 1300);
+    for engine in [
+        ExecEngine::Cached,
+        ExecEngine::Superblock,
+        ExecEngine::Trace,
+    ] {
+        assert_eq!(
+            run_mode(&prog, &[], engine),
+            uncached,
+            "{engine:?} must be invisible"
+        );
+    }
+    let trace = run_mode(&prog, &[], ExecEngine::Trace);
+    assert!(
+        trace.stats.traces_built >= 2,
+        "the loop must promote before the patch and re-promote after \
+         (built {} traces)",
+        trace.stats.traces_built
     );
 }
 

@@ -12,6 +12,7 @@
 //! Overload is exercised separately: a submission that would overflow its
 //! client's queue must be rejected with a structured [`Overloaded`],
 //! counted as shed, and the service must keep serving afterwards.
+//! So is retention: a resubmission dedups only while its job is retained.
 
 use risc1::core::inject::{InjectConfig, InjectModes};
 use risc1::core::{ExecEngine, FusionConfig, Program, SimConfig};
@@ -307,7 +308,7 @@ fn concurrent_mixed_campaigns_are_bit_identical_to_direct_execution() {
         .expect("dedup consumes no queue space");
     assert!(
         tickets.iter().all(|t| t.dedup),
-        "a tier change must not miss the dedup cache"
+        "a tier change must not miss dedup"
     );
     for (t, spec) in tickets.iter().zip(&cross) {
         let Some(PollState::Done(out)) = service.poll(t.id) else {
@@ -393,6 +394,60 @@ fn overload_is_a_structured_rejection_not_a_silent_drop() {
         );
     }
     assert_eq!(service.status().counters.completed, 2);
+    service.shutdown();
+}
+
+/// Retention is the dedup boundary. With `cache_cap` 2, a resubmission of
+/// a retained job dedups to its id; once two newer completions have pushed
+/// that job out, the same resubmission runs again under a fresh id, to the
+/// same digest.
+#[test]
+fn a_resubmission_dedups_while_retained_and_reruns_once_evicted() {
+    let fib = compiled("fib");
+    let service = ExecService::start(ServiceConfig {
+        cache_cap: 2,
+        ..ServiceConfig::default()
+    });
+    let job = |seed: u64| JobSpec {
+        program: fib.prog.clone(),
+        args: fib.args.clone(),
+        cfg: fib.cfg.clone(),
+        inject: Some(InjectConfig {
+            seed,
+            rate: fib.rate,
+            modes: InjectModes::all(),
+        }),
+        recovery: false,
+        mode: JobMode::Direct,
+        timeout_ms: None,
+        snapshot: None,
+        journal: false,
+    };
+    let run = |spec: JobSpec| {
+        let ticket = service.submit("retain", 1, vec![spec]).expect("fits")[0];
+        match service.wait(ticket.id, Duration::from_secs(120)) {
+            Some(PollState::Done(out)) => (ticket, out.digest()),
+            other => panic!("job {} did not finish: {other:?}", ticket.id),
+        }
+    };
+
+    let (first, digest) = run(job(1));
+    assert!(!first.dedup);
+    let (again, again_digest) = run(job(1));
+    assert!(again.dedup, "a retained job serves dedup");
+    assert_eq!((again.id, again_digest), (first.id, digest));
+    assert_eq!(service.status().cached, 1);
+
+    run(job(2));
+    run(job(3));
+    assert_eq!(service.status().cached, 2, "retention holds the last two");
+    assert!(service.poll(first.id).is_none(), "the first job has left");
+    let (rerun, rerun_digest) = run(job(1));
+    assert!(!rerun.dedup, "a job past retention runs again");
+    assert!(rerun.id > first.id, "under a fresh id");
+    assert_eq!(rerun_digest, digest, "to the same digest");
+    let c = service.status().counters;
+    assert_eq!((c.submitted, c.dedup_hits, c.completed), (4, 1, 4));
     service.shutdown();
 }
 

@@ -6,7 +6,8 @@
 //! (byte-identical result, original digest) or re-executed under its
 //! original id to a digest bit-identical to direct execution. The WAL is
 //! append-only newline-delimited JSON, so a torn tail from a hard kill is
-//! skipped, never fatal.
+//! skipped, never fatal. A submission whose admission the log cannot record is
+//! rejected, so no ticket outlives a lost admit record.
 
 use risc1::core::inject::{InjectConfig, InjectModes};
 use risc1::core::snapshot::{RestoreError, Snapshot, SNAPSHOT_VERSION};
@@ -15,9 +16,10 @@ use risc1::ir::{
     compile_risc, run_risc, run_risc_deadline, run_risc_resumed, snapshot_risc_prefix, RiscOpts,
     TimedOutcome,
 };
-use risc1::serve::wal::WalWriter;
+use risc1::serve::wal::{WalWriter, WAL_FILE};
+use risc1::serve::wire;
 use risc1::workloads::by_id;
-use risc1::{ExecService, JobMode, JobOutput, JobSpec, PollState, ServiceConfig};
+use risc1::{ExecService, JobMode, JobOutput, JobSpec, PollState, ServiceConfig, SubmitError};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -174,6 +176,45 @@ fn recovery_reseeds_completions_and_reruns_incomplete_admissions() {
     second.shutdown();
 }
 
+/// A submission whose admission the log cannot record is rejected whole,
+/// with a structured error: nothing of it is submitted, queued, given an
+/// id or left in the dedup map, and the failure is counted. The log here
+/// is `/dev/full`, so every append fails with ENOSPC.
+#[cfg(unix)]
+#[test]
+fn a_failed_admit_append_rejects_the_whole_submission() {
+    let w = compiled("fib");
+    let dir = WalDir::new("full");
+    std::fs::create_dir_all(&dir.0).expect("create wal dir");
+    std::os::unix::fs::symlink("/dev/full", dir.0.join(WAL_FILE)).expect("link the log");
+    let service = ExecService::start(durable_config(&dir, false));
+    let specs = vec![spec(&w, None), spec(&w, Some(3)), spec(&w, None)];
+
+    let err = service
+        .submit("durable", 1, specs.clone())
+        .expect_err("the log cannot take the admission");
+    assert!(matches!(err, SubmitError::Unavailable(_)), "{err:?}");
+    let reply = wire::submit_error_response(&err);
+    assert!(
+        reply.starts_with(r#"{"ok":false,"error":"unavailable","#),
+        "{reply}"
+    );
+    let status = service.status();
+    assert_eq!(status.counters.submitted, 0);
+    assert_eq!(status.counters.dedup_hits, 0);
+    assert_eq!(status.queued, 0);
+    assert_eq!(status.counters.wal_admit_failures, 1);
+    for id in 1..=3 {
+        assert!(service.poll(id).is_none(), "job {id} was never admitted");
+    }
+    // No dedup entry survived: the resubmission meets the full log again
+    // instead of a ticket for a job that does not exist.
+    let err = service.submit("durable", 1, specs).expect_err("still full");
+    assert!(matches!(err, SubmitError::Unavailable(_)), "{err:?}");
+    assert_eq!(service.status().counters.wal_admit_failures, 2);
+    service.shutdown();
+}
+
 /// A torn tail — the half-written line a `kill -9` leaves mid-append — is
 /// skipped; every record before it still replays.
 #[test]
@@ -205,7 +246,7 @@ fn torn_wal_tail_is_skipped_not_fatal() {
 /// Warm starts: a resumed run is bit-identical to the cold run while the
 /// host executes only the suffix, and the dedup key distinguishes
 /// snapshot content — a tampered body that keeps the original's stored
-/// checksum must miss the cache and die at restore-time verification.
+/// checksum must miss dedup and die at restore-time verification.
 #[test]
 fn warm_start_is_bit_identical_and_tampering_is_rejected() {
     let w = compiled("acker");

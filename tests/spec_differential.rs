@@ -15,11 +15,13 @@
 //! random sequence of self-contained gadgets — straight-line ALU/memory
 //! runs, compare-and-skip forward branches, bounded counted loops, hot
 //! loops that run long enough for the trace tier to compile them and whose
-//! skip goes both ways, register-indexed jumps, calls (both `callr` and
-//! register-indexed `call`) into generated leaf functions, and a
-//! `calli`/`reti` trap-nest — ending in the halting `ret`. Across the cases,
-//! floors on the trace tier's telemetry check that the law reaches traces
-//! and their arms. Gadgets keep call depth far below the window count
+//! skip goes both ways (half of them storing a new instruction over one of
+//! their own ops late in their run), register-indexed jumps, calls (both
+//! `callr` and register-indexed `call`) into generated leaf functions, and
+//! a `calli`/`reti` trap-nest — ending in the halting `ret`. Across the
+//! cases, floors on the trace tier's telemetry check that the law reaches
+//! traces, their arms, and code patched under a running trace. Gadgets
+//! keep call depth far below the window count
 //! (the spec machine has no spill/fill and faults on overflow) and keep all
 //! memory traffic inside an aligned scratch window, so every generated
 //! program halts cleanly on all five machines.
@@ -32,7 +34,7 @@
 use proptest::prelude::*;
 use proptest::{collection, sample};
 use risc1::core::inject::{InjectConfig, InjectModes};
-use risc1::core::{Cpu, ExecEngine, ExecStats, Halt, Program, SimConfig};
+use risc1::core::{Cpu, ExecEngine, ExecStats, Halt, Program, SimConfig, PAGE_BYTES};
 use risc1::ir::{default_threads, parallel_map, run_risc_injected};
 use risc1::isa::spec::{SpecState, SpecStats};
 use risc1::isa::{Cond, Instruction, Opcode, Reg, Short2};
@@ -53,6 +55,20 @@ const DATA_WORDS: i32 = 64;
 /// hundred instructions, so hitting this means the generator lost its
 /// termination guarantee.
 const SPEC_FUEL: u64 = 100_000;
+
+/// The counter value at which a patching hot loop stores over its own
+/// text: at least 96 trips in, past the trace tier's promotion heat of 64.
+const PATCH_AT: i32 = 32;
+
+/// Trips before the patch in which the trace tier must retire instructions
+/// for a case to count as patching a loop that runs from a trace.
+const PATCH_WINDOW: i32 = 8;
+
+/// Where a patching hot loop keeps the address it stores to and the word it
+/// stores: registers no generated op writes — in no destination pool, and
+/// not the window overlap a callee's r26/r27 write.
+const PATCH_ADDR: Reg = Reg::R12;
+const PATCH_WORD: Reg = Reg::R13;
 
 const ALU_OPS: [Opcode; 12] = [
     Opcode::Add,
@@ -220,6 +236,14 @@ enum Piece {
     /// twice the trace tier's promotion heat. The skip tests bits that
     /// cycle with the counter, so it goes both ways, and the skipped part
     /// is loads and stores through r9.
+    ///
+    /// With a [`Patch`], the loop first loads an address and an
+    /// instruction word into [`PATCH_ADDR`] and [`PATCH_WORD`] and jumps to
+    /// its head, setting r8 in the delay slot, so its first trip enters the
+    /// head's block too and the loop's trace is anchored there. It ends its
+    /// body with `sub{scc} r0, r8, #PATCH_AT; jmpr ne, +…; nop;
+    /// stl PATCH_WORD, PATCH_ADDR, #0`: once, at r8 == [`PATCH_AT`], it
+    /// stores the word over one of its own ops.
     HotLoop {
         iters: i32,
         body: Vec<Instruction>,
@@ -228,6 +252,7 @@ enum Piece {
         delay: Instruction,
         skipped: Vec<Instruction>,
         tail_delay: Instruction,
+        patch: Option<Patch>,
     },
     /// `nop; calli r25; <body>; reti r25, #…; nop` — a trap-style nest that
     /// pushes a window in place and returns through `reti`.
@@ -242,6 +267,28 @@ enum Piece {
     /// A register-indexed `jmp cond` to the very next gadget — taken or
     /// not, execution lands in the same place.
     JmpAbs { cond: Cond, delay: Instruction },
+}
+
+/// How a hot loop patches its own text.
+#[derive(Debug, Clone)]
+struct Patch {
+    /// Which of the loop's body, delay and skipped ops the store
+    /// overwrites, modulo their count.
+    sel: usize,
+    /// What it stores there: another traceable instruction.
+    word: Instruction,
+    /// Whether the loop's head is laid out as the last word of a page, so
+    /// the rest of the loop runs on the next one.
+    straddle: bool,
+}
+
+/// Where a patching hot loop sits: its head, its patch store and the op the
+/// store overwrites, as addresses.
+#[derive(Debug, Clone, Copy)]
+struct PatchSite {
+    head: u32,
+    store: u32,
+    target: u32,
 }
 
 /// A generated program: gadgets for the main body plus bodies for the leaf
@@ -288,11 +335,19 @@ fn arb_main_piece() -> BoxedStrategy<Piece> {
         (
             traceable.clone(),
             collection::vec(arb_mem(main_pool()), 1..4),
-            traceable,
+            traceable.clone(),
         ),
+        prop_oneof![
+            Just(None),
+            (0usize..64, traceable, any::<bool>()).prop_map(|(sel, word, straddle)| Some(Patch {
+                sel,
+                word,
+                straddle
+            })),
+        ],
     )
         .prop_map(
-            |((iters, body), (mask, cond), (delay, skipped, tail_delay))| Piece::HotLoop {
+            |((iters, body), (mask, cond), (delay, skipped, tail_delay), patch)| Piece::HotLoop {
                 iters,
                 body,
                 mask,
@@ -300,6 +355,7 @@ fn arb_main_piece() -> BoxedStrategy<Piece> {
                 delay,
                 skipped,
                 tail_delay,
+                patch,
             },
         );
     let calli = collection::vec(linkless.clone(), 0..3).prop_map(|body| Piece::Calli { body });
@@ -358,12 +414,13 @@ fn arb_gen_program() -> BoxedStrategy<GenProgram> {
 
 /// Emits one gadget at the current end of `out`. Call gadgets record a
 /// fixup (function start indices are unknown until the whole main body is
-/// laid out).
+/// laid out); patching hot loops record their [`PatchSite`].
 fn emit(
     out: &mut Vec<Instruction>,
     p: &Piece,
     n_funcs: usize,
     fixups: &mut Vec<(usize, usize, bool)>,
+    patches: &mut Vec<PatchSite>,
 ) {
     match p {
         Piece::Straight(v) => out.extend(v.iter().copied()),
@@ -399,7 +456,21 @@ fn emit(
             delay,
             skipped,
             tail_delay,
+            patch,
         } => {
+            if patch.as_ref().is_some_and(|p| p.straddle) {
+                // The head, six words on, ends a page.
+                while (CODE_BASE as usize + 4 * (out.len() + 6)) % PAGE_BYTES != PAGE_BYTES - 4 {
+                    out.push(Instruction::nop());
+                }
+            }
+            let setup = out.len();
+            if patch.is_some() {
+                // Placeholders for the patch's address and word until the
+                // target is laid out, then the jump to the head.
+                out.extend([Instruction::nop(); 4]);
+                out.push(Instruction::jmpr(Cond::Alw, 8));
+            }
             out.push(Instruction::reg(Opcode::Add, Reg::R8, Reg::R0, imm(*iters)));
             let head = out.len();
             out.extend(body.iter().copied());
@@ -410,8 +481,48 @@ fn emit(
                 imm(*mask),
             ));
             out.push(Instruction::jmpr(*cond, 4 * (2 + skipped.len() as i32)));
+            let delay_at = out.len();
             out.push(*delay);
             out.extend(skipped.iter().copied());
+            if let Some(patch) = patch {
+                let targets: Vec<usize> = (head..head + body.len())
+                    .chain(delay_at..delay_at + 1 + skipped.len())
+                    .collect();
+                let target = targets[patch.sel % targets.len()];
+                out.push(Instruction::reg_scc(
+                    Opcode::Sub,
+                    Reg::R0,
+                    Reg::R8,
+                    imm(PATCH_AT),
+                ));
+                out.push(Instruction::jmpr(Cond::Ne, 3 * 4)); // skip the store
+                out.push(Instruction::nop());
+                let store = out.len();
+                out.push(Instruction::reg(
+                    Opcode::Stl,
+                    PATCH_WORD,
+                    PATCH_ADDR,
+                    imm(0),
+                ));
+                // The word as ldhi + a signed 13-bit add.
+                let addr = CODE_BASE + 4 * target as u32;
+                assert!(addr >> 2 <= 4095, "program outgrew the patch gadget");
+                let word = patch.word.encode();
+                let lo = ((word << 19) as i32) >> 19;
+                let hi = word.wrapping_sub(lo as u32) >> 13;
+                out[setup..setup + 4].copy_from_slice(&[
+                    Instruction::reg(Opcode::Add, PATCH_ADDR, Reg::R0, imm((addr >> 2) as i32)),
+                    Instruction::reg(Opcode::Sll, PATCH_ADDR, PATCH_ADDR, imm(2)),
+                    Instruction::ldhi(PATCH_WORD, hi),
+                    Instruction::reg(Opcode::Add, PATCH_WORD, PATCH_WORD, imm(lo)),
+                ]);
+                let pc = |i: usize| CODE_BASE + 4 * i as u32;
+                patches.push(PatchSite {
+                    head: pc(head),
+                    store: pc(store),
+                    target: addr,
+                });
+            }
             out.push(Instruction::reg_scc(Opcode::Sub, Reg::R8, Reg::R8, imm(1)));
             let back = out.len();
             out.push(Instruction::jmpr(Cond::Gt, 4 * (head as i32 - back as i32)));
@@ -472,12 +583,13 @@ fn emit(
 
 /// Lays a generated program out as instructions: prologue, main gadgets,
 /// halting return, then each function body (entered at its first word,
-/// returning with `ret r25, #8`).
-fn build(gp: &GenProgram) -> Program {
+/// returning with `ret r25, #8`). Returns the program and its patch sites.
+fn build(gp: &GenProgram) -> (Program, Vec<PatchSite>) {
     let mut out = vec![Instruction::ldhi(Reg::R9, DATA_BASE >> 13)];
     let mut fixups: Vec<(usize, usize, bool)> = Vec::new();
+    let mut patches = Vec::new();
     for p in &gp.main {
-        emit(&mut out, p, gp.funcs.len(), &mut fixups);
+        emit(&mut out, p, gp.funcs.len(), &mut fixups, &mut patches);
     }
     out.push(Instruction::ret(Reg::R0, Short2::ZERO));
     out.push(Instruction::nop());
@@ -485,11 +597,12 @@ fn build(gp: &GenProgram) -> Program {
     let mut starts = Vec::new();
     for f in &gp.funcs {
         starts.push(out.len());
-        let mut no_fixups = Vec::new();
+        let (mut no_fixups, mut no_patches) = (Vec::new(), Vec::new());
         for p in f {
-            emit(&mut out, p, 0, &mut no_fixups);
+            emit(&mut out, p, 0, &mut no_fixups, &mut no_patches);
         }
         assert!(no_fixups.is_empty(), "function bodies make no calls");
+        assert!(no_patches.is_empty(), "function bodies hold no hot loops");
         out.push(Instruction::ret(Reg::R25, imm(8)));
         out.push(Instruction::nop());
     }
@@ -503,7 +616,7 @@ fn build(gp: &GenProgram) -> Program {
             out[at] = Instruction::callr(Reg::R25, 4 * (starts[fi] as i32 - at as i32));
         }
     }
-    Program::from_instructions(out)
+    (Program::from_instructions(out), patches)
 }
 
 /// Opcodes a generated program is *guaranteed* to retire (branch-skipped
@@ -633,7 +746,10 @@ fn run_engine(prog: &Program, engine: ExecEngine) -> (Final, ExecStats) {
     (fin, stats)
 }
 
-fn run_spec(prog: &Program) -> Final {
+/// Runs `prog` to halt on the spec machine. Given a patch site, also
+/// returns the instructions retired when its loop starts the trip at
+/// r8 == `PATCH_AT + PATCH_WINDOW`, and when it reaches its patch store.
+fn run_spec(prog: &Program, site: Option<PatchSite>) -> (Final, Option<(u64, u64)>) {
     let cfg = SimConfig::default();
     assert_eq!(cfg.code_base, CODE_BASE, "gadget address math");
     let mut st = SpecState::new(cfg.mem_bytes, cfg.windows);
@@ -645,9 +761,26 @@ fn run_spec(prog: &Program) -> Final {
     // Mirror the loader ABI: `Cpu::load_program` seeds global r1 as the
     // program stack pointer.
     st.write_reg(Reg::R1, cfg.stack_top);
-    st.run(SPEC_FUEL)
-        .expect("generated programs halt cleanly on the spec machine");
-    Final {
+    let (mut window, mut store) = (None, None);
+    while !st.halted() {
+        let at = st.stats().instructions;
+        assert!(
+            at < SPEC_FUEL,
+            "generated programs halt within the spec budget"
+        );
+        if let Some(site) = site {
+            let trip = st.read_reg(Reg::R8) == (PATCH_AT + PATCH_WINDOW) as u32;
+            if st.pc() == site.head && trip && window.is_none() {
+                window = Some(at);
+            }
+            if st.pc() == site.store && store.is_none() {
+                store = Some(at);
+            }
+        }
+        st.step()
+            .expect("generated programs halt cleanly on the spec machine");
+    }
+    let fin = Final {
         result: st.result(),
         pc: st.pc(),
         visible: st.visible(),
@@ -655,7 +788,27 @@ fn run_spec(prog: &Program) -> Final {
         depth: st.depth(),
         mem_digest: fnv1a(st.mem_bytes().iter().copied()),
         stats: *st.stats(),
-    }
+    };
+    (fin, window.zip(store))
+}
+
+/// Whether the trace tier retires instructions in the `PATCH_WINDOW` trips
+/// before a loop's patch: `window` and `store` are the step counts at
+/// which they start and end. Generated programs take no traps, so step
+/// units and retired instructions coincide on every machine.
+fn patches_a_running_trace(prog: &Program, (window, store): (u64, u64)) -> bool {
+    let mut cpu = Cpu::new(SimConfig {
+        engine: ExecEngine::Trace,
+        ..SimConfig::default()
+    });
+    cpu.load_program(prog)
+        .expect("generated program fits memory");
+    cpu.step_n(window).expect("generated programs run clean");
+    let before = cpu.stats().trace_instructions;
+    cpu.step_n(store - window)
+        .expect("generated programs run clean");
+    assert_eq!(cpu.stats().instructions, store, "stopped at the store");
+    cpu.stats().trace_instructions > before
 }
 
 // ---------------------------------------------------------------------------
@@ -669,9 +822,18 @@ const LAW_CASES: u32 = 200;
 /// tier: cases that retire instructions inside traces, and cases whose hot
 /// loops' two-way skips stayed inside their traces. Each sits about a
 /// fifth below its reading when it was set: 89 and 89 (the tier without
-/// arms read 89 and 0).
+/// arms read 89 and 0; with self-patching hot loops in the mix, both read
+/// 87).
 const TRACED_FLOOR: u32 = 70;
 const STAYED_FLOOR: u32 = 70;
+
+/// Floors, in cases, on the law's reach into code patched under a running
+/// trace: cases whose first patching loop stores over its own text while
+/// the trace tier runs it, and cases with a loop whose patched op sits on
+/// another 128-byte page than its head. Each sits about a fifth below its
+/// reading when it was set: 46 and 29.
+const PATCHED_FLOOR: u32 = 37;
+const SPLIT_FLOOR: u32 = 23;
 
 /// The differential law: every production engine retires generated
 /// programs into exactly the state the spec interpreter defines.
@@ -682,7 +844,10 @@ const STAYED_FLOOR: u32 = 70;
 /// traces, and a share must keep their hot loops' two-way skip inside the
 /// trace — side exits at most an eighth of the trace entries, where a
 /// trace that side-exits at the skip would take one every second or fourth
-/// pass.
+/// pass. Two more floors hold the self-patching loops to their purpose: a
+/// share must store over their text while the trace tier runs them, and a
+/// share must patch an op on another page than their head, which the
+/// head's block does not span but its trace does.
 #[test]
 fn generated_programs_agree_with_the_spec_on_every_engine() {
     let mut rng = TestRng::deterministic(
@@ -695,11 +860,11 @@ fn generated_programs_agree_with_the_spec_on_every_engine() {
         ExecEngine::Superblock,
         ExecEngine::Trace,
     ];
-    let (mut traced, mut stayed) = (0, 0);
+    let (mut traced, mut stayed, mut patched, mut split) = (0, 0, 0, 0);
     for case in 1..=LAW_CASES {
         let gp = strat.generate(&mut rng);
-        let prog = build(&gp);
-        let spec = run_spec(&prog);
+        let (prog, sites) = build(&gp);
+        let (spec, marks) = run_spec(&prog, sites.first().copied());
         // The engines are independent jobs — run them through the
         // campaign runner's parallel map, honouring `RISC1_THREADS` via the
         // shared parsed accessor.
@@ -717,6 +882,9 @@ fn generated_programs_agree_with_the_spec_on_every_engine() {
         let t = &finals[3].1;
         traced += u32::from(t.trace_instructions > 0);
         stayed += u32::from(t.trace_entries > 0 && t.trace_side_exits * 8 <= t.trace_entries);
+        patched += u32::from(marks.is_some_and(|m| patches_a_running_trace(&prog, m)));
+        let page = |pc: u32| pc as usize / PAGE_BYTES;
+        split += u32::from(sites.iter().any(|s| page(s.target) != page(s.head)));
     }
     assert!(
         traced >= TRACED_FLOOR,
@@ -726,6 +894,16 @@ fn generated_programs_agree_with_the_spec_on_every_engine() {
         stayed >= STAYED_FLOOR,
         "only {stayed} of {LAW_CASES} cases kept their hot loops' skips inside \
          their traces (floor {STAYED_FLOOR})"
+    );
+    assert!(
+        patched >= PATCHED_FLOOR,
+        "only {patched} of {LAW_CASES} cases patched a loop running from a trace \
+         (floor {PATCHED_FLOOR})"
+    );
+    assert!(
+        split >= SPLIT_FLOOR,
+        "only {split} of {LAW_CASES} cases patched an op on another page than \
+         its loop's head (floor {SPLIT_FLOOR})"
     );
 }
 
@@ -741,7 +919,7 @@ proptest! {
         seed in any::<u64>(),
         recovery in any::<bool>(),
     ) {
-        let prog = build(&gp);
+        let (prog, _) = build(&gp);
         let inject = InjectConfig { seed, rate: 50, modes: InjectModes::all() };
         let engines = [
             ExecEngine::Uncached,
