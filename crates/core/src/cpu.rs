@@ -213,6 +213,17 @@ enum SpillFail {
     Mem(ExecError),
 }
 
+/// What a caller of [`Cpu::alu_effect`] knows statically about its line.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// A plain ALU op, latching the flags if its `scc` bit is set.
+    Alu,
+    /// A plain ALU op with its `scc` bit set (a fusion precondition).
+    AluScc,
+    /// A plain ALU op or an LDHI.
+    AluOrLdhi,
+}
+
 /// Rows the retirement recorder keeps: the first this many instructions a
 /// machine retires once [`Cpu::record_retired`] arms it — the prefix the
 /// pipeline diagrams of `risc1 trace` and E11 draw.
@@ -689,32 +700,20 @@ impl Cpu {
         // so it degrades to plain superblock execution without forwarding.
         let tracing = self.cfg.engine == ExecEngine::Trace && self.cfg.forwarding;
         while *done < burst {
-            // A delayed jump in flight means the next instruction is a
-            // delay slot whose successor depends on the pending target:
-            // single-step it (blocks are entered only on clean boundaries).
-            if self.pending_target.is_some() {
-                *done += 1;
-                match self.exec_one() {
-                    Ok(Halt::Running) => continue,
-                    other => return self.finish_exec(other),
-                }
+            let left = burst - *done;
+            // Blocks are entered only on clean boundaries: with a delayed
+            // jump in flight the next instruction is a delay slot whose
+            // successor depends on the pending target.
+            let mut entry = None;
+            if self.pending_target.is_none() {
+                self.drain_code_invalidations();
+                let pc = self.pc;
+                entry = match self.blocks.lookup(pc) {
+                    Some(idx) => Some(idx),
+                    None => self.blocks.build(&mut self.mem, pc, &self.cfg),
+                };
             }
-            self.drain_code_invalidations();
-            let pc = self.pc;
-            let idx = match self.blocks.lookup(pc) {
-                Some(idx) => Some(idx),
-                None => self.blocks.build(&mut self.mem, pc, &self.cfg),
-            };
-            let Some(idx) = idx else {
-                // Unblockable text (about to trap): the canonical one-step
-                // path raises the architectural fault.
-                *done += 1;
-                match self.exec_one() {
-                    Ok(Halt::Running) => continue,
-                    other => return self.finish_exec(other),
-                }
-            };
-            if tracing {
+            if let Some(idx) = entry.filter(|_| tracing) {
                 // The block's trace runs only when it is enabled, built for
                 // the current window, and no longer than the step budget
                 // left; otherwise the body runs. Building per-window traces
@@ -723,8 +722,7 @@ impl Cpu {
                 // and a trace that could overrun the budget would break the
                 // exact `n`-step contract.
                 if let Some(t) = self.blocks.trace(idx) {
-                    if t.enabled && t.cwp == self.regs.cwp() && u64::from(t.insns) <= burst - *done
-                    {
+                    if t.enabled && t.cwp == self.regs.cwp() && u64::from(t.insns) <= left {
                         match self.exec_trace_burst(idx, burst, done) {
                             Ok(()) => continue,
                             other => return self.finish_exec(other.map(|()| Halt::Running)),
@@ -732,19 +730,18 @@ impl Cpu {
                     }
                 }
             }
-            let (insns, end) = {
-                let b = self.blocks.block(idx);
-                (u64::from(b.insns()), b.end)
-            };
-            if insns > burst - *done {
-                // The block could overrun the step/fuel budget; preserve
-                // the exact `n`-step contract by single-stepping instead.
+            let Some(idx) = entry.filter(|&idx| u64::from(self.blocks.block(idx).insns()) <= left)
+            else {
+                // One step on the canonical path: a delay slot, text no
+                // block forms from (about to trap, which this raises), or a
+                // block that could overrun the step/fuel budget and break
+                // the exact `n`-step contract.
                 *done += 1;
                 match self.exec_one() {
                     Ok(Halt::Running) => continue,
                     other => return self.finish_exec(other),
                 }
-            }
+            };
             self.stats.blocks_entered += 1;
             let before = self.stats.instructions;
             let (r, dirtied) = self.exec_block_body(idx);
@@ -758,7 +755,7 @@ impl Cpu {
                 // Exact equality: one promotion attempt per block, so a
                 // declined build (too short, untraceable text) is never
                 // retried on every subsequent pass.
-                let taken = self.pending_target.is_some() || self.pc != end;
+                let taken = self.pending_target.is_some() || self.pc != self.blocks.block(idx).end;
                 let heat = self.blocks.bump_heat(idx, taken);
                 if heat == trace::HOT_THRESHOLD {
                     let built =
@@ -850,8 +847,10 @@ impl Cpu {
     ///
     /// Side exits (guard mismatches, faults, code-dirty stores) replay the
     /// committed prefix of the path they left from the trace's static
-    /// metadata and restore exactly the architectural state the superblock
-    /// engine would hold at that point; faults return the identical
+    /// metadata, then the op they left at as it retired there (a store
+    /// whole, a branch in its actual direction, a fault with its
+    /// retirement alone), and restore exactly the architectural state the
+    /// superblock engine would hold at that point; faults return the identical
     /// [`StepEvent`] the per-instruction executor would have raised, so the
     /// caller funnels them through the same `finish_exec` (lastpc rule and
     /// all).
@@ -961,7 +960,9 @@ impl Cpu {
                 total += n;
             }
         }
-        self.stats.trace_entries += total + u64::from(!matches!(exit, TExit::Complete));
+        let side_exit = u64::from(!matches!(exit, TExit::Complete));
+        self.stats.trace_entries += total + side_exit;
+        self.stats.trace_side_exits += side_exit;
         let guard = match exit {
             TExit::Mismatch { k, .. } => Some(k),
             _ => None,
@@ -977,34 +978,23 @@ impl Cpu {
                 // The store committed; account it and everything before it,
                 // then exit where its PC dance lands. Stores produce no
                 // target, so nothing is in flight afterwards.
-                t.replay(&mut self.stats, path, k + 1);
                 let m = t.meta[k];
+                t.replay(&mut self.stats, path, k, m);
                 self.pc = m.pending_before.unwrap_or(m.pc.wrapping_add(INSN_BYTES));
                 self.pending_target = None;
                 self.last_pc = m.pc;
-                self.stats.trace_side_exits += 1;
                 None
             }
             TExit::Mismatch { k, taken, target } => {
-                // The guard *is* the branch: retire it with its actual
-                // direction (branches never sit in delay slots inside a
-                // trace, so no slot accounting applies).
-                t.replay(&mut self.stats, path, k);
+                // The guard *is* the branch: it retires in its actual
+                // direction, as an arm forking there would retire it
+                // (branches never sit in delay slots inside a trace).
                 let m = t.meta[k];
-                self.stats.retire(m.op);
-                let mut cycles = u64::from(m.base);
-                if taken {
-                    self.stats.taken_transfers += 1;
-                    if self.cfg.branch_model == BranchModel::Suspended {
-                        cycles += 1;
-                        self.stats.bubble_cycles += 1;
-                    }
-                }
-                self.stats.cycles += cycles;
+                let suspended = self.cfg.branch_model == BranchModel::Suspended;
+                t.replay(&mut self.stats, path, k, m.directed(taken, suspended));
                 self.pc = m.pc.wrapping_add(INSN_BYTES);
                 self.pending_target = taken.then_some(target);
                 self.last_pc = m.pc;
-                self.stats.trace_side_exits += 1;
                 None
             }
             TExit::Fault { k, addr, err } => {
@@ -1013,15 +1003,8 @@ impl Cpu {
                 // committed nothing else; PC/pending/`last_pc` still
                 // describe the attempt, so `finish_exec`'s lastpc rule sees
                 // the same state the per-instruction engines would have.
-                t.replay(&mut self.stats, path, k);
                 let m = t.meta[k];
-                self.stats.retire(m.op);
-                if m.pending_before.is_some() {
-                    self.stats.delay_slots += 1;
-                    if m.nop {
-                        self.stats.delay_slot_nops += 1;
-                    }
-                }
+                t.replay(&mut self.stats, path, k, m.faulted());
                 self.pc = m.pc;
                 self.pending_target = m.pending_before;
                 // The instruction retired last: the path's previous op (an
@@ -1033,7 +1016,6 @@ impl Cpu {
                 } else if total > 0 {
                     self.last_pc = t.paths[last].final_last_pc;
                 }
-                self.stats.trace_side_exits += 1;
                 Some((m.pc, addr, err))
             }
         };
@@ -1288,22 +1270,12 @@ impl Cpu {
             | Opcode::Sll
             | Opcode::Srl
             | Opcode::Sra => {
-                let a = self.regs.read(line.rs1);
-                let b = self.s2_value(line.s2);
-                let out = alu(line.op, a, b, self.flags.c);
-                self.regs.write(line.dest, out.value);
-                if line.scc {
-                    self.flags = out.flags;
-                }
+                self.alu_effect(line, Shape::Alu);
                 new_write = self.note_write(line.dest, false);
             }
             Opcode::Ldl | Opcode::Ldsu | Opcode::Ldss | Opcode::Ldbu | Opcode::Ldbs => {
-                let addr = self
-                    .regs
-                    .read(line.rs1)
-                    .wrapping_add(self.s2_value(line.s2));
-                let v = self
-                    .load_value(line.op, addr)
+                let addr = self.short_sum(line);
+                let v = load_op(&mut self.mem, line.op, addr)
                     .map_err(|err| data_trap(pc, addr, err))?;
                 self.regs.write(line.dest, v);
                 self.stats.data_reads += 1;
@@ -1311,21 +1283,13 @@ impl Cpu {
             }
             Opcode::Stl | Opcode::Sts | Opcode::Stb => {
                 // `dest` names the data register in store encodings.
-                let addr = self
-                    .regs
-                    .read(line.rs1)
-                    .wrapping_add(self.s2_value(line.s2));
+                let addr = self.short_sum(line);
                 let data = self.regs.read(line.dest);
-                self.store_value(line.op, addr, data)
+                store_op(&mut self.mem, line.op, addr, data)
                     .map_err(|err| data_trap(pc, addr, err))?;
                 self.stats.data_writes += 1;
             }
-            Opcode::Jmp | Opcode::Jmpr => {
-                if line.cond.eval(self.flags) {
-                    new_target = Some(self.transfer_target(line, pc));
-                    self.stats.taken_transfers += 1;
-                }
-            }
+            Opcode::Jmp | Opcode::Jmpr => new_target = self.branch(line, pc, &mut cycles),
             Opcode::Call | Opcode::Callr => {
                 let link = line.dest;
                 let target = self.transfer_target(line, pc);
@@ -1338,20 +1302,17 @@ impl Cpu {
                 new_write = self.note_write(link, false);
                 new_target = Some(target);
                 self.stats.calls += 1;
-                self.stats.taken_transfers += 1;
+                self.take_transfer(&mut cycles);
             }
             Opcode::Ret | Opcode::Reti => {
-                let target = self
-                    .regs
-                    .read(line.rs1)
-                    .wrapping_add(self.s2_value(line.s2));
+                let target = self.short_sum(line);
                 if self.regs.ret_would_underflow() {
                     cycles += self.fill_window(pc).map_err(StepEvent::Fatal)?;
                 }
                 if self.regs.retreat() {
                     new_target = Some(target);
                     self.stats.rets += 1;
-                    self.stats.taken_transfers += 1;
+                    self.take_transfer(&mut cycles);
                     if line.op == Opcode::Reti {
                         self.interrupts_enabled = true;
                         // A RETI while a trap is being serviced is the
@@ -1375,7 +1336,7 @@ impl Cpu {
                 self.stats.calls += 1;
             }
             Opcode::Ldhi => {
-                self.regs.write(line.dest, (line.imm19 as u32) << 13);
+                self.regs.write(line.dest, line.ldhi_value());
                 new_write = self.note_write(line.dest, false);
             }
             Opcode::Gtlpc => {
@@ -1388,10 +1349,7 @@ impl Cpu {
                 new_write = self.note_write(line.dest, false);
             }
             Opcode::Putpsw => {
-                let word = self
-                    .regs
-                    .read(line.rs1)
-                    .wrapping_add(self.s2_value(line.s2));
+                let word = self.short_sum(line);
                 let psw = Psw::from_word(word);
                 // CWP/SWP are owned by the window hardware; software writes
                 // to them are ignored (a full context switch would also
@@ -1400,11 +1358,6 @@ impl Cpu {
                 self.flags = psw.flags;
                 self.interrupts_enabled = psw.interrupts_enabled;
             }
-        }
-
-        if self.cfg.branch_model == BranchModel::Suspended && new_target.is_some() {
-            cycles += 1;
-            self.stats.bubble_cycles += 1;
         }
 
         self.stats.cycles += cycles;
@@ -1432,6 +1385,15 @@ impl Cpu {
         }
     }
 
+    /// `rs1 + s2` of a short-form line: a load's or store's address, a
+    /// return's or short transfer's target, PUTPSW's word.
+    #[inline]
+    fn short_sum(&self, line: &Line) -> u32 {
+        self.regs
+            .read(line.rs1)
+            .wrapping_add(self.s2_value(line.s2))
+    }
+
     /// Target of a control transfer: PC-relative for long shapes,
     /// register + short-source-2 for short shapes.
     #[inline]
@@ -1439,92 +1401,116 @@ impl Cpu {
         if line.long {
             pc.wrapping_add(line.imm19 as u32)
         } else {
-            self.regs
-                .read(line.rs1)
-                .wrapping_add(self.s2_value(line.s2))
+            self.short_sum(line)
+        }
+    }
+
+    /// The register effect of a plain ALU or LDHI line: its result
+    /// written to `dest`, and the flags latched if it sets them. `shape`
+    /// is what the caller knows statically about `line`; this is inlined
+    /// into every caller, where `shape` is a constant, so no caller tests
+    /// at run time what it already knows.
+    #[inline(always)]
+    fn alu_effect(&mut self, line: &Line, shape: Shape) {
+        if shape == Shape::AluOrLdhi && line.op == Opcode::Ldhi {
+            self.regs.write(line.dest, line.ldhi_value());
+            return;
+        }
+        let out = alu(
+            line.op,
+            self.regs.read(line.rs1),
+            self.s2_value(line.s2),
+            self.flags.c,
+        );
+        self.regs.write(line.dest, out.value);
+        if shape == Shape::AluScc || line.scc {
+            self.flags = out.flags;
+        }
+    }
+
+    /// A conditional transfer at `pc` (JMP/JMPR): its target if `line`'s
+    /// condition holds on the current flags, taken as
+    /// [`Cpu::take_transfer`] charges it; `None` if it falls through.
+    #[inline(always)]
+    fn branch(&mut self, line: &Line, pc: u32, cycles: &mut u64) -> Option<u32> {
+        if !line.cond.eval(self.flags) {
+            return None;
+        }
+        self.take_transfer(cycles);
+        Some(self.transfer_target(line, pc))
+    }
+
+    /// Counts a taken transfer, and adds to `cycles` the bubble the
+    /// suspended branch model charges for it.
+    #[inline(always)]
+    fn take_transfer(&mut self, cycles: &mut u64) {
+        self.stats.taken_transfers += 1;
+        if self.cfg.branch_model == BranchModel::Suspended {
+            *cycles += 1;
+            self.stats.bubble_cycles += 1;
         }
     }
 
     // ── Fused-pair handlers (superblock engine) ─────────────────────────
     //
-    // Each handler is the two-instruction `exec_prepared` sequence with
-    // the per-instruction scaffolding collapsed. Fusion is gated (at block
-    // build time) on `forwarding`, so the hazard bookkeeping is a constant
-    // `last_write = None`; and blocks are entered only with no delayed jump
-    // in flight, so the pair's first instruction is never in a delay slot.
-    // `pa` is the first instruction's address; `pb = pa + 4` the second's.
+    // Each handler is the two-instruction `exec_prepared` sequence built
+    // from the same effects — `alu_effect`, `branch` — with the
+    // per-instruction scaffolding collapsed into one `settle_pair`. Fusion
+    // is gated (at block build time) on `forwarding`, so the hazard
+    // bookkeeping is a constant `last_write = None`; and blocks are entered
+    // only with no delayed jump in flight, so no pair starts in a delay
+    // slot or with a jump pending. `pa` is the first instruction's
+    // address; `pb = pa + 4` the second's.
+
+    /// The pair epilogue: retires `a` and `b`, charges `cycles`, and leaves
+    /// the machine just after the instruction at `last`, about to run
+    /// `next`.
+    #[inline(always)]
+    fn settle_pair(&mut self, a: &Line, b: &Line, cycles: u64, last: u32, next: u32) {
+        self.stats.retire(a.op);
+        self.stats.retire(b.op);
+        self.stats.cycles += cycles;
+        self.last_write = None;
+        self.last_pc = last;
+        self.pc = next;
+    }
 
     /// SCC-setting ALU op + conditional JMP/JMPR reading its flags.
     /// Neither half can fault or halt.
     fn fuse_cmp_branch(&mut self, pa: u32, a: &Line, b: &Line) {
-        self.stats.retire(a.op);
-        let out = alu(
-            a.op,
-            self.regs.read(a.rs1),
-            self.s2_value(a.s2),
-            self.flags.c,
-        );
-        self.regs.write(a.dest, out.value);
         // `a.scc` is a fusion precondition, so the latch is unconditional.
-        self.flags = out.flags;
+        self.alu_effect(a, Shape::AluScc);
         let pb = pa.wrapping_add(INSN_BYTES);
-        self.stats.retire(b.op);
         let mut cycles = u64::from(a.base_cycles) + u64::from(b.base_cycles);
-        let mut target = None;
-        if b.cond.eval(self.flags) {
-            // Short-form targets read registers after `a`'s write — the
-            // same order the unfused sequence observes.
-            target = Some(self.transfer_target(b, pb));
-            self.stats.taken_transfers += 1;
-            if self.cfg.branch_model == BranchModel::Suspended {
-                cycles += 1;
-                self.stats.bubble_cycles += 1;
-            }
-        }
-        self.stats.cycles += cycles;
-        self.last_write = None;
-        self.last_pc = pb;
+        // Short-form targets read registers after `a`'s write — the same
+        // order the unfused sequence observes.
+        self.pending_target = self.branch(b, pb, &mut cycles);
         self.stats.fused_pairs[FuseKind::CmpBranch.index()] += 1;
-        self.pending_target = target;
-        self.pc = pb.wrapping_add(INSN_BYTES);
+        self.settle_pair(a, b, cycles, pb, pb.wrapping_add(INSN_BYTES));
     }
 
     /// LDHI + immediate ALU constant construction; both results were
     /// computed at block build. Cannot fault.
     fn fuse_ldhi_imm(&mut self, pa: u32, a: &Line, b: &Line, hi: u32, value: u32, flags: Flags) {
-        self.stats.retire(a.op);
         self.regs.write(a.dest, hi);
-        self.stats.retire(b.op);
         self.regs.write(b.dest, value);
         if b.scc {
             self.flags = flags;
         }
-        self.stats.cycles += u64::from(a.base_cycles) + u64::from(b.base_cycles);
-        self.last_write = None;
-        self.last_pc = pa.wrapping_add(INSN_BYTES);
+        let pb = pa.wrapping_add(INSN_BYTES);
+        let cycles = u64::from(a.base_cycles) + u64::from(b.base_cycles);
         self.stats.fused_pairs[FuseKind::LdhiImm.index()] += 1;
-        self.pc = pa.wrapping_add(2 * INSN_BYTES);
+        self.settle_pair(a, b, cycles, pb, pb.wrapping_add(INSN_BYTES));
     }
 
     /// Conditional transfer + safe (ALU/LDHI) delay-slot instruction,
     /// retired as one unit that leaves no jump in flight. Cannot fault.
     fn fuse_transfer_slot(&mut self, pa: u32, a: &Line, b: &Line) {
-        self.stats.retire(a.op);
         let mut cycles = u64::from(a.base_cycles) + u64::from(b.base_cycles);
-        let mut target = None;
         // The condition is evaluated on the pre-slot flags, and short-form
         // target operands are read before the slot writes — both exactly
         // as the unfused transfer, which executes first.
-        if a.cond.eval(self.flags) {
-            target = Some(self.transfer_target(a, pa));
-            self.stats.taken_transfers += 1;
-            if self.cfg.branch_model == BranchModel::Suspended {
-                cycles += 1;
-                self.stats.bubble_cycles += 1;
-            }
-        }
-        let pb = pa.wrapping_add(INSN_BYTES);
-        self.stats.retire(b.op);
+        let target = self.branch(a, pa, &mut cycles);
         if target.is_some() {
             // The slot sits in a delay slot only when the transfer took
             // (an untaken conditional leaves no target pending, and the
@@ -1534,114 +1520,54 @@ impl Cpu {
                 self.stats.delay_slot_nops += 1;
             }
         }
-        if b.op == Opcode::Ldhi {
-            self.regs.write(b.dest, (b.imm19 as u32) << 13);
-        } else {
-            let out = alu(
-                b.op,
-                self.regs.read(b.rs1),
-                self.s2_value(b.s2),
-                self.flags.c,
-            );
-            self.regs.write(b.dest, out.value);
-            if b.scc {
-                self.flags = out.flags;
-            }
-        }
-        self.stats.cycles += cycles;
-        self.last_write = None;
-        self.last_pc = pb;
+        self.alu_effect(b, Shape::AluOrLdhi);
+        let pb = pa.wrapping_add(INSN_BYTES);
         self.stats.fused_pairs[FuseKind::TransferSlot.index()] += 1;
-        self.pending_target = None;
-        self.pc = match target {
-            Some(t) => t,
-            None => pb.wrapping_add(INSN_BYTES),
-        };
+        self.settle_pair(
+            a,
+            b,
+            cycles,
+            pb,
+            target.unwrap_or(pb.wrapping_add(INSN_BYTES)),
+        );
     }
 
     /// ALU op feeding the address register of the next load. The load can
     /// fault; `a` is committed fully first, so a trap on `b` leaves
     /// precisely the state the unfused sequence would — restart at `pb`.
     fn fuse_addr_feed(&mut self, pa: u32, a: &Line, b: &Line) -> Result<(), StepEvent> {
-        self.stats.retire(a.op);
-        let out = alu(
-            a.op,
-            self.regs.read(a.rs1),
-            self.s2_value(a.s2),
-            self.flags.c,
-        );
-        self.regs.write(a.dest, out.value);
-        if a.scc {
-            self.flags = out.flags;
-        }
-        self.stats.cycles += u64::from(a.base_cycles);
-        self.last_write = None;
-        self.last_pc = pa;
+        self.alu_effect(a, Shape::Alu);
         let pb = pa.wrapping_add(INSN_BYTES);
-        self.pc = pb;
-        self.stats.retire(b.op);
-        let addr = self.regs.read(b.rs1).wrapping_add(self.s2_value(b.s2));
-        let v = self
-            .load_value(b.op, addr)
-            .map_err(|err| data_trap(pb, addr, err))?;
-        self.regs.write(b.dest, v);
-        self.stats.data_reads += 1;
-        self.stats.cycles += u64::from(b.base_cycles);
-        self.last_pc = pb;
-        self.stats.fused_pairs[FuseKind::AddrFeed.index()] += 1;
-        self.pc = pb.wrapping_add(INSN_BYTES);
-        Ok(())
+        let addr = self.short_sum(b);
+        match load_op(&mut self.mem, b.op, addr) {
+            Ok(v) => {
+                self.regs.write(b.dest, v);
+                self.stats.data_reads += 1;
+                let cycles = u64::from(a.base_cycles) + u64::from(b.base_cycles);
+                self.stats.fused_pairs[FuseKind::AddrFeed.index()] += 1;
+                self.settle_pair(a, b, cycles, pb, pb.wrapping_add(INSN_BYTES));
+                Ok(())
+            }
+            Err(err) => {
+                // `b` retired and faulted before charging anything: the
+                // machine stands just after `a`, at `b`.
+                self.settle_pair(a, b, u64::from(a.base_cycles), pa, pb);
+                Err(data_trap(pb, addr, err))
+            }
+        }
     }
 
     /// Two adjacent plain ALU/LDHI ops retired back-to-back — the
     /// catch-all pair. Neither half can fault or halt.
     fn fuse_alu_pair(&mut self, pa: u32, a: &Line, b: &Line) {
-        self.stats.retire(a.op);
-        if a.op == Opcode::Ldhi {
-            self.regs.write(a.dest, (a.imm19 as u32) << 13);
-        } else {
-            let out = alu(
-                a.op,
-                self.regs.read(a.rs1),
-                self.s2_value(a.s2),
-                self.flags.c,
-            );
-            self.regs.write(a.dest, out.value);
-            if a.scc {
-                self.flags = out.flags;
-            }
-        }
+        self.alu_effect(a, Shape::AluOrLdhi);
+        // `b`'s operands are read after `a`'s write — the order the
+        // unfused sequence observes.
+        self.alu_effect(b, Shape::AluOrLdhi);
         let pb = pa.wrapping_add(INSN_BYTES);
-        self.stats.retire(b.op);
-        if b.op == Opcode::Ldhi {
-            self.regs.write(b.dest, (b.imm19 as u32) << 13);
-        } else {
-            // `b`'s operands are read after `a`'s write — the order the
-            // unfused sequence observes.
-            let out = alu(
-                b.op,
-                self.regs.read(b.rs1),
-                self.s2_value(b.s2),
-                self.flags.c,
-            );
-            self.regs.write(b.dest, out.value);
-            if b.scc {
-                self.flags = out.flags;
-            }
-        }
-        self.stats.cycles += u64::from(a.base_cycles) + u64::from(b.base_cycles);
-        self.last_write = None;
-        self.last_pc = pb;
+        let cycles = u64::from(a.base_cycles) + u64::from(b.base_cycles);
         self.stats.fused_pairs[FuseKind::AluPair.index()] += 1;
-        self.pc = pb.wrapping_add(INSN_BYTES);
-    }
-
-    fn load_value(&mut self, op: Opcode, addr: u32) -> Result<u32, MemError> {
-        load_op(&mut self.mem, op, addr)
-    }
-
-    fn store_value(&mut self, op: Opcode, addr: u32, v: u32) -> Result<(), MemError> {
-        store_op(&mut self.mem, op, addr, v)
+        self.settle_pair(a, b, cycles, pb, pb.wrapping_add(INSN_BYTES));
     }
 
     /// Hazard-model bookkeeping for a register write: the physical

@@ -101,6 +101,13 @@ impl Line {
             cond,
         }
     }
+
+    /// The value an LDHI line loads: its 19-bit immediate in the high
+    /// bits, the low 13 zero.
+    #[inline]
+    pub(crate) fn ldhi_value(&self) -> u32 {
+        (self.imm19 as u32) << 13
+    }
 }
 
 /// The base cycle cost a prepared cache line carries for `insn`. Exposed so

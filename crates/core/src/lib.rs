@@ -9,11 +9,13 @@
 //! * [`windows::WindowFile`] — the overlapped register-window file (the
 //!   paper's central mechanism), with configurable window count, circular
 //!   overlap, and overflow/underflow spill machinery,
-//! * [`cpu::Cpu`] — the executor: delayed jumps, condition codes, window
-//!   traps serviced by a built-in (cycle-accounted) spill/fill sequence,
-//! * [`pipeline`] — the timing model: the paper's delayed-branch pipeline,
-//!   the "suspended pipeline" alternative it argues against, and load-use
+//! * [`cpu::Cpu`] — the executor and its timing model: delayed jumps,
+//!   condition codes, window traps serviced by a built-in (cycle-accounted)
+//!   spill/fill sequence, the paper's delayed-branch pipeline, the
+//!   "suspended pipeline" alternative it argues against, and load-use
 //!   interlock modelling with or without internal forwarding,
+//! * [`pipeline`] — the timing diagrams and summary figures drawn from the
+//!   rows of a `Cpu`'s retirement recorder,
 //! * [`stats::ExecStats`] — every counter the evaluation experiments need.
 //!
 //! ## Example: run a tiny program

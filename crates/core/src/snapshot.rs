@@ -161,31 +161,11 @@ fn hash_opt_u64(h: &mut Fnv64, v: Option<u64>) {
 }
 
 /// Hashes the *architectural* counters only — the same set `ExecStats`'s
-/// `PartialEq` compares. Host telemetry (`fused_pairs`, `blocks_entered`,
-/// `block_instructions`) depends on how the timeline was chopped into
-/// bursts, and the snapshot round-trip law quantifies over choppings.
+/// `PartialEq` compares. Host telemetry (`fused_pairs`, the block and
+/// trace counters) depends on how the timeline was chopped into bursts,
+/// and the snapshot round-trip law quantifies over choppings.
 fn hash_stats(h: &mut Fnv64, s: &ExecStats) {
-    for v in [
-        s.instructions,
-        s.cycles,
-        s.bubble_cycles,
-        s.ifetches,
-        s.data_reads,
-        s.data_writes,
-        s.calls,
-        s.rets,
-        s.taken_transfers,
-        s.window_overflows,
-        s.window_underflows,
-        s.trap_cycles,
-        s.delay_slots,
-        s.delay_slot_nops,
-        s.max_depth,
-        s.trap_entries,
-        s.trap_returns,
-        s.trap_entry_cycles,
-        s.interrupts_taken,
-    ] {
+    for (_, v) in s.counters() {
         h.write_u64(v);
     }
     for &c in &s.trap_counts {
@@ -687,27 +667,7 @@ fn read_opt_u64(v: &Json, what: &str) -> Result<Option<u64>, JsonError> {
 
 fn write_stats(w: &mut Writer, s: &ExecStats) {
     w.obj_open();
-    for (key, v) in [
-        ("instructions", s.instructions),
-        ("cycles", s.cycles),
-        ("bubble_cycles", s.bubble_cycles),
-        ("ifetches", s.ifetches),
-        ("data_reads", s.data_reads),
-        ("data_writes", s.data_writes),
-        ("calls", s.calls),
-        ("rets", s.rets),
-        ("taken_transfers", s.taken_transfers),
-        ("window_overflows", s.window_overflows),
-        ("window_underflows", s.window_underflows),
-        ("trap_cycles", s.trap_cycles),
-        ("delay_slots", s.delay_slots),
-        ("delay_slot_nops", s.delay_slot_nops),
-        ("max_depth", s.max_depth),
-        ("trap_entries", s.trap_entries),
-        ("trap_returns", s.trap_returns),
-        ("trap_entry_cycles", s.trap_entry_cycles),
-        ("interrupts_taken", s.interrupts_taken),
-    ] {
+    for (key, v) in s.counters() {
         w.key(key);
         w.num(i128::from(v));
     }
@@ -734,29 +694,10 @@ fn write_stats(w: &mut Writer, s: &ExecStats) {
 
 fn read_stats(v: &Json) -> Result<ExecStats, JsonError> {
     let obj = v.as_obj("stats")?;
-    let f = |key: &str| -> Result<u64, JsonError> { get(obj, key)?.as_u64(key) };
-    let mut s = ExecStats {
-        instructions: f("instructions")?,
-        cycles: f("cycles")?,
-        bubble_cycles: f("bubble_cycles")?,
-        ifetches: f("ifetches")?,
-        data_reads: f("data_reads")?,
-        data_writes: f("data_writes")?,
-        calls: f("calls")?,
-        rets: f("rets")?,
-        taken_transfers: f("taken_transfers")?,
-        window_overflows: f("window_overflows")?,
-        window_underflows: f("window_underflows")?,
-        trap_cycles: f("trap_cycles")?,
-        delay_slots: f("delay_slots")?,
-        delay_slot_nops: f("delay_slot_nops")?,
-        max_depth: f("max_depth")?,
-        trap_entries: f("trap_entries")?,
-        trap_returns: f("trap_returns")?,
-        trap_entry_cycles: f("trap_entry_cycles")?,
-        interrupts_taken: f("interrupts_taken")?,
-        ..ExecStats::default()
-    };
+    let mut s = ExecStats::default();
+    for (key, v) in s.counters_mut() {
+        *v = get(obj, key)?.as_u64(key)?;
+    }
     let counts = get(obj, "trap_counts")?.as_arr("trap_counts")?;
     if counts.len() != TrapKind::COUNT {
         return Err(JsonError::schema(&format!(

@@ -232,34 +232,63 @@ pub struct ExecStats {
     pub trace_instructions: u64,
 }
 
-/// Architectural fields only — see the type docs. Telemetry fields
-/// (`fused_pairs`, `blocks_entered`, `block_instructions`, `traces_built`,
-/// `trace_entries`, `trace_exits`, `trace_side_exits`,
-/// `trace_instructions`) are excluded on purpose: block and trace formation
-/// depend on how the timeline is chopped into bursts, and the equivalence
-/// laws quantify over choppings.
+/// Lists the scalar architectural counters of [`ExecStats`] once, and
+/// derives from the list the two views every consumer walks.
+macro_rules! scalar_counters {
+    ($($field:ident),+ $(,)?) => {
+        /// Number of scalar architectural counters.
+        const SCALAR_COUNTERS: usize = [$(stringify!($field)),+].len();
+
+        impl ExecStats {
+            /// The scalar architectural counters, each with its name (its
+            /// snapshot JSON key), in the order the snapshot checksum
+            /// hashes them. With `trap_counts` and `opcode_counts` they are
+            /// everything `PartialEq`, the checksum and the snapshot JSON
+            /// cover; the telemetry fields are not among them (see the
+            /// type docs).
+            pub(crate) fn counters(&self) -> [(&'static str, u64); SCALAR_COUNTERS] {
+                [$((stringify!($field), self.$field)),+]
+            }
+
+            /// [`ExecStats::counters`], writable: how a snapshot reads them
+            /// back.
+            pub(crate) fn counters_mut(&mut self) -> [(&'static str, &mut u64); SCALAR_COUNTERS] {
+                [$((stringify!($field), &mut self.$field)),+]
+            }
+        }
+    };
+}
+
+scalar_counters!(
+    instructions,
+    cycles,
+    bubble_cycles,
+    ifetches,
+    data_reads,
+    data_writes,
+    calls,
+    rets,
+    taken_transfers,
+    window_overflows,
+    window_underflows,
+    trap_cycles,
+    delay_slots,
+    delay_slot_nops,
+    max_depth,
+    trap_entries,
+    trap_returns,
+    trap_entry_cycles,
+    interrupts_taken,
+);
+
+/// Architectural fields only — see the type docs. The telemetry fields
+/// are excluded on purpose: block and trace formation depend on how the
+/// timeline is chopped into bursts, and the equivalence laws quantify over
+/// choppings.
 impl PartialEq for ExecStats {
     fn eq(&self, other: &Self) -> bool {
-        self.instructions == other.instructions
-            && self.cycles == other.cycles
-            && self.bubble_cycles == other.bubble_cycles
-            && self.ifetches == other.ifetches
-            && self.data_reads == other.data_reads
-            && self.data_writes == other.data_writes
-            && self.calls == other.calls
-            && self.rets == other.rets
-            && self.taken_transfers == other.taken_transfers
-            && self.window_overflows == other.window_overflows
-            && self.window_underflows == other.window_underflows
-            && self.trap_cycles == other.trap_cycles
-            && self.delay_slots == other.delay_slots
-            && self.delay_slot_nops == other.delay_slot_nops
-            && self.max_depth == other.max_depth
-            && self.trap_entries == other.trap_entries
-            && self.trap_returns == other.trap_returns
-            && self.trap_entry_cycles == other.trap_entry_cycles
+        self.counters() == other.counters()
             && self.trap_counts == other.trap_counts
-            && self.interrupts_taken == other.interrupts_taken
             && self.opcode_counts == other.opcode_counts
     }
 }

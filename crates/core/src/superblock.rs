@@ -6,7 +6,8 @@
 //! retired instruction. This module removes the per-instruction overheads
 //! for straight-line runs: consecutive prepared [`Line`]s are grouped into
 //! **superblocks** that end at a transfer of control (including its delay
-//! slot) or at a page boundary, and a block body executes as a tight loop —
+//! slot, unless the slot is itself a transfer) or at a page boundary, and
+//! a block body executes as a tight loop —
 //! one PC lookup, one channel poll and one boundary check per *block*
 //! instead of per instruction. A block owns its body and the engine runs
 //! it by reference: entering a block costs a direct-mapped lookup, with no
@@ -17,10 +18,12 @@
 //! single fused ops — compare+conditional-jump, LDHI+immediate-ALU constant
 //! construction, delayed transfer+safe slot, ALU→load address feeding, and
 //! a catch-all adjacent ALU/LDHI pair (tried last, so the specialised
-//! shapes keep their matches) — executed by dedicated handlers in `Cpu`
-//! whose observable effects are
-//! proved bit-identical to running the two instructions through
-//! `exec_prepared` (the three-way `interp_equivalence` law).
+//! shapes keep their matches) — executed by handlers in `Cpu` built from
+//! the effects `exec_prepared` itself uses (an ALU or LDHI op's register
+//! write, a conditional transfer's direction and cost) and one shared
+//! epilogue, whose observable effects are proved bit-identical to running
+//! the two instructions through `exec_prepared` (the four-way
+//! `interp_equivalence` law).
 //!
 //! A block is also where a compiled trace lives: the trace tier
 //! ([`crate::trace`]) attaches each trace to the block it is entered at,
@@ -31,9 +34,11 @@
 //! page its trace's ops were lowered from — is registered with [`Memory`],
 //! and `Cpu::drain_code_invalidations` fans each channel event out to both
 //! caches. Invalidation is block-granular: a dirtied page kills exactly the
-//! blocks that read it, each with its trace. Like the icache, the whole
-//! structure is *derived* state — absent from snapshots, journals, and
-//! checksums.
+//! blocks that read it, each with its trace. A block is alive exactly while
+//! the entry map names it, and its promotion heat is the sum of its exit
+//! profile, so the block record stores neither and stays at 40 bytes. Like
+//! the icache, the whole structure is *derived* state — absent from
+//! snapshots, journals, and checksums.
 
 use crate::config::SimConfig;
 use crate::exec::alu;
@@ -115,12 +120,15 @@ impl BOp {
     }
 }
 
-/// A formed superblock: its ops, its span, and the trace entered at it.
+/// A formed superblock: its ops, its span, its exit profile, and the trace
+/// entered at it.
 ///
 /// Call-heavy code enters a block every four or so instructions, and each
 /// entry reads this record. At 56 bytes rather than 48 it ran `run_calls`'
 /// five programs 1–5% slower in an in-process A/B, so what can be derived
-/// (the retire count, [`Block::insns`]) is not stored.
+/// is not stored: the retire count ([`Block::insns`]), the promotion heat
+/// (the sum of [`Block::hot_exits`]) and liveness (whether
+/// [`BlockCache::map`] names the block). That leaves 40 bytes.
 #[derive(Debug, Clone)]
 pub(crate) struct Block {
     /// Entry PC.
@@ -132,21 +140,19 @@ pub(crate) struct Block {
     /// run ([`BlockCache::take_ops`]) and puts it back before it touches
     /// the cache again, so entering a block copies nothing.
     pub ops: Box<[BOp]>,
-    /// Completed executions since build — the trace engine's promotion
-    /// heat. Bumped only under `--engine trace`; dies with the block.
-    pub heat: u32,
-    /// Completed executions by exit direction (`[fall-through, taken]`) —
-    /// the trace builder's branch-direction profile. Bumped with `heat`.
+    /// Completed executions since build by exit direction (`[fall-through,
+    /// taken]`): the trace builder's branch-direction profile, and summed,
+    /// the trace engine's promotion heat ([`BlockCache::bump_heat`]).
+    /// Bumped only under `--engine trace`; dies with the block.
     pub hot_exits: [u32; 2],
     /// The compiled trace entered here, once the block has promoted
     /// ([`BlockCache::attach`]). It dies with the block; a demoted trace
-    /// stays, and the block's saturated heat keeps it from promoting again.
+    /// stays, and the block's heat, past the threshold, keeps it from
+    /// promoting again.
     pub trace: Option<Box<Trace>>,
-    /// Cleared when a page the block or its trace read is invalidated.
-    pub alive: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<Block>() <= 48);
+const _: () = assert!(std::mem::size_of::<Block>() <= 40);
 
 impl Block {
     /// Instructions retired if every op completes — the worst case fuel
@@ -166,17 +172,18 @@ pub(crate) struct BlockCache {
     /// plain indexed load keeps the per-block-entry lookup at a couple of
     /// nanoseconds — call/return-heavy code enters a block every three or
     /// four instructions, where a hashed map's probe cost alone erased
-    /// most of the engine's win. Entries are cleared when the block dies,
-    /// so a present entry is always alive. Sized to cover memory lazily
-    /// on first build, so non-superblock configurations never pay the
-    /// allocation.
+    /// most of the engine's win. This map is the liveness rule: a block is
+    /// alive exactly while the slot of its start names it, and it dies
+    /// when the slot is cleared. Sized to cover memory lazily on first
+    /// build, so non-superblock configurations never pay the allocation.
     map: Vec<u32>,
     /// `map`'s target length in words (memory size / 4).
     map_words: usize,
     blocks: Vec<Block>,
     /// For each memory page, the indices of blocks decoded from it or whose
     /// trace was lowered from it. May retain indices of dead blocks
-    /// (filtered on use); fully rebuilt on compaction. Grown to the highest
+    /// (filtered on use by the liveness rule); cleared on compaction, so
+    /// no index outlives the block it named. Grown to the highest
     /// page a block or trace spans, like `map`: nothing is registered past
     /// it, so invalidating such a page is a no-op.
     by_page: Vec<Vec<u32>>,
@@ -256,17 +263,15 @@ impl BlockCache {
         }
     }
 
-    /// Bumps the promotion heat of the block at `idx` and records the exit
-    /// direction it just took, returning the new heat (saturating; heat
-    /// counts on past the promotion threshold, so a block promotes at most
-    /// once in its life).
+    /// Records the exit direction the block at `idx` just took, returning
+    /// its new promotion heat: its completed executions, the sum of its
+    /// exit profile (saturating; heat counts on past the promotion
+    /// threshold, so a block promotes at most once in its life).
     #[inline]
     pub(crate) fn bump_heat(&mut self, idx: u32, taken: bool) -> u32 {
-        let b = &mut self.blocks[idx as usize];
-        let d = &mut b.hot_exits[taken as usize];
-        *d = d.saturating_add(1);
-        b.heat = b.heat.saturating_add(1);
-        b.heat
+        let exits = &mut self.blocks[idx as usize].hot_exits;
+        exits[taken as usize] = exits[taken as usize].saturating_add(1);
+        exits[0].saturating_add(exits[1])
     }
 
     /// Length of the page registration table (the highest page a block
@@ -284,15 +289,16 @@ impl BlockCache {
         if idx == NO_BLOCK {
             return None;
         }
-        let b = &self.blocks[idx as usize];
         // A misaligned `pc` lands in some aligned block's map slot; the
-        // start check rejects it (alive is implied by map presence, but
-        // stays cheap insurance).
-        (b.alive && b.start == pc).then_some(idx)
+        // start check rejects it.
+        (self.blocks[idx as usize].start == pc).then_some(idx)
     }
 
-    /// Applies one invalidation event: kills every block registered on the
-    /// named page (or everything), and with it the block's trace.
+    /// Applies one invalidation event: kills every live block registered
+    /// on the named page (or everything), and with it the block's trace.
+    /// An index the page kept of a block that already died is stale: the
+    /// map no longer names it, though it may name a block rebuilt at the
+    /// same start, which this page never held.
     #[cold]
     pub(crate) fn invalidate(&mut self, d: CodeDirty) {
         match d {
@@ -301,14 +307,11 @@ impl BlockCache {
                     return;
                 };
                 for bi in list.drain(..) {
-                    if let Some(b) = self.blocks.get_mut(bi as usize) {
-                        if b.alive {
-                            b.alive = false;
-                            self.dead += 1;
-                            if let Some(slot) = self.map.get_mut(b.start as usize / 4) {
-                                *slot = NO_BLOCK;
-                            }
-                        }
+                    let start = self.blocks[bi as usize].start;
+                    let slot = &mut self.map[start as usize / 4];
+                    if *slot == bi {
+                        *slot = NO_BLOCK;
+                        self.dead += 1;
                     }
                 }
             }
@@ -359,14 +362,10 @@ impl BlockCache {
             start,
             end,
             ops,
-            heat: 0,
             hot_exits: [0; 2],
             trace: None,
-            alive: true,
         });
-        if let Some(slot) = self.map.get_mut(start as usize / 4) {
-            *slot = idx;
-        }
+        self.map[word] = idx;
         for page in start as usize / PAGE_BYTES..=(end as usize - 4) / PAGE_BYTES {
             self.register(mem, page, idx);
         }
@@ -507,7 +506,7 @@ fn try_fuse_specialised(a: &Line, b: &Line, cfg: &SimConfig) -> Option<BOp> {
         && b.rs1 == a.dest
     {
         if let Short2::Imm(imm) = b.s2 {
-            let hi = (a.imm19 as u32) << 13;
+            let hi = a.ldhi_value();
             let out = alu(b.op, hi, imm as i32 as u32, false);
             return Some(BOp::LdhiImm {
                 a: *a,
@@ -635,8 +634,7 @@ mod tests {
         let ops = fuse(&lines, &cfg);
         assert!(matches!(ops[0], BOp::One(_)), "first ALU yields");
         assert!(matches!(ops[1], BOp::AddrFeed { .. }), "addr_feed wins");
-        // With addr_feed knocked out the catch-all reclaims the pair, so
-        // the e15 monotonicity invariant (knockouts never fuse more) holds.
+        // With addr_feed knocked out the catch-all reclaims the pair.
         let no_feed = SimConfig {
             fusion: crate::config::FusionConfig {
                 addr_feed: false,
@@ -702,5 +700,39 @@ mod tests {
         cache.invalidate(CodeDirty::All);
         assert_eq!(cache.lookup(PAGE_BYTES as u32), None);
         assert!(cache.blocks.is_empty(), "All is a full clear");
+    }
+
+    #[test]
+    fn a_stale_page_index_does_not_kill_a_block_rebuilt_at_its_start() {
+        let cfg = SimConfig::default();
+        let mut mem = Memory::new(4 * PAGE_BYTES);
+        // A block ending on the last word of page 0 whose delay slot sits
+        // on page 1, so it is registered on both pages.
+        let page = PAGE_BYTES as u32;
+        let start = page - 8;
+        mem.write_u32(start, add(Reg::R16, Reg::R0, 1)).unwrap();
+        mem.write_u32(page - 4, jmpr(Cond::Alw, -4)).unwrap();
+        mem.write_u32(page, add(Reg::R17, Reg::R0, 2)).unwrap();
+        let mut cache = BlockCache::new(mem.page_count());
+        let first = cache.build(&mut mem, start, &cfg).unwrap();
+        assert_eq!(cache.block(first).end, page + 4, "the slot is included");
+        // Killed through page 0; page 1 keeps its index, now stale.
+        cache.invalidate(CodeDirty::Page(0));
+        assert_eq!(cache.lookup(start), None);
+        assert_eq!(cache.dead, 1);
+        // A transfer in the slot is left out, so the block rebuilt at the
+        // same start stays on page 0.
+        mem.write_u32(page, jmpr(Cond::Alw, 8)).unwrap();
+        let rebuilt = cache.build(&mut mem, start, &cfg).unwrap();
+        assert_ne!(rebuilt, first);
+        assert_eq!(cache.block(rebuilt).end, page, "the slot is left out");
+        // Page 1's stale index names the dead block, not the rebuilt one.
+        cache.invalidate(CodeDirty::Page(1));
+        assert_eq!(
+            cache.lookup(start),
+            Some(rebuilt),
+            "the rebuilt block lives"
+        );
+        assert_eq!(cache.dead, 1, "and the dead block dies only once");
     }
 }

@@ -13,9 +13,10 @@
 //!
 //! ## Formation
 //!
-//! Superblocks carry a promotion heat counter and an exit-direction profile
-//! (see [`crate::superblock::Block`]), bumped on every completed execution
-//! under the trace engine. When a block's heat reaches [`HOT_THRESHOLD`]
+//! Superblocks carry an exit-direction profile (see
+//! [`crate::superblock::Block`]), bumped on every completed execution under
+//! the trace engine; its sum is the block's promotion heat. When a block's
+//! heat reaches [`HOT_THRESHOLD`]
 //! the builder walks the blocks from its entry: each block's prepared lines
 //! are lowered in order (classification comes from the spec table's
 //! [`Lowering`] column, so the builder holds no opcode list of its own),
@@ -57,15 +58,20 @@
 //!
 //! Three ops can leave a trace early, each restoring *exactly* the state
 //! the superblock engine would have at the same architectural point:
-//! loads/stores that fault (the trace applies the per-op stat deltas for
-//! everything already committed plus the faulting op's retire-side
-//! accounting, then funnels the very same `StepEvent` through
-//! `Cpu::finish_exec`), stores that hit the code-dirty channel (exit after
-//! the store so a fresh build sees the new bytes), and direction guards on
-//! conditional branches (the guard *is* the branch: a mismatch retires the
-//! branch with its actual direction and resumes at the fall-through with
-//! the actual pending target). Per-op static metadata ([`TMeta`]) carries
-//! everything those exits need; nothing is recomputed from memory.
+//! loads/stores that fault (the trace funnels the very same `StepEvent`
+//! through `Cpu::finish_exec`), stores that hit the code-dirty channel
+//! (exit after the store so a fresh build sees the new bytes), and
+//! direction guards on conditional branches (the guard *is* the branch:
+//! resume at the fall-through with the actual pending target). Per-op
+//! static metadata ([`TMeta`]) carries everything those exits need;
+//! nothing is recomputed from memory. Every exit settles its statistics
+//! the one way [`Trace::replay`] does: the committed prefix of its path,
+//! then the op it left at as one adjusted [`TMeta`] — a dirtying store
+//! whole, a guard's branch in its actual direction ([`TMeta::directed`],
+//! the method that gives an arm its fork), a faulting access with its
+//! retirement alone ([`TMeta::faulted`]). A path's bulk aggregate is the
+//! same replay summed ([`TAgg::from_meta`]), so the executor retires
+//! nothing by hand.
 //!
 //! ## Where traces live
 //!
@@ -285,9 +291,35 @@ pub(crate) struct TMeta {
     pub nop: bool,
 }
 
+impl TMeta {
+    /// This op retired in direction `taken`: a taken transfer pays the
+    /// suspended model's bubble when `suspended`. How the builder charges
+    /// a branch on a path, an arm its fork, and a guard its mismatch.
+    pub(crate) fn directed(self, taken: bool, suspended: bool) -> TMeta {
+        TMeta {
+            taken,
+            bubble: suspended && taken,
+            ..self
+        }
+    }
+
+    /// This op as it retires when its access faults: the retirement and
+    /// its delay-slot accounting, and no cycles, access or transfer.
+    pub(crate) fn faulted(self) -> TMeta {
+        TMeta {
+            base: 0,
+            bubble: false,
+            taken: false,
+            is_load: false,
+            is_store: false,
+            ..self
+        }
+    }
+}
+
 /// The precomputed bulk statistics update of one complete trace pass — the
 /// sum of what `exec_prepared` would have counted per instruction.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct TAgg {
     /// Retired instructions (= trace length).
     pub instructions: u64,
@@ -328,28 +360,26 @@ impl TAgg {
         }
     }
 
-    /// The aggregate of retiring `meta` in order.
+    /// The aggregate of retiring `meta` in order: what [`replay_meta`]
+    /// counts for it.
     fn from_meta(meta: &[TMeta]) -> TAgg {
-        let mut agg = TAgg {
-            instructions: meta.len() as u64,
-            ..TAgg::default()
-        };
-        for m in meta {
-            agg.cycles += u64::from(m.base) + u64::from(m.bubble);
-            agg.bubble_cycles += u64::from(m.bubble);
-            agg.data_reads += u64::from(m.is_load);
-            agg.data_writes += u64::from(m.is_store);
-            agg.taken_transfers += u64::from(m.taken);
-            if m.pending_before.is_some() {
-                agg.delay_slots += 1;
-                agg.delay_slot_nops += u64::from(m.nop);
-            }
-            match agg.opcodes.iter_mut().find(|(op, _)| *op == m.op) {
-                Some((_, n)) => *n += 1,
-                None => agg.opcodes.push((m.op, 1)),
-            }
+        let mut s = ExecStats::new();
+        replay_meta(&mut s, meta);
+        TAgg {
+            instructions: s.instructions,
+            cycles: s.cycles,
+            bubble_cycles: s.bubble_cycles,
+            data_reads: s.data_reads,
+            data_writes: s.data_writes,
+            taken_transfers: s.taken_transfers,
+            delay_slots: s.delay_slots,
+            delay_slot_nops: s.delay_slot_nops,
+            opcodes: s
+                .opcode_counts
+                .iter()
+                .map(|(op, n)| (op, n as u32))
+                .collect(),
         }
-        agg
     }
 }
 
@@ -449,14 +479,16 @@ impl Trace {
     }
 
     /// Replays the statistics of `path`'s committed prefix before op `k`,
-    /// one of the path's own ops — what a side exit at `k` owes.
-    pub(crate) fn replay(&self, stats: &mut ExecStats, path: usize, k: usize) {
+    /// one of the path's own ops, then `last`: op `k` as the side exit
+    /// there retires it. What a side exit at `k` owes.
+    pub(crate) fn replay(&self, stats: &mut ExecStats, path: usize, k: usize, last: TMeta) {
         let p = &self.paths[path];
         if let Some((b, m)) = p.fork {
             replay_meta(stats, &self.meta[..b]);
             replay_meta(stats, &[m]);
         }
         replay_meta(stats, &self.meta[p.start..k]);
+        replay_meta(stats, &[last]);
     }
 
     /// The address of the instruction `path` retires just before op `k`,
@@ -758,11 +790,7 @@ impl<'a> Builder<'a> {
                 if let TOp::Branch { arm, .. } = &mut self.ops[fork.k] {
                     *arm = first as u8;
                 }
-                let retired = TMeta {
-                    taken: !expect,
-                    bubble: self.suspended && !expect,
-                    ..self.meta[fork.k]
-                };
+                let retired = self.meta[fork.k].directed(!expect, self.suspended);
                 self.arms.push((first, (fork.k, retired)));
             } else {
                 self.ops.truncate(first);
@@ -876,7 +904,7 @@ impl<'a> Builder<'a> {
                 let d = self.write_reg(line.dest);
                 TOp::Const {
                     d,
-                    value: (line.imm19 as u32) << 13,
+                    value: line.ldhi_value(),
                 }
             }
             Lowering::Load => {
@@ -931,17 +959,18 @@ impl<'a> Builder<'a> {
             Lowering::Excluded => unreachable!(),
         };
         self.ops.push(op);
-        self.meta.push(TMeta {
+        let meta = TMeta {
             pc,
             pending_before,
             op: line.op,
             base: line.base_cycles,
-            bubble: self.suspended && taken,
-            taken,
+            bubble: false,
+            taken: false,
             is_load: lowering == Lowering::Load,
             is_store: lowering == Lowering::Store,
             nop: line.insn.is_nop(),
-        });
+        };
+        self.meta.push(meta.directed(taken, self.suspended));
         // The static replica of the executor's PC dance.
         let next = pending_before.unwrap_or_else(|| pc.wrapping_add(4));
         self.pending = new_target;
@@ -1365,7 +1394,8 @@ mod tests {
                 let mut bulk = ExecStats::new();
                 path.agg.apply_n(&mut bulk, 1);
                 let mut replayed = ExecStats::new();
-                t.replay(&mut replayed, p, path.end);
+                let last = path.end - 1;
+                t.replay(&mut replayed, p, last, t.meta[last]);
                 for got in [&bulk, &replayed] {
                     assert_eq!(got, &sum, "path {p}");
                     assert_eq!(got.ifetches, sum.ifetches, "path {p}");

@@ -3,9 +3,10 @@
 //! Every finding the analyzer makes is a [`Diagnostic`] — a rule identifier,
 //! a fixed severity, the byte offset of the offending instruction, and a
 //! human-readable message. Diagnostics render either as compiler-style text
-//! lines or as machine-readable JSON lines (one object per line, no
-//! dependencies on a JSON library).
+//! lines or as machine-readable JSON lines (one object per line, written
+//! through the workspace's own [`risc1_core::json::Writer`]).
 
+use risc1_core::json::Writer;
 use std::fmt;
 
 /// How bad a finding is.
@@ -139,24 +140,18 @@ impl Diagnostic {
     /// Renders as one JSON object (a single line, keys fixed):
     /// `{"rule":"…","severity":"…","pc":64,"message":"…"}`.
     pub fn to_json(&self) -> String {
-        let mut msg = String::with_capacity(self.message.len());
-        for c in self.message.chars() {
-            match c {
-                '"' => msg.push_str("\\\""),
-                '\\' => msg.push_str("\\\\"),
-                '\n' => msg.push_str("\\n"),
-                '\t' => msg.push_str("\\t"),
-                c if (c as u32) < 0x20 => msg.push_str(&format!("\\u{:04x}", c as u32)),
-                c => msg.push(c),
-            }
-        }
-        format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"pc\":{},\"message\":\"{}\"}}",
-            self.rule.name(),
-            self.severity.name(),
-            self.pc,
-            msg
-        )
+        let mut w = Writer::new();
+        w.obj_open();
+        w.key("rule");
+        w.str(self.rule.name());
+        w.key("severity");
+        w.str(self.severity.name());
+        w.key("pc");
+        w.num(i128::from(self.pc));
+        w.key("message");
+        w.str(&self.message);
+        w.obj_close();
+        w.finish()
     }
 }
 

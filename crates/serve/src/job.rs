@@ -3,7 +3,9 @@
 //! report back.
 
 use risc1_core::snapshot::{config_hash, Fnv64, Snapshot};
-use risc1_core::{ExecStats, InjectConfig, InjectEvent, Program, SimConfig, TrapKind};
+use risc1_core::{
+    ExecStats, InjectConfig, InjectEvent, Journal, JournalEvent, Program, SimConfig, TrapKind,
+};
 use risc1_ir::{outcome_signature, InjectReport, SupervisorReport};
 
 /// How a job is executed.
@@ -75,6 +77,21 @@ pub struct JobKey {
 }
 
 impl JobSpec {
+    /// The replay journal of this spec's campaign with `events` applied
+    /// and no outcome recorded yet.
+    pub(crate) fn replay_journal(&self, events: Vec<JournalEvent>) -> Journal {
+        Journal {
+            events,
+            ..Journal::new(
+                &self.program,
+                &self.args,
+                self.cfg.clone(),
+                self.inject,
+                self.recovery,
+            )
+        }
+    }
+
     /// The dedup key of this spec.
     pub fn key(&self) -> JobKey {
         let mut p = Fnv64::new();

@@ -142,7 +142,7 @@ pub enum PollState {
 }
 
 /// Monotonic service counters, exposed by the `status` endpoint.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Jobs accepted for execution (dedup hits not included).
     pub submitted: u64,
@@ -176,27 +176,6 @@ pub struct Counters {
     /// Per-cause trap totals accumulated from every finished job, indexed
     /// by [`TrapKind::index`].
     pub trap_totals: [u64; TrapKind::COUNT],
-}
-
-impl Default for Counters {
-    fn default() -> Counters {
-        Counters {
-            submitted: 0,
-            dedup_hits: 0,
-            shed: 0,
-            wal_admit_failures: 0,
-            completed: 0,
-            panics: 0,
-            timeouts: 0,
-            setup_failures: 0,
-            retries: 0,
-            escalations: 0,
-            wal_replayed: 0,
-            wal_reseeded: 0,
-            snapshots_rejected: 0,
-            trap_totals: [0; TrapKind::COUNT],
-        }
-    }
 }
 
 /// A point-in-time snapshot of the service, for the `status` endpoint.
@@ -782,15 +761,8 @@ fn build_journal(
     report: &risc1_ir::InjectReport,
 ) -> Journal {
     Journal {
-        events,
         outcome: Some(recorded_outcome(report)),
-        ..Journal::new(
-            &spec.program,
-            &spec.args,
-            spec.cfg.clone(),
-            spec.inject,
-            spec.recovery,
-        )
+        ..spec.replay_journal(events)
     }
 }
 
@@ -813,16 +785,7 @@ fn journal_panic(
     dir: &str,
     key: JobKey,
 ) -> Option<String> {
-    let journal = Journal {
-        events,
-        ..Journal::new(
-            &spec.program,
-            &spec.args,
-            spec.cfg.clone(),
-            spec.inject,
-            spec.recovery,
-        )
-    };
+    let journal = spec.replay_journal(events);
     std::fs::create_dir_all(dir).ok()?;
     let path = format!(
         "{dir}/serve_panic_{:016x}_{:016x}_seed{}.json",

@@ -17,7 +17,8 @@
 //! engines to that bar ten ways:
 //!
 //! 1. deterministically across all eleven suite workloads (four-way),
-//!    with a floor on the trace tier's coverage of the loop programs,
+//!    under both the delayed and the suspended branch model, with a floor
+//!    on the trace tier's coverage of the loop programs,
 //! 2. property-style under seed-driven fault injection (where traps,
 //!    recovery stubs, and snapshot restores stress the invalidation
 //!    paths),
@@ -102,13 +103,20 @@ fn capture(cpu: &Cpu) -> FinalState {
     }
 }
 
-/// Runs `prog` to halt under the given engine and captures the final
-/// state. The cached, superblock and trace engines go through the
-/// batched `Cpu::run` fast path, the uncached engine through the
-/// one-at-a-time `step()` loop.
-fn run_mode(prog: &Program, args: &[i32], engine: ExecEngine) -> FinalState {
+/// Runs `prog` to halt under the given engine and branch model, with the
+/// default datapath (forwarding on, so fusion and traces engage), and
+/// captures the final state. The cached, superblock and trace engines go
+/// through the batched `Cpu::run` fast path, the uncached engine through
+/// the one-at-a-time `step()` loop.
+fn run_mode(
+    prog: &Program,
+    args: &[i32],
+    engine: ExecEngine,
+    branch_model: BranchModel,
+) -> FinalState {
     let cfg = SimConfig {
         engine,
+        branch_model,
         ..SimConfig::default()
     };
     let mut cpu = Cpu::new(cfg);
@@ -147,50 +155,46 @@ fn every_workload_is_bit_identical_across_all_four_engines() {
     let mut floors_checked = 0;
     for w in all() {
         let prog = compile_risc(&w.module, RiscOpts::default()).expect("suite compiles");
-        let uncached = run_mode(&prog, &w.small_args, ExecEngine::Uncached);
-        let cached = run_mode(&prog, &w.small_args, ExecEngine::Cached);
-        let superblock = run_mode(&prog, &w.small_args, ExecEngine::Superblock);
-        let trace = run_mode(&prog, &w.small_args, ExecEngine::Trace);
-        assert_eq!(cached, uncached, "{}: cache must be invisible", w.id);
-        assert_eq!(
-            superblock, uncached,
-            "{}: superblocks must be invisible",
-            w.id
-        );
-        assert_eq!(trace, uncached, "{}: traces must be invisible", w.id);
-        // The superblock engine must actually engage (not silently fall
-        // back to single-stepping), and must never fuse elsewhere.
-        assert!(
-            superblock.stats.blocks_entered > 0,
-            "{}: superblock engine never entered a block",
-            w.id
-        );
-        assert_eq!(uncached.stats.fused_total(), 0, "{}", w.id);
-        assert_eq!(cached.stats.fused_total(), 0, "{}", w.id);
-        fused_anywhere += superblock.stats.fused_total();
-        traced_anywhere += trace.stats.trace_instructions;
-        assert_eq!(
-            superblock.stats.trace_instructions, 0,
-            "{}: only the trace engine may run traces",
-            w.id
-        );
-        if let Some(&(_, floor)) = TRACE_COVERAGE_FLOORS.iter().find(|(id, _)| *id == w.id) {
-            let coverage = trace.stats.trace_coverage();
+        for model in [BranchModel::Delayed, BranchModel::Suspended] {
+            let uncached = run_mode(&prog, &w.small_args, ExecEngine::Uncached, model);
+            let cached = run_mode(&prog, &w.small_args, ExecEngine::Cached, model);
+            let superblock = run_mode(&prog, &w.small_args, ExecEngine::Superblock, model);
+            let trace = run_mode(&prog, &w.small_args, ExecEngine::Trace, model);
+            let id = format!("{} ({model:?})", w.id);
+            assert_eq!(cached, uncached, "{id}: cache must be invisible");
+            assert_eq!(superblock, uncached, "{id}: superblocks must be invisible");
+            assert_eq!(trace, uncached, "{id}: traces must be invisible");
+            // The superblock engine must actually engage (not silently fall
+            // back to single-stepping), and must never fuse elsewhere.
             assert!(
-                coverage >= floor,
-                "{}: the trace tier covered {coverage:.4} of its instructions \
-                 ({} of {}), under its floor of {floor}",
-                w.id,
-                trace.stats.trace_instructions,
-                trace.stats.instructions
+                superblock.stats.blocks_entered > 0,
+                "{id}: superblock engine never entered a block"
             );
-            floors_checked += 1;
+            assert_eq!(uncached.stats.fused_total(), 0, "{id}");
+            assert_eq!(cached.stats.fused_total(), 0, "{id}");
+            fused_anywhere += superblock.stats.fused_total();
+            traced_anywhere += trace.stats.trace_instructions;
+            assert_eq!(
+                superblock.stats.trace_instructions, 0,
+                "{id}: only the trace engine may run traces"
+            );
+            if let Some(&(_, floor)) = TRACE_COVERAGE_FLOORS.iter().find(|(id, _)| *id == w.id) {
+                let coverage = trace.stats.trace_coverage();
+                assert!(
+                    coverage >= floor,
+                    "{id}: the trace tier covered {coverage:.4} of its instructions \
+                     ({} of {}), under its floor of {floor}",
+                    trace.stats.trace_instructions,
+                    trace.stats.instructions
+                );
+                floors_checked += 1;
+            }
         }
     }
     assert_eq!(
         floors_checked,
-        TRACE_COVERAGE_FLOORS.len(),
-        "every floored program is in the suite"
+        2 * TRACE_COVERAGE_FLOORS.len(),
+        "every floored program is in the suite, checked under both models"
     );
     assert!(
         fused_anywhere > 0,
@@ -323,10 +327,10 @@ fn self_modifying_code_invalidates_already_executed_text() {
     assert_eq!(SimConfig::default().code_base, 0x1000, "address math above");
 
     let prog = Program::from_instructions(insns);
-    let uncached = run_mode(&prog, &[], ExecEngine::Uncached);
-    let cached = run_mode(&prog, &[], ExecEngine::Cached);
-    let superblock = run_mode(&prog, &[], ExecEngine::Superblock);
-    let trace = run_mode(&prog, &[], ExecEngine::Trace);
+    let uncached = run_mode(&prog, &[], ExecEngine::Uncached, BranchModel::Delayed);
+    let cached = run_mode(&prog, &[], ExecEngine::Cached, BranchModel::Delayed);
+    let superblock = run_mode(&prog, &[], ExecEngine::Superblock, BranchModel::Delayed);
+    let trace = run_mode(&prog, &[], ExecEngine::Trace, BranchModel::Delayed);
     assert_eq!(
         cached.result, 10,
         "stale cached line survived the overwrite (20 = add ran twice)"
@@ -371,10 +375,10 @@ fn patching_the_middle_of_a_chained_hot_loop_is_observed() {
     assert_eq!(SimConfig::default().code_base, 0x1000, "address math above");
 
     let prog = Program::from_instructions(insns);
-    let uncached = run_mode(&prog, &[], ExecEngine::Uncached);
-    let cached = run_mode(&prog, &[], ExecEngine::Cached);
-    let superblock = run_mode(&prog, &[], ExecEngine::Superblock);
-    let trace = run_mode(&prog, &[], ExecEngine::Trace);
+    let uncached = run_mode(&prog, &[], ExecEngine::Uncached, BranchModel::Delayed);
+    let cached = run_mode(&prog, &[], ExecEngine::Cached, BranchModel::Delayed);
+    let superblock = run_mode(&prog, &[], ExecEngine::Superblock, BranchModel::Delayed);
+    let trace = run_mode(&prog, &[], ExecEngine::Trace, BranchModel::Delayed);
     assert_eq!(
         superblock.result, 60,
         "a stale superblock replayed the pre-patch loop body"
@@ -424,8 +428,8 @@ fn patching_a_running_trace_mid_flight_is_observed() {
     assert_eq!(SimConfig::default().code_base, 0x1000, "address math above");
 
     let prog = Program::from_instructions(insns);
-    let uncached = run_mode(&prog, &[], ExecEngine::Uncached);
-    let trace = run_mode(&prog, &[], ExecEngine::Trace);
+    let uncached = run_mode(&prog, &[], ExecEngine::Uncached, BranchModel::Delayed);
+    let trace = run_mode(&prog, &[], ExecEngine::Trace, BranchModel::Delayed);
     assert_eq!(
         trace.result, 1200,
         "a stale trace replayed the pre-patch loop body"
@@ -491,7 +495,7 @@ fn patching_the_second_page_of_a_traced_loop_kills_the_trace_at_its_entry() {
     );
 
     let prog = Program::from_instructions(insns);
-    let uncached = run_mode(&prog, &[], ExecEngine::Uncached);
+    let uncached = run_mode(&prog, &[], ExecEngine::Uncached, BranchModel::Delayed);
     assert_eq!(uncached.result, 1300);
     for engine in [
         ExecEngine::Cached,
@@ -499,12 +503,12 @@ fn patching_the_second_page_of_a_traced_loop_kills_the_trace_at_its_entry() {
         ExecEngine::Trace,
     ] {
         assert_eq!(
-            run_mode(&prog, &[], engine),
+            run_mode(&prog, &[], engine, BranchModel::Delayed),
             uncached,
             "{engine:?} must be invisible"
         );
     }
-    let trace = run_mode(&prog, &[], ExecEngine::Trace);
+    let trace = run_mode(&prog, &[], ExecEngine::Trace, BranchModel::Delayed);
     assert!(
         trace.stats.traces_built >= 2,
         "the loop must promote before the patch and re-promote after \
