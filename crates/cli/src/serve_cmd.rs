@@ -158,9 +158,12 @@ fn exchange(
     rx: &mut BufReader<TcpStream>,
     request: &str,
 ) -> Result<Json, String> {
-    tx.write_all(request.as_bytes())
-        .and_then(|()| tx.write_all(b"\n"))
-        .map_err(|e| format!("send: {e}"))?;
+    // One write per frame: a newline sent on its own would wait out the
+    // server's delayed ACK under Nagle's algorithm.
+    let mut frame = Vec::with_capacity(request.len() + 1);
+    frame.extend_from_slice(request.as_bytes());
+    frame.push(b'\n');
+    tx.write_all(&frame).map_err(|e| format!("send: {e}"))?;
     let mut line = String::new();
     rx.read_line(&mut line).map_err(|e| format!("recv: {e}"))?;
     let _ = writeln!(out, "> {request}");
@@ -515,7 +518,7 @@ fn tampered_snapshot_request(
     w.key("client");
     w.str("smoke");
     w.key("program");
-    wire::write_program(&mut w, prog);
+    prog.write_json(&mut w);
     w.key("args");
     w.arr_open();
     for &a in args {

@@ -81,74 +81,54 @@ impl XorShift64 {
     }
 }
 
-/// Which perturbation modes the injector may apply.
+/// Which perturbation modes the injector may apply: one of three named
+/// sets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InjectModes {
-    /// Flip a random bit anywhere in physical memory (code, data, stacks).
-    pub bit_flips: bool,
-    /// Post an external interrupt at a random cycle.
-    pub spurious_interrupts: bool,
-    /// Force a decode trap at the next instruction boundary.
-    pub decode_probes: bool,
-    /// Force a misalignment trap at the next instruction boundary.
-    pub misalign_probes: bool,
-    /// Tighten the fuel limit by a random amount.
-    pub fuel_jitter: bool,
-    /// Flip a random bit inside the window-save-stack region.
-    pub wstack_corruption: bool,
-}
-
-impl InjectModes {
-    /// Every mode enabled.
-    pub fn all() -> InjectModes {
-        InjectModes {
-            bit_flips: true,
-            spurious_interrupts: true,
-            decode_probes: true,
-            misalign_probes: true,
-            fuel_jitter: true,
-            wstack_corruption: true,
-        }
-    }
-
+pub enum InjectModes {
+    /// Every mode: bit flips anywhere in memory, spurious interrupts,
+    /// forced decode and misalignment traps, a tightened fuel limit, and
+    /// bit flips inside the window-save-stack region.
+    All,
     /// Only the perturbations that are *transparent* under the recovery
     /// handlers of [`install_recovery_handlers`]: spurious interrupts and
     /// misalignment probes. A run injected with these and recovered must
     /// reproduce the uninjected result bit for bit.
-    pub fn transparent() -> InjectModes {
-        InjectModes {
-            spurious_interrupts: true,
-            misalign_probes: true,
-            ..InjectModes::none()
-        }
+    Transparent,
+    /// No mode (the injector becomes a no-op).
+    None,
+}
+
+impl InjectModes {
+    /// [`InjectModes::All`].
+    pub const fn all() -> InjectModes {
+        InjectModes::All
     }
 
-    /// No mode enabled (the injector becomes a no-op).
-    pub fn none() -> InjectModes {
-        InjectModes {
-            bit_flips: false,
-            spurious_interrupts: false,
-            decode_probes: false,
-            misalign_probes: false,
-            fuel_jitter: false,
-            wstack_corruption: false,
-        }
+    /// [`InjectModes::Transparent`].
+    pub const fn transparent() -> InjectModes {
+        InjectModes::Transparent
     }
 
-    /// The enabled modes in a fixed, seed-stable order.
-    fn enabled(&self) -> Vec<ModeTag> {
-        let table = [
-            (self.bit_flips, ModeTag::BitFlip),
-            (self.spurious_interrupts, ModeTag::SpuriousInterrupt),
-            (self.decode_probes, ModeTag::DecodeProbe),
-            (self.misalign_probes, ModeTag::MisalignProbe),
-            (self.fuel_jitter, ModeTag::FuelJitter),
-            (self.wstack_corruption, ModeTag::WstackCorruption),
-        ];
-        table
-            .into_iter()
-            .filter_map(|(on, t)| on.then_some(t))
-            .collect()
+    /// [`InjectModes::None`].
+    pub const fn none() -> InjectModes {
+        InjectModes::None
+    }
+
+    /// The modes of the set in the fixed order the injector draws from,
+    /// so a seed picks the same mode in every build.
+    fn tags(self) -> &'static [ModeTag] {
+        match self {
+            InjectModes::All => &[
+                ModeTag::BitFlip,
+                ModeTag::SpuriousInterrupt,
+                ModeTag::DecodeProbe,
+                ModeTag::MisalignProbe,
+                ModeTag::FuelJitter,
+                ModeTag::WstackCorruption,
+            ],
+            InjectModes::Transparent => &[ModeTag::SpuriousInterrupt, ModeTag::MisalignProbe],
+            InjectModes::None => &[],
+        }
     }
 }
 
@@ -314,11 +294,11 @@ impl FaultInjector {
     /// stands before that step. `None` when no mode is enabled or the
     /// chosen one has nothing to act on (an empty window-save region).
     pub fn draw(&mut self, cpu: &Cpu) -> Option<InjectKind> {
-        let enabled = self.cfg.modes.enabled();
-        if enabled.is_empty() {
+        let tags = self.cfg.modes.tags();
+        if tags.is_empty() {
             return None;
         }
-        let tag = enabled[self.rng.below(enabled.len() as u64) as usize];
+        let tag = tags[self.rng.below(tags.len() as u64) as usize];
         Some(match tag {
             ModeTag::BitFlip => {
                 let addr = self.rng.below(cpu.mem.size() as u64) as u32;
@@ -458,6 +438,37 @@ mod tests {
         });
         assert_eq!(none.quiet_steps(10), 0);
         assert_eq!(none.draw(&cpu), None, "no mode enabled, nothing to apply");
+    }
+
+    /// The kinds seed 9 draws from each mode set, one letter per event,
+    /// pinned: the order a set lists its modes in, and the dice each kind
+    /// consumes, are part of every recorded schedule.
+    #[test]
+    fn each_mode_set_draws_its_pinned_schedule() {
+        let cpu = Cpu::new(SimConfig::default());
+        for (modes, want) in [
+            (InjectModes::All, "DWWDIIMDWFDIDMDDDBFIFMFIIMFWFMDD"),
+            (InjectModes::Transparent, "IMIMMIMIMMMIMMMIIIMIMIIIIMMIMMIM"),
+            (InjectModes::None, "--------------------------------"),
+        ] {
+            let mut injector = FaultInjector::new(InjectConfig {
+                seed: 9,
+                rate: RATE_DENOM,
+                modes,
+            });
+            let got: String = (0..want.len())
+                .map(|_| match injector.draw(&cpu) {
+                    None => '-',
+                    Some(InjectKind::BitFlip { .. }) => 'B',
+                    Some(InjectKind::SpuriousInterrupt) => 'I',
+                    Some(InjectKind::DecodeProbe) => 'D',
+                    Some(InjectKind::MisalignProbe) => 'M',
+                    Some(InjectKind::FuelJitter { .. }) => 'F',
+                    Some(InjectKind::WstackCorruption { .. }) => 'W',
+                })
+                .collect();
+            assert_eq!(got, want, "{modes:?}");
+        }
     }
 
     #[test]

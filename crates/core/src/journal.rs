@@ -143,31 +143,7 @@ impl Journal {
         w.key("config");
         write_config(&mut w, &self.cfg);
         w.key("program");
-        w.obj_open();
-        w.key("entry_offset");
-        w.num(i128::from(self.entry_offset));
-        w.key("words");
-        w.arr_open();
-        for &word in &self.words {
-            w.num(i128::from(word));
-        }
-        w.arr_close();
-        w.key("data");
-        w.arr_open();
-        for (addr, bytes) in &self.data {
-            w.obj_open();
-            w.key("addr");
-            w.num(i128::from(*addr));
-            w.key("bytes");
-            w.arr_open();
-            for &b in bytes {
-                w.num(i128::from(b));
-            }
-            w.arr_close();
-            w.obj_close();
-        }
-        w.arr_close();
-        w.obj_close();
+        self.program().write_json(&mut w);
         w.key("args");
         w.arr_open();
         for &a in &self.args {
@@ -215,19 +191,12 @@ impl Journal {
         if version != JOURNAL_VERSION {
             return Err(JournalError::Version { found: version });
         }
-        let prog = get(obj, "program")?.as_obj("program")?;
-        let mut data = Vec::new();
-        for (i, item) in get(prog, "data")?.as_arr("data")?.iter().enumerate() {
-            let o = item.as_obj("data entry")?;
-            let addr = get(o, "addr")?.as_u32("data addr")?;
-            let bytes = get(o, "bytes")?
-                .as_arr("data bytes")?
-                .iter()
-                .map(|v| v.as_u8("data byte"))
-                .collect::<Result<Vec<u8>, _>>()
-                .map_err(|e| e.in_context(&format!("data[{i}]")))?;
-            data.push((addr, bytes));
-        }
+        let Program {
+            words,
+            entry_offset,
+            data,
+            ..
+        } = Program::from_json_value(get(obj, "program")?)?;
         let mut events: Vec<JournalEvent> = Vec::new();
         for (i, item) in get(obj, "events")?.as_arr("events")?.iter().enumerate() {
             let ev = read_event(item.as_obj("event")?)?;
@@ -264,12 +233,8 @@ impl Journal {
             rate: get(obj, "rate")?.as_u32("rate")?,
             recovery: get(obj, "recovery")?.as_bool("recovery")?,
             cfg: read_config(get(obj, "config")?.as_obj("config")?)?,
-            words: get(prog, "words")?
-                .as_arr("words")?
-                .iter()
-                .map(|v| v.as_u32("word"))
-                .collect::<Result<_, _>>()?,
-            entry_offset: get(prog, "entry_offset")?.as_u32("entry_offset")?,
+            words,
+            entry_offset,
             data,
             args: get(obj, "args")?
                 .as_arr("args")?

@@ -51,15 +51,6 @@ impl JsonError {
     pub fn schema(msg: &str) -> JsonError {
         JsonError::Schema(msg.to_owned())
     }
-
-    /// Prefixes a schema error with surrounding context (parse errors are
-    /// already positioned and pass through unchanged).
-    pub fn in_context(self, ctx: &str) -> JsonError {
-        match self {
-            JsonError::Schema(m) => JsonError::Schema(format!("{ctx}: {m}")),
-            other => other,
-        }
-    }
 }
 
 impl fmt::Display for JsonError {
@@ -543,8 +534,8 @@ mod tests {
         let arr = get(obj, "k").unwrap();
         assert!(matches!(arr.as_str("k"), Err(JsonError::Schema(_))));
         assert!(matches!(arr.as_num("k"), Err(JsonError::Schema(_))));
-        let err = arr.as_bool("k").unwrap_err().in_context("outer");
-        assert_eq!(err, JsonError::Schema("outer: k: expected a bool".into()));
+        let err = arr.as_bool("k").unwrap_err();
+        assert_eq!(err, JsonError::Schema("k: expected a bool".into()));
         assert_eq!(
             Json::Num(300).as_u8("b"),
             Err(JsonError::schema("b: out of u8 range"))

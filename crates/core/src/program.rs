@@ -4,6 +4,7 @@
 //! instruction words, optional data images, an entry offset, and a symbol
 //! table for diagnostics.
 
+use crate::json::{get, get_opt, Json, JsonError, Writer};
 use risc1_isa::{Instruction, INSN_BYTES};
 use std::collections::HashMap;
 
@@ -76,6 +77,77 @@ impl Program {
             .filter(|(_, &s)| s <= off)
             .max_by_key(|(_, &s)| s)
             .map(|(name, &s)| (name.as_str(), off - s))
+    }
+
+    /// Writes the image as one JSON object: `entry_offset`, `words`, and
+    /// `data` as `[{"addr":N,"bytes":[…]}]`, in that order. The symbol
+    /// table is for diagnostics and is not written. Journals, serve submit
+    /// requests and the serve write-ahead log all carry a program this way.
+    pub fn write_json(&self, w: &mut Writer) {
+        w.obj_open();
+        w.key("entry_offset");
+        w.num(i128::from(self.entry_offset));
+        w.key("words");
+        w.arr_open();
+        for &word in &self.words {
+            w.num(i128::from(word));
+        }
+        w.arr_close();
+        w.key("data");
+        w.arr_open();
+        for (addr, bytes) in &self.data {
+            w.obj_open();
+            w.key("addr");
+            w.num(i128::from(*addr));
+            w.key("bytes");
+            w.arr_open();
+            for &b in bytes {
+                w.num(i128::from(b));
+            }
+            w.arr_close();
+            w.obj_close();
+        }
+        w.arr_close();
+        w.obj_close();
+    }
+
+    /// Reads an image written by [`Program::write_json`], in any key
+    /// order; an absent `data` means no data images. The symbol table
+    /// comes back empty.
+    ///
+    /// # Errors
+    /// [`JsonError`] on a missing or malformed field.
+    pub fn from_json_value(v: &Json) -> Result<Program, JsonError> {
+        let obj = v.as_obj("program")?;
+        let words = get(obj, "words")?
+            .as_arr("program.words")?
+            .iter()
+            .map(|w| w.as_u32("program.words[..]"))
+            .collect::<Result<Vec<u32>, _>>()?;
+        let entry_offset = get(obj, "entry_offset")?.as_u32("program.entry_offset")?;
+        let data = match get_opt(obj, "data") {
+            None => Vec::new(),
+            Some(v) => v
+                .as_arr("program.data")?
+                .iter()
+                .map(|d| {
+                    let d = d.as_obj("program.data[..]")?;
+                    let addr = get(d, "addr")?.as_u32("program.data[..].addr")?;
+                    let bytes = get(d, "bytes")?
+                        .as_arr("program.data[..].bytes")?
+                        .iter()
+                        .map(|b| b.as_u8("program.data[..].bytes[..]"))
+                        .collect::<Result<Vec<u8>, _>>()?;
+                    Ok((addr, bytes))
+                })
+                .collect::<Result<Vec<_>, JsonError>>()?,
+        };
+        Ok(Program {
+            words,
+            entry_offset,
+            data,
+            symbols: HashMap::new(),
+        })
     }
 }
 

@@ -27,7 +27,7 @@ use crate::json::{get, Json, JsonError, Parser, Writer};
 use crate::mem::{MemTraffic, Memory, PAGE_BYTES};
 use crate::stats::ExecStats;
 use crate::trap::TrapKind;
-use crate::windows::WindowFile;
+use crate::windows::{WindowFile, WINDOW_COUNTERS};
 use risc1_isa::psw::Flags;
 use risc1_isa::Opcode;
 use std::fmt;
@@ -483,17 +483,7 @@ impl Snapshot {
             w.num(i128::from(word));
         }
         w.arr_close();
-        let (cwp, resident, depth, spilled, max_depth, overflows, underflows) =
-            s.regs.export_counters();
-        for (key, v) in [
-            ("cwp", cwp),
-            ("resident", resident),
-            ("depth", depth),
-            ("spilled", spilled),
-            ("max_depth", max_depth),
-            ("overflows", overflows),
-            ("underflows", underflows),
-        ] {
+        for (key, v) in WINDOW_COUNTERS.into_iter().zip(s.regs.counters()) {
             w.key(key);
             w.num(i128::from(v));
         }
@@ -730,18 +720,12 @@ fn read_state(v: &Json, cfg: &SimConfig) -> Result<CpuState, JsonError> {
     for word in store_raw {
         store.push(word.as_u32("store word")?);
     }
-    let regs = WindowFile::import(
-        cfg.windows,
-        &store,
-        u("cwp")?,
-        u("resident")?,
-        u("depth")?,
-        u("spilled")?,
-        u("max_depth")?,
-        u("overflows")?,
-        u("underflows")?,
-    )
-    .map_err(|e| JsonError::schema(&format!("register file: {e}")))?;
+    let mut counters = [0; WINDOW_COUNTERS.len()];
+    for (v, key) in counters.iter_mut().zip(WINDOW_COUNTERS) {
+        *v = u(key)?;
+    }
+    let regs = WindowFile::import(cfg.windows, &store, counters)
+        .map_err(|e| JsonError::schema(&format!("register file: {e}")))?;
     let packed = get(obj, "flags")?.as_u8("flags")?;
     if packed > 0b1111 {
         return Err(JsonError::schema(&format!(

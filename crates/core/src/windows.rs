@@ -77,6 +77,32 @@ pub struct WindowFile {
     underflows: u64,
 }
 
+/// Lists the counters of the file's state after its store once, in
+/// checksum order, each named by its field (its snapshot JSON key), and
+/// derives from the list what the snapshot codec walks.
+macro_rules! window_counters {
+    ($($field:ident),+ $(,)?) => {
+        /// The window file's counters by name, in checksum order: the keys
+        /// a snapshot stores them under.
+        pub(crate) const WINDOW_COUNTERS: [&str; [$(stringify!($field)),+].len()] =
+            [$(stringify!($field)),+];
+
+        impl WindowFile {
+            /// The counters' values, in [`WINDOW_COUNTERS`] order.
+            pub(crate) fn counters(&self) -> [u64; WINDOW_COUNTERS.len()] {
+                [$(self.$field as u64),+]
+            }
+
+            /// Sets the counters from values in [`WINDOW_COUNTERS`] order.
+            fn set_counters(&mut self, [$($field),+]: [u64; WINDOW_COUNTERS.len()]) {
+                $(self.$field = $field as _;)+
+            }
+        }
+    };
+}
+
+window_counters!(cwp, resident, depth, spilled, max_depth, overflows, underflows);
+
 impl WindowFile {
     /// Creates a file with `windows` windows, all registers zero, at call
     /// depth 0.
@@ -176,28 +202,9 @@ impl WindowFile {
             sink(u64::from(w));
         }
         sink(self.windows as u64);
-        sink(self.cwp as u64);
-        sink(self.resident as u64);
-        sink(self.depth);
-        sink(self.spilled);
-        sink(self.max_depth);
-        sink(self.overflows);
-        sink(self.underflows);
-    }
-
-    /// The raw counter half of the file's state, in `for_each_word` order
-    /// after the store: `(cwp, resident, depth, spilled, max_depth,
-    /// overflows, underflows)`. Snapshot-serialization primitive.
-    pub(crate) fn export_counters(&self) -> (u64, u64, u64, u64, u64, u64, u64) {
-        (
-            self.cwp as u64,
-            self.resident as u64,
-            self.depth,
-            self.spilled,
-            self.max_depth,
-            self.overflows,
-            self.underflows,
-        )
+        for v in self.counters() {
+            sink(v);
+        }
     }
 
     /// The flat store (globals then ring), for snapshot serialization.
@@ -207,23 +214,16 @@ impl WindowFile {
 
     /// Rebuilds a file from serialized state: a `new(windows)` skeleton
     /// (which recomputes the translation tables) refilled with the stored
-    /// words and counters. The inline `cur` map is refreshed from the
-    /// restored `cwp`.
+    /// words and the counters, given in [`WINDOW_COUNTERS`] order. The
+    /// inline `cur` map is refreshed from the restored `cwp`.
     ///
     /// # Errors
     /// A message when `store` does not match the geometry or a counter is
     /// out of range for it.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn import(
         windows: usize,
         store: &[u32],
-        cwp: u64,
-        resident: u64,
-        depth: u64,
-        spilled: u64,
-        max_depth: u64,
-        overflows: u64,
-        underflows: u64,
+        counters: [u64; WINDOW_COUNTERS.len()],
     ) -> Result<WindowFile, String> {
         if windows < 2 {
             return Err(format!("{windows} register windows (need at least 2)"));
@@ -235,24 +235,19 @@ impl WindowFile {
                 GLOBALS + WINDOW_STRIDE * windows
             ));
         }
-        if cwp >= windows as u64 {
-            return Err(format!("cwp {cwp} out of range for {windows} windows"));
-        }
-        if resident == 0 || resident >= windows as u64 {
-            return Err(format!(
-                "{resident} resident windows out of range (1..{windows})"
-            ));
-        }
         let mut f = WindowFile::new(windows);
         f.store.copy_from_slice(store);
-        f.cwp = cwp as usize;
+        f.set_counters(counters);
+        if f.cwp >= windows {
+            return Err(format!("cwp {} out of range for {windows} windows", f.cwp));
+        }
+        if f.resident == 0 || f.resident >= windows {
+            return Err(format!(
+                "{} resident windows out of range (1..{windows})",
+                f.resident
+            ));
+        }
         f.cur = f.maps[f.cwp];
-        f.resident = resident as usize;
-        f.depth = depth;
-        f.spilled = spilled;
-        f.max_depth = max_depth;
-        f.overflows = overflows;
-        f.underflows = underflows;
         Ok(f)
     }
 

@@ -20,7 +20,8 @@ pub enum JobMode {
     /// retry with a fresh injector stream on structured faults, escalation
     /// to the campaign baseline when a retry makes no forward progress.
     Supervised {
-        /// Checkpoint interval in instructions.
+        /// Checkpoint interval in instructions (at least 1, a submit
+        /// rule).
         ckpt_every: u64,
         /// Rollback attempts before the fault surfaces.
         max_retries: u32,
@@ -51,10 +52,11 @@ pub struct JobSpec {
     /// limits at parse time and full checksum verification at restore
     /// time; any mismatch surfaces as [`JobOutput::SnapshotRejected`].
     /// Mutually exclusive with injection, supervision and journal
-    /// recording (enforced at parse time).
+    /// recording (a submit rule, checked at parse and at submission).
     pub snapshot: Option<Box<Snapshot>>,
     /// Record a replay journal of the run and retain it for streamed
-    /// download (`journal` wire requests). Direct mode only.
+    /// download (`journal` wire requests). Direct mode only (a submit
+    /// rule).
     pub journal: bool,
 }
 
@@ -77,6 +79,42 @@ pub struct JobKey {
 }
 
 impl JobSpec {
+    /// Checks the submit rules, which the wire parser and
+    /// [`ExecService::submit`](crate::ExecService::submit) both run, so a
+    /// spec the service admits — and logs — is one a submit request can
+    /// state:
+    /// - a supervised checkpoint interval is at least one instruction
+    ///   (zero would checkpoint in one-step segments);
+    /// - a warm start (`snapshot`) excludes injection, supervision and
+    ///   journal recording;
+    /// - journal recording is direct-mode only.
+    ///
+    /// # Errors
+    /// The rule the spec breaks.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        let direct = matches!(self.mode, JobMode::Direct);
+        if let JobMode::Supervised { ckpt_every: 0, .. } = self.mode {
+            return Err("ckpt_every: must be at least 1");
+        }
+        if self.snapshot.is_some() {
+            if self.inject.is_some() {
+                return Err("snapshot: warm starts cannot be combined with injection \
+                            (the injector's schedule is keyed by absolute step from reset)");
+            }
+            if !direct {
+                return Err("snapshot: warm starts run in direct mode only");
+            }
+            if self.journal {
+                return Err("snapshot: a resumed run cannot record a replay journal \
+                            (journals replay from reset)");
+            }
+        }
+        if self.journal && !direct {
+            return Err("journal: recording is supported in direct mode only");
+        }
+        Ok(())
+    }
+
     /// The replay journal of this spec's campaign with `events` applied
     /// and no outcome recorded yet.
     pub(crate) fn replay_journal(&self, events: Vec<JournalEvent>) -> Journal {
@@ -116,12 +154,7 @@ impl JobSpec {
             Some(i) => {
                 c.write_u8(1);
                 c.write_u64(u64::from(i.rate));
-                c.write_u8(u8::from(i.modes.bit_flips));
-                c.write_u8(u8::from(i.modes.spurious_interrupts));
-                c.write_u8(u8::from(i.modes.decode_probes));
-                c.write_u8(u8::from(i.modes.misalign_probes));
-                c.write_u8(u8::from(i.modes.fuel_jitter));
-                c.write_u8(u8::from(i.modes.wstack_corruption));
+                c.write_u8(i.modes as u8);
             }
         }
         match self.mode {

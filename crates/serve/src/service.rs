@@ -100,6 +100,10 @@ pub enum SubmitError {
     /// The write-ahead log could not record the admission (the message is
     /// the I/O error), so nothing of the submission was admitted.
     Unavailable(String),
+    /// A spec breaks a submit rule (the message names it; see the rules
+    /// on [`JobSpec`]'s `snapshot`, `journal` and `mode`), so nothing of
+    /// the submission was admitted.
+    Invalid(String),
 }
 
 impl fmt::Display for SubmitError {
@@ -108,6 +112,7 @@ impl fmt::Display for SubmitError {
             SubmitError::Overloaded(o) => write!(f, "{o}"),
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
             SubmitError::Unavailable(e) => write!(f, "cannot log the admission: {e}"),
+            SubmitError::Invalid(e) => write!(f, "invalid job: {e}"),
         }
     }
 }
@@ -170,6 +175,10 @@ pub struct Counters {
     pub wal_replayed: u64,
     /// Completed results re-seeded from the write-ahead log at startup.
     pub wal_reseeded: u64,
+    /// Lines of the write-ahead log skipped at startup because they did
+    /// not parse: a torn tail from a hard kill, an admit record in another
+    /// build's schema, or garbage.
+    pub wal_torn: u64,
     /// Warm-start snapshots rejected at restore time (corruption, version
     /// skew, config mismatch).
     pub snapshots_rejected: u64,
@@ -282,8 +291,9 @@ impl ExecService {
         if let Some(dir) = cfg.wal_dir.as_deref() {
             let dir = Path::new(dir);
             if cfg.recover {
-                let (records, _) = replay_wal(dir)
+                let (records, scan) = replay_wal(dir)
                     .unwrap_or_else(|e| panic!("cannot replay WAL in {}: {e}", dir.display()));
+                state.counters.wal_torn = scan.torn as u64;
                 seed_from_wal(&mut state, records);
                 evict_retained(&mut state, cfg.cache_cap);
             }
@@ -316,6 +326,8 @@ impl ExecService {
     /// space.
     ///
     /// # Errors
+    /// [`SubmitError::Invalid`] when a spec breaks a submit rule, the same
+    /// rules the wire parser holds a submit request to;
     /// [`SubmitError::Overloaded`] when the fresh jobs would overflow the
     /// client's queue (they are counted as shed);
     /// [`SubmitError::ShuttingDown`] after [`shutdown`](Self::shutdown);
@@ -327,6 +339,10 @@ impl ExecService {
         weight: u32,
         specs: Vec<JobSpec>,
     ) -> Result<Vec<SubmitTicket>, SubmitError> {
+        for spec in &specs {
+            spec.check()
+                .map_err(|rule| SubmitError::Invalid(rule.to_owned()))?;
+        }
         let mut st = self.inner.state.lock().expect("service state");
         if st.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -653,28 +669,28 @@ fn add_traps(counters: &mut Counters, trap_counts: &[u64; TrapKind::COUNT]) {
 /// journals the events applied so far to the replay-artifacts funnel.
 fn execute(spec: &JobSpec, key: JobKey, artifact_dir: &str) -> (JobOutput, Option<String>) {
     let deadline = spec.timeout_ms.map(Deadline::after_ms);
+    if let Some(snap) = spec.snapshot.as_deref() {
+        // Warm start (direct, clean and unrecorded, by the submit rules):
+        // resume from the validated snapshot and execute only the suffix.
+        // The restored statistics cover the prefix, so a finished report
+        // is bit-identical to a cold run.
+        let run = catch_unwind(AssertUnwindSafe(|| run_risc_resumed(snap, deadline)));
+        let out = match run {
+            Ok(Ok(TimedOutcome::Finished(report))) => JobOutput::Finished(report),
+            Ok(Ok(TimedOutcome::TimedOut { stats, events })) => {
+                JobOutput::TimedOut { stats, events }
+            }
+            Ok(Err(e)) => JobOutput::SnapshotRejected {
+                message: e.to_string(),
+            },
+            Err(payload) => JobOutput::Panicked {
+                message: panic_message(&payload),
+                artifact: None,
+            },
+        };
+        return (out, None);
+    }
     match spec.mode {
-        JobMode::Direct if spec.snapshot.is_some() => {
-            // Warm start: resume from the validated snapshot and execute
-            // only the suffix. The restored statistics cover the prefix,
-            // so a finished report is bit-identical to a cold run.
-            let snap = spec.snapshot.as_deref().expect("checked above");
-            let run = catch_unwind(AssertUnwindSafe(|| run_risc_resumed(snap, deadline)));
-            let out = match run {
-                Ok(Ok(TimedOutcome::Finished(report))) => JobOutput::Finished(report),
-                Ok(Ok(TimedOutcome::TimedOut { stats, events })) => {
-                    JobOutput::TimedOut { stats, events }
-                }
-                Ok(Err(e)) => JobOutput::SnapshotRejected {
-                    message: e.to_string(),
-                },
-                Err(payload) => JobOutput::Panicked {
-                    message: panic_message(&payload),
-                    artifact: None,
-                },
-            };
-            (out, None)
-        }
         JobMode::Direct => {
             // The event sink lives outside `catch_unwind` so a panicking
             // job still yields the schedule it applied before dying.

@@ -1,15 +1,24 @@
 //! The crash-safe write-ahead job log.
 //!
-//! Every admitted job appends one `admit` record (its id, client, weight,
-//! and full [`JobSpec`]) before the submit response is sent; every
-//! completion appends one `done` record (the id, the result digest, and
-//! the exact wire rendering of the result). Records are newline-delimited
-//! JSON in the repo's own dependency-free dialect:
+//! Every admitted job appends one `admit` record before the submit
+//! response is sent: its id beside the job's one-seed submit request, the
+//! very object a client would send to ask for that job alone (its client,
+//! weight and full [`JobSpec`]). Every completion appends one `done` record
+//! (the id, the result digest, and the exact wire rendering of the
+//! result). Records are newline-delimited JSON in the repo's own
+//! dependency-free dialect:
 //!
 //! ```text
-//! {"wal":"admit","id":3,"client":"a","weight":1,"spec":{…}}
+//! {"wal":"admit","id":3,"request":{"op":"submit","client":"a",…,"seeds":[7],…}}
 //! {"wal":"done","id":3,"digest":"91f0…","result":"{\"kind\":…}"}
 //! ```
+//!
+//! A job therefore has one schema: replay reads an admit record's request
+//! with the wire's own submit parser, which enforces the submit rules
+//! ([`JobSpec`]'s fields, one seed). The service logs only specs that keep
+//! those rules, so every admit record it wrote parses again; one that does
+//! not (written by a build with another schema, or damaged) is skipped and
+//! counted like a torn line.
 //!
 //! The `done` record stores the serialized result as a *string value*, so
 //! replay recovers the original response bytes exactly (JSON string
@@ -26,7 +35,7 @@
 //! domain trivial.
 
 use crate::job::{JobOutput, JobSpec};
-use crate::wire::{output_json, parse_spec, write_spec};
+use crate::wire::{output_json, read_request, write_spec_request, Request};
 use risc1_core::json::{get, Json, Parser, Writer};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read as _, Seek as _, SeekFrom, Write as _};
@@ -68,7 +77,8 @@ impl WalWriter {
         Ok(WalWriter { file })
     }
 
-    /// Logs one admitted job before its ticket is issued.
+    /// Logs one admitted job before its ticket is issued, as its id and
+    /// its one-seed submit request.
     ///
     /// # Errors
     /// Propagates the write failure; the caller decides whether admission
@@ -86,12 +96,8 @@ impl WalWriter {
         w.str("admit");
         w.key("id");
         w.num(i128::from(id));
-        w.key("client");
-        w.str(client);
-        w.key("weight");
-        w.num(i128::from(weight));
-        w.key("spec");
-        write_spec(&mut w, spec);
+        w.key("request");
+        write_spec_request(&mut w, client, weight, spec);
         w.obj_close();
         self.append_line(w.finish())
     }
@@ -152,13 +158,14 @@ pub enum WalRecord {
     },
 }
 
-/// What [`replay_wal`] saw, for the status/smoke counters.
+/// What [`replay_wal`] saw. Recovery reports `torn` as the
+/// [`wal_torn`](crate::Counters::wal_torn) status counter.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WalScan {
     /// Well-formed records replayed.
     pub records: usize,
     /// Lines skipped because they did not parse — a torn tail from a hard
-    /// kill, or garbage.
+    /// kill, an admit record in another build's schema, or garbage.
     pub torn: usize,
 }
 
@@ -199,12 +206,23 @@ fn parse_record(line: &str) -> Option<WalRecord> {
     let doc = Parser::new(line).parse_document().ok()?;
     let obj = doc.as_obj("wal record").ok()?;
     match get(obj, "wal").ok()?.as_str("wal").ok()? {
-        "admit" => Some(WalRecord::Admit {
-            id: get(obj, "id").ok()?.as_u64("id").ok()?,
-            client: get(obj, "client").ok()?.as_str("client").ok()?.to_owned(),
-            weight: get(obj, "weight").ok()?.as_u32("weight").ok()?,
-            spec: Box::new(parse_spec(get(obj, "spec").ok()?).ok()?),
-        }),
+        "admit" => {
+            let Request::Submit {
+                client,
+                weight,
+                specs,
+            } = read_request(get(obj, "request").ok()?).ok()?
+            else {
+                return None;
+            };
+            let [spec] = <[JobSpec; 1]>::try_from(specs).ok()?;
+            Some(WalRecord::Admit {
+                id: get(obj, "id").ok()?.as_u64("id").ok()?,
+                client,
+                weight,
+                spec: Box::new(spec),
+            })
+        }
         "done" => {
             let digest = get(obj, "digest").ok()?.as_str("digest").ok()?;
             Some(WalRecord::Done {
@@ -224,7 +242,8 @@ fn parse_record(line: &str) -> Option<WalRecord> {
 mod tests {
     use super::*;
     use crate::job::JobMode;
-    use risc1_core::{Program, SimConfig};
+    use risc1_core::inject::{InjectConfig, InjectModes};
+    use risc1_core::{Cpu, Program, SimConfig};
 
     fn spec() -> JobSpec {
         JobSpec {
@@ -348,6 +367,147 @@ mod tests {
         let before = std::fs::read(&path).unwrap();
         drop(WalWriter::open(&dir).unwrap());
         assert_eq!(std::fs::read(&path).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every kind of spec the service admits comes back from the log with
+    /// the same fields and the same dedup key: the admit record is the
+    /// job's submit request, read by the wire's parser.
+    #[test]
+    fn every_submit_variant_round_trips_through_the_log() {
+        let program = Program {
+            words: vec![7, 8, 9],
+            entry_offset: 4,
+            data: vec![(128, vec![1, 2]), (256, vec![])],
+            symbols: Default::default(),
+        };
+        let base = JobSpec {
+            program,
+            args: vec![3, -4],
+            cfg: SimConfig {
+                fuel: 123_456,
+                windows: 6,
+                ..SimConfig::default()
+            },
+            ..spec()
+        };
+        let injected = |modes| {
+            Some(InjectConfig {
+                seed: 11,
+                rate: 120,
+                modes,
+            })
+        };
+        let variants = [
+            (
+                "all",
+                JobSpec {
+                    inject: injected(InjectModes::All),
+                    recovery: true,
+                    ..base.clone()
+                },
+            ),
+            (
+                "transparent",
+                JobSpec {
+                    inject: injected(InjectModes::Transparent),
+                    ..base.clone()
+                },
+            ),
+            (
+                "none",
+                JobSpec {
+                    inject: injected(InjectModes::None),
+                    ..base.clone()
+                },
+            ),
+            ("clean", base.clone()),
+            (
+                "supervised",
+                JobSpec {
+                    inject: injected(InjectModes::All),
+                    mode: JobMode::Supervised {
+                        ckpt_every: 500,
+                        max_retries: 7,
+                    },
+                    ..base.clone()
+                },
+            ),
+            (
+                "timeout",
+                JobSpec {
+                    timeout_ms: Some(750),
+                    ..base.clone()
+                },
+            ),
+            (
+                "journal",
+                JobSpec {
+                    inject: injected(InjectModes::All),
+                    journal: true,
+                    ..base.clone()
+                },
+            ),
+            (
+                "snapshot",
+                JobSpec {
+                    cfg: SimConfig::default(),
+                    snapshot: Some(Box::new(Cpu::new(SimConfig::default()).snapshot())),
+                    ..base.clone()
+                },
+            ),
+        ];
+        let dir = temp_dir("variants");
+        {
+            let mut w = WalWriter::open(&dir).unwrap();
+            for (i, (_, s)) in variants.iter().enumerate() {
+                s.check().unwrap();
+                w.append_admit(i as u64 + 1, "carol", 3, s).unwrap();
+            }
+        }
+        let (records, scan) = replay_wal(&dir).unwrap();
+        assert_eq!(
+            scan,
+            WalScan {
+                records: variants.len(),
+                torn: 0
+            }
+        );
+        for (i, ((name, want), rec)) in variants.iter().zip(&records).enumerate() {
+            let WalRecord::Admit {
+                id,
+                client,
+                weight,
+                spec: got,
+            } = rec
+            else {
+                panic!("{name}: not an admit: {rec:?}");
+            };
+            assert_eq!(
+                (*id, client.as_str(), *weight),
+                (i as u64 + 1, "carol", 3),
+                "{name}"
+            );
+            assert_eq!(got.key(), want.key(), "{name}: key");
+            assert_eq!(got.program.words, want.program.words, "{name}: words");
+            assert_eq!(
+                got.program.entry_offset, want.program.entry_offset,
+                "{name}"
+            );
+            assert_eq!(got.program.data, want.program.data, "{name}: data");
+            assert_eq!(got.args, want.args, "{name}: args");
+            assert_eq!(got.cfg, want.cfg, "{name}: cfg");
+            assert_eq!(got.inject, want.inject, "{name}: inject");
+            assert_eq!(got.recovery, want.recovery, "{name}: recovery");
+            assert_eq!(got.mode, want.mode, "{name}: mode");
+            assert_eq!(got.timeout_ms, want.timeout_ms, "{name}: timeout");
+            assert_eq!(got.journal, want.journal, "{name}: journal");
+            assert_eq!(
+                got.snapshot.as_ref().map(|s| s.to_json()),
+                want.snapshot.as_ref().map(|s| s.to_json()),
+                "{name}: snapshot"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

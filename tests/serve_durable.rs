@@ -239,8 +239,107 @@ fn torn_wal_tail_is_skipped_not_fatal() {
     let second = ExecService::start(durable_config(&dir, true));
     let out = done(&second, id);
     assert_eq!(out.digest(), want, "records before the tear replay");
-    assert_eq!(second.status().counters.wal_reseeded, 1);
+    let counters = second.status().counters;
+    assert_eq!(counters.wal_reseeded, 1);
+    assert_eq!(counters.wal_torn, 1, "the torn line is counted");
     second.shutdown();
+}
+
+/// The submit rules hold for library submissions as they do for wire
+/// frames: a spec that breaks one is rejected with the whole submission
+/// around it, so it draws no id and the log records nothing. Every admit
+/// record in a log is then one the wire parser reads back at recovery.
+#[test]
+fn a_spec_breaking_a_submit_rule_is_rejected_whole() {
+    let w = compiled("fib");
+    let dir = WalDir::new("rules");
+    let snap =
+        snapshot_risc_prefix(&w.prog, &w.args, w.cfg.clone(), false, 100).expect("prefix snapshot");
+    let supervised = JobMode::Supervised {
+        ckpt_every: 1000,
+        max_retries: 2,
+    };
+    let warm = JobSpec {
+        snapshot: Some(Box::new(snap)),
+        ..spec(&w, None)
+    };
+    let broken = [
+        (
+            "snapshot+inject",
+            JobSpec {
+                inject: spec(&w, Some(1)).inject,
+                ..warm.clone()
+            },
+        ),
+        (
+            "snapshot+supervised",
+            JobSpec {
+                mode: supervised,
+                ..warm.clone()
+            },
+        ),
+        (
+            "snapshot+journal",
+            JobSpec {
+                journal: true,
+                ..warm.clone()
+            },
+        ),
+        (
+            "journal+supervised",
+            JobSpec {
+                journal: true,
+                mode: supervised,
+                ..spec(&w, Some(1))
+            },
+        ),
+        (
+            "ckpt_every 0",
+            JobSpec {
+                mode: JobMode::Supervised {
+                    ckpt_every: 0,
+                    max_retries: 2,
+                },
+                ..spec(&w, Some(1))
+            },
+        ),
+    ];
+    let service = ExecService::start(durable_config(&dir, false));
+    for (name, bad) in broken {
+        let err = service
+            .submit("rules", 1, vec![spec(&w, Some(2)), bad])
+            .expect_err(name);
+        assert!(matches!(err, SubmitError::Invalid(_)), "{name}: {err:?}");
+        let reply = wire::submit_error_response(&err);
+        assert!(
+            reply.starts_with(r#"{"ok":false,"error":"bad-request","#),
+            "{name}: {reply}"
+        );
+    }
+    let status = service.status();
+    assert_eq!(status.counters.submitted, 0);
+    assert_eq!(status.counters.dedup_hits, 0);
+    assert_eq!(status.queued, 0);
+    let log = std::fs::read(dir.0.join(WAL_FILE)).expect("read wal");
+    assert!(log.is_empty(), "nothing was logged");
+    // No id was drawn: the first admitted job is job 1, and it is the
+    // only admit record in the log.
+    let ok = service
+        .submit("rules", 1, vec![warm.clone()])
+        .expect("a warm start alone keeps the rules");
+    assert_eq!(ok[0].id, 1);
+    done(&service, 1);
+    service.shutdown();
+    drop(service);
+    let (records, scan) = risc1::serve::replay_wal(&dir.0).expect("replay");
+    assert_eq!((scan.records, scan.torn), (2, 0), "admit and done parse");
+    match &records[0] {
+        risc1::serve::WalRecord::Admit { id, spec, .. } => {
+            assert_eq!(*id, 1);
+            assert_eq!(spec.key(), warm.key());
+        }
+        other => panic!("not an admit: {other:?}"),
+    }
 }
 
 /// Warm starts: a resumed run is bit-identical to the cold run while the
