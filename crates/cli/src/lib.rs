@@ -33,7 +33,8 @@
 //!                                (JSON jobs, fair-share queues, dedup)
 //!   [--wal-dir <dir>]            crash-safe write-ahead job log
 //!   [--recover <dir>]            replay the WAL on startup (warm restart)
-//! risc1 exp <id|all>             print an experiment report (e1…e15)
+//! risc1 exp <id|all>             print an experiment report (e1…e15,
+//!                                ablations)
 //! risc1 list                     list suite workloads and experiments
 //! ```
 //!
@@ -148,7 +149,8 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
                                 completed results re-seed the job table,
                                 incomplete jobs re-enqueue (implies
                                 --wal-dir <dir>)
-  risc1 exp <e1…e15|all>        print an experiment report
+  risc1 exp <e1…e15|ablations|all>
+                                print an experiment report
   risc1 list                    available workloads and experiments
 
   RISC1_THREADS=<n> pins the worker count for parallel experiment
@@ -704,31 +706,24 @@ fn cmd_bench(args: &[String]) -> CliResult {
 }
 
 fn cmd_exp(id: &str) -> CliResult {
-    use risc1_experiments as e;
-    Ok(match id {
-        "e1" => e::e1_complexity::run(),
-        "e2" => e::e2_instruction_set::run(),
-        "e3" => e::e3_formats::run(),
-        "e4" => e::e4_windows_figure::run(),
-        "e5" => e::e5_call_cost::run(),
-        "e6" => e::e6_exec_time::run(),
-        "e7" => e::e7_code_size::run(),
-        "e8" => e::e8_window_sweep::run(),
-        "e9" => e::e9_delay_slots::run(),
-        "e10" => e::e10_area::run(),
-        "e11" => e::e11_pipeline_trace::run(),
-        "e12" => e::e12_instruction_mix::run(),
-        "e13" => e::e13_fault_recovery::run(),
-        "e14" => e::e14_checkpoint_overhead::run(),
-        "e15" => e::e15_fusion_ablation::run(),
-        "ablations" => e::ablations::run(),
-        "all" => e::run_all(),
-        other => {
-            return Err(format!(
-                "unknown experiment `{other}` (e1…e15, ablations, all)"
-            ))
-        }
-    })
+    if id == "all" {
+        return Ok(risc1_experiments::run_all());
+    }
+    risc1_experiments::EXPERIMENTS
+        .iter()
+        .find(|(name, _)| *name == id)
+        .map(|(_, run)| run())
+        .ok_or_else(|| format!("unknown experiment `{id}` ({})", experiment_ids()))
+}
+
+/// The ids `risc1 exp` takes, in report order.
+fn experiment_ids() -> String {
+    let mut ids: Vec<&str> = risc1_experiments::EXPERIMENTS
+        .iter()
+        .map(|(name, _)| *name)
+        .collect();
+    ids.push("all");
+    ids.join(", ")
 }
 
 fn listing() -> String {
@@ -736,7 +731,11 @@ fn listing() -> String {
     for w in risc1_workloads::all() {
         let _ = writeln!(out, "  {:16} {}", w.id, w.description);
     }
-    out.push_str("\nexperiments: e1…e15, ablations, all (see DESIGN.md §3)\n");
+    let _ = writeln!(
+        out,
+        "\nexperiments: {} (see DESIGN.md §3)",
+        experiment_ids()
+    );
     out
 }
 
@@ -758,6 +757,8 @@ mod tests {
     fn list_shows_workloads() {
         let out = dispatch(&s(&["list"])).unwrap();
         assert!(out.contains("acker") && out.contains("sieve"));
+        assert!(out.contains("experiments: e1, e2, "), "{out}");
+        assert!(out.contains("e15, ablations, all"), "{out}");
     }
 
     #[test]
@@ -774,7 +775,8 @@ mod tests {
 
     #[test]
     fn exp_rejects_unknown_id() {
-        assert!(dispatch(&s(&["exp", "e99"])).is_err());
+        let err = dispatch(&s(&["exp", "e99"])).unwrap_err();
+        assert!(err.contains("e15, ablations, all"), "{err}");
         assert!(dispatch(&s(&["exp", "e2"])).unwrap().contains("ldhi"));
     }
 

@@ -450,12 +450,6 @@ impl Cpu {
         self.trap_handlers[kind.index()] = Some(addr);
     }
 
-    /// Removes the handler for one trap cause (faults of that kind revert
-    /// to structured [`ExecError`]s).
-    pub fn clear_trap_handler(&mut self, kind: TrapKind) {
-        self.trap_handlers[kind.index()] = None;
-    }
-
     /// The handler installed for a trap cause, if any.
     pub fn trap_handler(&self, kind: TrapKind) -> Option<u32> {
         self.trap_handlers[kind.index()]
@@ -554,13 +548,9 @@ impl Cpu {
         self.fuel_limit = s.fuel_limit;
     }
 
-    /// Statistics accumulated so far (window counters synced).
+    /// Statistics accumulated so far.
     pub fn stats(&self) -> ExecStats {
-        let mut s = self.stats.clone();
-        s.max_depth = self.regs.max_depth();
-        s.window_overflows = self.regs.overflows();
-        s.window_underflows = self.regs.underflows();
-        s
+        self.stats.clone()
     }
 
     /// The register-window file (read-only), for experiments that inspect
@@ -1296,7 +1286,7 @@ impl Cpu {
                 if self.regs.call_would_overflow() {
                     cycles += self.spill_window(false).map_err(|f| spill_event(pc, f))?;
                 }
-                self.regs.advance();
+                self.advance_window();
                 // The link register is named in the *new* window.
                 self.regs.write(link, pc);
                 new_write = self.note_write(link, false);
@@ -1329,7 +1319,7 @@ impl Cpu {
                 if self.regs.call_would_overflow() {
                     cycles += self.spill_window(false).map_err(|f| spill_event(pc, f))?;
                 }
-                self.regs.advance();
+                self.advance_window();
                 self.regs.write(line.dest, self.last_pc);
                 new_write = self.note_write(line.dest, false);
                 self.interrupts_enabled = false;
@@ -1616,7 +1606,7 @@ impl Cpu {
                 .map_err(|f| spill_event(self.pc, f))?;
         }
         self.interrupt_pending = false;
-        self.regs.advance();
+        self.advance_window();
         self.regs.write(Reg::R25, self.pc);
         self.interrupts_enabled = false;
         self.last_pc = self.pc;
@@ -1662,7 +1652,7 @@ impl Cpu {
                 Err(_) => return Err(err),
             }
         }
-        self.regs.advance();
+        self.advance_window();
         self.regs.write(Reg::R25, restart);
         self.regs.write(Reg::R24, kind.code());
         self.regs.write(Reg::R23, info);
@@ -1746,8 +1736,17 @@ impl Cpu {
         }
     }
 
+    /// Enters a fresh window (the register-file half of a `CALL`, `CALLI`,
+    /// interrupt or trap entry) and notes the call depth it reaches.
+    #[inline]
+    fn advance_window(&mut self) {
+        self.regs.advance();
+        self.stats.max_depth = self.stats.max_depth.max(self.regs.depth());
+    }
+
     /// Services a window overflow: 16 stores to the save stack, pushed as
-    /// one frame. Returns the cycles consumed.
+    /// one frame. Returns the cycles consumed. The overflow counts once the
+    /// window leaves the file, before its push can fault.
     ///
     /// Program-initiated spills (`emergency == false`) keep one frame of
     /// head-room free below themselves — the emergency reserve that lets
@@ -1761,6 +1760,7 @@ impl Cpu {
             });
         }
         let saved = self.regs.spill_oldest();
+        self.stats.window_overflows += 1;
         if let Err(err) = self.mem.push_frame(self.wstack_ptr, &saved) {
             // The pointer stops at the faulting word, as a push made word
             // by word would leave it.
@@ -1788,6 +1788,7 @@ impl Cpu {
         };
         self.wstack_ptr += SPILL_REGS as u32 * 4;
         self.regs.fill_previous(regs);
+        self.stats.window_underflows += 1;
         self.stats.data_reads += SPILL_REGS as u64;
         let cost = self.cfg.trap_overhead_cycles + SPILL_REGS as u64 * 2;
         self.stats.trap_cycles += cost;
@@ -2773,8 +2774,10 @@ mod tests {
     // spills and fills that moved one word at a time; the frame transfers
     // must reproduce every one of them. So were the snapshots, whose
     // checksums were re-recorded once snapshots stopped storing the
-    // host-only config fields and runner bookkeeping: with those fields
-    // dropped, each snapshot's JSON is the one recorded before.
+    // host-only config fields and runner bookkeeping, and again for
+    // format 3, which stores each machine value once: with the dropped
+    // fields removed and the window counters moved into `stats`, each
+    // snapshot's JSON is the one recorded before.
 
     #[test]
     fn a_spill_onto_a_misaligned_or_out_of_range_save_stack_faults_at_its_first_word() {
@@ -2785,7 +2788,7 @@ mod tests {
                     addr: 0xe_fffe,
                     width: 4,
                 },
-                0x7cff_a380_8cb6_4fc6,
+                0x931d_5a56_435c_9aef,
             ),
             (
                 0x10_0002,
@@ -2793,7 +2796,7 @@ mod tests {
                     addr: 0xf_fffe,
                     width: 4,
                 },
-                0x5fa1_31a5_51a4_5f78,
+                0x2e12_ff23_cf10_b27d,
             ),
             (
                 0x10_0040,
@@ -2801,7 +2804,7 @@ mod tests {
                     addr: 0x10_003c,
                     width: 4,
                 },
-                0xfbbf_b538_2d9c_c4aa,
+                0xd790_707a_21a3_86af,
             ),
         ] {
             let mut cpu = recursing(top, 12);
@@ -2839,17 +2842,17 @@ mod tests {
             }
         );
         assert_eq!(cpu.wstack_ptr, 0x10_0000);
-        assert_eq!(cpu.snapshot().checksum(), 0x9914_aeb9_7861_4f4c);
+        assert_eq!(cpu.snapshot().checksum(), 0x5a5b_657f_1527_a5b4);
     }
 
     #[test]
     fn frames_straddling_a_host_page_or_ending_memory_round_trip() {
         // (save-stack top, depth, result, frames spilled, checksum)
         for (top, depth, sum, frames, checksum) in [
-            (0xf_0010, 20, 210, 15, 0xc137_4b33_0f4f_c65a),
-            (0xf_0020, 20, 210, 15, 0xe4b5_14b1_4bfd_56ed),
-            (0xf_0030, 20, 210, 15, 0xf6ef_459d_b5e4_c00f),
-            (0x10_0000, 12, 78, 7, 0xd8eb_96ae_d61c_c828),
+            (0xf_0010, 20, 210, 15, 0x2348_367c_5cb7_1a25),
+            (0xf_0020, 20, 210, 15, 0x6ad6_a530_39a9_c13a),
+            (0xf_0030, 20, 210, 15, 0x4f9b_ec9e_f204_b5b8),
+            (0x10_0000, 12, 78, 7, 0x8330_4263_c4fe_7037),
         ] {
             let mut cpu = recursing(top, depth);
             cpu.run().unwrap();

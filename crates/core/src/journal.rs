@@ -20,7 +20,9 @@ use crate::config::{BranchModel, ExecEngine, FusionConfig, SimConfig};
 use crate::inject::{InjectConfig, InjectKind};
 use crate::json::{get, Json, JsonError, Parser, Writer};
 use crate::program::Program;
-use crate::snapshot::{MAX_SNAPSHOT_MEM_BYTES, MAX_SNAPSHOT_WINDOWS};
+use crate::snapshot::{
+    MAX_SNAPSHOT_MEM_BYTES, MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES, MAX_SNAPSHOT_WINDOWS,
+};
 use crate::trap::TrapKind;
 use std::collections::HashMap;
 use std::fmt;
@@ -302,8 +304,9 @@ pub fn write_config(w: &mut Writer, cfg: &SimConfig) {
 /// Every configuration that enters from outside — a wire submit, a WAL
 /// record, a journal, a snapshot — comes through here, so this is where
 /// the sizes a machine is built from are held to their admission limits:
-/// 2 to [`MAX_SNAPSHOT_WINDOWS`] windows and at most
-/// [`MAX_SNAPSHOT_MEM_BYTES`] of memory.
+/// 2 to [`MAX_SNAPSHOT_WINDOWS`] windows, at most
+/// [`MAX_SNAPSHOT_MEM_BYTES`] of memory and at most
+/// [`MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES`] cycles of overhead per trap.
 ///
 /// # Errors
 /// [`JsonError`] on a malformed or unknown field, or a size outside its
@@ -321,13 +324,20 @@ pub fn read_config(obj: &[(String, Json)]) -> Result<SimConfig, JsonError> {
             "mem_bytes {mem_bytes} exceeds the {MAX_SNAPSHOT_MEM_BYTES}-byte admission limit"
         )));
     }
+    let trap_overhead_cycles = get(obj, "trap_overhead_cycles")?.as_u64("trap_overhead_cycles")?;
+    if trap_overhead_cycles > MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES {
+        return Err(JsonError::schema(&format!(
+            "trap_overhead_cycles {trap_overhead_cycles} exceeds the \
+             {MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES}-cycle admission limit"
+        )));
+    }
     Ok(SimConfig {
         windows,
         mem_bytes,
         code_base: get(obj, "code_base")?.as_u32("code_base")?,
         stack_top: get(obj, "stack_top")?.as_u32("stack_top")?,
         window_stack_top: get(obj, "window_stack_top")?.as_u32("window_stack_top")?,
-        trap_overhead_cycles: get(obj, "trap_overhead_cycles")?.as_u64("trap_overhead_cycles")?,
+        trap_overhead_cycles,
         branch_model: match get(obj, "branch_model")?.as_str("branch_model")? {
             "delayed" => BranchModel::Delayed,
             "suspended" => BranchModel::Suspended,
@@ -621,6 +631,7 @@ mod tests {
         let text = sample_journal().to_json();
         let windows = "\"windows\":8";
         let mem = "\"mem_bytes\":1048576";
+        let trap = "\"trap_overhead_cycles\":8";
         for (from, to, ok) in [
             (windows, "\"windows\":1", false),
             (windows, "\"windows\":2", true),
@@ -630,6 +641,9 @@ mod tests {
             (mem, "\"mem_bytes\":67108864", true),
             (mem, "\"mem_bytes\":67108865", false),
             (mem, "\"mem_bytes\":1152921504606846976", false),
+            (trap, "\"trap_overhead_cycles\":65536", true),
+            (trap, "\"trap_overhead_cycles\":65537", false),
+            (trap, "\"trap_overhead_cycles\":18446744073709551607", false),
         ] {
             let edited = text.replace(from, to);
             assert_ne!(edited, text, "{from} is in the sample");

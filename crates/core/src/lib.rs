@@ -65,7 +65,8 @@ pub use mem::{MemError, Memory, CODE_DIRTY_PENDING_CAP, PAGE_BYTES};
 pub use program::Program;
 pub use snapshot::{
     config_hash, page_sum, CheckpointStats, Checkpointer, RestoreError, Snapshot, CKPT_BASE_CYCLES,
-    MAX_SNAPSHOT_MEM_BYTES, MAX_SNAPSHOT_WINDOWS, SNAPSHOT_VERSION,
+    MAX_SNAPSHOT_MEM_BYTES, MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES, MAX_SNAPSHOT_WINDOWS,
+    SNAPSHOT_VERSION,
 };
 pub use stats::{ExecStats, FuseKind, OpcodeCounts};
 pub use trap::{TrapCause, TrapKind};

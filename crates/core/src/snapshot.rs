@@ -4,13 +4,16 @@
 //! trap state, PSW, pc/lastpc, statistics, and memory — captured so that
 //! [`Cpu::restore`] continues execution **bit-identically** to a run that
 //! was never interrupted. Every snapshot carries a format version and an
-//! FNV-1a checksum over its entire contents, verified on restore.
+//! FNV-1a checksum over every value it stores, verified on restore.
 //!
 //! A snapshot holds what the machine computes and nothing else: the
 //! configuration it stores is the [`SimConfig::architectural`] view, and
 //! host-side state — the engine tier and its caches, the retirement
 //! recorder — is left out. So one machine state has one checksum and one
-//! JSON rendering, whichever tier ran it.
+//! JSON rendering, whichever tier ran it. It holds each value once, too:
+//! what can be derived from a stored value — the call depth, the
+//! instruction count at capture, the memory size — is derived, not stored
+//! beside it, so no two stored values can disagree.
 //!
 //! A [`Checkpointer`] makes periodic snapshots cheap: it holds one snapshot
 //! image and, at each checkpoint, copies only the memory pages written
@@ -34,7 +37,7 @@ use std::fmt;
 
 /// Snapshot format version; bumped whenever the captured state changes
 /// shape. Restore refuses snapshots from a different version.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Admission limit on the simulated-memory size a *deserialized*
 /// configuration may declare — in a snapshot, a journal, a wire submit or
@@ -47,6 +50,12 @@ pub const MAX_SNAPSHOT_MEM_BYTES: usize = 64 << 20;
 /// configuration may declare (the paper built 8; experiments sweep a few
 /// dozen). The floor is the hardware's: a window file needs at least 2.
 pub const MAX_SNAPSHOT_WINDOWS: usize = 1024;
+
+/// Admission limit on the per-trap overhead a deserialized configuration
+/// may declare, in cycles (the default is 8; Ablation A sweeps 0 to 64).
+/// The bound keeps a trap's cost, and the cycle counters it is added to,
+/// far from overflowing.
+pub const MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES: u64 = 1 << 16;
 
 /// Modeled fixed cost of one incremental checkpoint, in cycles: the
 /// register file (138 words), the processor state words, and bookkeeping.
@@ -305,7 +314,6 @@ impl std::error::Error for RestoreError {}
 pub struct Snapshot {
     version: u32,
     id: u64,
-    at_instruction: u64,
     /// Always an [`SimConfig::architectural`] view.
     cfg: SimConfig,
     state: CpuState,
@@ -325,7 +333,6 @@ impl Snapshot {
         let mut snap = Snapshot {
             version: SNAPSHOT_VERSION,
             id,
-            at_instruction: state.stats.instructions,
             cfg: cpu.config().architectural(),
             state,
             mem,
@@ -349,7 +356,7 @@ impl Snapshot {
 
     /// Instructions retired when the snapshot was taken.
     pub fn at_instruction(&self) -> u64 {
-        self.at_instruction
+        self.state.stats.instructions
     }
 
     /// The checksum stored at capture time.
@@ -364,15 +371,18 @@ impl Snapshot {
         &self.cfg
     }
 
-    /// Digest of version, id, configuration, register/trap state, and the
-    /// per-page memory digests.
+    /// Digest of everything the snapshot stores: version, id,
+    /// configuration, register/trap state, the memory traffic counters and
+    /// the per-page memory digests.
     fn compute_checksum(&self) -> u64 {
         let mut h = Fnv64::new();
         h.write_u64(u64::from(self.version));
         h.write_u64(self.id);
-        h.write_u64(self.at_instruction);
         hash_config(&mut h, &self.cfg);
         self.state.hash_into(&mut h);
+        let traffic = self.mem.traffic();
+        h.write_u64(traffic.reads);
+        h.write_u64(traffic.writes);
         h.write_u64(self.page_sums.len() as u64);
         for &s in &self.page_sums {
             h.write_u64(s);
@@ -434,14 +444,10 @@ impl Snapshot {
         w.num(i128::from(self.version));
         w.key("id");
         w.num(i128::from(self.id));
-        w.key("at_instruction");
-        w.num(i128::from(self.at_instruction));
         w.key("cfg");
         write_config(w, &self.cfg);
         w.key("state");
         self.write_state(w);
-        w.key("mem_bytes");
-        w.num(self.mem.size() as i128);
         w.key("traffic");
         w.obj_open();
         w.key("reads");
@@ -554,8 +560,10 @@ impl Snapshot {
 
     /// Deserializes a snapshot from a parsed JSON value. The input is
     /// untrusted: structural problems and admission-limit violations
-    /// ([`MAX_SNAPSHOT_MEM_BYTES`], [`MAX_SNAPSHOT_WINDOWS`]) surface as
-    /// [`JsonError`] before anything large is allocated. The configuration
+    /// ([`MAX_SNAPSHOT_MEM_BYTES`], [`MAX_SNAPSHOT_WINDOWS`],
+    /// [`MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES`], and a window file's `spilled`
+    /// count beyond what its memory holds) surface as [`JsonError`] before
+    /// anything large is allocated. The configuration
     /// keeps its [`SimConfig::architectural`] view, so the host-only
     /// fields of the stored one are not read into the snapshot. The stored
     /// checksum is carried as-is — call [`Snapshot::verify`] (or restore,
@@ -567,19 +575,11 @@ impl Snapshot {
         let obj = v.as_obj("snapshot")?;
         let version = get(obj, "version")?.as_u32("version")?;
         let id = get(obj, "id")?.as_u64("id")?;
-        let at_instruction = get(obj, "at_instruction")?.as_u64("at_instruction")?;
-        // `read_config` holds the window count and memory size to their
-        // admission limits.
+        // `read_config` holds the window count, memory size and trap
+        // overhead to their admission limits.
         let cfg = read_config(get(obj, "cfg")?.as_obj("cfg")?)?.architectural();
-        let declared = get(obj, "mem_bytes")?.as_usize("mem_bytes")?;
-        if declared != cfg.mem_bytes {
-            return Err(JsonError::schema(&format!(
-                "mem_bytes {declared} disagrees with the configuration's {}",
-                cfg.mem_bytes
-            )));
-        }
         let state = read_state(get(obj, "state")?, &cfg)?;
-        let mut mem = Memory::new(declared);
+        let mut mem = Memory::new(cfg.mem_bytes);
         let traffic = get(obj, "traffic")?.as_obj("traffic")?;
         for entry in get(obj, "pages")?.as_arr("pages")? {
             let pair = entry.as_arr("page entry")?;
@@ -622,7 +622,6 @@ impl Snapshot {
         Ok(Snapshot {
             version,
             id,
-            at_instruction,
             cfg,
             state,
             mem,
@@ -724,7 +723,7 @@ fn read_state(v: &Json, cfg: &SimConfig) -> Result<CpuState, JsonError> {
     for (v, key) in counters.iter_mut().zip(WINDOW_COUNTERS) {
         *v = u(key)?;
     }
-    let regs = WindowFile::import(cfg.windows, &store, counters)
+    let regs = WindowFile::import(cfg.windows, cfg.mem_bytes, &store, counters)
         .map_err(|e| JsonError::schema(&format!("register file: {e}")))?;
     let packed = get(obj, "flags")?.as_u8("flags")?;
     if packed > 0b1111 {
@@ -858,7 +857,6 @@ impl Checkpointer {
         self.snap.id += 1;
         cpu.mem.clear_dirty();
         self.snap.state = cpu.capture_state();
-        self.snap.at_instruction = self.snap.state.stats.instructions;
         self.snap.checksum = self.snap.compute_checksum();
         self.stats.checkpoints += 1;
         self.stats.pages_copied += pages_copied;
@@ -1159,20 +1157,35 @@ mod tests {
         }
         let text = cpu.snapshot().to_json();
 
-        // Field tampering parses fine but fails checksum verification.
-        let tampered = text.replace("\"halted\":false", "\"halted\":true");
-        assert_ne!(tampered, text);
-        let snap = Snapshot::from_json(&tampered).unwrap();
-        assert!(matches!(snap.verify(), Err(RestoreError::Corrupt { .. })));
-        let mut twin = Cpu::new(SimConfig::default());
-        assert!(matches!(
-            twin.restore(&snap),
-            Err(RestoreError::Corrupt { .. })
-        ));
+        // Field tampering parses fine but fails checksum verification, in
+        // the machine state and in the memory traffic counters alike.
+        let traffic = cpu.mem.traffic();
+        let counted = format!(
+            "\"traffic\":{{\"reads\":{},\"writes\":{}}}",
+            traffic.reads, traffic.writes
+        );
+        let recounted = format!(
+            "\"traffic\":{{\"reads\":{},\"writes\":{}}}",
+            traffic.reads + 1,
+            traffic.writes
+        );
+        for (from, to) in [
+            ("\"halted\":false", "\"halted\":true"),
+            (&*counted, &*recounted),
+        ] {
+            let tampered = text.replace(from, to);
+            assert_ne!(tampered, text, "{from} is in the text");
+            let snap = Snapshot::from_json(&tampered).unwrap();
+            assert!(matches!(snap.verify(), Err(RestoreError::Corrupt { .. })));
+            let mut twin = Cpu::new(SimConfig::default());
+            assert!(matches!(
+                twin.restore(&snap),
+                Err(RestoreError::Corrupt { .. })
+            ));
+        }
 
         // A declared memory size beyond the admission limit is refused
-        // before any allocation (both the cfg and the outer declaration
-        // carry the same number, so a global replace keeps them agreeing).
+        // before any allocation.
         let huge = (MAX_SNAPSHOT_MEM_BYTES + 1).to_string();
         let oversized = text.replace("\"mem_bytes\":1048576", &format!("\"mem_bytes\":{huge}"));
         assert!(Snapshot::from_json(&oversized).is_err());
@@ -1180,6 +1193,170 @@ mod tests {
         // Garbage documents are structured errors, never panics.
         for bad in ["", "{}", "[1,2]", "{\"version\":1}", "not json at all"] {
             assert!(Snapshot::from_json(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// Ackermann's A(3, 3) with the calls of the suite's `acker` workload
+    /// at its `small_args`: the entry frame calls `main(3)`, which calls
+    /// `ack(3, 3)`, and every invocation calls itself as `ack(m-1, 1)` or
+    /// `ack(m-1, ack(m, n-1))`. Arguments arrive in r26/r27, the result
+    /// leaves in r26.
+    fn ackermann() -> Program {
+        Program::from_instructions(vec![
+            /* 0 */ Instruction::reg(Opcode::Add, Reg::R10, Reg::R0, imm(3)),
+            /* 1 */ Instruction::callr(Reg::R25, 4 * (6 - 1)),
+            /* 2 */ Instruction::nop(),
+            /* 3 */ Instruction::reg(Opcode::Add, Reg::R26, Reg::R0, Reg::R10.into()),
+            /* 4 */ Instruction::ret(Reg::R0, imm(0)),
+            /* 5 */ Instruction::nop(),
+            /* 6 main */ Instruction::reg(Opcode::Add, Reg::R10, Reg::R0, imm(3)),
+            /* 7 */ Instruction::reg(Opcode::Add, Reg::R11, Reg::R26, imm(0)),
+            /* 8 */ Instruction::callr(Reg::R25, 4 * (13 - 8)),
+            /* 9 */ Instruction::nop(),
+            /* 10 */ Instruction::reg(Opcode::Add, Reg::R26, Reg::R0, Reg::R10.into()),
+            /* 11 */ Instruction::ret(Reg::R25, imm(8)),
+            /* 12 */ Instruction::nop(),
+            /* 13 ack */ Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R26, imm(0)),
+            /* 14 */ Instruction::jmpr(Cond::Ne, 4 * (19 - 14)),
+            /* 15 */ Instruction::nop(),
+            /* 16 */ Instruction::reg(Opcode::Add, Reg::R26, Reg::R27, imm(1)),
+            /* 17 */ Instruction::ret(Reg::R25, imm(8)),
+            /* 18 */ Instruction::nop(),
+            /* 19 */ Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R27, imm(0)),
+            /* 20 */ Instruction::jmpr(Cond::Ne, 4 * (29 - 20)),
+            /* 21 */ Instruction::nop(),
+            /* 22 */ Instruction::reg(Opcode::Sub, Reg::R10, Reg::R26, imm(1)),
+            /* 23 */ Instruction::reg(Opcode::Add, Reg::R11, Reg::R0, imm(1)),
+            /* 24 */ Instruction::callr(Reg::R25, 4 * (13 - 24)),
+            /* 25 */ Instruction::nop(),
+            /* 26 */ Instruction::reg(Opcode::Add, Reg::R26, Reg::R0, Reg::R10.into()),
+            /* 27 */ Instruction::ret(Reg::R25, imm(8)),
+            /* 28 */ Instruction::nop(),
+            /* 29 */ Instruction::reg(Opcode::Add, Reg::R10, Reg::R26, imm(0)),
+            /* 30 */ Instruction::reg(Opcode::Sub, Reg::R11, Reg::R27, imm(1)),
+            /* 31 */ Instruction::callr(Reg::R25, 4 * (13 - 31)),
+            /* 32 */ Instruction::nop(),
+            /* 33 */ Instruction::reg(Opcode::Add, Reg::R11, Reg::R10, imm(0)),
+            /* 34 */ Instruction::reg(Opcode::Sub, Reg::R10, Reg::R26, imm(1)),
+            /* 35 */ Instruction::callr(Reg::R25, 4 * (13 - 35)),
+            /* 36 */ Instruction::nop(),
+            /* 37 */ Instruction::reg(Opcode::Add, Reg::R26, Reg::R0, Reg::R10.into()),
+            /* 38 */ Instruction::ret(Reg::R25, imm(8)),
+            /* 39 */ Instruction::nop(),
+        ])
+    }
+
+    /// The keys of a JSON object, in order.
+    fn keys(v: &Json) -> Vec<&str> {
+        v.as_obj("object")
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect()
+    }
+
+    #[test]
+    fn format_3_stores_each_machine_value_once() {
+        let mut cpu = Cpu::new(SimConfig::default());
+        cpu.load_program(&ackermann()).unwrap();
+        cpu.run().unwrap();
+        assert_eq!(cpu.result(), 61);
+        let s = cpu.stats();
+        assert_eq!(
+            (s.window_overflows, s.window_underflows, s.max_depth),
+            (993, 993, 64)
+        );
+        let text = cpu.snapshot().to_json();
+        let doc = Parser::new(&text).parse_document().unwrap();
+        let obj = doc.as_obj("snapshot").unwrap();
+
+        // The window counters live in `stats` alone, as `Cpu::stats()`
+        // reports them.
+        let state = get(obj, "state").unwrap();
+        let stats = get(state.as_obj("state").unwrap(), "stats").unwrap();
+        let stats = stats.as_obj("stats").unwrap();
+        for (key, want) in [
+            ("window_overflows", s.window_overflows),
+            ("window_underflows", s.window_underflows),
+            ("max_depth", s.max_depth),
+        ] {
+            assert_eq!(get(stats, key).unwrap().as_u64(key).unwrap(), want, "{key}");
+        }
+        assert!(
+            get(stats, "ifetches").is_err(),
+            "the fetch count is derived"
+        );
+
+        // The window file stores its pointers and nothing else: the keys
+        // between its store and the pc.
+        let state_keys = keys(state);
+        let window = state_keys.iter().position(|&k| k == "store").unwrap() + 1;
+        let pc = state_keys.iter().position(|&k| k == "pc").unwrap();
+        assert_eq!(state_keys[window..pc], ["cwp", "resident", "spilled"]);
+        assert_eq!(
+            keys(&doc),
+            ["version", "id", "cfg", "state", "traffic", "pages", "checksum"],
+            "no at_instruction or mem_bytes beside the values they copy"
+        );
+
+        // The text a format-2 build wrote for this machine parses, since
+        // its extra keys are skipped, and is refused as another version.
+        let resident = "\"resident\":1,\"spilled\":0";
+        let mut v2 = text.clone();
+        for (from, to) in [
+            ("\"version\":3", "\"version\":2".to_string()),
+            (
+                "\"cfg\"",
+                format!("\"at_instruction\":{},\"cfg\"", s.instructions),
+            ),
+            (
+                resident,
+                "\"resident\":1,\"depth\":0,\"spilled\":0,\"max_depth\":64,\
+                 \"overflows\":993,\"underflows\":993"
+                    .to_string(),
+            ),
+            (
+                "\"data_reads\"",
+                format!("\"ifetches\":{},\"data_reads\"", s.instructions),
+            ),
+            (
+                "\"traffic\"",
+                "\"mem_bytes\":1048576,\"traffic\"".to_string(),
+            ),
+        ] {
+            let next = v2.replacen(from, &to, 1);
+            assert_ne!(next, v2, "{from} is in the text");
+            v2 = next;
+        }
+        let old = Snapshot::from_json(&v2).unwrap();
+        assert!(matches!(
+            Cpu::new(SimConfig::default()).restore(&old),
+            Err(RestoreError::Version {
+                found: 2,
+                expected: 3
+            })
+        ));
+
+        // A `spilled` count is held to what memory can hold: the bound
+        // itself reads and restores, one more is a schema error.
+        let bound = SimConfig::default().mem_bytes / 64 + 1;
+        for (spilled, ok) in [(bound, true), (bound + 1, false)] {
+            let edited = text.replacen(
+                resident,
+                &format!("\"resident\":1,\"spilled\":{spilled}"),
+                1,
+            );
+            assert_ne!(edited, text);
+            match Snapshot::from_json(&edited) {
+                Ok(mut snap) => {
+                    assert!(ok, "spilled {spilled} must be refused");
+                    snap.checksum = snap.compute_checksum();
+                    let mut twin = Cpu::new(SimConfig::default());
+                    twin.restore(&snap).unwrap();
+                    assert_eq!(twin.windows().depth(), bound as u64);
+                }
+                Err(e) => assert!(!ok && matches!(e, JsonError::Schema(_)), "{spilled}: {e}"),
+            }
         }
     }
 

@@ -4,7 +4,6 @@ use crate::trap::TrapKind;
 use risc1_isa::{Category, Opcode};
 use std::collections::HashMap;
 use std::fmt;
-use std::ops::Index;
 
 /// Number of slots in the dense opcode histogram: the opcode field is
 /// 7 bits, so every legal discriminant fits below 128.
@@ -16,8 +15,7 @@ const OPCODE_SLOTS: usize = 128;
 /// simulated instruction, and a hash-and-probe on that path cost more than
 /// the rest of the bookkeeping combined. The discriminant of [`Opcode`] *is*
 /// its 7-bit encoding (see `risc1_isa::opcode`), so a flat 128-slot array
-/// gives a branch-free single-store bump. The `HashMap` shape survives for
-/// callers and serialization via [`OpcodeCounts::to_map`].
+/// gives a branch-free single-store bump.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpcodeCounts([u64; OPCODE_SLOTS]);
 
@@ -70,28 +68,6 @@ impl OpcodeCounts {
     /// Total retired instructions across all opcodes.
     pub fn total(&self) -> u64 {
         self.0.iter().sum()
-    }
-
-    /// The histogram in its former `HashMap` shape (non-zero entries only),
-    /// for callers and serializers that want keyed access.
-    pub fn to_map(&self) -> HashMap<Opcode, u64> {
-        self.iter().collect()
-    }
-}
-
-impl Index<Opcode> for OpcodeCounts {
-    type Output = u64;
-    fn index(&self, op: Opcode) -> &u64 {
-        &self.0[op as u8 as usize]
-    }
-}
-
-/// `&Opcode` indexing mirrors the old `HashMap<Opcode, u64>` call sites
-/// (`counts[&Opcode::Add]`).
-impl Index<&Opcode> for OpcodeCounts {
-    type Output = u64;
-    fn index(&self, op: &Opcode) -> &u64 {
-        &self.0[*op as u8 as usize]
     }
 }
 
@@ -168,8 +144,6 @@ pub struct ExecStats {
     /// Bubble cycles added by the timing model (interlocks, suspended-
     /// pipeline penalties) — included in `cycles`.
     pub bubble_cycles: u64,
-    /// Instruction fetches (one per retired instruction on RISC I).
-    pub ifetches: u64,
     /// Data-memory reads issued by loads (and window fills).
     pub data_reads: u64,
     /// Data-memory writes issued by stores (and window spills).
@@ -263,7 +237,6 @@ scalar_counters!(
     instructions,
     cycles,
     bubble_cycles,
-    ifetches,
     data_reads,
     data_writes,
     calls,
@@ -305,7 +278,6 @@ impl ExecStats {
     #[inline]
     pub fn retire(&mut self, op: Opcode) {
         self.instructions += 1;
-        self.ifetches += 1;
         self.opcode_counts.bump(op);
     }
 
@@ -397,10 +369,11 @@ impl fmt::Display for ExecStats {
             self.cycles,
             self.cpi()
         )?;
+        // RISC I fetches one instruction word per instruction it retires.
         writeln!(
             f,
             "data reads   {:>12}  data writes {:>8}  ifetches {:>12}",
-            self.data_reads, self.data_writes, self.ifetches
+            self.data_reads, self.data_writes, self.instructions
         )?;
         writeln!(
             f,
@@ -471,7 +444,9 @@ mod tests {
         s.retire(Opcode::Add);
         s.retire(Opcode::Ldl);
         assert_eq!(s.instructions, 3);
-        assert_eq!(s.opcode_counts[&Opcode::Add], 2);
+        assert_eq!(s.opcode_counts.get(Opcode::Add), 2);
+        assert_eq!(s.opcode_counts.get(Opcode::Xor), 0);
+        assert_eq!(s.opcode_counts.total(), 3);
         assert_eq!(s.category_counts()[&Category::Load], 1);
     }
 
@@ -482,21 +457,6 @@ mod tests {
         for &op in Opcode::ALL {
             assert!((op as u8 as usize) < OPCODE_SLOTS, "{op:?}");
         }
-    }
-
-    #[test]
-    fn histogram_map_accessor_matches_dense_counts() {
-        let mut s = ExecStats::new();
-        s.retire(Opcode::Add);
-        s.retire(Opcode::Ldl);
-        s.retire(Opcode::Ldl);
-        let map = s.opcode_counts.to_map();
-        assert_eq!(map.len(), 2, "only non-zero entries survive");
-        assert_eq!(map[&Opcode::Add], 1);
-        assert_eq!(map[&Opcode::Ldl], 2);
-        assert_eq!(s.opcode_counts.total(), 3);
-        assert_eq!(s.opcode_counts[Opcode::Add], 1);
-        assert_eq!(s.opcode_counts.get(Opcode::Xor), 0);
     }
 
     #[test]

@@ -347,7 +347,6 @@ impl TAgg {
     /// touches no statistics at all.
     pub(crate) fn apply_n(&self, stats: &mut ExecStats, n: u64) {
         stats.instructions += self.instructions * n;
-        stats.ifetches += self.instructions * n;
         stats.cycles += self.cycles * n;
         stats.bubble_cycles += self.bubble_cycles * n;
         stats.data_reads += self.data_reads * n;
@@ -1398,7 +1397,6 @@ mod tests {
                 t.replay(&mut replayed, p, last, t.meta[last]);
                 for got in [&bulk, &replayed] {
                     assert_eq!(got, &sum, "path {p}");
-                    assert_eq!(got.ifetches, sum.ifetches, "path {p}");
                     assert_eq!(got.cycles, sum.cycles, "path {p}");
                     assert_eq!(got.opcode_counts, sum.opcode_counts, "path {p}");
                 }

@@ -68,13 +68,8 @@ pub struct WindowFile {
     cwp: usize,
     /// Number of windows currently resident in the file (1..=windows−1).
     resident: usize,
-    /// Current procedure-call depth (0 = the entry frame).
-    depth: u64,
     /// Windows currently spilled to the save stack.
     spilled: u64,
-    max_depth: u64,
-    overflows: u64,
-    underflows: u64,
 }
 
 /// Lists the counters of the file's state after its store once, in
@@ -101,7 +96,7 @@ macro_rules! window_counters {
     };
 }
 
-window_counters!(cwp, resident, depth, spilled, max_depth, overflows, underflows);
+window_counters!(cwp, resident, spilled);
 
 impl WindowFile {
     /// Creates a file with `windows` windows, all registers zero, at call
@@ -118,11 +113,7 @@ impl WindowFile {
             windows,
             cwp: 0,
             resident: 1,
-            depth: 0,
             spilled: 0,
-            max_depth: 0,
-            overflows: 0,
-            underflows: 0,
         };
         f.maps = (0..windows)
             .map(|w| {
@@ -156,24 +147,12 @@ impl WindowFile {
         self.oldest() as u8
     }
 
-    /// Current call depth (0 = entry frame).
+    /// Current call depth (0 = entry frame): every window above the
+    /// entry frame, resident or spilled. A `CALL` and a `RET` move it with
+    /// `resident`; a spill and a fill move `resident` against `spilled` and
+    /// leave it be.
     pub fn depth(&self) -> u64 {
-        self.depth
-    }
-
-    /// Deepest call depth reached so far.
-    pub fn max_depth(&self) -> u64 {
-        self.max_depth
-    }
-
-    /// Overflow traps taken so far.
-    pub fn overflows(&self) -> u64 {
-        self.overflows
-    }
-
-    /// Underflow traps taken so far.
-    pub fn underflows(&self) -> u64 {
-        self.underflows
+        (self.resident - 1) as u64 + self.spilled
     }
 
     /// Number of windows currently resident.
@@ -217,11 +196,17 @@ impl WindowFile {
     /// words and the counters, given in [`WINDOW_COUNTERS`] order. The
     /// inline `cur` map is refreshed from the restored `cwp`.
     ///
+    /// `spilled` is held to `mem_bytes / 64 + 1`: each spilled frame sits
+    /// in a machine of `mem_bytes` bytes as 64 of them, except at most one
+    /// whose push faulted fatally. So [`WindowFile::depth`] cannot
+    /// overflow, and nor can the next spill.
+    ///
     /// # Errors
     /// A message when `store` does not match the geometry or a counter is
     /// out of range for it.
     pub(crate) fn import(
         windows: usize,
+        mem_bytes: usize,
         store: &[u32],
         counters: [u64; WINDOW_COUNTERS.len()],
     ) -> Result<WindowFile, String> {
@@ -245,6 +230,13 @@ impl WindowFile {
             return Err(format!(
                 "{} resident windows out of range (1..{windows})",
                 f.resident
+            ));
+        }
+        let max_spilled = (mem_bytes / (4 * SPILL_REGS)) as u64 + 1;
+        if f.spilled > max_spilled {
+            return Err(format!(
+                "{} spilled windows exceed the {max_spilled} a {mem_bytes}-byte memory holds",
+                f.spilled
             ));
         }
         f.cur = f.maps[f.cwp];
@@ -352,7 +344,6 @@ impl WindowFile {
         }
         self.resident -= 1;
         self.spilled += 1;
-        self.overflows += 1;
         out
     }
 
@@ -371,8 +362,6 @@ impl WindowFile {
         };
         self.cur = self.maps[self.cwp];
         self.resident += 1;
-        self.depth += 1;
-        self.max_depth = self.max_depth.max(self.depth);
     }
 
     /// Whether the next `RET` must refill a spilled window first.
@@ -399,7 +388,6 @@ impl WindowFile {
         }
         self.resident += 1;
         self.spilled -= 1;
-        self.underflows += 1;
     }
 
     /// Leaves the current window (the register-file half of a `RET`).
@@ -410,7 +398,7 @@ impl WindowFile {
     /// Panics if the previous window is neither resident nor at depth 0 —
     /// the CPU must fill first.
     pub fn retreat(&mut self) -> bool {
-        if self.depth == 0 {
+        if self.depth() == 0 {
             return false;
         }
         assert!(!self.ret_would_underflow(), "retreat into a spilled window");
@@ -421,7 +409,6 @@ impl WindowFile {
         };
         self.cur = self.maps[self.cwp];
         self.resident -= 1;
-        self.depth -= 1;
         true
     }
 }
@@ -498,7 +485,9 @@ mod tests {
         assert!(f.call_would_overflow());
         let _ = f.spill_oldest();
         f.advance();
-        assert_eq!(f.overflows(), 1);
+        // One window went to the save stack: the file is full again, and
+        // the depth counts the spilled window with the resident ones.
+        assert!(f.call_would_overflow());
         assert_eq!(f.depth(), (w - 1) as u64);
     }
 
@@ -512,6 +501,7 @@ mod tests {
         let depth = 20;
         let mut f = WindowFile::new(w);
         let mut stack: Vec<[u32; SPILL_REGS]> = Vec::new();
+        let (mut spills, mut fills) = (0, 0);
         let sig = |d: u32, k: u32| 1000 * d + k;
 
         for d in 0..depth {
@@ -523,13 +513,16 @@ mod tests {
             }
             if f.call_would_overflow() {
                 stack.push(f.spill_oldest());
+                spills += 1;
             }
             f.advance();
         }
-        assert!(f.overflows() > 0, "must have spilled");
+        assert!(spills > 0, "must have spilled");
+        assert_eq!(f.depth(), depth as u64);
         for d in (0..depth).rev() {
             if f.ret_would_underflow() {
                 f.fill_previous(stack.pop().unwrap());
+                fills += 1;
             }
             assert!(f.retreat());
             for k in 0..10u32 {
@@ -549,7 +542,7 @@ mod tests {
         }
         assert!(stack.is_empty());
         assert_eq!(f.depth(), 0);
-        assert_eq!(f.overflows(), f.underflows());
+        assert_eq!(spills, fills);
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! qualitative claims — who wins, by roughly what factor, where the
 //! crossovers are) and `run()` rendering the table/figure as text.
 //!
-//! Run any experiment with its binary, e.g.:
+//! [`EXPERIMENTS`] lists them once; run any of them through the CLI, e.g.:
 //!
 //! ```text
-//! cargo run -p risc1-experiments --bin e6_exec_time
+//! cargo run --release -p risc1-cli --bin risc1 -- exp e6
 //! ```
 
 pub mod ablations;
@@ -30,26 +30,37 @@ pub mod e7_code_size;
 pub mod e8_window_sweep;
 pub mod e9_delay_slots;
 
+/// An experiment: its `risc1 exp` id and the function that renders its
+/// report.
+pub type Experiment = (&'static str, fn() -> String);
+
+/// Every experiment, in report order. [`run_all`], `risc1 exp` and
+/// `risc1 list` all walk this table.
+pub const EXPERIMENTS: [Experiment; 16] = [
+    ("e1", e1_complexity::run),
+    ("e2", e2_instruction_set::run),
+    ("e3", e3_formats::run),
+    ("e4", e4_windows_figure::run),
+    ("e5", e5_call_cost::run),
+    ("e6", e6_exec_time::run),
+    ("e7", e7_code_size::run),
+    ("e8", e8_window_sweep::run),
+    ("e9", e9_delay_slots::run),
+    ("e10", e10_area::run),
+    ("e11", e11_pipeline_trace::run),
+    ("e12", e12_instruction_mix::run),
+    ("e13", e13_fault_recovery::run),
+    ("e14", e14_checkpoint_overhead::run),
+    ("e15", e15_fusion_ablation::run),
+    ("ablations", ablations::run),
+];
+
 /// Runs every experiment in order, concatenating their reports — the
-/// "regenerate the whole evaluation" entry point used by EXPERIMENTS.md.
+/// "regenerate the whole evaluation" entry point behind `risc1 exp all`.
 pub fn run_all() -> String {
-    [
-        e1_complexity::run(),
-        e2_instruction_set::run(),
-        e3_formats::run(),
-        e4_windows_figure::run(),
-        e5_call_cost::run(),
-        e6_exec_time::run(),
-        e7_code_size::run(),
-        e8_window_sweep::run(),
-        e9_delay_slots::run(),
-        e10_area::run(),
-        e11_pipeline_trace::run(),
-        e12_instruction_mix::run(),
-        e13_fault_recovery::run(),
-        e14_checkpoint_overhead::run(),
-        e15_fusion_ablation::run(),
-        ablations::run(),
-    ]
-    .join("\n\n")
+    EXPERIMENTS
+        .iter()
+        .map(|(_, run)| run())
+        .collect::<Vec<_>>()
+        .join("\n\n")
 }

@@ -268,11 +268,6 @@ impl fmt::Display for ValidateError {
 impl std::error::Error for ValidateError {}
 
 impl Module {
-    /// Finds a function index by name.
-    pub fn func_by_name(&self, name: &str) -> Option<FuncId> {
-        self.functions.iter().position(|f| f.name == name)
-    }
-
     /// Checks every structural invariant the code generators rely on.
     ///
     /// # Errors

@@ -853,15 +853,25 @@ mod tests {
             None,
         );
         assert!(parse_request(&frame).is_ok());
-        for (from, to) in [
-            ("\"windows\":8", "\"windows\":1"),
-            ("\"windows\":8", "\"windows\":1099511627776"),
-            ("\"mem_bytes\":1048576", "\"mem_bytes\":1152921504606846976"),
+        let trap = "\"trap_overhead_cycles\":8";
+        for (from, to, ok) in [
+            ("\"windows\":8", "\"windows\":1", false),
+            ("\"windows\":8", "\"windows\":1099511627776", false),
+            (
+                "\"mem_bytes\":1048576",
+                "\"mem_bytes\":1152921504606846976",
+                false,
+            ),
+            (trap, "\"trap_overhead_cycles\":65536", true),
+            (trap, "\"trap_overhead_cycles\":65537", false),
+            (trap, "\"trap_overhead_cycles\":18446744073709551607", false),
         ] {
-            let bad = frame.replace(from, to);
-            assert_ne!(bad, frame, "{from} is in the frame");
-            let err = parse_request(&bad).unwrap_err();
-            assert!(matches!(err, JsonError::Schema(_)), "{to}: {err}");
+            let edited = frame.replace(from, to);
+            assert_ne!(edited, frame, "{from} is in the frame");
+            match parse_request(&edited) {
+                Ok(_) => assert!(ok, "{to} must be refused"),
+                Err(err) => assert!(!ok && matches!(err, JsonError::Schema(_)), "{to}: {err}"),
+            }
         }
         // A supervised job must checkpoint at intervals of at least one
         // instruction.

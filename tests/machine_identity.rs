@@ -19,11 +19,16 @@
 //!
 //! A snapshot holds what the machine computes and nothing else: no engine
 //! tier, fusion setting or runner bookkeeping. So each program has one row,
-//! and all four tiers must reproduce it. The checksums and JSON digests
-//! were re-recorded when snapshots dropped those fields (format version
-//! 2); with them removed from the snapshots taken before, every case's
-//! JSON is unchanged. A deliberate change to what a snapshot holds
-//! re-records a row from the failure message.
+//! and all four tiers must reproduce it. The checksums and JSON digests are
+//! those of snapshot format 3, which stores each machine value once: the
+//! window overflow, underflow and depth counters live in the `stats` block
+//! alone, the window file stores `cwp`, `resident` and `spilled`, and the
+//! call depth, the fetch count, the instruction count at capture and the
+//! memory size are derived, not stored. Every other pinned number is the one
+//! recorded before. Every machine below runs once per test process, and a
+//! test that finds a pinned value changed lists all the values that differ
+//! and prints the constants that would record what ran, so a deliberate
+//! change to what a snapshot holds re-records them in one paste.
 
 use risc1::core::inject::{InjectConfig, InjectModes};
 use risc1::core::{CheckpointStats, Checkpointer, Cpu, ExecEngine, Halt, Program, SimConfig};
@@ -32,6 +37,7 @@ use risc1::ir::{
 };
 use risc1::isa::{Cond, Instruction, Opcode, Reg, Short2};
 use risc1::workloads::{all, by_id};
+use std::sync::OnceLock;
 
 /// The four engine tiers, each of which must reproduce every row.
 const ENGINES: [ExecEngine; 4] = [
@@ -174,68 +180,142 @@ fn checkpoint_cycle() -> (Cpu, Checkpointer) {
 /// Per workload, the row every tier of [`ENGINES`] must reproduce.
 #[rustfmt::skip]
 const SUITE: [(&str, Pin); 11] = [
-    ("e_string_search", Pin { result: 5825, checksum: 0xecf2e6fb54ee8329, json: 0x31f4eca16dfd9fc8, instructions: 182591, cycles: 194441, data_reads: 11850, data_writes: 0, window_overflows: 0 }),
-    ("f_bit_test", Pin { result: 2219, checksum: 0x400093089b065a78, json: 0xde1d6c0e63c43ed2, instructions: 43403, cycles: 43403, data_reads: 0, data_writes: 0, window_overflows: 0 }),
-    ("h_linked_list", Pin { result: 181700, checksum: 0x6e48c9fd805ddeae, json: 0xdee1ba816177705a, instructions: 13241, cycles: 14507, data_reads: 1148, data_writes: 118, window_overflows: 0 }),
-    ("sieve", Pin { result: 109, checksum: 0x2e7a02b1a6b353b3, json: 0x616e4ee8ff3ba286, instructions: 25099, cycles: 27411, data_reads: 598, data_writes: 1714, window_overflows: 0 }),
-    ("bubble", Pin { result: 165126, checksum: 0xdd6a7fdad6ce9eb1, json: 0x589b833138de5466, instructions: 22336, cycles: 25325, data_reads: 2313, data_writes: 676, window_overflows: 0 }),
-    ("qsort", Pin { result: 148434, checksum: 0xadc6f120a3ffa42e, json: 0x33a03f32cd44d996, instructions: 7987, cycles: 9566, data_reads: 761, data_writes: 434, window_overflows: 8 }),
-    ("intmm", Pin { result: 64, checksum: 0x24be98d5c0a7612b, json: 0x62acda4ea334b74e, instructions: 14804, cycles: 15380, data_reads: 468, data_writes: 108, window_overflows: 0 }),
-    ("puzzle", Pin { result: 10, checksum: 0xe9185fcf941ebb05, json: 0xc5a5bea612209844, instructions: 6931, cycles: 7722, data_reads: 409, data_writes: 334, window_overflows: 1 }),
-    ("acker", Pin { result: 61, checksum: 0x4ef045dd333bce35, json: 0x969e5069afd9309e, instructions: 38978, cycles: 118418, data_reads: 15888, data_writes: 15888, window_overflows: 993 }),
-    ("fib", Pin { result: 144, checksum: 0x9b5ffa1ca835dcfe, json: 0x876e7cd4d13cb501, instructions: 5822, cycles: 7502, data_reads: 336, data_writes: 336, window_overflows: 21 }),
-    ("hanoi", Pin { result: 255, checksum: 0xc1bf92bcc1571ccb, json: 0x1c34a381989db58b, instructions: 6652, cycles: 7292, data_reads: 128, data_writes: 128, window_overflows: 8 }),
+    ("e_string_search", Pin { result: 5825, checksum: 0x8c8a80dc35403bec, json: 0xda5b8aeb3aabb7ad, instructions: 182591, cycles: 194441, data_reads: 11850, data_writes: 0, window_overflows: 0 }),
+    ("f_bit_test", Pin { result: 2219, checksum: 0x49f023337201ddf3, json: 0xc6b2d00a2d09a2c8, instructions: 43403, cycles: 43403, data_reads: 0, data_writes: 0, window_overflows: 0 }),
+    ("h_linked_list", Pin { result: 181700, checksum: 0xb0f89f353b03f25f, json: 0xdb97ca2f3be160ce, instructions: 13241, cycles: 14507, data_reads: 1148, data_writes: 118, window_overflows: 0 }),
+    ("sieve", Pin { result: 109, checksum: 0xaad13f34544c09ba, json: 0x62ad8b867072f00d, instructions: 25099, cycles: 27411, data_reads: 598, data_writes: 1714, window_overflows: 0 }),
+    ("bubble", Pin { result: 165126, checksum: 0xb0b38787bc989ce8, json: 0x7692a45b4844d7ad, instructions: 22336, cycles: 25325, data_reads: 2313, data_writes: 676, window_overflows: 0 }),
+    ("qsort", Pin { result: 148434, checksum: 0x04c9100116fe0795, json: 0xeff6625fdb75bb80, instructions: 7987, cycles: 9566, data_reads: 761, data_writes: 434, window_overflows: 8 }),
+    ("intmm", Pin { result: 64, checksum: 0x24ec98e057f7ef27, json: 0x2554bb9916725bdd, instructions: 14804, cycles: 15380, data_reads: 468, data_writes: 108, window_overflows: 0 }),
+    ("puzzle", Pin { result: 10, checksum: 0x7d13895c2e4f7ac1, json: 0x687e86fda1a577bb, instructions: 6931, cycles: 7722, data_reads: 409, data_writes: 334, window_overflows: 1 }),
+    ("acker", Pin { result: 61, checksum: 0xb372f6a60900d554, json: 0x97a10831c9091c99, instructions: 38978, cycles: 118418, data_reads: 15888, data_writes: 15888, window_overflows: 993 }),
+    ("fib", Pin { result: 144, checksum: 0x5154d8a8149076b5, json: 0xa1c8795513d46947, instructions: 5822, cycles: 7502, data_reads: 336, data_writes: 336, window_overflows: 21 }),
+    ("hanoi", Pin { result: 255, checksum: 0x569a7a1fcc4ce610, json: 0xc7104fefeff3da25, instructions: 6652, cycles: 7292, data_reads: 128, data_writes: 128, window_overflows: 8 }),
 ];
-
 /// [`self_patching_program`]'s row, which every tier must reproduce.
 #[rustfmt::skip]
-const SELF_PATCHING: Pin = Pin { result: 800, checksum: 0x026dc0832a093c4a, json: 0xe6a22aa2c179f7df, instructions: 807, cycles: 809, data_reads: 1, data_writes: 1, window_overflows: 0 };
+const SELF_PATCHING: Pin = Pin { result: 800, checksum: 0x2ae6da8dad0459eb, json: 0x684f6e489ccb353d, instructions: 807, cycles: 809, data_reads: 1, data_writes: 1, window_overflows: 0 };
+/// The checkpoint cycle's latest snapshot: its checksum and JSON digest.
+const CHECKPOINT_LATEST: (u64, u64) = (0x61451f2af584a6e6, 0xb9c667bacf3d914f);
+
+/// Every pinned machine, run once per test process.
+struct Runs {
+    /// Per suite workload, in suite order, its pin under each of
+    /// [`ENGINES`].
+    suite: Vec<(&'static str, [Pin; 4])>,
+    /// [`self_patching_program`]'s pin under each of [`ENGINES`].
+    self_patching: [Pin; 4],
+    /// The checkpoint cycle's final machine.
+    checkpoint: Pin,
+    /// Its latest snapshot's checksum and JSON digest.
+    checkpoint_latest: (u64, u64),
+    /// Its cost accounting.
+    checkpoint_stats: CheckpointStats,
+}
+
+fn runs() -> &'static Runs {
+    static RUNS: OnceLock<Runs> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let suite = all()
+            .into_iter()
+            .map(|w| {
+                let prog = compile_risc(&w.module, RiscOpts::default()).expect("suite compiles");
+                (w.id, ENGINES.map(|e| pin(&run_on(&prog, &w.small_args, e))))
+            })
+            .collect();
+        let prog = self_patching_program();
+        let (cpu, ckpt) = checkpoint_cycle();
+        let latest = ckpt.latest();
+        Runs {
+            suite,
+            self_patching: ENGINES.map(|e| pin(&run_on(&prog, &[], e))),
+            checkpoint: pin(&cpu),
+            checkpoint_latest: (latest.checksum(), fnv(latest.to_json().as_bytes())),
+            checkpoint_stats: ckpt.stats(),
+        }
+    })
+}
+
+/// The pinned constants as they would record `r`: each row from the
+/// first tier's run.
+fn replacement(r: &Runs) -> String {
+    let mut out = String::from(
+        "/// Per workload, the row every tier of [`ENGINES`] must reproduce.\n\
+         #[rustfmt::skip]\n\
+         const SUITE: [(&str, Pin); 11] = [\n",
+    );
+    for (id, pins) in &r.suite {
+        out += &format!("    (\"{id}\", {}),\n", row(&pins[0]));
+    }
+    let (checksum, json) = r.checkpoint_latest;
+    out + &format!(
+        "];\n\
+         /// [`self_patching_program`]'s row, which every tier must reproduce.\n\
+         #[rustfmt::skip]\n\
+         const SELF_PATCHING: Pin = {};\n\
+         /// The checkpoint cycle's latest snapshot: its checksum and JSON digest.\n\
+         const CHECKPOINT_LATEST: (u64, u64) = ({checksum:#018x}, {json:#018x});\n",
+        row(&r.self_patching[0])
+    )
+}
+
+/// Fails if `mismatches` names any pinned value that differs from its run,
+/// listing them all, followed by the constants that would record the runs.
+fn check(mismatches: Vec<String>) {
+    assert!(
+        mismatches.is_empty(),
+        "{} pinned value(s) differ:\n{}\n\nIf the change is deliberate, replace the \
+         constants with:\n\n{}",
+        mismatches.len(),
+        mismatches.join("\n"),
+        replacement(runs())
+    );
+}
 
 #[test]
 fn every_suite_machine_matches_its_recorded_constants() {
-    let workloads = all();
-    assert_eq!(workloads.len(), SUITE.len());
-    for (w, (id, want)) in workloads.iter().zip(SUITE) {
-        assert_eq!(w.id, id, "suite order");
-        let prog = compile_risc(&w.module, RiscOpts::default()).expect("suite compiles");
-        for engine in ENGINES {
-            let got = pin(&run_on(&prog, &w.small_args, engine));
-            assert_eq!(got, want, "{id} under {engine:?}; got {}", row(&got));
+    let r = runs();
+    assert_eq!(r.suite.len(), SUITE.len());
+    let mut mismatches = Vec::new();
+    for ((id, want), (got_id, pins)) in SUITE.iter().zip(&r.suite) {
+        assert_eq!(id, got_id, "suite order");
+        for (engine, got) in ENGINES.iter().zip(pins) {
+            if got != want {
+                mismatches.push(format!("{id} under {engine:?}: {}", row(got)));
+            }
         }
     }
+    check(mismatches);
 }
 
 #[test]
 fn a_self_patching_loop_matches_its_recorded_constants() {
-    let prog = self_patching_program();
-    for engine in ENGINES {
-        let got = pin(&run_on(&prog, &[], engine));
+    let mut mismatches = Vec::new();
+    for (engine, got) in ENGINES.iter().zip(&runs().self_patching) {
         assert_eq!(
             got.result, 800,
             "{engine:?}: stale code ran after the patch"
         );
-        assert_eq!(got, SELF_PATCHING, "{engine:?}; got {}", row(&got));
+        if *got != SELF_PATCHING {
+            mismatches.push(format!("self-patching under {engine:?}: {}", row(got)));
+        }
     }
+    check(mismatches);
 }
 
 #[test]
 fn a_checkpoint_cycle_with_rollbacks_matches_its_recorded_constants() {
-    let (cpu, ckpt) = checkpoint_cycle();
-    let got = pin(&cpu);
+    let r = runs();
     // Rollbacks leave no trace in the machine: it ends exactly where an
     // uninterrupted sieve run ends.
-    let (_, sieve) = SUITE
-        .into_iter()
+    let (_, sieve) = r
+        .suite
+        .iter()
         .find(|(id, _)| *id == "sieve")
-        .expect("pinned");
-    assert_eq!(got, sieve, "got {}", row(&got));
-    let latest = ckpt.latest();
+        .expect("sieve is a suite workload");
+    assert_eq!(r.checkpoint, sieve[0], "got {}", row(&r.checkpoint));
     assert_eq!(
-        (latest.checksum(), fnv(latest.to_json().as_bytes())),
-        (0xbae2_ccca_d638_105a, 0x5322_c63c_80c2_0493)
-    );
-    assert_eq!(
-        ckpt.stats(),
+        r.checkpoint_stats,
         CheckpointStats {
             checkpoints: 62,
             pages_copied: 131,
@@ -243,6 +323,14 @@ fn a_checkpoint_cycle_with_rollbacks_matches_its_recorded_constants() {
             modeled_cycles: 14112,
         }
     );
+    let (checksum, json) = r.checkpoint_latest;
+    let mut mismatches = Vec::new();
+    if r.checkpoint_latest != CHECKPOINT_LATEST {
+        mismatches.push(format!(
+            "checkpoint cycle's latest snapshot: ({checksum:#018x}, {json:#018x})"
+        ));
+    }
+    check(mismatches);
 }
 
 #[test]

@@ -707,7 +707,9 @@ fn spec_view(s: &ExecStats) -> SpecStats {
     SpecStats {
         instructions: s.instructions,
         cycles: s.cycles - s.bubble_cycles - s.trap_cycles - s.trap_entry_cycles,
-        ifetches: s.ifetches,
+        // The engine fetches one word per retired instruction and does
+        // not count fetches apart; the spec machine counts them itself.
+        ifetches: s.instructions,
         data_reads: s.data_reads,
         data_writes: s.data_writes,
         calls: s.calls,
