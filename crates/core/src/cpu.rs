@@ -27,7 +27,7 @@ use crate::program::Program;
 use crate::snapshot::{CpuState, RestoreError, Snapshot};
 use crate::stats::{ExecStats, FuseKind};
 use crate::superblock::{BOp, BlockCache};
-use crate::trace::{self, TExit, TOp};
+use crate::trace::{self, match_top, TExit, TOp};
 use crate::trap::{TrapCause, TrapKind};
 use crate::windows::{WindowFile, SPILL_REGS};
 use risc1_isa::psw::Flags;
@@ -576,6 +576,15 @@ impl Cpu {
         self.retired.as_deref().unwrap_or_default()
     }
 
+    /// The trace entered at `pc`, if a live block starts there and has
+    /// promoted.
+    #[cfg(test)]
+    pub(crate) fn trace_at(&self, pc: u32) -> Option<&trace::Trace> {
+        self.blocks
+            .lookup(pc)
+            .and_then(|idx| self.blocks.trace(idx))
+    }
+
     /// Whether the retirement recorder is armed and not yet full.
     fn recorder_wants_rows(&self) -> bool {
         self.retired
@@ -848,6 +857,14 @@ impl Cpu {
     /// Caller guarantees: no delayed jump in flight, the trace's longest
     /// path fits in `burst - *done`, and `forwarding` (so `last_write` is
     /// constantly `None`).
+    ///
+    /// Never inlined: the executor is a function of its own, so its hot
+    /// loop and the block loop of [`Cpu::exec_block_burst`], its one
+    /// caller, get separate register allocation and code layout. Inlined
+    /// there, it ran the five traced programs of perfbench's `run_loops`
+    /// 8–20% slower (4 alternating pairs), and `intmm`, which stays in the
+    /// block tier, no faster.
+    #[inline(never)]
     fn exec_trace_burst(&mut self, idx: u32, burst: u64, done: &mut u64) -> Result<(), StepEvent> {
         // Borrowing the trace in place, with no copy per entry, is the
         // point of this routine's shape: all the state it touches lives in
@@ -881,26 +898,29 @@ impl Cpu {
         let exit = 'run: loop {
             for (i, op) in t.ops[lo..hi].iter().enumerate() {
                 let k = lo + i;
-                match *op {
-                    TOp::Alu { op, d, a, b } => {
+                // One dispatch per op: a specialized op's arm runs with its
+                // opcode a constant, so the inlined ALU or access folds to
+                // the one operation (see `trace::with_specialized!`).
+                trace::with_specialized!(match_top! {
+                    *op;
+                    alu(op, d, a, b) => {
                         // `.value` alone: the flag computation inside the
                         // inlined ALU is dead code on this arm.
                         v[d as usize] = alu(op, v[a as usize], v[b as usize], flags.c).value;
                     }
-                    TOp::AluScc { op, d, a, b } => {
+                    alu_scc(op, d, a, b) => {
                         let out = alu(op, v[a as usize], v[b as usize], flags.c);
                         v[d as usize] = out.value;
                         flags = out.flags;
                     }
-                    TOp::Const { d, value } => v[d as usize] = value,
-                    TOp::Load { op, d, a, b } => {
+                    load(op, d, a, b) => {
                         let addr = v[a as usize].wrapping_add(v[b as usize]);
                         match load_op(&mut self.mem, op, addr) {
                             Ok(val) => v[d as usize] = val,
                             Err(err) => break 'run TExit::Fault { k, addr, err },
                         }
                     }
-                    TOp::Store { op, data, a, b } => {
+                    store(op, data, a, b) => {
                         let addr = v[a as usize].wrapping_add(v[b as usize]);
                         match store_op(&mut self.mem, op, addr, v[data as usize]) {
                             Ok(()) => {
@@ -911,6 +931,7 @@ impl Cpu {
                             Err(err) => break 'run TExit::Fault { k, addr, err },
                         }
                     }
+                    TOp::Const { d, value } => v[d as usize] = value,
                     TOp::Branch {
                         cond,
                         target,
@@ -928,7 +949,7 @@ impl Cpu {
                         }
                     }
                     TOp::Jump => {}
-                }
+                });
             }
             passes[path] += 1;
             retired += u64::from(t.paths[path].insns);
@@ -1798,8 +1819,10 @@ impl Cpu {
 
 /// The memory access for a load opcode, with its width and sign extension.
 /// Free-standing (not a `Cpu` method) so the trace executor can call it
-/// while holding a borrow of the block cache that holds the trace.
-#[inline]
+/// while holding a borrow of the block cache that holds the trace. Always
+/// inlined, so a caller with a constant opcode (a specialized trace op)
+/// gets the one access.
+#[inline(always)]
 fn load_op(mem: &mut Memory, op: Opcode, addr: u32) -> Result<u32, MemError> {
     Ok(match op {
         Opcode::Ldl => mem.read_u32(addr)?,
@@ -1811,8 +1834,9 @@ fn load_op(mem: &mut Memory, op: Opcode, addr: u32) -> Result<u32, MemError> {
     })
 }
 
-/// The memory access for a store opcode at its width.
-#[inline]
+/// The memory access for a store opcode at its width; always inlined, as
+/// [`load_op`].
+#[inline(always)]
 fn store_op(mem: &mut Memory, op: Opcode, addr: u32, v: u32) -> Result<(), MemError> {
     match op {
         Opcode::Stl => mem.write_u32(addr, v),

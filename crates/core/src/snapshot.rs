@@ -57,6 +57,16 @@ pub const MAX_SNAPSHOT_WINDOWS: usize = 1024;
 /// far from overflowing.
 pub const MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES: u64 = 1 << 16;
 
+/// Admission limit on every counter a deserialized snapshot may declare:
+/// the statistics' scalar, trap and opcode counters and the memory traffic
+/// counts. No run reaches it (2^62 cycles are centuries of simulation),
+/// and from it a counter has room for some 10^14 steps, each of which adds
+/// at most about 2^17 (a trap at the largest overhead
+/// [`MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES`] allows). Without it a re-signed
+/// snapshot could declare `u64::MAX` and overflow the counter on the next
+/// step.
+pub const MAX_SNAPSHOT_COUNTER: u64 = 1 << 62;
+
 /// Modeled fixed cost of one incremental checkpoint, in cycles: the
 /// register file (138 words), the processor state words, and bookkeeping.
 /// Dirty memory pages add one cycle per word copied on top.
@@ -561,13 +571,13 @@ impl Snapshot {
     /// Deserializes a snapshot from a parsed JSON value. The input is
     /// untrusted: structural problems and admission-limit violations
     /// ([`MAX_SNAPSHOT_MEM_BYTES`], [`MAX_SNAPSHOT_WINDOWS`],
-    /// [`MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES`], and a window file's `spilled`
-    /// count beyond what its memory holds) surface as [`JsonError`] before
-    /// anything large is allocated. The configuration
-    /// keeps its [`SimConfig::architectural`] view, so the host-only
-    /// fields of the stored one are not read into the snapshot. The stored
-    /// checksum is carried as-is — call [`Snapshot::verify`] (or restore,
-    /// which verifies) to detect byte-level corruption.
+    /// [`MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES`], [`MAX_SNAPSHOT_COUNTER`], and
+    /// a window file's `spilled` count beyond what its memory holds)
+    /// surface as [`JsonError`] before anything large is allocated. The
+    /// configuration keeps its [`SimConfig::architectural`] view, so the
+    /// host-only fields of the stored one are not read into the snapshot.
+    /// The stored checksum is carried as-is — call [`Snapshot::verify`] (or
+    /// restore, which verifies) to detect byte-level corruption.
     ///
     /// # Errors
     /// [`JsonError`] on any shape or limit violation.
@@ -610,8 +620,8 @@ impl Snapshot {
                 .map_err(|e| JsonError::schema(&format!("page {i}: {e}")))?;
         }
         mem.set_traffic(MemTraffic {
-            reads: get(traffic, "reads")?.as_u64("traffic.reads")?,
-            writes: get(traffic, "writes")?.as_u64("traffic.writes")?,
+            reads: read_counter(get(traffic, "reads")?, "traffic.reads")?,
+            writes: read_counter(get(traffic, "writes")?, "traffic.writes")?,
         });
         // Page digests are recomputed from the rebuilt memory (they are
         // derivable); byte corruption then lands in `verify()` as a
@@ -681,11 +691,22 @@ fn write_stats(w: &mut Writer, s: &ExecStats) {
     w.obj_close();
 }
 
+/// A counter, held to [`MAX_SNAPSHOT_COUNTER`].
+fn read_counter(v: &Json, what: &str) -> Result<u64, JsonError> {
+    let n = v.as_u64(what)?;
+    if n > MAX_SNAPSHOT_COUNTER {
+        return Err(JsonError::schema(&format!(
+            "{what} {n} is above the counter ceiling {MAX_SNAPSHOT_COUNTER}"
+        )));
+    }
+    Ok(n)
+}
+
 fn read_stats(v: &Json) -> Result<ExecStats, JsonError> {
     let obj = v.as_obj("stats")?;
     let mut s = ExecStats::default();
     for (key, v) in s.counters_mut() {
-        *v = get(obj, key)?.as_u64(key)?;
+        *v = read_counter(get(obj, key)?, key)?;
     }
     let counts = get(obj, "trap_counts")?.as_arr("trap_counts")?;
     if counts.len() != TrapKind::COUNT {
@@ -696,7 +717,7 @@ fn read_stats(v: &Json) -> Result<ExecStats, JsonError> {
         )));
     }
     for (i, c) in counts.iter().enumerate() {
-        s.trap_counts[i] = c.as_u64("trap_counts entry")?;
+        s.trap_counts[i] = read_counter(c, "trap_counts entry")?;
     }
     for pair in get(obj, "opcodes")?.as_arr("opcodes")? {
         let pair = pair.as_arr("opcode pair")?;
@@ -706,7 +727,8 @@ fn read_stats(v: &Json) -> Result<ExecStats, JsonError> {
         let code = pair[0].as_u8("opcode code")?;
         let op = Opcode::from_code(code)
             .ok_or_else(|| JsonError::schema(&format!("unknown opcode code {code}")))?;
-        s.opcode_counts.set(op, pair[1].as_u64("opcode count")?);
+        s.opcode_counts
+            .set(op, read_counter(&pair[1], "opcode count")?);
     }
     Ok(s)
 }
@@ -1356,6 +1378,58 @@ mod tests {
                     assert_eq!(twin.windows().depth(), bound as u64);
                 }
                 Err(e) => assert!(!ok && matches!(e, JsonError::Schema(_)), "{spilled}: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn counters_above_the_ceiling_are_schema_errors() {
+        // Re-signed with a counter at `u64::MAX`, a snapshot used to read,
+        // verify and restore, and the machine's next step overflowed the
+        // counter. Every kind of counter the reader takes: a scalar, a trap
+        // count, an opcode count and a memory traffic count.
+        let mut cpu = Cpu::new(SimConfig::default());
+        cpu.load_program(&ackermann()).unwrap();
+        for _ in 0..1000 {
+            cpu.step().unwrap();
+        }
+        let snap = cpu.snapshot();
+        type Forge = fn(&mut Snapshot, u64);
+        let forgeries: [(&str, Forge); 4] = [
+            ("cycles", |s, n| s.state.stats.cycles = n),
+            ("trap_counts", |s, n| s.state.stats.trap_counts[0] = n),
+            ("opcodes", |s, n| {
+                s.state.stats.opcode_counts.set(Opcode::Add, n)
+            }),
+            ("traffic.reads", |s, n| {
+                let writes = s.mem.traffic().writes;
+                s.mem.set_traffic(MemTraffic { reads: n, writes });
+            }),
+        ];
+        for (what, forge) in forgeries {
+            for (n, ok) in [
+                (MAX_SNAPSHOT_COUNTER, true),
+                (MAX_SNAPSHOT_COUNTER + 1, false),
+                (u64::MAX, false),
+            ] {
+                let mut forged = snap.clone();
+                forge(&mut forged, n);
+                forged.checksum = forged.compute_checksum();
+                match Snapshot::from_json(&forged.to_json()) {
+                    Ok(back) => {
+                        assert!(ok, "{what} = {n} must be refused");
+                        // At the ceiling the machine restores and runs on.
+                        let mut twin = Cpu::new(SimConfig::default());
+                        twin.restore(&back).unwrap();
+                        twin.step_n(1000).unwrap();
+                    }
+                    Err(e) => {
+                        assert!(
+                            !ok && matches!(e, JsonError::Schema(_)),
+                            "{what} = {n}: {e}"
+                        )
+                    }
+                }
             }
         }
     }

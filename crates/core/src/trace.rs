@@ -8,8 +8,24 @@
 //! register names resolve to *flat physical store indices* once, at build
 //! time; the opcode stream is fixed, so the per-instruction stat deltas sum
 //! to one precomputed bulk update applied at trace exit; and the surviving
-//! dispatch is over a six-variant IR whose operands are already virtual
-//! register numbers or immediates.
+//! dispatch is one match per op over an IR whose operands are already
+//! virtual register numbers or interned immediates.
+//!
+//! ## The IR
+//!
+//! The ops a hot loop runs most are [`TOp`] variants named by their
+//! operation: non-flag `Add Sub And Or Xor Sll Srl Sra`, flag-setting
+//! `AddScc` and `SubScc`, `Ldl` and `Stl`, listed once in
+//! [`with_specialized!`]. The executor runs each with its opcode a
+//! constant, so the shared semantics ([`crate::exec::alu`] and the
+//! executor's load and store helpers) fold to the one operation and the op
+//! is dispatched once, on its variant. Every other opcode of those kinds
+//! takes the generic `Alu`, `AluScc`, `Load` or `Store`, which carry it;
+//! `Const` (LDHI), `Branch` and `Jump` complete the set. The executor,
+//! `Cpu::exec_trace_burst`, is a function of its own, never inlined into
+//! the block loop that calls it, so the two loops get separate register
+//! allocation and code layout; inlined there, the trace loop ran 8–20%
+//! slower.
 //!
 //! ## Formation
 //!
@@ -153,83 +169,279 @@ const SINK: u8 = 0;
 /// every visit and *loses* to the superblock engine.
 const STRIKE_LIMIT: u8 = 4;
 
-/// One trace-IR operation. All register operands are virtual indices into
-/// the run's value array; immediates were interned into entry-loaded
-/// constant slots at build time, so the hot loop never branches on operand
-/// kind. Everything address- or direction-static was folded at build time.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum TOp {
-    /// ALU/shift op that does not latch flags — the common case, and the
-    /// executor's fastest: the flag computation is dead code here.
-    Alu {
-        /// The opcode (dispatched via [`crate::exec::alu`]).
-        op: Opcode,
-        /// Destination vreg.
-        d: u8,
-        /// First operand vreg.
-        a: u8,
-        /// Second operand vreg.
-        b: u8,
-    },
-    /// ALU/shift op with the `scc` bit set: latches flags.
-    AluScc {
-        /// The opcode.
-        op: Opcode,
-        /// Destination vreg.
-        d: u8,
-        /// First operand vreg.
-        a: u8,
-        /// Second operand vreg.
-        b: u8,
-    },
-    /// LDHI — the value is a build-time constant.
-    Const {
-        /// Destination vreg.
-        d: u8,
-        /// `imm19 << 13`.
-        value: u32,
-    },
-    /// A load; faults side-exit.
-    Load {
-        /// The load opcode (selects width/extension).
-        op: Opcode,
-        /// Destination vreg.
-        d: u8,
-        /// Base operand vreg.
-        a: u8,
-        /// Offset operand vreg.
-        b: u8,
-    },
-    /// A store; faults and code-dirty hits side-exit.
-    Store {
-        /// The store opcode (selects width).
-        op: Opcode,
-        /// Data operand vreg.
-        data: u8,
-        /// Base operand vreg.
-        a: u8,
-        /// Offset operand vreg.
-        b: u8,
-    },
-    /// Conditional PC-relative branch with a statically expected direction
-    /// — the guard *is* the branch: agreeing with the profile continues the
-    /// trace; disagreeing enters the branch's arm, or, without one, retires
-    /// the branch with its actual direction and side-exits.
-    Branch {
-        /// The condition, evaluated on the live flags.
-        cond: Cond,
-        /// Static target (`pc + imm19`).
-        target: u32,
-        /// The profiled direction the trace was built along.
-        expect: bool,
-        /// Index of the first op of the arm that runs the other direction,
-        /// or 0 for none (op 0 always starts the main path).
-        arm: u8,
-    },
-    /// Unconditional (ALW) JMPR: pure static glue — the successor is baked
-    /// into the trace, only the accounting remains.
-    Jump,
+/// Calls `$then!` with the trace IR's specialized ops, after the caller's
+/// own tokens (in brackets): the ops a hot loop runs most, each a [`TOp`]
+/// variant named by its operation. `alu` lists the opcodes specialized
+/// without `scc`, `scc` the variant and opcode of those specialized with
+/// it, `load` and `store` the specialized access opcodes. This list is the
+/// only place they are named: [`TOp`] and its lowering constructors
+/// (`trace_ir!`) and the executor's dispatch ([`match_top!`], in
+/// `Cpu::exec_trace_burst`) expand from it.
+///
+/// Specializing is the point of the IR: a specialized op runs
+/// [`crate::exec::alu`], `load_op` or `store_op` with its opcode a
+/// constant, so the inlined semantics fold to the one operation and the op
+/// dispatches once, on its variant. Every other ALU, load or store opcode
+/// lowers to the generic `Alu`, `AluScc`, `Load` or `Store`, which carry
+/// their opcode and dispatch on it a second time. The list follows the
+/// dynamic mix: over perfbench's six `run_loops` programs at their
+/// benchmark scales, ADD is 48% of the retired instructions, SUB with
+/// `scc` 11%, SLL 5.6%, LDL 3.9% and AND and SUB 2.1% each, while no ALU,
+/// load or store op left generic reaches 1.6% (LDBU 1.5%, STB 1.4%).
+macro_rules! with_specialized {
+    ($then:ident! { $($args:tt)* }) => {
+        $then! {
+            [$($args)*]
+            alu: [Add, Sub, And, Or, Xor, Sll, Srl, Sra]
+            scc: [AddScc = Add, SubScc = Sub]
+            load: [Ldl]
+            store: [Stl]
+        }
+    };
 }
+pub(crate) use with_specialized;
+
+/// Defines [`TOp`] and its lowering constructors from the specialized list
+/// ([`with_specialized!`]).
+macro_rules! trace_ir {
+    (
+        []
+        alu: [$($alu:ident),*]
+        scc: [$($scc:ident = $scc_op:ident),*]
+        load: [$($ld:ident),*]
+        store: [$($st:ident),*]
+    ) => {
+        /// One trace-IR operation. All register operands are virtual
+        /// indices into the run's value array; immediates were interned
+        /// into entry-loaded constant slots at build time, so the hot loop
+        /// never branches on operand kind. Everything address- or
+        /// direction-static was folded at build time, the opcode of a
+        /// specialized op included.
+        #[derive(Debug, Clone, Copy)]
+        pub(crate) enum TOp {
+            $(
+                #[doc = concat!("`", stringify!($alu), " d, a, b` that latches no flags.")]
+                $alu {
+                    /// Destination vreg.
+                    d: u8,
+                    /// First operand vreg.
+                    a: u8,
+                    /// Second operand vreg.
+                    b: u8,
+                },
+            )*
+            $(
+                #[doc = concat!("`", stringify!($scc_op), " d, a, b` with `scc` set: latches flags.")]
+                $scc {
+                    /// Destination vreg.
+                    d: u8,
+                    /// First operand vreg.
+                    a: u8,
+                    /// Second operand vreg.
+                    b: u8,
+                },
+            )*
+            $(
+                #[doc = concat!("`", stringify!($ld), " d, (a + b)`; a fault side-exits.")]
+                $ld {
+                    /// Destination vreg.
+                    d: u8,
+                    /// Base operand vreg.
+                    a: u8,
+                    /// Offset operand vreg.
+                    b: u8,
+                },
+            )*
+            $(
+                #[doc = concat!(
+                    "`", stringify!($st), " data, (a + b)`; a fault or a code-dirty hit side-exits."
+                )]
+                $st {
+                    /// Data operand vreg.
+                    data: u8,
+                    /// Base operand vreg.
+                    a: u8,
+                    /// Offset operand vreg.
+                    b: u8,
+                },
+            )*
+            /// Any other ALU/shift op that does not latch flags: the flag
+            /// computation is dead code here.
+            Alu {
+                /// The opcode (dispatched via [`crate::exec::alu`]).
+                op: Opcode,
+                /// Destination vreg.
+                d: u8,
+                /// First operand vreg.
+                a: u8,
+                /// Second operand vreg.
+                b: u8,
+            },
+            /// Any other ALU/shift op with the `scc` bit set: latches flags.
+            AluScc {
+                /// The opcode.
+                op: Opcode,
+                /// Destination vreg.
+                d: u8,
+                /// First operand vreg.
+                a: u8,
+                /// Second operand vreg.
+                b: u8,
+            },
+            /// LDHI — the value is a build-time constant.
+            Const {
+                /// Destination vreg.
+                d: u8,
+                /// `imm19 << 13`.
+                value: u32,
+            },
+            /// Any other load; faults side-exit.
+            Load {
+                /// The load opcode (selects width/extension).
+                op: Opcode,
+                /// Destination vreg.
+                d: u8,
+                /// Base operand vreg.
+                a: u8,
+                /// Offset operand vreg.
+                b: u8,
+            },
+            /// Any other store; faults and code-dirty hits side-exit.
+            Store {
+                /// The store opcode (selects width).
+                op: Opcode,
+                /// Data operand vreg.
+                data: u8,
+                /// Base operand vreg.
+                a: u8,
+                /// Offset operand vreg.
+                b: u8,
+            },
+            /// Conditional PC-relative branch with a statically expected
+            /// direction — the guard *is* the branch: agreeing with the
+            /// profile continues the trace; disagreeing enters the branch's
+            /// arm, or, without one, retires the branch with its actual
+            /// direction and side-exits.
+            Branch {
+                /// The condition, evaluated on the live flags.
+                cond: Cond,
+                /// Static target (`pc + imm19`).
+                target: u32,
+                /// The profiled direction the trace was built along.
+                expect: bool,
+                /// Index of the first op of the arm that runs the other
+                /// direction, or 0 for none (op 0 always starts the main
+                /// path).
+                arm: u8,
+            },
+            /// Unconditional (ALW) JMPR: pure static glue — the successor
+            /// is baked into the trace, only the accounting remains.
+            Jump,
+        }
+
+        impl TOp {
+            /// The op an ALU line with opcode `op` and `scc` bit `scc`
+            /// lowers to: its specialized variant, if listed, else the
+            /// generic one.
+            fn alu(op: Opcode, scc: bool, d: u8, a: u8, b: u8) -> TOp {
+                match (op, scc) {
+                    $((Opcode::$alu, false) => TOp::$alu { d, a, b },)*
+                    $((Opcode::$scc_op, true) => TOp::$scc { d, a, b },)*
+                    (op, false) => TOp::Alu { op, d, a, b },
+                    (op, true) => TOp::AluScc { op, d, a, b },
+                }
+            }
+
+            /// The op a load line lowers to.
+            fn load(op: Opcode, d: u8, a: u8, b: u8) -> TOp {
+                match op {
+                    $(Opcode::$ld => TOp::$ld { d, a, b },)*
+                    op => TOp::Load { op, d, a, b },
+                }
+            }
+
+            /// The op a store line lowers to.
+            fn store(op: Opcode, data: u8, a: u8, b: u8) -> TOp {
+                match op {
+                    $(Opcode::$st => TOp::$st { data, a, b },)*
+                    op => TOp::Store { op, data, a, b },
+                }
+            }
+        }
+
+        /// The name of every [`TOp`] variant the lowering can emit, for
+        /// tests that check a trace holds them all.
+        #[cfg(test)]
+        const TOP_VARIANTS: &[&str] = &[
+            $(stringify!($alu),)*
+            $(stringify!($scc),)*
+            $(stringify!($ld),)*
+            $(stringify!($st),)*
+            "Alu", "AluScc", "Const", "Load", "Store", "Branch", "Jump",
+        ];
+    };
+}
+with_specialized!(trace_ir! {});
+
+/// Expands to the executor's one `match` over a [`TOp`], through
+/// [`with_specialized!`]. The caller writes the arm of each op kind once —
+/// `alu`, `alu_scc`, `load` and `store`, each naming the bindings of its
+/// opcode and operands — and then its other arms. Each specialized variant
+/// gets its kind's arm with the opcode bound to its constant; the generic
+/// variant of the kind gets the same arm with the opcode it carries:
+///
+/// ```text
+/// with_specialized!(match_top! {
+///     *op;
+///     alu(op, d, a, b) => { … }
+///     alu_scc(op, d, a, b) => { … }
+///     load(op, d, a, b) => { … }
+///     store(op, data, a, b) => { … }
+///     TOp::Const { d, value } => …,
+///     …
+/// })
+/// ```
+macro_rules! match_top {
+    (
+        [
+            $scrutinee:expr;
+            alu($aop:ident, $ad:ident, $aa:ident, $ab:ident) => $alu_arm:block
+            alu_scc($sop:ident, $sd:ident, $sa:ident, $sb:ident) => $scc_arm:block
+            load($lop:ident, $ldd:ident, $la:ident, $lb:ident) => $load_arm:block
+            store($stop:ident, $data:ident, $ta:ident, $tb:ident) => $store_arm:block
+            $($rest:tt)*
+        ]
+        alu: [$($alu:ident),*]
+        scc: [$($scc:ident = $scc_op:ident),*]
+        load: [$($ld:ident),*]
+        store: [$($st:ident),*]
+    ) => {
+        match $scrutinee {
+            $($crate::trace::TOp::$alu { d: $ad, a: $aa, b: $ab } => {
+                let $aop = risc1_isa::Opcode::$alu;
+                $alu_arm
+            })*
+            $crate::trace::TOp::Alu { op: $aop, d: $ad, a: $aa, b: $ab } => $alu_arm
+            $($crate::trace::TOp::$scc { d: $sd, a: $sa, b: $sb } => {
+                let $sop = risc1_isa::Opcode::$scc_op;
+                $scc_arm
+            })*
+            $crate::trace::TOp::AluScc { op: $sop, d: $sd, a: $sa, b: $sb } => $scc_arm
+            $($crate::trace::TOp::$ld { d: $ldd, a: $la, b: $lb } => {
+                let $lop = risc1_isa::Opcode::$ld;
+                $load_arm
+            })*
+            $crate::trace::TOp::Load { op: $lop, d: $ldd, a: $la, b: $lb } => $load_arm
+            $($crate::trace::TOp::$st { data: $data, a: $ta, b: $tb } => {
+                let $stop = risc1_isa::Opcode::$st;
+                $store_arm
+            })*
+            $crate::trace::TOp::Store { op: $stop, data: $data, a: $ta, b: $tb } => $store_arm
+            $($rest)*
+        }
+    };
+}
+pub(crate) use match_top;
 
 /// Why a trace run stopped — produced by the executor's hot loop in
 /// [`crate::cpu`], consumed by its exit epilogue.
@@ -883,21 +1095,7 @@ impl<'a> Builder<'a> {
                 let a = self.read_reg(line.rs1);
                 let b = self.read_s2(line.s2);
                 let d = self.write_reg(line.dest);
-                if line.scc {
-                    TOp::AluScc {
-                        op: line.op,
-                        d,
-                        a,
-                        b,
-                    }
-                } else {
-                    TOp::Alu {
-                        op: line.op,
-                        d,
-                        a,
-                        b,
-                    }
-                }
+                TOp::alu(line.op, line.scc, d, a, b)
             }
             Lowering::Const => {
                 let d = self.write_reg(line.dest);
@@ -910,23 +1108,13 @@ impl<'a> Builder<'a> {
                 let a = self.read_reg(line.rs1);
                 let b = self.read_s2(line.s2);
                 let d = self.write_reg(line.dest);
-                TOp::Load {
-                    op: line.op,
-                    d,
-                    a,
-                    b,
-                }
+                TOp::load(line.op, d, a, b)
             }
             Lowering::Store => {
                 let a = self.read_reg(line.rs1);
                 let b = self.read_s2(line.s2);
                 let data = self.read_reg(line.dest);
-                TOp::Store {
-                    op: line.op,
-                    data,
-                    a,
-                    b,
-                }
+                TOp::store(line.op, data, a, b)
             }
             Lowering::RelBranch => {
                 if !line.long {
@@ -1079,7 +1267,11 @@ fn build_hot(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExecEngine;
+    use crate::cpu::{Cpu, ExecError, Halt};
     use crate::mem::{CodeDirty, PAGE_BYTES};
+    use crate::program::Program;
+    use crate::trap::TrapKind;
     use risc1_isa::{Instruction, Reg};
 
     fn add(dest: Reg, rs1: Reg, imm: i32) -> u32 {
@@ -1470,5 +1662,198 @@ mod tests {
         blocks.invalidate(CodeDirty::All);
         assert_eq!(blocks.lookup(head), None);
         assert_eq!(blocks.lookup(tail), None);
+    }
+
+    /// The name of a trace op's variant.
+    fn variant(op: &TOp) -> String {
+        let text = format!("{op:?}");
+        text.split(' ').next().unwrap_or_default().to_string()
+    }
+
+    fn imm(v: i32) -> Short2 {
+        Short2::imm(v).unwrap()
+    }
+
+    /// Runs `prog` under `engine` and `branch_model`: with `run()` on the
+    /// block and trace tiers, and one `step()` at a time on the uncached
+    /// tier (the one-step path). With a misaligned-access handler at
+    /// `handler`, if any.
+    fn run_on(
+        engine: ExecEngine,
+        branch_model: BranchModel,
+        prog: &Program,
+        handler: Option<u32>,
+    ) -> (Cpu, Result<(), ExecError>) {
+        let cfg = SimConfig {
+            engine,
+            branch_model,
+            ..SimConfig::default()
+        };
+        let mut cpu = Cpu::new(cfg);
+        cpu.load_program(prog).unwrap();
+        if let Some(addr) = handler {
+            cpu.set_trap_handler(TrapKind::Misaligned, addr);
+        }
+        let end = if engine == ExecEngine::Uncached {
+            loop {
+                match cpu.step() {
+                    Ok(Halt::Running) => {}
+                    Ok(Halt::Returned) => break Ok(()),
+                    Err(e) => break Err(e),
+                }
+            }
+        } else {
+            cpu.run()
+        };
+        (cpu, end)
+    }
+
+    /// Runs `prog` under the trace, superblock and uncached tiers and
+    /// checks that they end alike: the same error, if any, snapshot
+    /// checksum and `ExecStats`. Returns the trace tier's machine.
+    fn agree_across_tiers(branch_model: BranchModel, prog: &Program, handler: Option<u32>) -> Cpu {
+        let (trc, end) = run_on(ExecEngine::Trace, branch_model, prog, handler);
+        for engine in [ExecEngine::Superblock, ExecEngine::Uncached] {
+            let (other, other_end) = run_on(engine, branch_model, prog, handler);
+            assert_eq!(end, other_end, "{engine:?}, {branch_model:?}");
+            assert_eq!(
+                trc.snapshot().checksum(),
+                other.snapshot().checksum(),
+                "{engine:?}, {branch_model:?}"
+            );
+            assert_eq!(trc.stats(), other.stats(), "{engine:?}, {branch_model:?}");
+        }
+        let s = trc.stats();
+        assert!(s.traces_built >= 1 && s.trace_instructions > 0, "{s:?}");
+        trc
+    }
+
+    /// Every opcode the spec table lowers as `class`.
+    fn lowered_as(class: Lowering) -> impl Iterator<Item = Opcode> {
+        Opcode::ALL
+            .iter()
+            .copied()
+            .filter(move |&op| spec::entry(op).lowering() == class)
+    }
+
+    #[test]
+    fn every_trace_op_matches_the_block_tier() {
+        // A 200-trip loop at `head` whose body runs every ALU opcode with
+        // `scc` off and on, folding each result into the accumulator r18,
+        // every store width and every load width through the data page at
+        // r16, an LDHI, an unconditional jump and the loop's branch.
+        let head = 0x1000 + 4 * 4;
+        let mut p = vec![
+            Instruction::ldhi(Reg::R16, 1), // r16 := 0x2000
+            Instruction::reg(Opcode::Add, Reg::R17, Reg::R0, imm(200)),
+            Instruction::reg(Opcode::Add, Reg::R18, Reg::R0, imm(1234)),
+            Instruction::reg(Opcode::Add, Reg::R19, Reg::R0, imm(7)),
+        ];
+        for (i, op) in lowered_as(Lowering::Alu).enumerate() {
+            p.extend([
+                Instruction::reg(op, Reg::R20, Reg::R18, Short2::reg(Reg::R19)),
+                Instruction::reg_scc(op, Reg::R21, Reg::R20, imm(i as i32 + 1)),
+                Instruction::reg(Opcode::Add, Reg::R18, Reg::R18, Short2::reg(Reg::R21)),
+            ]);
+        }
+        // Store i writes word i of the data page, and load i reads word i
+        // modulo the store count: every width is aligned, and every load
+        // reads what a store left.
+        let stores: Vec<Opcode> = lowered_as(Lowering::Store).collect();
+        for (i, &op) in stores.iter().enumerate() {
+            p.push(Instruction::reg(op, Reg::R18, Reg::R16, imm(4 * i as i32)));
+        }
+        for (i, op) in lowered_as(Lowering::Load).enumerate() {
+            let at = imm(4 * (i % stores.len()) as i32);
+            p.extend([
+                Instruction::reg(op, Reg::R20, Reg::R16, at),
+                Instruction::reg(Opcode::Xor, Reg::R18, Reg::R18, Short2::reg(Reg::R20)),
+            ]);
+        }
+        p.extend([
+            Instruction::ldhi(Reg::R20, 5),
+            Instruction::reg(Opcode::Add, Reg::R18, Reg::R18, Short2::reg(Reg::R20)),
+            Instruction::jmpr(Cond::Alw, 8), // over its slot, to the next op
+            Instruction::reg(Opcode::Add, Reg::R19, Reg::R19, imm(3)),
+            Instruction::reg_scc(Opcode::Sub, Reg::R17, Reg::R17, imm(1)),
+        ]);
+        let back = head as i32 - (0x1000 + 4 * p.len() as i32);
+        p.extend([
+            Instruction::jmpr(Cond::Ne, back),
+            Instruction::nop(),
+            Instruction::ret(Reg::R0, imm(0)),
+            Instruction::nop(),
+        ]);
+        let prog = Program::from_instructions(p);
+        for branch_model in [BranchModel::Delayed, BranchModel::Suspended] {
+            let trc = agree_across_tiers(branch_model, &prog, None);
+            let t = trc.trace_at(head).expect("the loop promoted");
+            assert!(t.self_loop && t.paths.len() == 1);
+            let held: Vec<String> = t.ops.iter().map(variant).collect();
+            for name in TOP_VARIANTS {
+                assert!(held.iter().any(|h| h == name), "no {name} in {held:?}");
+            }
+            let s = trc.stats();
+            assert!(
+                s.trace_instructions * 10 > s.instructions * 6,
+                "the trace ran the loop: {s:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn specialized_accesses_that_fault_side_exit_as_the_one_step_path_faults() {
+        // A 200-trip loop at `head` walks a table at 0x4000. An entry's bit
+        // 0 misaligns the loop's second LDL and its bit 1 its STL, both
+        // specialized and both off the data page at r16. One entry, past
+        // promotion, is nonzero.
+        let head = 0x1000 + 4 * 3;
+        let body = [
+            Instruction::ldhi(Reg::R16, 1), // r16 := 0x2000
+            Instruction::ldhi(Reg::R9, 2),  // r9 := 0x4000, the table
+            Instruction::reg(Opcode::Add, Reg::R17, Reg::R0, imm(200)),
+            Instruction::reg(Opcode::Ldl, Reg::R10, Reg::R9, imm(0)), // head
+            Instruction::reg(Opcode::Add, Reg::R9, Reg::R9, imm(4)),
+            Instruction::reg(Opcode::And, Reg::R12, Reg::R10, imm(1)),
+            Instruction::reg(Opcode::And, Reg::R13, Reg::R10, imm(2)),
+            Instruction::reg(Opcode::Ldl, Reg::R11, Reg::R16, Short2::reg(Reg::R12)),
+            Instruction::reg(Opcode::Add, Reg::R11, Reg::R11, imm(1)),
+            Instruction::reg(Opcode::Stl, Reg::R11, Reg::R16, Short2::reg(Reg::R13)),
+            Instruction::reg_scc(Opcode::Sub, Reg::R17, Reg::R17, imm(1)),
+            Instruction::jmpr(Cond::Ne, -4 * 8), // → head
+            Instruction::nop(),
+            Instruction::ret(Reg::R0, imm(0)),
+            Instruction::nop(),
+        ];
+        let faulting = [(0x1000 + 4 * 7, "Ldl", 1), (0x1000 + 4 * 9, "Stl", 2)];
+        // A handler that skips the faulting op: `reti r25, #4; nop`.
+        let stub = [Instruction::reti(Reg::R25, imm(4)), Instruction::nop()];
+        let stub_at = 0x100;
+        for (pc, name, entry) in faulting {
+            let mut table = vec![0u8; 4 * 200];
+            table[4 * 150] = entry;
+            let mut prog = Program::from_instructions(body.to_vec());
+            prog.data.push((0x4000, table));
+            prog.data.push((
+                stub_at,
+                stub.iter().flat_map(|i| i.encode().to_le_bytes()).collect(),
+            ));
+            for branch_model in [BranchModel::Delayed, BranchModel::Suspended] {
+                // Unhandled, the fault stops every tier at the same op with
+                // the same error and the same machine.
+                let trc = agree_across_tiers(branch_model, &prog, None);
+                let t = trc.trace_at(head).expect("the loop promoted");
+                let k = t.meta.iter().position(|m| m.pc == pc).expect("traced");
+                assert_eq!(variant(&t.ops[k]), name);
+                assert_eq!(trc.pc(), pc, "{name} stops at itself");
+                assert_eq!(trc.stats().trace_side_exits, 1, "{name} left the trace");
+                // Handled, the fault vectors and the loop runs on.
+                let trc = agree_across_tiers(branch_model, &prog, Some(stub_at));
+                assert!(trc.is_halted());
+                let s = trc.stats();
+                assert_eq!((s.trap_entries, s.trap_returns), (1, 1), "{name}");
+                assert!(s.trace_side_exits >= 1, "{name}");
+            }
+        }
     }
 }

@@ -10,14 +10,15 @@
 //! rejected, so no ticket outlives a lost admit record.
 
 use risc1::core::inject::{InjectConfig, InjectModes};
-use risc1::core::snapshot::{RestoreError, Snapshot, SNAPSHOT_VERSION};
+use risc1::core::json::{get, Parser};
+use risc1::core::snapshot::{RestoreError, Snapshot, MAX_SNAPSHOT_COUNTER, SNAPSHOT_VERSION};
 use risc1::core::{Program, SimConfig};
 use risc1::ir::{
     compile_risc, run_risc, run_risc_deadline, run_risc_resumed, snapshot_risc_prefix, RiscOpts,
     TimedOutcome,
 };
 use risc1::serve::wal::{WalWriter, WAL_FILE};
-use risc1::serve::wire;
+use risc1::serve::{handle_line, wire};
 use risc1::workloads::by_id;
 use risc1::{ExecService, JobMode, JobOutput, JobSpec, PollState, ServiceConfig, SubmitError};
 use std::path::PathBuf;
@@ -453,6 +454,92 @@ fn snapshot_rejection_variants_are_structured() {
         Snapshot::from_json(&huge).is_err(),
         "oversized declaration must fail admission"
     );
+}
+
+/// A warm start whose snapshot declares a counter past the snapshot
+/// reader's ceiling is a schema error on the wire and gets no job id: a
+/// `cycles` of `u64::MAX`, re-signed, used to be admitted, and the job's
+/// first step overflowed it. At the ceiling itself the job is admitted and
+/// runs.
+#[test]
+fn a_warm_start_with_a_counter_past_the_ceiling_gets_no_job_id() {
+    let w = compiled("acker");
+    let snap = snapshot_risc_prefix(&w.prog, &w.args, w.cfg.clone(), false, 1000)
+        .expect("prefix snapshot");
+    let text = snap.to_json();
+    let key = "\"cycles\":";
+    let at = text.find(key).expect("the stats carry cycles") + key.len();
+    let digits = text[at..].find(|c: char| !c.is_ascii_digit()).unwrap();
+    let cycles = |n: u64| format!("{}{n}{}", &text[..at], &text[at + digits..]);
+
+    // Re-signed with the checksum `verify()` recomputes, a snapshot at the
+    // ceiling reads, verifies and is admitted.
+    let edited = cycles(MAX_SNAPSHOT_COUNTER);
+    let Err(RestoreError::Corrupt { found, .. }) = Snapshot::from_json(&edited)
+        .expect("the ceiling reads")
+        .verify()
+    else {
+        panic!("the edit changed the checksum");
+    };
+    let resigned = edited.replace(
+        &format!("\"checksum\":{}", snap.checksum()),
+        &format!("\"checksum\":{found}"),
+    );
+    let forged = Snapshot::from_json(&resigned).expect("re-signed");
+    forged.verify().expect("re-signed");
+    let frame = |snap: &Snapshot| {
+        wire::submit_request(
+            "warm",
+            1,
+            &w.prog,
+            &w.args,
+            &w.cfg,
+            &[1],
+            false,
+            0,
+            "none",
+            false,
+            "direct",
+            None,
+            false,
+            Some(snap),
+        )
+    };
+    let service = ExecService::start(ServiceConfig {
+        threads: 2,
+        ..ServiceConfig::default()
+    });
+    let (reply, _) = handle_line(&service, &frame(&forged));
+    assert!(reply.starts_with("{\"ok\":true,\"jobs\":[{"), "{reply}");
+    let id = Parser::new(&reply)
+        .parse_document()
+        .and_then(|doc| {
+            let jobs = get(doc.as_obj("reply")?, "jobs")?.as_arr("jobs")?;
+            get(jobs[0].as_obj("job")?, "id")?.as_u64("id")
+        })
+        .expect("a job id");
+    assert!(
+        matches!(done(&service, id), JobOutput::Finished(_)),
+        "the job runs on from the ceiling"
+    );
+
+    // Past the ceiling the reader refuses the counter before it reads the
+    // checksum, so no re-signing can get such a snapshot in: the frame is
+    // a schema error, and no job is admitted.
+    let past = frame(&forged).replacen(
+        &format!("{key}{MAX_SNAPSHOT_COUNTER}"),
+        &format!("{key}{}", u64::MAX),
+        1,
+    );
+    assert_ne!(past, frame(&forged), "the frame carries the counter");
+    let (reply, _) = handle_line(&service, &past);
+    assert!(
+        reply.starts_with("{\"ok\":false,\"error\":\"bad-request\"") && reply.contains("ceiling"),
+        "{reply}"
+    );
+    assert!(!reply.contains("\"id\""), "no job id: {reply}");
+    assert_eq!(service.status().counters.submitted, 1, "only the first job");
+    service.shutdown();
 }
 
 /// Journals retained for `journal:true` jobs replay bit for bit via the
