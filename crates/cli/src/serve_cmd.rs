@@ -1,8 +1,8 @@
 //! `risc1 serve`: the fault-tolerant batch execution service, over TCP or
 //! stdin/stdout, plus the `--smoke` self-test CI gates on.
 
-use risc1_core::json::{get, Json, Parser};
-use risc1_core::{InjectConfig, Journal, SimConfig};
+use risc1_core::json::{get, Json, JsonError, Parser};
+use risc1_core::{InjectConfig, Journal, SimConfig, Snapshot};
 use risc1_ir::{
     compile_risc, recorded_outcome, replay_journal, run_risc, run_risc_deadline, run_risc_injected,
     snapshot_risc_prefix, RiscOpts, TimedOutcome,
@@ -187,25 +187,46 @@ fn job_ids(response: &Json) -> Result<Vec<(u64, u64, bool)>, String> {
                 get(j, "dedup")?.as_bool("dedup")?,
             ))
         })
-        .collect::<Result<Vec<_>, risc1_core::json::JsonError>>()
+        .collect::<Result<Vec<_>, JsonError>>()
         .map_err(|e| e.to_string())
 }
 
-fn done_digest(response: &Json) -> Result<String, String> {
-    let obj = response.as_obj("response").map_err(|e| e.to_string())?;
-    let state = get(obj, "state")
-        .and_then(|s| s.as_str("state"))
-        .map_err(|e| e.to_string())?;
-    if state != "done" {
-        return Err(format!("job not done after wait: state {state}"));
-    }
-    let result = get(obj, "result")
-        .and_then(|r| r.as_obj("result"))
-        .map_err(|e| e.to_string())?;
-    get(result, "digest")
-        .and_then(|d| d.as_str("digest"))
-        .map(str::to_owned)
-        .map_err(|e| e.to_string())
+/// Field `key` of a finished job's result, from its poll response.
+fn done_field(response: &Json, key: &str) -> Result<String, String> {
+    (|| {
+        let obj = response.as_obj("response")?;
+        let state = get(obj, "state")?.as_str("state")?;
+        if state != "done" {
+            let msg = format!("job not done after wait: state {state}");
+            return Err(JsonError::Schema(msg));
+        }
+        Ok(get(get(obj, "result")?.as_obj("result")?, key)?
+            .as_str(key)?
+            .to_owned())
+    })()
+    .map_err(|e| e.to_string())
+}
+
+/// The poll that waits up to a minute for job `id`.
+fn poll(id: u64) -> String {
+    format!("{{\"op\":\"poll\",\"id\":{id},\"wait_ms\":60000}}")
+}
+
+/// One of a status response's counters.
+fn counter(status: &Json, key: &str) -> Result<u64, String> {
+    (|| {
+        let counters = get(status.as_obj("status")?, "counters")?;
+        get(counters.as_obj("counters")?, key)?.as_u64(key)
+    })()
+    .map_err(|e| e.to_string())
+}
+
+/// Whether a shutdown response acknowledges the shutdown.
+fn acknowledged(bye: &Json) -> bool {
+    bye.as_obj("shutdown")
+        .and_then(|b| get(b, "ok"))
+        .and_then(|v| v.as_bool("ok"))
+        == Ok(true)
 }
 
 /// The CI smoke gate: start a real TCP server, drive a 3-job mixed
@@ -241,39 +262,30 @@ fn smoke(mut cfg: ServiceConfig) -> CliResult {
             let mut rx = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
             let mut tx = stream;
 
-            // 1 clean job + 2 injected jobs (all modes, recovery on).
-            let clean_req = wire::submit_request(
-                "smoke",
-                1,
-                &prog,
-                &w.small_args,
-                &sim,
-                &[0],
-                false,
-                0,
-                "none",
-                false,
-                "direct",
-                None,
-                false,
-                None,
-            );
-            let inject_req = wire::submit_request(
-                "smoke",
-                1,
-                &prog,
-                &w.small_args,
-                &sim,
-                &[3, 11],
-                true,
-                rate,
-                "all",
-                true,
-                "direct",
-                None,
-                false,
-                None,
-            );
+            // A submit frame: a clean job, or an injected one with every
+            // mode and recovery on.
+            let submit = |seeds: &[u64], inject: bool, journal: bool, snap: Option<&Snapshot>| {
+                let (rate, modes) = if inject { (rate, "all") } else { (0, "none") };
+                wire::submit_request(
+                    "smoke",
+                    1,
+                    &prog,
+                    &w.small_args,
+                    &sim,
+                    seeds,
+                    inject,
+                    rate,
+                    modes,
+                    inject,
+                    "direct",
+                    None,
+                    journal,
+                    snap,
+                )
+            };
+            // 1 clean job + 2 injected jobs.
+            let clean_req = submit(&[0], false, false, None);
+            let inject_req = submit(&[3, 11], true, false, None);
             let clean = exchange(&mut out, &mut tx, &mut rx, &clean_req)?;
             let injected = exchange(&mut out, &mut tx, &mut rx, &inject_req)?;
             let mut jobs = job_ids(&clean)?;
@@ -307,9 +319,8 @@ fn smoke(mut cfg: ServiceConfig) -> CliResult {
             }
 
             for (&(seed, id, _), want) in jobs.iter().zip(&expected) {
-                let poll = format!("{{\"op\":\"poll\",\"id\":{id},\"wait_ms\":60000}}");
-                let response = exchange(&mut out, &mut tx, &mut rx, &poll)?;
-                let got = done_digest(&response)?;
+                let response = exchange(&mut out, &mut tx, &mut rx, &poll(id))?;
+                let got = done_field(&response, "digest")?;
                 let want = format!("{want:016x}");
                 if got != want {
                     return Err(format!(
@@ -325,16 +336,8 @@ fn smoke(mut cfg: ServiceConfig) -> CliResult {
             }
 
             let status = exchange(&mut out, &mut tx, &mut rx, "{\"op\":\"status\"}")?;
-            let sobj = status.as_obj("status").map_err(|e| e.to_string())?;
-            let counters = get(sobj, "counters")
-                .and_then(|c| c.as_obj("counters"))
-                .map_err(|e| e.to_string())?;
-            let completed = get(counters, "completed")
-                .and_then(|v| v.as_u64("completed"))
-                .map_err(|e| e.to_string())?;
-            let panics = get(counters, "panics")
-                .and_then(|v| v.as_u64("panics"))
-                .map_err(|e| e.to_string())?;
+            let completed = counter(&status, "completed")?;
+            let panics = counter(&status, "panics")?;
             if completed != 3 || panics != 0 {
                 return Err(format!(
                     "status: expected 3 completed / 0 panics, got {completed}/{panics}\n{out}"
@@ -343,30 +346,14 @@ fn smoke(mut cfg: ServiceConfig) -> CliResult {
 
             // Streamed replay journal: record seed 3's campaign server-side,
             // pull it in sequence-numbered chunks, replay it bit for bit.
-            let journal_req = wire::submit_request(
-                "smoke",
-                1,
-                &prog,
-                &w.small_args,
-                &sim,
-                &[3],
-                true,
-                rate,
-                "all",
-                true,
-                "direct",
-                None,
-                true,
-                None,
-            );
+            let journal_req = submit(&[3], true, true, None);
             let jr = exchange(&mut out, &mut tx, &mut rx, &journal_req)?;
             let jid = job_ids(&jr)?
                 .first()
                 .map(|&(_, id, _)| id)
                 .ok_or("journal submit returned no job")?;
-            let poll = format!("{{\"op\":\"poll\",\"id\":{jid},\"wait_ms\":60000}}");
-            let jdone = exchange(&mut out, &mut tx, &mut rx, &poll)?;
-            let jdigest = done_digest(&jdone)?;
+            let jdone = exchange(&mut out, &mut tx, &mut rx, &poll(jid))?;
+            let jdigest = done_field(&jdone, "digest")?;
             if jdigest != format!("{:016x}", expected[1]) {
                 return Err(format!(
                     "journal job digest {jdigest} != direct digest of seed 3\n{out}"
@@ -397,30 +384,14 @@ fn smoke(mut cfg: ServiceConfig) -> CliResult {
             if snap.at_instruction() == 0 {
                 return Err("warm-start snapshot covers no prefix".into());
             }
-            let warm_req = wire::submit_request(
-                "smoke",
-                1,
-                &prog,
-                &w.small_args,
-                &sim,
-                &[0],
-                false,
-                0,
-                "none",
-                false,
-                "direct",
-                None,
-                false,
-                Some(&snap),
-            );
+            let warm_req = submit(&[0], false, false, Some(&snap));
             let wr = exchange(&mut out, &mut tx, &mut rx, &warm_req)?;
             let wid = job_ids(&wr)?
                 .first()
                 .map(|&(_, id, _)| id)
                 .ok_or("warm-start submit returned no job")?;
-            let poll = format!("{{\"op\":\"poll\",\"id\":{wid},\"wait_ms\":60000}}");
-            let wdone = exchange(&mut out, &mut tx, &mut rx, &poll)?;
-            let wdigest = done_digest(&wdone)?;
+            let wdone = exchange(&mut out, &mut tx, &mut rx, &poll(wid))?;
+            let wdigest = done_field(&wdone, "digest")?;
             if wdigest != format!("{:016x}", expected[0]) {
                 return Err(format!(
                     "warm-start digest {wdigest} != cold digest (prefix {} insns)\n{out}",
@@ -433,31 +404,31 @@ fn smoke(mut cfg: ServiceConfig) -> CliResult {
                 snap.at_instruction()
             );
 
-            // A tampered snapshot must land as a structured rejection.
-            let tampered = snap
-                .to_json()
-                .replace("\"halted\":false", "\"halted\":true");
-            let reject_req = tampered_snapshot_request(&prog, &w.small_args, &sim, &tampered);
+            // A tampered snapshot must land as a structured rejection. It
+            // still parses, carrying the stored checksum unverified, so the
+            // rejection happens at restore time. The dedup key folds the
+            // snapshot's full content, so the tampered body misses the
+            // completed warm-start job of the same seed.
+            let tampered = Snapshot::from_json(
+                &snap
+                    .to_json()
+                    .replace("\"halted\":false", "\"halted\":true"),
+            )
+            .map_err(|e| format!("tampered snapshot: {e}"))?;
+            let reject_req = submit(&[0], false, false, Some(&tampered));
             let rr = exchange(&mut out, &mut tx, &mut rx, &reject_req)?;
             let rid = job_ids(&rr)?
                 .first()
                 .map(|&(_, id, _)| id)
                 .ok_or("tampered submit returned no job")?;
-            let poll = format!("{{\"op\":\"poll\",\"id\":{rid},\"wait_ms\":60000}}");
-            let rdone = exchange(&mut out, &mut tx, &mut rx, &poll)?;
-            if done_kind(&rdone)? != "snapshot-rejected" {
+            let rdone = exchange(&mut out, &mut tx, &mut rx, &poll(rid))?;
+            if done_field(&rdone, "kind")? != "snapshot-rejected" {
                 return Err(format!("tampered snapshot was not rejected\n{out}"));
             }
 
             // Counters surface the durability story.
             let status = exchange(&mut out, &mut tx, &mut rx, "{\"op\":\"status\"}")?;
-            let sobj = status.as_obj("status").map_err(|e| e.to_string())?;
-            let counters = get(sobj, "counters")
-                .and_then(|c| c.as_obj("counters"))
-                .map_err(|e| e.to_string())?;
-            let rejected = get(counters, "snapshots_rejected")
-                .and_then(|v| v.as_u64("snapshots_rejected"))
-                .map_err(|e| e.to_string())?;
+            let rejected = counter(&status, "snapshots_rejected")?;
             if rejected != 1 {
                 return Err(format!(
                     "expected 1 rejected snapshot, got {rejected}\n{out}"
@@ -465,8 +436,7 @@ fn smoke(mut cfg: ServiceConfig) -> CliResult {
             }
 
             let bye = exchange(&mut out, &mut tx, &mut rx, "{\"op\":\"shutdown\"}")?;
-            let bobj = bye.as_obj("shutdown").map_err(|e| e.to_string())?;
-            if get(bobj, "ok").and_then(|v| v.as_bool("ok")) != Ok(true) {
+            if !acknowledged(&bye) {
                 return Err(format!("shutdown not acknowledged\n{out}"));
             }
             Ok((clean_req, inject_req, expected))
@@ -501,56 +471,6 @@ fn smoke(mut cfg: ServiceConfig) -> CliResult {
         Ok(out.clone())
     });
     result
-}
-
-/// A submit request wrapping an intentionally corrupted snapshot body
-/// (which still parses, so the rejection happens at restore time).
-fn tampered_snapshot_request(
-    prog: &risc1_core::Program,
-    args: &[i32],
-    sim: &SimConfig,
-    snapshot_json: &str,
-) -> String {
-    let mut w = risc1_core::json::Writer::new();
-    w.obj_open();
-    w.key("op");
-    w.str("submit");
-    w.key("client");
-    w.str("smoke");
-    w.key("program");
-    prog.write_json(&mut w);
-    w.key("args");
-    w.arr_open();
-    for &a in args {
-        w.num(i128::from(a));
-    }
-    w.arr_close();
-    w.key("cfg");
-    risc1_core::journal::write_config(&mut w, sim);
-    // Same seed as the completed warm-start job: the dedup key folds the
-    // snapshot's full content, so the tampered body must miss dedup and
-    // reach restore-time verification.
-    w.key("seeds");
-    w.arr_open();
-    w.num(0);
-    w.arr_close();
-    w.key("inject");
-    w.bool(false);
-    w.key("snapshot");
-    w.raw(snapshot_json);
-    w.obj_close();
-    w.finish()
-}
-
-fn done_kind(response: &Json) -> Result<String, String> {
-    let obj = response.as_obj("response").map_err(|e| e.to_string())?;
-    let result = get(obj, "result")
-        .and_then(|r| r.as_obj("result"))
-        .map_err(|e| e.to_string())?;
-    get(result, "kind")
-        .and_then(|k| k.as_str("kind"))
-        .map(str::to_owned)
-        .map_err(|e| e.to_string())
 }
 
 /// A spawned server that is killed if the gate errors out early.
@@ -652,9 +572,8 @@ fn kill_restart_gate(
     let _ = writeln!(out, "smoke: recovered server on {addr}");
     let (mut tx, mut rx) = connect(&addr)?;
     for (&(seed, id, _), want) in jobs.iter().zip(expected) {
-        let poll = format!("{{\"op\":\"poll\",\"id\":{id},\"wait_ms\":60000}}");
-        let response = exchange(out, &mut tx, &mut rx, &poll)?;
-        let got = done_digest(&response)?;
+        let response = exchange(out, &mut tx, &mut rx, &poll(id))?;
+        let got = done_field(&response, "digest")?;
         let want = format!("{want:016x}");
         if got != want {
             return Err(format!(
@@ -663,16 +582,8 @@ fn kill_restart_gate(
         }
     }
     let status = exchange(out, &mut tx, &mut rx, "{\"op\":\"status\"}")?;
-    let sobj = status.as_obj("status").map_err(|e| e.to_string())?;
-    let counters = get(sobj, "counters")
-        .and_then(|c| c.as_obj("counters"))
-        .map_err(|e| e.to_string())?;
-    let replayed = get(counters, "wal_replayed")
-        .and_then(|v| v.as_u64("wal_replayed"))
-        .map_err(|e| e.to_string())?;
-    let reseeded = get(counters, "wal_reseeded")
-        .and_then(|v| v.as_u64("wal_reseeded"))
-        .map_err(|e| e.to_string())?;
+    let replayed = counter(&status, "wal_replayed")?;
+    let reseeded = counter(&status, "wal_reseeded")?;
     if (replayed + reseeded) as usize != expected.len() {
         return Err(format!(
             "recovery counters {replayed}+{reseeded} do not cover {} admitted jobs",
@@ -685,8 +596,7 @@ fn kill_restart_gate(
          all digests bit-identical"
     );
     let bye = exchange(out, &mut tx, &mut rx, "{\"op\":\"shutdown\"}")?;
-    let bobj = bye.as_obj("shutdown").map_err(|e| e.to_string())?;
-    if get(bobj, "ok").and_then(|v| v.as_bool("ok")) != Ok(true) {
+    if !acknowledged(&bye) {
         return Err("recovered server did not acknowledge shutdown".into());
     }
     let _ = child.0.wait();

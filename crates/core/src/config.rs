@@ -1,5 +1,12 @@
 //! Simulator configuration.
 
+use crate::json::{
+    get_opt, num, obj, or, Field, Flag, Json, JsonError, Named, Nullable, Unhashed, Writer,
+};
+use crate::snapshot::{
+    Fnv64, MAX_SNAPSHOT_MEM_BYTES, MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES, MAX_SNAPSHOT_WINDOWS,
+};
+
 /// How transfers of control are timed.
 ///
 /// RISC I's argument (and the subject of experiment E9): a *delayed* jump
@@ -18,6 +25,12 @@ pub enum BranchModel {
     /// under both models.)
     Suspended,
 }
+
+/// The branch models by their serialized names, in checksum order.
+const BRANCH_MODELS: [(&str, BranchModel); 2] = [
+    ("delayed", BranchModel::Delayed),
+    ("suspended", BranchModel::Suspended),
+];
 
 /// Complete configuration of one simulated RISC I machine.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,25 +111,56 @@ pub enum ExecEngine {
 }
 
 impl ExecEngine {
+    /// Every tier by its CLI / serialization spelling.
+    const NAMES: [(&'static str, ExecEngine); 4] = [
+        ("uncached", ExecEngine::Uncached),
+        ("cached", ExecEngine::Cached),
+        ("superblock", ExecEngine::Superblock),
+        ("trace", ExecEngine::Trace),
+    ];
+
     /// The CLI / serialization spelling.
     pub fn name(self) -> &'static str {
-        match self {
-            ExecEngine::Uncached => "uncached",
-            ExecEngine::Cached => "cached",
-            ExecEngine::Superblock => "superblock",
-            ExecEngine::Trace => "trace",
-        }
+        let (name, _) = Self::NAMES
+            .into_iter()
+            .find(|&(_, e)| e == self)
+            .expect("named");
+        name
     }
 
     /// Parses the CLI / serialization spelling.
     pub fn from_name(s: &str) -> Option<ExecEngine> {
-        match s {
-            "uncached" => Some(ExecEngine::Uncached),
-            "cached" => Some(ExecEngine::Cached),
-            "superblock" => Some(ExecEngine::Superblock),
-            "trace" => Some(ExecEngine::Trace),
-            _ => None,
+        Self::NAMES
+            .into_iter()
+            .find(|&(n, _)| n == s)
+            .map(|(_, e)| e)
+    }
+}
+
+/// The engine tier's field: its name, or in a journal written before the
+/// superblock tier, the `predecode` flag (`true` the cached tier, `false`
+/// the uncached one) in its place.
+struct Engine;
+
+const ENGINE_NAMES: Named<ExecEngine> = Named(&ExecEngine::NAMES);
+
+impl Field<ExecEngine> for Engine {
+    fn write(&self, w: &mut Writer, key: &str, v: &ExecEngine) {
+        ENGINE_NAMES.write(w, key, v);
+    }
+
+    fn read(&self, obj: &[(String, Json)], key: &str) -> Result<ExecEngine, JsonError> {
+        if get_opt(obj, key).is_some() {
+            return ENGINE_NAMES.read(obj, key);
         }
+        Ok(match Flag.read(obj, "predecode")? {
+            true => ExecEngine::Cached,
+            false => ExecEngine::Uncached,
+        })
+    }
+
+    fn hash(&self, h: &mut Fnv64, v: &ExecEngine) {
+        ENGINE_NAMES.hash(h, v);
     }
 }
 
@@ -150,6 +194,19 @@ impl Default for FusionConfig {
     }
 }
 
+crate::record! {
+    FusionConfig {
+        "cmp_branch" => cmp_branch: Flag,
+        "ldhi_imm" => ldhi_imm: Flag,
+        "transfer_slot" => transfer_slot: Flag,
+        "addr_feed" => addr_feed: Flag,
+        // Absent in journals written before this kind existed; the default
+        // reproduces their behaviour (fusion never changes architectural
+        // state).
+        "alu_pair" => alu_pair: or(Flag, || true),
+    }
+}
+
 impl FusionConfig {
     /// All kinds disabled (superblocks still form; pairs never fuse).
     pub fn none() -> FusionConfig {
@@ -179,6 +236,32 @@ impl Default for SimConfig {
             engine: ExecEngine::Trace,
             fusion: FusionConfig::default(),
         }
+    }
+}
+
+// The one statement of the configuration's JSON object, shared by
+// journals, snapshots, wire submits and WAL records, and of its
+// checksum walk. Every configuration that enters from outside comes
+// through here, so this is where the sizes a machine is built from are
+// held to their admission limits. The checksum leaves out the host-only
+// `engine` and `fusion` (see `SimConfig::architectural`); the reader
+// ignores the `record_trace` flag older builds wrote.
+crate::record! {
+    SimConfig {
+        "windows" => windows: num(2..=MAX_SNAPSHOT_WINDOWS),
+        "mem_bytes" => mem_bytes: num(0..=MAX_SNAPSHOT_MEM_BYTES),
+        "code_base" => code_base: num(0..=u32::MAX),
+        "stack_top" => stack_top: num(0..=u32::MAX),
+        "window_stack_top" => window_stack_top: num(0..=u32::MAX),
+        "trap_overhead_cycles" => trap_overhead_cycles: num(0..=MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES),
+        "branch_model" => branch_model: Named(&BRANCH_MODELS),
+        "forwarding" => forwarding: Flag,
+        "fuel" => fuel: num(0..=u64::MAX),
+        "trap_base" => trap_base: Nullable(num(0..=u32::MAX)),
+        "engine" => engine: Unhashed(Engine),
+        // Journals written before the superblock engine carry no fusion
+        // block; the defaults reproduce their behaviour.
+        "fusion" => fusion: Unhashed(or(obj(), FusionConfig::default)),
     }
 }
 

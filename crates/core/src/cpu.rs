@@ -298,7 +298,9 @@ impl Cpu {
         let mut trap_handlers = [None; TrapKind::COUNT];
         if let Some(base) = cfg.trap_base {
             for kind in TrapKind::ALL {
-                trap_handlers[kind.index()] = Some(base + kind.index() as u32 * TRAP_VECTOR_STRIDE);
+                // Address arithmetic wraps, as the PC's does.
+                trap_handlers[kind.index()] =
+                    Some(base.wrapping_add(kind.index() as u32 * TRAP_VECTOR_STRIDE));
             }
         }
         let fuel_limit = cfg.fuel;
@@ -346,7 +348,8 @@ impl Cpu {
         for (addr, bytes) in &prog.data {
             self.mem.load_image(*addr, bytes)?;
         }
-        self.pc = self.cfg.code_base + prog.entry_offset;
+        // Address arithmetic wraps, as the PC's does.
+        self.pc = self.cfg.code_base.wrapping_add(prog.entry_offset);
         self.regs.write(Reg::R1, self.cfg.stack_top);
         self.mem.reset_traffic();
         Ok(())
@@ -1775,7 +1778,9 @@ impl Cpu {
     fn spill_window(&mut self, emergency: bool) -> Result<u64, SpillFail> {
         let frame = SPILL_REGS as u32 * 4;
         let reserve = if emergency { 0 } else { frame };
-        if self.wstack_ptr < self.cfg.stack_top + frame + reserve {
+        // A stack top within a frame of the address space's end leaves no
+        // room above it for the save stack: the file is exhausted.
+        if self.wstack_ptr < self.cfg.stack_top.saturating_add(frame + reserve) {
             return Err(SpillFail::Exhausted {
                 ptr: self.wstack_ptr,
             });

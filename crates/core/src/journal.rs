@@ -13,16 +13,13 @@
 //! recorded steps reproduces the run bit for bit.
 //!
 //! Journals serialize to plain JSON ([`Journal::to_json`] /
-//! [`Journal::from_json`]) with a hand-rolled writer and parser — the
-//! workspace deliberately has no external dependencies.
+//! [`Journal::from_json`]); the journal, its events and its outcome are
+//! declared records (see [`crate::json`]).
 
-use crate::config::{BranchModel, ExecEngine, FusionConfig, SimConfig};
+use crate::config::SimConfig;
 use crate::inject::{InjectConfig, InjectKind};
-use crate::json::{get, Json, JsonError, Parser, Writer};
+use crate::json::{num, obj, Field, Flag, JsonError, List, Nullable, Parser, Record, Text};
 use crate::program::Program;
-use crate::snapshot::{
-    MAX_SNAPSHOT_MEM_BYTES, MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES, MAX_SNAPSHOT_WINDOWS,
-};
 use crate::trap::TrapKind;
 use std::collections::HashMap;
 use std::fmt;
@@ -79,12 +76,8 @@ pub struct Journal {
     pub recovery: bool,
     /// Simulator configuration of the recorded run.
     pub cfg: SimConfig,
-    /// Program text, one word per instruction.
-    pub words: Vec<u32>,
-    /// Entry offset into the text, in bytes.
-    pub entry_offset: u32,
-    /// Initial data images `(addr, bytes)`.
-    pub data: Vec<(u32, Vec<u8>)>,
+    /// The recorded program image (its symbol table empty).
+    pub program: Program,
     /// Arguments passed to the program.
     pub args: Vec<i32>,
     /// The perturbations, in step order ([`Journal::from_json`] rejects a
@@ -111,73 +104,19 @@ impl Journal {
             rate: inject.map_or(0, |i| i.rate),
             recovery,
             cfg,
-            words: prog.words.clone(),
-            entry_offset: prog.entry_offset,
-            data: prog.data.clone(),
+            program: Program {
+                symbols: HashMap::new(),
+                ..prog.clone()
+            },
             args: args.to_vec(),
             events: Vec::new(),
             outcome: None,
         }
     }
 
-    /// Reconstructs the recorded program image.
-    pub fn program(&self) -> Program {
-        Program {
-            words: self.words.clone(),
-            entry_offset: self.entry_offset,
-            data: self.data.clone(),
-            symbols: HashMap::new(),
-        }
-    }
-
     /// Serializes the journal to JSON.
     pub fn to_json(&self) -> String {
-        let mut w = Writer::new();
-        w.obj_open();
-        w.key("version");
-        w.num(i128::from(self.version));
-        w.key("seed");
-        w.num(i128::from(self.seed));
-        w.key("rate");
-        w.num(i128::from(self.rate));
-        w.key("recovery");
-        w.bool(self.recovery);
-        w.key("config");
-        write_config(&mut w, &self.cfg);
-        w.key("program");
-        self.program().write_json(&mut w);
-        w.key("args");
-        w.arr_open();
-        for &a in &self.args {
-            w.num(i128::from(a));
-        }
-        w.arr_close();
-        w.key("events");
-        w.arr_open();
-        for ev in &self.events {
-            write_event(&mut w, ev);
-        }
-        w.arr_close();
-        w.key("outcome");
-        match &self.outcome {
-            None => w.null(),
-            Some(o) => {
-                w.obj_open();
-                w.key("signature");
-                w.str(&o.signature);
-                w.key("instructions");
-                w.num(i128::from(o.instructions));
-                w.key("trap_counts");
-                w.arr_open();
-                for &c in &o.trap_counts {
-                    w.num(i128::from(c));
-                }
-                w.arr_close();
-                w.obj_close();
-            }
-        }
-        w.obj_close();
-        w.finish()
+        crate::json::to_json(self)
     }
 
     /// Parses a journal from JSON.
@@ -189,272 +128,78 @@ impl Journal {
     pub fn from_json(text: &str) -> Result<Journal, JournalError> {
         let root = Parser::new(text).parse_document()?;
         let obj = root.as_obj("journal")?;
-        let version = get(obj, "version")?.as_u32("version")?;
+        // The version decides the schema, so it is read first.
+        let version = VERSION.read(obj, "version")?;
         if version != JOURNAL_VERSION {
             return Err(JournalError::Version { found: version });
         }
-        let Program {
-            words,
-            entry_offset,
-            data,
-            ..
-        } = Program::from_json_value(get(obj, "program")?)?;
-        let mut events: Vec<JournalEvent> = Vec::new();
-        for (i, item) in get(obj, "events")?.as_arr("events")?.iter().enumerate() {
-            let ev = read_event(item.as_obj("event")?)?;
-            if let Some(prev) = events.last().filter(|prev| ev.step < prev.step) {
+        let journal = Journal::read_fields(obj, &())?;
+        for (i, pair) in journal.events.windows(2).enumerate() {
+            if pair[1].step < pair[0].step {
                 return Err(JournalError::Schema(format!(
-                    "events[{i}]: step {} goes back before step {} of the event ahead of it",
-                    ev.step, prev.step
+                    "events[{}]: step {} goes back before step {} of the event ahead of it",
+                    i + 1,
+                    pair[1].step,
+                    pair[0].step
                 )));
             }
-            events.push(ev);
         }
-        let outcome = match get(obj, "outcome")? {
-            Json::Null => None,
-            v => {
-                let o = v.as_obj("outcome")?;
-                let counts = get(o, "trap_counts")?.as_arr("trap_counts")?;
-                if counts.len() != TrapKind::COUNT {
-                    return Err(JournalError::schema("trap_counts must have 6 entries"));
-                }
-                let mut trap_counts = [0u64; TrapKind::COUNT];
-                for (slot, v) in trap_counts.iter_mut().zip(counts) {
-                    *slot = v.as_u64("trap count")?;
-                }
-                Some(RecordedOutcome {
-                    signature: get(o, "signature")?.as_str("signature")?.to_owned(),
-                    instructions: get(o, "instructions")?.as_u64("instructions")?,
-                    trap_counts,
-                })
-            }
-        };
-        Ok(Journal {
-            version,
-            seed: get(obj, "seed")?.as_u64("seed")?,
-            rate: get(obj, "rate")?.as_u32("rate")?,
-            recovery: get(obj, "recovery")?.as_bool("recovery")?,
-            cfg: read_config(get(obj, "config")?.as_obj("config")?)?,
-            words,
-            entry_offset,
-            data,
-            args: get(obj, "args")?
-                .as_arr("args")?
-                .iter()
-                .map(|v| v.as_i32("arg"))
-                .collect::<Result<_, _>>()?,
-            events,
-            outcome,
-        })
+        Ok(journal)
     }
 }
 
-/// Writes a [`SimConfig`] as a JSON object (shared by journals and the
-/// serve wire format).
-pub fn write_config(w: &mut Writer, cfg: &SimConfig) {
-    w.obj_open();
-    w.key("windows");
-    w.num(cfg.windows as i128);
-    w.key("mem_bytes");
-    w.num(cfg.mem_bytes as i128);
-    w.key("code_base");
-    w.num(i128::from(cfg.code_base));
-    w.key("stack_top");
-    w.num(i128::from(cfg.stack_top));
-    w.key("window_stack_top");
-    w.num(i128::from(cfg.window_stack_top));
-    w.key("trap_overhead_cycles");
-    w.num(i128::from(cfg.trap_overhead_cycles));
-    w.key("branch_model");
-    w.str(match cfg.branch_model {
-        BranchModel::Delayed => "delayed",
-        BranchModel::Suspended => "suspended",
-    });
-    w.key("forwarding");
-    w.bool(cfg.forwarding);
-    w.key("fuel");
-    w.num(i128::from(cfg.fuel));
-    w.key("trap_base");
-    match cfg.trap_base {
-        None => w.null(),
-        Some(b) => w.num(i128::from(b)),
-    }
-    w.key("engine");
-    w.str(cfg.engine.name());
-    w.key("fusion");
-    w.obj_open();
-    w.key("cmp_branch");
-    w.bool(cfg.fusion.cmp_branch);
-    w.key("ldhi_imm");
-    w.bool(cfg.fusion.ldhi_imm);
-    w.key("transfer_slot");
-    w.bool(cfg.fusion.transfer_slot);
-    w.key("addr_feed");
-    w.bool(cfg.fusion.addr_feed);
-    w.key("alu_pair");
-    w.bool(cfg.fusion.alu_pair);
-    w.obj_close();
-    w.obj_close();
-}
+/// The format version's field.
+const VERSION: crate::json::Num<u32> = num(0..=u32::MAX);
 
-/// Reads a [`SimConfig`] written by [`write_config`] (tolerating the
-/// documented legacy field spellings, and ignoring the `record_trace` flag
-/// older builds wrote).
-///
-/// Every configuration that enters from outside — a wire submit, a WAL
-/// record, a journal, a snapshot — comes through here, so this is where
-/// the sizes a machine is built from are held to their admission limits:
-/// 2 to [`MAX_SNAPSHOT_WINDOWS`] windows, at most
-/// [`MAX_SNAPSHOT_MEM_BYTES`] of memory and at most
-/// [`MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES`] cycles of overhead per trap.
-///
-/// # Errors
-/// [`JsonError`] on a malformed or unknown field, or a size outside its
-/// admission limit.
-pub fn read_config(obj: &[(String, Json)]) -> Result<SimConfig, JsonError> {
-    let windows = get(obj, "windows")?.as_usize("windows")?;
-    if !(2..=MAX_SNAPSHOT_WINDOWS).contains(&windows) {
-        return Err(JsonError::schema(&format!(
-            "windows {windows} outside 2..={MAX_SNAPSHOT_WINDOWS}"
-        )));
-    }
-    let mem_bytes = get(obj, "mem_bytes")?.as_usize("mem_bytes")?;
-    if mem_bytes > MAX_SNAPSHOT_MEM_BYTES {
-        return Err(JsonError::schema(&format!(
-            "mem_bytes {mem_bytes} exceeds the {MAX_SNAPSHOT_MEM_BYTES}-byte admission limit"
-        )));
-    }
-    let trap_overhead_cycles = get(obj, "trap_overhead_cycles")?.as_u64("trap_overhead_cycles")?;
-    if trap_overhead_cycles > MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES {
-        return Err(JsonError::schema(&format!(
-            "trap_overhead_cycles {trap_overhead_cycles} exceeds the \
-             {MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES}-cycle admission limit"
-        )));
-    }
-    Ok(SimConfig {
-        windows,
-        mem_bytes,
-        code_base: get(obj, "code_base")?.as_u32("code_base")?,
-        stack_top: get(obj, "stack_top")?.as_u32("stack_top")?,
-        window_stack_top: get(obj, "window_stack_top")?.as_u32("window_stack_top")?,
-        trap_overhead_cycles,
-        branch_model: match get(obj, "branch_model")?.as_str("branch_model")? {
-            "delayed" => BranchModel::Delayed,
-            "suspended" => BranchModel::Suspended,
-            other => {
-                return Err(JsonError::schema(&format!(
-                    "unknown branch_model {other:?}"
-                )))
-            }
-        },
-        forwarding: get(obj, "forwarding")?.as_bool("forwarding")?,
-        fuel: get(obj, "fuel")?.as_u64("fuel")?,
-        trap_base: match get(obj, "trap_base")? {
-            Json::Null => None,
-            v => Some(v.as_u32("trap_base")?),
-        },
-        engine: read_engine(obj)?,
-        fusion: match get(obj, "fusion") {
-            Ok(v) => {
-                let f = v.as_obj("fusion")?;
-                FusionConfig {
-                    cmp_branch: get(f, "cmp_branch")?.as_bool("cmp_branch")?,
-                    ldhi_imm: get(f, "ldhi_imm")?.as_bool("ldhi_imm")?,
-                    transfer_slot: get(f, "transfer_slot")?.as_bool("transfer_slot")?,
-                    addr_feed: get(f, "addr_feed")?.as_bool("addr_feed")?,
-                    // Absent in journals written before this kind existed;
-                    // the default reproduces their behaviour (fusion never
-                    // changes architectural state).
-                    alu_pair: match get(f, "alu_pair") {
-                        Ok(v) => v.as_bool("alu_pair")?,
-                        Err(_) => true,
-                    },
-                }
-            }
-            // Journals written before the superblock engine carry no
-            // fusion block; the defaults reproduce their behaviour.
-            Err(_) => FusionConfig::default(),
-        },
-    })
-}
-
-/// Reads the execution-engine field, accepting the legacy `"predecode"`
-/// boolean of pre-superblock journals (`true` → cached, `false` →
-/// uncached) so old recordings stay replayable.
-fn read_engine(obj: &[(String, Json)]) -> Result<ExecEngine, JsonError> {
-    if let Ok(v) = get(obj, "engine") {
-        let name = v.as_str("engine")?;
-        return ExecEngine::from_name(name)
-            .ok_or_else(|| JsonError::schema(&format!("unknown engine {name:?}")));
-    }
-    match get(obj, "predecode")?.as_bool("predecode")? {
-        true => Ok(ExecEngine::Cached),
-        false => Ok(ExecEngine::Uncached),
+crate::record! {
+    Journal {
+        "version" => version: VERSION,
+        "seed" => seed: num(0..=u64::MAX),
+        "rate" => rate: num(0..=u32::MAX),
+        "recovery" => recovery: Flag,
+        "config" => cfg: obj(),
+        "program" => program: obj(),
+        "args" => args: List(num(i32::MIN..=i32::MAX)),
+        "events" => events: List(obj()),
+        "outcome" => outcome: Nullable(obj()),
     }
 }
 
-/// Writes one [`JournalEvent`] as a JSON object.
-pub fn write_event(w: &mut Writer, ev: &JournalEvent) {
-    w.obj_open();
-    w.key("step");
-    w.num(i128::from(ev.step));
-    w.key("at_instruction");
-    w.num(i128::from(ev.at_instruction));
-    w.key("kind");
-    match ev.kind {
-        InjectKind::BitFlip { addr, bit } => {
-            w.str("bit-flip");
-            w.key("addr");
-            w.num(i128::from(addr));
-            w.key("bit");
-            w.num(i128::from(bit));
-        }
-        InjectKind::SpuriousInterrupt => w.str("spurious-interrupt"),
-        InjectKind::DecodeProbe => w.str("decode-probe"),
-        InjectKind::MisalignProbe => w.str("misalign-probe"),
-        InjectKind::FuelJitter { new_limit } => {
-            w.str("fuel-jitter");
-            w.key("new_limit");
-            w.num(i128::from(new_limit));
-        }
-        InjectKind::WstackCorruption { addr, bit } => {
-            w.str("wstack-corruption");
-            w.key("addr");
-            w.num(i128::from(addr));
-            w.key("bit");
-            w.num(i128::from(bit));
-        }
+crate::record! {
+    JournalEvent {
+        "step" => step: num(0..=u64::MAX),
+        "at_instruction" => at_instruction: num(0..=u64::MAX),
+        "kind" => kind: InjectKindField,
     }
-    w.obj_close();
 }
 
-/// Reads one [`JournalEvent`] written by [`write_event`].
-///
-/// # Errors
-/// [`JsonError`] on a malformed or unknown event.
-pub fn read_event(obj: &[(String, Json)]) -> Result<JournalEvent, JsonError> {
-    let kind = match get(obj, "kind")?.as_str("kind")? {
-        "bit-flip" => InjectKind::BitFlip {
-            addr: get(obj, "addr")?.as_u32("addr")?,
-            bit: get(obj, "bit")?.as_u8("bit")?,
+crate::tagged! {
+    /// An event's perturbation: its kind's name under the event's `kind`
+    /// key, its operands beside it.
+    InjectKindField: InjectKind {
+        "bit-flip" => BitFlip {
+            "addr" => addr: num(0..=u32::MAX),
+            "bit" => bit: num(0..=u8::MAX),
         },
-        "spurious-interrupt" => InjectKind::SpuriousInterrupt,
-        "decode-probe" => InjectKind::DecodeProbe,
-        "misalign-probe" => InjectKind::MisalignProbe,
-        "fuel-jitter" => InjectKind::FuelJitter {
-            new_limit: get(obj, "new_limit")?.as_u64("new_limit")?,
+        "spurious-interrupt" => SpuriousInterrupt {},
+        "decode-probe" => DecodeProbe {},
+        "misalign-probe" => MisalignProbe {},
+        "fuel-jitter" => FuelJitter {
+            "new_limit" => new_limit: num(0..=u64::MAX),
         },
-        "wstack-corruption" => InjectKind::WstackCorruption {
-            addr: get(obj, "addr")?.as_u32("addr")?,
-            bit: get(obj, "bit")?.as_u8("bit")?,
+        "wstack-corruption" => WstackCorruption {
+            "addr" => addr: num(0..=u32::MAX),
+            "bit" => bit: num(0..=u8::MAX),
         },
-        other => return Err(JsonError::schema(&format!("unknown event kind {other:?}"))),
-    };
-    Ok(JournalEvent {
-        step: get(obj, "step")?.as_u64("step")?,
-        at_instruction: get(obj, "at_instruction")?.as_u64("at_instruction")?,
-        kind,
-    })
+    }
+}
+
+crate::record! {
+    RecordedOutcome {
+        "signature" => signature: Text,
+        "instructions" => instructions: num(0..=u64::MAX),
+        "trap_counts" => trap_counts: List(num(0..=u64::MAX)),
+    }
 }
 
 /// Why a journal could not be parsed.
@@ -474,12 +219,6 @@ pub enum JournalError {
         /// Version found in the file.
         found: u32,
     },
-}
-
-impl JournalError {
-    fn schema(msg: &str) -> JournalError {
-        JournalError::Schema(msg.to_owned())
-    }
 }
 
 impl From<JsonError> for JournalError {
@@ -509,6 +248,7 @@ impl std::error::Error for JournalError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::ExecEngine;
 
     fn sample_journal() -> Journal {
         Journal {
@@ -520,9 +260,12 @@ mod tests {
                 trap_base: Some(0x40),
                 ..SimConfig::default()
             },
-            words: vec![0xdead_beef, 0x0000_0001, u32::MAX],
-            entry_offset: 8,
-            data: vec![(0x2000, vec![1, 2, 255]), (0x3000, vec![])],
+            program: Program {
+                words: vec![0xdead_beef, 0x0000_0001, u32::MAX],
+                entry_offset: 8,
+                data: vec![(0x2000, vec![1, 2, 255]), (0x3000, vec![])],
+                symbols: HashMap::new(),
+            },
             args: vec![-7, 0, 1 << 30],
             events: vec![
                 JournalEvent {
@@ -702,15 +445,5 @@ mod tests {
             };
             assert_eq!(back, want, "{to}");
         }
-    }
-
-    #[test]
-    fn program_reconstruction_matches() {
-        let j = sample_journal();
-        let p = j.program();
-        assert_eq!(p.words, j.words);
-        assert_eq!(p.entry_offset, j.entry_offset);
-        assert_eq!(p.data, j.data);
-        assert!(p.symbols.is_empty());
     }
 }

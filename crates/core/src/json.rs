@@ -1,6 +1,7 @@
 //! Minimal JSON machinery shared by every serialized surface of the
-//! workspace (journals, the serve wire protocol) — the workspace
-//! deliberately has no external dependencies.
+//! workspace (journals, snapshots, the serve wire protocol and its
+//! write-ahead log) — the workspace deliberately has no external
+//! dependencies.
 //!
 //! The dialect is deliberately small: numbers are integers only (held as
 //! `i128` so the full `u64` range round-trips), no floats, no exponents.
@@ -9,8 +10,56 @@
 //! shape mismatches into structured [`JsonError::Schema`] values so every
 //! consumer reports "expected a number for key X" style diagnostics for
 //! free.
+//!
+//! # Declared records
+//!
+//! Every persisted record — the configuration, a program image, a
+//! snapshot, a journal and its events, a submit request, a write-ahead log
+//! line — is declared once: a struct with [`record!`](crate::record!), a
+//! tagged union with [`tagged!`](crate::tagged!). A declaration lists each
+//! field once, as a row `"key" => field: codec`. From the rows come the
+//! record's writer (keys in row order), its reader (keys in any order;
+//! the first of duplicate keys wins; unknown keys are ignored) and its
+//! FNV checksum walk (rows in order, [`Unhashed`] rows left out), which
+//! the configuration and the snapshot use.
+//!
+//! A codec says how a value is spelled and bounded: [`num`] for an
+//! integer, [`Flag`], [`Text`], a [`Named`] value, [`Nullable`] values and
+//! [`List`]s of them, [`Pair`]s and [`Tuple`]s, and [`obj`] for a nested
+//! record. A bare codec is a required key; [`omit`] makes a key optional
+//! and written only when present, and [`or`] and [`sparse`] read an
+//! absent key as a default. A shape none of these spell — a window file,
+//! packed flags, a legacy spelling — is a field type of its own,
+//! implementing [`Field`] once, and its rows name it like any codec.
+//!
+//! **The bound rule.** An integer's only codec is [`num`], which takes the
+//! field's range, so no numeric field is declared without its bound;
+//! where the type's full range is safe, the bound states the full range.
+//! Reading refuses a value outside the bound as a schema error, before
+//! anything is sized by it. A [`Writer::capturing`] writer reports every
+//! number a declaration writes with its bound, which is how a test sweeps
+//! every numeric key of every record without listing them.
+//!
+//! A numeric field with no bound does not compile: no codec but [`num`]
+//! holds an integer.
+//!
+//! ```compile_fail
+//! use risc1_core::json::Flag;
+//!
+//! struct Budget {
+//!     fuel: u64,
+//! }
+//!
+//! risc1_core::record! {
+//!     Budget {
+//!         "fuel" => fuel: Flag,
+//!     }
+//! }
+//! ```
 
+use crate::snapshot::Fnv64;
 use std::fmt;
+use std::ops::RangeInclusive;
 
 /// A parsed JSON value. Numbers are integers — every format in this
 /// workspace uses integers only — held as `i128` so the full `u64` range
@@ -110,30 +159,6 @@ impl Json {
         u64::try_from(self.as_num(what)?)
             .map_err(|_| JsonError::schema(&format!("{what}: out of u64 range")))
     }
-
-    /// The value as a `u32`, range-checked.
-    pub fn as_u32(&self, what: &str) -> Result<u32, JsonError> {
-        u32::try_from(self.as_num(what)?)
-            .map_err(|_| JsonError::schema(&format!("{what}: out of u32 range")))
-    }
-
-    /// The value as a `u8`, range-checked.
-    pub fn as_u8(&self, what: &str) -> Result<u8, JsonError> {
-        u8::try_from(self.as_num(what)?)
-            .map_err(|_| JsonError::schema(&format!("{what}: out of u8 range")))
-    }
-
-    /// The value as an `i32`, range-checked.
-    pub fn as_i32(&self, what: &str) -> Result<i32, JsonError> {
-        i32::try_from(self.as_num(what)?)
-            .map_err(|_| JsonError::schema(&format!("{what}: out of i32 range")))
-    }
-
-    /// The value as a `usize`, range-checked.
-    pub fn as_usize(&self, what: &str) -> Result<usize, JsonError> {
-        usize::try_from(self.as_num(what)?)
-            .map_err(|_| JsonError::schema(&format!("{what}: out of usize range")))
-    }
 }
 
 /// The first value under `key` in an object's entries, or a schema error.
@@ -157,6 +182,20 @@ pub struct Writer {
     /// Whether the next emission at the current nesting level needs a
     /// comma separator before it.
     need_comma: bool,
+    /// The bounded numbers written so far, for a [`Writer::capturing`]
+    /// writer.
+    bounds: Option<Vec<Bound>>,
+}
+
+/// A number a declared field wrote, with the field's bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Bound {
+    /// The number's byte offset in the document.
+    pub at: usize,
+    /// The least value the field admits.
+    pub lo: i128,
+    /// The greatest value the field admits.
+    pub hi: i128,
 }
 
 impl Writer {
@@ -165,6 +204,17 @@ impl Writer {
         Writer {
             out: String::new(),
             need_comma: false,
+            bounds: None,
+        }
+    }
+
+    /// A writer that also records where each number a declared field
+    /// writes sits, and the field's bound ([`Writer::finish_capture`]): a
+    /// document's numeric keys, read off the declarations that wrote it.
+    pub fn capturing() -> Writer {
+        Writer {
+            bounds: Some(Vec::new()),
+            ..Writer::new()
         }
     }
 
@@ -212,6 +262,16 @@ impl Writer {
     /// Emits an integer.
     pub fn num(&mut self, n: i128) {
         self.sep();
+        self.out.push_str(&n.to_string());
+    }
+
+    /// Emits an integer that a declared field holds to `lo..=hi`.
+    pub fn bounded(&mut self, n: i128, lo: i128, hi: i128) {
+        self.sep();
+        if let Some(bounds) = &mut self.bounds {
+            let at = self.out.len();
+            bounds.push(Bound { at, lo, hi });
+        }
         self.out.push_str(&n.to_string());
     }
 
@@ -263,6 +323,12 @@ impl Writer {
     /// The finished document.
     pub fn finish(self) -> String {
         self.out
+    }
+
+    /// The finished document and, for a [`Writer::capturing`] writer, its
+    /// bounded numbers in document order (none otherwise).
+    pub fn finish_capture(self) -> (String, Vec<Bound>) {
+        (self.out, self.bounds.unwrap_or_default())
     }
 }
 
@@ -489,6 +555,659 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// How a value is written as one JSON value, read back from one, and
+/// absorbed into a checksum. Each codec is also a [`Field`] under its own
+/// key, required when read ([`keyed!`](crate::keyed!)).
+pub trait Codec<T> {
+    /// Writes `v` as one value.
+    fn put(&self, w: &mut Writer, v: &T);
+    /// Reads one value; `what` names it in errors.
+    ///
+    /// # Errors
+    /// [`JsonError::Schema`] on a value of the wrong shape or out of bound.
+    fn get(&self, v: &Json, what: &str) -> Result<T, JsonError>;
+    /// Absorbs `v` into a checksum.
+    fn absorb(&self, h: &mut Fnv64, v: &T);
+}
+
+/// How a field sits in its record's object: a required key (any
+/// [`Codec`]), an optional one ([`Omit`], [`Or`]), or several keys of its
+/// own (an inline field: a window file, a [`tagged!`](crate::tagged!)
+/// union).
+pub trait Field<T> {
+    /// Writes the field of value `v` under `key`.
+    fn write(&self, w: &mut Writer, key: &str, v: &T);
+    /// Reads the field under `key` from its record's entries.
+    ///
+    /// # Errors
+    /// [`JsonError::Schema`] on a missing required key, or a value of the
+    /// wrong shape or out of bound.
+    fn read(&self, obj: &[(String, Json)], key: &str) -> Result<T, JsonError>;
+    /// Absorbs `v` into its record's checksum.
+    fn hash(&self, h: &mut Fnv64, v: &T);
+}
+
+/// Makes codecs fields under their own keys: `impl[generics] Codec => T;`.
+#[macro_export]
+macro_rules! keyed {
+    ($(impl[$($g:tt)*] $ty:ty => $t:ty;)+) => {
+        $(impl<$($g)*> $crate::json::Field<$t> for $ty
+        where
+            $ty: $crate::json::Codec<$t>,
+        {
+            fn write(&self, w: &mut $crate::json::Writer, key: &str, v: &$t) {
+                w.key(key);
+                $crate::json::Codec::put(self, w, v);
+            }
+
+            fn read(
+                &self,
+                obj: &[(String, $crate::json::Json)],
+                key: &str,
+            ) -> Result<$t, $crate::json::JsonError> {
+                $crate::json::Codec::get(self, $crate::json::get(obj, key)?, key)
+            }
+
+            fn hash(&self, h: &mut $crate::snapshot::Fnv64, v: &$t) {
+                $crate::json::Codec::absorb(self, h, v);
+            }
+        })+
+    };
+}
+
+keyed! {
+    impl['a, R: Record] Obj<'a, R> => R;
+    impl['a, R: Record] Obj<'a, R> => Box<R>;
+    impl[T] Num<T> => T;
+    impl[] Flag => bool;
+    impl[] Text => String;
+    impl[T: 'static] Named<T> => T;
+    impl[T, C] Nullable<C> => Option<T>;
+    impl[T, C] List<C> => Vec<T>;
+    impl[T, C, const N: usize] List<C> => [T; N];
+    impl[T, C] Then<C, T> => T;
+    impl[T, N] Coded<T, N> => T;
+    impl[X, Y, A, B] Pair<A, B> => (X, Y);
+    impl[X, Y, A, B] Tuple<A, B> => (X, Y);
+    impl[T, F] Embed<F> => T;
+}
+
+/// A type whose JSON object is declared with
+/// [`record!`](crate::record!), which derives this from its rows.
+pub trait Record: Sized {
+    /// What reading its fields needs beyond the object (a snapshot's state
+    /// needs the snapshot's configuration); `()` for most records.
+    type Ctx: ?Sized;
+    /// Writes every field, in row order, into the open object.
+    fn write_fields(&self, w: &mut Writer, ctx: &Self::Ctx);
+    /// Reads every field from an object's entries.
+    ///
+    /// # Errors
+    /// The first field that does not read.
+    fn read_fields(obj: &[(String, Json)], ctx: &Self::Ctx) -> Result<Self, JsonError>;
+    /// Absorbs every field, in row order, into a checksum.
+    fn hash_fields(&self, h: &mut Fnv64, ctx: &Self::Ctx);
+}
+
+/// A record as one object, read under its context ([`obj`], [`obj_in`]).
+pub struct Obj<'a, R: Record>(&'a R::Ctx);
+
+/// A record that needs no context, as one object.
+pub fn obj<R: Record<Ctx = ()>>() -> Obj<'static, R> {
+    Obj(&())
+}
+
+/// A record read under `ctx`, as one object.
+pub fn obj_in<R: Record>(ctx: &R::Ctx) -> Obj<'_, R> {
+    Obj(ctx)
+}
+
+impl<R: Record> Codec<R> for Obj<'_, R> {
+    fn put(&self, w: &mut Writer, v: &R) {
+        w.obj_open();
+        v.write_fields(w, self.0);
+        w.obj_close();
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<R, JsonError> {
+        R::read_fields(v.as_obj(what)?, self.0)
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &R) {
+        v.hash_fields(h, self.0);
+    }
+}
+
+impl<R: Record> Codec<Box<R>> for Obj<'_, R> {
+    fn put(&self, w: &mut Writer, v: &Box<R>) {
+        self.put(w, &**v);
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<Box<R>, JsonError> {
+        self.get(v, what).map(Box::new)
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &Box<R>) {
+        self.absorb(h, &**v);
+    }
+}
+
+/// A record that needs no context, as a standalone document.
+pub fn to_json<R: Record<Ctx = ()>>(r: &R) -> String {
+    let mut w = Writer::new();
+    obj().put(&mut w, r);
+    w.finish()
+}
+
+/// Reads a record that needs no context from a standalone document.
+///
+/// # Errors
+/// [`JsonError`] on malformed text or a field that does not read.
+pub fn from_json<R: Record<Ctx = ()>>(text: &str) -> Result<R, JsonError> {
+    obj().get(&Parser::new(text).parse_document()?, "document")
+}
+
+/// An integer held to a declared bound ([`num`]). A checksum absorbs it
+/// as a 64-bit word.
+#[derive(Debug, Clone, Copy)]
+pub struct Num<T> {
+    lo: T,
+    hi: T,
+}
+
+/// An integer in `range`: a value outside it reads as a schema error.
+pub const fn num<T: Copy>(range: RangeInclusive<T>) -> Num<T> {
+    Num {
+        lo: *range.start(),
+        hi: *range.end(),
+    }
+}
+
+/// `v` widened; every field's integer type fits.
+fn wide<T: TryInto<i128>>(v: T) -> i128 {
+    v.try_into()
+        .ok()
+        .expect("an integer field's type fits i128")
+}
+
+impl<T: Copy + TryInto<i128> + TryFrom<i128>> Codec<T> for Num<T> {
+    fn put(&self, w: &mut Writer, v: &T) {
+        w.bounded(wide(*v), wide(self.lo), wide(self.hi));
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<T, JsonError> {
+        let (n, lo, hi) = (v.as_num(what)?, wide(self.lo), wide(self.hi));
+        if n > hi {
+            return Err(JsonError::schema(&format!(
+                "{what} {n} is above its ceiling {hi}"
+            )));
+        }
+        if n < lo {
+            return Err(JsonError::schema(&format!(
+                "{what} {n} is below its floor {lo}"
+            )));
+        }
+        Ok(T::try_from(n).ok().expect("within the bound"))
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &T) {
+        h.write_u64(wide(*v) as u64);
+    }
+}
+
+/// A bool, absorbed as one byte.
+pub struct Flag;
+
+impl Codec<bool> for Flag {
+    fn put(&self, w: &mut Writer, v: &bool) {
+        w.bool(*v);
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<bool, JsonError> {
+        v.as_bool(what)
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &bool) {
+        h.write_u8(u8::from(*v));
+    }
+}
+
+/// A string, absorbed as its bytes.
+pub struct Text;
+
+impl Codec<String> for Text {
+    fn put(&self, w: &mut Writer, v: &String) {
+        w.str(v);
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<String, JsonError> {
+        v.as_str(what).map(str::to_owned)
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &String) {
+        h.write_bytes(v.as_bytes());
+    }
+}
+
+/// The error for a name no table entry has: `what: unknown what "x" (a | b)`.
+pub fn unknown_name<'a>(
+    what: &str,
+    name: &str,
+    names: impl IntoIterator<Item = &'a str>,
+) -> JsonError {
+    let names: Vec<&str> = names.into_iter().collect();
+    JsonError::schema(&format!(
+        "{what}: unknown {what} {name:?} ({})",
+        names.join(" | ")
+    ))
+}
+
+/// One of a table of values, spelled by its name; a checksum absorbs its
+/// index in the table as one byte.
+pub struct Named<T: 'static>(pub &'static [(&'static str, T)]);
+
+impl<T: Copy + PartialEq> Codec<T> for Named<T> {
+    fn put(&self, w: &mut Writer, v: &T) {
+        w.str(self.0.iter().find(|(_, x)| x == v).expect("named").0);
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<T, JsonError> {
+        let name = v.as_str(what)?;
+        let mut names = self.0.iter().map(|&(n, _)| n);
+        match self.0.iter().find(|(n, _)| *n == name) {
+            Some(&(_, x)) => Ok(x),
+            None => Err(unknown_name(what, name, &mut names)),
+        }
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &T) {
+        h.write_u8(self.0.iter().position(|(_, x)| x == v).expect("named") as u8);
+    }
+}
+
+/// An optional value, written as `null` when absent. A checksum absorbs a
+/// 64-bit 0, or a 64-bit 1 and the value.
+pub struct Nullable<C>(pub C);
+
+impl<T, C: Codec<T>> Codec<Option<T>> for Nullable<C> {
+    fn put(&self, w: &mut Writer, v: &Option<T>) {
+        match v {
+            None => w.null(),
+            Some(x) => self.0.put(w, x),
+        }
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<Option<T>, JsonError> {
+        match v {
+            Json::Null => Ok(None),
+            v => self.0.get(v, what).map(Some),
+        }
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &Option<T>) {
+        h.write_u64(u64::from(v.is_some()));
+        if let Some(x) = v {
+            self.0.absorb(h, x);
+        }
+    }
+}
+
+/// An array of values (a `Vec`, or an array of fixed length); a checksum
+/// absorbs its elements.
+pub struct List<C>(pub C);
+
+impl<T, C: Codec<T>> Codec<Vec<T>> for List<C> {
+    fn put(&self, w: &mut Writer, v: &Vec<T>) {
+        w.arr_open();
+        v.iter().for_each(|x| self.0.put(w, x));
+        w.arr_close();
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<Vec<T>, JsonError> {
+        v.as_arr(what)?
+            .iter()
+            .map(|x| self.0.get(x, what))
+            .collect()
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &Vec<T>) {
+        v.iter().for_each(|x| self.0.absorb(h, x));
+    }
+}
+
+impl<T, C: Codec<T>, const N: usize> Codec<[T; N]> for List<C> {
+    fn put(&self, w: &mut Writer, v: &[T; N]) {
+        w.arr_open();
+        v.iter().for_each(|x| self.0.put(w, x));
+        w.arr_close();
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<[T; N], JsonError> {
+        let items = v.as_arr(what)?.iter().map(|x| self.0.get(x, what));
+        let items = items.collect::<Result<Vec<T>, _>>()?;
+        let n = items.len();
+        items
+            .try_into()
+            .map_err(|_| JsonError::schema(&format!("{what} holds {n} entries, expected {N}")))
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &[T; N]) {
+        v.iter().for_each(|x| self.0.absorb(h, x));
+    }
+}
+
+/// A value checked or normalized as it is read.
+pub struct Then<C, T>(pub C, pub fn(T) -> Result<T, JsonError>);
+
+impl<T, C: Codec<T>> Codec<T> for Then<C, T> {
+    fn put(&self, w: &mut Writer, v: &T) {
+        self.0.put(w, v);
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<T, JsonError> {
+        (self.1)(self.0.get(v, what)?)
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &T) {
+        self.0.absorb(h, v);
+    }
+}
+
+/// A value spelled by its code (a trap cause, an opcode): the code's
+/// codec, the value's code, and the value of a code, if any.
+pub struct Coded<T, N>(pub Num<N>, pub fn(&T) -> N, pub fn(N) -> Option<T>);
+
+impl<T, N> Codec<T> for Coded<T, N>
+where
+    N: Copy + TryInto<i128> + TryFrom<i128> + fmt::Display,
+{
+    fn put(&self, w: &mut Writer, v: &T) {
+        self.0.put(w, &(self.1)(v));
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<T, JsonError> {
+        let code = self.0.get(v, what)?;
+        (self.2)(code).ok_or_else(|| JsonError::schema(&format!("{what}: unknown code {code}")))
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &T) {
+        self.0.absorb(h, &(self.1)(v));
+    }
+}
+
+/// A pair written as an object of two keys: `Pair(("a", A), ("b", B))`.
+pub struct Pair<A, B>(pub (&'static str, A), pub (&'static str, B));
+
+impl<X, Y, A: Field<X>, B: Field<Y>> Codec<(X, Y)> for Pair<A, B> {
+    fn put(&self, w: &mut Writer, v: &(X, Y)) {
+        w.obj_open();
+        self.0 .1.write(w, self.0 .0, &v.0);
+        self.1 .1.write(w, self.1 .0, &v.1);
+        w.obj_close();
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<(X, Y), JsonError> {
+        let obj = v.as_obj(what)?;
+        Ok((
+            self.0 .1.read(obj, self.0 .0)?,
+            self.1 .1.read(obj, self.1 .0)?,
+        ))
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &(X, Y)) {
+        self.0 .1.hash(h, &v.0);
+        self.1 .1.hash(h, &v.1);
+    }
+}
+
+/// A pair written as the two-element array `[a, b]`.
+pub struct Tuple<A, B>(pub A, pub B);
+
+impl<X, Y, A: Codec<X>, B: Codec<Y>> Codec<(X, Y)> for Tuple<A, B> {
+    fn put(&self, w: &mut Writer, v: &(X, Y)) {
+        w.arr_open();
+        self.0.put(w, &v.0);
+        self.1.put(w, &v.1);
+        w.arr_close();
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<(X, Y), JsonError> {
+        match v.as_arr(what)? {
+            [a, b] => Ok((self.0.get(a, what)?, self.1.get(b, what)?)),
+            items => Err(JsonError::schema(&format!(
+                "{what} holds {} entries, expected 2",
+                items.len()
+            ))),
+        }
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &(X, Y)) {
+        self.0.absorb(h, &v.0);
+        self.1.absorb(h, &v.1);
+    }
+}
+
+/// An inline field alone in an object, under the given key: a
+/// [`tagged!`](crate::tagged!) union as a standalone value.
+pub struct Embed<F>(pub F, pub &'static str);
+
+impl<T, F: Field<T>> Codec<T> for Embed<F> {
+    fn put(&self, w: &mut Writer, v: &T) {
+        w.obj_open();
+        self.0.write(w, self.1, v);
+        w.obj_close();
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<T, JsonError> {
+        self.0.read(v.as_obj(what)?, self.1)
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &T) {
+        self.0.hash(h, v);
+    }
+}
+
+/// An optional field, written only when present: an absent key reads as
+/// `None`, and so does `null` when `null_is_absent`.
+pub struct Omit<F> {
+    /// The field when present.
+    pub field: F,
+    /// Whether an explicit `null` reads as absent.
+    pub null_is_absent: bool,
+}
+
+/// An optional field, written only when present; `null` is an error.
+pub const fn omit<F>(field: F) -> Omit<F> {
+    Omit {
+        field,
+        null_is_absent: false,
+    }
+}
+
+impl<T, F: Field<T>> Field<Option<T>> for Omit<F> {
+    fn write(&self, w: &mut Writer, key: &str, v: &Option<T>) {
+        if let Some(x) = v {
+            self.field.write(w, key, x);
+        }
+    }
+
+    fn read(&self, obj: &[(String, Json)], key: &str) -> Result<Option<T>, JsonError> {
+        match get_opt(obj, key) {
+            None => Ok(None),
+            Some(Json::Null) if self.null_is_absent => Ok(None),
+            Some(_) => self.field.read(obj, key).map(Some),
+        }
+    }
+
+    fn hash(&self, h: &mut Fnv64, v: &Option<T>) {
+        h.write_u64(u64::from(v.is_some()));
+        if let Some(x) = v {
+            self.field.hash(h, x);
+        }
+    }
+}
+
+/// A field that reads as a default when absent ([`or`], [`sparse`]).
+pub struct Or<F, T> {
+    field: F,
+    default: fn() -> T,
+    /// Whether the default is left out when written.
+    sparse: bool,
+}
+
+/// A field that is always written and reads as `default()` when absent.
+pub const fn or<F, T>(field: F, default: fn() -> T) -> Or<F, T> {
+    Or {
+        field,
+        default,
+        sparse: false,
+    }
+}
+
+/// A field that reads as `default()` when absent and is written only when
+/// it holds something else.
+pub const fn sparse<F, T>(field: F, default: fn() -> T) -> Or<F, T> {
+    Or {
+        field,
+        default,
+        sparse: true,
+    }
+}
+
+impl<T: PartialEq, F: Field<T>> Field<T> for Or<F, T> {
+    fn write(&self, w: &mut Writer, key: &str, v: &T) {
+        if !self.sparse || *v != (self.default)() {
+            self.field.write(w, key, v);
+        }
+    }
+
+    fn read(&self, obj: &[(String, Json)], key: &str) -> Result<T, JsonError> {
+        match get_opt(obj, key) {
+            None => Ok((self.default)()),
+            Some(_) => self.field.read(obj, key),
+        }
+    }
+
+    fn hash(&self, h: &mut Fnv64, v: &T) {
+        self.field.hash(h, v);
+    }
+}
+
+/// A field its record's checksum leaves out: host-only state, or the
+/// checksum itself.
+pub struct Unhashed<F>(pub F);
+
+impl<T, F: Field<T>> Field<T> for Unhashed<F> {
+    fn write(&self, w: &mut Writer, key: &str, v: &T) {
+        self.0.write(w, key, v);
+    }
+
+    fn read(&self, obj: &[(String, Json)], key: &str) -> Result<T, JsonError> {
+        self.0.read(obj, key)
+    }
+
+    fn hash(&self, _: &mut Fnv64, _: &T) {}
+}
+
+/// Declares a record: one row per field, `key => field: codec`, in the
+/// order the fields are written and hashed; see the module docs. A row
+/// may name an earlier field, to read under it, and a record read under
+/// a context names it `[name: Type]` after the type.
+#[macro_export]
+macro_rules! record {
+    (
+        $ty:ty $([$ctx:ident: $ctx_ty:ty])? {
+            $($key:expr => $field:ident: $codec:expr),+ $(,)?
+        } $(..$base:expr)?
+    ) => {
+        impl $crate::json::Record for $ty {
+            type Ctx = $crate::record!(@ctx $($ctx_ty)?);
+
+            // An earlier field a row names is a value in the reader, and a
+            // reference here and in the checksum walk.
+            #[allow(unused_variables, clippy::needless_borrow)]
+            fn write_fields(&self, w: &mut $crate::json::Writer, ctx: &Self::Ctx) {
+                $(let $ctx = ctx;)?
+                let Self { $($field,)+ .. } = self;
+                $($crate::json::Field::write(&$codec, w, $key, $field);)+
+            }
+
+            #[allow(unused_variables)]
+            fn read_fields(
+                obj: &[(String, $crate::json::Json)],
+                ctx: &Self::Ctx,
+            ) -> Result<Self, $crate::json::JsonError> {
+                $(let $ctx = ctx;)?
+                $(let $field = $crate::json::Field::read(&$codec, obj, $key)?;)+
+                Ok(Self { $($field,)+ $(..$base)? })
+            }
+
+            #[allow(unused_variables, clippy::needless_borrow)]
+            fn hash_fields(&self, h: &mut $crate::snapshot::Fnv64, ctx: &Self::Ctx) {
+                $(let $ctx = ctx;)?
+                let Self { $($field,)+ .. } = self;
+                $($crate::json::Field::hash(&$codec, h, $field);)+
+            }
+        }
+    };
+    (@ctx) => { () };
+    (@ctx $ty:ty) => { $ty };
+}
+
+/// Declares a tagged union as an inline field: the field's key holds the
+/// variant's tag, and the variant's own fields sit beside it in the same
+/// object, one row each as in [`record!`](crate::record!). A checksum
+/// absorbs the tag's bytes and the variant's fields.
+#[macro_export]
+macro_rules! tagged {
+    (
+        $(#[$attr:meta])*
+        $vis:vis $name:ident: $ty:ident {
+            $($tag:literal => $variant:ident {
+                $($key:expr => $field:ident: $codec:expr),* $(,)?
+            }),+ $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        $vis struct $name;
+
+        impl $crate::json::Field<$ty> for $name {
+            fn write(&self, w: &mut $crate::json::Writer, key: &str, v: &$ty) {
+                match v {
+                    $($ty::$variant { $($field),* } => {
+                        w.key(key);
+                        w.str($tag);
+                        $($crate::json::Field::write(&$codec, w, $key, $field);)*
+                    })+
+                }
+            }
+
+            fn read(
+                &self,
+                obj: &[(String, $crate::json::Json)],
+                key: &str,
+            ) -> Result<$ty, $crate::json::JsonError> {
+                match $crate::json::get(obj, key)?.as_str(key)? {
+                    $($tag => {
+                        $(let $field = $crate::json::Field::read(&$codec, obj, $key)?;)*
+                        Ok($ty::$variant { $($field),* })
+                    })+
+                    other => Err($crate::json::unknown_name(key, other, [$($tag),+])),
+                }
+            }
+
+            fn hash(&self, h: &mut $crate::snapshot::Fnv64, v: &$ty) {
+                match v {
+                    $($ty::$variant { $($field),* } => {
+                        h.write_bytes($tag.as_bytes());
+                        $($crate::json::Field::hash(&$codec, h, $field);)*
+                    })+
+                }
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,8 +1256,8 @@ mod tests {
         let err = arr.as_bool("k").unwrap_err();
         assert_eq!(err, JsonError::Schema("k: expected a bool".into()));
         assert_eq!(
-            Json::Num(300).as_u8("b"),
-            Err(JsonError::schema("b: out of u8 range"))
+            num(0..=u8::MAX).get(&Json::Num(300), "b"),
+            Err(JsonError::schema("b 300 is above its ceiling 255"))
         );
     }
 

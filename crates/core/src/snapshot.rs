@@ -23,12 +23,14 @@
 //! reproducible in CI): a fixed [`CKPT_BASE_CYCLES`] for the register/state
 //! copy plus one cycle per memory word copied.
 
-use crate::config::{BranchModel, SimConfig};
+use crate::config::SimConfig;
 use crate::cpu::{Cpu, PhysId};
-use crate::journal::{read_config, write_config};
-use crate::json::{get, Json, JsonError, Parser, Writer};
+use crate::json::{
+    get, num, obj, obj_in, Codec, Coded, Field, Flag, Json, JsonError, List, Nullable, Num, Record,
+    Then, Tuple, Unhashed, Writer,
+};
 use crate::mem::{MemTraffic, Memory, PAGE_BYTES};
-use crate::stats::ExecStats;
+use crate::stats::{ExecStats, OpcodeCounts};
 use crate::trap::TrapKind;
 use crate::windows::{WindowFile, WINDOW_COUNTERS};
 use risc1_isa::psw::Flags;
@@ -41,7 +43,7 @@ pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Admission limit on the simulated-memory size a *deserialized*
 /// configuration may declare — in a snapshot, a journal, a wire submit or
-/// a WAL record alike ([`crate::journal::read_config`] enforces it). That
+/// a WAL record alike (the [`SimConfig`] record declares it). That
 /// input is untrusted; without this bound a one-line frame could make the
 /// server allocate arbitrary memory.
 pub const MAX_SNAPSHOT_MEM_BYTES: usize = 64 << 20;
@@ -169,72 +171,6 @@ pub(crate) struct CpuState {
     pub(crate) fuel_limit: u64,
 }
 
-fn hash_opt_u64(h: &mut Fnv64, v: Option<u64>) {
-    match v {
-        None => h.write_u64(0),
-        Some(x) => {
-            h.write_u64(1);
-            h.write_u64(x);
-        }
-    }
-}
-
-/// Hashes the *architectural* counters only — the same set `ExecStats`'s
-/// `PartialEq` compares. Host telemetry (`fused_pairs`, the block and
-/// trace counters) depends on how the timeline was chopped into bursts,
-/// and the snapshot round-trip law quantifies over choppings.
-fn hash_stats(h: &mut Fnv64, s: &ExecStats) {
-    for (_, v) in s.counters() {
-        h.write_u64(v);
-    }
-    for &c in &s.trap_counts {
-        h.write_u64(c);
-    }
-    // The opcode histogram, in the ISA's fixed order.
-    for &op in Opcode::ALL {
-        h.write_u64(s.opcode_counts.get(op));
-    }
-}
-
-impl CpuState {
-    /// Hashes every captured field: registers, pc/lastpc, PSW, window
-    /// stack, pending delayed transfer, trap unit, fuel and architectural
-    /// statistics.
-    fn hash_into(&self, h: &mut Fnv64) {
-        self.regs.for_each_word(|w| h.write_u64(w));
-        h.write_u64(u64::from(self.pc));
-        h.write_u64(u64::from(self.last_pc));
-        let Flags { z, n, v, c } = self.flags;
-        h.write_u8(u8::from(z) | u8::from(n) << 1 | u8::from(v) << 2 | u8::from(c) << 3);
-        h.write_u8(u8::from(self.interrupts_enabled));
-        h.write_u64(u64::from(self.wstack_ptr));
-        hash_opt_u64(h, self.pending_target.map(u64::from));
-        match self.last_write {
-            None => h.write_u64(0),
-            Some((PhysId::Global(g), load)) => {
-                h.write_u64(1);
-                h.write_u64(u64::from(g));
-                h.write_u8(u8::from(load));
-            }
-            Some((PhysId::Ring(i), load)) => {
-                h.write_u64(2);
-                h.write_u64(i as u64);
-                h.write_u8(u8::from(load));
-            }
-        }
-        h.write_u8(u8::from(self.halted));
-        hash_stats(h, &self.stats);
-        hash_opt_u64(h, self.interrupt_handler.map(u64::from));
-        h.write_u8(u8::from(self.interrupt_pending));
-        for t in self.trap_handlers {
-            hash_opt_u64(h, t.map(u64::from));
-        }
-        hash_opt_u64(h, self.active_trap.map(|k| u64::from(k.code())));
-        hash_opt_u64(h, self.pending_probe.map(|k| u64::from(k.code())));
-        h.write_u64(self.fuel_limit);
-    }
-}
-
 /// Stable FNV-1a digest of a configuration's machine identity — its
 /// [`SimConfig::architectural`] view, so the host-only engine tier and
 /// fusion toggles never move it. Used in [`RestoreError::ConfigMismatch`]
@@ -242,26 +178,8 @@ impl CpuState {
 /// the serve layer's job-dedup key.
 pub fn config_hash(cfg: &SimConfig) -> u64 {
     let mut h = Fnv64::new();
-    hash_config(&mut h, cfg);
+    cfg.hash_fields(&mut h, &());
     h.finish()
-}
-
-/// Hashes the architectural fields of `cfg` — all of them but the
-/// host-only `engine` and `fusion` (see [`SimConfig::architectural`]).
-fn hash_config(h: &mut Fnv64, cfg: &SimConfig) {
-    h.write_u64(cfg.windows as u64);
-    h.write_u64(cfg.mem_bytes as u64);
-    h.write_u64(u64::from(cfg.code_base));
-    h.write_u64(u64::from(cfg.stack_top));
-    h.write_u64(u64::from(cfg.window_stack_top));
-    h.write_u64(cfg.trap_overhead_cycles);
-    h.write_u8(match cfg.branch_model {
-        BranchModel::Delayed => 0,
-        BranchModel::Suspended => 1,
-    });
-    h.write_u8(u8::from(cfg.forwarding));
-    h.write_u64(cfg.fuel);
-    hash_opt_u64(h, cfg.trap_base.map(u64::from));
 }
 
 /// Why a snapshot could not be restored.
@@ -386,17 +304,7 @@ impl Snapshot {
     /// the per-page memory digests.
     fn compute_checksum(&self) -> u64 {
         let mut h = Fnv64::new();
-        h.write_u64(u64::from(self.version));
-        h.write_u64(self.id);
-        hash_config(&mut h, &self.cfg);
-        self.state.hash_into(&mut h);
-        let traffic = self.mem.traffic();
-        h.write_u64(traffic.reads);
-        h.write_u64(traffic.writes);
-        h.write_u64(self.page_sums.len() as u64);
-        for &s in &self.page_sums {
-            h.write_u64(s);
-        }
+        self.hash_fields(&mut h, &());
         h.finish()
     }
 
@@ -444,132 +352,16 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Serializes the snapshot into the current position of `w` as one
-    /// JSON object. Memory is sparse — only pages with a nonzero byte are
-    /// emitted, and pages in unwritten host pages are skipped unscanned —
-    /// so snapshots of mostly-empty address spaces stay small and cheap.
-    pub fn write_json(&self, w: &mut Writer) {
-        w.obj_open();
-        w.key("version");
-        w.num(i128::from(self.version));
-        w.key("id");
-        w.num(i128::from(self.id));
-        w.key("cfg");
-        write_config(w, &self.cfg);
-        w.key("state");
-        self.write_state(w);
-        w.key("traffic");
-        w.obj_open();
-        w.key("reads");
-        w.num(i128::from(self.mem.traffic().reads));
-        w.key("writes");
-        w.num(i128::from(self.mem.traffic().writes));
-        w.obj_close();
-        w.key("pages");
-        w.arr_open();
-        for idx in 0..self.mem.page_count() {
-            if !self.mem.page_is_resident(idx) {
-                continue;
-            }
-            let page = self.mem.page(idx);
-            if page.iter().all(|&b| b == 0) {
-                continue;
-            }
-            w.arr_open();
-            w.num(idx as i128);
-            w.arr_open();
-            for &b in page {
-                w.num(i128::from(b));
-            }
-            w.arr_close();
-            w.arr_close();
-        }
-        w.arr_close();
-        w.key("checksum");
-        w.num(i128::from(self.checksum));
-        w.obj_close();
-    }
-
-    fn write_state(&self, w: &mut Writer) {
-        let s = &self.state;
-        w.obj_open();
-        w.key("store");
-        w.arr_open();
-        for &word in s.regs.export_store() {
-            w.num(i128::from(word));
-        }
-        w.arr_close();
-        for (key, v) in WINDOW_COUNTERS.into_iter().zip(s.regs.counters()) {
-            w.key(key);
-            w.num(i128::from(v));
-        }
-        w.key("pc");
-        w.num(i128::from(s.pc));
-        w.key("last_pc");
-        w.num(i128::from(s.last_pc));
-        let Flags { z, n, v, c } = s.flags;
-        w.key("flags");
-        w.num(i128::from(
-            u8::from(z) | u8::from(n) << 1 | u8::from(v) << 2 | u8::from(c) << 3,
-        ));
-        w.key("interrupts_enabled");
-        w.bool(s.interrupts_enabled);
-        w.key("wstack_ptr");
-        w.num(i128::from(s.wstack_ptr));
-        w.key("pending_target");
-        write_opt_num(w, s.pending_target.map(u64::from));
-        w.key("last_write");
-        match s.last_write {
-            None => w.null(),
-            Some((id, load)) => {
-                w.obj_open();
-                w.key("kind");
-                w.str(match id {
-                    PhysId::Global(_) => "global",
-                    PhysId::Ring(_) => "ring",
-                });
-                w.key("index");
-                w.num(match id {
-                    PhysId::Global(g) => i128::from(g),
-                    PhysId::Ring(i) => i as i128,
-                });
-                w.key("load");
-                w.bool(load);
-                w.obj_close();
-            }
-        }
-        w.key("halted");
-        w.bool(s.halted);
-        w.key("stats");
-        write_stats(w, &s.stats);
-        w.key("interrupt_handler");
-        write_opt_num(w, s.interrupt_handler.map(u64::from));
-        w.key("interrupt_pending");
-        w.bool(s.interrupt_pending);
-        w.key("trap_handlers");
-        w.arr_open();
-        for t in s.trap_handlers {
-            write_opt_num(w, t.map(u64::from));
-        }
-        w.arr_close();
-        w.key("active_trap");
-        write_opt_num(w, s.active_trap.map(|k| u64::from(k.code())));
-        w.key("pending_probe");
-        write_opt_num(w, s.pending_probe.map(|k| u64::from(k.code())));
-        w.key("fuel_limit");
-        w.num(i128::from(s.fuel_limit));
-        w.obj_close();
-    }
-
-    /// The snapshot as a standalone JSON document.
+    /// The snapshot as a standalone JSON document. Memory is sparse —
+    /// only pages with a nonzero byte are written, and pages in unwritten
+    /// host pages are skipped unscanned — so snapshots of mostly-empty
+    /// address spaces stay small and cheap.
     pub fn to_json(&self) -> String {
-        let mut w = Writer::new();
-        self.write_json(&mut w);
-        w.finish()
+        crate::json::to_json(self)
     }
 
-    /// Deserializes a snapshot from a parsed JSON value. The input is
-    /// untrusted: structural problems and admission-limit violations
+    /// Deserializes a snapshot from JSON text. The input is untrusted:
+    /// structural problems and admission-limit violations
     /// ([`MAX_SNAPSHOT_MEM_BYTES`], [`MAX_SNAPSHOT_WINDOWS`],
     /// [`MAX_SNAPSHOT_TRAP_OVERHEAD_CYCLES`], [`MAX_SNAPSHOT_COUNTER`], and
     /// a window file's `spilled` count beyond what its memory holds)
@@ -580,24 +372,269 @@ impl Snapshot {
     /// restore, which verifies) to detect byte-level corruption.
     ///
     /// # Errors
-    /// [`JsonError`] on any shape or limit violation.
-    pub fn from_json_value(v: &Json) -> Result<Snapshot, JsonError> {
-        let obj = v.as_obj("snapshot")?;
-        let version = get(obj, "version")?.as_u32("version")?;
-        let id = get(obj, "id")?.as_u64("id")?;
-        // `read_config` holds the window count, memory size and trap
-        // overhead to their admission limits.
-        let cfg = read_config(get(obj, "cfg")?.as_obj("cfg")?)?.architectural();
-        let state = read_state(get(obj, "state")?, &cfg)?;
-        let mut mem = Memory::new(cfg.mem_bytes);
-        let traffic = get(obj, "traffic")?.as_obj("traffic")?;
-        for entry in get(obj, "pages")?.as_arr("pages")? {
-            let pair = entry.as_arr("page entry")?;
-            if pair.len() != 2 {
-                return Err(JsonError::schema("page entry: expected [index, bytes]"));
+    /// [`JsonError`] on malformed text or any shape or limit violation.
+    pub fn from_json(text: &str) -> Result<Snapshot, JsonError> {
+        crate::json::from_json(text)
+    }
+}
+
+// A snapshot as one JSON object, and its checksum: every row but the
+// checksum's own. Memory is stored as its traffic counts and its nonzero
+// pages; the per-page digests are derived from it, and hashed in its place.
+crate::record! {
+    Snapshot {
+        "version" => version: num(0..=u32::MAX),
+        "id" => id: num(0..=u64::MAX),
+        "cfg" => cfg: Then(obj(), |c: SimConfig| Ok(c.architectural())),
+        "state" => state: obj_in::<CpuState>(&cfg),
+        "traffic" => mem: MemoryField(&cfg),
+        "pages" => page_sums: PageSums(&mem),
+        "checksum" => checksum: Unhashed(num(0..=u64::MAX)),
+    }
+}
+
+// The register/state half of a snapshot, in checksum order, read under
+// the snapshot's configuration.
+crate::record! {
+    CpuState [cfg: SimConfig] {
+        "store" => regs: WindowFileField(cfg),
+        "pc" => pc: num(0..=u32::MAX),
+        "last_pc" => last_pc: num(0..=u32::MAX),
+        "flags" => flags: FlagsField,
+        "interrupts_enabled" => interrupts_enabled: Flag,
+        "wstack_ptr" => wstack_ptr: num(0..=u32::MAX),
+        "pending_target" => pending_target: Nullable(num(0..=u32::MAX)),
+        "last_write" => last_write: LastWrite,
+        "halted" => halted: Flag,
+        "stats" => stats: obj(),
+        "interrupt_handler" => interrupt_handler: Nullable(num(0..=u32::MAX)),
+        "interrupt_pending" => interrupt_pending: Flag,
+        "trap_handlers" => trap_handlers: List(Nullable(num(0..=u32::MAX))),
+        "active_trap" => active_trap: Nullable(TRAP_CODE),
+        "pending_probe" => pending_probe: Nullable(TRAP_CODE),
+        "fuel_limit" => fuel_limit: num(0..=u64::MAX),
+    }
+}
+
+/// Every counter a snapshot stores, held to [`MAX_SNAPSHOT_COUNTER`]: the
+/// statistics' scalar, trap and opcode counts and the memory traffic.
+pub(crate) const COUNTER: Num<u64> = num(0..=MAX_SNAPSHOT_COUNTER);
+
+crate::record! {
+    MemTraffic {
+        "reads" => reads: COUNTER,
+        "writes" => writes: COUNTER,
+    }
+}
+
+/// The window file: its store (globals, then the ring) under the field's
+/// key, its counters under their own names beside it. The checksum
+/// absorbs the store, the window count and the counters.
+struct WindowFileField<'a>(&'a SimConfig);
+
+const WORD: Num<u32> = num(0..=u32::MAX);
+
+/// A window pointer or count, held to the file's geometry by
+/// [`WindowFile::import`].
+const POINTER: Num<u64> = num(0..=u64::MAX);
+
+impl Field<WindowFile> for WindowFileField<'_> {
+    fn write(&self, w: &mut Writer, key: &str, v: &WindowFile) {
+        w.key(key);
+        w.arr_open();
+        v.export_store().iter().for_each(|word| WORD.put(w, word));
+        w.arr_close();
+        for (key, n) in WINDOW_COUNTERS.into_iter().zip(v.counters()) {
+            POINTER.write(w, key, &n);
+        }
+    }
+
+    fn read(&self, obj: &[(String, Json)], key: &str) -> Result<WindowFile, JsonError> {
+        let store: Vec<u32> = List(WORD).read(obj, key)?;
+        let mut counters = [0; WINDOW_COUNTERS.len()];
+        for (n, key) in counters.iter_mut().zip(WINDOW_COUNTERS) {
+            *n = POINTER.read(obj, key)?;
+        }
+        WindowFile::import(self.0.windows, self.0.mem_bytes, &store, counters)
+            .map_err(|e| JsonError::schema(&format!("register file: {e}")))
+    }
+
+    fn hash(&self, h: &mut Fnv64, v: &WindowFile) {
+        v.for_each_word(|w| h.write_u64(w));
+    }
+}
+
+/// The PSW flags, packed `z | n << 1 | v << 2 | c << 3` into one number
+/// (the checksum absorbs it as one byte).
+struct FlagsField;
+
+const FLAG_BITS: Num<u8> = num(0..=0b1111);
+
+fn pack(Flags { z, n, v, c }: Flags) -> u8 {
+    u8::from(z) | u8::from(n) << 1 | u8::from(v) << 2 | u8::from(c) << 3
+}
+
+impl Codec<Flags> for FlagsField {
+    fn put(&self, w: &mut Writer, v: &Flags) {
+        FLAG_BITS.put(w, &pack(*v));
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<Flags, JsonError> {
+        let bits = FLAG_BITS.get(v, what)?;
+        let [z, n, v, c] = [0, 1, 2, 3].map(|i| bits >> i & 1 != 0);
+        Ok(Flags { z, n, v, c })
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &Flags) {
+        h.write_u8(pack(*v));
+    }
+}
+
+/// The register the last instruction wrote and whether a load wrote it,
+/// for the interlock model: `null`, or `{"kind":"global"|"ring","index":i,
+/// "load":b}`. The checksum absorbs 0, or 1 (global) or 2 (ring), the
+/// index and the flag.
+struct LastWrite;
+
+const GLOBAL: Num<u8> = num(0..=u8::MAX);
+const RING: Num<usize> = num(0..=usize::MAX);
+
+impl Codec<Option<(PhysId, bool)>> for LastWrite {
+    fn put(&self, w: &mut Writer, v: &Option<(PhysId, bool)>) {
+        let Some((id, load)) = *v else {
+            return w.null();
+        };
+        w.obj_open();
+        w.key("kind");
+        match id {
+            PhysId::Global(g) => {
+                w.str("global");
+                GLOBAL.write(w, "index", &g);
             }
-            let (idx, bytes) = (&pair[0], &pair[1]);
-            let i = idx.as_usize("page index")?;
+            PhysId::Ring(i) => {
+                w.str("ring");
+                RING.write(w, "index", &i);
+            }
+        }
+        Flag.write(w, "load", &load);
+        w.obj_close();
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<Option<(PhysId, bool)>, JsonError> {
+        if let Json::Null = v {
+            return Ok(None);
+        }
+        let obj = v.as_obj(what)?;
+        let id = match get(obj, "kind")?.as_str("kind")? {
+            "global" => PhysId::Global(GLOBAL.read(obj, "index")?),
+            "ring" => PhysId::Ring(RING.read(obj, "index")?),
+            other => return Err(crate::json::unknown_name("kind", other, ["global", "ring"])),
+        };
+        Ok(Some((id, Flag.read(obj, "load")?)))
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &Option<(PhysId, bool)>) {
+        let Some((id, load)) = *v else {
+            return h.write_u64(0);
+        };
+        match id {
+            PhysId::Global(g) => {
+                h.write_u64(1);
+                h.write_u64(u64::from(g));
+            }
+            PhysId::Ring(i) => {
+                h.write_u64(2);
+                h.write_u64(i as u64);
+            }
+        }
+        h.write_u8(u8::from(load));
+    }
+}
+
+const TRAP_CODE: Coded<TrapKind, u32> = Coded(
+    num(1..=TrapKind::COUNT as u32),
+    |k| k.code(),
+    TrapKind::from_code,
+);
+
+/// The dynamic opcode histogram, sparse: `[code, count]` pairs of the
+/// nonzero counts. The checksum absorbs every count, in the ISA's fixed
+/// order.
+pub(crate) struct OpcodeHistogram;
+
+/// One histogram entry: an opcode by its 7-bit code, and its count.
+const OPCODE_COUNT: Tuple<Coded<Opcode, u8>, Num<u64>> = Tuple(
+    Coded(num(0..=0x7f), |op| *op as u8, Opcode::from_code),
+    COUNTER,
+);
+
+impl Codec<OpcodeCounts> for OpcodeHistogram {
+    fn put(&self, w: &mut Writer, v: &OpcodeCounts) {
+        w.arr_open();
+        v.iter().for_each(|entry| OPCODE_COUNT.put(w, &entry));
+        w.arr_close();
+    }
+
+    fn get(&self, v: &Json, what: &str) -> Result<OpcodeCounts, JsonError> {
+        let mut counts = OpcodeCounts::new();
+        let entries: Vec<(Opcode, u64)> = List(OPCODE_COUNT).get(v, what)?;
+        for (op, n) in entries {
+            counts.set(op, n);
+        }
+        Ok(counts)
+    }
+
+    fn absorb(&self, h: &mut Fnv64, v: &OpcodeCounts) {
+        for &op in Opcode::ALL {
+            h.write_u64(v.get(op));
+        }
+    }
+}
+
+crate::keyed! {
+    impl[] FlagsField => Flags;
+    impl[] LastWrite => Option<(PhysId, bool)>;
+    impl[] OpcodeHistogram => OpcodeCounts;
+}
+
+/// The memory of a machine of the snapshot's configuration: its traffic
+/// counts under the field's key, then its nonzero pages under `pages` as
+/// `[index, [bytes…]]`. The checksum absorbs the traffic counts; the pages
+/// are absorbed through their digests ([`PageSums`]).
+struct MemoryField<'a>(&'a SimConfig);
+
+const PAGE_INDEX: Num<usize> = num(0..=MAX_SNAPSHOT_MEM_BYTES / PAGE_BYTES);
+
+const BYTE: Num<u8> = num(0..=u8::MAX);
+
+impl Field<Memory> for MemoryField<'_> {
+    fn write(&self, w: &mut Writer, key: &str, v: &Memory) {
+        obj::<MemTraffic>().write(w, key, &v.traffic());
+        w.key("pages");
+        w.arr_open();
+        for idx in 0..v.page_count() {
+            if !v.page_is_resident(idx) {
+                continue;
+            }
+            let page = v.page(idx);
+            if page.iter().all(|&b| b == 0) {
+                continue;
+            }
+            w.arr_open();
+            PAGE_INDEX.put(w, &idx);
+            w.arr_open();
+            page.iter().for_each(|b| BYTE.put(w, b));
+            w.arr_close();
+            w.arr_close();
+        }
+        w.arr_close();
+    }
+
+    fn read(&self, entries: &[(String, Json)], key: &str) -> Result<Memory, JsonError> {
+        let mut mem = Memory::new(self.0.mem_bytes);
+        let pages: Vec<(usize, Vec<u8>)> =
+            List(Tuple(PAGE_INDEX, List(BYTE))).read(entries, "pages")?;
+        for (i, bytes) in pages {
             if i >= mem.page_count() {
                 return Err(JsonError::schema(&format!(
                     "page index {i} out of range ({} pages)",
@@ -605,225 +642,43 @@ impl Snapshot {
                 )));
             }
             let want = mem.page(i).len();
-            let raw = bytes.as_arr("page bytes")?;
-            if raw.len() != want {
+            if bytes.len() != want {
                 return Err(JsonError::schema(&format!(
                     "page {i} holds {} bytes, expected {want}",
-                    raw.len()
+                    bytes.len()
                 )));
             }
-            let mut buf = Vec::with_capacity(want);
-            for b in raw {
-                buf.push(b.as_u8("page byte")?);
-            }
-            mem.load_image((i * PAGE_BYTES) as u32, &buf)
+            mem.load_image((i * PAGE_BYTES) as u32, &bytes)
                 .map_err(|e| JsonError::schema(&format!("page {i}: {e}")))?;
         }
-        mem.set_traffic(MemTraffic {
-            reads: read_counter(get(traffic, "reads")?, "traffic.reads")?,
-            writes: read_counter(get(traffic, "writes")?, "traffic.writes")?,
-        });
-        // Page digests are recomputed from the rebuilt memory (they are
-        // derivable); byte corruption then lands in `verify()` as a
-        // checksum mismatch rather than a trusted-but-wrong digest.
-        let page_sums = (0..mem.page_count())
-            .map(|i| mem_page_sum(&mem, i))
-            .collect();
-        Ok(Snapshot {
-            version,
-            id,
-            cfg,
-            state,
-            mem,
-            page_sums,
-            checksum: get(obj, "checksum")?.as_u64("checksum")?,
-        })
+        mem.set_traffic(obj::<MemTraffic>().read(entries, key)?);
+        Ok(mem)
     }
 
-    /// Deserializes a snapshot from JSON text (see
-    /// [`Snapshot::from_json_value`]).
-    ///
-    /// # Errors
-    /// [`JsonError`] on malformed text or any shape/limit violation.
-    pub fn from_json(text: &str) -> Result<Snapshot, JsonError> {
-        Snapshot::from_json_value(&Parser::new(text).parse_document()?)
+    fn hash(&self, h: &mut Fnv64, v: &Memory) {
+        v.traffic().hash_fields(h, &());
     }
 }
 
-fn write_opt_num(w: &mut Writer, v: Option<u64>) {
-    match v {
-        None => w.null(),
-        Some(x) => w.num(i128::from(x)),
-    }
-}
+/// The per-page digests of the snapshot's memory: derived, so they are
+/// not written and are recomputed when read (byte corruption then lands
+/// in [`Snapshot::verify`] as a checksum mismatch rather than a
+/// trusted-but-wrong digest). The checksum absorbs their count and each.
+struct PageSums<'a>(&'a Memory);
 
-fn read_opt_u64(v: &Json, what: &str) -> Result<Option<u64>, JsonError> {
-    match v {
-        Json::Null => Ok(None),
-        other => other.as_u64(what).map(Some),
-    }
-}
+impl Field<Vec<u64>> for PageSums<'_> {
+    fn write(&self, _: &mut Writer, _: &str, _: &Vec<u64>) {}
 
-fn write_stats(w: &mut Writer, s: &ExecStats) {
-    w.obj_open();
-    for (key, v) in s.counters() {
-        w.key(key);
-        w.num(i128::from(v));
+    fn read(&self, _: &[(String, Json)], _: &str) -> Result<Vec<u64>, JsonError> {
+        Ok((0..self.0.page_count())
+            .map(|i| mem_page_sum(self.0, i))
+            .collect())
     }
-    w.key("trap_counts");
-    w.arr_open();
-    for &c in &s.trap_counts {
-        w.num(i128::from(c));
-    }
-    w.arr_close();
-    // Sparse histogram: `[opcode code, count]` pairs, nonzero only. The
-    // engine-telemetry fields (fused pairs, block counters) are host-side
-    // and excluded from snapshot identity, so they are not serialized.
-    w.key("opcodes");
-    w.arr_open();
-    for (op, n) in s.opcode_counts.iter() {
-        w.arr_open();
-        w.num(i128::from(op as u8));
-        w.num(i128::from(n));
-        w.arr_close();
-    }
-    w.arr_close();
-    w.obj_close();
-}
 
-/// A counter, held to [`MAX_SNAPSHOT_COUNTER`].
-fn read_counter(v: &Json, what: &str) -> Result<u64, JsonError> {
-    let n = v.as_u64(what)?;
-    if n > MAX_SNAPSHOT_COUNTER {
-        return Err(JsonError::schema(&format!(
-            "{what} {n} is above the counter ceiling {MAX_SNAPSHOT_COUNTER}"
-        )));
+    fn hash(&self, h: &mut Fnv64, v: &Vec<u64>) {
+        h.write_u64(v.len() as u64);
+        v.iter().for_each(|&s| h.write_u64(s));
     }
-    Ok(n)
-}
-
-fn read_stats(v: &Json) -> Result<ExecStats, JsonError> {
-    let obj = v.as_obj("stats")?;
-    let mut s = ExecStats::default();
-    for (key, v) in s.counters_mut() {
-        *v = read_counter(get(obj, key)?, key)?;
-    }
-    let counts = get(obj, "trap_counts")?.as_arr("trap_counts")?;
-    if counts.len() != TrapKind::COUNT {
-        return Err(JsonError::schema(&format!(
-            "trap_counts holds {} entries, expected {}",
-            counts.len(),
-            TrapKind::COUNT
-        )));
-    }
-    for (i, c) in counts.iter().enumerate() {
-        s.trap_counts[i] = read_counter(c, "trap_counts entry")?;
-    }
-    for pair in get(obj, "opcodes")?.as_arr("opcodes")? {
-        let pair = pair.as_arr("opcode pair")?;
-        if pair.len() != 2 {
-            return Err(JsonError::schema("opcode pair: expected [code, count]"));
-        }
-        let code = pair[0].as_u8("opcode code")?;
-        let op = Opcode::from_code(code)
-            .ok_or_else(|| JsonError::schema(&format!("unknown opcode code {code}")))?;
-        s.opcode_counts
-            .set(op, read_counter(&pair[1], "opcode count")?);
-    }
-    Ok(s)
-}
-
-fn read_state(v: &Json, cfg: &SimConfig) -> Result<CpuState, JsonError> {
-    let obj = v.as_obj("state")?;
-    let u = |key: &str| -> Result<u64, JsonError> { get(obj, key)?.as_u64(key) };
-    let store_raw = get(obj, "store")?.as_arr("store")?;
-    let mut store = Vec::with_capacity(store_raw.len());
-    for word in store_raw {
-        store.push(word.as_u32("store word")?);
-    }
-    let mut counters = [0; WINDOW_COUNTERS.len()];
-    for (v, key) in counters.iter_mut().zip(WINDOW_COUNTERS) {
-        *v = u(key)?;
-    }
-    let regs = WindowFile::import(cfg.windows, cfg.mem_bytes, &store, counters)
-        .map_err(|e| JsonError::schema(&format!("register file: {e}")))?;
-    let packed = get(obj, "flags")?.as_u8("flags")?;
-    if packed > 0b1111 {
-        return Err(JsonError::schema(&format!(
-            "flags byte {packed} out of range"
-        )));
-    }
-    let flags = Flags {
-        z: packed & 1 != 0,
-        n: packed & 2 != 0,
-        v: packed & 4 != 0,
-        c: packed & 8 != 0,
-    };
-    let last_write = match get(obj, "last_write")? {
-        Json::Null => None,
-        lw => {
-            let lw = lw.as_obj("last_write")?;
-            let index = get(lw, "index")?;
-            let id = match get(lw, "kind")?.as_str("last_write.kind")? {
-                "global" => PhysId::Global(index.as_u8("last_write.index")?),
-                "ring" => PhysId::Ring(index.as_usize("last_write.index")?),
-                other => {
-                    return Err(JsonError::schema(&format!(
-                        "last_write.kind {other:?} (expected global|ring)"
-                    )))
-                }
-            };
-            Some((id, get(lw, "load")?.as_bool("last_write.load")?))
-        }
-    };
-    let handlers_raw = get(obj, "trap_handlers")?.as_arr("trap_handlers")?;
-    if handlers_raw.len() != TrapKind::COUNT {
-        return Err(JsonError::schema(&format!(
-            "trap_handlers holds {} entries, expected {}",
-            handlers_raw.len(),
-            TrapKind::COUNT
-        )));
-    }
-    let mut trap_handlers = [None; TrapKind::COUNT];
-    for (i, h) in handlers_raw.iter().enumerate() {
-        trap_handlers[i] = read_opt_u64(h, "trap handler")?
-            .map(|x| u32::try_from(x).map_err(|_| JsonError::schema("trap handler out of u32")))
-            .transpose()?;
-    }
-    let trap_kind = |v: &Json, what: &str| -> Result<Option<TrapKind>, JsonError> {
-        read_opt_u64(v, what)?
-            .map(|code| {
-                u32::try_from(code)
-                    .ok()
-                    .and_then(TrapKind::from_code)
-                    .ok_or_else(|| JsonError::schema(&format!("{what}: unknown trap code {code}")))
-            })
-            .transpose()
-    };
-    Ok(CpuState {
-        regs,
-        pc: get(obj, "pc")?.as_u32("pc")?,
-        last_pc: get(obj, "last_pc")?.as_u32("last_pc")?,
-        flags,
-        interrupts_enabled: get(obj, "interrupts_enabled")?.as_bool("interrupts_enabled")?,
-        wstack_ptr: get(obj, "wstack_ptr")?.as_u32("wstack_ptr")?,
-        pending_target: read_opt_u64(get(obj, "pending_target")?, "pending_target")?
-            .map(|x| u32::try_from(x).map_err(|_| JsonError::schema("pending_target out of u32")))
-            .transpose()?,
-        last_write,
-        halted: get(obj, "halted")?.as_bool("halted")?,
-        stats: read_stats(get(obj, "stats")?)?,
-        interrupt_handler: read_opt_u64(get(obj, "interrupt_handler")?, "interrupt_handler")?
-            .map(|x| {
-                u32::try_from(x).map_err(|_| JsonError::schema("interrupt_handler out of u32"))
-            })
-            .transpose()?,
-        interrupt_pending: get(obj, "interrupt_pending")?.as_bool("interrupt_pending")?,
-        trap_handlers,
-        active_trap: trap_kind(get(obj, "active_trap")?, "active_trap")?,
-        pending_probe: trap_kind(get(obj, "pending_probe")?, "pending_probe")?,
-        fuel_limit: u("fuel_limit")?,
-    })
 }
 
 /// Cost accounting of a [`Checkpointer`].
@@ -931,6 +786,7 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Parser;
     use crate::program::Program;
     use risc1_isa::{Cond, Instruction, Opcode, Reg, Short2};
 

@@ -1,5 +1,7 @@
 //! Execution statistics — the raw material of every evaluation table.
 
+use crate::json::List;
+use crate::snapshot::{OpcodeHistogram, COUNTER};
 use crate::trap::TrapKind;
 use risc1_isa::{Category, Opcode};
 use std::collections::HashMap;
@@ -207,28 +209,29 @@ pub struct ExecStats {
 }
 
 /// Lists the scalar architectural counters of [`ExecStats`] once, and
-/// derives from the list the two views every consumer walks.
+/// derives from the list the view `PartialEq` compares and the snapshot
+/// record: each counter under its name, held to the counter ceiling, then
+/// the trap and opcode counts. The telemetry fields are not among them
+/// (see the type docs): a snapshot neither stores nor hashes them.
 macro_rules! scalar_counters {
     ($($field:ident),+ $(,)?) => {
         /// Number of scalar architectural counters.
         const SCALAR_COUNTERS: usize = [$(stringify!($field)),+].len();
 
         impl ExecStats {
-            /// The scalar architectural counters, each with its name (its
-            /// snapshot JSON key), in the order the snapshot checksum
-            /// hashes them. With `trap_counts` and `opcode_counts` they are
-            /// everything `PartialEq`, the checksum and the snapshot JSON
-            /// cover; the telemetry fields are not among them (see the
-            /// type docs).
-            pub(crate) fn counters(&self) -> [(&'static str, u64); SCALAR_COUNTERS] {
-                [$((stringify!($field), self.$field)),+]
+            /// The scalar architectural counters, in checksum order.
+            fn counters(&self) -> [u64; SCALAR_COUNTERS] {
+                [$(self.$field),+]
             }
+        }
 
-            /// [`ExecStats::counters`], writable: how a snapshot reads them
-            /// back.
-            pub(crate) fn counters_mut(&mut self) -> [(&'static str, &mut u64); SCALAR_COUNTERS] {
-                [$((stringify!($field), &mut self.$field)),+]
-            }
+        crate::record! {
+            ExecStats {
+                $(stringify!($field) => $field: COUNTER,)+
+                "trap_counts" => trap_counts: List(COUNTER),
+                // Sparse: `[opcode code, count]` pairs, nonzero only.
+                "opcodes" => opcode_counts: OpcodeHistogram,
+            } ..ExecStats::default()
         }
     };
 }

@@ -82,8 +82,12 @@ pub fn record_risc_injected(
 /// [`InjectSetupError`] when the journal's program/args cannot be set up
 /// under its configuration.
 pub fn replay_journal(journal: &Journal) -> Result<InjectReport, InjectSetupError> {
-    let prog = journal.program();
-    let mut cpu = setup_risc(&prog, &journal.args, journal.cfg.clone(), journal.recovery)?;
+    let mut cpu = setup_risc(
+        &journal.program,
+        &journal.args,
+        journal.cfg.clone(),
+        journal.recovery,
+    )?;
     let stepper = Stepper::new(Source::Journal(&journal.events), None);
     Ok(run_steps(&mut cpu, stepper, None)
         .finished()

@@ -38,7 +38,7 @@
 
 use crate::job::{JobKey, JobMode, JobOutput, JobSpec};
 use crate::queue::{Overloaded, QueueDepth, QueueSet};
-use crate::wal::{replay_wal, WalRecord, WalWriter};
+use crate::wal::{replay_wal, WalRecord, WalWriter, MAX_JOB_ID};
 use risc1_core::json::{get, Parser};
 use risc1_core::{Deadline, Journal, JournalEvent, TrapKind};
 use risc1_ir::{
@@ -176,8 +176,9 @@ pub struct Counters {
     /// Completed results re-seeded from the write-ahead log at startup.
     pub wal_reseeded: u64,
     /// Lines of the write-ahead log skipped at startup because they did
-    /// not parse: a torn tail from a hard kill, an admit record in another
-    /// build's schema, or garbage.
+    /// not parse — a torn tail from a hard kill, an admit record in another
+    /// build's schema, a record id past [`MAX_JOB_ID`], or garbage — or
+    /// repeat the id of an admit record before them.
     pub wal_torn: u64,
     /// Warm-start snapshots rejected at restore time (corruption, version
     /// skew, config mismatch).
@@ -389,9 +390,15 @@ impl ExecService {
         // with a later job; recovery would run such a job unclaimed.
         st.next_id += fresh.len() as u64;
         let logged = match st.wal.as_mut() {
-            Some(wal) => fresh
-                .iter()
-                .try_for_each(|(id, _, spec)| wal.append_admit(*id, client, weight, spec)),
+            Some(wal) => fresh.iter().try_for_each(|(id, _, spec)| {
+                if *id > MAX_JOB_ID {
+                    // Recovery could not read the record back.
+                    return Err(std::io::Error::other(format!(
+                        "job id {id} is above the log's ceiling {MAX_JOB_ID}"
+                    )));
+                }
+                wal.append_admit(*id, client, weight, spec)
+            }),
             None => Ok(()),
         };
         if let Err(e) = logged {
@@ -603,6 +610,13 @@ fn seed_from_wal(st: &mut State, records: Vec<WalRecord>) {
         }
     }
     for (id, client, weight, spec) in admits {
+        // Ids are drawn once, so a second record of one is damage: it is
+        // counted with the lines that did not read.
+        if st.jobs.contains_key(&id) {
+            st.counters.wal_torn += 1;
+            continue;
+        }
+        // The reader holds ids to `MAX_JOB_ID`, so this cannot overflow.
         st.next_id = st.next_id.max(id + 1);
         let key = spec.key();
         if let Some((digest, summary)) = dones.remove(&id) {

@@ -13,12 +13,15 @@
 //! {"wal":"done","id":3,"digest":"91f0…","result":"{\"kind\":…}"}
 //! ```
 //!
-//! A job therefore has one schema: replay reads an admit record's request
-//! with the wire's own submit parser, which enforces the submit rules
+//! A job therefore has one schema: both kinds of line are one declared
+//! record, and an admit record's request is the wire's own submit request,
+//! read by the wire's declaration, which enforces the submit rules
 //! ([`JobSpec`]'s fields, one seed). The service logs only specs that keep
 //! those rules, so every admit record it wrote parses again; one that does
 //! not (written by a build with another schema, or damaged) is skipped and
-//! counted like a torn line.
+//! counted like a torn line. So is a record whose id is past
+//! [`MAX_JOB_ID`], which leaves every recovered id room for the ids after
+//! it.
 //!
 //! The `done` record stores the serialized result as a *string value*, so
 //! replay recovers the original response bytes exactly (JSON string
@@ -35,14 +38,51 @@
 //! domain trivial.
 
 use crate::job::{JobOutput, JobSpec};
-use crate::wire::{output_json, read_request, write_spec_request, Request};
-use risc1_core::json::{get, Json, Parser, Writer};
+use crate::wire::{output_json, Request, REQUEST};
+use risc1_core::json::{num, Field, Num, Parser, Text, Writer};
 use std::fs::{File, OpenOptions};
 use std::io::{BufRead, BufReader, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
 /// File name of the log inside the WAL directory.
 pub const WAL_FILE: &str = "serve.wal";
+
+/// The ceiling on the id of a logged job. The reader refuses a record
+/// above it (counted as torn, like any damaged line), so a recovered id
+/// always leaves room for the ids after it, and the service issues no id
+/// above it to a logged job. No service reaches it: 2^62 admissions are
+/// centuries of submissions.
+pub const MAX_JOB_ID: u64 = 1 << 62;
+
+/// A line of the log as written: its kind under `wal`, and the kind's
+/// fields beside it. A done line's digest is 16 hex digits.
+enum Line {
+    Admit {
+        id: u64,
+        request: Request,
+    },
+    Done {
+        id: u64,
+        digest: String,
+        result: String,
+    },
+}
+
+const JOB_ID: Num<u64> = num(0..=MAX_JOB_ID);
+
+risc1_core::tagged! {
+    LineField: Line {
+        "admit" => Admit {
+            "id" => id: JOB_ID,
+            "request" => request: REQUEST,
+        },
+        "done" => Done {
+            "id" => id: JOB_ID,
+            "digest" => digest: Text,
+            "result" => result: Text,
+        },
+    }
+}
 
 /// The append half: owned by the service, written under its state lock so
 /// the log order matches the admission order.
@@ -90,16 +130,12 @@ impl WalWriter {
         weight: u32,
         spec: &JobSpec,
     ) -> std::io::Result<()> {
-        let mut w = Writer::new();
-        w.obj_open();
-        w.key("wal");
-        w.str("admit");
-        w.key("id");
-        w.num(i128::from(id));
-        w.key("request");
-        write_spec_request(&mut w, client, weight, spec);
-        w.obj_close();
-        self.append_line(w.finish())
+        let request = Request::Submit {
+            client: client.to_owned(),
+            weight,
+            specs: vec![spec.clone()],
+        };
+        self.append(&Line::Admit { id, request })
     }
 
     /// Logs one completed job's digest and wire rendering.
@@ -107,16 +143,17 @@ impl WalWriter {
     /// # Errors
     /// Propagates the write failure.
     pub fn append_done(&mut self, id: u64, out: &JobOutput) -> std::io::Result<()> {
+        self.append(&Line::Done {
+            id,
+            digest: format!("{:016x}", out.digest()),
+            result: output_json(out),
+        })
+    }
+
+    fn append(&mut self, line: &Line) -> std::io::Result<()> {
         let mut w = Writer::new();
         w.obj_open();
-        w.key("wal");
-        w.str("done");
-        w.key("id");
-        w.num(i128::from(id));
-        w.key("digest");
-        w.str(&format!("{:016x}", out.digest()));
-        w.key("result");
-        w.str(&output_json(out));
+        LineField.write(&mut w, "wal", line);
         w.obj_close();
         self.append_line(w.finish())
     }
@@ -165,7 +202,8 @@ pub struct WalScan {
     /// Well-formed records replayed.
     pub records: usize,
     /// Lines skipped because they did not parse — a torn tail from a hard
-    /// kill, an admit record in another build's schema, or garbage.
+    /// kill, an admit record in another build's schema, a record id past
+    /// [`MAX_JOB_ID`], or garbage.
     pub torn: usize,
 }
 
@@ -204,37 +242,30 @@ pub fn replay_wal(dir: &Path) -> std::io::Result<(Vec<WalRecord>, WalScan)> {
 
 fn parse_record(line: &str) -> Option<WalRecord> {
     let doc = Parser::new(line).parse_document().ok()?;
-    let obj = doc.as_obj("wal record").ok()?;
-    match get(obj, "wal").ok()?.as_str("wal").ok()? {
-        "admit" => {
-            let Request::Submit {
-                client,
-                weight,
-                specs,
-            } = read_request(get(obj, "request").ok()?).ok()?
-            else {
-                return None;
-            };
+    match LineField.read(doc.as_obj("wal record").ok()?, "wal").ok()? {
+        Line::Admit {
+            id,
+            request:
+                Request::Submit {
+                    client,
+                    weight,
+                    specs,
+                },
+        } => {
             let [spec] = <[JobSpec; 1]>::try_from(specs).ok()?;
             Some(WalRecord::Admit {
-                id: get(obj, "id").ok()?.as_u64("id").ok()?,
+                id,
                 client,
                 weight,
                 spec: Box::new(spec),
             })
         }
-        "done" => {
-            let digest = get(obj, "digest").ok()?.as_str("digest").ok()?;
-            Some(WalRecord::Done {
-                id: get(obj, "id").ok()?.as_u64("id").ok()?,
-                digest: u64::from_str_radix(digest, 16).ok()?,
-                result: match get(obj, "result").ok()? {
-                    Json::Str(s) => s.clone(),
-                    _ => return None,
-                },
-            })
-        }
-        _ => None,
+        Line::Admit { .. } => None,
+        Line::Done { id, digest, result } => Some(WalRecord::Done {
+            id,
+            digest: u64::from_str_radix(&digest, 16).ok()?,
+            result,
+        }),
     }
 }
 

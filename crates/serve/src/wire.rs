@@ -43,19 +43,25 @@
 //! trap counts, event log) so clients can verify bit-identity against a
 //! local run without shipping the full report.
 //!
-//! The config object reuses the journal format's
-//! [`write_config`]/[`read_config`], so a journal's `cfg` block pastes
-//! directly into a submit request.
+//! Each request is declared once ([`RequestField`], a tagged union over
+//! `op`), and a submit's job fields are one record beside its client
+//! fields; [`parse_request`] reads by the declaration and
+//! [`submit_request`] writes by it. The config object is the one
+//! [`SimConfig`] record journals and snapshots use, so a journal's
+//! `config` block pastes directly into a submit request's `cfg`.
+//! Responses are written by hand.
 
 use crate::job::{JobMode, JobOutput, JobSpec};
 use crate::queue::Overloaded;
 use crate::service::{PollState, StatusReport, SubmitError, SubmitTicket};
 use risc1_core::inject::InjectModes;
-use risc1_core::journal::{read_config, write_config};
-use risc1_core::json::{get, get_opt, Json, JsonError, Parser, Writer};
-use risc1_core::snapshot::Snapshot;
+use risc1_core::json::{
+    get_opt, num, obj, omit, or, sparse, Codec, Embed, Field, Flag, Json, JsonError, List, Named,
+    Num, Omit, Parser, Record, Text, Then, Writer,
+};
+use risc1_core::snapshot::{Fnv64, Snapshot};
 use risc1_core::{InjectConfig, Program, SimConfig, TrapKind};
-use risc1_ir::{outcome_signature, InjectOutcome, SupervisorOutcome};
+use risc1_ir::{outcome_signature, InjectOutcome, SupervisorConfig, SupervisorOutcome};
 
 /// Most seeds one submit may carry: bounds parse-time allocation before
 /// admission control can see the request at all.
@@ -113,152 +119,93 @@ pub fn parse_request(line: &str) -> Result<Request, JsonError> {
 /// parse, and how the write-ahead log reads the submit request it stores
 /// for each admitted job.
 pub(crate) fn read_request(doc: &Json) -> Result<Request, JsonError> {
-    let obj = doc.as_obj("request")?;
-    match get(obj, "op")?.as_str("op")? {
-        "submit" => parse_submit(obj),
-        "poll" => Ok(Request::Poll {
-            id: get(obj, "id")?.as_u64("id")?,
-            wait_ms: match get_opt(obj, "wait_ms") {
-                None => None,
-                Some(v) => Some(v.as_u64("wait_ms")?),
-            },
-        }),
-        "journal" => Ok(Request::Journal {
-            id: get(obj, "id")?.as_u64("id")?,
-            seq: match get_opt(obj, "seq") {
-                None => 0,
-                Some(v) => v.as_u64("seq")?,
-            },
-        }),
-        "status" => Ok(Request::Status),
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(JsonError::schema(&format!("unknown op {other:?}"))),
+    REQUEST.get(doc, "request")
+}
+
+/// A request as one object, its operation named under `op`: the
+/// declaration [`parse_request`] reads by and every submit request is
+/// written by.
+pub const REQUEST: Embed<RequestField> = Embed(RequestField, "op");
+
+risc1_core::tagged! {
+    /// A request: its operation's name, and that operation's fields beside
+    /// it.
+    pub RequestField: Request {
+        "submit" => Submit {
+            "client" => client: Text,
+            // A weight of 0 reads as 1.
+            "weight" => weight: or(Then(num(0..=u32::MAX), |w: u32| Ok(w.max(1))), || 1),
+            "program" => specs: Jobs,
+        },
+        "poll" => Poll {
+            "id" => id: num(0..=u64::MAX),
+            "wait_ms" => wait_ms: omit(num(0..=u64::MAX)),
+        },
+        "journal" => Journal {
+            "id" => id: num(0..=u64::MAX),
+            "seq" => seq: or(num(0..=u64::MAX), || 0),
+        },
+        "status" => Status {},
+        "shutdown" => Shutdown {},
     }
 }
 
-fn parse_submit(obj: &[(String, Json)]) -> Result<Request, JsonError> {
-    let client = get(obj, "client")?.as_str("client")?.to_owned();
-    let weight = match get_opt(obj, "weight") {
-        None => 1,
-        Some(v) => v.as_u32("weight")?.max(1),
-    };
-    let program = Program::from_json_value(get(obj, "program")?)?;
-    let args = get(obj, "args")?
-        .as_arr("args")?
-        .iter()
-        .map(|v| v.as_i32("args[..]"))
-        .collect::<Result<Vec<i32>, _>>()?;
-    let cfg = match get_opt(obj, "cfg") {
-        None => SimConfig::default(),
-        Some(v) => read_config(v.as_obj("cfg")?)?,
-    };
-    let seeds = get(obj, "seeds")?
-        .as_arr("seeds")?
-        .iter()
-        .map(|v| v.as_u64("seeds[..]"))
-        .collect::<Result<Vec<u64>, _>>()?;
-    if seeds.is_empty() {
-        return Err(JsonError::schema("seeds: must not be empty"));
-    }
-    if seeds.len() > MAX_SEEDS_PER_SUBMIT {
-        return Err(JsonError::schema(&format!(
-            "seeds: at most {MAX_SEEDS_PER_SUBMIT} per submit"
-        )));
-    }
-    let snapshot = match get_opt(obj, "snapshot") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(Box::new(Snapshot::from_json_value(v)?)),
-    };
-    // A submit is a campaign by default — unless it warm-starts from a
-    // snapshot, which cannot replay an injector schedule keyed from reset.
-    let inject = match get_opt(obj, "inject") {
-        None => snapshot.is_none(),
-        Some(v) => v.as_bool("inject")?,
-    };
-    let rate = match get_opt(obj, "rate") {
-        None => InjectConfig::with_seed(0).rate,
-        Some(v) => v.as_u32("rate")?,
-    };
-    let modes = match get_opt(obj, "modes") {
-        None => InjectModes::All,
-        Some(v) => {
-            let name = v.as_str("modes")?;
-            MODE_SETS
-                .into_iter()
-                .find(|&(n, _)| n == name)
-                .map(|(_, modes)| modes)
-                .ok_or_else(|| {
-                    JsonError::schema(&format!(
-                        "modes: unknown set {name:?} (all | transparent | none)"
-                    ))
-                })?
-        }
-    };
-    let recovery = match get_opt(obj, "recovery") {
-        None => false,
-        Some(v) => v.as_bool("recovery")?,
-    };
-    let mode = match get_opt(obj, "mode") {
-        None => JobMode::Direct,
-        Some(v) => match v.as_str("mode")? {
-            "direct" => JobMode::Direct,
-            "supervised" => {
-                let dflt = risc1_ir::SupervisorConfig::default();
-                JobMode::Supervised {
-                    ckpt_every: match get_opt(obj, "ckpt_every") {
-                        None => dflt.ckpt_every,
-                        Some(v) => v.as_u64("ckpt_every")?,
-                    },
-                    max_retries: match get_opt(obj, "max_retries") {
-                        None => dflt.max_retries,
-                        Some(v) => v.as_u32("max_retries")?,
-                    },
-                }
-            }
-            other => {
-                return Err(JsonError::schema(&format!(
-                    "mode: unknown mode {other:?} (direct | supervised)"
-                )))
-            }
+// A spec's fields in a submit request. Its injection field spells the
+// request's seeds too, which `Jobs` reads to make one spec of each.
+risc1_core::record! {
+    JobSpec [campaign: Campaign] {
+        "program" => program: obj(),
+        "args" => args: List(num(i32::MIN..=i32::MAX)),
+        "cfg" => cfg: or(obj(), SimConfig::default),
+        SEEDS_KEY => inject: Injection(campaign),
+        "recovery" => recovery: or(Flag, || false),
+        "mode" => mode: or(ModeField, || JobMode::Direct),
+        "timeout_ms" => timeout_ms: omit(num(0..=u64::MAX)),
+        "journal" => journal: sparse(Flag, || false),
+        "snapshot" => snapshot: Omit {
+            field: obj(),
+            null_is_absent: true,
         },
-    };
-    let timeout_ms = match get_opt(obj, "timeout_ms") {
-        None => None,
-        Some(v) => Some(v.as_u64("timeout_ms")?),
-    };
-    let journal = match get_opt(obj, "journal") {
-        None => false,
-        Some(v) => v.as_bool("journal")?,
-    };
-    let spec = JobSpec {
-        program,
-        args,
-        cfg,
-        inject: inject.then_some(InjectConfig {
-            seed: 0,
-            rate,
-            modes,
-        }),
-        recovery,
-        mode,
-        timeout_ms,
-        snapshot,
-        journal,
-    };
-    spec.check().map_err(JsonError::schema)?;
-    let specs = seeds
-        .into_iter()
-        .map(|seed| JobSpec {
-            inject: spec.inject.map(|i| InjectConfig { seed, ..i }),
-            ..spec.clone()
-        })
-        .collect();
-    Ok(Request::Submit {
-        client,
-        weight,
-        specs,
-    })
+    }
 }
+
+risc1_core::tagged! {
+    /// How a job runs, and a supervised job's checkpoint interval and
+    /// retry budget beside it.
+    ModeField: JobMode {
+        "direct" => Direct {},
+        "supervised" => Supervised {
+            "ckpt_every" => ckpt_every: or(num(0..=u64::MAX), || {
+                SupervisorConfig::default().ckpt_every
+            }),
+            "max_retries" => max_retries: or(num(0..=u32::MAX), || {
+                SupervisorConfig::default().max_retries
+            }),
+        },
+    }
+}
+
+/// What a submit request adds to the spec it writes: the seeds it runs
+/// under, one job each, and the rate and modes a clean request carries,
+/// unread.
+pub struct Campaign {
+    seeds: Vec<u64>,
+    unread: InjectConfig,
+}
+
+const SEEDS_KEY: &str = "seeds";
+
+/// A submit's seeds: one job each, at least one and at most
+/// [`MAX_SEEDS_PER_SUBMIT`].
+const SEEDS: Then<List<Num<u64>>, Vec<u64>> = Then(List(num(0..=u64::MAX)), |seeds| {
+    match (1..=MAX_SEEDS_PER_SUBMIT).contains(&seeds.len()) {
+        true => Ok(seeds),
+        false => Err(JsonError::schema(&format!(
+            "seeds: {} given, 1 to {MAX_SEEDS_PER_SUBMIT} per submit",
+            seeds.len()
+        ))),
+    }
+});
 
 /// The injection mode sets a submit names in its `modes` field.
 const MODE_SETS: [(&str, InjectModes); 3] = [
@@ -267,7 +214,84 @@ const MODE_SETS: [(&str, InjectModes); 3] = [
     ("none", InjectModes::None),
 ];
 
-/// Builds a complete submit request line (client-side convenience).
+const RATE: Num<u32> = num(0..=u32::MAX);
+const MODES: Named<InjectModes> = Named(&MODE_SETS);
+
+/// A spec's injection campaign: the request's seeds under the field's
+/// key, then `inject`, `rate` and `modes`. An absent `inject` means a
+/// campaign — unless the request warm-starts from a snapshot, which cannot
+/// replay an injector schedule keyed from reset.
+struct Injection<'a>(&'a Campaign);
+
+impl Field<Option<InjectConfig>> for Injection<'_> {
+    fn write(&self, w: &mut Writer, key: &str, v: &Option<InjectConfig>) {
+        let campaign = v.unwrap_or(self.0.unread);
+        SEEDS.write(w, key, &self.0.seeds);
+        Flag.write(w, "inject", &v.is_some());
+        RATE.write(w, "rate", &campaign.rate);
+        MODES.write(w, "modes", &campaign.modes);
+    }
+
+    fn read(&self, obj: &[(String, Json)], _: &str) -> Result<Option<InjectConfig>, JsonError> {
+        let inject = match get_opt(obj, "inject") {
+            None => matches!(get_opt(obj, "snapshot"), None | Some(Json::Null)),
+            Some(_) => Flag.read(obj, "inject")?,
+        };
+        Ok(inject.then_some(InjectConfig {
+            seed: 0,
+            rate: or(RATE, || InjectConfig::with_seed(0).rate).read(obj, "rate")?,
+            modes: or(MODES, || InjectModes::All).read(obj, "modes")?,
+        }))
+    }
+
+    /// A request is never hashed.
+    fn hash(&self, _: &mut Fnv64, _: &Option<InjectConfig>) {}
+}
+
+/// A submit's jobs: one spec's fields and the seeds it runs under, read as
+/// one spec per seed, each held to the submit rules, and written from the
+/// first spec with every spec's seed. No jobs write no fields.
+struct Jobs;
+
+impl Field<Vec<JobSpec>> for Jobs {
+    fn write(&self, w: &mut Writer, _: &str, specs: &Vec<JobSpec>) {
+        if let Some(first) = specs.first() {
+            let seeds = specs.iter().map(|s| s.inject.map_or(0, |i| i.seed));
+            first.write_fields(w, &Campaign::clean(seeds.collect()));
+        }
+    }
+
+    fn read(&self, obj: &[(String, Json)], _: &str) -> Result<Vec<JobSpec>, JsonError> {
+        let spec = JobSpec::read_fields(obj, &Campaign::clean(Vec::new()))?;
+        spec.check().map_err(JsonError::schema)?;
+        let seeds = SEEDS.read(obj, SEEDS_KEY)?;
+        Ok(seeds
+            .into_iter()
+            .map(|seed| JobSpec {
+                inject: spec.inject.map(|i| InjectConfig { seed, ..i }),
+                ..spec.clone()
+            })
+            .collect())
+    }
+
+    /// A request is never hashed.
+    fn hash(&self, _: &mut Fnv64, _: &Vec<JobSpec>) {}
+}
+
+impl Campaign {
+    /// `seeds`, with a clean request carrying the campaign defaults, which
+    /// `inject: false` leaves unread.
+    fn clean(seeds: Vec<u64>) -> Campaign {
+        Campaign {
+            seeds,
+            unread: InjectConfig::with_seed(0),
+        }
+    }
+}
+
+/// Builds a complete submit request line (client-side convenience). A
+/// `modes` or `mode` name this build does not know is written as `all` or
+/// `direct`.
 #[allow(clippy::too_many_arguments)]
 pub fn submit_request(
     client: &str,
@@ -285,126 +309,50 @@ pub fn submit_request(
     journal: bool,
     snapshot: Option<&Snapshot>,
 ) -> String {
-    let mut w = Writer::new();
-    write_submit(
-        &mut w, client, weight, prog, args, cfg, seeds, inject, rate, modes, recovery, mode, None,
-        timeout_ms, journal, snapshot,
-    );
-    w.finish()
-}
-
-/// Writes the one-seed submit request of `spec` for `client` at `weight`:
-/// the request that asks for this job alone, which the write-ahead log
-/// stores for each admitted job. [`read_request`] reads it back to a spec
-/// with the same fields and [`JobKey`](crate::JobKey).
-pub(crate) fn write_spec_request(w: &mut Writer, client: &str, weight: u32, spec: &JobSpec) {
-    // A clean spec writes the campaign defaults, which `inject:false`
-    // leaves unread, and seed 0, its ticket's seed.
-    let inject = spec.inject.unwrap_or(InjectConfig::with_seed(0));
-    let (modes, _) = MODE_SETS
+    let modes = MODE_SETS
         .into_iter()
-        .find(|&(_, m)| m == inject.modes)
-        .expect("every mode set has a name");
-    let (mode, supervisor) = match spec.mode {
-        JobMode::Direct => ("direct", None),
-        JobMode::Supervised {
-            ckpt_every,
-            max_retries,
-        } => ("supervised", Some((ckpt_every, max_retries))),
-    };
-    write_submit(
-        w,
-        client,
-        weight,
-        &spec.program,
-        &spec.args,
-        &spec.cfg,
-        &[inject.seed],
-        spec.inject.is_some(),
-        inject.rate,
+        .find(|&(name, _)| name == modes)
+        .map_or(InjectModes::All, |(_, m)| m);
+    let campaign = InjectConfig {
+        seed: 0,
+        rate,
         modes,
-        spec.recovery,
-        mode,
-        supervisor,
-        spec.timeout_ms,
-        spec.journal,
-        spec.snapshot.as_deref(),
-    );
-}
-
-/// Writes a submit request object: [`submit_request`]'s fields, plus a
-/// supervised mode's `(ckpt_every, max_retries)` when given.
-#[allow(clippy::too_many_arguments)]
-fn write_submit(
-    w: &mut Writer,
-    client: &str,
-    weight: u32,
-    prog: &Program,
-    args: &[i32],
-    cfg: &SimConfig,
-    seeds: &[u64],
-    inject: bool,
-    rate: u32,
-    modes: &str,
-    recovery: bool,
-    mode: &str,
-    supervisor: Option<(u64, u32)>,
-    timeout_ms: Option<u64>,
-    journal: bool,
-    snapshot: Option<&Snapshot>,
-) {
+    };
+    let supervisor = SupervisorConfig::default();
+    let spec = JobSpec {
+        program: prog.clone(),
+        args: args.to_vec(),
+        cfg: cfg.clone(),
+        inject: inject.then_some(campaign),
+        recovery,
+        mode: match mode {
+            "supervised" => JobMode::Supervised {
+                ckpt_every: supervisor.ckpt_every,
+                max_retries: supervisor.max_retries,
+            },
+            _ => JobMode::Direct,
+        },
+        timeout_ms,
+        snapshot: snapshot.map(|s| Box::new(s.clone())),
+        journal,
+    };
+    // The request's client fields, then the spec's under this campaign,
+    // so a clean request keeps the rate and modes it names.
+    let head = Request::Submit {
+        client: client.to_owned(),
+        weight,
+        specs: Vec::new(),
+    };
+    let campaign = Campaign {
+        seeds: seeds.to_vec(),
+        unread: campaign,
+    };
+    let mut w = Writer::new();
     w.obj_open();
-    w.key("op");
-    w.str("submit");
-    w.key("client");
-    w.str(client);
-    w.key("weight");
-    w.num(i128::from(weight));
-    w.key("program");
-    prog.write_json(w);
-    w.key("args");
-    w.arr_open();
-    for &a in args {
-        w.num(i128::from(a));
-    }
-    w.arr_close();
-    w.key("cfg");
-    write_config(w, cfg);
-    w.key("seeds");
-    w.arr_open();
-    for &s in seeds {
-        w.num(i128::from(s));
-    }
-    w.arr_close();
-    w.key("inject");
-    w.bool(inject);
-    w.key("rate");
-    w.num(i128::from(rate));
-    w.key("modes");
-    w.str(modes);
-    w.key("recovery");
-    w.bool(recovery);
-    w.key("mode");
-    w.str(mode);
-    if let Some((ckpt_every, max_retries)) = supervisor {
-        w.key("ckpt_every");
-        w.num(i128::from(ckpt_every));
-        w.key("max_retries");
-        w.num(i128::from(max_retries));
-    }
-    if let Some(ms) = timeout_ms {
-        w.key("timeout_ms");
-        w.num(i128::from(ms));
-    }
-    if journal {
-        w.key("journal");
-        w.bool(true);
-    }
-    if let Some(snap) = snapshot {
-        w.key("snapshot");
-        snap.write_json(w);
-    }
+    REQUEST.0.write(&mut w, REQUEST.1, &head);
+    spec.write_fields(&mut w, &campaign);
     w.obj_close();
+    w.finish()
 }
 
 /// The success response to a submit.

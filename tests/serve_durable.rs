@@ -17,7 +17,7 @@ use risc1::ir::{
     compile_risc, run_risc, run_risc_deadline, run_risc_resumed, snapshot_risc_prefix, RiscOpts,
     TimedOutcome,
 };
-use risc1::serve::wal::{WalWriter, WAL_FILE};
+use risc1::serve::wal::{WalWriter, MAX_JOB_ID, WAL_FILE};
 use risc1::serve::{handle_line, wire};
 use risc1::workloads::by_id;
 use risc1::{ExecService, JobMode, JobOutput, JobSpec, PollState, ServiceConfig, SubmitError};
@@ -244,6 +244,88 @@ fn torn_wal_tail_is_skipped_not_fatal() {
     assert_eq!(counters.wal_reseeded, 1);
     assert_eq!(counters.wal_torn, 1, "the torn line is counted");
     second.shutdown();
+}
+
+/// An admit record whose id leaves no room after it is refused like a
+/// damaged line. An id of `u64::MAX` used to make recovery panic on
+/// `id + 1` in a debug build (in release it wrapped the next id to 0).
+/// Now it is counted torn and skipped, and the service issues ids above
+/// every record it did recover. At the ceiling itself the record
+/// recovers, and the service refuses to log an id past it.
+#[test]
+fn an_admit_id_past_the_ceiling_is_torn_not_fatal() {
+    let w = compiled("fib");
+    let dir = WalDir::new("id_ceiling");
+    {
+        let mut wal = WalWriter::open(&dir.0).expect("open wal");
+        wal.append_admit(7, "durable", 1, &spec(&w, None))
+            .expect("append admit");
+        wal.append_admit(u64::MAX, "durable", 1, &spec(&w, Some(2)))
+            .expect("append admit");
+    }
+    let service = ExecService::start(durable_config(&dir, true));
+    let counters = service.status().counters;
+    assert_eq!(counters.wal_torn, 1, "the record past the ceiling is torn");
+    assert_eq!(counters.wal_replayed, 1, "the record below it re-runs");
+    let fresh = spec(&w, Some(3));
+    let want = direct_digest(&fresh);
+    let ticket = service.submit("durable", 1, vec![fresh]).expect("submit")[0];
+    assert!(
+        ticket.id > 7,
+        "id {} is above every recovered id",
+        ticket.id
+    );
+    assert_eq!(done(&service, ticket.id).digest(), want);
+    service.shutdown();
+    drop(service);
+
+    // A record at the ceiling recovers; the next id would pass it, so the
+    // submission is refused whole instead of logged unreadably.
+    let dir = WalDir::new("id_at_ceiling");
+    {
+        let mut wal = WalWriter::open(&dir.0).expect("open wal");
+        wal.append_admit(MAX_JOB_ID, "durable", 1, &spec(&w, None))
+            .expect("append admit");
+    }
+    let service = ExecService::start(durable_config(&dir, true));
+    let counters = service.status().counters;
+    assert_eq!((counters.wal_torn, counters.wal_replayed), (0, 1));
+    let err = service
+        .submit("durable", 1, vec![spec(&w, Some(4))])
+        .expect_err("no id is left below the ceiling");
+    assert!(matches!(err, SubmitError::Unavailable(_)), "{err:?}");
+    assert_eq!(service.status().counters.wal_admit_failures, 1);
+    service.shutdown();
+}
+
+/// Two admit records of one id — a log no service writes, since ids are
+/// drawn once — recover as one job: the second is counted torn. Both used
+/// to queue, and the scheduler panicked claiming the id a second time.
+#[test]
+fn a_repeated_admit_id_is_torn_not_fatal() {
+    let w = compiled("fib");
+    let dir = WalDir::new("repeated_id");
+    let s = spec(&w, Some(5));
+    let want = direct_digest(&s);
+    {
+        let mut wal = WalWriter::open(&dir.0).expect("open wal");
+        wal.append_admit(4, "durable", 1, &s).expect("append admit");
+        wal.append_admit(4, "durable", 1, &spec(&w, Some(6)))
+            .expect("append admit");
+    }
+    let service = ExecService::start(durable_config(&dir, true));
+    let counters = service.status().counters;
+    assert_eq!((counters.wal_torn, counters.wal_replayed), (1, 1));
+    assert_eq!(done(&service, 4).digest(), want, "the first record runs");
+    let fresh = service
+        .submit("durable", 1, vec![spec(&w, Some(7))])
+        .expect("submit");
+    assert!(fresh[0].id > 4);
+    assert!(matches!(
+        done(&service, fresh[0].id),
+        JobOutput::Finished(_)
+    ));
+    service.shutdown();
 }
 
 /// The submit rules hold for library submissions as they do for wire
