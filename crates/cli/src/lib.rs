@@ -33,7 +33,7 @@
 //!                                (JSON jobs, fair-share queues, dedup)
 //!   [--wal-dir <dir>]            crash-safe write-ahead job log
 //!   [--recover <dir>]            replay the WAL on startup (warm restart)
-//! risc1 exp <id|all>             print an experiment report (e1…e15,
+//! risc1 exp <id|all>             print an experiment report (e1…e14,
 //!                                ablations)
 //! risc1 list                     list suite workloads and experiments
 //! ```
@@ -149,12 +149,12 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
                                 completed results re-seed the job table,
                                 incomplete jobs re-enqueue (implies
                                 --wal-dir <dir>)
-  risc1 exp <e1…e15|ablations|all>
+  risc1 exp <e1…e14|ablations|all>
                                 print an experiment report
   risc1 list                    available workloads and experiments
 
   RISC1_THREADS=<n> pins the worker count for parallel experiment
-  campaigns (e13–e15) and serve workers (default: available parallelism)";
+  campaigns (e13, e14) and serve workers (default: available parallelism)";
 
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))
@@ -758,7 +758,7 @@ mod tests {
         let out = dispatch(&s(&["list"])).unwrap();
         assert!(out.contains("acker") && out.contains("sieve"));
         assert!(out.contains("experiments: e1, e2, "), "{out}");
-        assert!(out.contains("e15, ablations, all"), "{out}");
+        assert!(out.contains("e14, ablations, all"), "{out}");
     }
 
     #[test]
@@ -776,7 +776,7 @@ mod tests {
     #[test]
     fn exp_rejects_unknown_id() {
         let err = dispatch(&s(&["exp", "e99"])).unwrap_err();
-        assert!(err.contains("e15, ablations, all"), "{err}");
+        assert!(err.contains("e14, ablations, all"), "{err}");
         assert!(dispatch(&s(&["exp", "e2"])).unwrap().contains("ldhi"));
     }
 

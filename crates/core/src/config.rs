@@ -76,15 +76,18 @@ pub struct SimConfig {
     /// bit-identical across all four tiers, which the `interp_equivalence`
     /// suite asserts four ways. Host-only (see [`SimConfig::architectural`]).
     pub engine: ExecEngine,
-    /// Per-kind macro-op fusion toggles, consulted only by the superblock
-    /// engine (see `crate::superblock`). All on by default; experiment e15
-    /// sweeps them off one at a time. Host-only, like `engine`.
+    /// Inert: nothing reads it since the block executor replaced macro-op
+    /// fusion. Kept, with its record row, so journals, wire configs and
+    /// the end-to-end benchmark that name it keep their bytes and keep
+    /// building; the benchmark change that drops its probes deletes it.
+    /// Host-only, like `engine`.
     pub fusion: FusionConfig,
 }
 
 /// The interpreter tier driving instruction execution. Each tier is strictly
 /// a host-speed optimisation over the one below it; all four funnel through
-/// the same `exec_prepared` executor (or, for the trace tier, through IR
+/// the op effects of the same `exec_prepared` executor (the block executor
+/// runs them with its statistics settled per block, the trace tier runs IR
 /// lowered from the same prepared lines with bit-exact side exits), so
 /// architectural behaviour is bit-identical (the four-way equivalence law in
 /// `interp_equivalence`).
@@ -97,8 +100,9 @@ pub enum ExecEngine {
     /// page and invalidated through the code-dirty channel.
     Cached,
     /// Superblocks formed over the predecoded lines: straight-line runs
-    /// execute as blocks with one PC lookup per block and macro-op
-    /// fusion of common adjacent pairs (see `crate::superblock`).
+    /// execute as blocks with one PC lookup per block, each op dispatched
+    /// once and each completed block settled once (see
+    /// `crate::superblock`).
     Superblock,
     /// Hot superblock sequences compiled to register-allocated
     /// trace IR: window-relative registers resolved to flat physical
@@ -164,9 +168,12 @@ impl Field<ExecEngine> for Engine {
     }
 }
 
-/// Per-kind macro-op fusion switches (superblock engine only). Fusion never
-/// changes architectural behaviour — these exist so e15 can measure how much
-/// each kind contributes.
+/// Per-kind macro-op fusion switches. Inert: the block executor, which
+/// dispatches every op once and settles each block once, replaced the
+/// fused-pair handlers, and nothing reads these. The type stays public so
+/// the end-to-end benchmark's fusion probes keep building, and its record
+/// keeps the bytes of every journal and wire config that carries it; the
+/// benchmark change that drops the probes deletes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusionConfig {
     /// Fuse SCC-setting ALU op + conditional JMP/JMPR reading those flags.
@@ -208,7 +215,7 @@ crate::record! {
 }
 
 impl FusionConfig {
-    /// All kinds disabled (superblocks still form; pairs never fuse).
+    /// All kinds disabled (inert, like every setting of this type).
     pub fn none() -> FusionConfig {
         FusionConfig {
             cmp_branch: false,

@@ -18,15 +18,27 @@
 //! * **Halt convention.** A `RET` (or `RETI`) executed at call depth 0
 //!   terminates the program; the return value is read from `r26` by
 //!   [`Cpu::result`].
+//!
+//! Each op's effect (its register write, memory access, transfer target or
+//! window move) is one helper, which two executors run. `exec_prepared`
+//! executes one instruction and counts its statistics; every tier reaches
+//! it, and it is the only path for the ops that touch the PSW, `last_pc`
+//! or the trap unit, and for every op under the interlock model. The
+//! block executor (`exec_block`) runs a superblock's ops for their effects
+//! alone and settles the block's statistics and PC state once, from
+//! aggregates built when the block formed (see `crate::superblock`); an
+//! op that leaves a block early replays what committed, by the rules the
+//! trace tier uses too (`crate::retire`).
 
 use crate::config::{BranchModel, ExecEngine, SimConfig};
 use crate::exec::alu;
 use crate::icache::{ICache, Line};
 use crate::mem::{MemError, Memory};
 use crate::program::Program;
+use crate::retire::replay_meta;
 use crate::snapshot::{CpuState, RestoreError, Snapshot};
-use crate::stats::{ExecStats, FuseKind};
-use crate::superblock::{BOp, BlockCache};
+use crate::stats::ExecStats;
+use crate::superblock::{replay_prefix, retired, BlockCache, Body};
 use crate::trace::{self, match_top, TExit, TOp};
 use crate::trap::{TrapCause, TrapKind};
 use crate::windows::{WindowFile, SPILL_REGS};
@@ -213,15 +225,26 @@ enum SpillFail {
     Mem(ExecError),
 }
 
-/// What a caller of [`Cpu::alu_effect`] knows statically about its line.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Shape {
-    /// A plain ALU op, latching the flags if its `scc` bit is set.
-    Alu,
-    /// A plain ALU op with its `scc` bit set (a fusion precondition).
-    AluScc,
-    /// A plain ALU op or an LDHI.
-    AluOrLdhi,
+/// Why the block executor left a block before its end, at op `k`.
+enum BlockExit {
+    /// Op `k`'s access, spill or fill faulted: it retires alone.
+    Fault {
+        /// The op's index in the block.
+        k: usize,
+        /// What the fault raises.
+        event: StepEvent,
+    },
+    /// Op `k`, a store or a call whose spill wrote, dirtied code: it
+    /// committed whole, and the next block must see the new bytes.
+    Dirty {
+        /// The op's index in the block.
+        k: usize,
+    },
+    /// Op `k`, a return at depth 0, halted the machine.
+    Halt {
+        /// The op's index in the block.
+        k: usize,
+    },
 }
 
 /// Rows the retirement recorder keeps: the first this many instructions a
@@ -698,8 +721,8 @@ impl Cpu {
     fn exec_block_burst(&mut self, burst: u64, done: &mut u64) -> Result<Halt, ExecError> {
         // The trace engine rides the superblock burst: blocks accumulate
         // heat here, and hot entries promote to compiled traces. Tracing
-        // needs the same precondition as fusion (no hazard bookkeeping),
-        // so it degrades to plain superblock execution without forwarding.
+        // needs the same precondition as the block executor (no hazard
+        // bookkeeping), so it degrades to per-op blocks without forwarding.
         let tracing = self.cfg.engine == ExecEngine::Trace && self.cfg.forwarding;
         while *done < burst {
             let left = burst - *done;
@@ -774,65 +797,177 @@ impl Cpu {
     /// the result), or a code-dirty bail after a memory-writing op
     /// (returned as `true`).
     ///
-    /// The body is taken out of its block for the run, so the ops are read
-    /// while `self` is borrowed mutably, and put back before this returns,
-    /// whichever way the run ended. That is sound only because nothing on
-    /// the body path — `exec_prepared` and the five fused handlers — touches
-    /// `self.blocks`: no block can be built, invalidated or compacted while
-    /// a body is out.
+    /// The body is taken out of its block for the run, so the lines are
+    /// read while `self` is borrowed mutably, and put back before this
+    /// returns, whichever way the run ended. That is sound only because
+    /// nothing on the body path — the block executor and `exec_prepared` —
+    /// touches `self.blocks`: no block can be built, invalidated or
+    /// compacted while a body is out.
     #[inline]
     fn exec_block_body(&mut self, idx: u32) -> (Result<Halt, StepEvent>, bool) {
-        let ops = self.blocks.take_ops(idx);
-        // `collect_lines` never forms an empty block, so an empty body here
-        // is one a previous run failed to put back.
-        debug_assert!(!ops.is_empty(), "block {idx} entered with no body");
-        let mut r = Ok(Halt::Running);
-        let mut dirtied = false;
-        for op in ops.iter() {
-            let pc = self.pc;
-            r = match op {
-                BOp::One(line) => {
-                    let r = self.exec_prepared(pc, line);
-                    // Instructions that write memory (stores; window
-                    // spills on the call/return ops) can overwrite text
-                    // later in this very block. The channel poll is O(1);
-                    // if anything is pending, bail to the boundary where
-                    // the drain and a fresh build see the new bytes —
-                    // exactly what the per-instruction engines observe.
-                    dirtied = (line.op.is_store() || line.op.moves_window())
-                        && self.mem.code_dirty_pending();
-                    r
-                }
-                BOp::CmpBranch { a, b } => {
-                    self.fuse_cmp_branch(pc, a, b);
-                    Ok(Halt::Running)
-                }
-                BOp::LdhiImm {
-                    a,
-                    b,
-                    hi,
-                    value,
-                    flags,
-                } => {
-                    self.fuse_ldhi_imm(pc, a, b, *hi, *value, *flags);
-                    Ok(Halt::Running)
-                }
-                BOp::TransferSlot { a, b } => {
-                    self.fuse_transfer_slot(pc, a, b);
-                    Ok(Halt::Running)
-                }
-                BOp::AddrFeed { a, b } => self.fuse_addr_feed(pc, a, b).map(|()| Halt::Running),
-                BOp::AluPair { a, b } => {
-                    self.fuse_alu_pair(pc, a, b);
-                    Ok(Halt::Running)
-                }
-            };
+        let block = self.blocks.block(idx);
+        let (start, end) = (block.start, block.end);
+        let body = self.blocks.take_body(idx);
+        let out = if body.per_op {
+            self.exec_block_per_op(&body.lines)
+        } else {
+            self.exec_block(&body, start, end)
+        };
+        self.blocks.put_body(idx, body);
+        out
+    }
+
+    /// Runs `lines` one at a time through `exec_prepared`, which keeps
+    /// every statistic and `pc` current per op.
+    fn exec_block_per_op(&mut self, lines: &[Line]) -> (Result<Halt, StepEvent>, bool) {
+        for line in lines {
+            let r = self.exec_prepared(self.pc, line);
+            // Instructions that write memory (stores; window spills on the
+            // call/return ops) can overwrite text later in this very block.
+            // The channel poll is O(1); if anything is pending, bail to the
+            // boundary where the drain and a fresh build see the new bytes —
+            // exactly what the per-instruction engines observe.
+            let dirtied =
+                (line.op.is_store() || line.op.moves_window()) && self.mem.code_dirty_pending();
             if dirtied || !matches!(r, Ok(Halt::Running)) {
-                break;
+                return (r, dirtied);
             }
         }
-        self.blocks.put_ops(idx, ops);
-        (r, dirtied)
+        (Ok(Halt::Running), false)
+    }
+
+    /// The block executor: runs `body`, a block from `start` to `end`
+    /// entered with no jump in flight, dispatching each op once on its
+    /// opcode for its effect alone, through the effect helpers
+    /// `exec_prepared` uses. An ALU op, load or store runs with its opcode
+    /// a constant, so the inlined ALU or access folds to the one operation,
+    /// as a specialized trace op does. Nothing per op is counted and
+    /// neither `pc` nor `last_pc` moves: a completed block settles once,
+    /// from the aggregate of the direction its transfer went, and an early
+    /// exit replays what committed ([`Cpu::leave_block`]). Spills and fills
+    /// stay dynamic: the helpers charge them.
+    ///
+    /// Caller guarantees: the block fits the step budget, the machine has
+    /// forwarding (so `last_write` is constantly `None`), and `body` holds
+    /// none of the ops that run per op ([`Body::per_op`]).
+    ///
+    /// Never inlined: like the trace executor, its loop gets register
+    /// allocation and code layout of its own, apart from the burst loop.
+    #[inline(never)]
+    fn exec_block(&mut self, body: &Body, start: u32, end: u32) -> (Result<Halt, StepEvent>, bool) {
+        // The target the block's transfer left in flight, once it has
+        // committed taken.
+        let mut target = None;
+        let exit = 'run: {
+            for (k, line) in body.lines.iter().enumerate() {
+                let pc = start.wrapping_add(INSN_BYTES * k as u32);
+                macro_rules! dispatch {
+                    (alu: $($alu:ident)*; load: $($ld:ident)*; store: $($st:ident)*) => {
+                        match line.op {
+                            $(Opcode::$alu => self.alu_effect(Opcode::$alu, line),)*
+                            Opcode::Ldhi => self.ldhi_effect(line),
+                            $(Opcode::$ld => {
+                                if let Err(event) = self.load_effect(Opcode::$ld, line, pc) {
+                                    break 'run BlockExit::Fault { k, event };
+                                }
+                            })*
+                            $(Opcode::$st => {
+                                if let Err(event) = self.store_effect(Opcode::$st, line, pc) {
+                                    break 'run BlockExit::Fault { k, event };
+                                }
+                                if self.mem.code_dirty_pending() {
+                                    break 'run BlockExit::Dirty { k };
+                                }
+                            })*
+                            Opcode::Jmp | Opcode::Jmpr => target = self.jump_target(line, pc),
+                            Opcode::Call | Opcode::Callr => match self.call_effect(line, pc) {
+                                Ok(t) => {
+                                    target = Some(t);
+                                    if self.mem.code_dirty_pending() {
+                                        break 'run BlockExit::Dirty { k };
+                                    }
+                                }
+                                Err(event) => break 'run BlockExit::Fault { k, event },
+                            },
+                            Opcode::Ret => match self.ret_effect(line, pc) {
+                                Ok(Some(t)) => target = Some(t),
+                                Ok(None) => break 'run BlockExit::Halt { k },
+                                Err(event) => break 'run BlockExit::Fault { k, event },
+                            },
+                            op => unreachable!("{op} runs per op"),
+                        }
+                    };
+                }
+                dispatch! {
+                    alu: Add Addc Sub Subc Subr Subcr And Or Xor Sll Srl Sra;
+                    load: Ldl Ldsu Ldss Ldbu Ldbs;
+                    store: Stl Sts Stb
+                }
+            }
+            body.settle[usize::from(target.is_some())].apply(&mut self.stats);
+            for &(op, n) in body.opcodes.iter() {
+                self.stats.opcode_counts.add(op, u64::from(n));
+            }
+            (self.pc, self.pending_target) = if body.slot {
+                (target.unwrap_or(end), None)
+            } else {
+                (end, target)
+            };
+            self.last_pc = end.wrapping_sub(INSN_BYTES);
+            self.last_write = None;
+            return (Ok(Halt::Running), false);
+        };
+        self.leave_block(&body.lines, start, target, exit)
+    }
+
+    /// Settles a block the executor left early at op `k`: replays the ops
+    /// before it, then op `k` as it retired there, and leaves exactly the
+    /// `pc`, `last_pc` and in-flight target `exec_prepared` would have. A
+    /// fault leaves them describing the attempt, as `exec_prepared`'s
+    /// early return does, so `finish_exec`'s lastpc rule restarts a fault
+    /// in a taken transfer's delay slot at the transfer. `target` is what
+    /// the block's transfer left in flight, if it committed taken.
+    #[cold]
+    #[inline(never)]
+    fn leave_block(
+        &mut self,
+        lines: &[Line],
+        start: u32,
+        target: Option<u32>,
+        exit: BlockExit,
+    ) -> (Result<Halt, StepEvent>, bool) {
+        let suspended = self.cfg.branch_model == BranchModel::Suspended;
+        let k = match exit {
+            BlockExit::Fault { k, .. } | BlockExit::Dirty { k } | BlockExit::Halt { k } => k,
+        };
+        replay_prefix(&mut self.stats, lines, start, k, target, suspended);
+        let m = retired(lines, start, k, target, suspended);
+        self.last_write = None;
+        match exit {
+            BlockExit::Fault { event, .. } => {
+                replay_meta(&mut self.stats, &[m.faulted()]);
+                self.pc = m.pc;
+                self.pending_target = m.pending_before;
+                if k > 0 {
+                    self.last_pc = m.pc.wrapping_sub(INSN_BYTES);
+                }
+                (Err(event), false)
+            }
+            BlockExit::Dirty { .. } => {
+                replay_meta(&mut self.stats, &[m]);
+                self.pc = m.pending_before.unwrap_or(m.pc.wrapping_add(INSN_BYTES));
+                self.pending_target = target.filter(|_| lines[k].is_transfer);
+                self.last_pc = m.pc;
+                (Ok(Halt::Running), true)
+            }
+            BlockExit::Halt { .. } => {
+                replay_meta(&mut self.stats, &[m]);
+                self.halted = true;
+                self.pc = m.pc;
+                self.last_pc = m.pc;
+                (Ok(Halt::Returned), false)
+            }
+        }
     }
 
     /// Runs the trace of the block at `idx` (engine `Trace`): loads the
@@ -1038,7 +1173,7 @@ impl Cpu {
         }
         self.flags = flags;
         // Tracing requires forwarding, under which `note_write` never
-        // records anything — constant, like the fused-pair handlers.
+        // records anything — constant, as in the block executor.
         self.last_write = None;
         let used = self.stats.instructions - before;
         self.stats.trace_instructions += used;
@@ -1284,46 +1419,32 @@ impl Cpu {
             | Opcode::Sll
             | Opcode::Srl
             | Opcode::Sra => {
-                self.alu_effect(line, Shape::Alu);
+                self.alu_effect(line.op, line);
                 new_write = self.note_write(line.dest, false);
             }
             Opcode::Ldl | Opcode::Ldsu | Opcode::Ldss | Opcode::Ldbu | Opcode::Ldbs => {
-                let addr = self.short_sum(line);
-                let v = load_op(&mut self.mem, line.op, addr)
-                    .map_err(|err| data_trap(pc, addr, err))?;
-                self.regs.write(line.dest, v);
+                self.load_effect(line.op, line, pc)?;
                 self.stats.data_reads += 1;
                 new_write = self.note_write(line.dest, true);
             }
             Opcode::Stl | Opcode::Sts | Opcode::Stb => {
-                // `dest` names the data register in store encodings.
-                let addr = self.short_sum(line);
-                let data = self.regs.read(line.dest);
-                store_op(&mut self.mem, line.op, addr, data)
-                    .map_err(|err| data_trap(pc, addr, err))?;
+                self.store_effect(line.op, line, pc)?;
                 self.stats.data_writes += 1;
             }
-            Opcode::Jmp | Opcode::Jmpr => new_target = self.branch(line, pc, &mut cycles),
-            Opcode::Call | Opcode::Callr => {
-                let link = line.dest;
-                let target = self.transfer_target(line, pc);
-                if self.regs.call_would_overflow() {
-                    cycles += self.spill_window(false).map_err(|f| spill_event(pc, f))?;
+            Opcode::Jmp | Opcode::Jmpr => {
+                new_target = self.jump_target(line, pc);
+                if new_target.is_some() {
+                    self.take_transfer(&mut cycles);
                 }
-                self.advance_window();
-                // The link register is named in the *new* window.
-                self.regs.write(link, pc);
-                new_write = self.note_write(link, false);
-                new_target = Some(target);
+            }
+            Opcode::Call | Opcode::Callr => {
+                new_target = Some(self.call_effect(line, pc)?);
+                new_write = self.note_write(line.dest, false);
                 self.stats.calls += 1;
                 self.take_transfer(&mut cycles);
             }
-            Opcode::Ret | Opcode::Reti => {
-                let target = self.short_sum(line);
-                if self.regs.ret_would_underflow() {
-                    cycles += self.fill_window(pc).map_err(StepEvent::Fatal)?;
-                }
-                if self.regs.retreat() {
+            Opcode::Ret | Opcode::Reti => match self.ret_effect(line, pc)? {
+                Some(target) => {
                     new_target = Some(target);
                     self.stats.rets += 1;
                     self.take_transfer(&mut cycles);
@@ -1335,22 +1456,18 @@ impl Cpu {
                             self.stats.trap_returns += 1;
                         }
                     }
-                } else {
-                    halted = true;
                 }
-            }
+                None => halted = true,
+            },
             Opcode::Calli => {
-                if self.regs.call_would_overflow() {
-                    cycles += self.spill_window(false).map_err(|f| spill_event(pc, f))?;
-                }
-                self.advance_window();
+                self.enter_window(pc)?;
                 self.regs.write(line.dest, self.last_pc);
                 new_write = self.note_write(line.dest, false);
                 self.interrupts_enabled = false;
                 self.stats.calls += 1;
             }
             Opcode::Ldhi => {
-                self.regs.write(line.dest, line.ldhi_value());
+                self.ldhi_effect(line);
                 new_write = self.note_write(line.dest, false);
             }
             Opcode::Gtlpc => {
@@ -1419,39 +1536,110 @@ impl Cpu {
         }
     }
 
-    /// The register effect of a plain ALU or LDHI line: its result
-    /// written to `dest`, and the flags latched if it sets them. `shape`
-    /// is what the caller knows statically about `line`; this is inlined
-    /// into every caller, where `shape` is a constant, so no caller tests
-    /// at run time what it already knows.
+    // ── Op effects ──────────────────────────────────────────────────────
+    //
+    // Each op's effect on registers, memory and the window file is stated
+    // once here, and both `exec_prepared` and the block executor run it.
+    // What an op adds to the statistics is not part of its effect:
+    // `exec_prepared` counts it per op, the block executor settles it per
+    // block. Spills and fills are the exception: their cost depends on
+    // the window file, so the effect charges them as it services them.
+    // Every helper is inlined, so a caller passing a constant opcode gets
+    // the one operation.
+
+    /// A plain ALU line's effect, running `op` (the line's own opcode):
+    /// its result written to `dest`, and the flags latched if it sets
+    /// them.
     #[inline(always)]
-    fn alu_effect(&mut self, line: &Line, shape: Shape) {
-        if shape == Shape::AluOrLdhi && line.op == Opcode::Ldhi {
-            self.regs.write(line.dest, line.ldhi_value());
-            return;
-        }
+    fn alu_effect(&mut self, op: Opcode, line: &Line) {
         let out = alu(
-            line.op,
+            op,
             self.regs.read(line.rs1),
             self.s2_value(line.s2),
             self.flags.c,
         );
         self.regs.write(line.dest, out.value);
-        if shape == Shape::AluScc || line.scc {
+        if line.scc {
             self.flags = out.flags;
         }
     }
 
-    /// A conditional transfer at `pc` (JMP/JMPR): its target if `line`'s
-    /// condition holds on the current flags, taken as
-    /// [`Cpu::take_transfer`] charges it; `None` if it falls through.
+    /// An LDHI line's effect: its constant written to `dest`.
     #[inline(always)]
-    fn branch(&mut self, line: &Line, pc: u32, cycles: &mut u64) -> Option<u32> {
-        if !line.cond.eval(self.flags) {
-            return None;
+    fn ldhi_effect(&mut self, line: &Line) {
+        self.regs.write(line.dest, line.ldhi_value());
+    }
+
+    /// The effect of the load at `pc`, running `op` (the line's own
+    /// opcode): the loaded value written to `dest`, or the trap its access
+    /// raises.
+    #[inline(always)]
+    fn load_effect(&mut self, op: Opcode, line: &Line, pc: u32) -> Result<(), StepEvent> {
+        let addr = self.short_sum(line);
+        let v = load_op(&mut self.mem, op, addr).map_err(|err| data_trap(pc, addr, err))?;
+        self.regs.write(line.dest, v);
+        Ok(())
+    }
+
+    /// The effect of the store at `pc`, running `op` (the line's own
+    /// opcode): `dest`, which names the data register in store encodings,
+    /// written to memory, or the trap its access raises.
+    #[inline(always)]
+    fn store_effect(&mut self, op: Opcode, line: &Line, pc: u32) -> Result<(), StepEvent> {
+        let addr = self.short_sum(line);
+        let data = self.regs.read(line.dest);
+        store_op(&mut self.mem, op, addr, data).map_err(|err| data_trap(pc, addr, err))
+    }
+
+    /// A conditional transfer at `pc` (JMP/JMPR): its target if `line`'s
+    /// condition holds on the current flags, `None` if it falls through.
+    #[inline(always)]
+    fn jump_target(&self, line: &Line, pc: u32) -> Option<u32> {
+        line.cond
+            .eval(self.flags)
+            .then(|| self.transfer_target(line, pc))
+    }
+
+    /// The effect of the CALL or CALLR at `pc`: a fresh window, spilling
+    /// the oldest first if the file is full, with the return address in
+    /// its link register. Returns the call's target. The target operands
+    /// are read in the caller's window; the link register is named in the
+    /// callee's.
+    #[inline(always)]
+    fn call_effect(&mut self, line: &Line, pc: u32) -> Result<u32, StepEvent> {
+        let target = self.transfer_target(line, pc);
+        self.enter_window(pc)?;
+        self.regs.write(line.dest, pc);
+        Ok(target)
+    }
+
+    /// Enters a fresh window for the call at `pc` (CALL, CALLR, CALLI),
+    /// spilling the oldest window first if the file is full and charging
+    /// the spill's cycles.
+    #[inline(always)]
+    fn enter_window(&mut self, pc: u32) -> Result<(), StepEvent> {
+        if self.regs.call_would_overflow() {
+            let cycles = self
+                .spill_window(pc, false)
+                .map_err(|f| spill_event(pc, f))?;
+            self.stats.cycles += cycles;
         }
-        self.take_transfer(cycles);
-        Some(self.transfer_target(line, pc))
+        self.advance_window();
+        Ok(())
+    }
+
+    /// The window effect of the RET or RETI at `pc`: refills the window it
+    /// returns into if that was spilled, charging the fill's cycles, then
+    /// leaves the current one. Returns the return's target, read in the
+    /// window it leaves, or `None` at depth 0, where a return halts the
+    /// machine and changes nothing.
+    #[inline(always)]
+    fn ret_effect(&mut self, line: &Line, pc: u32) -> Result<Option<u32>, StepEvent> {
+        let target = self.short_sum(line);
+        if self.regs.ret_would_underflow() {
+            self.stats.cycles += self.fill_window(pc).map_err(StepEvent::Fatal)?;
+        }
+        Ok(self.regs.retreat().then_some(target))
     }
 
     /// Counts a taken transfer, and adds to `cycles` the bubble the
@@ -1463,125 +1651,6 @@ impl Cpu {
             *cycles += 1;
             self.stats.bubble_cycles += 1;
         }
-    }
-
-    // ── Fused-pair handlers (superblock engine) ─────────────────────────
-    //
-    // Each handler is the two-instruction `exec_prepared` sequence built
-    // from the same effects — `alu_effect`, `branch` — with the
-    // per-instruction scaffolding collapsed into one `settle_pair`. Fusion
-    // is gated (at block build time) on `forwarding`, so the hazard
-    // bookkeeping is a constant `last_write = None`; and blocks are entered
-    // only with no delayed jump in flight, so no pair starts in a delay
-    // slot or with a jump pending. `pa` is the first instruction's
-    // address; `pb = pa + 4` the second's.
-
-    /// The pair epilogue: retires `a` and `b`, charges `cycles`, and leaves
-    /// the machine just after the instruction at `last`, about to run
-    /// `next`.
-    #[inline(always)]
-    fn settle_pair(&mut self, a: &Line, b: &Line, cycles: u64, last: u32, next: u32) {
-        self.stats.retire(a.op);
-        self.stats.retire(b.op);
-        self.stats.cycles += cycles;
-        self.last_write = None;
-        self.last_pc = last;
-        self.pc = next;
-    }
-
-    /// SCC-setting ALU op + conditional JMP/JMPR reading its flags.
-    /// Neither half can fault or halt.
-    fn fuse_cmp_branch(&mut self, pa: u32, a: &Line, b: &Line) {
-        // `a.scc` is a fusion precondition, so the latch is unconditional.
-        self.alu_effect(a, Shape::AluScc);
-        let pb = pa.wrapping_add(INSN_BYTES);
-        let mut cycles = u64::from(a.base_cycles) + u64::from(b.base_cycles);
-        // Short-form targets read registers after `a`'s write — the same
-        // order the unfused sequence observes.
-        self.pending_target = self.branch(b, pb, &mut cycles);
-        self.stats.fused_pairs[FuseKind::CmpBranch.index()] += 1;
-        self.settle_pair(a, b, cycles, pb, pb.wrapping_add(INSN_BYTES));
-    }
-
-    /// LDHI + immediate ALU constant construction; both results were
-    /// computed at block build. Cannot fault.
-    fn fuse_ldhi_imm(&mut self, pa: u32, a: &Line, b: &Line, hi: u32, value: u32, flags: Flags) {
-        self.regs.write(a.dest, hi);
-        self.regs.write(b.dest, value);
-        if b.scc {
-            self.flags = flags;
-        }
-        let pb = pa.wrapping_add(INSN_BYTES);
-        let cycles = u64::from(a.base_cycles) + u64::from(b.base_cycles);
-        self.stats.fused_pairs[FuseKind::LdhiImm.index()] += 1;
-        self.settle_pair(a, b, cycles, pb, pb.wrapping_add(INSN_BYTES));
-    }
-
-    /// Conditional transfer + safe (ALU/LDHI) delay-slot instruction,
-    /// retired as one unit that leaves no jump in flight. Cannot fault.
-    fn fuse_transfer_slot(&mut self, pa: u32, a: &Line, b: &Line) {
-        let mut cycles = u64::from(a.base_cycles) + u64::from(b.base_cycles);
-        // The condition is evaluated on the pre-slot flags, and short-form
-        // target operands are read before the slot writes — both exactly
-        // as the unfused transfer, which executes first.
-        let target = self.branch(a, pa, &mut cycles);
-        if target.is_some() {
-            // The slot sits in a delay slot only when the transfer took
-            // (an untaken conditional leaves no target pending, and the
-            // unfused accounting checks exactly that).
-            self.stats.delay_slots += 1;
-            if b.insn.is_nop() {
-                self.stats.delay_slot_nops += 1;
-            }
-        }
-        self.alu_effect(b, Shape::AluOrLdhi);
-        let pb = pa.wrapping_add(INSN_BYTES);
-        self.stats.fused_pairs[FuseKind::TransferSlot.index()] += 1;
-        self.settle_pair(
-            a,
-            b,
-            cycles,
-            pb,
-            target.unwrap_or(pb.wrapping_add(INSN_BYTES)),
-        );
-    }
-
-    /// ALU op feeding the address register of the next load. The load can
-    /// fault; `a` is committed fully first, so a trap on `b` leaves
-    /// precisely the state the unfused sequence would — restart at `pb`.
-    fn fuse_addr_feed(&mut self, pa: u32, a: &Line, b: &Line) -> Result<(), StepEvent> {
-        self.alu_effect(a, Shape::Alu);
-        let pb = pa.wrapping_add(INSN_BYTES);
-        let addr = self.short_sum(b);
-        match load_op(&mut self.mem, b.op, addr) {
-            Ok(v) => {
-                self.regs.write(b.dest, v);
-                self.stats.data_reads += 1;
-                let cycles = u64::from(a.base_cycles) + u64::from(b.base_cycles);
-                self.stats.fused_pairs[FuseKind::AddrFeed.index()] += 1;
-                self.settle_pair(a, b, cycles, pb, pb.wrapping_add(INSN_BYTES));
-                Ok(())
-            }
-            Err(err) => {
-                // `b` retired and faulted before charging anything: the
-                // machine stands just after `a`, at `b`.
-                self.settle_pair(a, b, u64::from(a.base_cycles), pa, pb);
-                Err(data_trap(pb, addr, err))
-            }
-        }
-    }
-
-    /// Two adjacent plain ALU/LDHI ops retired back-to-back — the
-    /// catch-all pair. Neither half can fault or halt.
-    fn fuse_alu_pair(&mut self, pa: u32, a: &Line, b: &Line) {
-        self.alu_effect(a, Shape::AluOrLdhi);
-        // `b`'s operands are read after `a`'s write — the order the
-        // unfused sequence observes.
-        self.alu_effect(b, Shape::AluOrLdhi);
-        let pb = pa.wrapping_add(INSN_BYTES);
-        let cycles = u64::from(a.base_cycles) + u64::from(b.base_cycles);
-        self.stats.fused_pairs[FuseKind::AluPair.index()] += 1;
-        self.settle_pair(a, b, cycles, pb, pb.wrapping_add(INSN_BYTES));
     }
 
     /// Hazard-model bookkeeping for a register write: the physical
@@ -1621,19 +1690,20 @@ impl Cpu {
             self.interrupt_pending = false;
             return Ok(());
         };
+        let pc = self.pc;
         let mut cycles = self.cfg.trap_overhead_cycles;
         if self.regs.call_would_overflow() {
             // On failure the interrupt stays pending: it retries once the
             // exhaustion handler (if any) has made room.
             cycles += self
-                .spill_window(false)
-                .map_err(|f| spill_event(self.pc, f))?;
+                .spill_window(pc, false)
+                .map_err(|f| spill_event(pc, f))?;
         }
         self.interrupt_pending = false;
         self.advance_window();
-        self.regs.write(Reg::R25, self.pc);
+        self.regs.write(Reg::R25, pc);
         self.interrupts_enabled = false;
-        self.last_pc = self.pc;
+        self.last_pc = pc;
         self.pc = handler;
         self.stats.cycles += cycles;
         self.stats.trap_cycles += self.cfg.trap_overhead_cycles;
@@ -1671,7 +1741,7 @@ impl Cpu {
             // fails, no handler can be entered: surface the original
             // fault.
             let emergency = kind == TrapKind::WindowStackExhausted;
-            match self.spill_window(emergency) {
+            match self.spill_window(restart, emergency) {
                 Ok(c) => cycles += c,
                 Err(_) => return Err(err),
             }
@@ -1768,14 +1838,15 @@ impl Cpu {
         self.stats.max_depth = self.stats.max_depth.max(self.regs.depth());
     }
 
-    /// Services a window overflow: 16 stores to the save stack, pushed as
-    /// one frame. Returns the cycles consumed. The overflow counts once the
-    /// window leaves the file, before its push can fault.
+    /// Services a window overflow for the call, interrupt or trap entry at
+    /// `pc`: 16 stores to the save stack, pushed as one frame. Returns the
+    /// cycles consumed. The overflow counts once the window leaves the
+    /// file, before its push can fault; a fault names `pc`.
     ///
     /// Program-initiated spills (`emergency == false`) keep one frame of
     /// head-room free below themselves — the emergency reserve that lets
     /// the exhaustion trap itself still enter a handler in a fresh window.
-    fn spill_window(&mut self, emergency: bool) -> Result<u64, SpillFail> {
+    fn spill_window(&mut self, pc: u32, emergency: bool) -> Result<u64, SpillFail> {
         let frame = SPILL_REGS as u32 * 4;
         let reserve = if emergency { 0 } else { frame };
         // A stack top within a frame of the address space's end leaves no
@@ -1791,7 +1862,7 @@ impl Cpu {
             // The pointer stops at the faulting word, as a push made word
             // by word would leave it.
             self.wstack_ptr = err.addr();
-            return Err(SpillFail::Mem(ExecError::Mem { pc: self.pc, err }));
+            return Err(SpillFail::Mem(ExecError::Mem { pc, err }));
         }
         self.wstack_ptr -= frame;
         self.stats.data_writes += SPILL_REGS as u64;
@@ -2572,16 +2643,22 @@ mod tests {
         assert!(run_program(halt_seq()).retired().is_empty());
 
         // A hot loop of 700 retirements: the first 64 are recorded one
-        // step at a time, then fusion and the trace tier take over.
-        let plain = run_program(fusion_workout());
+        // step at a time, then block bodies and the trace tier take over.
+        let plain = run_program(loop_workout());
         let mut cpu = Cpu::new(SimConfig::default());
-        cpu.load_program(&Program::from_instructions(fusion_workout()))
+        cpu.load_program(&Program::from_instructions(loop_workout()))
             .unwrap();
         cpu.record_retired();
         cpu.run().unwrap();
         assert_eq!(cpu.retired().len(), RECORDER_ROWS);
         assert_eq!(cpu.retired()[0].pc, 0x1000);
-        assert!(cpu.stats().fused_total() > 0, "fusion resumed");
+        let s = cpu.stats();
+        assert!(s.block_instructions > 0, "block bodies resumed");
+        assert_eq!(
+            RECORDER_ROWS as u64 + s.block_instructions + s.trace_instructions,
+            s.instructions,
+            "every retirement past the recorder ran in a block body or a trace"
+        );
         assert!(cpu.stats().trace_entries > 0, "the trace tier resumed");
         assert_eq!(cpu.stats(), plain.stats());
         assert_eq!(cpu.snapshot().to_json(), plain.snapshot().to_json());
@@ -2590,11 +2667,11 @@ mod tests {
         assert!(cpu.retired().is_empty());
     }
 
-    /// A loop dense in fusable idioms: LDHI+imm constant, ALU→load address
-    /// feed, compare+branch, and a bare transfer+slot, iterated enough to
+    /// A loop of common idioms: an LDHI+imm constant, an ALU op feeding a
+    /// load's address, a compare and its branch, iterated enough to
     /// re-enter its blocks *and* clear the trace tier's promotion
     /// threshold.
-    fn fusion_workout() -> Vec<Instruction> {
+    fn loop_workout() -> Vec<Instruction> {
         let mut p = vec![
             // r16 := 0x2000 + 8 (LDHI + imm pair), seed [r16] with 7.
             Instruction::ldhi(Reg::R16, 1),
@@ -2618,13 +2695,13 @@ mod tests {
     }
 
     #[test]
-    fn engines_agree_and_superblocks_fuse() {
+    fn engines_agree_and_block_bodies_run_the_loop() {
         let run_engine = |engine| {
             let cfg = SimConfig {
                 engine,
                 ..SimConfig::default()
             };
-            run_with(cfg, fusion_workout(), &[])
+            run_with(cfg, loop_workout(), &[])
         };
         let unc = run_engine(ExecEngine::Uncached);
         let cac = run_engine(ExecEngine::Cached);
@@ -2638,16 +2715,16 @@ mod tests {
             assert_eq!(unc.reg(r), sup.reg(r), "{r:?}");
             assert_eq!(unc.reg(r), trc.reg(r), "{r:?} (trace)");
         }
-        // And the superblock engine actually engaged.
-        assert!(sup.stats().blocks_entered > 0, "blocks formed");
-        assert!(sup.stats().mean_block_len().unwrap() > 1.0);
-        assert!(
-            sup.stats().fused(FuseKind::CmpBranch) >= 100,
-            "loop branch fused each iteration"
+        // And the superblock engine actually engaged: the whole program
+        // ran in block bodies, the loop's once per iteration.
+        let s = sup.stats();
+        assert_eq!(s.block_instructions, s.instructions, "every op in a block");
+        assert_eq!(s.blocks_entered, 1 + 99 + 1, "entry, 99 loop passes, halt");
+        assert_eq!(
+            unc.stats().blocks_entered,
+            0,
+            "the uncached engine forms none"
         );
-        assert!(sup.stats().fused(FuseKind::AddrFeed) >= 100);
-        assert!(sup.stats().fused(FuseKind::LdhiImm) >= 1);
-        assert_eq!(unc.stats().fused_total(), 0, "uncached engine never fuses");
         // The trace tier promoted the hot loop and ran it from trace IR.
         assert!(trc.stats().traces_built >= 1, "loop promoted to a trace");
         assert!(trc.stats().trace_entries >= 1, "trace entered");
@@ -2668,7 +2745,7 @@ mod tests {
                 ..SimConfig::default()
             };
             let mut cpu = Cpu::new(cfg);
-            cpu.load_program(&Program::from_instructions(fusion_workout()))
+            cpu.load_program(&Program::from_instructions(loop_workout()))
                 .unwrap();
             loop {
                 let halt = if chunk == 0 {
@@ -2682,7 +2759,7 @@ mod tests {
             }
             cpu
         };
-        let straight = run_program(fusion_workout());
+        let straight = run_program(loop_workout());
         for engine in [ExecEngine::Superblock, ExecEngine::Trace] {
             for chunk in [0, 1, 3, 7, 100] {
                 let chopped = run_chopped(engine, chunk);
@@ -2711,7 +2788,7 @@ mod tests {
                 ..SimConfig::default()
             };
             let mut a = Cpu::new(cfg);
-            a.load_program(&Program::from_instructions(fusion_workout()))
+            a.load_program(&Program::from_instructions(loop_workout()))
                 .unwrap();
             let mut b = a.clone();
             // 17 deliberately lands mid-block; under the trace engine the
@@ -2735,7 +2812,7 @@ mod tests {
         // Forty nops fill the code base's page and spill into the next, so
         // the hot loop and the halt sit wholly in the second page.
         let mut p = vec![Instruction::nop(); 40];
-        p.extend(fusion_workout());
+        p.extend(loop_workout());
         let cfg = SimConfig::default();
         let first = cfg.code_base as usize / PAGE_BYTES;
         let last = (cfg.code_base as usize + 4 * (p.len() - 1)) / PAGE_BYTES;

@@ -48,6 +48,7 @@ pub mod json;
 pub mod mem;
 pub mod pipeline;
 pub mod program;
+mod retire;
 pub mod snapshot;
 pub mod stats;
 mod superblock;

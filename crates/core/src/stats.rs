@@ -73,9 +73,10 @@ impl OpcodeCounts {
     }
 }
 
-/// The macro-op pair shapes the superblock engine fuses (see
-/// `crate::superblock`). Mirrors the fusion-opportunity taxonomy of Celio
-/// et al.'s renewed-RISC case, specialised to RISC I idioms.
+/// The macro-op pair shapes the superblock engine fused before the block
+/// executor replaced fusion. Inert: no run counts a fused pair, so
+/// [`ExecStats::fused_pairs`] stays zero. Kept public for the end-to-end
+/// benchmark's fusion probes, and deleted with them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FuseKind {
     /// SCC-setting ALU op immediately followed by a conditional JMP/JMPR
@@ -183,8 +184,10 @@ pub struct ExecStats {
     /// Dynamic opcode histogram (dense, discriminant-indexed; see
     /// [`OpcodeCounts`]).
     pub opcode_counts: OpcodeCounts,
-    /// Host telemetry: instruction pairs retired through a fused handler,
-    /// by [`FuseKind::index`]. Excluded from `PartialEq` (see type docs).
+    /// Inert host telemetry, always zero: instruction pairs retired
+    /// through a fused handler, by [`FuseKind::index`], from before the
+    /// block executor replaced fusion. Kept for the end-to-end benchmark,
+    /// which reads it. Excluded from `PartialEq` (see type docs).
     pub fused_pairs: [u64; FuseKind::COUNT],
     /// Host telemetry: superblock bodies entered. Excluded from `PartialEq`.
     pub blocks_entered: u64,
@@ -335,12 +338,12 @@ impl ExecStats {
         (self.trap_entries > 0).then(|| self.trap_entry_cycles as f64 / self.trap_entries as f64)
     }
 
-    /// Fused pairs of one kind (telemetry; superblock engine only).
+    /// Fused pairs of one kind (inert telemetry, always zero).
     pub fn fused(&self, kind: FuseKind) -> u64 {
         self.fused_pairs[kind.index()]
     }
 
-    /// Total fused pairs across all kinds (telemetry).
+    /// Total fused pairs across all kinds (inert telemetry, always zero).
     pub fn fused_total(&self) -> u64 {
         self.fused_pairs.iter().sum()
     }
@@ -406,19 +409,11 @@ impl fmt::Display for ExecStats {
             )?;
         }
         if self.blocks_entered > 0 {
-            let by_kind = FuseKind::ALL
-                .iter()
-                .filter(|k| self.fused(**k) > 0)
-                .map(|k| format!("{} {}", k.name(), self.fused(*k)))
-                .collect::<Vec<_>>()
-                .join(", ");
             write!(
                 f,
-                "\nsuperblocks {:>6} (mean len {:.2}, fused pairs {})  [{}]",
+                "\nsuperblocks {:>6} (mean len {:.2})",
                 self.blocks_entered,
                 self.mean_block_len().unwrap_or(0.0),
-                self.fused_total(),
-                by_kind
             )?;
         }
         if self.trace_entries > 0 {

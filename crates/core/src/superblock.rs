@@ -1,29 +1,29 @@
-//! Superblock execution: block formation and macro-op fusion over the
-//! predecoded instruction cache.
+//! Superblock execution: block formation over the predecoded instruction
+//! cache, and the block executor's bodies.
 //!
-//! The cached engine (PR 4) removed decode from the hot loop but still pays
-//! a PC→line lookup, an invalidation-channel poll and a full dispatch per
+//! The cached engine removed decode from the hot loop but still pays a
+//! PC→line lookup, an invalidation-channel poll and a full dispatch per
 //! retired instruction. This module removes the per-instruction overheads
 //! for straight-line runs: consecutive prepared [`Line`]s are grouped into
 //! **superblocks** that end at a transfer of control (including its delay
-//! slot, unless the slot is itself a transfer) or at a page boundary, and
-//! a block body executes as a tight loop —
-//! one PC lookup, one channel poll and one boundary check per *block*
-//! instead of per instruction. A block owns its body and the engine runs
-//! it by reference: entering a block costs a direct-mapped lookup, with no
-//! copy of the body and no reference count.
+//! slot, unless the slot is itself a transfer) or at a page boundary. One
+//! PC lookup, one channel poll and one boundary check are paid per
+//! *block* instead of per instruction. A block owns its body and the
+//! engine runs it by reference: entering a block costs a direct-mapped
+//! lookup, with no copy of the body and no reference count.
 //!
-//! On top of formation, a **macro-op fusion** pass (in the spirit of Celio
-//! et al.'s renewed-RISC fusion study) rewrites common adjacent pairs into
-//! single fused ops — compare+conditional-jump, LDHI+immediate-ALU constant
-//! construction, delayed transfer+safe slot, ALU→load address feeding, and
-//! a catch-all adjacent ALU/LDHI pair (tried last, so the specialised
-//! shapes keep their matches) — executed by handlers in `Cpu` built from
-//! the effects `exec_prepared` itself uses (an ALU or LDHI op's register
-//! write, a conditional transfer's direction and cost) and one shared
-//! epilogue, whose observable effects are proved bit-identical to running
-//! the two instructions through `exec_prepared` (the four-way
-//! `interp_equivalence` law).
+//! A body is the block's lines plus what a completed run retires,
+//! aggregated when the block forms ([`Body`]). The block executor
+//! (`Cpu::exec_block`) dispatches each op once on its opcode, for its
+//! effect alone, and settles a completed block once: the aggregate of the
+//! direction its transfer went, then `pc`, `last_pc` and the in-flight
+//! target. An op that leaves early (a faulting access, spill or fill, a
+//! store or spill that dirties code, a return that halts) replays the
+//! ops that committed through [`retired`], the rule the aggregates are
+//! built from ([`crate::retire`]). A block holding an op the executor
+//! does not run (CALLI, RETI, GTLPC, GETPSW, PUTPSW), or any block of a
+//! machine without forwarding, runs its lines through `exec_prepared` one
+//! at a time instead ([`Body::per_op`]).
 //!
 //! A block is also where a compiled trace lives: the trace tier
 //! ([`crate::trace`]) attaches each trace to the block it is entered at,
@@ -36,17 +36,17 @@
 //! caches. Invalidation is block-granular: a dirtied page kills exactly the
 //! blocks that read it, each with its trace. A block is alive exactly while
 //! the entry map names it, and its promotion heat is the sum of its exit
-//! profile, so the block record stores neither and stays at 40 bytes. Like
+//! profile, so the block record stores neither and stays at 32 bytes. Like
 //! the icache, the whole structure is *derived* state — absent from
 //! snapshots, journals, and checksums.
 
-use crate::config::SimConfig;
-use crate::exec::alu;
+use crate::config::{BranchModel, SimConfig};
 use crate::icache::Line;
 use crate::mem::{CodeDirty, Memory, PAGE_BYTES};
+use crate::retire::{replay_meta, TMeta};
+use crate::stats::ExecStats;
 use crate::trace::Trace;
-use risc1_isa::psw::Flags;
-use risc1_isa::{Instruction, Opcode, Short2};
+use risc1_isa::{Instruction, Opcode};
 
 /// Sentinel for "no live block starts at this word" in
 /// [`BlockCache::map`].
@@ -56,79 +56,160 @@ const NO_BLOCK: u32 = u32::MAX;
 /// [`BlockCache::maybe_compact`]).
 const COMPACT_DEAD_MIN: usize = 64;
 
-/// One operation of a superblock body: either a single prepared line or a
-/// fused pair. Fused variants carry both original lines — `a` executes
-/// first — plus any values the builder could precompute.
-#[derive(Debug, Clone)]
-pub(crate) enum BOp {
-    /// An unfused prepared instruction, executed via `exec_prepared`.
-    One(Line),
-    /// SCC-setting ALU op `a` + conditional JMP/JMPR `b` reading its flags.
-    CmpBranch {
-        /// The flag-setting ALU instruction.
-        a: Line,
-        /// The conditional transfer.
-        b: Line,
-    },
-    /// LDHI `a` + immediate ALU op `b` completing a constant; the result
-    /// is a build-time constant.
-    LdhiImm {
-        /// The LDHI.
-        a: Line,
-        /// The dependent immediate ALU op.
-        b: Line,
-        /// `a`'s value: `imm19 << 13`.
-        hi: u32,
-        /// `b`'s precomputed result.
-        value: u32,
-        /// `b`'s precomputed flags (latched only if `b.scc`).
-        flags: Flags,
-    },
-    /// Conditional transfer `a` + safe (ALU/LDHI) delay-slot instruction
-    /// `b`, executed as one unit.
-    TransferSlot {
-        /// The transfer.
-        a: Line,
-        /// The delay-slot instruction.
-        b: Line,
-    },
-    /// ALU op `a` feeding the address register of load `b`.
-    AddrFeed {
-        /// The address-forming ALU instruction.
-        a: Line,
-        /// The dependent load.
-        b: Line,
-    },
-    /// Two adjacent plain ALU/LDHI ops retired through one handler — the
-    /// catch-all pair, tried after every specialised kind.
-    AluPair {
-        /// The first instruction.
-        a: Line,
-        /// The second instruction.
-        b: Line,
-    },
+// A block holds at most a page of lines and a delay slot, each costing at
+// most two cycles and a bubble, so every count of [`Settle`] fits a byte.
+const _: () = assert!(3 * (PAGE_BYTES / 4 + 1) <= u8::MAX as usize);
+
+/// What a completed run of a block retires in one exit direction, bar the
+/// opcode histogram, which both directions share ([`Body::opcodes`]).
+/// Window spills and fills stay out: the ops that service them charge
+/// them as they run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Settle {
+    instructions: u8,
+    cycles: u8,
+    bubble_cycles: u8,
+    data_reads: u8,
+    data_writes: u8,
+    taken_transfers: u8,
+    delay_slots: u8,
+    delay_slot_nops: u8,
+    calls: u8,
+    rets: u8,
 }
 
-impl BOp {
-    /// Instructions this op retires when it completes.
-    #[cfg(test)]
-    fn insns(&self) -> u32 {
-        match self {
-            BOp::One(_) => 1,
-            _ => 2,
+impl Settle {
+    /// The counts of `s`, which [`replay_meta`] filled from one block run.
+    fn of(s: &ExecStats) -> Settle {
+        let byte = |n: u64| u8::try_from(n).expect("a block's counts fit a byte");
+        Settle {
+            instructions: byte(s.instructions),
+            cycles: byte(s.cycles),
+            bubble_cycles: byte(s.bubble_cycles),
+            data_reads: byte(s.data_reads),
+            data_writes: byte(s.data_writes),
+            taken_transfers: byte(s.taken_transfers),
+            delay_slots: byte(s.delay_slots),
+            delay_slot_nops: byte(s.delay_slot_nops),
+            calls: byte(s.calls),
+            rets: byte(s.rets),
+        }
+    }
+
+    /// Adds these counts to `stats`.
+    #[inline]
+    pub(crate) fn apply(&self, stats: &mut ExecStats) {
+        stats.instructions += u64::from(self.instructions);
+        stats.cycles += u64::from(self.cycles);
+        stats.bubble_cycles += u64::from(self.bubble_cycles);
+        stats.data_reads += u64::from(self.data_reads);
+        stats.data_writes += u64::from(self.data_writes);
+        stats.taken_transfers += u64::from(self.taken_transfers);
+        stats.delay_slots += u64::from(self.delay_slots);
+        stats.delay_slot_nops += u64::from(self.delay_slot_nops);
+        stats.calls += u64::from(self.calls);
+        stats.rets += u64::from(self.rets);
+    }
+}
+
+/// A block body: its lines, and what a completed run retires.
+#[derive(Debug, Clone)]
+pub(crate) struct Body {
+    /// The prepared lines, in address order, never empty. At most one is a
+    /// transfer: the last line, or the one before a delay slot.
+    pub lines: Box<[Line]>,
+    /// A completed run's retirements by exit direction (`[fall-through,
+    /// taken]`), the transfer's direction deciding.
+    pub settle: [Settle; 2],
+    /// A completed run's opcode histogram, `(opcode, count)`.
+    pub opcodes: Box<[(Opcode, u8)]>,
+    /// Whether the last line is a delay slot: a completed run leaves no
+    /// jump in flight. Otherwise a taken transfer among the lines leaves
+    /// its target in flight.
+    pub slot: bool,
+    /// Whether the lines run one at a time through `exec_prepared`: the
+    /// block holds an op the block executor does not run, or the machine
+    /// has no forwarding, whose hazard bookkeeping is per op.
+    pub per_op: bool,
+}
+
+impl Body {
+    /// The body of `lines`, a block starting at `start`, on a machine
+    /// configured as `cfg`.
+    fn new(lines: Vec<Line>, start: u32, cfg: &SimConfig) -> Body {
+        let suspended = cfg.branch_model == BranchModel::Suspended;
+        // Any address stands for a taken transfer's target: only whether
+        // one is in flight counts.
+        let runs = [None, Some(start)].map(|target| {
+            let mut s = ExecStats::new();
+            replay_prefix(&mut s, &lines, start, lines.len(), target, suspended);
+            s
+        });
+        let per_op = !cfg.forwarding
+            || lines.iter().any(|l| {
+                matches!(
+                    l.op,
+                    Opcode::Calli | Opcode::Reti | Opcode::Gtlpc | Opcode::Getpsw | Opcode::Putpsw
+                )
+            });
+        Body {
+            settle: [Settle::of(&runs[0]), Settle::of(&runs[1])],
+            opcodes: runs[0]
+                .opcode_counts
+                .iter()
+                .map(|(op, n)| (op, n as u8))
+                .collect(),
+            slot: lines.len() >= 2 && lines[lines.len() - 2].is_transfer,
+            per_op,
+            lines: lines.into(),
         }
     }
 }
 
-/// A formed superblock: its ops, its span, its exit profile, and the trace
-/// entered at it.
+/// Replays lines `..k` of a block starting at `start`, each as [`retired`]
+/// has it: a completed block's aggregate is its whole run replayed, and an
+/// early exit at line `k` owes the lines before it.
+pub(crate) fn replay_prefix(
+    stats: &mut ExecStats,
+    lines: &[Line],
+    start: u32,
+    k: usize,
+    target: Option<u32>,
+    suspended: bool,
+) {
+    for i in 0..k {
+        replay_meta(stats, &[retired(lines, start, i, target, suspended)]);
+    }
+}
+
+/// How line `i` of a block starting at `start` retires in a run whose
+/// transfer, once committed, left `target` in flight (`None`: it fell
+/// through): the transfer in its direction, its delay slot with the
+/// target in flight.
+pub(crate) fn retired(
+    lines: &[Line],
+    start: u32,
+    i: usize,
+    target: Option<u32>,
+    suspended: bool,
+) -> TMeta {
+    let line = &lines[i];
+    let pending_before = target.filter(|_| i > 0 && lines[i - 1].is_transfer);
+    let pc = start.wrapping_add(4 * i as u32);
+    TMeta::of_line(line, pc, pending_before)
+        .directed(line.is_transfer && target.is_some(), suspended)
+}
+
+/// A formed superblock: its body, its span, its exit profile, and the
+/// trace entered at it.
 ///
 /// Call-heavy code enters a block every four or so instructions, and each
 /// entry reads this record. At 56 bytes rather than 48 it ran `run_calls`'
 /// five programs 1–5% slower in an in-process A/B, so what can be derived
 /// is not stored: the retire count ([`Block::insns`]), the promotion heat
 /// (the sum of [`Block::hot_exits`]) and liveness (whether
-/// [`BlockCache::map`] names the block). That leaves 40 bytes.
+/// [`BlockCache::map`] names the block). The body sits behind one pointer,
+/// which leaves 32 bytes.
 #[derive(Debug, Clone)]
 pub(crate) struct Block {
     /// Entry PC.
@@ -136,10 +217,11 @@ pub(crate) struct Block {
     /// Address just past the last included instruction — the fall-through
     /// PC when the block exits without a taken transfer.
     pub end: u32,
-    /// The block body, never empty. The burst loop takes it out for the
-    /// run ([`BlockCache::take_ops`]) and puts it back before it touches
-    /// the cache again, so entering a block copies nothing.
-    pub ops: Box<[BOp]>,
+    /// The block body. The burst loop takes it out for the run
+    /// ([`BlockCache::take_body`]) and puts it back before it touches the
+    /// cache again, so entering a block copies nothing; `None` only while
+    /// it is out.
+    pub body: Option<Box<Body>>,
     /// Completed executions since build by exit direction (`[fall-through,
     /// taken]`): the trace builder's branch-direction profile, and summed,
     /// the trace engine's promotion heat ([`BlockCache::bump_heat`]).
@@ -152,7 +234,7 @@ pub(crate) struct Block {
     pub trace: Option<Box<Trace>>,
 }
 
-const _: () = assert!(std::mem::size_of::<Block>() <= 40);
+const _: () = assert!(std::mem::size_of::<Block>() <= 32);
 
 impl Block {
     /// Instructions retired if every op completes — the worst case fuel
@@ -160,6 +242,15 @@ impl Block {
     #[inline]
     pub(crate) fn insns(&self) -> u32 {
         self.end.wrapping_sub(self.start) / 4
+    }
+
+    /// The block's prepared lines.
+    pub(crate) fn lines(&self) -> &[Line] {
+        &self
+            .body
+            .as_ref()
+            .expect("a block's body is in place while the cache is read")
+            .lines
     }
 }
 
@@ -209,19 +300,21 @@ impl BlockCache {
         &self.blocks[idx as usize]
     }
 
-    /// Takes the body of the block at `idx` out to run it, leaving it
-    /// empty until [`BlockCache::put_ops`] returns it.
+    /// Takes the body of the block at `idx` out to run it, until
+    /// [`BlockCache::put_body`] returns it.
     #[inline]
-    pub(crate) fn take_ops(&mut self, idx: u32) -> Box<[BOp]> {
-        std::mem::take(&mut self.blocks[idx as usize].ops)
+    pub(crate) fn take_body(&mut self, idx: u32) -> Box<Body> {
+        self.blocks[idx as usize]
+            .body
+            .take()
+            .expect("a block's body is put back after each run")
     }
 
-    /// Returns a body taken by [`BlockCache::take_ops`].
+    /// Returns a body taken by [`BlockCache::take_body`].
     #[inline]
-    pub(crate) fn put_ops(&mut self, idx: u32, ops: Box<[BOp]>) {
-        self.blocks[idx as usize].ops = ops;
+    pub(crate) fn put_body(&mut self, idx: u32, body: Box<Body>) {
+        self.blocks[idx as usize].body = Some(body);
     }
-
     /// The trace of the block at `idx`, if it has promoted.
     #[inline]
     pub(crate) fn trace(&self, idx: u32) -> Option<&Trace> {
@@ -336,7 +429,7 @@ impl BlockCache {
         }
     }
 
-    /// Forms, fuses and registers a new block starting at `pc`. Returns
+    /// Forms and registers a new block starting at `pc`. Returns
     /// `None` when not even the first word yields a prepared line
     /// (misaligned, out of range, undecodable) — the caller must take the
     /// architectural one-step path, which raises the proper trap.
@@ -355,13 +448,12 @@ impl BlockCache {
             self.map.resize(len, NO_BLOCK);
         }
         self.maybe_compact();
-        let ops = fuse(&lines, cfg).into_boxed_slice();
         let end = start.wrapping_add(4 * lines.len() as u32);
         let idx = self.blocks.len() as u32;
         self.blocks.push(Block {
             start,
             end,
-            ops,
+            body: Some(Box::new(Body::new(lines, start, cfg))),
             hot_exits: [0; 2],
             trace: None,
         });
@@ -415,119 +507,10 @@ fn prepare_at(mem: &Memory, pc: u32) -> Option<Line> {
     Some(Line::prepare(Instruction::decode(word).ok()?))
 }
 
-/// Whether the opcode is a plain ALU/shift op (the `alu` dispatch set) —
-/// the spec table's ALU group.
-fn is_alu(op: Opcode) -> bool {
-    risc1_isa::spec::entry(op).is_alu()
-}
-
-/// ALU ops that consult the incoming carry flag — excluded from build-time
-/// constant folding. The spec table's `FlagsRead::Carry` rows.
-fn reads_carry(op: Opcode) -> bool {
-    risc1_isa::spec::entry(op).reads_carry()
-}
-
-/// The left-to-right fusion pass: non-overlapping adjacent pairs, first
-/// matching kind wins, with one pair of lookahead so the catch-all never
-/// *steals* the left half of a specialised pair — greedy pairing used to
-/// let `alu_pair` consume the address-forming ALU (or flag-setter, or
-/// LDHI) that the *next* pair would have fused as `addr_feed`/`cmp_branch`/
-/// `ldhi_imm`, which is why whole workloads reported zero `addr_feed`
-/// pairs. Fusion is attempted only under the default datapath (forwarding
-/// on): the fused handlers elide the hazard bookkeeping the interlock
-/// model needs, and gating here keeps them exact rather than conditional.
-fn fuse(lines: &[Line], cfg: &SimConfig) -> Vec<BOp> {
-    let fusable = cfg.forwarding;
-    let mut ops = Vec::with_capacity(lines.len());
-    let mut i = 0;
-    while i < lines.len() {
-        if fusable && i + 1 < lines.len() {
-            if let Some(op) = try_fuse(&lines[i], &lines[i + 1], cfg) {
-                // Lookahead: a catch-all pair here yields exactly one fused
-                // pair either way, but a specialised pair starting at the
-                // *second* element is a strictly better handler (and what
-                // e15 ablates). Defer when one is available.
-                let steals_specialised = matches!(op, BOp::AluPair { .. })
-                    && i + 2 < lines.len()
-                    && try_fuse_specialised(&lines[i + 1], &lines[i + 2], cfg).is_some();
-                if !steals_specialised {
-                    ops.push(op);
-                    i += 2;
-                    continue;
-                }
-            }
-        }
-        ops.push(BOp::One(lines[i]));
-        i += 1;
-    }
-    ops
-}
-
-/// Attempts to fuse the adjacent pair `(a, b)`: every specialised kind
-/// first, then the catch-all.
-fn try_fuse(a: &Line, b: &Line, cfg: &SimConfig) -> Option<BOp> {
-    if let Some(op) = try_fuse_specialised(a, b, cfg) {
-        return Some(op);
-    }
-    let f = &cfg.fusion;
-    // Catch-all: any two adjacent plain ALU/LDHI ops. Tried last so the
-    // specialised kinds keep their matches; neither half can fault.
-    if f.alu_pair
-        && (is_alu(a.op) || a.op == Opcode::Ldhi)
-        && (is_alu(b.op) || b.op == Opcode::Ldhi)
-    {
-        return Some(BOp::AluPair { a: *a, b: *b });
-    }
-    None
-}
-
-/// Attempts the four specialised fusion kinds on `(a, b)` — everything but
-/// the `alu_pair` catch-all, which `fuse` also consults for lookahead.
-fn try_fuse_specialised(a: &Line, b: &Line, cfg: &SimConfig) -> Option<BOp> {
-    let f = &cfg.fusion;
-    // Compare + conditional jump: `a` deterministically latches the flags
-    // `b` tests, and nothing between them can fault.
-    if f.cmp_branch && is_alu(a.op) && a.scc && b.op.uses_condition() {
-        return Some(BOp::CmpBranch { a: *a, b: *b });
-    }
-    // Transfer + safe slot: target operands are read before the slot runs
-    // in the unfused sequence too, so executing them as a unit is exact.
-    // Only ALU/LDHI slots qualify — no faults, no window moves, no PSW.
-    if f.transfer_slot && a.op.uses_condition() && (is_alu(b.op) || b.op == Opcode::Ldhi) {
-        return Some(BOp::TransferSlot { a: *a, b: *b });
-    }
-    // LDHI + immediate ALU: the whole pair is a build-time constant when
-    // the ALU op ignores carry and its only dynamic input is `a`'s result.
-    if f.ldhi_imm
-        && a.op == Opcode::Ldhi
-        && !a.dest.is_zero()
-        && is_alu(b.op)
-        && !reads_carry(b.op)
-        && b.rs1 == a.dest
-    {
-        if let Short2::Imm(imm) = b.s2 {
-            let hi = a.ldhi_value();
-            let out = alu(b.op, hi, imm as i32 as u32, false);
-            return Some(BOp::LdhiImm {
-                a: *a,
-                b: *b,
-                hi,
-                value: out.value,
-                flags: out.flags,
-            });
-        }
-    }
-    // ALU feeding the address register of the next load.
-    if f.addr_feed && is_alu(a.op) && b.op.is_load() && b.rs1 == a.dest && !a.dest.is_zero() {
-        return Some(BOp::AddrFeed { a: *a, b: *b });
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use risc1_isa::{Cond, Reg};
+    use risc1_isa::{Cond, Reg, Short2};
 
     fn mem_with(words: &[u32]) -> Memory {
         let mut mem = Memory::new(4 * PAGE_BYTES);
@@ -539,10 +522,6 @@ mod tests {
 
     fn add(dest: Reg, rs1: Reg, imm: i32) -> u32 {
         Instruction::reg(Opcode::Add, dest, rs1, Short2::imm(imm).unwrap()).encode()
-    }
-
-    fn add_scc(dest: Reg, rs1: Reg, imm: i32) -> u32 {
-        Instruction::reg_scc(Opcode::Add, dest, rs1, Short2::imm(imm).unwrap()).encode()
     }
 
     fn jmpr(cond: Cond, off: i32) -> u32 {
@@ -585,96 +564,6 @@ mod tests {
         assert!(collect_lines(&mem, 2).is_none(), "misaligned");
         let far = 16 * PAGE_BYTES as u32;
         assert!(collect_lines(&mem, far).is_none(), "out of range");
-    }
-
-    #[test]
-    fn fusion_finds_all_four_kinds() {
-        let cfg = SimConfig::default();
-        let ldl = Instruction::reg(Opcode::Ldl, Reg::R17, Reg::R16, Short2::imm(0).unwrap());
-        let mem = mem_with(&[
-            Instruction::ldhi(Reg::R16, 5).encode(),
-            add(Reg::R16, Reg::R16, 9), // ldhi+imm pair
-            add(Reg::R16, Reg::R16, 4),
-            ldl.encode(), // addr-feed pair
-            add_scc(Reg::R0, Reg::R17, -1),
-            jmpr(Cond::Eq, 8),         // cmp+branch pair
-            add(Reg::R18, Reg::R0, 1), // its slot, unfused
-        ]);
-        let lines = collect_lines(&mem, 0).unwrap();
-        let ops = fuse(&lines, &cfg);
-        assert!(matches!(ops[0], BOp::LdhiImm { value, .. } if value == (5 << 13) + 9));
-        assert!(matches!(ops[1], BOp::AddrFeed { .. }));
-        assert!(matches!(ops[2], BOp::CmpBranch { .. }));
-        assert!(matches!(ops[3], BOp::One(_)));
-        assert_eq!(ops.iter().map(BOp::insns).sum::<u32>(), 7);
-
-        // Bare transfer + slot (no preceding scc ALU) fuses as a unit.
-        let mem2 = mem_with(&[
-            add(Reg::R16, Reg::R0, 1),
-            jmpr(Cond::Alw, -4),
-            add(Reg::R17, Reg::R0, 2),
-        ]);
-        let ops2 = fuse(&collect_lines(&mem2, 0).unwrap(), &cfg);
-        assert!(matches!(ops2[1], BOp::TransferSlot { .. }));
-    }
-
-    #[test]
-    fn catch_all_defers_to_a_following_specialised_pair() {
-        let cfg = SimConfig::default();
-        let ldl = Instruction::reg(Opcode::Ldl, Reg::R18, Reg::R17, Short2::imm(0).unwrap());
-        // add; add (address-forming); ldl — greedy pairing used to emit
-        // AluPair(add, add) + One(ldl), hiding the addr_feed shape that
-        // whole workloads then reported as zero.
-        let mem = mem_with(&[
-            add(Reg::R16, Reg::R0, 1),
-            add(Reg::R17, Reg::R16, 8),
-            ldl.encode(),
-        ]);
-        let lines = collect_lines(&mem, 0).unwrap();
-        let ops = fuse(&lines, &cfg);
-        assert!(matches!(ops[0], BOp::One(_)), "first ALU yields");
-        assert!(matches!(ops[1], BOp::AddrFeed { .. }), "addr_feed wins");
-        // With addr_feed knocked out the catch-all reclaims the pair.
-        let no_feed = SimConfig {
-            fusion: crate::config::FusionConfig {
-                addr_feed: false,
-                ..crate::config::FusionConfig::default()
-            },
-            ..SimConfig::default()
-        };
-        let ops2 = fuse(&lines, &no_feed);
-        assert!(matches!(ops2[0], BOp::AluPair { .. }));
-        assert!(matches!(ops2[1], BOp::One(_)));
-    }
-
-    #[test]
-    fn fusion_respects_config_gates() {
-        let mem = mem_with(&[
-            add_scc(Reg::R0, Reg::R17, -1),
-            jmpr(Cond::Eq, 8),
-            add(Reg::R18, Reg::R0, 1),
-        ]);
-        let lines = collect_lines(&mem, 0).unwrap();
-        assert!(fuse(&lines, &SimConfig::default())
-            .iter()
-            .any(|op| !matches!(op, BOp::One(_))));
-        let cfg = SimConfig {
-            fusion: crate::config::FusionConfig::none(),
-            ..SimConfig::default()
-        };
-        assert!(fuse(&lines, &cfg)
-            .iter()
-            .all(|op| matches!(op, BOp::One(_))));
-        let interlocked = SimConfig {
-            forwarding: false,
-            ..SimConfig::default()
-        };
-        assert!(
-            fuse(&lines, &interlocked)
-                .iter()
-                .all(|op| matches!(op, BOp::One(_))),
-            "the interlock model disables fusion entirely"
-        );
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Trace compilation: hot superblock sequences lowered to
 //! register-allocated trace IR (the `--engine trace` tier).
 //!
-//! The superblock engine still pays, per retired instruction, a window-map
-//! register translation, a full opcode dispatch and half a dozen statistic
-//! counter bumps. All three are loop-invariant for a hot loop: the CWP
-//! cannot move inside a trace (window-moving ops end trace formation), so
-//! register names resolve to *flat physical store indices* once, at build
-//! time; the opcode stream is fixed, so the per-instruction stat deltas sum
-//! to one precomputed bulk update applied at trace exit; and the surviving
-//! dispatch is one match per op over an IR whose operands are already
-//! virtual register numbers or interned immediates.
+//! The block executor still pays, per retired instruction, a window-map
+//! register translation and an opcode dispatch over a prepared line, and
+//! per block a lookup and a settle. All of it is loop-invariant for a hot
+//! loop: the CWP cannot move inside a trace (window-moving ops end trace
+//! formation), so register names resolve to *flat physical store indices*
+//! once, at build time; the path is fixed, so a whole pass settles as one
+//! precomputed bulk update applied at trace exit, however many blocks it
+//! crosses; and the surviving dispatch is one match per op over an IR whose
+//! operands are already virtual register numbers or interned immediates.
 //!
 //! ## The IR
 //!
@@ -87,7 +87,8 @@
 //! the method that gives an arm its fork), a faulting access with its
 //! retirement alone ([`TMeta::faulted`]). A path's bulk aggregate is the
 //! same replay summed ([`TAgg::from_meta`]), so the executor retires
-//! nothing by hand.
+//! nothing by hand. The block executor's early exits follow the same rules
+//! ([`crate::retire`]).
 //!
 //! ## Where traces live
 //!
@@ -107,8 +108,9 @@
 use crate::config::{BranchModel, SimConfig};
 use crate::icache::Line;
 use crate::mem::{MemError, Memory};
+use crate::retire::{replay_meta, TMeta};
 use crate::stats::ExecStats;
-use crate::superblock::{BOp, BlockCache};
+use crate::superblock::BlockCache;
 use crate::windows::WindowFile;
 use risc1_isa::spec::{self, Lowering};
 use risc1_isa::{Cond, Opcode, Short2};
@@ -477,58 +479,6 @@ pub(crate) enum TExit {
     },
 }
 
-/// Per-op static metadata: everything a side exit needs to reconstruct the
-/// exact per-instruction accounting and restart state of the superblock
-/// engine at this op.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TMeta {
-    /// The op's instruction address.
-    pub pc: u32,
-    /// The delayed-jump target in flight when this op executes (`Some`
-    /// exactly when the op sits in a taken transfer's delay slot).
-    pub pending_before: Option<u32>,
-    /// The opcode (for retire histograms).
-    pub op: Opcode,
-    /// Base cycle cost.
-    pub base: u8,
-    /// Whether the op pays a suspended-model bubble on the expected path.
-    pub bubble: bool,
-    /// Whether the expected path counts a taken transfer here.
-    pub taken: bool,
-    /// Memory-read op (counts `data_reads` on success).
-    pub is_load: bool,
-    /// Memory-write op (counts `data_writes` on success).
-    pub is_store: bool,
-    /// Whether the instruction is a canonical NOP (delay-slot accounting).
-    pub nop: bool,
-}
-
-impl TMeta {
-    /// This op retired in direction `taken`: a taken transfer pays the
-    /// suspended model's bubble when `suspended`. How the builder charges
-    /// a branch on a path, an arm its fork, and a guard its mismatch.
-    pub(crate) fn directed(self, taken: bool, suspended: bool) -> TMeta {
-        TMeta {
-            taken,
-            bubble: suspended && taken,
-            ..self
-        }
-    }
-
-    /// This op as it retires when its access faults: the retirement and
-    /// its delay-slot accounting, and no cycles, access or transfer.
-    pub(crate) fn faulted(self) -> TMeta {
-        TMeta {
-            base: 0,
-            bubble: false,
-            taken: false,
-            is_load: false,
-            is_store: false,
-            ..self
-        }
-    }
-}
-
 /// The precomputed bulk statistics update of one complete trace pass — the
 /// sum of what `exec_prepared` would have counted per instruction.
 #[derive(Debug, Clone)]
@@ -591,25 +541,6 @@ impl TAgg {
                 .map(|(op, n)| (op, n as u32))
                 .collect(),
         }
-    }
-}
-
-/// Replays the per-instruction statistics of `meta`, in order. Field for
-/// field what `exec_prepared` bumps per op (tracing preconditions pin the
-/// rest: forwarding ⇒ no hazard bubbles, and traced ops are never calls,
-/// returns or window traps).
-fn replay_meta(stats: &mut ExecStats, meta: &[TMeta]) {
-    for m in meta {
-        stats.retire(m.op);
-        if m.pending_before.is_some() {
-            stats.delay_slots += 1;
-            stats.delay_slot_nops += u64::from(m.nop);
-        }
-        stats.cycles += u64::from(m.base) + u64::from(m.bubble);
-        stats.bubble_cycles += u64::from(m.bubble);
-        stats.data_reads += u64::from(m.is_load);
-        stats.data_writes += u64::from(m.is_store);
-        stats.taken_transfers += u64::from(m.taken);
     }
 }
 
@@ -832,22 +763,6 @@ fn compile(
     Some(t)
 }
 
-/// The prepared lines of a block body, in order: fused pairs carry their
-/// original halves.
-fn lines(ops: &[BOp]) -> impl Iterator<Item = &Line> {
-    ops.iter().flat_map(|op| {
-        let (first, second) = match op {
-            BOp::One(l) => (l, None),
-            BOp::CmpBranch { a, b }
-            | BOp::LdhiImm { a, b, .. }
-            | BOp::TransferSlot { a, b }
-            | BOp::AddrFeed { a, b }
-            | BOp::AluPair { a, b } => (a, Some(b)),
-        };
-        std::iter::once(first).chain(second)
-    })
-}
-
 /// Whether the exit profile `[fall-through, taken]` of a branch's block
 /// shows both directions hot enough to give the branch an arm.
 fn both_hot(profile: [u32; 2]) -> bool {
@@ -947,7 +862,7 @@ impl<'a> Builder<'a> {
             // re-decodes nothing from memory and — unlike a fresh decode,
             // which would run to the block's end — stops at the trace cap.
             // This keeps declined promotion attempts cheap.
-            for (i, line) in lines(&block.ops).enumerate().skip(skip) {
+            for (i, line) in block.lines().iter().enumerate().skip(skip) {
                 if self.meta.len() >= MAX_TRACE_INSNS || !self.push(line, profile) {
                     return false;
                 }
@@ -1146,18 +1061,8 @@ impl<'a> Builder<'a> {
             Lowering::Excluded => unreachable!(),
         };
         self.ops.push(op);
-        let meta = TMeta {
-            pc,
-            pending_before,
-            op: line.op,
-            base: line.base_cycles,
-            bubble: false,
-            taken: false,
-            is_load: lowering == Lowering::Load,
-            is_store: lowering == Lowering::Store,
-            nop: line.insn.is_nop(),
-        };
-        self.meta.push(meta.directed(taken, self.suspended));
+        self.meta
+            .push(TMeta::of_line(line, pc, pending_before).directed(taken, self.suspended));
         // The static replica of the executor's PC dance.
         let next = pending_before.unwrap_or_else(|| pc.wrapping_add(4));
         self.pending = new_target;

@@ -19,7 +19,6 @@ pub mod e11_pipeline_trace;
 pub mod e12_instruction_mix;
 pub mod e13_fault_recovery;
 pub mod e14_checkpoint_overhead;
-pub mod e15_fusion_ablation;
 pub mod e1_complexity;
 pub mod e2_instruction_set;
 pub mod e3_formats;
@@ -36,7 +35,7 @@ pub type Experiment = (&'static str, fn() -> String);
 
 /// Every experiment, in report order. [`run_all`], `risc1 exp` and
 /// `risc1 list` all walk this table.
-pub const EXPERIMENTS: [Experiment; 16] = [
+pub const EXPERIMENTS: [Experiment; 15] = [
     ("e1", e1_complexity::run),
     ("e2", e2_instruction_set::run),
     ("e3", e3_formats::run),
@@ -51,7 +50,6 @@ pub const EXPERIMENTS: [Experiment; 16] = [
     ("e12", e12_instruction_mix::run),
     ("e13", e13_fault_recovery::run),
     ("e14", e14_checkpoint_overhead::run),
-    ("e15", e15_fusion_ablation::run),
     ("ablations", ablations::run),
 ];
 

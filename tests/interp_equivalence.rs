@@ -3,7 +3,8 @@
 //! Three tiers accelerate the reference interpreter: a predecoded
 //! instruction cache (`crates/core/src/icache.rs`); a superblock engine
 //! over it (`crates/core/src/superblock.rs`): straight-line blocks formed
-//! over the cached lines, with macro-op fusion inside; and the trace tier
+//! over the cached lines, run by a block executor that settles each block
+//! once; and the trace tier
 //! (`crates/core/src/trace.rs`): hot superblock sequences compiled to
 //! register-allocated trace IR with bulk statistics applied at trace exit,
 //! running both directions of a data-dependent branch as arms. All of that
@@ -18,7 +19,8 @@
 //!
 //! 1. deterministically across all eleven suite workloads (four-way),
 //!    under both the delayed and the suspended branch model, with a floor
-//!    on the trace tier's coverage of the loop programs,
+//!    on the trace tier's coverage of the loop programs, and again under
+//!    the interlock model (no forwarding), where blocks run per op,
 //! 2. property-style under seed-driven fault injection (where traps,
 //!    recovery stubs, and snapshot restores stress the invalidation
 //!    paths),
@@ -104,10 +106,8 @@ fn capture(cpu: &Cpu) -> FinalState {
 }
 
 /// Runs `prog` to halt under the given engine and branch model, with the
-/// default datapath (forwarding on, so fusion and traces engage), and
-/// captures the final state. The cached, superblock and trace engines go
-/// through the batched `Cpu::run` fast path, the uncached engine through
-/// the one-at-a-time `step()` loop.
+/// default datapath (forwarding on, so the block executor and traces
+/// engage), and captures the final state.
 fn run_mode(
     prog: &Program,
     args: &[i32],
@@ -119,6 +119,15 @@ fn run_mode(
         branch_model,
         ..SimConfig::default()
     };
+    run_cfg(prog, args, cfg)
+}
+
+/// Runs `prog` to halt on a machine configured as `cfg` and captures the
+/// final state. The cached, superblock and trace engines go through the
+/// batched `Cpu::run` fast path, the uncached engine through the
+/// one-at-a-time `step()` loop.
+fn run_cfg(prog: &Program, args: &[i32], cfg: SimConfig) -> FinalState {
+    let engine = cfg.engine;
     let mut cpu = Cpu::new(cfg);
     cpu.load_program(prog).expect("program fits memory");
     cpu.set_args(args);
@@ -150,7 +159,6 @@ const TRACE_COVERAGE_FLOORS: [(&str, f64); 5] = [
 
 #[test]
 fn every_workload_is_bit_identical_across_all_four_engines() {
-    let mut fused_anywhere = 0u64;
     let mut traced_anywhere = 0u64;
     let mut floors_checked = 0;
     for w in all() {
@@ -165,14 +173,15 @@ fn every_workload_is_bit_identical_across_all_four_engines() {
             assert_eq!(superblock, uncached, "{id}: superblocks must be invisible");
             assert_eq!(trace, uncached, "{id}: traces must be invisible");
             // The superblock engine must actually engage (not silently fall
-            // back to single-stepping), and must never fuse elsewhere.
-            assert!(
-                superblock.stats.blocks_entered > 0,
-                "{id}: superblock engine never entered a block"
+            // back to single-stepping): block bodies retire every
+            // instruction of a suite run, as `tests/host_counts.rs`
+            // records. No other tier enters a block.
+            assert_eq!(
+                superblock.stats.block_instructions, superblock.stats.instructions,
+                "{id}: instructions retired outside a block body"
             );
-            assert_eq!(uncached.stats.fused_total(), 0, "{id}");
-            assert_eq!(cached.stats.fused_total(), 0, "{id}");
-            fused_anywhere += superblock.stats.fused_total();
+            assert_eq!(uncached.stats.blocks_entered, 0, "{id}");
+            assert_eq!(cached.stats.blocks_entered, 0, "{id}");
             traced_anywhere += trace.stats.trace_instructions;
             assert_eq!(
                 superblock.stats.trace_instructions, 0,
@@ -197,13 +206,41 @@ fn every_workload_is_bit_identical_across_all_four_engines() {
         "every floored program is in the suite, checked under both models"
     );
     assert!(
-        fused_anywhere > 0,
-        "macro-op fusion never fired across the whole suite"
-    );
-    assert!(
         traced_anywhere > 0,
         "the trace tier never compiled and ran a trace across the whole suite"
     );
+}
+
+/// The same law under the interlock model (`forwarding: false`), where the
+/// block tier runs every op through `exec_prepared` for its hazard
+/// bookkeeping and the trace tier declines to trace: all eleven workloads,
+/// all four engines, both branch models, the whole final state.
+#[test]
+fn every_workload_is_bit_identical_across_all_four_engines_without_forwarding() {
+    for w in all() {
+        let prog = compile_risc(&w.module, RiscOpts::default()).expect("suite compiles");
+        for branch_model in [BranchModel::Delayed, BranchModel::Suspended] {
+            let run = |engine| {
+                let cfg = SimConfig {
+                    engine,
+                    branch_model,
+                    forwarding: false,
+                    ..SimConfig::default()
+                };
+                run_cfg(&prog, &w.small_args, cfg)
+            };
+            let uncached = run(ExecEngine::Uncached);
+            let superblock = run(ExecEngine::Superblock);
+            let id = format!("{} ({branch_model:?}, no forwarding)", w.id);
+            assert_eq!(run(ExecEngine::Cached), uncached, "{id}: cached differs");
+            assert_eq!(superblock, uncached, "{id}: superblock differs");
+            assert_eq!(run(ExecEngine::Trace), uncached, "{id}: trace differs");
+            assert_eq!(
+                superblock.stats.block_instructions, superblock.stats.instructions,
+                "{id}: instructions retired outside a block body"
+            );
+        }
+    }
 }
 
 /// One compiled workload plus the fuel/rate bounds the injection sweep
