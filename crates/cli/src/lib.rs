@@ -97,16 +97,18 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
                                 live code and must return with reti
   risc1 lint --spec-audit       audit the executable ISA spec table against
                                 the opcode metadata, codec, assembler and
-                                icache over all 128 opcode points; exits
-                                nonzero on any divergence
+                                prepared lines over all 128 opcode points;
+                                exits nonzero on any divergence
   risc1 run <file.s> [args…]    execute (args are main's integer arguments)
        [--fuel N]               instruction budget (default 200M)
        [--timeout-ms N]         wall-clock budget; polled between steps,
                                 so it never perturbs the machine
-       [--engine <tier>]        interpreter tier: uncached | cached |
-                                superblock | trace (default, fastest —
-                                all tiers are architecturally
-                                bit-identical)
+       [--engine <tier>]        interpreter tier: uncached (one step at a
+                                time) | cached (blocks, run per op) |
+                                superblock (blocks, run whole) | trace
+                                (default, fastest: blocks and hot-loop
+                                traces) — all tiers are architecturally
+                                bit-identical
        [--trap-handlers]        install recovery stubs: vectorable faults
                                 enter handlers instead of ending the run
        [--inject <seed>]        deterministic fault injection from <seed>

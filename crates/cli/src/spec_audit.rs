@@ -11,8 +11,8 @@
 //!   and every unassigned opcode point is rejected),
 //! * the assembler (the printed form of every canonical sample reassembles
 //!   to the same word),
-//! * the icache's prepared lines (the `base_cycles` a line is stamped with
-//!   equals the table's).
+//! * the simulator's prepared lines (the `base_cycles` a line is stamped
+//!   with equals the table's).
 //!
 //! Any divergence is reported and the command exits nonzero, so CI fails
 //! the moment a consumer drifts from the table. [`audit_entries`] takes the
@@ -25,8 +25,8 @@ use risc1_isa::opcode::{Category, Format, Opcode};
 use risc1_isa::spec::{self, MemEffect, OperandShape, SpecEntry, Transfer, WindowMotion};
 
 /// Number of distinct checks the audit performs per assigned opcode
-/// (metadata agreement, encode/decode, assembler round-trip, icache), used
-/// only for the summary line.
+/// (metadata agreement, encode/decode, assembler round-trip, prepared
+/// line), used only for the summary line.
 const CHECK_FAMILIES: usize = 4;
 
 /// Runs the audit against the real table and renders the result.
@@ -62,7 +62,7 @@ pub fn run() -> Result<String, String> {
 }
 
 /// Cross-checks `entries` (normally [`spec::ENTRIES`]) against the opcode
-/// metadata, codec, assembler, and icache. Returns one message per
+/// metadata, codec, assembler, and prepared lines. Returns one message per
 /// divergence; empty means the tree is consistent.
 pub fn audit_entries(entries: &[SpecEntry]) -> Vec<String> {
     let mut problems = Vec::new();
@@ -222,7 +222,7 @@ fn audit_assigned(entries: &[SpecEntry], code: u8, op: Opcode, problems: &mut Ve
         );
     }
 
-    // --- Canonical samples: codec, assembler, icache -------------------
+    // --- Canonical samples: codec, assembler, prepared line ------------
     for insn in entry.canonical_samples() {
         if insn.opcode != op {
             problems.push(format!(
@@ -258,7 +258,7 @@ fn audit_assigned(entries: &[SpecEntry], code: u8, op: Opcode, problems: &mut Ve
         let prepared = risc1_core::prepared_base_cycles(&insn);
         if prepared != entry.base_cycles {
             problems.push(format!(
-                "{m}: icache prepares `{insn}` with base_cycles {prepared}, table says {}",
+                "{m}: a prepared line of `{insn}` has base_cycles {prepared}, table says {}",
                 entry.base_cycles
             ));
         }
@@ -307,7 +307,7 @@ mod tests {
     fn a_perturbed_cycle_count_is_caught() {
         // The negative test the acceptance criteria demand: nudge one row's
         // base_cycles and the audit must notice both disagreeing consumers
-        // (the Opcode metadata and the icache's prepared lines).
+        // (the Opcode metadata and the simulator's prepared lines).
         let mut table = spec::ENTRIES;
         table[0].base_cycles += 1;
         let problems = audit_entries(&table);
@@ -316,8 +316,8 @@ mod tests {
             "metadata divergence not reported: {problems:#?}"
         );
         assert!(
-            problems.iter().any(|p| p.contains("icache prepares")),
-            "icache divergence not reported: {problems:#?}"
+            problems.iter().any(|p| p.contains("a prepared line of")),
+            "prepared-line divergence not reported: {problems:#?}"
         );
     }
 

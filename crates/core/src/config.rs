@@ -84,22 +84,24 @@ pub struct SimConfig {
     pub fusion: FusionConfig,
 }
 
-/// The interpreter tier driving instruction execution. Each tier is strictly
-/// a host-speed optimisation over the one below it; all four funnel through
-/// the op effects of the same `exec_prepared` executor (the block executor
-/// runs them with its statistics settled per block, the trace tier runs IR
-/// lowered from the same prepared lines with bit-exact side exits), so
-/// architectural behaviour is bit-identical (the four-way equivalence law in
-/// `interp_equivalence`).
+/// The interpreter tier driving instruction execution. Every tier runs one
+/// burst loop over one fetch path, and each is one rule in that loop. All
+/// four funnel through the op effects of the same `exec_prepared` executor
+/// (the block executor runs them with its statistics settled per block, the
+/// trace tier runs IR lowered from the same prepared lines with bit-exact
+/// side exits), so architectural behaviour is bit-identical (the four-way
+/// equivalence law in `interp_equivalence`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
-    /// Fetch → decode → prepare → execute, one instruction at a time. The
-    /// baseline tier the bench harness measures the others against.
+    /// Fetch → decode → prepare → execute, one instruction at a time: no
+    /// block is looked up or formed. The baseline tier the benchmark
+    /// measures the others against.
     Uncached,
-    /// PR 4's predecoded instruction cache: prepared lines are cached per
-    /// page and invalidated through the code-dirty channel.
+    /// The superblock tier's blocks, each body run one op at a time
+    /// through `exec_prepared`, which counts every op's statistics as it
+    /// retires. Enters exactly the blocks `Superblock` enters.
     Cached,
-    /// Superblocks formed over the predecoded lines: straight-line runs
+    /// Superblocks formed over prepared lines: straight-line runs
     /// execute as blocks with one PC lookup per block, each op dispatched
     /// once and each completed block settled once (see
     /// `crate::superblock`).

@@ -23,16 +23,18 @@
 //! window move) is one helper, which two executors run. `exec_prepared`
 //! executes one instruction and counts its statistics; every tier reaches
 //! it, and it is the only path for the ops that touch the PSW, `last_pc`
-//! or the trap unit, and for every op under the interlock model. The
-//! block executor (`exec_block`) runs a superblock's ops for their effects
-//! alone and settles the block's statistics and PC state once, from
-//! aggregates built when the block formed (see `crate::superblock`); an
-//! op that leaves a block early replays what committed, by the rules the
-//! trace tier uses too (`crate::retire`).
+//! or the trap unit, for every op under the interlock model, and for every
+//! op of the `cached` tier. The block executor (`exec_block`) runs a
+//! superblock's ops for their effects alone and settles the block's
+//! statistics and PC state once, from aggregates built when the block
+//! formed (see `crate::superblock`); an op that leaves a block early
+//! replays what committed, by the rules the trace tier uses too
+//! (`crate::retire`). Every tier fetches through one function, `fetch`,
+//! and runs one burst loop, `Cpu::exec_block_burst`.
 
 use crate::config::{BranchModel, ExecEngine, SimConfig};
 use crate::exec::alu;
-use crate::icache::{ICache, Line};
+use crate::line::Line;
 use crate::mem::{MemError, Memory};
 use crate::program::Program;
 use crate::retire::replay_meta;
@@ -201,7 +203,7 @@ impl std::error::Error for TooManyArgs {}
 /// Internal outcome of one execution attempt: either an unrecoverable
 /// host-level stop, or an architectural fault that the trap unit may
 /// vector to a handler.
-enum StepEvent {
+pub(crate) enum StepEvent {
     /// Not vectorable (fuel, faults inside spill/fill servicing, …).
     Fatal(ExecError),
     /// A vectorable architectural fault.
@@ -297,17 +299,14 @@ pub struct Cpu {
     fuel_limit: u64,
     /// The retirement recorder ([`Cpu::record_retired`]): `None` until
     /// armed, then at most [`RECORDER_ROWS`] rows. A host-side observer, so
-    /// like the caches below it is absent from [`CpuState`], snapshots and
-    /// every checksum.
+    /// like the block cache below it is absent from [`CpuState`], snapshots
+    /// and every checksum.
     retired: Option<Vec<Retired>>,
-    /// Predecoded instruction cache — *derived* state only (rebuilt from
-    /// memory on demand), so it is deliberately absent from
-    /// [`CpuState`]/snapshots/journals and from every checksum.
-    icache: ICache,
-    /// Superblock cache (engines `Superblock` and `Trace`), holding each
-    /// compiled trace in the block it is entered at — derived state, same
-    /// snapshot/checksum exemption as the icache. Invalidated in lockstep
-    /// with it by [`Cpu::drain_code_invalidations`].
+    /// The block cache, the one cache of decoded code (every engine but
+    /// `Uncached`), holding each compiled trace in the block it is entered
+    /// at. Derived state only, rebuilt from memory on demand, so it is
+    /// absent from [`CpuState`], snapshots, journals and every checksum.
+    /// Invalidated by [`Cpu::drain_code_invalidations`].
     blocks: BlockCache,
 }
 
@@ -327,7 +326,6 @@ impl Cpu {
             }
         }
         let fuel_limit = cfg.fuel;
-        let icache = ICache::default();
         let blocks = BlockCache::new(mem.page_count());
         Cpu {
             cfg,
@@ -349,7 +347,6 @@ impl Cpu {
             pending_probe: None,
             fuel_limit,
             retired: None,
-            icache,
             blocks,
         }
     }
@@ -687,50 +684,40 @@ impl Cpu {
             // fuel, never overrun it).
             let burst = left.min(self.fuel_limit - self.stats.instructions);
             let mut done = 0;
-            if matches!(self.cfg.engine, ExecEngine::Superblock | ExecEngine::Trace) {
-                if self.exec_block_burst(burst, &mut done)? == Halt::Returned {
-                    return Ok(Halt::Returned);
-                }
-            } else {
-                while done < burst {
-                    done += 1;
-                    match self.exec_one() {
-                        Ok(Halt::Running) => {}
-                        other => {
-                            if self.finish_exec(other)? == Halt::Returned {
-                                return Ok(Halt::Returned);
-                            }
-                            // A trap vectored; fall back to the boundary so
-                            // the fuel bound is recomputed.
-                            break;
-                        }
-                    }
-                }
+            if self.exec_block_burst(burst, &mut done)? == Halt::Returned {
+                return Ok(Halt::Returned);
             }
             left -= done;
         }
         Ok(Halt::Running)
     }
 
-    /// The superblock burst: up to `burst` step units, block at a time.
-    /// `done` is incremented by the step units consumed (one per retired
-    /// instruction or trapping execution attempt — exactly what the
-    /// one-at-a-time loop would count). Returns early — with the fuel
-    /// boundary to be recomputed by the caller — after any vectored trap,
-    /// mirroring the cached burst's `break`.
+    /// The burst: up to `burst` step units, a block at a time where a
+    /// block runs, one step at a time where none does. `done` is
+    /// incremented by the step units consumed (one per retired instruction
+    /// or trapping execution attempt — exactly what `step()` would count).
+    /// Returns early — with the fuel boundary to be recomputed by the
+    /// caller — after any vectored trap.
+    ///
+    /// Every engine runs this one loop, each by one rule: `Uncached` looks
+    /// up no block, so every step takes the one-step path; `Cached` runs
+    /// every block body one op at a time ([`Body::per_op`]); `Superblock`
+    /// runs bodies on the block executor; and `Trace` also promotes hot
+    /// blocks to traces and runs them.
     fn exec_block_burst(&mut self, burst: u64, done: &mut u64) -> Result<Halt, ExecError> {
-        // The trace engine rides the superblock burst: blocks accumulate
-        // heat here, and hot entries promote to compiled traces. Tracing
-        // needs the same precondition as the block executor (no hazard
-        // bookkeeping), so it degrades to per-op blocks without forwarding.
+        // Blocks accumulate heat here, and hot entries promote to compiled
+        // traces. Tracing needs the same precondition as the block executor
+        // (no hazard bookkeeping), so it degrades to per-op blocks without
+        // forwarding.
         let tracing = self.cfg.engine == ExecEngine::Trace && self.cfg.forwarding;
+        let forms_blocks = self.cfg.engine != ExecEngine::Uncached;
         while *done < burst {
             let left = burst - *done;
             // Blocks are entered only on clean boundaries: with a delayed
             // jump in flight the next instruction is a delay slot whose
             // successor depends on the pending target.
             let mut entry = None;
-            if self.pending_target.is_none() {
+            if forms_blocks && self.pending_target.is_none() {
                 self.drain_code_invalidations();
                 let pc = self.pc;
                 entry = match self.blocks.lookup(pc) {
@@ -757,10 +744,11 @@ impl Cpu {
             }
             let Some(idx) = entry.filter(|&idx| u64::from(self.blocks.block(idx).insns()) <= left)
             else {
-                // One step on the canonical path: a delay slot, text no
-                // block forms from (about to trap, which this raises), or a
-                // block that could overrun the step/fuel budget and break
-                // the exact `n`-step contract.
+                // One step on the one-step path: every step of the uncached
+                // engine, a delay slot, text no block forms from (about to
+                // trap, which this raises), or a block that could overrun
+                // the step/fuel budget and break the exact `n`-step
+                // contract.
                 *done += 1;
                 match self.exec_one() {
                     Ok(Halt::Running) => continue,
@@ -1288,66 +1276,23 @@ impl Cpu {
         }
     }
 
-    /// Fetches and decodes the word at `pc` the slow way, mapping failures
-    /// onto their architectural traps. The predecode cache never caches a
-    /// failing fetch, so this is also the only source of fetch traps.
-    fn fetch_decode(&mut self, pc: u32) -> Result<Instruction, StepEvent> {
-        let word = self.mem.peek_u32(pc).map_err(|err| StepEvent::Trap {
-            kind: match err {
-                MemError::Misaligned { .. } => TrapKind::Misaligned,
-                MemError::OutOfRange { .. } => TrapKind::InstructionAccess,
-            },
-            pc,
-            info: pc,
-            err: ExecError::Mem { pc, err },
-        })?;
-        Instruction::decode(word).map_err(|err| StepEvent::Trap {
-            kind: TrapKind::Decode,
-            pc,
-            info: word,
-            err: ExecError::Decode { pc, err },
-        })
-    }
-
-    /// Drains the code-dirty channel, fanning every invalidation event out
-    /// to the predecode cache *and* the superblock cache, which drops each
-    /// killed block's trace with it. Always combined: the drain clears page
-    /// registrations as it goes, so a one-sided drain would silently starve
-    /// the other consumer.
+    /// Drains the code-dirty channel into the block cache, which kills
+    /// every block decoded from a written page, and each killed block's
+    /// trace with it.
     #[inline]
     fn drain_code_invalidations(&mut self) {
-        if !self.mem.code_dirty_pending() {
-            return;
+        if self.mem.code_dirty_pending() {
+            let blocks = &mut self.blocks;
+            self.mem.drain_code_dirty(|d| blocks.invalidate(d));
         }
-        let (mem, icache, blocks) = (&mut self.mem, &mut self.icache, &mut self.blocks);
-        mem.drain_code_dirty(|d| {
-            icache.invalidate(d);
-            blocks.invalidate(d);
-        });
     }
 
-    /// Fetches, decodes and executes exactly one instruction, and hands
-    /// it to the retirement recorder if one is armed and wants rows.
+    /// Fetches and executes exactly one instruction, and hands it to the
+    /// retirement recorder if one is armed and wants rows. The one-step
+    /// path of every engine: the word is decoded from memory each time.
     fn exec_one(&mut self) -> Result<Halt, StepEvent> {
         let pc = self.pc;
-        // Fast fetch: the prepared line, when the cache can serve one
-        // (fills lazily; the channel drain first re-decodes self-modified
-        // text). Anything it cannot serve — including every faulting
-        // fetch — takes the architectural slow path, which pays the full
-        // decode + prepare cost per step. Both paths feed the same
-        // executor, so caching cannot change semantics. The superblock
-        // engine lands here too for its single-step cases (delay slots,
-        // unblockable text, `step()` calls).
-        let line = match self.cfg.engine {
-            ExecEngine::Uncached => Line::prepare(self.fetch_decode(pc)?),
-            ExecEngine::Cached | ExecEngine::Superblock | ExecEngine::Trace => {
-                self.drain_code_invalidations();
-                match self.icache.fetch(&mut self.mem, pc) {
-                    Some(line) => line,
-                    None => Line::prepare(self.fetch_decode(pc)?),
-                }
-            }
-        };
+        let line = fetch(&self.mem, pc)?;
         if self.recorder_wants_rows() {
             return self.exec_recorded(pc, &line);
         }
@@ -1374,9 +1319,10 @@ impl Cpu {
         r
     }
 
-    /// Executes one prepared instruction. This is the single executor body
-    /// shared by the cached and uncached fetch paths: all semantics live
-    /// here, operating on the pre-extracted fields of [`Line`].
+    /// Executes one prepared instruction, counting its statistics: the
+    /// executor of the one-step path and of per-op block bodies. All
+    /// semantics live here or in the effect helpers it shares with the
+    /// block executor, operating on the pre-extracted fields of [`Line`].
     #[inline]
     fn exec_prepared(&mut self, pc: u32, line: &Line) -> Result<Halt, StepEvent> {
         let in_delay_slot = self.pending_target.is_some();
@@ -1920,6 +1866,33 @@ fn store_op(mem: &mut Memory, op: Opcode, addr: u32, v: u32) -> Result<(), MemEr
         Opcode::Stb => mem.write_u8(addr, v as u8),
         _ => unreachable!("not a store"),
     }
+}
+
+/// Fetches the word at `pc` and prepares it: the one fetch path, which the
+/// one-step path runs for every instruction it executes and block
+/// formation for every line of a block. A fetch that faults (misaligned,
+/// out of range) or a word that does not decode is its architectural trap.
+///
+/// Inlined: out of line, `step()` on the uncached tier, which fetches
+/// every instruction, ran about a fifth slower.
+#[inline]
+pub(crate) fn fetch(mem: &Memory, pc: u32) -> Result<Line, StepEvent> {
+    let word = mem.peek_u32(pc).map_err(|err| StepEvent::Trap {
+        kind: match err {
+            MemError::Misaligned { .. } => TrapKind::Misaligned,
+            MemError::OutOfRange { .. } => TrapKind::InstructionAccess,
+        },
+        pc,
+        info: pc,
+        err: ExecError::Mem { pc, err },
+    })?;
+    let insn = Instruction::decode(word).map_err(|err| StepEvent::Trap {
+        kind: TrapKind::Decode,
+        pc,
+        info: word,
+        err: ExecError::Decode { pc, err },
+    })?;
+    Ok(Line::prepare(insn))
 }
 
 /// The trap event for a data-access fault at `addr` by the instruction at
@@ -2725,6 +2698,15 @@ mod tests {
             0,
             "the uncached engine forms none"
         );
+        // The cached engine enters the same blocks, runs their bodies one
+        // op at a time, and runs no trace.
+        let c = cac.stats();
+        assert_eq!(
+            (c.blocks_entered, c.block_instructions),
+            (s.blocks_entered, s.block_instructions),
+            "cached enters superblock's blocks"
+        );
+        assert_eq!((c.traces_built, c.trace_instructions), (0, 0));
         // The trace tier promoted the hot loop and ran it from trace IR.
         assert!(trc.stats().traces_built >= 1, "loop promoted to a trace");
         assert!(trc.stats().trace_entries >= 1, "trace entered");
@@ -2804,11 +2786,11 @@ mod tests {
         }
     }
 
-    /// The icache and block page tables start empty and grow only to the
+    /// The block cache's page table starts empty and grows only to the
     /// highest page the run executed from — not to memory's size.
     #[test]
-    fn cache_page_tables_grow_only_to_the_highest_page_executed() {
-        let table_lens = |cpu: &Cpu| (cpu.icache.page_table_len(), cpu.blocks.page_table_len());
+    fn the_block_page_table_grows_only_to_the_highest_page_executed() {
+        let table_len = |cpu: &Cpu| cpu.blocks.page_table_len();
         // Forty nops fill the code base's page and spill into the next, so
         // the hot loop and the halt sit wholly in the second page.
         let mut p = vec![Instruction::nop(); 40];
@@ -2822,19 +2804,14 @@ mod tests {
                 engine,
                 ..cfg.clone()
             };
-            assert_eq!(
-                table_lens(&Cpu::new(cfg.clone())),
-                (0, 0),
-                "{engine:?}: fresh"
-            );
+            assert_eq!(table_len(&Cpu::new(cfg.clone())), 0, "{engine:?}: fresh");
             let cpu = run_with(cfg, p.clone(), &[]);
             assert_eq!(cpu.result(), 7 * 100);
-            let (icache, blocks) = table_lens(&cpu);
+            let blocks = table_len(&cpu);
             match engine {
-                ExecEngine::Uncached => assert_eq!((icache, blocks), (0, 0)),
-                ExecEngine::Cached => assert_eq!((icache, blocks), (last + 1, 0)),
+                ExecEngine::Uncached => assert_eq!(blocks, 0, "no block formed"),
+                ExecEngine::Cached => assert_eq!(blocks, last + 1, "blocks span both pages"),
                 _ => {
-                    assert!(icache <= last + 1, "icache: {icache}");
                     assert_eq!(blocks, last + 1, "blocks and the trace span both pages");
                     assert!(cpu.stats().traces_built >= 1, "loop promoted");
                 }

@@ -1,7 +1,7 @@
 //! Wall-clock deadlines for execution watchdogs.
 //!
 //! Fuel bounds the number of *retired instructions*, but a job can also
-//! stall on host time (a pathological icache pattern, a storm of trap
+//! stall on host time (a pathological self-modifying pattern, a storm of trap
 //! deliveries that retire nothing). A [`Deadline`] is the wall-clock half
 //! of the watchdog story: an absolute `Instant` that run loops poll
 //! *between* simulation steps, so checking it can never perturb the

@@ -41,10 +41,10 @@ pub mod config;
 pub mod cpu;
 pub mod deadline;
 pub mod exec;
-mod icache;
 pub mod inject;
 pub mod journal;
 pub mod json;
+mod line;
 pub mod mem;
 pub mod pipeline;
 pub mod program;
@@ -59,9 +59,9 @@ pub mod windows;
 pub use config::{BranchModel, ExecEngine, FusionConfig, SimConfig};
 pub use cpu::{Cpu, ExecError, Halt, TooManyArgs, TRAP_VECTOR_STRIDE};
 pub use deadline::Deadline;
-pub use icache::prepared_base_cycles;
 pub use inject::{FaultInjector, InjectConfig, InjectEvent, InjectKind, XorShift64};
 pub use journal::{Journal, JournalError, JournalEvent, RecordedOutcome, JOURNAL_VERSION};
+pub use line::prepared_base_cycles;
 pub use mem::{MemError, Memory, CODE_DIRTY_PENDING_CAP, PAGE_BYTES};
 pub use program::Program;
 pub use snapshot::{

@@ -22,19 +22,20 @@
 //! * the checkpoint subsystem ([`crate::snapshot`]) reads and clears the
 //!   `dirty` bitmap to keep periodic snapshots incremental — only pages
 //!   written since the previous checkpoint are copied and re-checksummed;
-//! * the predecoded instruction cache (`crate::icache`) drains its own
-//!   channel (`code_dirty*`) so that writes over already-decoded text
-//!   invalidate exactly the pages they touched. The channels are fed by the
-//!   same `mark_page` entry point but cleared independently, so taking a
-//!   checkpoint never hides a self-modifying store from the decode cache
+//! * the block cache (`crate::superblock`), the one cache of decoded
+//!   code, drains its own channel (`code_dirty*`) so that writes over
+//!   already-decoded text kill exactly the blocks (and traces) decoded
+//!   from the pages they touched. The channels are fed by the same
+//!   `mark_page` entry point but cleared independently, so taking a
+//!   checkpoint never hides a self-modifying store from the block cache
 //!   (and vice versa).
 
 use crate::windows::SPILL_REGS;
 use std::fmt;
 
-/// Cap on the exact pending-page list of the decode-cache channel. Once a
-/// run dirties more distinct pages than this between drains (bulk loads,
-/// memset-style stores with predecoding off), the channel degrades to a
+/// Cap on the exact pending-page list of the code-dirty channel. Once a
+/// run dirties more distinct registered code pages than this between
+/// drains (a bulk patch of a large text, say), the channel degrades to a
 /// single flush-everything flag instead of growing without bound. Public so
 /// the overflow-degradation equivalence test can size its program to force
 /// the flush-all path.
@@ -119,7 +120,7 @@ impl MemTraffic {
     }
 }
 
-/// One invalidation notice from the decode-cache dirty channel (see
+/// One invalidation notice from the code-dirty channel (see
 /// [`Memory::drain_code_dirty`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CodeDirty {
@@ -173,22 +174,23 @@ pub struct Memory {
     /// Dirty-page bitmap, one bit per [`PAGE_BYTES`] page — the checkpoint
     /// consumer ([`Memory::dirty_pages`] / [`Memory::clear_dirty`]).
     dirty: Vec<u64>,
-    /// Decode-cache consumer: bitmap of pages dirtied since the cache last
+    /// Block-cache consumer: bitmap of pages dirtied since the cache last
     /// drained (deduplicates `code_dirty_pages` pushes in O(1)).
     code_dirty: Vec<u64>,
-    /// Exact list of newly-dirtied page indices for the decode cache —
+    /// Exact list of newly-dirtied page indices for the block cache —
     /// bounded by [`CODE_DIRTY_PENDING_CAP`], after which `code_dirty_all`
     /// takes over.
     code_dirty_pages: Vec<u32>,
-    /// Flush-everything flag for the decode cache: set by
+    /// Flush-everything flag for the block cache: set by
     /// [`Memory::mark_all_dirty`] (wholesale restores) and by pending-list
     /// overflow.
     code_dirty_all: bool,
-    /// Pages the decode cache currently holds lines for (registered via
-    /// [`Memory::note_code_page`]). Writes to *unregistered* pages — the
-    /// overwhelmingly common case, since data pages outnumber text pages —
-    /// never touch the channel at all, so an ordinary store costs one bit
-    /// test here instead of a push/drain round-trip with the cache.
+    /// Pages the block cache holds decoded code from: a block's lines or
+    /// a trace's ops (registered via [`Memory::note_code_page`]). Writes
+    /// to *unregistered* pages — the overwhelmingly common case, since
+    /// data pages outnumber text pages — never touch the channel at all,
+    /// so an ordinary store costs one bit test here instead of a
+    /// push/drain round-trip with the cache.
     code_pages: Vec<u64>,
 }
 
@@ -275,7 +277,7 @@ impl Memory {
     }
 
     /// Clears the dirty-page map (a checkpoint was just taken). The
-    /// decode-cache channel is deliberately untouched: the two consumers
+    /// code-dirty channel is deliberately untouched: the two consumers
     /// of the dirty tracker are independent.
     pub fn clear_dirty(&mut self) {
         self.dirty.iter_mut().for_each(|w| *w = 0);
@@ -283,9 +285,9 @@ impl Memory {
 
     /// Marks every page dirty (conservative reset after a wholesale
     /// restore, when the incremental baseline is no longer valid). Also
-    /// arms the decode cache's flush-everything flag, which is what makes
-    /// `restore()`/`rollback()`/`revert_to()` invalidate stale predecoded
-    /// lines without any snapshot-side bookkeeping.
+    /// arms the code-dirty channel's flush-everything flag, which is what
+    /// makes `restore()`/`rollback()`/`revert_to()` drop stale blocks and
+    /// traces without any snapshot-side bookkeeping.
     pub fn mark_all_dirty(&mut self) {
         self.dirty.iter_mut().for_each(|w| *w = !0);
         self.code_dirty_all = true;
@@ -293,15 +295,15 @@ impl Memory {
         self.code_dirty.iter_mut().for_each(|w| *w = 0);
     }
 
-    /// Whether the decode-cache invalidation channel has pending pages —
-    /// the O(1) poll the fetch fast path performs before trusting a cached
-    /// line.
+    /// Whether the code-dirty channel has pending pages — the O(1) poll
+    /// the burst loop performs before trusting a cached block, and block
+    /// bodies and traces after every op that writes memory.
     #[inline]
     pub(crate) fn code_dirty_pending(&self) -> bool {
         self.code_dirty_all || !self.code_dirty_pages.is_empty()
     }
 
-    /// Drains the decode-cache invalidation channel: calls `f` with
+    /// Drains the code-dirty channel: calls `f` with
     /// [`CodeDirty::Page`] for every page written since the previous drain,
     /// or with [`CodeDirty::All`] once when the channel overflowed or
     /// [`Memory::mark_all_dirty`] ran. Clears the channel either way.
@@ -326,10 +328,11 @@ impl Memory {
         self.code_dirty.iter_mut().for_each(|w| *w = 0);
     }
 
-    /// Registers page `idx` as holding decoded lines: from now on, any
-    /// write to it raises the invalidation channel. The decode cache calls
-    /// this when it first fills a line in the page; the registration drops
-    /// automatically when a drain names the page.
+    /// Registers page `idx` as holding decoded code: from now on, any
+    /// write to it raises the invalidation channel. The block cache calls
+    /// this for every page a block it builds, or a trace it attaches, was
+    /// decoded from; the registration drops automatically when a drain
+    /// names the page.
     #[inline]
     pub(crate) fn note_code_page(&mut self, idx: usize) {
         if let Some(w) = self.code_pages.get_mut(idx / 64) {
@@ -432,7 +435,7 @@ impl Memory {
         self.note_code_dirty(idx);
     }
 
-    /// Feeds the decode-cache channel with one dirtied page index. Writes
+    /// Feeds the code-dirty channel with one dirtied page index. Writes
     /// to pages the cache holds nothing for are filtered out here; for the
     /// rest, the bitmap deduplicates, so a page written a million times
     /// between drains occupies one pending slot.
@@ -801,7 +804,7 @@ mod tests {
         m.write_u32(0, 1).unwrap();
         m.write_u32(2 * PAGE_BYTES as u32, 2).unwrap();
         // A checkpoint clears its own bitmap but must not swallow the
-        // decode cache's view of the same writes.
+        // block cache's view of the same writes.
         m.clear_dirty();
         assert!(m.code_dirty_pending());
         assert_eq!(drain(&mut m), (false, vec![0, 2]));

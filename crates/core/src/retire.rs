@@ -9,7 +9,7 @@
 //! in the direction it went ([`TMeta::directed`]), an op whose access,
 //! spill or fill faulted with its retirement alone ([`TMeta::faulted`]).
 
-use crate::icache::Line;
+use crate::line::Line;
 use crate::stats::ExecStats;
 use risc1_isa::Opcode;
 

@@ -1,16 +1,14 @@
-//! Superblock execution: block formation over the predecoded instruction
-//! cache, and the block executor's bodies.
+//! Superblock execution: block formation over prepared lines, and the
+//! block executor's bodies.
 //!
-//! The cached engine removed decode from the hot loop but still pays a
-//! PC→line lookup, an invalidation-channel poll and a full dispatch per
-//! retired instruction. This module removes the per-instruction overheads
-//! for straight-line runs: consecutive prepared [`Line`]s are grouped into
-//! **superblocks** that end at a transfer of control (including its delay
-//! slot, unless the slot is itself a transfer) or at a page boundary. One
-//! PC lookup, one channel poll and one boundary check are paid per
-//! *block* instead of per instruction. A block owns its body and the
-//! engine runs it by reference: entering a block costs a direct-mapped
-//! lookup, with no copy of the body and no reference count.
+//! Straight-line runs of prepared [`Line`]s, fetched through the one fetch
+//! path (`cpu::fetch`), are grouped into **superblocks** that end at a
+//! transfer of control (including its delay slot, unless the slot is
+//! itself a transfer) or at a page boundary. One PC lookup, one channel
+//! poll and one boundary check are paid per *block* instead of per
+//! instruction. A block owns its body and the engine runs it by reference:
+//! entering a block costs a direct-mapped lookup, with no copy of the body
+//! and no reference count.
 //!
 //! A body is the block's lines plus what a completed run retires,
 //! aggregated when the block forms ([`Body`]). The block executor
@@ -21,32 +19,34 @@
 //! store or spill that dirties code, a return that halts) replays the
 //! ops that committed through [`retired`], the rule the aggregates are
 //! built from ([`crate::retire`]). A block holding an op the executor
-//! does not run (CALLI, RETI, GTLPC, GETPSW, PUTPSW), or any block of a
-//! machine without forwarding, runs its lines through `exec_prepared` one
-//! at a time instead ([`Body::per_op`]).
+//! does not run (CALLI, RETI, GTLPC, GETPSW, PUTPSW), any block of a
+//! machine without forwarding, and every block of the `cached` tier runs
+//! its lines through `exec_prepared` one at a time instead
+//! ([`Body::per_op`]).
 //!
 //! A block is also where a compiled trace lives: the trace tier
 //! ([`crate::trace`]) attaches each trace to the block it is entered at,
 //! so one lookup finds both.
 //!
-//! Correctness of invalidation rides the same code-dirty channel as the
-//! icache: every page a block's instructions were decoded from — and every
-//! page its trace's ops were lowered from — is registered with [`Memory`],
-//! and `Cpu::drain_code_invalidations` fans each channel event out to both
-//! caches. Invalidation is block-granular: a dirtied page kills exactly the
-//! blocks that read it, each with its trace. A block is alive exactly while
-//! the entry map names it, and its promotion heat is the sum of its exit
-//! profile, so the block record stores neither and stays at 32 bytes. Like
-//! the icache, the whole structure is *derived* state — absent from
-//! snapshots, journals, and checksums.
+//! This is the one cache of decoded code. Every page a block's
+//! instructions were decoded from, and every page its trace's ops were
+//! lowered from, is registered with [`Memory`]'s code-dirty channel, and
+//! `Cpu::drain_code_invalidations` applies each channel event here.
+//! Invalidation is block-granular: a dirtied page kills exactly the blocks
+//! that read it, each with its trace. A block is alive exactly while the
+//! entry map names it, and its promotion heat is the sum of its exit
+//! profile, so the block record stores neither and stays at 32 bytes. The
+//! whole structure is *derived* state — absent from snapshots, journals,
+//! and checksums.
 
-use crate::config::{BranchModel, SimConfig};
-use crate::icache::Line;
+use crate::config::{BranchModel, ExecEngine, SimConfig};
+use crate::cpu::fetch;
+use crate::line::Line;
 use crate::mem::{CodeDirty, Memory, PAGE_BYTES};
 use crate::retire::{replay_meta, TMeta};
 use crate::stats::ExecStats;
 use crate::trace::Trace;
-use risc1_isa::{Instruction, Opcode};
+use risc1_isa::Opcode;
 
 /// Sentinel for "no live block starts at this word" in
 /// [`BlockCache::map`].
@@ -128,8 +128,9 @@ pub(crate) struct Body {
     /// its target in flight.
     pub slot: bool,
     /// Whether the lines run one at a time through `exec_prepared`: the
-    /// block holds an op the block executor does not run, or the machine
-    /// has no forwarding, whose hazard bookkeeping is per op.
+    /// engine is `Cached`, the block holds an op the block executor does
+    /// not run, or the machine has no forwarding, whose hazard bookkeeping
+    /// is per op.
     pub per_op: bool,
 }
 
@@ -146,6 +147,7 @@ impl Body {
             s
         });
         let per_op = !cfg.forwarding
+            || cfg.engine == ExecEngine::Cached
             || lines.iter().any(|l| {
                 matches!(
                     l.op,
@@ -465,18 +467,16 @@ impl BlockCache {
     }
 }
 
-/// Collects the prepared lines of one superblock: consecutive decodable
-/// words from `start`, ending after a transfer (and, when safe, its delay
-/// slot) or at a page boundary. Returns `None` if not even the first word
-/// prepares. Shared with the trace builder, which re-collects the lines of
-/// each block on its path.
+/// Collects the prepared lines of one superblock: consecutive words from
+/// `start` that fetch without a trap, ending after a transfer (and, when
+/// safe, its delay slot) or at a page boundary. Returns `None` if the
+/// first fetch traps (misaligned, out of range, undecodable): the one-step
+/// path raises that trap. Shared with the trace builder, which re-collects
+/// the lines of each block on its path.
 pub(crate) fn collect_lines(mem: &Memory, start: u32) -> Option<Vec<Line>> {
-    if start & 3 != 0 {
-        return None;
-    }
     let mut lines = Vec::new();
     let mut pc = start;
-    while let Some(line) = prepare_at(mem, pc) {
+    while let Ok(line) = fetch(mem, pc) {
         lines.push(line);
         pc = pc.wrapping_add(4);
         if line.is_transfer {
@@ -485,7 +485,7 @@ pub(crate) fn collect_lines(mem: &Memory, start: u32) -> Option<Vec<Line>> {
             // that is another transfer raises TransferInDelaySlot — left
             // out so the one-step path delivers the trap.
             if line.op.has_delay_slot() {
-                if let Some(slot) = prepare_at(mem, pc) {
+                if let Ok(slot) = fetch(mem, pc) {
                     if !slot.is_transfer {
                         lines.push(slot);
                     }
@@ -500,17 +500,10 @@ pub(crate) fn collect_lines(mem: &Memory, start: u32) -> Option<Vec<Line>> {
     (!lines.is_empty()).then_some(lines)
 }
 
-/// Prepares the word at `pc`, or `None` for anything the slow path must
-/// handle (never cached, mirroring `ICache::fetch`).
-fn prepare_at(mem: &Memory, pc: u32) -> Option<Line> {
-    let word = mem.peek_u32(pc).ok()?;
-    Some(Line::prepare(Instruction::decode(word).ok()?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use risc1_isa::{Cond, Reg, Short2};
+    use risc1_isa::{Cond, Instruction, Reg, Short2};
 
     fn mem_with(words: &[u32]) -> Memory {
         let mut mem = Memory::new(4 * PAGE_BYTES);

@@ -106,7 +106,7 @@
 //! holds with no new escape hatches.
 
 use crate::config::{BranchModel, SimConfig};
-use crate::icache::Line;
+use crate::line::Line;
 use crate::mem::{MemError, Memory};
 use crate::retire::{replay_meta, TMeta};
 use crate::stats::ExecStats;
@@ -1155,8 +1155,7 @@ fn build_hot(
         let b = blocks.block(idx);
         pc = if taken_exit {
             let transfer = b.end.wrapping_sub(if b.insns() >= 2 { 8 } else { 4 });
-            let line =
-                crate::superblock::collect_lines(mem, transfer).and_then(|l| l.first().copied())?;
+            let line = crate::cpu::fetch(mem, transfer).ok()?;
             transfer.wrapping_add(line.imm19 as u32)
         } else {
             b.end

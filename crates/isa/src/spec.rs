@@ -13,8 +13,8 @@
 //!   `reads_cc`/`safe_in_delay_slot_of` delegate here instead of hand-listing
 //!   opcodes;
 //! * [`crate::encoding::scc_allowed`] and the decoder's legality checks;
-//! * the simulator's predecoded icache (base cycle cost of a prepared line)
-//!   and the superblock builder's fusion gates (`is_alu`/`reads_carry`);
+//! * the simulator's prepared lines (base cycle cost and transfer flag)
+//!   and the trace builder's lowering classes ([`Lowering`]);
 //! * the lint crate's dataflow facts and the `dead-scc-set` /
 //!   `spec-illegal-encoding` rules (via [`validate`]);
 //! * `risc1 lint --spec-audit`, which cross-checks assembler, disassembler

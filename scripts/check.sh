@@ -30,7 +30,7 @@ cargo test -q --test checkpoint_replay
 echo "==> cargo test --test interp_equivalence (four-engine equivalence law)"
 cargo test -q --test interp_equivalence
 
-echo "==> risc1 lint --spec-audit (ISA spec table vs metadata/codec/assembler/icache)"
+echo "==> risc1 lint --spec-audit (ISA spec table vs metadata/codec/assembler/prepared lines)"
 cargo run -q --release -p risc1-cli --bin risc1 -- lint --spec-audit
 
 echo "==> risc1 exp all vs EXPERIMENT_RESULTS.txt (the simulated tables must"

@@ -1,21 +1,22 @@
 //! The execution engines' correctness law: acceleration is invisible.
 //!
-//! Three tiers accelerate the reference interpreter: a predecoded
-//! instruction cache (`crates/core/src/icache.rs`); a superblock engine
-//! over it (`crates/core/src/superblock.rs`): straight-line blocks formed
-//! over the cached lines, run by a block executor that settles each block
-//! once; and the trace tier
-//! (`crates/core/src/trace.rs`): hot superblock sequences compiled to
+//! Every engine runs one burst loop over one fetch path, and each tier is
+//! one rule in it. `uncached` forms no block: every instruction takes the
+//! one-step path, fetched and decoded from memory. `cached` forms
+//! superblocks (`crates/core/src/superblock.rs`), straight-line blocks of
+//! prepared lines, and runs their bodies one op at a time through the
+//! one-step executor. `superblock` runs the same bodies on the block
+//! executor, which settles each block once. `trace`
+//! (`crates/core/src/trace.rs`) also compiles hot superblock sequences to
 //! register-allocated trace IR with bulk statistics applied at trace exit,
 //! running both directions of a data-dependent branch as arms. All of that
-//! is pure derived state — under any of the four engines (`uncached`,
-//! `cached`, `superblock`, `trace`), every simulated observable must be
-//! bit-identical: final result, `ExecStats`
+//! is pure derived state — under any of the four engines, every simulated
+//! observable must be bit-identical: final result, `ExecStats`
 //! (instruction mix, cycles, traps, spills), the entire memory image, the
 //! visible register window, the window-file position, and the whole
 //! machine as its snapshot checksum sees it (PSW, trap state, `last_pc`,
 //! the in-flight target, the save-stack pointer). This suite holds all
-//! engines to that bar ten ways:
+//! engines to that bar eleven ways:
 //!
 //! 1. deterministically across all eleven suite workloads (four-way),
 //!    under both the delayed and the suspended branch model, with a floor
@@ -36,7 +37,7 @@
 //! 6. by dirtying more registered code pages than the pending channel
 //!    can hold, forcing the overflow → flush-everything fallback,
 //! 7. with a hot loop in the last page of memory — the far end of the
-//!    caches' lazily grown page tables — that patches itself and then
+//!    block cache's lazily grown tables — that patches itself and then
 //!    jumps past the end of memory,
 //! 8. with a hot loop whose block leaves early on some iterations, through
 //!    a vectored fault and through a code-dirty store, and must run its
@@ -44,9 +45,13 @@
 //! 9. with a bubble-style hot loop whose swap test goes both ways, so its
 //!    trace holds both directions: plain, with vectored faults and
 //!    code-dirty stores on both paths, under the suspended branch model,
-//!    and chopped by `step_n` at every size up to its longest path, and
+//!    and chopped by `step_n` at every size up to its longest path,
 //! 10. with a hot loop entered from outside whose first op faults, with
-//!     no handler, after its trace has completed passes.
+//!     no handler, after its trace has completed passes, and
+//! 11. with fetches that trap: a jump to an undecodable word, a jump to a
+//!     misaligned address, and an undecodable word in a taken branch's
+//!     delay slot, each unhandled and with a handler that resumes, run by
+//!     `run()` and one `step()` at a time.
 
 use proptest::prelude::*;
 use risc1::core::inject::{InjectConfig, InjectModes};
@@ -144,6 +149,23 @@ fn run_cfg(prog: &Program, args: &[i32], cfg: SimConfig) -> FinalState {
     capture(&cpu)
 }
 
+/// The cached tier's rule: it enters exactly the blocks the superblock tier
+/// enters, retiring as many instructions in their bodies, and runs no
+/// trace. Both sides' `blocks_entered` and `block_instructions` are host
+/// telemetry, outside the `ExecStats` equality the laws assert.
+fn assert_same_blocks(cached: &ExecStats, superblock: &ExecStats, id: &str) {
+    assert_eq!(
+        (cached.blocks_entered, cached.block_instructions),
+        (superblock.blocks_entered, superblock.block_instructions),
+        "{id}: cached entered other blocks than superblock"
+    );
+    assert_eq!(
+        (cached.traces_built, cached.trace_instructions),
+        (0, 0),
+        "{id}: cached ran a trace"
+    );
+}
+
 /// Floors on the trace tier's coverage (`trace_instructions /
 /// instructions`) of the loop programs at `small_args`, each 0.05 below
 /// what the tier read when the floors were set: e_string_search 0.976,
@@ -175,13 +197,14 @@ fn every_workload_is_bit_identical_across_all_four_engines() {
             // The superblock engine must actually engage (not silently fall
             // back to single-stepping): block bodies retire every
             // instruction of a suite run, as `tests/host_counts.rs`
-            // records. No other tier enters a block.
+            // records. The uncached tier enters no block, and the cached
+            // tier enters exactly superblock's, running their bodies per op.
             assert_eq!(
                 superblock.stats.block_instructions, superblock.stats.instructions,
                 "{id}: instructions retired outside a block body"
             );
             assert_eq!(uncached.stats.blocks_entered, 0, "{id}");
-            assert_eq!(cached.stats.blocks_entered, 0, "{id}");
+            assert_same_blocks(&cached.stats, &superblock.stats, &id);
             traced_anywhere += trace.stats.trace_instructions;
             assert_eq!(
                 superblock.stats.trace_instructions, 0,
@@ -230,15 +253,17 @@ fn every_workload_is_bit_identical_across_all_four_engines_without_forwarding() 
                 run_cfg(&prog, &w.small_args, cfg)
             };
             let uncached = run(ExecEngine::Uncached);
+            let cached = run(ExecEngine::Cached);
             let superblock = run(ExecEngine::Superblock);
             let id = format!("{} ({branch_model:?}, no forwarding)", w.id);
-            assert_eq!(run(ExecEngine::Cached), uncached, "{id}: cached differs");
+            assert_eq!(cached, uncached, "{id}: cached differs");
             assert_eq!(superblock, uncached, "{id}: superblock differs");
             assert_eq!(run(ExecEngine::Trace), uncached, "{id}: trace differs");
             assert_eq!(
                 superblock.stats.block_instructions, superblock.stats.instructions,
                 "{id}: instructions retired outside a block body"
             );
+            assert_same_blocks(&cached.stats, &superblock.stats, &id);
         }
     }
 }
@@ -1131,4 +1156,192 @@ fn an_unhandled_fault_at_a_traces_first_op_keeps_the_last_pass_in_last_pc() {
         trace.1.stats.trace_entries > 100,
         "the loop ran from its trace"
     );
+}
+
+/// Where the fetch-trap cases install their handler: below the code base,
+/// in a page of its own.
+const FETCH_TRAP_HANDLER: u32 = 0x400;
+
+/// One fetch-trap program: its text, the word patched over one of its
+/// instructions (Program text holds only decodable instructions), the trap
+/// a fetch raises in it, the PC that fetch is at, and a handler that
+/// resumes the program past the trap.
+struct FetchTrapCase {
+    name: &'static str,
+    text: Vec<Instruction>,
+    patch: Option<(u32, u32)>,
+    kind: TrapKind,
+    fault_pc: u32,
+    handler: Vec<Instruction>,
+}
+
+/// Runs `case` to its end under `engine`, through `run()` or one `step()`
+/// at a time, with its handler installed or not.
+fn run_fetch_trap(
+    case: &FetchTrapCase,
+    engine: ExecEngine,
+    handled: bool,
+    stepped: bool,
+) -> (Result<(), ExecError>, FinalState) {
+    let cfg = SimConfig {
+        engine,
+        ..SimConfig::default()
+    };
+    let code_base = cfg.code_base;
+    let mut cpu = Cpu::new(cfg);
+    let prog = Program::from_instructions(case.text.clone());
+    cpu.load_program(&prog).expect("program fits memory");
+    if let Some((index, word)) = case.patch {
+        cpu.mem
+            .load_image(code_base + 4 * index, &word.to_le_bytes())
+            .expect("patch fits memory");
+    }
+    if handled {
+        for (i, insn) in case.handler.iter().enumerate() {
+            cpu.mem
+                .load_image(
+                    FETCH_TRAP_HANDLER + 4 * i as u32,
+                    &insn.encode().to_le_bytes(),
+                )
+                .expect("handler fits memory");
+        }
+        cpu.set_trap_handler(case.kind, FETCH_TRAP_HANDLER);
+    }
+    let end = if stepped {
+        loop {
+            match cpu.step() {
+                Ok(Halt::Running) => {}
+                Ok(Halt::Returned) => break Ok(()),
+                Err(e) => break Err(e),
+            }
+        }
+    } else {
+        cpu.run()
+    };
+    (end, capture(&cpu))
+}
+
+#[test]
+fn fetch_traps_are_the_same_on_every_tier() {
+    let imm = |v: i32| Short2::imm(v).expect("fits imm13");
+    let code_base = SimConfig::default().code_base;
+    let undecodable = 0xffff_ffff;
+    assert!(Instruction::decode(undecodable).is_err());
+    // Each program leaves r26 = 6 if its handler resumed it where the
+    // case says, and halts.
+    let add = |d: Reg, s: Reg, v: i32| Instruction::reg(Opcode::Add, d, s, imm(v));
+    let halt = [Instruction::ret(Reg::R0, imm(0)), Instruction::nop()];
+    let skip = |by: i32| vec![Instruction::reti(Reg::R25, imm(by)), Instruction::nop()];
+    let cases = [
+        // A jump to an undecodable word: no block forms there, so the
+        // one-step path raises the decode trap. The handler skips it.
+        FetchTrapCase {
+            name: "a jump to an undecodable word",
+            text: [
+                add(Reg::R16, Reg::R0, 5),
+                Instruction::jmpr(Cond::Alw, 4 * 3),
+                add(Reg::R17, Reg::R0, 1), // delay slot
+                add(Reg::R16, Reg::R0, 99),
+                Instruction::nop(), // patched: undecodable
+                Instruction::reg(Opcode::Add, Reg::R26, Reg::R16, Short2::Reg(Reg::R17)),
+            ]
+            .into_iter()
+            .chain(halt)
+            .collect(),
+            patch: Some((4, undecodable)),
+            kind: TrapKind::Decode,
+            fault_pc: code_base + 4 * 4,
+            handler: skip(4),
+        },
+        // A jump into the middle of a word: the fetch is misaligned. The
+        // handler resumes at the next word.
+        FetchTrapCase {
+            name: "a jump to a misaligned address",
+            text: [
+                add(Reg::R16, Reg::R0, 5),
+                Instruction::jmpr(Cond::Alw, 4 * 3 + 2),
+                add(Reg::R17, Reg::R0, 1), // delay slot
+                add(Reg::R16, Reg::R0, 99),
+                add(Reg::R16, Reg::R0, 77), // jumped into
+                Instruction::reg(Opcode::Add, Reg::R26, Reg::R16, Short2::Reg(Reg::R17)),
+            ]
+            .into_iter()
+            .chain(halt)
+            .collect(),
+            patch: None,
+            kind: TrapKind::Misaligned,
+            fault_pc: code_base + 4 * 4 + 2,
+            handler: skip(2),
+        },
+        // An undecodable word in a taken branch's delay slot: the block
+        // leaves the slot out and exits with the jump in flight, the
+        // one-step path raises the trap, and the lastpc rule restarts at
+        // the branch. The handler copies its own last word, a nop, over
+        // the slot, and returns to the branch, which runs the new slot.
+        FetchTrapCase {
+            name: "an undecodable word in a taken branch's delay slot",
+            text: [
+                add(Reg::R16, Reg::R0, 5),
+                Instruction::reg_scc(Opcode::Sub, Reg::R0, Reg::R16, imm(5)),
+                Instruction::jmpr(Cond::Eq, 4 * 3),
+                Instruction::nop(), // delay slot, patched: undecodable
+                add(Reg::R16, Reg::R0, 99),
+                add(Reg::R26, Reg::R16, 1),
+            ]
+            .into_iter()
+            .chain(halt)
+            .collect(),
+            patch: Some((3, undecodable)),
+            kind: TrapKind::Decode,
+            fault_pc: code_base + 4 * 3,
+            handler: vec![
+                Instruction::reg(
+                    Opcode::Ldl,
+                    Reg::R16,
+                    Reg::R0,
+                    imm(FETCH_TRAP_HANDLER as i32 + 12),
+                ),
+                Instruction::reg(Opcode::Stl, Reg::R16, Reg::R25, imm(4)),
+                Instruction::reti(Reg::R25, imm(0)),
+                Instruction::nop(), // delay slot, and the word copied
+            ],
+        },
+    ];
+    for case in &cases {
+        for handled in [false, true] {
+            let id = format!(
+                "{} ({})",
+                case.name,
+                if handled { "handled" } else { "unhandled" }
+            );
+            let reference = run_fetch_trap(case, ExecEngine::Uncached, handled, true);
+            let (end, state) = &reference;
+            if handled {
+                assert_eq!(*end, Ok(()), "{id}: the handler resumes the program");
+                assert_eq!(state.result, 6, "{id}: resumed where the case says");
+                assert_eq!(state.stats.trap_count(case.kind), 1, "{id}");
+            } else {
+                let err = end
+                    .as_ref()
+                    .expect_err("an unhandled fetch trap stops the run");
+                let cause = err.trap_cause().expect("a fetch trap is vectorable");
+                assert_eq!((cause.kind, cause.pc), (case.kind, case.fault_pc), "{id}");
+            }
+            for engine in [
+                ExecEngine::Uncached,
+                ExecEngine::Cached,
+                ExecEngine::Superblock,
+                ExecEngine::Trace,
+            ] {
+                for stepped in [false, true] {
+                    assert_eq!(
+                        run_fetch_trap(case, engine, handled, stepped),
+                        reference,
+                        "{id}: {engine:?}, {}",
+                        if stepped { "step()" } else { "run()" }
+                    );
+                }
+            }
+        }
+    }
 }
