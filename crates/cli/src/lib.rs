@@ -104,11 +104,11 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
        [--timeout-ms N]         wall-clock budget; polled between steps,
                                 so it never perturbs the machine
        [--engine <tier>]        interpreter tier: uncached (one step at a
-                                time) | cached (blocks, run per op) |
-                                superblock (blocks, run whole) | trace
-                                (default, fastest: blocks and hot-loop
-                                traces) — all tiers are architecturally
-                                bit-identical
+                                time) | superblock (blocks, run whole) |
+                                trace (default, fastest: blocks and
+                                hot-loop traces) | cached (runs as
+                                superblock) — all tiers are
+                                architecturally bit-identical
        [--trap-handlers]        install recovery stubs: vectorable faults
                                 enter handlers instead of ending the run
        [--inject <seed>]        deterministic fault injection from <seed>

@@ -86,20 +86,22 @@ pub struct SimConfig {
 
 /// The interpreter tier driving instruction execution. Every tier runs one
 /// burst loop over one fetch path, and each is one rule in that loop. All
-/// four funnel through the op effects of the same `exec_prepared` executor
-/// (the block executor runs them with its statistics settled per block, the
+/// funnel through the op effects of the same `exec_prepared` executor (the
+/// block executor runs them with its statistics settled per block, the
 /// trace tier runs IR lowered from the same prepared lines with bit-exact
-/// side exits), so architectural behaviour is bit-identical (the four-way
-/// equivalence law in `interp_equivalence`).
+/// side exits), so architectural behaviour is bit-identical (the
+/// equivalence law in `interp_equivalence`). Blocks and traces need
+/// `forwarding`: without it, every tier runs as `Uncached`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecEngine {
     /// Fetch → decode → prepare → execute, one instruction at a time: no
     /// block is looked up or formed. The baseline tier the benchmark
     /// measures the others against.
     Uncached,
-    /// The superblock tier's blocks, each body run one op at a time
-    /// through `exec_prepared`, which counts every op's statistics as it
-    /// retires. Enters exactly the blocks `Superblock` enters.
+    /// Inert: runs exactly as `Superblock`. Kept, with its spelling, so
+    /// the journals and wire configs that name it keep their bytes and the
+    /// end-to-end benchmark that builds it keeps building; the benchmark
+    /// change that drops its probe deletes it.
     Cached,
     /// Superblocks formed over prepared lines: straight-line runs
     /// execute as blocks with one PC lookup per block, each op dispatched

@@ -23,8 +23,8 @@
 //! window move) is one helper, which two executors run. `exec_prepared`
 //! executes one instruction and counts its statistics; every tier reaches
 //! it, and it is the only path for the ops that touch the PSW, `last_pc`
-//! or the trap unit, for every op under the interlock model, and for every
-//! op of the `cached` tier. The block executor (`exec_block`) runs a
+//! or the trap unit, and for every op under the interlock model, where no
+//! block forms. The block executor (`exec_block`) runs a
 //! superblock's ops for their effects alone and settles the block's
 //! statistics and PC state once, from aggregates built when the block
 //! formed (see `crate::superblock`); an op that leaves a block early
@@ -700,17 +700,16 @@ impl Cpu {
     /// caller — after any vectored trap.
     ///
     /// Every engine runs this one loop, each by one rule: `Uncached` looks
-    /// up no block, so every step takes the one-step path; `Cached` runs
-    /// every block body one op at a time ([`Body::per_op`]); `Superblock`
-    /// runs bodies on the block executor; and `Trace` also promotes hot
-    /// blocks to traces and runs them.
+    /// up no block, so every step takes the one-step path; `Superblock`
+    /// runs block bodies on the block executor; `Trace` also promotes hot
+    /// blocks to traces and runs them; and `Cached`, inert, runs as
+    /// `Superblock`.
     fn exec_block_burst(&mut self, burst: u64, done: &mut u64) -> Result<Halt, ExecError> {
         // Blocks accumulate heat here, and hot entries promote to compiled
-        // traces. Tracing needs the same precondition as the block executor
-        // (no hazard bookkeeping), so it degrades to per-op blocks without
-        // forwarding.
+        // traces. Both need forwarding, which leaves no hazard bookkeeping
+        // per op: without it, every tier takes the one-step path.
         let tracing = self.cfg.engine == ExecEngine::Trace && self.cfg.forwarding;
-        let forms_blocks = self.cfg.engine != ExecEngine::Uncached;
+        let forms_blocks = self.cfg.engine != ExecEngine::Uncached && self.cfg.forwarding;
         while *done < burst {
             let left = burst - *done;
             // Blocks are entered only on clean boundaries: with a delayed
@@ -745,7 +744,8 @@ impl Cpu {
             let Some(idx) = entry.filter(|&idx| u64::from(self.blocks.block(idx).insns()) <= left)
             else {
                 // One step on the one-step path: every step of the uncached
-                // engine, a delay slot, text no block forms from (about to
+                // engine or of a machine without forwarding, a delay slot,
+                // a one-step-only op, text no block forms from (about to
                 // trap, which this raises), or a block that could overrun
                 // the step/fuel budget and break the exact `n`-step
                 // contract.
@@ -788,40 +788,17 @@ impl Cpu {
     /// The body is taken out of its block for the run, so the lines are
     /// read while `self` is borrowed mutably, and put back before this
     /// returns, whichever way the run ended. That is sound only because
-    /// nothing on the body path — the block executor and `exec_prepared` —
-    /// touches `self.blocks`: no block can be built, invalidated or
-    /// compacted while a body is out.
+    /// nothing on the body path, the block executor, touches
+    /// `self.blocks`: no block can be built, invalidated or compacted
+    /// while a body is out.
     #[inline]
     fn exec_block_body(&mut self, idx: u32) -> (Result<Halt, StepEvent>, bool) {
         let block = self.blocks.block(idx);
         let (start, end) = (block.start, block.end);
         let body = self.blocks.take_body(idx);
-        let out = if body.per_op {
-            self.exec_block_per_op(&body.lines)
-        } else {
-            self.exec_block(&body, start, end)
-        };
+        let out = self.exec_block(&body, start, end);
         self.blocks.put_body(idx, body);
         out
-    }
-
-    /// Runs `lines` one at a time through `exec_prepared`, which keeps
-    /// every statistic and `pc` current per op.
-    fn exec_block_per_op(&mut self, lines: &[Line]) -> (Result<Halt, StepEvent>, bool) {
-        for line in lines {
-            let r = self.exec_prepared(self.pc, line);
-            // Instructions that write memory (stores; window spills on the
-            // call/return ops) can overwrite text later in this very block.
-            // The channel poll is O(1); if anything is pending, bail to the
-            // boundary where the drain and a fresh build see the new bytes —
-            // exactly what the per-instruction engines observe.
-            let dirtied =
-                (line.op.is_store() || line.op.moves_window()) && self.mem.code_dirty_pending();
-            if dirtied || !matches!(r, Ok(Halt::Running)) {
-                return (r, dirtied);
-            }
-        }
-        (Ok(Halt::Running), false)
     }
 
     /// The block executor: runs `body`, a block from `start` to `end`
@@ -835,9 +812,10 @@ impl Cpu {
     /// exit replays what committed ([`Cpu::leave_block`]). Spills and fills
     /// stay dynamic: the helpers charge them.
     ///
-    /// Caller guarantees: the block fits the step budget, the machine has
-    /// forwarding (so `last_write` is constantly `None`), and `body` holds
-    /// none of the ops that run per op ([`Body::per_op`]).
+    /// Caller guarantees: the block fits the step budget and the machine
+    /// has forwarding (so `last_write` is constantly `None`). No body holds
+    /// a one-step-only op (CALLI, RETI, GTLPC, GETPSW, PUTPSW): a block
+    /// ends before one.
     ///
     /// Never inlined: like the trace executor, its loop gets register
     /// allocation and code layout of its own, apart from the burst loop.
@@ -882,7 +860,7 @@ impl Cpu {
                                 Ok(None) => break 'run BlockExit::Halt { k },
                                 Err(event) => break 'run BlockExit::Fault { k, event },
                             },
-                            op => unreachable!("{op} runs per op"),
+                            op => unreachable!("{op} is one-step only"),
                         }
                     };
                 }
@@ -1320,9 +1298,9 @@ impl Cpu {
     }
 
     /// Executes one prepared instruction, counting its statistics: the
-    /// executor of the one-step path and of per-op block bodies. All
-    /// semantics live here or in the effect helpers it shares with the
-    /// block executor, operating on the pre-extracted fields of [`Line`].
+    /// executor of the one-step path. All semantics live here or in the
+    /// effect helpers it shares with the block executor, operating on the
+    /// pre-extracted fields of [`Line`].
     #[inline]
     fn exec_prepared(&mut self, pc: u32, line: &Line) -> Result<Halt, StepEvent> {
         let in_delay_slot = self.pending_target.is_some();
@@ -2698,8 +2676,8 @@ mod tests {
             0,
             "the uncached engine forms none"
         );
-        // The cached engine enters the same blocks, runs their bodies one
-        // op at a time, and runs no trace.
+        // The inert cached engine runs as superblock: the same blocks, and
+        // no trace.
         let c = cac.stats();
         assert_eq!(
             (c.blocks_entered, c.block_instructions),

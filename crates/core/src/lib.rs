@@ -62,7 +62,7 @@ pub use deadline::Deadline;
 pub use inject::{FaultInjector, InjectConfig, InjectEvent, InjectKind, XorShift64};
 pub use journal::{Journal, JournalError, JournalEvent, RecordedOutcome, JOURNAL_VERSION};
 pub use line::prepared_base_cycles;
-pub use mem::{MemError, Memory, CODE_DIRTY_PENDING_CAP, PAGE_BYTES};
+pub use mem::{MemError, Memory, PAGE_BYTES};
 pub use program::Program;
 pub use snapshot::{
     config_hash, page_sum, CheckpointStats, Checkpointer, RestoreError, Snapshot, CKPT_BASE_CYCLES,

@@ -23,23 +23,17 @@
 //!   `dirty` bitmap to keep periodic snapshots incremental — only pages
 //!   written since the previous checkpoint are copied and re-checksummed;
 //! * the block cache (`crate::superblock`), the one cache of decoded
-//!   code, drains its own channel (`code_dirty*`) so that writes over
+//!   code, drains its own channel (`code_dirty_*`) so that writes over
 //!   already-decoded text kill exactly the blocks (and traces) decoded
-//!   from the pages they touched. The channels are fed by the same
-//!   `mark_page` entry point but cleared independently, so taking a
-//!   checkpoint never hides a self-modifying store from the block cache
-//!   (and vice versa).
+//!   from the pages they touched. The first write to a page the cache
+//!   registered drops the registration and queues the page, so the queue
+//!   never holds more pages than were registered. The channels are fed
+//!   by the same `mark_page` entry point but cleared independently, so
+//!   taking a checkpoint never hides a self-modifying store from the
+//!   block cache (and vice versa).
 
 use crate::windows::SPILL_REGS;
 use std::fmt;
-
-/// Cap on the exact pending-page list of the code-dirty channel. Once a
-/// run dirties more distinct registered code pages than this between
-/// drains (a bulk patch of a large text, say), the channel degrades to a
-/// single flush-everything flag instead of growing without bound. Public so
-/// the overflow-degradation equivalence test can size its program to force
-/// the flush-all path.
-pub const CODE_DIRTY_PENDING_CAP: usize = 1024;
 
 /// Size of one dirty-tracking page in bytes. Small enough that sparse
 /// writes stay cheap to checkpoint, large enough that the page bitmap and
@@ -126,7 +120,7 @@ impl MemTraffic {
 pub(crate) enum CodeDirty {
     /// Exactly this page was written.
     Page(usize),
-    /// Drop everything: wholesale restore or channel overflow.
+    /// Drop everything: a wholesale restore.
     All,
 }
 
@@ -174,23 +168,19 @@ pub struct Memory {
     /// Dirty-page bitmap, one bit per [`PAGE_BYTES`] page — the checkpoint
     /// consumer ([`Memory::dirty_pages`] / [`Memory::clear_dirty`]).
     dirty: Vec<u64>,
-    /// Block-cache consumer: bitmap of pages dirtied since the cache last
-    /// drained (deduplicates `code_dirty_pages` pushes in O(1)).
-    code_dirty: Vec<u64>,
-    /// Exact list of newly-dirtied page indices for the block cache —
-    /// bounded by [`CODE_DIRTY_PENDING_CAP`], after which `code_dirty_all`
-    /// takes over.
+    /// Block-cache consumer: the registered pages written since the cache
+    /// last drained, each queued by the write that dropped its
+    /// registration.
     code_dirty_pages: Vec<u32>,
-    /// Flush-everything flag for the block cache: set by
-    /// [`Memory::mark_all_dirty`] (wholesale restores) and by pending-list
-    /// overflow.
+    /// Flush-everything flag for the block cache, set by
+    /// [`Memory::mark_all_dirty`] (wholesale restores).
     code_dirty_all: bool,
     /// Pages the block cache holds decoded code from: a block's lines or
-    /// a trace's ops (registered via [`Memory::note_code_page`]). Writes
-    /// to *unregistered* pages — the overwhelmingly common case, since
-    /// data pages outnumber text pages — never touch the channel at all,
-    /// so an ordinary store costs one bit test here instead of a
-    /// push/drain round-trip with the cache.
+    /// a trace's ops (registered via [`Memory::note_code_page`]), less
+    /// those written since. Writes to *unregistered* pages — the
+    /// overwhelmingly common case, since data pages outnumber text pages —
+    /// never touch the channel at all, so an ordinary store costs one bit
+    /// test here instead of a push/drain round-trip with the cache.
     code_pages: Vec<u64>,
 }
 
@@ -204,7 +194,6 @@ impl Memory {
             pages: vec![None; size.div_ceil(HOST_PAGE_BYTES)],
             traffic: MemTraffic::default(),
             dirty: vec![0; pages.div_ceil(64)],
-            code_dirty: vec![0; pages.div_ceil(64)],
             code_dirty_pages: Vec::new(),
             code_dirty_all: false,
             code_pages: vec![0; pages.div_ceil(64)],
@@ -291,8 +280,6 @@ impl Memory {
     pub fn mark_all_dirty(&mut self) {
         self.dirty.iter_mut().for_each(|w| *w = !0);
         self.code_dirty_all = true;
-        self.code_dirty_pages.clear();
-        self.code_dirty.iter_mut().for_each(|w| *w = 0);
     }
 
     /// Whether the code-dirty channel has pending pages — the O(1) poll
@@ -304,35 +291,27 @@ impl Memory {
     }
 
     /// Drains the code-dirty channel: calls `f` with
-    /// [`CodeDirty::Page`] for every page written since the previous drain,
-    /// or with [`CodeDirty::All`] once when the channel overflowed or
-    /// [`Memory::mark_all_dirty`] ran. Clears the channel either way.
+    /// [`CodeDirty::Page`] for every page queued since the previous drain,
+    /// or with [`CodeDirty::All`] once when [`Memory::mark_all_dirty`]
+    /// ran, which drops every registration too. Clears the channel either
+    /// way.
     pub(crate) fn drain_code_dirty(&mut self, mut f: impl FnMut(CodeDirty)) {
-        // The cache drops every page this drain names, so their
-        // registration bits drop with them — the cache re-registers on
-        // refill.
         if self.code_dirty_all {
             self.code_dirty_all = false;
             self.code_pages.iter_mut().for_each(|w| *w = 0);
             f(CodeDirty::All);
         } else {
             for &idx in &self.code_dirty_pages {
-                let idx = idx as usize;
-                if let Some(w) = self.code_pages.get_mut(idx / 64) {
-                    *w &= !(1 << (idx % 64));
-                }
-                f(CodeDirty::Page(idx));
+                f(CodeDirty::Page(idx as usize));
             }
         }
         self.code_dirty_pages.clear();
-        self.code_dirty.iter_mut().for_each(|w| *w = 0);
     }
 
-    /// Registers page `idx` as holding decoded code: from now on, any
-    /// write to it raises the invalidation channel. The block cache calls
-    /// this for every page a block it builds, or a trace it attaches, was
-    /// decoded from; the registration drops automatically when a drain
-    /// names the page.
+    /// Registers page `idx` as holding decoded code: the next write to it
+    /// drops the registration and queues the page on the invalidation
+    /// channel. The block cache calls this for every page a block it
+    /// builds, or a trace it attaches, was decoded from.
     #[inline]
     pub(crate) fn note_code_page(&mut self, idx: usize) {
         if let Some(w) = self.code_pages.get_mut(idx / 64) {
@@ -436,32 +415,18 @@ impl Memory {
     }
 
     /// Feeds the code-dirty channel with one dirtied page index. Writes
-    /// to pages the cache holds nothing for are filtered out here; for the
-    /// rest, the bitmap deduplicates, so a page written a million times
-    /// between drains occupies one pending slot.
+    /// to pages the cache holds nothing for are filtered out here. The
+    /// first write to a registered page drops its registration and queues
+    /// it, so a page written a million times between drains is queued
+    /// once, and again only once a block rebuilt on it registers it anew.
     #[inline]
     fn note_code_dirty(&mut self, idx: usize) {
-        if self.code_dirty_all {
-            return;
-        }
-        if self
-            .code_pages
-            .get(idx / 64)
-            .is_none_or(|w| w & (1 << (idx % 64)) == 0)
-        {
-            return;
-        }
-        let Some(w) = self.code_dirty.get_mut(idx / 64) else {
+        let Some(w) = self.code_pages.get_mut(idx / 64) else {
             return;
         };
-        if *w & (1 << (idx % 64)) != 0 {
-            return;
-        }
-        *w |= 1 << (idx % 64);
-        if self.code_dirty_pages.len() >= CODE_DIRTY_PENDING_CAP {
-            self.code_dirty_all = true;
-            self.code_dirty_pages.clear();
-        } else {
+        let bit = 1 << (idx % 64);
+        if *w & bit != 0 {
+            *w &= !bit;
             self.code_dirty_pages.push(idx as u32);
         }
     }
@@ -826,12 +791,12 @@ mod tests {
         m.write_u32(0, 1).unwrap();
         m.write_u32(3 * PAGE_BYTES as u32, 2).unwrap();
         assert!(!m.code_dirty_pending());
-        // … while the registered page pends, and a drain naming it drops
-        // the registration along with the cached lines.
+        // … while the registered page pends, and the write that queued it
+        // dropped the registration, as the drain drops the cached lines.
         m.write_u32(PAGE_BYTES as u32, 3).unwrap();
         assert_eq!(drain(&mut m), (false, vec![1]));
         m.write_u32(PAGE_BYTES as u32, 4).unwrap();
-        assert!(!m.code_dirty_pending(), "registration dropped at drain");
+        assert!(!m.code_dirty_pending(), "registration dropped by the write");
     }
 
     #[test]
@@ -848,18 +813,6 @@ mod tests {
         m.note_code_page(1);
         m.write_u32(PAGE_BYTES as u32, 2).unwrap();
         assert_eq!(drain(&mut m), (false, vec![1]));
-    }
-
-    #[test]
-    fn code_dirty_overflow_degrades_to_full_flush() {
-        let mut m = Memory::new((CODE_DIRTY_PENDING_CAP + 8) * PAGE_BYTES);
-        for idx in 0..CODE_DIRTY_PENDING_CAP + 1 {
-            m.note_code_page(idx);
-            m.write_u32((idx * PAGE_BYTES) as u32, 1).unwrap();
-        }
-        let (all, pages) = drain(&mut m);
-        assert!(all, "past the cap the channel must degrade, not grow");
-        assert!(pages.is_empty());
     }
 
     #[test]
@@ -931,14 +884,8 @@ mod tests {
         fn mark(&mut self, at: usize, len: usize) {
             for idx in at / PAGE_BYTES..=(at + len - 1) / PAGE_BYTES {
                 self.dirty.insert(idx);
-                if !self.flush_all && self.code_pages.contains(&idx) && !self.pending.contains(&idx)
-                {
-                    if self.pending.len() == CODE_DIRTY_PENDING_CAP {
-                        self.flush_all = true;
-                        self.pending.clear();
-                    } else {
-                        self.pending.push(idx);
-                    }
+                if self.code_pages.remove(&idx) {
+                    self.pending.push(idx);
                 }
             }
             self.written
@@ -1020,7 +967,6 @@ mod tests {
         fn mark_all_dirty(&mut self) {
             self.dirty = (0..self.bytes.len().div_ceil(PAGE_BYTES)).collect();
             self.flush_all = true;
-            self.pending.clear();
         }
 
         fn drain(&mut self) -> (bool, Vec<usize>) {
@@ -1028,9 +974,6 @@ mod tests {
                 self.code_pages.clear();
                 (true, Vec::new())
             } else {
-                for idx in &self.pending {
-                    self.code_pages.remove(idx);
-                }
                 (false, self.pending.clone())
             };
             self.flush_all = false;

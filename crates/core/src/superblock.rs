@@ -18,11 +18,11 @@
 //! target. An op that leaves early (a faulting access, spill or fill, a
 //! store or spill that dirties code, a return that halts) replays the
 //! ops that committed through [`retired`], the rule the aggregates are
-//! built from ([`crate::retire`]). A block holding an op the executor
-//! does not run (CALLI, RETI, GTLPC, GETPSW, PUTPSW), any block of a
-//! machine without forwarding, and every block of the `cached` tier runs
-//! its lines through `exec_prepared` one at a time instead
-//! ([`Body::per_op`]).
+//! built from ([`crate::retire`]). The ops that touch the PSW, `last_pc`
+//! or the trap unit (CALLI, RETI, GTLPC, GETPSW, PUTPSW) run on the
+//! one-step path: a block ends before one, in a delay slot too, and none
+//! starts at one. A machine without forwarding forms no blocks, since its
+//! hazard bookkeeping is per op.
 //!
 //! A block is also where a compiled trace lives: the trace tier
 //! ([`crate::trace`]) attaches each trace to the block it is entered at,
@@ -39,7 +39,7 @@
 //! whole structure is *derived* state — absent from snapshots, journals,
 //! and checksums.
 
-use crate::config::{BranchModel, ExecEngine, SimConfig};
+use crate::config::{BranchModel, SimConfig};
 use crate::cpu::fetch;
 use crate::line::Line;
 use crate::mem::{CodeDirty, Memory, PAGE_BYTES};
@@ -127,11 +127,6 @@ pub(crate) struct Body {
     /// jump in flight. Otherwise a taken transfer among the lines leaves
     /// its target in flight.
     pub slot: bool,
-    /// Whether the lines run one at a time through `exec_prepared`: the
-    /// engine is `Cached`, the block holds an op the block executor does
-    /// not run, or the machine has no forwarding, whose hazard bookkeeping
-    /// is per op.
-    pub per_op: bool,
 }
 
 impl Body {
@@ -146,14 +141,6 @@ impl Body {
             replay_prefix(&mut s, &lines, start, lines.len(), target, suspended);
             s
         });
-        let per_op = !cfg.forwarding
-            || cfg.engine == ExecEngine::Cached
-            || lines.iter().any(|l| {
-                matches!(
-                    l.op,
-                    Opcode::Calli | Opcode::Reti | Opcode::Gtlpc | Opcode::Getpsw | Opcode::Putpsw
-                )
-            });
         Body {
             settle: [Settle::of(&runs[0]), Settle::of(&runs[1])],
             opcodes: runs[0]
@@ -162,7 +149,6 @@ impl Body {
                 .map(|(op, n)| (op, n as u8))
                 .collect(),
             slot: lines.len() >= 2 && lines[lines.len() - 2].is_transfer,
-            per_op,
             lines: lines.into(),
         }
     }
@@ -414,7 +400,7 @@ impl BlockCache {
         }
     }
 
-    /// Drops everything (wholesale restore, channel overflow, compaction).
+    /// Drops everything (wholesale restore, compaction).
     fn clear(&mut self) {
         self.map.fill(NO_BLOCK);
         self.blocks.clear();
@@ -467,28 +453,37 @@ impl BlockCache {
     }
 }
 
+/// Whether `op` runs only on the one-step path, whose `exec_prepared`
+/// keeps the PSW, `last_pc` and the trap unit current per op: CALLI,
+/// RETI, GTLPC, GETPSW and PUTPSW. No block holds one.
+fn one_step_only(op: Opcode) -> bool {
+    matches!(
+        op,
+        Opcode::Calli | Opcode::Reti | Opcode::Gtlpc | Opcode::Getpsw | Opcode::Putpsw
+    )
+}
+
 /// Collects the prepared lines of one superblock: consecutive words from
-/// `start` that fetch without a trap, ending after a transfer (and, when
-/// safe, its delay slot) or at a page boundary. Returns `None` if the
-/// first fetch traps (misaligned, out of range, undecodable): the one-step
-/// path raises that trap. Shared with the trace builder, which re-collects
-/// the lines of each block on its path.
-pub(crate) fn collect_lines(mem: &Memory, start: u32) -> Option<Vec<Line>> {
+/// `start` that fetch without a trap, ending before a one-step-only op,
+/// after a transfer (and, when safe, its delay slot) or at a page
+/// boundary. Returns `None` if the first fetch traps (misaligned, out of
+/// range, undecodable), which the one-step path raises, or if the first
+/// op is one-step only.
+fn collect_lines(mem: &Memory, start: u32) -> Option<Vec<Line>> {
     let mut lines = Vec::new();
     let mut pc = start;
-    while let Ok(line) = fetch(mem, pc) {
+    while let Some(line) = fetch(mem, pc).ok().filter(|l| !one_step_only(l.op)) {
         lines.push(line);
         pc = pc.wrapping_add(4);
         if line.is_transfer {
-            // CALLI traps in place (no slot); every other transfer exposes
-            // a delay slot, included when it is itself block-safe. A slot
-            // that is another transfer raises TransferInDelaySlot — left
-            // out so the one-step path delivers the trap.
-            if line.op.has_delay_slot() {
-                if let Ok(slot) = fetch(mem, pc) {
-                    if !slot.is_transfer {
-                        lines.push(slot);
-                    }
+            // Every transfer a block holds exposes a delay slot (CALLI,
+            // which has none, is one-step only). The slot is included
+            // unless it is another transfer, which raises
+            // TransferInDelaySlot, or one-step only: the one-step path
+            // runs it with the target in flight.
+            if let Ok(slot) = fetch(mem, pc) {
+                if !slot.is_transfer && !one_step_only(slot.op) {
+                    lines.push(slot);
                 }
             }
             break;
@@ -551,6 +546,26 @@ mod tests {
     }
 
     #[test]
+    fn no_block_holds_or_starts_at_a_one_step_only_op() {
+        for op in [
+            Opcode::Calli,
+            Opcode::Reti,
+            Opcode::Gtlpc,
+            Opcode::Getpsw,
+            Opcode::Putpsw,
+        ] {
+            let word = Instruction::reg(op, Reg::R0, Reg::R0, Short2::ZERO).encode();
+            let mem = mem_with(&[add(Reg::R16, Reg::R0, 1), word, add(Reg::R17, Reg::R0, 2)]);
+            let lines = collect_lines(&mem, 0).unwrap();
+            assert_eq!(lines.len(), 1, "{op}: the block ends before it");
+            assert!(collect_lines(&mem, 4).is_none(), "{op}: none starts at it");
+            let mem = mem_with(&[jmpr(Cond::Alw, 8), word, add(Reg::R17, Reg::R0, 2)]);
+            let lines = collect_lines(&mem, 0).unwrap();
+            assert_eq!(lines.len(), 1, "{op}: a delay slot holding it is left out");
+        }
+    }
+
+    #[test]
     fn undecodable_or_misaligned_start_is_refused() {
         let mem = mem_with(&[0xffff_ffff]);
         assert!(collect_lines(&mem, 0).is_none(), "undecodable first word");
@@ -582,6 +597,38 @@ mod tests {
         cache.invalidate(CodeDirty::All);
         assert_eq!(cache.lookup(PAGE_BYTES as u32), None);
         assert!(cache.blocks.is_empty(), "All is a full clear");
+    }
+
+    #[test]
+    fn a_code_page_is_queued_once_until_a_rebuilt_block_registers_it_again() {
+        let cfg = SimConfig::default();
+        let mut mem = Memory::new(4 * PAGE_BYTES);
+        mem.write_u32(0, jmpr(Cond::Alw, 0)).unwrap();
+        mem.write_u32(4, add(Reg::R16, Reg::R0, 1)).unwrap();
+        let queued = |mem: &mut Memory| {
+            let mut events = Vec::new();
+            mem.drain_code_dirty(|d| events.push(d));
+            events
+        };
+        let mut cache = BlockCache::new(mem.page_count());
+        cache.build(&mut mem, 0, &cfg).unwrap();
+        for v in 0..100 {
+            mem.write_u32(8, v).unwrap();
+        }
+        let events = queued(&mut mem);
+        assert_eq!(events, vec![CodeDirty::Page(0)], "queued once");
+        events.into_iter().for_each(|d| cache.invalidate(d));
+        assert_eq!(cache.lookup(0), None, "the block died");
+        mem.write_u32(8, 100).unwrap();
+        assert!(!mem.code_dirty_pending(), "no block holds the page");
+        cache.build(&mut mem, 0, &cfg).unwrap();
+        mem.write_u32(8, 101).unwrap();
+        mem.write_u32(8, 102).unwrap();
+        assert_eq!(
+            queued(&mut mem),
+            vec![CodeDirty::Page(0)],
+            "the rebuilt block registered the page anew"
+        );
     }
 
     #[test]

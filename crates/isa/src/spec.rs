@@ -223,16 +223,10 @@ pub enum Lowering {
 }
 
 impl SpecEntry {
-    /// Whether this row is in the ALU/shift group (the fusion candidates of
-    /// the superblock builder).
+    /// Whether this row is in the ALU/shift group: the rows that may set
+    /// the flags, and that the trace tier lowers to plain ALU ops.
     pub fn is_alu(&self) -> bool {
         self.scc_allowed
-    }
-
-    /// Whether the carry flag feeds the datapath (ADDC/SUBC/SUBCR) — such
-    /// rows cannot be fused across a flag-setting instruction.
-    pub fn reads_carry(&self) -> bool {
-        matches!(self.reads_flags, FlagsRead::Carry)
     }
 
     /// The trace-IR class of this row (see [`Lowering`]). Computed from the
@@ -1519,7 +1513,7 @@ mod tests {
         // may set flags; PUTPSW always does.
         let carry: Vec<Opcode> = ENTRIES
             .iter()
-            .filter(|e| e.reads_carry())
+            .filter(|e| e.reads_flags == FlagsRead::Carry)
             .map(|e| e.opcode)
             .collect();
         assert_eq!(carry, vec![Opcode::Addc, Opcode::Subc, Opcode::Subcr]);

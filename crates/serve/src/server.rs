@@ -153,7 +153,8 @@ pub fn handle_line(service: &ExecService, line: &str) -> (String, bool) {
 }
 
 /// Serves the protocol over any byte stream until EOF or a `shutdown`
-/// request (stdin mode). Returns whether shutdown was requested.
+/// request: stdin, or one TCP connection. Returns whether shutdown was
+/// requested.
 ///
 /// # Errors
 /// Propagates I/O errors from the underlying stream.
@@ -208,40 +209,13 @@ pub fn serve_tcp(service: &ExecService, listener: TcpListener) -> std::io::Resul
             }
             let stop = &stop;
             scope.spawn(move || {
-                let mut reader = BufReader::new(match stream.try_clone() {
-                    Ok(s) => s,
-                    Err(_) => return,
-                });
-                let mut writer = stream;
-                while let Ok(frame) = read_frame(&mut reader, MAX_WIRE_LINE_BYTES) {
-                    let at_end = matches!(frame, Frame::Eof | Frame::Truncated);
-                    let (response, shutdown) = match (&frame, frame_reply(&frame)) {
-                        (Frame::Eof, _) => break,
-                        (_, Some(reply)) => (reply, false),
-                        (Frame::Line(line), None) => {
-                            if line.trim().is_empty() {
-                                continue;
-                            }
-                            handle_line(service, line)
-                        }
-                        _ => unreachable!("every non-line frame has a reply"),
-                    };
-                    if writer.write_all(response.as_bytes()).is_err()
-                        || writer.write_all(b"\n").is_err()
-                        || writer.flush().is_err()
-                    {
-                        break;
-                    }
-                    if shutdown {
-                        service.shutdown();
-                        stop.store(true, Ordering::SeqCst);
-                        // Unblock the accept loop so the server exits.
-                        let _ = TcpStream::connect(addr);
-                        return;
-                    }
-                    if at_end {
-                        break;
-                    }
+                let Ok(reader) = stream.try_clone() else {
+                    return;
+                };
+                if let Ok(true) = serve_lines(service, BufReader::new(reader), stream) {
+                    stop.store(true, Ordering::SeqCst);
+                    // Unblock the accept loop so the server exits.
+                    let _ = TcpStream::connect(addr);
                 }
             });
         }

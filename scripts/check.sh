@@ -27,8 +27,12 @@ echo "==> cargo test --test checkpoint_replay (replay determinism and the"
 echo "    cross-engine snapshot-resume law)"
 cargo test -q --test checkpoint_replay
 
-echo "==> cargo test --test interp_equivalence (four-engine equivalence law)"
+echo "==> cargo test --test interp_equivalence (engine equivalence law)"
 cargo test -q --test interp_equivalence
+
+echo "==> cargo test --release --test host_counts (block and trace counts,"
+echo "    including the benchmark-scale rows only an optimized build runs)"
+cargo test -q --release --test host_counts
 
 echo "==> risc1 lint --spec-audit (ISA spec table vs metadata/codec/assembler/prepared lines)"
 cargo run -q --release -p risc1-cli --bin risc1 -- lint --spec-audit

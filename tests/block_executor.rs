@@ -12,7 +12,8 @@
 //! block is left early (a faulting access, spill or fill, a store or spill
 //! that dirties code, a return that halts) and each way one completes (a
 //! taken or untaken transfer with its delay slot, a transfer whose slot
-//! was left out, a page boundary).
+//! was left out, a page boundary), and the ops no block holds, which end
+//! a block and run on the one-step path.
 
 use risc1::asm::assemble;
 use risc1::core::{
@@ -430,4 +431,49 @@ fn a_block_whose_slot_was_left_out_exits_with_its_jump_in_flight() {
     assert_eq!(end.end, Err(ExecError::TransferInDelaySlot { pc: 0x1008 }));
     let end = Case::new(main).agrees(0);
     assert_eq!((end.end, end.result), (Ok(()), 10));
+}
+
+#[test]
+fn the_ops_no_block_holds_run_between_blocks_on_the_one_step_path() {
+    // GTLPC, GETPSW, PUTPSW, CALLI and RETI each follow an ALU op, and a
+    // GETPSW sits in the loop branch's delay slot: a block ends before
+    // each, none starts at one, and each runs on the one-step path, as
+    // does the RETI's own slot, which runs with its target in flight.
+    // CALLI enters a window with `r25` holding the last PC, the word
+    // before it, so `reti r25, #20` returns past the RETI's slot. Eighty
+    // passes heat the blocks between them past the trace tier's
+    // promotion threshold.
+    let main = "
+            add   r24, r0, #80
+    loop:   add   r16, r16, #1
+            gtlpc r17
+            add   r18, r18, r17
+            getpsw r19
+            sub   r0, r0, #1 {scc}
+            putpsw r19, #0
+            add   r20, r20, #1
+            calli r25
+            add   r16, r0, #5
+            reti  r25, #20
+            nop
+            sub   r24, r24, #1 {scc}
+            jmpr  ne, loop
+            getpsw r21
+            add   r26, r16, r20
+            halt
+            nop
+    ";
+    let case = Case::new(main);
+    let end = case.agrees(0);
+    assert_eq!((end.end, end.result), (Ok(()), 160));
+    assert_eq!((end.stats.calls, end.stats.rets), (80, 80));
+    for engine in [ExecEngine::Superblock, ExecEngine::Trace] {
+        let s = case.run(engine, BranchModel::Delayed, 0).stats;
+        assert_eq!(
+            s.instructions - s.block_instructions - s.trace_instructions,
+            80 * 7,
+            "{engine:?}: the five ops, the slot holding GETPSW and the \
+             RETI's slot, on every pass"
+        );
+    }
 }

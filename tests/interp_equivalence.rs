@@ -2,15 +2,15 @@
 //!
 //! Every engine runs one burst loop over one fetch path, and each tier is
 //! one rule in it. `uncached` forms no block: every instruction takes the
-//! one-step path, fetched and decoded from memory. `cached` forms
+//! one-step path, fetched and decoded from memory. `superblock` forms
 //! superblocks (`crates/core/src/superblock.rs`), straight-line blocks of
-//! prepared lines, and runs their bodies one op at a time through the
-//! one-step executor. `superblock` runs the same bodies on the block
-//! executor, which settles each block once. `trace`
-//! (`crates/core/src/trace.rs`) also compiles hot superblock sequences to
-//! register-allocated trace IR with bulk statistics applied at trace exit,
-//! running both directions of a data-dependent branch as arms. All of that
-//! is pure derived state — under any of the four engines, every simulated
+//! prepared lines, and runs their bodies on the block executor, which
+//! settles each block once. `trace` (`crates/core/src/trace.rs`) also
+//! compiles hot superblock sequences to register-allocated trace IR with
+//! bulk statistics applied at trace exit, running both directions of a
+//! data-dependent branch as arms. `cached` is inert: it runs exactly as
+//! `superblock`, which one assertion of the first law holds it to. All of
+//! that is pure derived state — under any engine, every simulated
 //! observable must be bit-identical: final result, `ExecStats`
 //! (instruction mix, cycles, traps, spills), the entire memory image, the
 //! visible register window, the window-file position, and the whole
@@ -18,10 +18,10 @@
 //! the in-flight target, the save-stack pointer). This suite holds all
 //! engines to that bar eleven ways:
 //!
-//! 1. deterministically across all eleven suite workloads (four-way),
-//!    under both the delayed and the suspended branch model, with a floor
-//!    on the trace tier's coverage of the loop programs, and again under
-//!    the interlock model (no forwarding), where blocks run per op,
+//! 1. deterministically across all eleven suite workloads, under both the
+//!    delayed and the suspended branch model, with a floor on the trace
+//!    tier's coverage of the loop programs, and again under the interlock
+//!    model (no forwarding), where no tier forms a block,
 //! 2. property-style under seed-driven fault injection (where traps,
 //!    recovery stubs, and snapshot restores stress the invalidation
 //!    paths),
@@ -34,8 +34,8 @@
 //!    side-exits the trace and kills it — once on the loop's only page,
 //!    and once on the second page of a loop that crosses a page boundary,
 //!    which its entry block does not reach,
-//! 6. by dirtying more registered code pages than the pending channel
-//!    can hold, forcing the overflow → flush-everything fallback,
+//! 6. with a host bulk patch of every page of a 1,025-page text, which
+//!    the code-dirty channel queues page by page,
 //! 7. with a hot loop in the last page of memory — the far end of the
 //!    block cache's lazily grown tables — that patches itself and then
 //!    jumps past the end of memory,
@@ -57,7 +57,7 @@ use proptest::prelude::*;
 use risc1::core::inject::{InjectConfig, InjectModes};
 use risc1::core::{
     BranchModel, Cpu, ExecEngine, ExecError, ExecStats, Halt, Program, SimConfig, TrapKind,
-    CODE_DIRTY_PENDING_CAP, PAGE_BYTES,
+    PAGE_BYTES,
 };
 use risc1::ir::{compile_risc, run_risc, run_risc_injected, RiscOpts};
 use risc1::isa::{Cond, Instruction, Opcode, Reg, Short2};
@@ -128,9 +128,9 @@ fn run_mode(
 }
 
 /// Runs `prog` to halt on a machine configured as `cfg` and captures the
-/// final state. The cached, superblock and trace engines go through the
-/// batched `Cpu::run` fast path, the uncached engine through the
-/// one-at-a-time `step()` loop.
+/// final state. The block and trace engines go through the batched
+/// `Cpu::run` fast path, the uncached engine through the one-at-a-time
+/// `step()` loop.
 fn run_cfg(prog: &Program, args: &[i32], cfg: SimConfig) -> FinalState {
     let engine = cfg.engine;
     let mut cpu = Cpu::new(cfg);
@@ -149,10 +149,11 @@ fn run_cfg(prog: &Program, args: &[i32], cfg: SimConfig) -> FinalState {
     capture(&cpu)
 }
 
-/// The cached tier's rule: it enters exactly the blocks the superblock tier
-/// enters, retiring as many instructions in their bodies, and runs no
-/// trace. Both sides' `blocks_entered` and `block_instructions` are host
-/// telemetry, outside the `ExecStats` equality the laws assert.
+/// The inert cached tier's rule: it enters exactly the blocks the
+/// superblock tier enters, retiring as many instructions in their bodies,
+/// and runs no trace. Both sides' `blocks_entered` and
+/// `block_instructions` are host telemetry, outside the `ExecStats`
+/// equality the laws assert.
 fn assert_same_blocks(cached: &ExecStats, superblock: &ExecStats, id: &str) {
     assert_eq!(
         (cached.blocks_entered, cached.block_instructions),
@@ -187,23 +188,22 @@ fn every_workload_is_bit_identical_across_all_four_engines() {
         let prog = compile_risc(&w.module, RiscOpts::default()).expect("suite compiles");
         for model in [BranchModel::Delayed, BranchModel::Suspended] {
             let uncached = run_mode(&prog, &w.small_args, ExecEngine::Uncached, model);
-            let cached = run_mode(&prog, &w.small_args, ExecEngine::Cached, model);
             let superblock = run_mode(&prog, &w.small_args, ExecEngine::Superblock, model);
             let trace = run_mode(&prog, &w.small_args, ExecEngine::Trace, model);
             let id = format!("{} ({model:?})", w.id);
-            assert_eq!(cached, uncached, "{id}: cache must be invisible");
             assert_eq!(superblock, uncached, "{id}: superblocks must be invisible");
             assert_eq!(trace, uncached, "{id}: traces must be invisible");
             // The superblock engine must actually engage (not silently fall
             // back to single-stepping): block bodies retire every
             // instruction of a suite run, as `tests/host_counts.rs`
-            // records. The uncached tier enters no block, and the cached
-            // tier enters exactly superblock's, running their bodies per op.
+            // records. The uncached tier enters no block, and the inert
+            // cached tier enters exactly superblock's.
             assert_eq!(
                 superblock.stats.block_instructions, superblock.stats.instructions,
                 "{id}: instructions retired outside a block body"
             );
             assert_eq!(uncached.stats.blocks_entered, 0, "{id}");
+            let cached = run_mode(&prog, &w.small_args, ExecEngine::Cached, model);
             assert_same_blocks(&cached.stats, &superblock.stats, &id);
             traced_anywhere += trace.stats.trace_instructions;
             assert_eq!(
@@ -234,10 +234,10 @@ fn every_workload_is_bit_identical_across_all_four_engines() {
     );
 }
 
-/// The same law under the interlock model (`forwarding: false`), where the
-/// block tier runs every op through `exec_prepared` for its hazard
-/// bookkeeping and the trace tier declines to trace: all eleven workloads,
-/// all four engines, both branch models, the whole final state.
+/// The same law under the interlock model (`forwarding: false`), whose
+/// hazard bookkeeping is per op, so no tier forms a block and every op runs
+/// through `exec_prepared`: all eleven workloads, every engine, both branch
+/// models, the whole final state.
 #[test]
 fn every_workload_is_bit_identical_across_all_four_engines_without_forwarding() {
     for w in all() {
@@ -253,17 +253,14 @@ fn every_workload_is_bit_identical_across_all_four_engines_without_forwarding() 
                 run_cfg(&prog, &w.small_args, cfg)
             };
             let uncached = run(ExecEngine::Uncached);
-            let cached = run(ExecEngine::Cached);
             let superblock = run(ExecEngine::Superblock);
+            let trace = run(ExecEngine::Trace);
             let id = format!("{} ({branch_model:?}, no forwarding)", w.id);
-            assert_eq!(cached, uncached, "{id}: cached differs");
             assert_eq!(superblock, uncached, "{id}: superblock differs");
-            assert_eq!(run(ExecEngine::Trace), uncached, "{id}: trace differs");
-            assert_eq!(
-                superblock.stats.block_instructions, superblock.stats.instructions,
-                "{id}: instructions retired outside a block body"
-            );
-            assert_same_blocks(&cached.stats, &superblock.stats, &id);
+            assert_eq!(trace, uncached, "{id}: trace differs");
+            for end in [&uncached, &superblock, &trace] {
+                assert_eq!(end.stats.blocks_entered, 0, "{id}: a block formed");
+            }
         }
     }
 }
@@ -303,7 +300,7 @@ proptest! {
     /// The law under fire: a seed-driven fault campaign — register and
     /// memory corruption, forced traps, recovery re-execution — produces
     /// the *exact same* `InjectReport` (outcome, stats, and the full
-    /// event log) under all four engines. Injected memory writes land
+    /// event log) under every engine. Injected memory writes land
     /// through the same dirty-channel stores use, so this leans hard on
     /// invalidation.
     #[test]
@@ -320,7 +317,6 @@ proptest! {
                 .expect("setup succeeds")
         };
         let uncached = run(ExecEngine::Uncached);
-        prop_assert_eq!(run(ExecEngine::Cached), uncached.clone());
         prop_assert_eq!(run(ExecEngine::Superblock), uncached.clone());
         prop_assert_eq!(run(ExecEngine::Trace), uncached);
     }
@@ -390,14 +386,12 @@ fn self_modifying_code_invalidates_already_executed_text() {
 
     let prog = Program::from_instructions(insns);
     let uncached = run_mode(&prog, &[], ExecEngine::Uncached, BranchModel::Delayed);
-    let cached = run_mode(&prog, &[], ExecEngine::Cached, BranchModel::Delayed);
     let superblock = run_mode(&prog, &[], ExecEngine::Superblock, BranchModel::Delayed);
     let trace = run_mode(&prog, &[], ExecEngine::Trace, BranchModel::Delayed);
     assert_eq!(
-        cached.result, 10,
+        superblock.result, 10,
         "stale cached line survived the overwrite (20 = add ran twice)"
     );
-    assert_eq!(cached, uncached, "cache must be invisible");
     assert_eq!(superblock, uncached, "superblocks must be invisible");
     assert_eq!(trace, uncached, "traces must be invisible");
 }
@@ -438,14 +432,12 @@ fn patching_the_middle_of_a_chained_hot_loop_is_observed() {
 
     let prog = Program::from_instructions(insns);
     let uncached = run_mode(&prog, &[], ExecEngine::Uncached, BranchModel::Delayed);
-    let cached = run_mode(&prog, &[], ExecEngine::Cached, BranchModel::Delayed);
     let superblock = run_mode(&prog, &[], ExecEngine::Superblock, BranchModel::Delayed);
     let trace = run_mode(&prog, &[], ExecEngine::Trace, BranchModel::Delayed);
     assert_eq!(
         superblock.result, 60,
         "a stale superblock replayed the pre-patch loop body"
     );
-    assert_eq!(cached, uncached, "cache must be invisible");
     assert_eq!(superblock, uncached, "superblocks must be invisible");
     assert_eq!(trace, uncached, "traces must be invisible");
     assert!(
@@ -559,11 +551,7 @@ fn patching_the_second_page_of_a_traced_loop_kills_the_trace_at_its_entry() {
     let prog = Program::from_instructions(insns);
     let uncached = run_mode(&prog, &[], ExecEngine::Uncached, BranchModel::Delayed);
     assert_eq!(uncached.result, 1300);
-    for engine in [
-        ExecEngine::Cached,
-        ExecEngine::Superblock,
-        ExecEngine::Trace,
-    ] {
+    for engine in [ExecEngine::Superblock, ExecEngine::Trace] {
         assert_eq!(
             run_mode(&prog, &[], engine, BranchModel::Delayed),
             uncached,
@@ -580,13 +568,13 @@ fn patching_the_second_page_of_a_traced_loop_kills_the_trace_at_its_entry() {
 }
 
 #[test]
-fn dirty_channel_overflow_falls_back_to_flushing_everything() {
+fn a_bulk_patch_of_every_code_page_is_observed_page_by_page() {
     let imm = |v: i32| Short2::imm(v).expect("fits imm13");
     let insns_per_page = PAGE_BYTES / 4;
-    // One more code page than the pending channel can hold, so patching
-    // all of them mid-run must overflow the channel and trip the
-    // flush-everything fallback rather than dropping invalidations.
-    let body_pages = CODE_DIRTY_PENDING_CAP + 1;
+    // A text of over a thousand pages, every one of them registered and
+    // then patched between two drains: the channel must queue each page
+    // once and drop no invalidation.
+    let body_pages = 1025;
     let body_len = body_pages * insns_per_page;
 
     // body: `add r26, r26, #1` filling `body_pages` whole pages, run
@@ -640,7 +628,6 @@ fn dirty_channel_overflow_falls_back_to_flushing_everything() {
         capture(&cpu)
     };
     let uncached = run(ExecEngine::Uncached);
-    let cached = run(ExecEngine::Cached);
     let superblock = run(ExecEngine::Superblock);
     let trace = run(ExecEngine::Trace);
     assert_eq!(
@@ -648,7 +635,6 @@ fn dirty_channel_overflow_falls_back_to_flushing_everything() {
         3 * body_len as i32,
         "pass two must see the patched body"
     );
-    assert_eq!(cached, uncached, "cache must be invisible");
     assert_eq!(superblock, uncached, "superblocks must be invisible");
     assert_eq!(trace, uncached, "traces must be invisible");
 }
@@ -735,7 +721,6 @@ fn a_patched_hot_loop_in_the_last_page_of_memory_traps_identically_past_its_end(
         err.trap_cause().map(|c| c.kind),
         Some(TrapKind::InstructionAccess)
     );
-    assert_eq!(run(ExecEngine::Cached), uncached, "cache must be invisible");
     assert_eq!(
         run(ExecEngine::Superblock),
         uncached,
@@ -847,7 +832,6 @@ fn a_block_that_leaves_early_runs_its_whole_body_on_its_next_entry() {
         13,
         "one skipped load for each i % 16 == 7 in 1..=200"
     );
-    assert_eq!(run(ExecEngine::Cached), uncached, "cache must be invisible");
     let superblock = run(ExecEngine::Superblock);
     assert_eq!(superblock, uncached, "superblocks must be invisible");
     assert!(
@@ -987,7 +971,7 @@ fn two_armed_cpu(traps: bool, engine: ExecEngine, branch_model: BranchModel) -> 
 }
 
 /// Runs [`two_armed_loop`] to its halt under every engine and
-/// `branch_model`, holds the other three to the uncached engine, and
+/// `branch_model`, holds the others to the uncached engine, and
 /// returns the trace engine's final state and the code word's last value.
 fn two_armed_law(traps: bool, branch_model: BranchModel) -> (FinalState, u32) {
     let run = |engine| {
@@ -1001,7 +985,6 @@ fn two_armed_law(traps: bool, branch_model: BranchModel) -> (FinalState, u32) {
         (capture(&cpu), stored)
     };
     let uncached = run(ExecEngine::Uncached);
-    assert_eq!(run(ExecEngine::Cached), uncached, "cache must be invisible");
     assert_eq!(
         run(ExecEngine::Superblock),
         uncached,
@@ -1058,11 +1041,7 @@ fn a_two_armed_hot_loop_is_exact_under_any_step_n_chopping() {
             (marks, capture(&cpu))
         };
         let uncached = chop(ExecEngine::Uncached);
-        for engine in [
-            ExecEngine::Cached,
-            ExecEngine::Superblock,
-            ExecEngine::Trace,
-        ] {
+        for engine in [ExecEngine::Superblock, ExecEngine::Trace] {
             let got = chop(engine);
             assert_eq!(
                 got.0, uncached.0,
@@ -1144,7 +1123,6 @@ fn an_unhandled_fault_at_a_traces_first_op_keeps_the_last_pass_in_last_pc() {
     );
     assert_eq!(uncached.1.stats.trap_count(TrapKind::DataAccess), 0);
     assert_eq!(uncached.1.result, 0, "memory past the program reads zero");
-    assert_eq!(run(ExecEngine::Cached), uncached, "cache must be invisible");
     assert_eq!(
         run(ExecEngine::Superblock),
         uncached,
@@ -1329,7 +1307,6 @@ fn fetch_traps_are_the_same_on_every_tier() {
             }
             for engine in [
                 ExecEngine::Uncached,
-                ExecEngine::Cached,
                 ExecEngine::Superblock,
                 ExecEngine::Trace,
             ] {

@@ -1,19 +1,22 @@
 //! Malformed-input fuzz for the wire protocol: the server must answer
 //! every frame with a structured response and never panic, whatever
 //! bytes arrive — truncated submits, bit-flipped JSON, binary garbage,
-//! oversized frames, invalid UTF-8.
+//! oversized frames, invalid UTF-8. A script of the malformed frames runs
+//! over a real TCP connection too, which must answer it byte for byte as
+//! the in-memory stream does.
 //!
 //! The generator is a deterministic xorshift PRNG, so a failure is a
 //! reproducible frame, not a flake.
 
 use risc1::core::SimConfig;
 use risc1::ir::{compile_risc, RiscOpts};
-use risc1::serve::server::serve_lines;
+use risc1::serve::server::{serve_lines, serve_tcp};
 use risc1::serve::wire;
 use risc1::serve::MAX_WIRE_LINE_BYTES;
 use risc1::workloads::by_id;
 use risc1::{ExecService, ServiceConfig};
-use std::io::Cursor;
+use std::io::{Cursor, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 
 struct Rng(u64);
 
@@ -222,4 +225,70 @@ fn invalid_utf8_is_a_bad_request_not_a_panic() {
     );
     assert!(lines[1].contains("\"ok\":true"));
     service.shutdown();
+}
+
+/// The malformed-frame script: an oversized frame, blank lines, invalid
+/// UTF-8, a line that is not JSON and a status request, then `ending`.
+fn malformed_script(ending: &[u8]) -> Vec<u8> {
+    let mut script = vec![b'a'; MAX_WIRE_LINE_BYTES + 1];
+    script.extend_from_slice(b"\n\n   \n");
+    script.extend_from_slice(&[0xff, 0xfe, 0x80, b'{', b'\n']);
+    script.extend_from_slice(b"this is not json\n{\"op\":\"status\"}\n");
+    script.extend_from_slice(ending);
+    script
+}
+
+/// Both transports run one frame loop: the malformed-frame script, ended
+/// once by a truncated frame and once by `shutdown`, gets byte-identical
+/// replies from `serve_lines` over memory and from `serve_tcp` over two
+/// connections, each half-closed after its script.
+#[test]
+fn the_tcp_transport_answers_the_malformed_frame_script_byte_for_byte() {
+    let scripts = [
+        malformed_script(b"{\"op\":\"poll\",\"id\":"),
+        malformed_script(b"{\"op\":\"shutdown\"}\n"),
+    ];
+
+    let in_memory = service();
+    let want: Vec<Vec<u8>> = scripts
+        .iter()
+        .map(|script| {
+            let mut output = Vec::new();
+            serve_lines(&in_memory, Cursor::new(&script[..]), &mut output).expect("serve");
+            output
+        })
+        .collect();
+
+    let over_tcp = service();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let got: Vec<Vec<u8>> = std::thread::scope(|scope| {
+        let server = scope.spawn(|| serve_tcp(&over_tcp, listener));
+        let got = scripts
+            .iter()
+            .map(|script| {
+                let mut stream = TcpStream::connect(addr).expect("connect");
+                stream.write_all(script).expect("send");
+                stream.shutdown(Shutdown::Write).expect("half-close");
+                let mut output = Vec::new();
+                stream.read_to_end(&mut output).expect("recv");
+                output
+            })
+            .collect();
+        server
+            .join()
+            .expect("server thread exits")
+            .expect("accept loop exits cleanly");
+        got
+    });
+    assert_eq!(got, want, "TCP replies differ from the in-memory stream's");
+    for (output, ending) in want.iter().zip(["truncated-frame", "shutting-down"]) {
+        let replies: Vec<&str> = std::str::from_utf8(output).expect("utf8").lines().collect();
+        assert_eq!(replies.len(), 5, "one reply a frame, none a blank line");
+        assert!(replies[0].contains("oversized-frame"), "{:?}", replies[0]);
+        assert!(replies[1].contains("UTF-8"), "{:?}", replies[1]);
+        assert!(replies[2].contains("bad-request"), "{:?}", replies[2]);
+        assert!(replies[3].contains("\"ok\":true"), "{:?}", replies[3]);
+        assert!(replies[4].contains(ending), "{:?}", replies[4]);
+    }
 }
