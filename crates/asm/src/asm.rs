@@ -2,6 +2,7 @@
 
 use crate::parse::{as_cond, parse_line, Token};
 use risc1_core::Program;
+use risc1_isa::encoding::scc_allowed;
 use risc1_isa::insn::{IMM13_MAX, IMM13_MIN, IMM19_MAX, IMM19_MIN};
 use risc1_isa::{Category, Instruction, Opcode, Reg, Short2, INSN_BYTES};
 use std::collections::HashMap;
@@ -226,7 +227,7 @@ fn translate(
 
     let opcode =
         Opcode::from_mnemonic(op).ok_or_else(|| err(format!("unknown mnemonic `{op}`")))?;
-    if scc && !matches!(opcode.category(), Category::Arithmetic | Category::Shift) {
+    if scc && !scc_allowed(opcode) {
         return Err(err(format!("`{op}` cannot set condition codes")));
     }
 

@@ -5,8 +5,6 @@
 //! risc1 lint <file.s> [--json]   static analysis: CFG + dataflow findings
 //!   --trap-handler <sym>         declare a trap-vector entry point
 //!                                (repeatable); handlers must reti
-//! risc1 lint --spec-audit        cross-check every opcode fact against the
-//!                                executable ISA spec table
 //! risc1 run <file.s> [args…]     assemble and execute; prints result + stats
 //!   --fuel N                     instruction budget (default 200M)
 //!   --engine <tier>              uncached | cached | superblock |
@@ -54,7 +52,6 @@ use risc1_stats::measure_with;
 use std::fmt::Write as _;
 
 mod serve_cmd;
-mod spec_audit;
 
 /// Result of a CLI invocation: the text to print, or an error message.
 pub type CliResult = Result<String, String>;
@@ -66,15 +63,7 @@ pub type CliResult = Result<String, String>;
 pub fn dispatch(args: &[String]) -> CliResult {
     match args.first().map(String::as_str) {
         Some("asm") => cmd_asm(args.get(1).ok_or(USAGE)?),
-        Some("lint") if args.get(1).map(String::as_str) == Some("--spec-audit") => {
-            if let Some(extra) = args.get(2) {
-                return Err(format!(
-                    "lint --spec-audit takes no arguments, got `{extra}`\n{USAGE}"
-                ));
-            }
-            spec_audit::run()
-        }
-        Some("lint") => cmd_lint(args.get(1).ok_or(USAGE)?, &args[2..]),
+        Some("lint") => cmd_lint(&args[1..]),
         Some("run") => cmd_run(args.get(1).ok_or(USAGE)?, &args[2..], false),
         Some("replay") => cmd_replay(&args[1..]),
         Some("trace") => cmd_run(args.get(1).ok_or(USAGE)?, &args[2..], true),
@@ -95,10 +84,6 @@ pub const USAGE: &str = "usage: risc1 <asm|lint|run|trace|bench|exp|list> …
        [--trap-handler <sym>]   declare a trap-vector entry point (symbol
                                 or byte offset; repeatable) - its body is
                                 live code and must return with reti
-  risc1 lint --spec-audit       audit the executable ISA spec table against
-                                the opcode metadata, codec, assembler and
-                                prepared lines over all 128 opcode points;
-                                exits nonzero on any divergence
   risc1 run <file.s> [args…]    execute (args are main's integer arguments)
        [--fuel N]               instruction budget (default 200M)
        [--timeout-ms N]         wall-clock budget; polled between steps,
@@ -185,11 +170,12 @@ fn cmd_asm(path: &str) -> CliResult {
     Ok(out)
 }
 
-fn cmd_lint(path: &str, rest: &[String]) -> CliResult {
+fn cmd_lint(args: &[String]) -> CliResult {
+    let mut path = None;
     let mut json = false;
     let mut config = risc1_lint::LintConfig::default();
     let mut handlers: Vec<String> = Vec::new();
-    let mut it = rest.iter();
+    let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--json" => json = true,
@@ -205,10 +191,11 @@ fn cmd_lint(path: &str, rest: &[String]) -> CliResult {
                     .ok_or("--trap-handler needs a symbol or byte offset")?;
                 handlers.push(v.clone());
             }
+            file if path.is_none() && !file.starts_with("--") => path = Some(file),
             other => return Err(format!("unknown lint flag `{other}`\n{USAGE}")),
         }
     }
-    let src = read(path)?;
+    let src = read(path.ok_or(USAGE)?)?;
     let prog = assemble(&src).map_err(|e| e.to_string())?;
     for h in &handlers {
         let off = match prog.symbols.get(h.as_str()) {
@@ -764,15 +751,16 @@ mod tests {
     }
 
     #[test]
-    fn spec_audit_passes_on_the_tree() {
-        let out = dispatch(&s(&["lint", "--spec-audit"])).unwrap();
-        assert!(out.contains("spec-audit: ok"), "{out}");
-    }
-
-    #[test]
-    fn spec_audit_rejects_stray_arguments() {
-        let err = dispatch(&s(&["lint", "--spec-audit", "foo.s"])).unwrap_err();
-        assert!(err.contains("takes no arguments"), "{err}");
+    fn lint_rejects_an_unknown_flag_with_the_usage_text() {
+        for argv in [
+            &["lint", "--spec-audit"][..],
+            &["lint", "--spec-audit", "foo.s"],
+        ] {
+            let err = dispatch(&s(argv)).unwrap_err();
+            assert!(err.starts_with("unknown lint flag `--spec-audit`"), "{err}");
+            assert!(err.ends_with(USAGE), "{err}");
+        }
+        assert_eq!(dispatch(&s(&["lint"])).unwrap_err(), USAGE);
     }
 
     #[test]

@@ -172,14 +172,6 @@ pub enum Halt {
     Returned,
 }
 
-/// Identity of a physical register, used by the hazard model (visible names
-/// are window-relative, so hazards must be tracked physically).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PhysId {
-    Global(u8),
-    Ring(usize),
-}
-
 /// More arguments than the entry window's six HIGH registers can hold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TooManyArgs {
@@ -282,7 +274,7 @@ pub struct Cpu {
     interrupts_enabled: bool,
     wstack_ptr: u32,
     pending_target: Option<u32>,
-    last_write: Option<(PhysId, bool)>,
+    last_write: Option<u16>,
     halted: bool,
     stats: ExecStats,
     interrupt_handler: Option<u32>,
@@ -1327,7 +1319,7 @@ impl Cpu {
         }
 
         let mut new_target: Option<u32> = None;
-        let mut new_write: Option<(PhysId, bool)> = None;
+        let mut new_write: Option<u16> = None;
         let mut halted = false;
 
         match line.op {
@@ -1344,12 +1336,12 @@ impl Cpu {
             | Opcode::Srl
             | Opcode::Sra => {
                 self.alu_effect(line.op, line);
-                new_write = self.note_write(line.dest, false);
+                new_write = self.note_write(line.dest);
             }
             Opcode::Ldl | Opcode::Ldsu | Opcode::Ldss | Opcode::Ldbu | Opcode::Ldbs => {
                 self.load_effect(line.op, line, pc)?;
                 self.stats.data_reads += 1;
-                new_write = self.note_write(line.dest, true);
+                new_write = self.note_write(line.dest);
             }
             Opcode::Stl | Opcode::Sts | Opcode::Stb => {
                 self.store_effect(line.op, line, pc)?;
@@ -1363,7 +1355,7 @@ impl Cpu {
             }
             Opcode::Call | Opcode::Callr => {
                 new_target = Some(self.call_effect(line, pc)?);
-                new_write = self.note_write(line.dest, false);
+                new_write = self.note_write(line.dest);
                 self.stats.calls += 1;
                 self.take_transfer(&mut cycles);
             }
@@ -1386,22 +1378,22 @@ impl Cpu {
             Opcode::Calli => {
                 self.enter_window(pc)?;
                 self.regs.write(line.dest, self.last_pc);
-                new_write = self.note_write(line.dest, false);
+                new_write = self.note_write(line.dest);
                 self.interrupts_enabled = false;
                 self.stats.calls += 1;
             }
             Opcode::Ldhi => {
                 self.ldhi_effect(line);
-                new_write = self.note_write(line.dest, false);
+                new_write = self.note_write(line.dest);
             }
             Opcode::Gtlpc => {
                 self.regs.write(line.dest, self.last_pc);
-                new_write = self.note_write(line.dest, false);
+                new_write = self.note_write(line.dest);
             }
             Opcode::Getpsw => {
                 let w = self.psw().to_word();
                 self.regs.write(line.dest, w);
-                new_write = self.note_write(line.dest, false);
+                new_write = self.note_write(line.dest);
             }
             Opcode::Putpsw => {
                 let word = self.short_sum(line);
@@ -1577,29 +1569,20 @@ impl Cpu {
         }
     }
 
-    /// Hazard-model bookkeeping for a register write: the physical
-    /// identity the *next* instruction's reads are checked against. With
+    /// Hazard-model bookkeeping for a register write: the flat register
+    /// file index the *next* instruction's reads are checked against (visible
+    /// names are window-relative, so hazards are tracked physically). With
     /// internal forwarding (the RISC I datapath, and the default) the
-    /// hazard model never fires, so the translation — two extra window
-    /// computations per instruction — is skipped entirely.
+    /// hazard model never fires, so the translation is skipped entirely.
     #[inline]
-    fn note_write(&self, r: Reg, was_load: bool) -> Option<(PhysId, bool)> {
-        if self.cfg.forwarding {
-            None
-        } else {
-            self.phys(r).map(|p| (p, was_load))
-        }
+    fn note_write(&self, r: Reg) -> Option<u16> {
+        (!self.cfg.forwarding && !r.is_zero()).then(|| self.flat_index(r))
     }
 
-    /// Physical identity of a visible register in the *current* window.
-    fn phys(&self, r: Reg) -> Option<PhysId> {
-        if r.is_zero() {
-            return None;
-        }
-        Some(match self.regs.physical_slot(self.regs.cwp() as usize, r) {
-            None => PhysId::Global(r.number()),
-            Some(i) => PhysId::Ring(i),
-        })
+    /// The flat register-file index of visible register `r` in the current
+    /// window.
+    fn flat_index(&self, r: Reg) -> u16 {
+        self.regs.flat_index(usize::from(self.regs.cwp()), r)
     }
 
     /// Forces the `CALLI` sequence: advance the window (spilling if
@@ -1738,14 +1721,13 @@ impl Cpu {
         if self.cfg.forwarding {
             return 0;
         }
-        let Some((written, _was_load)) = self.last_write else {
+        let Some(written) = self.last_write else {
             return 0;
         };
         let hazard = insn
             .reads()
             .into_iter()
-            .filter_map(|r| self.phys(r))
-            .any(|p| p == written);
+            .any(|r| self.flat_index(r) == written);
         if hazard {
             self.stats.bubble_cycles += 1;
             1
@@ -2849,7 +2831,7 @@ mod tests {
                     addr: 0xe_fffe,
                     width: 4,
                 },
-                0x931d_5a56_435c_9aef,
+                0x9901_9f77_6df8_0434,
             ),
             (
                 0x10_0002,
@@ -2857,7 +2839,7 @@ mod tests {
                     addr: 0xf_fffe,
                     width: 4,
                 },
-                0x2e12_ff23_cf10_b27d,
+                0x97e6_f411_c952_54d6,
             ),
             (
                 0x10_0040,
@@ -2865,7 +2847,7 @@ mod tests {
                     addr: 0x10_003c,
                     width: 4,
                 },
-                0xd790_707a_21a3_86af,
+                0xc778_b41b_8fff_b9d8,
             ),
         ] {
             let mut cpu = recursing(top, 12);
@@ -2903,17 +2885,17 @@ mod tests {
             }
         );
         assert_eq!(cpu.wstack_ptr, 0x10_0000);
-        assert_eq!(cpu.snapshot().checksum(), 0x5a5b_657f_1527_a5b4);
+        assert_eq!(cpu.snapshot().checksum(), 0x162a_46c4_3bff_97fb);
     }
 
     #[test]
     fn frames_straddling_a_host_page_or_ending_memory_round_trip() {
         // (save-stack top, depth, result, frames spilled, checksum)
         for (top, depth, sum, frames, checksum) in [
-            (0xf_0010, 20, 210, 15, 0x2348_367c_5cb7_1a25),
-            (0xf_0020, 20, 210, 15, 0x6ad6_a530_39a9_c13a),
-            (0xf_0030, 20, 210, 15, 0x4f9b_ec9e_f204_b5b8),
-            (0x10_0000, 12, 78, 7, 0x8330_4263_c4fe_7037),
+            (0xf_0010, 20, 210, 15, 0x2b79_3eb6_5c19_d012),
+            (0xf_0020, 20, 210, 15, 0x7987_e384_f94d_9265),
+            (0xf_0030, 20, 210, 15, 0x9523_041a_c608_9057),
+            (0x10_0000, 12, 78, 7, 0xbaa4_03da_121e_aa70),
         ] {
             let mut cpu = recursing(top, depth);
             cpu.run().unwrap();

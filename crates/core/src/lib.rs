@@ -61,7 +61,6 @@ pub use cpu::{Cpu, ExecError, Halt, TooManyArgs, TRAP_VECTOR_STRIDE};
 pub use deadline::Deadline;
 pub use inject::{FaultInjector, InjectConfig, InjectEvent, InjectKind, XorShift64};
 pub use journal::{Journal, JournalError, JournalEvent, RecordedOutcome, JOURNAL_VERSION};
-pub use line::prepared_base_cycles;
 pub use mem::{MemError, Memory, PAGE_BYTES};
 pub use program::Program;
 pub use snapshot::{

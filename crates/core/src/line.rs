@@ -81,13 +81,6 @@ impl Line {
     }
 }
 
-/// The base cycle cost a prepared line carries for `insn`. Exposed so the
-/// `--spec-audit` pass can cross-check the engine's per-line cost against
-/// the spec table without reaching into the private line type.
-pub fn prepared_base_cycles(insn: &Instruction) -> u8 {
-    Line::prepare(*insn).base_cycles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

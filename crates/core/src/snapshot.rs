@@ -24,9 +24,9 @@
 //! copy plus one cycle per memory word copied.
 
 use crate::config::SimConfig;
-use crate::cpu::{Cpu, PhysId};
+use crate::cpu::Cpu;
 use crate::json::{
-    get, num, obj, obj_in, Codec, Coded, Field, Flag, Json, JsonError, List, Nullable, Num, Record,
+    num, obj, obj_in, Codec, Coded, Field, Flag, Json, JsonError, List, Nullable, Num, Record,
     Then, Tuple, Unhashed, Writer,
 };
 use crate::mem::{MemTraffic, Memory, PAGE_BYTES};
@@ -39,7 +39,7 @@ use std::fmt;
 
 /// Snapshot format version; bumped whenever the captured state changes
 /// shape. Restore refuses snapshots from a different version.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Admission limit on the simulated-memory size a *deserialized*
 /// configuration may declare — in a snapshot, a journal, a wire submit or
@@ -160,7 +160,9 @@ pub(crate) struct CpuState {
     pub(crate) interrupts_enabled: bool,
     pub(crate) wstack_ptr: u32,
     pub(crate) pending_target: Option<u32>,
-    pub(crate) last_write: Option<(PhysId, bool)>,
+    /// The flat register-file index the last instruction wrote, for the
+    /// interlock model (`None` under forwarding).
+    pub(crate) last_write: Option<u16>,
     pub(crate) halted: bool,
     pub(crate) stats: ExecStats,
     pub(crate) interrupt_handler: Option<u32>,
@@ -404,7 +406,7 @@ crate::record! {
         "interrupts_enabled" => interrupts_enabled: Flag,
         "wstack_ptr" => wstack_ptr: num(0..=u32::MAX),
         "pending_target" => pending_target: Nullable(num(0..=u32::MAX)),
-        "last_write" => last_write: LastWrite,
+        "last_write" => last_write: Nullable(num(0..=u16::MAX)),
         "halted" => halted: Flag,
         "stats" => stats: obj(),
         "interrupt_handler" => interrupt_handler: Nullable(num(0..=u32::MAX)),
@@ -490,67 +492,6 @@ impl Codec<Flags> for FlagsField {
     }
 }
 
-/// The register the last instruction wrote and whether a load wrote it,
-/// for the interlock model: `null`, or `{"kind":"global"|"ring","index":i,
-/// "load":b}`. The checksum absorbs 0, or 1 (global) or 2 (ring), the
-/// index and the flag.
-struct LastWrite;
-
-const GLOBAL: Num<u8> = num(0..=u8::MAX);
-const RING: Num<usize> = num(0..=usize::MAX);
-
-impl Codec<Option<(PhysId, bool)>> for LastWrite {
-    fn put(&self, w: &mut Writer, v: &Option<(PhysId, bool)>) {
-        let Some((id, load)) = *v else {
-            return w.null();
-        };
-        w.obj_open();
-        w.key("kind");
-        match id {
-            PhysId::Global(g) => {
-                w.str("global");
-                GLOBAL.write(w, "index", &g);
-            }
-            PhysId::Ring(i) => {
-                w.str("ring");
-                RING.write(w, "index", &i);
-            }
-        }
-        Flag.write(w, "load", &load);
-        w.obj_close();
-    }
-
-    fn get(&self, v: &Json, what: &str) -> Result<Option<(PhysId, bool)>, JsonError> {
-        if let Json::Null = v {
-            return Ok(None);
-        }
-        let obj = v.as_obj(what)?;
-        let id = match get(obj, "kind")?.as_str("kind")? {
-            "global" => PhysId::Global(GLOBAL.read(obj, "index")?),
-            "ring" => PhysId::Ring(RING.read(obj, "index")?),
-            other => return Err(crate::json::unknown_name("kind", other, ["global", "ring"])),
-        };
-        Ok(Some((id, Flag.read(obj, "load")?)))
-    }
-
-    fn absorb(&self, h: &mut Fnv64, v: &Option<(PhysId, bool)>) {
-        let Some((id, load)) = *v else {
-            return h.write_u64(0);
-        };
-        match id {
-            PhysId::Global(g) => {
-                h.write_u64(1);
-                h.write_u64(u64::from(g));
-            }
-            PhysId::Ring(i) => {
-                h.write_u64(2);
-                h.write_u64(i as u64);
-            }
-        }
-        h.write_u8(u8::from(load));
-    }
-}
-
 const TRAP_CODE: Coded<TrapKind, u32> = Coded(
     num(1..=TrapKind::COUNT as u32),
     |k| k.code(),
@@ -593,7 +534,6 @@ impl Codec<OpcodeCounts> for OpcodeHistogram {
 
 crate::keyed! {
     impl[] FlagsField => Flags;
-    impl[] LastWrite => Option<(PhysId, bool)>;
     impl[] OpcodeHistogram => OpcodeCounts;
 }
 
@@ -786,7 +726,7 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Parser;
+    use crate::json::{get, Parser};
     use crate::program::Program;
     use risc1_isa::{Cond, Instruction, Opcode, Reg, Short2};
 
@@ -1182,7 +1122,7 @@ mod tests {
         let resident = "\"resident\":1,\"spilled\":0";
         let mut v2 = text.clone();
         for (from, to) in [
-            ("\"version\":3", "\"version\":2".to_string()),
+            ("\"version\":4", "\"version\":2".to_string()),
             (
                 "\"cfg\"",
                 format!("\"at_instruction\":{},\"cfg\"", s.instructions),
@@ -1211,9 +1151,29 @@ mod tests {
             Cpu::new(SimConfig::default()).restore(&old),
             Err(RestoreError::Version {
                 found: 2,
-                expected: 3
+                expected: 4
             })
         ));
+
+        // So does the text a format-3 build wrote with nothing in
+        // `last_write`; a format-3 `last_write` object no longer reads.
+        let v3 = text.replacen("\"version\":4", "\"version\":3", 1);
+        let old = Snapshot::from_json(&v3).unwrap();
+        assert!(matches!(
+            Cpu::new(SimConfig::default()).restore(&old),
+            Err(RestoreError::Version {
+                found: 3,
+                expected: 4
+            })
+        ));
+        let object = "{\"kind\":\"global\",\"index\":1,\"load\":false}";
+        let v3 = v3.replacen(
+            "\"last_write\":null",
+            &format!("\"last_write\":{object}"),
+            1,
+        );
+        assert!(v3.contains(object));
+        assert!(Snapshot::from_json(&v3).is_err());
 
         // A `spilled` count is held to what memory can hold: the bound
         // itself reads and restores, one more is a schema error.

@@ -46,7 +46,7 @@ use crate::mem::{CodeDirty, Memory, PAGE_BYTES};
 use crate::retire::{replay_meta, TMeta};
 use crate::stats::ExecStats;
 use crate::trace::Trace;
-use risc1_isa::Opcode;
+use risc1_isa::{spec, Opcode};
 
 /// Sentinel for "no live block starts at this word" in
 /// [`BlockCache::map`].
@@ -454,13 +454,11 @@ impl BlockCache {
 }
 
 /// Whether `op` runs only on the one-step path, whose `exec_prepared`
-/// keeps the PSW, `last_pc` and the trap unit current per op: CALLI,
-/// RETI, GTLPC, GETPSW and PUTPSW. No block holds one.
+/// keeps the PSW, `last_pc` and the trap unit current per op: the rows
+/// that read or write the PSW or the last PC (CALLI, RETI, GTLPC, GETPSW
+/// and PUTPSW), which traces exclude too. No block holds one.
 fn one_step_only(op: Opcode) -> bool {
-    matches!(
-        op,
-        Opcode::Calli | Opcode::Reti | Opcode::Gtlpc | Opcode::Getpsw | Opcode::Putpsw
-    )
+    spec::entry(op).touches_psw_or_last_pc()
 }
 
 /// Collects the prepared lines of one superblock: consecutive words from

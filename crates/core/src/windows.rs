@@ -289,8 +289,9 @@ impl WindowFile {
     }
 
     /// Flat `store` index backing visible register `r` at window `window` —
-    /// the trace engine's build-time register resolution (the same formula
-    /// the `maps` tables are built from). The caller special-cases r0.
+    /// the trace engine's build-time register resolution and the hazard
+    /// model's physical register identity (the same formula the `maps`
+    /// tables are built from). The caller special-cases r0.
     pub(crate) fn flat_index(&self, window: usize, r: Reg) -> u16 {
         match self.physical_slot(window, r) {
             None => r.number() as u16,

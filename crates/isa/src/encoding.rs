@@ -15,8 +15,9 @@
 
 use crate::cond::Cond;
 use crate::insn::{Instruction, Operands, Short2, IMM19_MAX, IMM19_MIN};
-use crate::opcode::{Format, Opcode};
+use crate::opcode::Opcode;
 use crate::reg::Reg;
+use crate::spec::{self, OperandShape};
 use std::fmt;
 
 /// Why a 32-bit word failed to decode.
@@ -52,7 +53,7 @@ impl std::error::Error for DecodeError {}
 /// shift group drives the condition-code logic. This is the spec table's
 /// `scc_allowed` column.
 pub fn scc_allowed(op: Opcode) -> bool {
-    crate::spec::entry(op).scc_allowed
+    spec::entry(op).scc_allowed
 }
 
 impl Instruction {
@@ -69,7 +70,9 @@ impl Instruction {
         }
     }
 
-    /// Decodes a 32-bit machine word.
+    /// Decodes a 32-bit machine word. The opcode field's row of the spec
+    /// table gives the operand shape, the `scc` legality and whether a
+    /// long immediate is signed.
     ///
     /// # Errors
     /// Returns a [`DecodeError`] if the opcode field is unassigned, the
@@ -77,70 +80,63 @@ impl Instruction {
     /// bit is set on an instruction outside the ALU group.
     pub fn decode(w: u32) -> Result<Instruction, DecodeError> {
         let code = (w >> 25) as u8 & 0x7f;
-        let opcode = Opcode::from_code(code).ok_or(DecodeError::UnknownOpcode(code))?;
+        let row = spec::entry_for_code(code).ok_or(DecodeError::UnknownOpcode(code))?;
         let scc = w >> 24 & 1 != 0;
-        if scc && !scc_allowed(opcode) {
-            return Err(DecodeError::SccNotAllowed(opcode));
+        if scc && !row.scc_allowed {
+            return Err(DecodeError::SccNotAllowed(row.opcode));
         }
         let dest_field = (w >> 19 & 0x1f) as u8;
-        let operands = match opcode.format() {
-            Format::Short => {
-                let rs1 = Reg::from_field(w >> 14 & 0x1f);
-                let s2 = if w >> 13 & 1 != 0 {
-                    // Sign-extend the 13-bit immediate.
-                    let raw = (w & 0x1fff) as i32;
-                    let v = (raw << 19) >> 19;
-                    Short2::Imm(v as i16)
-                } else {
-                    if w & 0x1fe0 != 0 {
-                        return Err(DecodeError::NonZeroPadding(w));
-                    }
-                    Short2::Reg(Reg::from_field(w & 0x1f))
-                };
-                if opcode.uses_condition() {
-                    // Bit 4 of the dest field is unused by conditions and
-                    // must be zero for a canonical encoding.
-                    match Cond::from_field(dest_field) {
-                        Some(cond) => Operands::ShortCond { cond, rs1, s2 },
-                        None => return Err(DecodeError::NonZeroPadding(w)),
-                    }
-                } else {
-                    Operands::Short {
-                        dest: Reg::from_field(dest_field as u32),
-                        rs1,
-                        s2,
-                    }
+        let dest = Reg::from_field(dest_field as u32);
+        // Bit 4 of the dest field is unused by conditions and must be zero
+        // for a canonical encoding.
+        let cond = || Cond::from_field(dest_field).ok_or(DecodeError::NonZeroPadding(w));
+        let raw = (w & 0x7ffff) as i32;
+        let signed = (raw << 13) >> 13;
+        let operands = match row.shape {
+            OperandShape::Short => {
+                let (rs1, s2) = short_operands(w)?;
+                Operands::Short { dest, rs1, s2 }
+            }
+            OperandShape::ShortCond => {
+                let (rs1, s2) = short_operands(w)?;
+                Operands::ShortCond {
+                    cond: cond()?,
+                    rs1,
+                    s2,
                 }
             }
-            Format::Long => {
-                let raw = (w & 0x7ffff) as i32;
-                if opcode.uses_condition() {
-                    let imm19 = (raw << 13) >> 13; // sign extend
-                    match Cond::from_field(dest_field) {
-                        Some(cond) => Operands::LongCond { cond, imm19 },
-                        None => return Err(DecodeError::NonZeroPadding(w)),
-                    }
-                } else {
-                    // CALLR is PC-relative (signed); LDHI is a raw payload
-                    // (kept unsigned-as-written).
-                    let imm19 = if opcode == Opcode::Callr {
-                        (raw << 13) >> 13
-                    } else {
-                        raw
-                    };
-                    Operands::Long {
-                        dest: Reg::from_field(dest_field as u32),
-                        imm19,
-                    }
-                }
-            }
+            OperandShape::Long => Operands::Long {
+                dest,
+                imm19: if row.imm19_unsigned { raw } else { signed },
+            },
+            OperandShape::LongCond => Operands::LongCond {
+                cond: cond()?,
+                imm19: signed,
+            },
         };
         Ok(Instruction {
-            opcode,
+            opcode: row.opcode,
             scc,
             operands,
         })
     }
+}
+
+/// The `rs1` and `s2` fields of a short-format word: `s2` is a
+/// sign-extended 13-bit immediate, or a register whose must-be-zero
+/// padding is checked.
+fn short_operands(w: u32) -> Result<(Reg, Short2), DecodeError> {
+    let rs1 = Reg::from_field(w >> 14 & 0x1f);
+    let s2 = if w >> 13 & 1 != 0 {
+        let raw = (w & 0x1fff) as i32;
+        Short2::Imm(((raw << 19) >> 19) as i16)
+    } else {
+        if w & 0x1fe0 != 0 {
+            return Err(DecodeError::NonZeroPadding(w));
+        }
+        Short2::Reg(Reg::from_field(w & 0x1f))
+    };
+    Ok((rs1, s2))
 }
 
 fn short_fields(rs1: Reg, s2: Short2) -> u32 {
@@ -159,6 +155,7 @@ pub fn fits_imm19(offset: i32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opcode::Format;
     use proptest::prelude::*;
 
     fn arb_reg() -> impl Strategy<Value = Reg> {

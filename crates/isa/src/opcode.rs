@@ -1,11 +1,13 @@
-//! The 31 RISC I opcodes and their static metadata.
+//! The 31 RISC I opcodes.
 //!
-//! This is the machine-readable form of the paper's Table II. Each opcode
-//! carries its mnemonic, instruction format, functional category, a one-line
-//! semantic description, and the base cycle cost used by the simulator's
-//! timing model (1 cycle for everything except memory accesses, which need a
-//! second cycle for the data transfer — exactly the paper's assumption).
+//! An opcode names one row of the paper's Table II: its mnemonic, its
+//! 7-bit code and a one-line semantic description. Every other static fact
+//! about it (instruction format, functional category, base cycle cost,
+//! memory, window and transfer behaviour) is read from that row of the
+//! executable spec table, [`crate::spec::ENTRIES`], where each is stated
+//! once.
 
+use crate::spec::{self, MemEffect, OperandShape, Transfer, WindowMotion};
 use std::fmt;
 
 /// Functional category of an instruction (the paper groups Table II the same
@@ -54,8 +56,7 @@ pub enum Format {
 }
 
 macro_rules! opcodes {
-    ($(($variant:ident, $mnem:literal, $code:expr, $cat:ident, $fmt:ident,
-        $cycles:expr, $mem:expr, $desc:literal)),* $(,)?) => {
+    ($(($variant:ident, $mnem:literal, $code:expr, $desc:literal)),* $(,)?) => {
         /// One of the 31 RISC I instructions.
         ///
         /// The discriminant is the 7-bit opcode field of the encoded word.
@@ -72,32 +73,6 @@ macro_rules! opcodes {
             /// The assembler mnemonic.
             pub fn mnemonic(self) -> &'static str {
                 match self { $(Opcode::$variant => $mnem,)* }
-            }
-
-            /// Functional category (Table II grouping).
-            // Always inlined: the 31-way match compiles to a jump table
-            // LLVM keeps out of line under a plain `#[inline]`, while each
-            // caller compares the result with one category, which inlining
-            // folds to a range check on the opcode.
-            #[inline(always)]
-            pub fn category(self) -> Category {
-                match self { $(Opcode::$variant => Category::$cat,)* }
-            }
-
-            /// Binary instruction format.
-            pub fn format(self) -> Format {
-                match self { $(Opcode::$variant => Format::$fmt,)* }
-            }
-
-            /// Base cycle cost in the paper's timing model.
-            pub fn base_cycles(self) -> u64 {
-                match self { $(Opcode::$variant => $cycles,)* }
-            }
-
-            /// Number of *data* memory references the instruction makes
-            /// (instruction fetch is not counted here).
-            pub fn data_mem_refs(self) -> u64 {
-                match self { $(Opcode::$variant => $mem,)* }
             }
 
             /// One-line semantics, as in Table II of the paper.
@@ -124,99 +99,136 @@ macro_rules! opcodes {
 // format (0), which keeps the decoder a handful of gates — one of the paper's
 // selling points.
 opcodes! {
-    // -- arithmetic / logic (short format, three register operands) --------
-    (Add,    "add",    0x01, Arithmetic, Short, 1, 0, "rd := rs1 + s2"),
-    (Addc,   "addc",   0x02, Arithmetic, Short, 1, 0, "rd := rs1 + s2 + carry"),
-    (Sub,    "sub",    0x03, Arithmetic, Short, 1, 0, "rd := rs1 - s2"),
-    (Subc,   "subc",   0x04, Arithmetic, Short, 1, 0, "rd := rs1 - s2 - borrow"),
-    (Subr,   "subr",   0x05, Arithmetic, Short, 1, 0, "rd := s2 - rs1 (reverse subtract)"),
-    (Subcr,  "subcr",  0x06, Arithmetic, Short, 1, 0, "rd := s2 - rs1 - borrow"),
-    (And,    "and",    0x07, Arithmetic, Short, 1, 0, "rd := rs1 & s2"),
-    (Or,     "or",     0x08, Arithmetic, Short, 1, 0, "rd := rs1 | s2"),
-    (Xor,    "xor",    0x09, Arithmetic, Short, 1, 0, "rd := rs1 ^ s2"),
-    (Sll,    "sll",    0x0a, Shift,      Short, 1, 0, "rd := rs1 << s2 (shift left logical)"),
-    (Srl,    "srl",    0x0b, Shift,      Short, 1, 0, "rd := rs1 >> s2 (shift right logical)"),
-    (Sra,    "sra",    0x0c, Shift,      Short, 1, 0, "rd := rs1 >> s2 (shift right arithmetic)"),
-    // -- loads (rs1 + s2 index addressing; 2 cycles: address + data) -------
-    (Ldl,    "ldl",    0x10, Load, Short, 2, 1, "rd := M[rs1 + s2] (load 32-bit word)"),
-    (Ldsu,   "ldsu",   0x11, Load, Short, 2, 1, "rd := zero-extended 16-bit M[rs1 + s2]"),
-    (Ldss,   "ldss",   0x12, Load, Short, 2, 1, "rd := sign-extended 16-bit M[rs1 + s2]"),
-    (Ldbu,   "ldbu",   0x13, Load, Short, 2, 1, "rd := zero-extended 8-bit M[rs1 + s2]"),
-    (Ldbs,   "ldbs",   0x14, Load, Short, 2, 1, "rd := sign-extended 8-bit M[rs1 + s2]"),
-    // -- stores (rd supplies the data to write) -----------------------------
-    (Stl,    "stl",    0x15, Store, Short, 2, 1, "M[rs1 + s2] := rd (store 32-bit word)"),
-    (Sts,    "sts",    0x16, Store, Short, 2, 1, "M[rs1 + s2] := low 16 bits of rd"),
-    (Stb,    "stb",    0x17, Store, Short, 2, 1, "M[rs1 + s2] := low 8 bits of rd"),
-    // -- control transfer (all delayed by one slot) --------------------------
-    (Jmp,    "jmp",    0x20, ControlTransfer, Short, 1, 0, "if cond then pc := rs1 + s2 (delayed)"),
-    (Jmpr,   "jmpr",   0x60, ControlTransfer, Long,  1, 0, "if cond then pc := pc + imm19 (delayed)"),
-    (Call,   "call",   0x21, ControlTransfer, Short, 1, 0, "rd := pc, next window, pc := rs1 + s2 (delayed)"),
-    (Callr,  "callr",  0x61, ControlTransfer, Long,  1, 0, "rd := pc, next window, pc := pc + imm19 (delayed)"),
-    (Ret,    "ret",    0x22, ControlTransfer, Short, 1, 0, "pc := rs1 + s2, previous window (delayed)"),
-    (Calli,  "calli",  0x23, ControlTransfer, Short, 1, 0, "interrupt entry: disable interrupts, next window, save last pc"),
-    (Reti,   "reti",   0x24, ControlTransfer, Short, 1, 0, "interrupt exit: enable interrupts, previous window, pc := rs1 + s2"),
-    // -- miscellaneous -------------------------------------------------------
-    (Ldhi,   "ldhi",   0x62, Misc, Long,  1, 0, "rd := imm19 << 13 (load immediate high part)"),
-    (Gtlpc,  "gtlpc",  0x25, Misc, Short, 1, 0, "rd := last pc (for restarting delayed jumps after interrupts)"),
-    (Getpsw, "getpsw", 0x26, Misc, Short, 1, 0, "rd := psw"),
-    (Putpsw, "putpsw", 0x27, Misc, Short, 1, 0, "psw := rs1 + s2"),
+    // -- arithmetic / logic ---------------------------------------------------
+    (Add,    "add",    0x01, "rd := rs1 + s2"),
+    (Addc,   "addc",   0x02, "rd := rs1 + s2 + carry"),
+    (Sub,    "sub",    0x03, "rd := rs1 - s2"),
+    (Subc,   "subc",   0x04, "rd := rs1 - s2 - borrow"),
+    (Subr,   "subr",   0x05, "rd := s2 - rs1 (reverse subtract)"),
+    (Subcr,  "subcr",  0x06, "rd := s2 - rs1 - borrow"),
+    (And,    "and",    0x07, "rd := rs1 & s2"),
+    (Or,     "or",     0x08, "rd := rs1 | s2"),
+    (Xor,    "xor",    0x09, "rd := rs1 ^ s2"),
+    (Sll,    "sll",    0x0a, "rd := rs1 << s2 (shift left logical)"),
+    (Srl,    "srl",    0x0b, "rd := rs1 >> s2 (shift right logical)"),
+    (Sra,    "sra",    0x0c, "rd := rs1 >> s2 (shift right arithmetic)"),
+    // -- loads ----------------------------------------------------------------
+    (Ldl,    "ldl",    0x10, "rd := M[rs1 + s2] (load 32-bit word)"),
+    (Ldsu,   "ldsu",   0x11, "rd := zero-extended 16-bit M[rs1 + s2]"),
+    (Ldss,   "ldss",   0x12, "rd := sign-extended 16-bit M[rs1 + s2]"),
+    (Ldbu,   "ldbu",   0x13, "rd := zero-extended 8-bit M[rs1 + s2]"),
+    (Ldbs,   "ldbs",   0x14, "rd := sign-extended 8-bit M[rs1 + s2]"),
+    // -- stores ---------------------------------------------------------------
+    (Stl,    "stl",    0x15, "M[rs1 + s2] := rd (store 32-bit word)"),
+    (Sts,    "sts",    0x16, "M[rs1 + s2] := low 16 bits of rd"),
+    (Stb,    "stb",    0x17, "M[rs1 + s2] := low 8 bits of rd"),
+    // -- control transfer -----------------------------------------------------
+    (Jmp,    "jmp",    0x20, "if cond then pc := rs1 + s2 (delayed)"),
+    (Jmpr,   "jmpr",   0x60, "if cond then pc := pc + imm19 (delayed)"),
+    (Call,   "call",   0x21, "rd := pc, next window, pc := rs1 + s2 (delayed)"),
+    (Callr,  "callr",  0x61, "rd := pc, next window, pc := pc + imm19 (delayed)"),
+    (Ret,    "ret",    0x22, "pc := rs1 + s2, previous window (delayed)"),
+    (Calli,  "calli",  0x23, "interrupt entry: disable interrupts, next window, save last pc"),
+    (Reti,   "reti",   0x24, "interrupt exit: enable interrupts, previous window, pc := rs1 + s2"),
+    // -- miscellaneous --------------------------------------------------------
+    (Ldhi,   "ldhi",   0x62, "rd := imm19 << 13 (load immediate high part)"),
+    (Gtlpc,  "gtlpc",  0x25, "rd := last pc (for restarting delayed jumps after interrupts)"),
+    (Getpsw, "getpsw", 0x26, "rd := psw"),
+    (Putpsw, "putpsw", 0x27, "psw := rs1 + s2"),
 }
 
 impl Opcode {
+    /// Functional category (Table II grouping): a load or store by its
+    /// memory effect, a transfer by its transfer kind, a shift by its
+    /// masked count, arithmetic by the rest of the rows that may set the
+    /// flags, and miscellaneous otherwise.
+    pub fn category(self) -> Category {
+        let e = spec::entry(self);
+        match (e.mem, e.transfer) {
+            (MemEffect::Read { .. }, _) => Category::Load,
+            (MemEffect::Write { .. }, _) => Category::Store,
+            (_, Transfer::None) if e.masks_shift_count => Category::Shift,
+            (_, Transfer::None) if e.scc_allowed => Category::Arithmetic,
+            (_, Transfer::None) => Category::Misc,
+            _ => Category::ControlTransfer,
+        }
+    }
+
+    /// Binary instruction format, the width of the operand shape.
+    pub fn format(self) -> Format {
+        match spec::entry(self).shape {
+            OperandShape::Short | OperandShape::ShortCond => Format::Short,
+            OperandShape::Long | OperandShape::LongCond => Format::Long,
+        }
+    }
+
+    /// Base cycle cost in the paper's timing model.
+    pub fn base_cycles(self) -> u64 {
+        u64::from(spec::entry(self).base_cycles)
+    }
+
+    /// Number of *data* memory references the instruction makes
+    /// (instruction fetch is not counted here).
+    pub fn data_mem_refs(self) -> u64 {
+        u64::from(spec::entry(self).mem != MemEffect::None)
+    }
+
     /// Whether the instruction is a conditional transfer whose `dest` field
     /// holds a condition code instead of a destination register.
     #[inline]
     pub fn uses_condition(self) -> bool {
-        matches!(self, Opcode::Jmp | Opcode::Jmpr)
+        matches!(
+            spec::entry(self).shape,
+            OperandShape::ShortCond | OperandShape::LongCond
+        )
     }
 
     /// Whether executing the instruction may change the current window
     /// pointer.
     #[inline]
     pub fn moves_window(self) -> bool {
-        matches!(
-            self,
-            Opcode::Call | Opcode::Callr | Opcode::Ret | Opcode::Calli | Opcode::Reti
-        )
+        spec::entry(self).window != WindowMotion::None
     }
 
-    /// Whether the instruction is any transfer of control (and therefore has
-    /// a delay slot).
+    /// Whether the instruction is any transfer of control.
     #[inline]
     pub fn is_transfer(self) -> bool {
-        self.category() == Category::ControlTransfer
+        spec::entry(self).transfer != Transfer::None
     }
 
     /// Whether the instruction enters a procedure (advances the window and
     /// records a return address).
     pub fn is_call(self) -> bool {
-        matches!(self, Opcode::Call | Opcode::Callr | Opcode::Calli)
+        spec::entry(self).window == WindowMotion::Push
     }
 
     /// Whether the instruction leaves a procedure (moves back to the
     /// previous window).
     pub fn is_ret(self) -> bool {
-        matches!(self, Opcode::Ret | Opcode::Reti)
+        spec::entry(self).window == WindowMotion::Pop
     }
 
-    /// Whether the transfer exposes a delay slot. All transfers do except
-    /// `CALLI`, which traps in place: it has no target operand and execution
-    /// falls through to the next word.
+    /// Whether the transfer exposes a delay slot: every transfer to a
+    /// target operand does. `CALLI` traps in place and falls through to
+    /// the next word.
     #[inline]
     pub fn has_delay_slot(self) -> bool {
-        self.is_transfer() && self != Opcode::Calli
+        matches!(
+            spec::entry(self).transfer,
+            Transfer::Indexed | Transfer::Relative
+        )
     }
 
     /// Whether this is a load.
     #[inline]
     pub fn is_load(self) -> bool {
-        self.category() == Category::Load
+        matches!(spec::entry(self).mem, MemEffect::Read { .. })
     }
 
     /// Whether this is a store.
     #[inline]
     pub fn is_store(self) -> bool {
-        self.category() == Category::Store
+        matches!(spec::entry(self).mem, MemEffect::Write { .. })
     }
 
     /// Number of bits of the 13-bit short-immediate field a shift-count uses.

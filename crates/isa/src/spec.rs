@@ -4,23 +4,28 @@
 //! one table-driven record per opcode ([`SpecEntry`]): the operand shape the
 //! encoding accepts, the def/use sets (registers, condition codes, PSW,
 //! window pointer and memory), the base cycle cost of the paper's timing
-//! model, delay-slot legality, and an `effect` function giving the
-//! operational semantics against a minimal [`SpecState`].
+//! model, the transfer kind, and an `effect` function giving the
+//! operational semantics against a minimal [`SpecState`]. Each fact is
+//! written once, in its row; a fact that follows from other columns (an
+//! instruction's format, category or delay slot) is derived, not stored.
 //!
 //! Consumers of the table:
 //!
+//! * [`Opcode`]'s format, category, cycle, memory, window and transfer
+//!   methods, which read the opcode's row;
 //! * [`Instruction`]'s `reads`/`writes`/`sets_cc`/
 //!   `reads_cc`/`safe_in_delay_slot_of` delegate here instead of hand-listing
 //!   opcodes;
-//! * [`crate::encoding::scc_allowed`] and the decoder's legality checks;
-//! * the simulator's prepared lines (base cycle cost and transfer flag)
-//!   and the trace builder's lowering classes ([`Lowering`]);
+//! * the decoder, which reads each word's row for its operand shape, `scc`
+//!   legality and `imm19` signedness, and the assembler's `scc` check
+//!   ([`crate::encoding::scc_allowed`]);
+//! * the simulator's prepared lines (base cycle cost and transfer flag),
+//!   the block former's one-step-only rows and the trace builder's
+//!   lowering classes ([`Lowering`]);
 //! * the lint crate's dataflow facts and the `dead-scc-set` /
 //!   `spec-illegal-encoding` rules (via [`validate`]);
-//! * `risc1 lint --spec-audit`, which cross-checks assembler, disassembler
-//!   and engine cost tables against this module for all 128 opcode points;
-//! * the reference interpreter ([`SpecState::step`]) — a fourth, deliberately
-//!   slow engine the differential fuzzer compares the production engines to.
+//! * the reference interpreter ([`SpecState::step`]) — a deliberately slow
+//!   engine the differential fuzzer compares the production engines to.
 //!
 //! The interpreter shares **no code** with `risc1-core`: the windowed
 //! register file, the ALU flag algebra and the little-endian memory are
@@ -34,7 +39,6 @@ use crate::psw::{Flags, Psw};
 use crate::reg::{Reg, NUM_VISIBLE_REGS};
 use crate::DecodeError;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Cycles of the execute stage common to every instruction (the paper's
 /// single-cycle datapath).
@@ -188,8 +192,6 @@ pub struct SpecEntry {
     pub window: WindowMotion,
     /// Control-transfer behaviour.
     pub transfer: Transfer,
-    /// Whether the instruction exposes a delay slot.
-    pub has_delay_slot: bool,
     /// For long-format rows: whether `imm19` is an unsigned payload (LDHI)
     /// rather than a signed PC-relative offset.
     pub imm19_unsigned: bool,
@@ -229,15 +231,18 @@ impl SpecEntry {
         self.scc_allowed
     }
 
+    /// Whether this row reads or writes the non-flag PSW state or the saved
+    /// last PC (CALLI, RETI, GTLPC, GETPSW and PUTPSW). Traces exclude
+    /// these rows, and the block former leaves them to the one-step path.
+    pub fn touches_psw_or_last_pc(&self) -> bool {
+        self.reads_psw || self.writes_psw || self.reads_last_pc
+    }
+
     /// The trace-IR class of this row (see [`Lowering`]). Computed from the
     /// row's declared effects, not from the opcode, so new table rows are
     /// conservatively excluded until their effects say otherwise.
     pub fn lowering(&self) -> Lowering {
-        if self.window != WindowMotion::None
-            || self.writes_psw
-            || self.reads_psw
-            || self.reads_last_pc
-        {
+        if self.window != WindowMotion::None || self.touches_psw_or_last_pc() {
             return Lowering::Excluded;
         }
         match (self.transfer, self.mem) {
@@ -253,7 +258,9 @@ impl SpecEntry {
     }
 
     /// Canonical sample instructions covering every operand shape this row
-    /// accepts. Used by the round-trip law tests and `--spec-audit`.
+    /// accepts: the table's own validation and encoding tests and the
+    /// display, assembler and disassembler round trips of
+    /// `tests/spec_roundtrip.rs` quantify over them.
     pub fn canonical_samples(&self) -> Vec<Instruction> {
         let op = self.opcode;
         match self.shape {
@@ -345,7 +352,6 @@ const fn alu(op: Opcode) -> SpecEntry {
         writes_psw: false,
         window: WindowMotion::None,
         transfer: Transfer::None,
-        has_delay_slot: false,
         imm19_unsigned: false,
         effect: effect_alu,
     }
@@ -430,7 +436,6 @@ pub static ENTRIES: [SpecEntry; 31] = [
         dest: DestRole::Ignored,
         reads_flags: FlagsRead::Cond,
         transfer: Transfer::Indexed,
-        has_delay_slot: true,
         effect: effect_jump,
         ..misc(Opcode::Jmp)
     },
@@ -442,7 +447,6 @@ pub static ENTRIES: [SpecEntry; 31] = [
         uses_s2: false,
         reads_flags: FlagsRead::Cond,
         transfer: Transfer::Relative,
-        has_delay_slot: true,
         effect: effect_jump,
         ..misc(Opcode::Jmpr)
     },
@@ -451,7 +455,6 @@ pub static ENTRIES: [SpecEntry; 31] = [
         dest: DestRole::Link,
         window: WindowMotion::Push,
         transfer: Transfer::Indexed,
-        has_delay_slot: true,
         effect: effect_call,
         ..misc(Opcode::Call)
     },
@@ -463,7 +466,6 @@ pub static ENTRIES: [SpecEntry; 31] = [
         uses_s2: false,
         window: WindowMotion::Push,
         transfer: Transfer::Relative,
-        has_delay_slot: true,
         effect: effect_call,
         ..misc(Opcode::Callr)
     },
@@ -472,7 +474,6 @@ pub static ENTRIES: [SpecEntry; 31] = [
         dest: DestRole::Ignored,
         window: WindowMotion::Pop,
         transfer: Transfer::Indexed,
-        has_delay_slot: true,
         effect: effect_ret,
         ..misc(Opcode::Ret)
     },
@@ -485,7 +486,6 @@ pub static ENTRIES: [SpecEntry; 31] = [
         writes_psw: true,
         window: WindowMotion::Push,
         transfer: Transfer::TrapInPlace,
-        has_delay_slot: false,
         effect: effect_calli,
         ..misc(Opcode::Calli)
     },
@@ -495,7 +495,6 @@ pub static ENTRIES: [SpecEntry; 31] = [
         writes_psw: true,
         window: WindowMotion::Pop,
         transfer: Transfer::Indexed,
-        has_delay_slot: true,
         effect: effect_ret,
         ..misc(Opcode::Reti)
     },
@@ -535,26 +534,30 @@ pub static ENTRIES: [SpecEntry; 31] = [
     },
 ];
 
-fn lut() -> &'static [Option<&'static SpecEntry>; OPCODE_POINTS] {
-    static LUT: OnceLock<[Option<&'static SpecEntry>; OPCODE_POINTS]> = OnceLock::new();
-    LUT.get_or_init(|| {
-        let mut t = [None; OPCODE_POINTS];
-        for e in &ENTRIES {
-            t[e.opcode as usize] = Some(e);
-        }
-        t
-    })
-}
+/// Each 7-bit opcode field's position in [`ENTRIES`] (its Table II row);
+/// the unassigned points hold `u8::MAX`, past the table's end.
+static ROW: [u8; OPCODE_POINTS] = {
+    let mut row = [u8::MAX; OPCODE_POINTS];
+    let mut i = 0;
+    while i < Opcode::ALL.len() {
+        row[Opcode::ALL[i] as usize] = i as u8;
+        i += 1;
+    }
+    row
+};
 
 /// The semantics record of an opcode. Total: every opcode has exactly one.
+#[inline]
 pub fn entry(op: Opcode) -> &'static SpecEntry {
-    lut()[op as usize].expect("every opcode has a spec entry")
+    &ENTRIES[usize::from(ROW[op as usize])]
 }
 
 /// The semantics record behind a raw 7-bit opcode field, `None` for the 97
 /// unassigned opcode points (and for out-of-range codes).
+#[inline]
 pub fn entry_for_code(code: u8) -> Option<&'static SpecEntry> {
-    lut().get(code as usize).copied().flatten()
+    ROW.get(usize::from(code))
+        .and_then(|&row| ENTRIES.get(usize::from(row)))
 }
 
 // ---------------------------------------------------------------------------
@@ -1400,7 +1403,6 @@ fn effect_putpsw(insn: &Instruction, st: &mut SpecState) -> Result<(), SpecFault
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opcode::{Category, Format};
 
     #[test]
     fn table_covers_every_opcode_in_order() {
@@ -1423,50 +1425,21 @@ mod tests {
                 "code {code:#04x}"
             );
         }
-    }
-
-    #[test]
-    fn table_agrees_with_opcode_metadata() {
-        for e in &ENTRIES {
-            let op = e.opcode;
-            assert_eq!(u64::from(e.base_cycles), op.base_cycles(), "{op}");
-            assert_eq!(
-                u64::from(e.mem != MemEffect::None),
-                op.data_mem_refs(),
-                "{op}"
-            );
-            let shape_format = match e.shape {
-                OperandShape::Short | OperandShape::ShortCond => Format::Short,
-                OperandShape::Long | OperandShape::LongCond => Format::Long,
-            };
-            assert_eq!(shape_format, op.format(), "{op}");
-            let shape_cond = matches!(e.shape, OperandShape::ShortCond | OperandShape::LongCond);
-            assert_eq!(shape_cond, op.uses_condition(), "{op}");
-            assert_eq!(
-                e.scc_allowed,
-                matches!(op.category(), Category::Arithmetic | Category::Shift),
-                "{op}"
-            );
-            assert_eq!(
-                e.masks_shift_count,
-                op.category() == Category::Shift,
-                "{op}"
-            );
-            assert_eq!(
-                matches!(e.mem, MemEffect::Read { .. }),
-                op.is_load(),
-                "{op}"
-            );
-            assert_eq!(
-                matches!(e.mem, MemEffect::Write { .. }),
-                op.is_store(),
-                "{op}"
-            );
-            assert_eq!(e.window != WindowMotion::None, op.moves_window(), "{op}");
-            assert_eq!(e.window == WindowMotion::Push, op.is_call(), "{op}");
-            assert_eq!(e.window == WindowMotion::Pop, op.is_ret(), "{op}");
-            assert_eq!(e.transfer != Transfer::None, op.is_transfer(), "{op}");
-            assert_eq!(e.has_delay_slot, op.has_delay_slot(), "{op}");
+        // Every one of the 97 unassigned opcode points fails to decode,
+        // whatever the rest of the word holds.
+        let unassigned: Vec<u8> = (0..OPCODE_POINTS as u8)
+            .filter(|&code| entry_for_code(code).is_none())
+            .collect();
+        assert_eq!(unassigned.len(), 97);
+        for code in unassigned {
+            for rest in [0, 0x01ff_ffff] {
+                let word = u32::from(code) << 25 | rest;
+                assert_eq!(
+                    Instruction::decode(word),
+                    Err(DecodeError::UnknownOpcode(code)),
+                    "word {word:#010x}"
+                );
+            }
         }
     }
 
@@ -1532,6 +1505,7 @@ mod tests {
             let samples = e.canonical_samples();
             assert!(!samples.is_empty(), "{}", e.opcode);
             for insn in samples {
+                assert_eq!(insn.opcode, e.opcode, "{insn}");
                 assert_eq!(validate(&insn), Ok(()), "{insn}");
                 assert_eq!(Instruction::decode(insn.encode()), Ok(insn), "{insn}");
             }

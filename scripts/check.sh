@@ -17,46 +17,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --document-private
 echo "==> cargo build --release --workspace"
 cargo build --release -q --workspace
 
-echo "==> cargo test --workspace"
+echo "==> cargo test --workspace (every unit and integration test, debug"
+echo "    profile: the engine equivalence, snapshot-resume, replay, fault"
+echo "    injection, serve and watchdog laws among them)"
 cargo test -q --workspace
-
-echo "==> cargo test --test fault_injection (robustness sweep)"
-cargo test -q --test fault_injection
-
-echo "==> cargo test --test checkpoint_replay (replay determinism and the"
-echo "    cross-engine snapshot-resume law)"
-cargo test -q --test checkpoint_replay
-
-echo "==> cargo test --test interp_equivalence (engine equivalence law)"
-cargo test -q --test interp_equivalence
 
 echo "==> cargo test --release --test host_counts (block and trace counts,"
 echo "    including the benchmark-scale rows only an optimized build runs)"
 cargo test -q --release --test host_counts
 
-echo "==> risc1 lint --spec-audit (ISA spec table vs metadata/codec/assembler/prepared lines)"
-cargo run -q --release -p risc1-cli --bin risc1 -- lint --spec-audit
-
 echo "==> risc1 exp all vs EXPERIMENT_RESULTS.txt (the simulated tables must"
 echo "    not move)"
 diff <(cargo run -q --release -p risc1-cli --bin risc1 -- exp all) EXPERIMENT_RESULTS.txt
 
-echo "==> cargo test --test spec_differential (spec-vs-four-engines differential"
-echo "    fuzz, fixed-seed quick profile: 200 generated + 48 injected cases)"
+echo "==> cargo test --release --test spec_differential (spec-vs-engines"
+echo "    differential fuzz under the shipping optimizer, fixed-seed quick"
+echo "    profile: 200 generated + 48 injected cases)"
 cargo test -q --release --test spec_differential
-
-echo "==> cargo test --test serve_chaos (service transparency law under load)"
-cargo test -q --test serve_chaos
-
-echo "==> cargo test --test serve_durable (WAL recovery, warm-start snapshots,"
-echo "    retained replay journals)"
-cargo test -q --test serve_durable
-
-echo "==> cargo test --test serve_wire_fuzz (500+ malformed frames, zero panics)"
-cargo test -q --test serve_wire_fuzz
-
-echo "==> cargo test --test deadline_edges (watchdog edge cases and tie-breaks)"
-cargo test -q --test deadline_edges
 
 echo "==> risc1 serve --smoke (TCP round trip: mixed campaign digests vs direct"
 echo "    runs, dedup, streamed journal replay, warm start, tampered-snapshot"

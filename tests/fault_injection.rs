@@ -158,9 +158,8 @@ fn one_step_at_a_time(
 /// loop's other event source, gives the same report again.
 #[test]
 fn batched_injection_equals_the_one_step_loop() {
-    const ENGINES: [ExecEngine; 4] = [
+    const ENGINES: [ExecEngine; 3] = [
         ExecEngine::Uncached,
-        ExecEngine::Cached,
         ExecEngine::Superblock,
         ExecEngine::Trace,
     ];

@@ -339,7 +339,7 @@ const BYTES: [(&str, u64, usize); 13] = [
     ("wal supervised", 0xb773688f2aa5f699, 634),
     ("wal timeout", 0xb266a4363c20d074, 613),
     ("wal journal", 0x91d6c2ecc2368e3c, 612),
-    ("wal snapshot", 0x2c5712b3c6e5eb58, 2005),
+    ("wal snapshot", 0x52fb9d2e671c3162, 2005),
     ("wal done", 0x7a2835908d64335b, 143),
     ("submit clean", 0x79164ca18706087d, 540),
     ("submit injected", 0x65c5d8421e569164, 573),
@@ -357,7 +357,7 @@ const HASHES: [(&str, [u64; 3]); 11] = [
     ("key supervised", [0xec23a58ba1e37eab, 0x8ed696b5ece65617, 0xb]),
     ("key timeout", [0xec23a58ba1e37eab, 0x68362d3a25bf8dee, 0x0]),
     ("key journal", [0xec23a58ba1e37eab, 0x9d105a759bb3fa85, 0xb]),
-    ("key snapshot", [0xec23a58ba1e37eab, 0x209d27408d57339f, 0x0]),
+    ("key snapshot", [0xec23a58ba1e37eab, 0x0ba4686436765155, 0x0]),
 ];
 
 /// The pinned constants as they would record `r`.

@@ -193,9 +193,8 @@ const CASES: [Case; 5] = [
     },
 ];
 
-const ENGINES: [ExecEngine; 4] = [
+const ENGINES: [ExecEngine; 3] = [
     ExecEngine::Uncached,
-    ExecEngine::Cached,
     ExecEngine::Superblock,
     ExecEngine::Trace,
 ];

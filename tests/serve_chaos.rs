@@ -290,7 +290,11 @@ fn concurrent_mixed_campaigns_are_bit_identical_to_direct_execution() {
     // every direct job resubmitted under another tier (fusion off) is a
     // dedup hit, and its replayed wire bytes equal a direct run under that
     // tier.
-    let tiers = [ExecEngine::Uncached, ExecEngine::Cached, ExecEngine::Trace];
+    let tiers = [
+        ExecEngine::Uncached,
+        ExecEngine::Superblock,
+        ExecEngine::Trace,
+    ];
     let cross: Vec<JobSpec> = alpha_specs
         .iter()
         .chain(&beta_specs)

@@ -6,11 +6,11 @@
 //!
 //!   encode(sample) == assemble(display(sample)) == assemble(disassemble(word))
 //!
-//! `risc1 lint --spec-audit` performs the first two checks as part of its
-//! CI sweep; this suite states them as a standalone law — including the
-//! disassembler leg the audit doesn't cover — so a codec or printer
-//! regression is pinpointed by the failing sample, not by a downstream
-//! divergence report.
+//! Each leg is its own test, so a codec or printer regression is pinpointed
+//! by the failing sample. With the table's own tests in `spec.rs` (Table II
+//! order, one row per opcode, no row and no decoding for an unassigned
+//! opcode point, every sample valid), these laws are what remains to check
+//! of the table: every other opcode fact is read from it, not copied.
 
 use risc1::asm::{assemble, disassemble_words};
 use risc1::isa::spec;
@@ -59,7 +59,7 @@ fn every_spec_sample_survives_display_assemble() {
 }
 
 /// Disassembling every canonical sample and reassembling the listing
-/// reproduces the original image — the leg the spec audit does not walk.
+/// reproduces the original image.
 #[test]
 fn every_spec_sample_survives_disassemble_reassemble() {
     let words: Vec<u32> = spec::ENTRIES
